@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--method", choices=["auto", "numeric", "closed"],
                        default="auto")
     p_div.add_argument("--tol", type=float, default=1e-6,
-                       help="bisection bracket tolerance on the shift")
+                       help="gap-search resolution: the prediction parameter is refined "
+                            "to tol * 1e-3")
     p_div.add_argument("--grid-size", type=int, default=257)
     p_div.add_argument("--m", type=int, default=2)
     p_div.set_defaults(func=cmd_divergence)

@@ -4,9 +4,11 @@ The divergence between two predictions is measured geometrically: form the
 alpha-weighted mean of their canonical points, then find the largest
 vertical shift that keeps the mean a superprediction (lower divergence)
 or the smallest shift that makes it a subprediction (upper divergence).
-The shift, scaled by ``4 / (1 - alpha^2)``, is the divergence value; both
-quantities are reported since the raw shift is what the vertical-distance
-picture reads off directly.
+Both shifts are a max-min over the prediction grid, so each numeric
+divergence is a single gap search.  The shift, scaled by
+``4 / (1 - alpha^2)``, is the divergence value; both quantities are
+reported since the raw shift is what the vertical-distance picture reads
+off directly.
 
 Closed forms are provided for the square-loss family (the divergence is
 ``(gamma1 - gamma2)^2`` for every alpha) and for log-loss games (a
@@ -22,9 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import Game, GameKind, is_subprediction, is_superprediction
-
-_BRACKET_DOUBLINGS = 4
+from .games import Game, GameKind, subprediction_gap, superprediction_gap
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,18 @@ class DivergenceResult:
     ``value`` is the scaled divergence ``4 / (1 - alpha^2) * shift``;
     ``shift`` is the raw vertical displacement of the weighted mean (None
     for quantities without a geometric shift, like the standard form).
-    ``bracketed`` is False when the search range never saw a membership
-    flip, in which case ``value`` is ``+inf`` or ``-inf``.
+    ``method`` is ``"closed_form"`` or ``"max_min"`` (one gap search over
+    the prediction grid, refined to ``tol * 1e-3`` in the parameter).
+    ``bracketed`` is False when the shift is infinite, as for log-loss
+    predictions with disjoint support; ``value`` is then ``+inf`` or
+    ``-inf``.
     """
 
     alpha: float
     side: str                    # "lower" | "upper" | "standard" | "kl"
     value: float
     shift: Optional[float]
-    method: str                  # "closed_form" | "bisection"
+    method: str                  # "closed_form" | "max_min"
     tol: float
     bracketed: bool = True
 
@@ -66,75 +69,34 @@ def _weighted_mean_point(game: Game, gamma1, gamma2, alpha: float) -> np.ndarray
     return w1 * lam1 + w2 * lam2
 
 
-def _bisect_flip(member, lo: float, hi: float, tol: float):
-    """Return the flip point of a monotone membership predicate.
-
-    ``member(lo)`` must be True and ``member(hi)`` False; the bracket is
-    shrunk until it is below ``tol``.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _search_shift(game: Game, member, tol: float):
-    """Sup of {t : member(mean - t)} for an up-closed membership predicate.
-
-    Returns (shift, bracketed).  The initial range is +-4 times the largest
-    finite grid loss, doubled a few times before declaring the shift
-    unbounded.
-    """
-    losses = game.grid_canonical_points()
-    radius = 4.0 * float(np.max(losses[np.isfinite(losses)], initial=1.0))
-    lo, hi = -radius, radius
-    for _ in range(_BRACKET_DOUBLINGS + 1):
-        lo_in, hi_in = member(lo), member(hi)
-        if lo_in and not hi_in:
-            return _bisect_flip(member, lo, hi, tol), True
-        if lo_in and hi_in:
-            hi *= 2.0
-        elif not lo_in:
-            lo *= 2.0
-            if hi_in:
-                hi *= 2.0
-    # no flip found: decide which infinity from the last endpoint seen
-    return (math.inf if member(hi) else -math.inf), False
-
-
 def lower_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
                                    tol: float = 1e-6) -> DivergenceResult:
-    """Lower alpha-divergence by bisection on the superprediction oracle."""
+    """Lower alpha-divergence as a direct max-min over the prediction grid.
+
+    The shift is max over gamma of min over omega of
+    ``(mean - lambda_gamma)(omega)``, one superprediction gap search refined
+    to ``tol * 1e-3`` in the prediction parameter.
+    """
     _check_alpha_open(alpha)
     mean = _weighted_mean_point(game, gamma1, gamma2, alpha)
-    mtol = min(1e-9, tol * 1e-2)
-
-    def member(t):
-        return is_superprediction(game, mean - t, mtol)
-
-    shift, bracketed = _search_shift(game, member, tol)
-    value = _scale(alpha) * shift if bracketed else shift
-    return DivergenceResult(alpha, "lower", value, shift, "bisection", tol, bracketed)
+    shift = -superprediction_gap(game, mean, tol)[1]
+    return DivergenceResult(alpha, "lower", _scale(alpha) * shift, shift, "max_min", tol,
+                            math.isfinite(shift))
 
 
 def upper_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
                                    tol: float = 1e-6) -> DivergenceResult:
-    """Upper alpha-divergence: inf of shifts reaching the subprediction set."""
+    """Upper alpha-divergence as a direct min-max over the prediction grid.
+
+    The shift is min over gamma of max over omega of
+    ``(mean - lambda_gamma)(omega)``: the smallest shift that puts the mean
+    below some canonical point, i.e. into the subprediction set.
+    """
     _check_alpha_open(alpha)
     mean = _weighted_mean_point(game, gamma1, gamma2, alpha)
-    mtol = min(1e-9, tol * 1e-2)
-
-    def not_member(t):
-        return not is_subprediction(game, mean - t, mtol)
-
-    # membership in the subprediction set is up-closed in t, so the
-    # complement is down-closed and the same sup-search applies.
-    shift, bracketed = _search_shift(game, not_member, tol)
-    value = _scale(alpha) * shift if bracketed else shift
-    return DivergenceResult(alpha, "upper", value, shift, "bisection", tol, bracketed)
+    shift = subprediction_gap(game, mean, tol)[1]
+    return DivergenceResult(alpha, "upper", _scale(alpha) * shift, shift, "max_min", tol,
+                            math.isfinite(shift))
 
 
 # ---------------------------------------------------------------------------

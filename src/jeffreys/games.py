@@ -42,6 +42,9 @@ DEFAULT_GRID_SIZE = 257
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 _MAX_REFINE_ROUNDS = 16
 _REFINE_POINTS = 21
+_REFINE_STARTS = 3
+_MIXABILITY_FIRST_REFINED = 32
+_BLOCK = 256
 
 
 class GameKind(str, Enum):
@@ -333,30 +336,35 @@ def _min_gap(game: Game, gap_of_params, tol: float):
     """Minimize a per-parameter gap function by coarse grid plus refinement.
 
     ``gap_of_params`` maps an array of prediction parameters to gap values.
-    Refines around the best candidate until the local spacing drops below
-    ``tol * 1e-3`` (floored at 1e-13), so the returned minimum is accurate
-    well below the membership tolerance.
+    Refines around each of the ``_REFINE_STARTS`` best coarse candidates
+    until the local spacing drops below ``tol * 1e-3`` (floored at 1e-13)
+    and keeps the best result, so the returned minimum is accurate well
+    below the membership tolerance even where the gap has several local
+    minima (piecewise-linear losses).
     """
     grid = game.prediction_grid
     if grid is None:
         raise ValueError("game has no scalar prediction parametrization")
     lo, hi = float(grid[0]), float(grid[-1])
     vals = gap_of_params(grid)
-    j = int(np.argmin(vals))
-    best_u, best_v = float(grid[j]), float(vals[j])
-    h = (hi - lo) / (len(grid) - 1)
     resolution = max(tol * 1e-3, 1e-13)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        if h <= resolution:
-            break
-        a, b = max(lo, best_u - h), min(hi, best_u + h)
-        local = np.linspace(a, b, _REFINE_POINTS)
-        vals = gap_of_params(local)
-        j = int(np.argmin(vals))
-        if vals[j] < best_v:
-            best_u, best_v = float(local[j]), float(vals[j])
-        h = (b - a) / (_REFINE_POINTS - 1)
-    return best_u, best_v
+    best = None
+    for j in np.argsort(vals, kind="stable")[:_REFINE_STARTS]:
+        u, v = float(grid[j]), float(vals[j])
+        h = (hi - lo) / (len(grid) - 1)
+        for _ in range(_MAX_REFINE_ROUNDS):
+            if h <= resolution:
+                break
+            a, b = max(lo, u - h), min(hi, u + h)
+            local = np.linspace(a, b, _REFINE_POINTS)
+            local_vals = gap_of_params(local)
+            k = int(np.argmin(local_vals))
+            if local_vals[k] < v:
+                u, v = float(local[k]), float(local_vals[k])
+            h = (b - a) / (_REFINE_POINTS - 1)
+        if best is None or v < best[1]:
+            best = (u, v)
+    return best
 
 
 def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
@@ -434,40 +442,43 @@ def _binary_restriction(game: Game) -> Game:
     return Game(game.kind, og, game.prediction_grid, m=game.m)
 
 
-def _batch_superprediction_gaps(game: Game, points: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized domination gaps for many points at once (binary games).
-
-    Same grid-plus-refinement scheme as :func:`superprediction_gap`, but
-    every point's local window is refined in lockstep.
-    """
+def _coarse_domination_gaps(game: Game, points: np.ndarray):
+    """(best_u, best_v): each point's smallest grid domination gap (binary games)."""
     grid = game.prediction_grid
     L = game.grid_canonical_points()
-    lo, hi = float(grid[0]), float(grid[-1])
-    B = len(points)
-    best_u = np.empty(B)
-    best_v = np.full(B, np.inf)
-    for start in range(0, B, 2048):
-        blk = points[start:start + 2048]
-        g0 = _ext_diff(L[None, :, 0], blk[:, 0][:, None])
-        g1 = _ext_diff(L[None, :, 1], blk[:, 1][:, None])
-        gaps = np.maximum(g0, g1)
+    best_u = np.empty(len(points))
+    best_v = np.empty(len(points))
+    for start in range(0, len(points), _BLOCK):
+        blk = points[start:start + _BLOCK]
+        gaps = np.maximum(_ext_diff(L[None, :, 0], blk[:, 0][:, None]),
+                          _ext_diff(L[None, :, 1], blk[:, 1][:, None]))
         j = np.argmin(gaps, axis=1)
-        rows = np.arange(len(blk))
-        best_u[start:start + 2048] = grid[j]
-        best_v[start:start + 2048] = gaps[rows, j]
+        best_u[start:start + _BLOCK] = grid[j]
+        best_v[start:start + _BLOCK] = gaps[np.arange(len(blk)), j]
+    return best_u, best_v
+
+
+def _refined_domination_gaps(game: Game, points: np.ndarray, best_u: np.ndarray,
+                             best_v: np.ndarray, tol: float) -> np.ndarray:
+    """Refine coarse domination gaps, every point's window in lockstep.
+
+    Same grid-plus-refinement scheme as :func:`superprediction_gap`, with
+    the window clipped to the grid rather than shrunk at its ends.
+    """
+    grid = game.prediction_grid
+    lo, hi = float(grid[0]), float(grid[-1])
     h = (hi - lo) / (len(grid) - 1)
     resolution = max(tol * 1e-3, 1e-13)
     offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    rows = np.arange(len(points))
     for _ in range(_MAX_REFINE_ROUNDS):
         if h <= resolution:
             break
         us = np.clip(best_u[:, None] + h * offsets[None, :], lo, hi)
-        Lf = game.losses_for_params(us.ravel()).reshape(B, _REFINE_POINTS, -1)
-        g0 = _ext_diff(Lf[:, :, 0], points[:, 0][:, None])
-        g1 = _ext_diff(Lf[:, :, 1], points[:, 1][:, None])
-        gaps = np.maximum(g0, g1)
+        Lf = game.losses_for_params(us.ravel()).reshape(len(points), _REFINE_POINTS, -1)
+        gaps = np.maximum(_ext_diff(Lf[:, :, 0], points[:, 0][:, None]),
+                          _ext_diff(Lf[:, :, 1], points[:, 1][:, None]))
         j = np.argmin(gaps, axis=1)
-        rows = np.arange(B)
         improved = gaps[rows, j] < best_v
         best_u = np.where(improved, us[rows, j], best_u)
         best_v = np.where(improved, gaps[rows, j], best_v)
@@ -483,16 +494,20 @@ def check_perfectly_mixable(game: Game, eta: float, tol: float = DEFAULT_MEMBERS
     is mapped back and must be a superprediction within ``tol``.  Scalar
     games with more than two grid outcomes are tested on their outcome
     interval's endpoints, which carry the binding constraints for the
-    bundled loss shapes.  Results are cached per (eta, tol).
+    bundled loss shapes.  Answers are cached for the life of the process,
+    keyed on everything the test reads: the kind, ``m``, the two tested
+    outcomes and the prediction grid of the binary restriction, plus
+    ``eta`` and ``tol``.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    key = (game.kind, len(game.prediction_grid) if game.prediction_grid is not None else 0,
-           game.m, float(eta), float(tol))
+    binary = _binary_restriction(game)
+    key = (binary.kind, binary.m, tuple(binary.outcome_grid.tolist()),
+           binary.prediction_grid.tobytes(), float(eta), float(tol))
     cached = _MIXABILITY_CACHE.get(key)
     if cached is not None:
         return cached
-    result = _mixability_midpoint_test(_binary_restriction(game), eta, tol)
+    result = _mixability_midpoint_test(binary, eta, tol)
     _MIXABILITY_CACHE[key] = result
     return result
 
@@ -508,5 +523,15 @@ def _mixability_midpoint_test(game: Game, eta: float, tol: float) -> bool:
     mids = 0.5 * (mapped[ia] + mapped[ib])
     with np.errstate(divide="ignore"):
         back = -np.log(mids) / eta
-    gaps = _batch_superprediction_gaps(game, back, tol)
-    return bool(np.max(gaps) <= tol)
+    best_u, best_v = _coarse_domination_gaps(game, back)
+    # refinement only lowers a gap, so only coarse gaps above tol can fail;
+    # the worst few settle most non-mixable games before the bulk is refined
+    open_ = np.nonzero(best_v > tol)[0]
+    open_ = open_[np.argsort(-best_v[open_], kind="stable")]
+    batches = [open_[:_MIXABILITY_FIRST_REFINED]]
+    batches += [open_[s:s + _BLOCK] for s in range(_MIXABILITY_FIRST_REFINED, len(open_), _BLOCK)]
+    for idx in batches:
+        if len(idx) and np.max(_refined_domination_gaps(
+                game, back[idx], best_u[idx], best_v[idx], tol)) > tol:
+            return False
+    return True

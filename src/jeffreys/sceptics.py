@@ -28,10 +28,11 @@ from .aggregating import (DOMINATION_TOL, ExpertPool, MixabilityParams,
                           _lse1, _substitute_bounded_square, aa_observe,
                           generalized_prediction, log_sum_exp, params_for,
                           substitute)
-from .divergence import lower_alpha_divergence_numeric
+from .divergence import _weighted_mean_point
 from .errors import (DivergenceOverestimate, MixabilityViolation,
                      PoolCollapseError)
-from .games import Game, GameKind, Prediction, check_perfectly_mixable
+from .games import (Game, GameKind, Prediction, check_perfectly_mixable,
+                    superprediction_gap)
 
 
 class ScepticStrategy:
@@ -68,9 +69,11 @@ def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config, n: int) -> Predic
 
     Square-loss games admit the exact weighted mean of the predictions and
     log-loss games the normalized geometric mixture, neither consuming any
-    slack.  Other games search the prediction grid for a canonical point
-    below the divergence target, spending ``epsilon * 2^-n`` of the slack
-    budget to absorb the numeric divergence estimate's error.
+    slack.  Other games play the prediction whose canonical point attains
+    the numeric lower divergence: one gap search over the prediction grid
+    for the point furthest below the weighted mean of the predictors'
+    canonical points.  Its shift is the divergence by definition, so no
+    slack is spent either.
     """
     w1, w2 = (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0
     if game.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
@@ -92,29 +95,17 @@ def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config, n: int) -> Predic
             raise DivergenceOverestimate(
                 "predictions have disjoint support; divergence is infinite")
         return raw / total
-    return _level2_numeric(game, gamma1, gamma2, cfg, n)
+    return _level2_numeric(game, gamma1, gamma2, cfg)
 
 
-def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config, n: int) -> Prediction:
-    from .games import _ext_diff, _min_gap
-
-    slack = cfg.epsilon * 2.0 ** (-n)
-    # underestimate the divergence shift by more than the search can err
-    div = lower_alpha_divergence_numeric(game, gamma1, gamma2, cfg.alpha,
-                                         tol=slack / 4.0)
-    lam1 = game.canonical_point(gamma1)
-    lam2 = game.canonical_point(gamma2)
-    w1, w2 = (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0
-    target = w1 * lam1 + w2 * lam2 - (div.shift - slack / 2.0)
-
-    def gap(params):
-        L = game.losses_for_params(np.atleast_1d(params))
-        return np.max(_ext_diff(L, target[None, :]), axis=1)
-
-    u, worst = _min_gap(game, gap, DOMINATION_TOL)
-    if worst > slack / 4.0:
+def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config) -> Prediction:
+    mean = _weighted_mean_point(game, gamma1, gamma2, cfg.alpha)
+    # the argmin's canonical point lies below mean - shift for the lower
+    # divergence's shift = -gap, so the move achieves the shift exactly
+    u, gap = superprediction_gap(game, mean, DOMINATION_TOL)
+    if gap > DOMINATION_TOL:
         raise DivergenceOverestimate(
-            f"no canonical point within {slack / 4.0:.3g} of the divergence target")
+            f"no canonical point below the weighted mean (gap {gap:.3g})")
     return game.prediction_from_param(u)
 
 

@@ -46,7 +46,7 @@ def test_criterion_1_quartic_divergence_asymmetry():
 
 
 def test_criterion_2_closed_form_numeric_agreement():
-    """Numeric bisection matches both closed forms on dense grids, < 30 s."""
+    """Numeric max-min divergences match both closed forms on dense grids, < 30 s."""
     start = time.monotonic()
     alphas = (-0.8, -0.4, 0.0, 0.4, 0.8)
 

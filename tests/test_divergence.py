@@ -1,4 +1,4 @@
-"""Divergence closed forms, the numeric bisection path, and their agreement."""
+"""Divergence closed forms, the numeric max-min path, and their agreement."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from jeffreys import (alpha_divergence_log_loss, alpha_divergence_square_loss,
-                      bounded_square_loss_game, kl_divergence_log_loss,
-                      log_loss_game, lower_alpha_divergence_numeric,
-                      quartic_loss_game, standard_alpha_divergence_log_loss,
+                      bounded_absolute_loss_game, bounded_square_loss_game,
+                      kl_divergence_log_loss, log_loss_game,
+                      lower_alpha_divergence_numeric, quartic_loss_game, standard_alpha_divergence_log_loss,
                       upper_alpha_divergence_numeric)
 
 # frozen from direct evaluation of the log-affinity formula
@@ -70,7 +70,7 @@ def test_kl_is_the_alpha_limit():
 
 
 # ---------------------------------------------------------------------------
-# numeric bisection
+# numeric max-min
 
 
 def test_numeric_alpha_domain():
@@ -105,10 +105,10 @@ def test_quartic_lower_and_upper_shifts_differ():
     g = quartic_loss_game()
     lo = lower_alpha_divergence_numeric(g, -1.0, 1.0, 0.0, tol=1e-4)
     up = upper_alpha_divergence_numeric(g, -1.0, 1.0, 0.0, tol=1e-4)
-    assert lo.shift == pytest.approx(1.0, abs=1e-3)
-    assert up.shift == pytest.approx(7.0, abs=1e-3)
-    assert lo.value == pytest.approx(4.0, abs=4e-3)
-    assert up.value == pytest.approx(28.0, abs=4e-3)
+    assert lo.shift == pytest.approx(1.0, abs=1e-6)
+    assert up.shift == pytest.approx(7.0, abs=1e-6)
+    assert lo.value == pytest.approx(4.0, abs=4e-6)
+    assert up.value == pytest.approx(28.0, abs=4e-6)
 
 
 def test_numeric_agreement_square_grid():
@@ -141,14 +141,36 @@ def test_hellinger_symmetry():
 
 
 def test_upper_at_least_lower():
-    q = quartic_loss_game()
+    # 0 <= lower <= upper: the lower shift is a max-min, the upper a min-max
+    tol = 1e-6
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        g1, g2 = rng.uniform(-1, 1, 2)
-        alpha = rng.uniform(-0.5, 0.5)
-        lo = lower_alpha_divergence_numeric(q, g1, g2, alpha, tol=1e-5)
-        up = upper_alpha_divergence_numeric(q, g1, g2, alpha, tol=1e-5)
-        assert up.value >= lo.value - 1e-4
+    cases = [(bounded_square_loss_game(), lambda: tuple(rng.uniform(0, 1, 2))),
+             (bounded_absolute_loss_game(), lambda: tuple(rng.uniform(0, 1, 2))),
+             (quartic_loss_game(outcome_grid_size=257),
+              lambda: tuple(rng.uniform(-1, 1, 2))),
+             (log_loss_game(m=2),
+              lambda: tuple(np.array([1 - p, p]) for p in rng.uniform(0.02, 0.98, 2)))]
+    for game, draw in cases:
+        for _ in range(20):
+            g1, g2 = draw()
+            alpha = rng.uniform(-0.9, 0.9)
+            lo = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+            up = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+            assert -tol <= lo.shift <= up.shift + tol, (game.kind, g1, g2, alpha)
+
+
+def test_bounded_absolute_upper_within_lipschitz_cap():
+    # absolute loss is 1-Lipschitz and both predictions are candidates, so
+    # the upper shift is at most min(w1, w2) |gamma1 - gamma2|
+    game = bounded_absolute_loss_game()
+    tol = 1e-7
+    rng = np.random.default_rng(11)
+    for i in range(510):
+        alpha = (-0.8, 0.0, 0.8)[i % 3]
+        g1, g2 = rng.uniform(0, 1, 2)
+        cap = min(1 - alpha, 1 + alpha) / 2 * abs(g1 - g2)
+        up = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+        assert up.shift <= cap + tol, (g1, g2, alpha)
 
 
 def test_unbracketable_reported_as_infinite():

@@ -166,6 +166,22 @@ def test_bounded_absolute_not_mixable():
     assert not check_perfectly_mixable(bounded_absolute_loss_game(), 1.0)
 
 
+@pytest.mark.parametrize("make_game, eta, expected", [
+    (bounded_square_loss_game, 1.9, True),
+    (bounded_square_loss_game, 2.05, False),
+    (lambda: log_loss_game(m=2), 1.02, False),
+])
+def test_mixability_near_threshold(make_game, eta, expected):
+    # bounded square is mixable iff eta <= 2, binary log loss iff eta <= 1
+    assert check_perfectly_mixable(make_game(), eta) is expected
+
+
+def test_mixability_cache_sees_the_outcome_grid():
+    assert check_perfectly_mixable(square_loss_game(), 2.0)
+    wide = square_loss_game(outcome_grid=np.linspace(-3.0, 3.0, 257))
+    assert not check_perfectly_mixable(wide, 2.0)
+
+
 def test_mixability_rejects_bad_eta():
     with pytest.raises(ValueError):
         check_perfectly_mixable(log_loss_game(m=2), 0.0)

@@ -1,6 +1,8 @@
 """The three sceptic constructions and their per-step guarantees."""
 
 import math
+import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from jeffreys import (IidBernoulliNature, ConstantNature, ConstantPredictor,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       f_mix, f_mix_integral, level1_ledger_update, level1_step,
                       level2_inequality_slack, level2_step, log_loss_game,
-                      run_protocol, square_loss_game)
+                      quartic_loss_game, run_protocol, square_loss_game)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,30 @@ def test_level2_numeric_path_bounded_absolute():
     lam = game.canonical_point(gamma)
     mean = 0.5 * game.canonical_point(0.2) + 0.5 * game.canonical_point(0.8)
     assert np.all(lam <= mean + cfg.epsilon)
+
+
+def test_level2_numeric_path_full_run_quartic():
+    # a whole numeric-path run: the move achieves the lower divergence, so
+    # eq9 holds even with every divergence term at its lower bound 0
+    game = quartic_loss_game(outcome_grid_size=65, prediction_grid_size=65)
+
+    def overrun(signum, frame):
+        raise TimeoutError("numeric level-2 run exceeded its 30 s bound")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(30)
+    try:
+        trace = run_protocol(IidBernoulliNature(0.5), ConstantPredictor(-0.5),
+                             ConstantPredictor(0.5), Level2Sceptic(alpha=0.0, epsilon=1e-3),
+                             game, 1000, seed=5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(trace) == 1000
+    zero_terms = SimpleNamespace(loss1=trace.loss1, loss2=trace.loss2,
+                                 loss_sceptic=trace.loss_sceptic,
+                                 divergence_term=np.zeros(len(trace)))
+    assert float(np.min(level2_inequality_slack(zero_terms, 0.0, 1e-3))) >= -1e-9
 
 
 def test_level2_square_slack_equals_epsilon():
