@@ -11,8 +11,8 @@ from .aggregating import (DEFAULT_PARAMS, ExpertPool, MixabilityParams,
                           generalized_prediction, params_for, substitute,
                           uniform_pool)
 from .divergence import (DivergenceResult, alpha_divergence_log_loss,
-                         alpha_divergence_square_loss, closed_form_divergence,
-                         kl_divergence_log_loss, lower_alpha_divergence_numeric,
+                         alpha_divergence_square_loss, kl_divergence_log_loss,
+                         lower_alpha_divergence_numeric,
                          standard_alpha_divergence_log_loss,
                          upper_alpha_divergence_numeric)
 from .errors import (ConfigError, DivergenceOverestimate, DomainError,
@@ -35,7 +35,7 @@ from .sceptics import (AggregatingSceptic, Level1Sceptic, Level1State,
                        Level2Config, Level2Sceptic, Level3Config,
                        Level3Sceptic, ScepticStrategy, f_mix, f_mix_integral,
                        level1_ledger_update, level1_step,
-                       level2_inequality_slack, level2_step, level3_strategy)
+                       level2_inequality_slack, level2_step)
 from .serialize import trace_to_csv_string, write_report_json, write_trace_csv
 
 __version__ = "0.1.0"

@@ -83,9 +83,6 @@ def _build_sceptic(kind: str, params: dict):
                       "options: ['aggregating', 'level1', 'level2', 'level3']")
 
 
-_CLOSED_FORM_GAMES = (GameKind.SQUARE, GameKind.BOUNDED_SQUARE, GameKind.LOG_LOSS)
-
-
 def _validate_compatibility(cfg: dict, game: Game, sceptic, checks) -> None:
     """Strategy/game compatibility rules, applied before any run starts."""
     if isinstance(sceptic, (Level3Sceptic, AggregatingSceptic)):
@@ -97,12 +94,8 @@ def _validate_compatibility(cfg: dict, game: Game, sceptic, checks) -> None:
             raise ConfigError(
                 f"MixabilityViolation: the {game.kind.value} game fails the "
                 f"mixability test at eta={params.eta}")
-    if "eq9" in checks:
-        if not isinstance(sceptic, Level2Sceptic):
-            raise ConfigError("check 'eq9' requires a level2 sceptic")
-        if game.kind not in _CLOSED_FORM_GAMES:
-            raise ConfigError("check 'eq9' requires a game with a closed-form "
-                              "divergence (square or log-loss family)")
+    if "eq9" in checks and not isinstance(sceptic, Level2Sceptic):
+        raise ConfigError("check 'eq9' requires a level2 sceptic")
     if "eq8" in checks and not isinstance(sceptic, (Level3Sceptic, AggregatingSceptic)):
         raise ConfigError("check 'eq8' requires an aggregating or level3 sceptic")
     if "ledger" in checks and not isinstance(sceptic, Level1Sceptic):

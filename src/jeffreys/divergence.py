@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import Game, GameKind, subprediction_gap, superprediction_gap
+from .games import Game, subprediction_gap, superprediction_gap
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,3 @@ def kl_divergence_log_loss(gamma1, gamma2) -> float:
             return math.inf
         total += p * math.log(p / q)
     return total
-
-
-def closed_form_divergence(game: Game, gamma1, gamma2, alpha: float) -> Optional[float]:
-    """Per-step divergence closed form for games that have one, else None."""
-    if game.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-        return alpha_divergence_square_loss(gamma1, gamma2, alpha)
-    if game.kind is GameKind.LOG_LOSS:
-        return alpha_divergence_log_loss(gamma1, gamma2, alpha)
-    return None

@@ -56,14 +56,6 @@ class GameKind(str, Enum):
     LOG_LOSS = "log_loss"
 
 
-_SCALAR_KINDS = {
-    GameKind.ABSOLUTE,
-    GameKind.SQUARE,
-    GameKind.BOUNDED_SQUARE,
-    GameKind.BOUNDED_ABSOLUTE,
-    GameKind.QUARTIC,
-}
-
 # Declared (hard) bounds; None means the whole real line.
 _BOUNDS = {
     GameKind.ABSOLUTE: (None, None),
@@ -71,6 +63,42 @@ _BOUNDS = {
     GameKind.BOUNDED_SQUARE: ((0.0, 1.0), (0.0, 1.0)),
     GameKind.BOUNDED_ABSOLUTE: ((0.0, 1.0), (0.0, 1.0)),
     GameKind.QUARTIC: ((-1.0, 1.0), (-1.0, 1.0)),
+}
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+# Loss kernels, unvalidated.  A scalar game's kernel serves Game.loss,
+# loss_fn, canonical_point and losses_for_params alike, so they agree bit
+# for bit, and broadcasts over numpy arrays; the log-loss kernel serves
+# Game.loss and loss_fn.
+
+def _absolute_kernel(omega, gamma):
+    return abs(omega - gamma)
+
+
+def _square_kernel(omega, gamma):
+    d = omega - gamma
+    return d * d
+
+
+def _quartic_kernel(omega, gamma):
+    d = omega - gamma
+    d2 = d * d
+    return d2 * d2
+
+
+def _log_kernel(omega, gamma):
+    p = gamma[int(omega)]
+    return -math.log(p) if p > 0.0 else math.inf
+
+
+_KERNELS = {
+    GameKind.ABSOLUTE: _absolute_kernel,
+    GameKind.SQUARE: _square_kernel,
+    GameKind.BOUNDED_SQUARE: _square_kernel,
+    GameKind.BOUNDED_ABSOLUTE: _absolute_kernel,
+    GameKind.QUARTIC: _quartic_kernel,
+    GameKind.LOG_LOSS: _log_kernel,
 }
 
 
@@ -91,6 +119,13 @@ class Game:
     prediction_grid: Optional[np.ndarray]
     m: int = 0
     _loss_matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # fixed at construction: bounds, the fast-path ranges and the loss kernel;
+    # ``_log`` spares the per-step validators an enum lookup (~0.1 us)
+    _log: bool = field(default=False, init=False, repr=False, compare=False)
+    _bounds: tuple = field(default=None, init=False, repr=False, compare=False)
+    _outcome_range: tuple = field(default=None, init=False, repr=False, compare=False)
+    _prediction_range: tuple = field(default=None, init=False, repr=False, compare=False)
+    _kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.outcome_grid = np.asarray(self.outcome_grid, dtype=float)
@@ -100,70 +135,89 @@ class Game:
                 raise ValueError("prediction_grid must be strictly increasing")
         if self.kind is not GameKind.LOG_LOSS and np.any(np.diff(self.outcome_grid) <= 0):
             raise ValueError("outcome_grid must be strictly increasing")
-        ob, pb = self.bounds()
+        self._log = self.kind is GameKind.LOG_LOSS
+        if self._log:
+            self._bounds = ((0.0, float(self.m - 1)), (0.0, 1.0))
+        else:
+            self._bounds = _BOUNDS[self.kind]
+        ob, pb = self._bounds
         if ob is not None:
             if self.outcome_grid[0] < ob[0] - 1e-12 or self.outcome_grid[-1] > ob[1] + 1e-12:
                 raise ValueError("outcome_grid outside declared bounds")
         if pb is not None and self.prediction_grid is not None:
             if self.prediction_grid[0] < pb[0] - 1e-12 or self.prediction_grid[-1] > pb[1] + 1e-12:
                 raise ValueError("prediction_grid outside declared bounds")
+        # the largest finite float stands in for a missing bound, so the
+        # fast paths' chained comparisons also reject +-inf and NaN
+        whole_line = (-_FLOAT_MAX, _FLOAT_MAX)
+        self._outcome_range = ob if ob is not None else whole_line
+        self._prediction_range = pb if pb is not None else whole_line
+        self._kernel = _KERNELS[self.kind]
 
     # -- domain ----------------------------------------------------------
 
     def bounds(self):
         """(outcome_bounds, prediction_bounds); None means unbounded."""
-        if self.kind is GameKind.LOG_LOSS:
-            return (0.0, float(self.m - 1)), (0.0, 1.0)
-        return _BOUNDS[self.kind]
+        return self._bounds
 
     def validate_outcome(self, omega) -> None:
-        if self.kind is GameKind.LOG_LOSS:
+        # fast path: an outcome of the type the bundled natures emit (int for
+        # log-loss, float otherwise) inside the bounds; NaN fails the comparison
+        lo, hi = self._outcome_range
+        if self._log:
+            if type(omega) is int and lo <= omega <= hi:
+                return
             if not math.isfinite(omega) or omega != int(omega) or not 0 <= int(omega) < self.m:
                 raise DomainError(f"outcome {omega!r} not in 0..{self.m - 1}")
             return
+        if isinstance(omega, float) and lo <= omega <= hi:
+            return
         if not math.isfinite(omega):
             raise DomainError(f"outcome {omega!r} is not finite")
-        ob, _ = self.bounds()
+        ob, _ = self._bounds
         if ob is not None and not ob[0] <= omega <= ob[1]:
             raise DomainError(f"outcome {omega!r} outside {ob}")
 
     def validate_prediction(self, gamma) -> None:
-        if self.kind is GameKind.LOG_LOSS:
+        if self._log:
             if self.m == 2:
                 try:
                     p0, p1 = float(gamma[0]), float(gamma[1])
                 except (TypeError, IndexError, ValueError) as exc:
                     raise DomainError("prediction must be a length-2 vector") from exc
-                if len(gamma) != 2 or p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
+                # written so that NaN fails the comparisons
+                if len(gamma) != 2 or not (p0 >= 0.0 and p1 >= 0.0
+                                           and abs(p0 + p1 - 1.0) <= 1e-12):
                     raise DomainError("prediction must be a probability vector")
                 return
             g = np.asarray(gamma, dtype=float)
             if g.shape != (self.m,):
                 raise DomainError(f"prediction must be a length-{self.m} vector")
-            if np.any(g < 0) or abs(float(g.sum()) - 1.0) > 1e-12:
+            if not (np.all(g >= 0) and abs(float(g.sum()) - 1.0) <= 1e-12):
                 raise DomainError("prediction must be a probability vector")
+            return
+        lo, hi = self._prediction_range
+        if isinstance(gamma, float) and lo <= gamma <= hi:
             return
         if not math.isfinite(gamma):
             raise DomainError(f"prediction {gamma!r} is not finite")
-        _, pb = self.bounds()
+        _, pb = self._bounds
         if pb is not None and not pb[0] <= gamma <= pb[1]:
             raise DomainError(f"prediction {gamma!r} outside {pb}")
 
     # -- loss ------------------------------------------------------------
 
     def loss(self, omega, gamma: Prediction) -> float:
-        """Loss of prediction ``gamma`` on outcome ``omega`` (may be +inf)."""
+        """Loss of prediction ``gamma`` on outcome ``omega`` (may be +inf).
+
+        Validates both moves first; see :meth:`loss_fn` for the unvalidated
+        kernel.
+        """
         self.validate_outcome(omega)
         self.validate_prediction(gamma)
         if self.kind is GameKind.LOG_LOSS:
-            p = float(np.asarray(gamma, dtype=float)[int(omega)])
-            return -math.log(p) if p > 0.0 else math.inf
-        d = omega - gamma
-        if self.kind in (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE):
-            return abs(d)
-        if self.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-            return d * d
-        return d ** 4  # quartic
+            gamma = np.asarray(gamma, dtype=float)
+        return self._kernel(omega, gamma)
 
     def canonical_point(self, gamma: Prediction) -> np.ndarray:
         """Loss profile of ``gamma`` over the outcome grid."""
@@ -172,12 +226,7 @@ class Game:
             g = np.asarray(gamma, dtype=float)
             with np.errstate(divide="ignore"):
                 return np.where(g > 0.0, -np.log(np.maximum(g, 1e-300)), np.inf)
-        d = self.outcome_grid - gamma
-        if self.kind in (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE):
-            return np.abs(d)
-        if self.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-            return d * d
-        return d ** 4
+        return self._kernel(self.outcome_grid, gamma)
 
     def prediction_from_param(self, u: float) -> Prediction:
         """Map a prediction-grid parameter to an actual prediction."""
@@ -193,12 +242,7 @@ class Game:
                 l1 = -np.log(params[:, None])
                 l0 = -np.log(1.0 - params[:, None])
             return np.concatenate([l0, l1], axis=1)
-        d = self.outcome_grid[None, :] - params[:, None]
-        if self.kind in (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE):
-            return np.abs(d)
-        if self.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-            return d * d
-        return d ** 4
+        return self._kernel(self.outcome_grid[None, :], params[:, None])
 
     def grid_canonical_points(self) -> np.ndarray:
         """Cached (P, O) matrix of canonical points over the prediction grid."""
@@ -212,23 +256,16 @@ class Game:
         return len(self.outcome_grid) == 2
 
     def loss_fn(self):
-        """Unvalidated scalar loss closure for hot loops.
+        """The unvalidated loss kernel ``(omega, gamma) -> loss``, for hot loops.
 
-        Callers must have validated the moves already (the protocol engine
-        validates each move as it is announced).
+        Validate-once contract: inside a protocol run the engine validates
+        every announced move exactly once, as it is announced, so strategies
+        score those moves with this kernel rather than with :meth:`loss`.
+        Anything else must be validated by the caller.  The kernel is the
+        arithmetic :meth:`loss` uses, so the two agree bit for bit; for
+        scalar games it also broadcasts over numpy arrays.
         """
-        kind = self.kind
-        if kind in (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE):
-            return lambda w, g: abs(w - g)
-        if kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-            return lambda w, g: (w - g) * (w - g)
-        if kind is GameKind.QUARTIC:
-            return lambda w, g: (w - g) ** 4
-
-        def log_loss(w, g):
-            p = g[int(w)]
-            return -math.log(p) if p > 0.0 else math.inf
-        return log_loss
+        return self._kernel
 
     # -- serialization ---------------------------------------------------
 

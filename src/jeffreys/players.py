@@ -3,7 +3,10 @@
 Strategies are stateful objects reset at the start of each run with the
 game, a dedicated random generator, and the horizon, which makes every
 run reproducible from its seed.  Predictions are clamped to the game's
-bounds; outcomes are validated by the protocol engine.
+bounds.  The protocol engine validates every announced move once, as it
+is announced; strategies that score moves use the game's unvalidated
+:meth:`~jeffreys.games.Game.loss_fn` kernel and check anything of their
+own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 """
 
 from __future__ import annotations
@@ -13,11 +16,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .games import Game, GameKind
 
 
 class PredictorStrategy:
+    """Announces a prediction each step, before the sceptic and Nature.
+
+    Validate-once contract: the protocol engine validates each announced
+    prediction, and each outcome passed to ``observe``, exactly once.
+    Strategies need not re-check them, and score them with the game's
+    unvalidated ``loss_fn`` kernel.
+    """
+
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
         pass
 
@@ -29,6 +40,13 @@ class PredictorStrategy:
 
 
 class NatureStrategy:
+    """Announces the outcome each step, after seeing all three predictions.
+
+    The predictions it is shown are already validated by the engine, which
+    also validates the outcome it returns (the validate-once contract of
+    :class:`PredictorStrategy`).
+    """
+
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
         pass
 
@@ -126,26 +144,35 @@ class ReplayNature(NatureStrategy):
 class AdversarialGreedyNature(NatureStrategy):
     """Picks, from a candidate grid, the outcome maximizing the sceptic's
     loss over the better predictor's; ties break toward the smaller
-    outcome."""
+    outcome.
+
+    Given candidates are validated once, in ``reset``; one outside the
+    game's outcome space is a :class:`ConfigError`.  The default
+    candidates, ``{0, .., m-1}`` for log-loss and ``{0, 1}`` otherwise, lie
+    in every bundled game's outcome space."""
 
     def __init__(self, candidates: Optional[Sequence[float]] = None):
         self.candidates = candidates
 
     def reset(self, game, rng, horizon):
-        self._game = game
+        self._loss = game.loss_fn()
         if self.candidates is not None:
             self._cands = list(self.candidates)
+            for w in self._cands:
+                try:
+                    game.validate_outcome(w)
+                except DomainError as exc:
+                    raise ConfigError(f"adversarial_greedy candidate: {exc}") from exc
         elif game.kind is GameKind.LOG_LOSS:
             self._cands = list(range(game.m))
         else:
             self._cands = [0.0, 1.0]
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
-        game = self._game
+        loss = self._loss
         best, best_score = None, -math.inf
         for w in self._cands:
-            score = (game.loss(w, gamma_sceptic)
-                     - min(game.loss(w, gamma1), game.loss(w, gamma2)))
+            score = loss(w, gamma_sceptic) - min(loss(w, gamma1), loss(w, gamma2))
             if score > best_score:
                 best, best_score = w, score
         return best

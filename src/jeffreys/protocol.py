@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .divergence import alpha_divergence_log_loss
 from .errors import ConfigError, DomainError, ProtocolViolationError
 from .games import Game, GameKind
 from .players import NatureStrategy, PredictorStrategy, ReplayExhausted
-from .sceptics import Level1Sceptic, ScepticStrategy, level2_inequality_slack
+from .sceptics import (Level1Sceptic, Level2Sceptic, ScepticStrategy,
+                       level2_inequality_slack)
 
 VERDICT_GAP_VANISHES = "gap-vanishes"
 VERDICT_BEATS_P1 = "beats-P1"
@@ -94,14 +95,6 @@ class Trace:
         self.cum_sceptic.append(cs)
         self.gap.append(gap)
         self.divergence_term.append(dterm)
-
-    def records(self) -> Iterator[StepRecord]:
-        for i in range(len(self)):
-            yield StepRecord(i + 1, self.gamma1[i], self.gamma2[i],
-                             self.gamma_sceptic[i], self.omega[i],
-                             self.loss1[i], self.loss2[i], self.loss_sceptic[i],
-                             self.cum1[i], self.cum2[i], self.cum_sceptic[i],
-                             self.gap[i], self.divergence_term[i])
 
     def final(self) -> StepRecord:
         if not len(self):
@@ -189,6 +182,9 @@ def _divergence_fn(game: Game, sceptic) -> Optional[object]:
                 return scale * math.log(affinity)
             return div2
         return lambda g1, g2: alpha_divergence_log_loss(g1, g2, alpha)
+    if isinstance(sceptic, Level2Sceptic):
+        # no closed form: the divergence term the numeric move achieved
+        return lambda g1, g2: sceptic.step_divergence
     return None
 
 
@@ -198,10 +194,12 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     """Play ``horizon`` steps and return the trace.
 
     Deterministic given (configuration, seed): each player gets an
-    independent generator spawned from the seed.  A strategy emitting an
-    out-of-domain move aborts the run with the offending step index; a
-    replay Nature running out of outcomes truncates the run with a
-    warning.
+    independent generator spawned from the seed.  The engine is the only
+    validator of moves in a run: it checks each move exactly once, as it
+    is announced (predictor 1, predictor 2, the sceptic, then Nature), and
+    the strategies rely on that.  An out-of-domain move aborts the run
+    with the offending step index; a replay Nature running out of outcomes
+    truncates the run with a warning.
     """
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
@@ -212,6 +210,9 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     nature.reset(game, np.random.default_rng(streams[3]), horizon)
 
     trace = Trace(game, seed=seed)
+    append = trace.append
+    validate_prediction = game.validate_prediction
+    validate_outcome = game.validate_outcome
     loss = game.loss_fn()
     gap = _gap_fn(game)
     divergence = _divergence_fn(game, sceptic)
@@ -220,14 +221,17 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     for n in range(1, horizon + 1):
         g1 = predictor1.predict(n)
         g2 = predictor2.predict(n)
-        for name, move in (("predictor 1", g1), ("predictor 2", g2)):
-            try:
-                game.validate_prediction(move)
-            except DomainError as exc:
-                raise ProtocolViolationError(f"{name}: {exc}", n) from exc
+        try:
+            validate_prediction(g1)
+        except DomainError as exc:
+            raise ProtocolViolationError(f"predictor 1: {exc}", n) from exc
+        try:
+            validate_prediction(g2)
+        except DomainError as exc:
+            raise ProtocolViolationError(f"predictor 2: {exc}", n) from exc
         gs = sceptic.predict(n, g1, g2)
         try:
-            game.validate_prediction(gs)
+            validate_prediction(gs)
         except DomainError as exc:
             raise ProtocolViolationError(f"sceptic: {exc}", n) from exc
         try:
@@ -237,14 +241,14 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
             trace.truncated = True
             break
         try:
-            game.validate_outcome(omega)
+            validate_outcome(omega)
         except DomainError as exc:
             raise ProtocolViolationError(f"nature: {exc}", n) from exc
 
         l1, l2, ls = loss(omega, g1), loss(omega, g2), loss(omega, gs)
         c1, c2, cs = c1 + l1, c2 + l2, cs + ls
         dterm = divergence(g1, g2) if divergence is not None else math.nan
-        trace.append(g1, g2, gs, omega, l1, l2, ls, c1, c2, cs, gap(g1, g2), dterm)
+        append(g1, g2, gs, omega, l1, l2, ls, c1, c2, cs, gap(g1, g2), dterm)
 
         predictor1.observe(n, omega)
         predictor2.observe(n, omega)

@@ -28,7 +28,7 @@ from .aggregating import (DOMINATION_TOL, ExpertPool, MixabilityParams,
                           _lse1, _substitute_bounded_square, aa_observe,
                           generalized_prediction, log_sum_exp, params_for,
                           substitute)
-from .divergence import _weighted_mean_point
+from .divergence import _scale
 from .errors import (DivergenceOverestimate, MixabilityViolation,
                      PoolCollapseError)
 from .games import (Game, GameKind, Prediction, check_perfectly_mixable,
@@ -36,7 +36,14 @@ from .games import (Game, GameKind, Prediction, check_perfectly_mixable,
 
 
 class ScepticStrategy:
-    """Base interface: predict after the predictors move, observe after Nature."""
+    """Base interface: predict after the predictors move, observe after Nature.
+
+    Validate-once contract: the protocol engine validates both predictors'
+    moves before ``predict`` sees them, the sceptic's own move as it is
+    announced, and the outcome before ``observe`` sees it.  Strategies
+    score those moves with the game's unvalidated ``loss_fn`` kernel rather
+    than re-checking them through ``Game.loss``.
+    """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
         pass
@@ -73,7 +80,8 @@ def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config, n: int) -> Predic
     the numeric lower divergence: one gap search over the prediction grid
     for the point furthest below the weighted mean of the predictors'
     canonical points.  Its shift is the divergence by definition, so no
-    slack is spent either.
+    slack is spent either.  Moves are not validated here: inside a run the
+    engine has validated them.
     """
     w1, w2 = (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0
     if game.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
@@ -95,33 +103,53 @@ def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config, n: int) -> Predic
             raise DivergenceOverestimate(
                 "predictions have disjoint support; divergence is infinite")
         return raw / total
-    return _level2_numeric(game, gamma1, gamma2, cfg)
+    return _level2_numeric(game, gamma1, gamma2, cfg)[0]
 
 
-def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config) -> Prediction:
-    mean = _weighted_mean_point(game, gamma1, gamma2, cfg.alpha)
+def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config):
+    """(move, divergence term it achieves) for a scalar game without a closed form."""
+    w1, w2 = (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0
+    # the rows are the two canonical points, computed without re-validating
+    lam = game.losses_for_params((gamma1, gamma2))
+    mean = w1 * lam[0] + w2 * lam[1]
     # the argmin's canonical point lies below mean - shift for the lower
     # divergence's shift = -gap, so the move achieves the shift exactly
     u, gap = superprediction_gap(game, mean, DOMINATION_TOL)
     if gap > DOMINATION_TOL:
         raise DivergenceOverestimate(
             f"no canonical point below the weighted mean (gap {gap:.3g})")
-    return game.prediction_from_param(u)
+    return game.prediction_from_param(u), _scale(cfg.alpha) * -gap
+
+
+# games whose level-2 move and divergence have closed forms
+_CLOSED_FORM_KINDS = (GameKind.SQUARE, GameKind.BOUNDED_SQUARE, GameKind.LOG_LOSS)
 
 
 class Level2Sceptic(ScepticStrategy):
-    """Stateful wrapper around :func:`level2_step` for protocol runs."""
+    """Stateful wrapper around :func:`level2_step` for protocol runs.
+
+    On games without a closed-form divergence, ``step_divergence`` holds
+    the divergence term the last move achieved (the numeric move's shift
+    scaled by ``4 / (1 - alpha^2)``), which the engine records in the
+    trace; it is NaN otherwise.
+    """
 
     def __init__(self, alpha: float, epsilon: float = 1e-3):
         self.cfg = Level2Config(alpha, epsilon)
         self.alpha = self.cfg.alpha
         self.epsilon = self.cfg.epsilon
         self._game: Optional[Game] = None
+        self.step_divergence = math.nan
 
     def reset(self, game, rng, horizon):
         self._game = game
+        self._numeric = game.kind not in _CLOSED_FORM_KINDS
+        self.step_divergence = math.nan
 
     def predict(self, n, gamma1, gamma2):
+        if self._numeric:
+            gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.cfg)
+            return gamma
         return level2_step(self._game, gamma1, gamma2, self.cfg, n)
 
 
@@ -246,11 +274,15 @@ def level1_ledger_update(game: Game, state: Level1State, omega,
     """Advance the ledger after Nature's move; mutates ``state``.
 
     The triangle area uses the closed-form integral of f, so the ledger
-    is exact up to float rounding: no quadrature is involved.
+    is exact up to float rounding: no quadrature is involved.  The moves
+    are validated (through :meth:`Game.loss`).
     """
-    l1 = game.loss(omega, gamma1)
-    l2 = game.loss(omega, gamma2)
-    ls = game.loss(omega, gamma_sceptic)
+    return _advance_ledger(state, game.loss(omega, gamma1), game.loss(omega, gamma2),
+                           game.loss(omega, gamma_sceptic))
+
+
+def _advance_ledger(state: Level1State, l1: float, l2: float, ls: float) -> Level1Audit:
+    # the ledger arithmetic, from the three players' losses
     d_old = state.D
     delta = l1 - l2
     area = triangle_area(d_old, delta, state.c)
@@ -270,11 +302,10 @@ class Level1Sceptic(ScepticStrategy):
         self.audit_areas: list = []
         self.audit_excess: list = []
         self.audit_bounds: list = []
-        self._game: Optional[Game] = None
         self._pending = None
 
     def reset(self, game, rng, horizon):
-        self._game = game
+        self._loss = game.loss_fn()
         self.state = Level1State(c=self.c)
         self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
         self._pending = None
@@ -286,8 +317,9 @@ class Level1Sceptic(ScepticStrategy):
 
     def observe(self, n, omega):
         gamma1, gamma2, gamma = self._pending
-        audit = level1_ledger_update(self._game, self.state, omega,
-                                     gamma1, gamma2, gamma)
+        loss = self._loss
+        audit = _advance_ledger(self.state, loss(omega, gamma1), loss(omega, gamma2),
+                                loss(omega, gamma))
         if self.record_audit:
             self.audit_areas.append(audit.triangle_area)
             self.audit_excess.append(audit.excess)
@@ -308,8 +340,9 @@ class _AAEngine:
     """
 
     def __init__(self, game: Game, pool: ExpertPool, eta: float, C: float,
-                 domination_tol: float, record: bool = False):
+                 domination_tol: float):
         self.game = game
+        self._loss = game.loss_fn()
         self.pool = pool
         self.eta = eta
         self.C = C
@@ -322,9 +355,6 @@ class _AAEngine:
         self._comp_self = 0.0
         self._penalty = C * np.log(1.0 / pool.priors)
         self.worst_eq8_slack = math.inf
-        self.record = record
-        self.expert_cum_history: list = []
-        self.self_cum_history: list = []
         self._log_w_norm: Optional[np.ndarray] = None
 
     def _normalized_log_weights(self) -> np.ndarray:
@@ -371,14 +401,12 @@ class _AAEngine:
         return substitute(game, g, self.domination_tol)
 
     def expert_losses(self, omega, preds) -> np.ndarray:
-        game = self.game
-        if game.kind is GameKind.BOUNDED_SQUARE:
-            return (omega - preds) ** 2
-        if game.kind is GameKind.LOG_LOSS:
+        if self.game.kind is GameKind.LOG_LOSS:
             p = preds[:, int(omega)]
             with np.errstate(divide="ignore"):
                 return np.where(p > 0.0, -np.log(np.maximum(p, 1e-300)), np.inf)
-        return np.array([game.loss(omega, p) for p in preds])
+        # scalar games: the kernel broadcasts over the pool's predictions
+        return self._loss(omega, preds)
 
     def observe(self, n, omega, preds, own_loss) -> np.ndarray:
         losses = self.expert_losses(omega, preds)
@@ -409,9 +437,6 @@ class _AAEngine:
                  - (self.cum_self + self._comp_self))
         if slack < self.worst_eq8_slack:
             self.worst_eq8_slack = slack
-        if self.record:
-            self.expert_cum_history.append(self.expert_cums + self._comp_experts)
-            self.self_cum_history.append(self.cum_self + self._comp_self)
         return losses
 
 
@@ -428,12 +453,11 @@ class AggregatingSceptic(ScepticStrategy):
 
     The protocol's two predictors are ignored; the experts are the
     sceptic's own.  ``worst_eq8_slack`` exposes the tightest regret slack
-    seen, and ``record=True`` keeps the full cumulative-loss history for
-    offline slack series."""
+    seen."""
 
     def __init__(self, experts, priors=None,
                  params: Optional[MixabilityParams] = None,
-                 domination_tol: float = DOMINATION_TOL, record: bool = False):
+                 domination_tol: float = DOMINATION_TOL):
         if not experts:
             raise ValueError("expert pool must not be empty")
         self.experts = list(experts)
@@ -441,7 +465,6 @@ class AggregatingSceptic(ScepticStrategy):
                        else np.full(len(experts), 1.0 / len(experts)))
         self._params = params
         self.domination_tol = domination_tol
-        self.record = record
         self.engine: Optional[_AAEngine] = None
 
     def reset(self, game, rng, horizon):
@@ -453,7 +476,7 @@ class AggregatingSceptic(ScepticStrategy):
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
         self.engine = _AAEngine(game, ExpertPool(self.priors), params.eta,
-                                params.C, self.domination_tol, self.record)
+                                params.C, self.domination_tol)
         self._game = game
         self._loss = game.loss_fn()
         # a pool of constants emits the same prediction matrix every step
@@ -593,9 +616,3 @@ class Level3Sceptic(ScepticStrategy):
                 for i in np.nonzero(newly)[0]:
                     self.switch_times[int(i)] = n
                 self.switched = self.switched | newly
-
-
-def level3_strategy(base: ScepticStrategy, cfg: Level3Config = Level3Config(),
-                    params: Optional[MixabilityParams] = None) -> Level3Sceptic:
-    """Convenience constructor mirroring the other strategy factories."""
-    return Level3Sceptic(base, cfg, params)

@@ -61,6 +61,29 @@ def test_level3_on_non_mixable_game_is_config_error(tmp_path, capsys):
     assert "MixabilityViolation" in capsys.readouterr().err
 
 
+def test_eq9_runs_on_numeric_path_games(tmp_path):
+    path, _ = write_config(
+        tmp_path,
+        game={"kind": "bounded_absolute"},
+        predictor1={"kind": "constant", "params": {"gamma": 0.2}},
+        predictor2={"kind": "constant", "params": {"gamma": 0.8}},
+    )
+    assert main(["run", str(path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks_passed"] is True
+    assert report["check_slacks"]["eq9"] >= -1e-9
+
+
+def test_out_of_domain_adversarial_candidate_is_config_error(tmp_path, capsys):
+    path, _ = write_config(
+        tmp_path,
+        game={"kind": "bounded_square"},
+        nature={"kind": "adversarial_greedy", "params": {"candidates": [0.0, 2.0]}},
+    )
+    assert main(["run", str(path)]) == 2
+    assert "adversarial_greedy candidate: outcome 2.0 outside" in capsys.readouterr().err
+
+
 def test_unknown_strategy_kind_is_config_error(tmp_path):
     path, _ = write_config(tmp_path, sceptic={"kind": "psychic", "params": {}})
     assert main(["run", str(path)]) == 2

@@ -45,6 +45,36 @@ def test_infinite_loss_poisons_cumulative_sums():
     assert total == math.inf
 
 
+@pytest.mark.parametrize("factory", [
+    absolute_loss_game, square_loss_game, bounded_square_loss_game,
+    bounded_absolute_loss_game,
+    lambda: quartic_loss_game(outcome_grid_size=65, prediction_grid_size=65),
+])
+def test_loss_paths_agree_bitwise(factory):
+    # Game.loss, loss_fn, canonical_point and losses_for_params share one
+    # kernel, so they agree exactly, not only to rounding
+    game = factory()
+    kernel = game.loss_fn()
+    params = game.prediction_grid[::5]
+    matrix = game.losses_for_params(params)
+    for row, gamma in zip(matrix, params):
+        gamma = float(gamma)
+        point = game.canonical_point(gamma)
+        assert np.array_equal(point, row)
+        for omega, value in zip(game.outcome_grid[::3], point[::3]):
+            omega = float(omega)
+            assert game.loss(omega, gamma) == kernel(omega, gamma) == value
+
+
+def test_quartic_loss_squares_the_square():
+    game = quartic_loss_game(outcome_grid_size=65, prediction_grid_size=65)
+    for omega, gamma in ((0.3, -0.7), (1.0, -1.0), (-0.1, 0.9), (0.123456789, 0.5)):
+        d = omega - gamma
+        d2 = d * d
+        assert game.loss(omega, gamma) == d2 * d2
+        assert game.loss(omega, gamma) == pytest.approx(d ** 4, rel=1e-15)
+
+
 def test_domain_violations_rejected():
     with pytest.raises(DomainError):
         bounded_square_loss_game().loss(1.5, 0.5)

@@ -57,6 +57,16 @@ def test_adversarial_greedy_prefers_far_outcome_and_breaks_ties_low():
     assert n.outcome(2, 0.0, 1.0, 0.5) == 0.0
 
 
+def test_adversarial_greedy_with_given_candidates():
+    game = bounded_square_loss_game()
+    n = AdversarialGreedyNature(candidates=[0.0, 0.5, 1.0])
+    n.reset(game, rng(), 10)
+    # sceptic at 0.25 against predictors at 0.5: outcome 1 hurts it most
+    assert n.outcome(1, 0.5, 0.5, 0.25) == 1.0
+    with pytest.raises(ConfigError):
+        AdversarialGreedyNature(candidates=[0.0, 1.5]).reset(game, rng(), 10)
+
+
 def test_replay_nature_exhaustion_truncates_run():
     from jeffreys import ConstantPredictor, Level1Sceptic, run_protocol
     from jeffreys import absolute_loss_game

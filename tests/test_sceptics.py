@@ -14,7 +14,8 @@ from jeffreys import (IidBernoulliNature, ConstantNature, ConstantPredictor,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       f_mix, f_mix_integral, level1_ledger_update, level1_step,
                       level2_inequality_slack, level2_step, log_loss_game,
-                      quartic_loss_game, run_protocol, square_loss_game)
+                      lower_alpha_divergence_numeric, quartic_loss_game,
+                      run_protocol, square_loss_game, verify_run)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,27 @@ def test_level2_numeric_path_full_run_quartic():
                                  loss_sceptic=trace.loss_sceptic,
                                  divergence_term=np.zeros(len(trace)))
     assert float(np.min(level2_inequality_slack(zero_terms, 0.0, 1e-3))) >= -1e-9
+
+
+@pytest.mark.parametrize("game_factory, g1, g2", [
+    (bounded_absolute_loss_game, 0.2, 0.8),
+    (lambda: quartic_loss_game(outcome_grid_size=65, prediction_grid_size=65), -0.5, 0.5),
+])
+def test_eq9_checked_on_numeric_path(game_factory, g1, g2):
+    # the trace carries the divergence each numeric move achieves, so eq9
+    # is verified with the real terms, not only with zeros
+    game = game_factory()
+    alpha = 0.4
+    sceptic = Level2Sceptic(alpha=alpha, epsilon=1e-3)
+    trace = run_protocol(IidBernoulliNature(0.5), ConstantPredictor(g1),
+                         ConstantPredictor(g2), sceptic, game, 1000, seed=11)
+    assert len(trace) == 1000
+    assert not np.any(np.isnan(trace.divergence_term))
+    lower = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=1e-9).value
+    assert np.allclose(trace.divergence_term, lower, rtol=0.0, atol=1e-9)
+    report = verify_run(trace, ["eq9"], sceptic=sceptic)
+    assert report.checks_passed
+    assert report.check_slacks["eq9"] >= -1e-9
 
 
 def test_level2_square_slack_equals_epsilon():
