@@ -6,10 +6,9 @@ predictors' loss profiles sit apart, and numerically exercising the
 guarantees of the sceptic strategies that certify forecaster agreement.
 """
 
-from .aggregating import (DEFAULT_PARAMS, ExpertPool, MixabilityParams,
-                          aa_observe, aa_regret_slack, aa_step,
-                          generalized_prediction, params_for, substitute,
-                          uniform_pool)
+from .aggregating import (ExpertPool, aa_observe, aa_regret_slack, aa_step,
+                          generalized_prediction, params_for, pool_mixer,
+                          substitute, uniform_pool)
 from .divergence import (DivergenceResult, alpha_divergence_log_loss,
                          alpha_divergence_square_loss, kl_divergence_log_loss,
                          lower_alpha_divergence_numeric,
@@ -18,8 +17,9 @@ from .divergence import (DivergenceResult, alpha_divergence_log_loss,
 from .errors import (ConfigError, DivergenceOverestimate, DomainError,
                      JeffreysError, MixabilityViolation, PoolCollapseError,
                      ProtocolViolationError)
-from .games import (Game, GameKind, absolute_loss_game,
-                    bounded_absolute_loss_game, bounded_square_loss_game,
+from .games import (GAME_SPECS, Game, GameKind, GameSpec, MixabilityParams,
+                    absolute_loss_game, bounded_absolute_loss_game,
+                    bounded_square_loss_game,
                     check_non_redundant, check_perfectly_mixable,
                     game_from_descriptor, is_subprediction, is_superprediction,
                     log_loss_game, points_non_redundant, quartic_loss_game,

@@ -7,10 +7,11 @@ whenever the game is perfectly mixable at the pool's learning rate.  The
 resulting cumulative loss trails every expert by at most
 ``C * ln(1 / p_k)`` with ``C = 1 / eta``.
 
-Substitution is a generic numeric minimax search over the prediction grid;
-log-loss pools (a probability mixture) and bounded square-loss pools (an
-endpoint formula) take exact closed-form fast paths that the generic
-search is tested against.
+:func:`pool_mixer` is the one mix-and-substitute routine, for :func:`aa_step`
+and the sceptics' engine: the closed form in the game's table entry (the
+bounded square-loss endpoint formula, the log-loss probability mixture), or
+else the mixed loss profiles and a numeric minimax search over the
+prediction grid, which the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MixabilityViolation, PoolCollapseError
-from .games import Game, GameKind, Prediction
+from .games import (Game, MixabilityParams, Prediction, _lse1,
+                    superprediction_gap)
 
 DOMINATION_TOL = 1e-9
 
@@ -38,36 +40,12 @@ def log_sum_exp(x: np.ndarray, axis=None) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _lse1(x: np.ndarray) -> float:
-    # lean 1-D variant for hot loops; exp underflow to 0 is the intended
-    # treatment of eliminated experts
-    m = x.max()
-    if m == -math.inf:
-        return -math.inf
-    return float(m) + math.log(float(np.exp(x - m).sum()))
-
-
-@dataclass(frozen=True)
-class MixabilityParams:
-    """Learning rate and regret constant for one game."""
-
-    eta: float
-    C: float
-
-
-# (eta, C) pairs validated empirically by the regret-slack property tests.
-DEFAULT_PARAMS = {
-    GameKind.LOG_LOSS: MixabilityParams(eta=1.0, C=1.0),
-    GameKind.BOUNDED_SQUARE: MixabilityParams(eta=2.0, C=0.5),
-}
-
-
 def params_for(game: Game) -> MixabilityParams:
-    try:
-        return DEFAULT_PARAMS[game.kind]
-    except KeyError:
+    """The game's (eta, C), from its table entry."""
+    if game.spec.mixability is None:
         raise MixabilityViolation(
-            f"no mixability parameters for the {game.kind.value} game") from None
+            f"no mixability parameters for the {game.kind.value} game")
+    return game.spec.mixability
 
 
 @dataclass
@@ -94,6 +72,12 @@ class ExpertPool:
     def __len__(self) -> int:
         return len(self.priors)
 
+    def normalized_log_weights(self) -> np.ndarray:
+        total = _lse1(self.log_weights)
+        if total == -math.inf:
+            raise PoolCollapseError("every expert has suffered infinite loss")
+        return self.log_weights - total
+
     def normalized_weights(self) -> np.ndarray:
         if np.all(np.isneginf(self.log_weights)):
             raise PoolCollapseError("every expert has suffered infinite loss")
@@ -113,78 +97,64 @@ def generalized_prediction(pool: ExpertPool, expert_points: np.ndarray,
     ``expert_points`` has shape (K, O): expert canonical points over the
     outcomes of interest.  Infinite expert losses drop out of the mixture.
     """
-    points = np.asarray(expert_points, dtype=float)
     if np.all(np.isneginf(pool.log_weights)):
         raise PoolCollapseError("every expert has suffered infinite loss")
     log_w = pool.log_weights - log_sum_exp(pool.log_weights)
+    return _generalized(log_w, np.asarray(expert_points, dtype=float), eta)
+
+
+def _generalized(log_w: np.ndarray, points: np.ndarray, eta: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         exponents = log_w[:, None] - eta * points
     exponents = np.where(np.isnan(exponents), -np.inf, exponents)
     return -log_sum_exp(exponents, axis=0) / eta
 
 
-def _substitute_log_loss(game: Game, g: np.ndarray) -> np.ndarray:
-    # exp(-g) is the weighted probability mixture; its mass never exceeds 1
-    # for eta <= 1, so renormalizing only pushes the prediction upward.
-    raw = np.exp(-np.asarray(g, dtype=float))
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise MixabilityViolation("generalized prediction is infinite everywhere")
-    return raw / total
-
-
-def _substitute_bounded_square(g0: float, g1: float) -> float:
-    # Equalizes the endpoint violations; dominates on all of [0, 1] because
-    # (omega - gamma)^2 - g(omega) is convex for eta <= 2 mixtures.
-    return min(1.0, max(0.0, 0.5 * (1.0 + g0 - g1)))
-
-
 def substitute(game: Game, g: np.ndarray, tol: float = DOMINATION_TOL) -> Prediction:
     """A prediction whose loss is dominated by ``g`` on the outcome grid.
 
-    Closed forms cover log-loss and bounded square-loss; other games fall
-    back to minimax search over the prediction grid.  Raises
-    MixabilityViolation when the best achievable excess exceeds ``tol``
-    (learning rate too large, or the game is not mixable).
+    The game's closed form, if it has one, and otherwise a minimax search
+    over the prediction grid.  Raises MixabilityViolation when the best
+    achievable excess exceeds ``tol`` (learning rate too large, or the game
+    is not mixable).
     """
-    from .games import _ext_diff
-
     g = np.asarray(g, dtype=float)
-    if game.kind is GameKind.LOG_LOSS:
-        gamma = _substitute_log_loss(game, g)
-        worst = float(np.max(_ext_diff(game.canonical_point(gamma), g)))
-        if worst > tol:
-            raise MixabilityViolation(f"substitution excess {worst:.3g} exceeds {tol:.3g}")
-        return gamma
-    if game.kind is GameKind.BOUNDED_SQUARE and len(g) >= 2:
-        gamma = _substitute_bounded_square(float(g[0]), float(g[-1]))
-        lo, hi = game.outcome_grid[0], game.outcome_grid[-1]
-        worst = max((lo - gamma) ** 2 - float(g[0]), (hi - gamma) ** 2 - float(g[-1]))
-        if worst <= tol:
-            return gamma
-        # fall through to the generic search before giving up
-    return _substitute_numeric(game, g, tol)
+    closed = game.spec.substitute
+    gamma = closed(game, g, tol) if closed is not None else None
+    return gamma if gamma is not None else _substitute_numeric(game, g, tol)
 
 
 def _substitute_numeric(game: Game, g: np.ndarray, tol: float) -> Prediction:
-    from .games import _ext_diff, _min_gap  # shared refinement machinery
-
-    def gap(params):
-        L = game.losses_for_params(np.atleast_1d(params))
-        return np.max(_ext_diff(L, g[None, :]), axis=1)
-
-    u, worst = _min_gap(game, gap, tol)
+    u, worst = superprediction_gap(game, g, tol)
     if worst > tol:
         raise MixabilityViolation(f"substitution excess {worst:.3g} exceeds {tol:.3g}")
     return game.prediction_from_param(u)
 
 
+def pool_mixer(game: Game, eta: float, tol: float = DOMINATION_TOL):
+    """The aggregating move as a function ``(log_w, preds) -> prediction``.
+
+    ``log_w`` are the pool's normalized log-weights and ``preds`` the
+    experts' predictions, shape (K,) or (K, m).  The game's closed form
+    (read here, once) is tried first; where it has none, or it does not
+    dominate within ``tol``, the experts' loss profiles are mixed and
+    substituted by :func:`substitute`.  The predictions are not validated.
+    """
+    closed = game.spec.mix
+
+    def mix(log_w, preds):
+        gamma = closed(log_w, preds, eta, tol) if closed is not None else None
+        if gamma is None:
+            gamma = substitute(game, _generalized(log_w, game.profiles(preds), eta), tol)
+        return gamma
+    return mix
+
+
 def aa_step(pool: ExpertPool, expert_predictions: Sequence[Prediction],
             game: Game, eta: float, tol: float = DOMINATION_TOL) -> Prediction:
     """One prediction of the aggregating strategy; weights are not touched."""
-    points = np.stack([game.canonical_point(p) for p in expert_predictions])
-    g = generalized_prediction(pool, points, eta)
-    return substitute(game, g, tol)
+    preds = np.asarray(expert_predictions, dtype=float)
+    return pool_mixer(game, eta, tol)(pool.normalized_log_weights(), preds)
 
 
 def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> ExpertPool:

@@ -16,19 +16,18 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregating import params_for
-from .divergence import (DivergenceResult, alpha_divergence_log_loss,
-                         alpha_divergence_square_loss, kl_divergence_log_loss,
+from .divergence import (DivergenceResult, kl_divergence_log_loss,
                          lower_alpha_divergence_numeric,
                          standard_alpha_divergence_log_loss,
                          upper_alpha_divergence_numeric)
-from .errors import ConfigError, JeffreysError, MixabilityViolation
-from .games import Game, GameKind, check_perfectly_mixable, game_from_descriptor
+from .errors import ConfigError, DomainError, JeffreysError, MixabilityViolation
+from .games import Game, GameKind, game_from_descriptor
 from .players import nature_strategy, predictor_strategy
 from .protocol import (DEFAULT_GAP_SUM_MAX, DEFAULT_LOSS_GAP_MIN,
-                       classify_disjuncts, run_protocol, verify_run)
+                       MARTINGALE_NULL_KINDS, classify_disjuncts, run_protocol,
+                       verify_run)
 from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,
-                       Level3Config, Level3Sceptic)
+                       Level3Config, Level3Sceptic, _resolve_params)
 from .serialize import write_report_json, write_trace_csv
 
 EXIT_OK = 0
@@ -87,21 +86,16 @@ def _validate_compatibility(cfg: dict, game: Game, sceptic, checks) -> None:
     """Strategy/game compatibility rules, applied before any run starts."""
     if isinstance(sceptic, (Level3Sceptic, AggregatingSceptic)):
         try:
-            params = params_for(game)
+            _resolve_params(game, None)
         except MixabilityViolation as exc:
             raise ConfigError(f"MixabilityViolation: {exc}") from exc
-        if not check_perfectly_mixable(game, params.eta):
-            raise ConfigError(
-                f"MixabilityViolation: the {game.kind.value} game fails the "
-                f"mixability test at eta={params.eta}")
     if "eq9" in checks and not isinstance(sceptic, Level2Sceptic):
         raise ConfigError("check 'eq9' requires a level2 sceptic")
     if "eq8" in checks and not isinstance(sceptic, (Level3Sceptic, AggregatingSceptic)):
         raise ConfigError("check 'eq8' requires an aggregating or level3 sceptic")
     if "ledger" in checks and not isinstance(sceptic, Level1Sceptic):
         raise ConfigError("check 'ledger' requires a level1 sceptic")
-    if "martingale_null" in checks and game.kind not in (
-            GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE):
+    if "martingale_null" in checks and game.kind not in MARTINGALE_NULL_KINDS:
         raise ConfigError("check 'martingale_null' requires an absolute-loss game")
 
 
@@ -231,31 +225,29 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_prediction(game: Game, text: str):
-    if game.kind is GameKind.LOG_LOSS:
-        return np.array([float(v) for v in text.split(",")])
-    return float(text)
-
-
-_GAME_ALIASES = {
-    "absolute": "absolute", "square": "square",
-    "bounded_square": "bounded_square", "bounded_absolute": "bounded_absolute",
-    "quartic": "quartic", "log_loss": "log_loss", "log": "log_loss",
-}
+    """A validated prediction: comma-separated for probability vectors."""
+    try:
+        gamma = np.array([float(v) for v in text.split(",")]) if game.prediction_shape \
+            else float(text)
+        game.validate_prediction(gamma)
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"bad prediction {text!r}: {exc}") from exc
+    return gamma
 
 
 def cmd_divergence(args) -> int:
-    kind = _GAME_ALIASES.get(args.game)
-    if kind is None:
-        raise ConfigError(f"unknown game {args.game!r}; options: {sorted(_GAME_ALIASES)}")
+    kind = "log_loss" if args.game == "log" else args.game
     game = game_from_descriptor({"kind": kind, "grid_size": args.grid_size, "m": args.m})
+    if args.side in ("standard", "kl") and not game.prediction_shape:
+        raise ConfigError(f"side {args.side!r} is a log-loss quantity; the "
+                          f"{game.kind.value} game has scalar predictions")
     g1 = _parse_prediction(game, args.g1)
     g2 = _parse_prediction(game, args.g2)
     alpha = args.alpha
     method = args.method
+    closed_form = game.spec.divergence
     if method == "auto":
-        method = "closed" if (args.side in ("standard", "kl")
-                              or game.kind in (GameKind.SQUARE, GameKind.LOG_LOSS)) \
-            else "numeric"
+        method = "closed" if args.side in ("standard", "kl") or closed_form else "numeric"
 
     if method == "closed":
         # the raw shift is only meaningful for the geometric (lower/upper)
@@ -267,12 +259,9 @@ def cmd_divergence(args) -> int:
             value = standard_alpha_divergence_log_loss(g1, g2, alpha)
             result = DivergenceResult(alpha, "standard", value, None, "closed_form", 0.0)
         else:
-            if game.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-                value = alpha_divergence_square_loss(g1, g2, alpha)
-            elif game.kind is GameKind.LOG_LOSS:
-                value = alpha_divergence_log_loss(g1, g2, alpha)
-            else:
+            if closed_form is None:
                 raise ConfigError(f"no closed form for the {game.kind.value} game")
+            value = closed_form(game, alpha)(g1, g2)
             shift = value * (1.0 - alpha * alpha) / 4.0 if math.isfinite(value) else value
             result = DivergenceResult(alpha, args.side, value, shift, "closed_form", 0.0)
     elif args.side == "lower":
@@ -306,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_div = sub.add_parser("divergence", help="print one divergence result as JSON")
-    p_div.add_argument("--game", required=True)
+    p_div.add_argument("--game", required=True,
+                       choices=sorted(["log"] + [kind.value for kind in GameKind]))
     p_div.add_argument("--g1", required=True,
                        help="first prediction (comma-separated for log-loss)")
     p_div.add_argument("--g2", required=True)

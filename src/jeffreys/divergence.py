@@ -10,10 +10,10 @@ divergence is a single gap search.  The shift, scaled by
 reported since the raw shift is what the vertical-distance picture reads
 off directly.
 
-Closed forms are provided for the square-loss family (the divergence is
-``(gamma1 - gamma2)^2`` for every alpha) and for log-loss games (a
-log-affinity formula), together with the standard alpha-divergence and the
-Kullback-Leibler limit for log-loss.
+The closed forms live in the games' table (``jeffreys.games.GAME_SPECS``):
+the square-loss family's ``(gamma1 - gamma2)^2`` for every alpha, and the
+log-affinity formula for log-loss, re-exported here.  This module adds the
+standard alpha-divergence and the Kullback-Leibler limit for log-loss.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .games import Game, subprediction_gap, superprediction_gap
+# the closed forms are re-exported from the games' table
+from .games import (Game, _check_alpha_open, _log_affinity, _scale,  # noqa: F401
+                    alpha_divergence_log_loss, alpha_divergence_square_loss,
+                    subprediction_gap, superprediction_gap)
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,6 @@ class DivergenceResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _scale(alpha: float) -> float:
-    return 4.0 / (1.0 - alpha * alpha)
-
-
-def _check_alpha_open(alpha: float) -> None:
-    if not -1.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
 
 
 def _weighted_mean_point(game: Game, gamma1, gamma2, alpha: float) -> np.ndarray:
@@ -100,36 +94,11 @@ def upper_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-def alpha_divergence_square_loss(gamma1: float, gamma2: float, alpha: float) -> float:
-    """Square-loss divergence: ``(gamma1 - gamma2)^2``, independent of alpha."""
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
-    d = gamma1 - gamma2
-    return d * d
-
-
-def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
-    """Log-loss divergence: scaled negative log-affinity of the two vectors."""
-    _check_alpha_open(alpha)
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
-    affinity = float(np.sum(g1 ** w1 * g2 ** w2))
-    if affinity <= 0.0:
-        return math.inf
-    return -_scale(alpha) * math.log(affinity)
-
+# log-loss textbook forms
 
 def standard_alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
     """The textbook alpha-divergence; a lower bound on the game version."""
-    _check_alpha_open(alpha)
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
-    affinity = float(np.sum(g1 ** w1 * g2 ** w2))
-    return _scale(alpha) * (1.0 - affinity)
+    return _scale(alpha) * (1.0 - _log_affinity(gamma1, gamma2, alpha))
 
 
 def kl_divergence_log_loss(gamma1, gamma2) -> float:

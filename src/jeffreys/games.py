@@ -23,6 +23,17 @@ log_loss      ``{0, .., m-1}``     probability vectors  ``-ln gamma[omega]``
 Log-loss is restricted to finite outcome spaces under counting measure.
 Losses are extended reals: ``+inf`` participates naturally in comparisons
 and poisons cumulative sums.
+
+Everything that tells one kind from another is a property of its loss, and
+it sits in one table, ``GAME_SPECS``: one :class:`GameSpec` per kind, with
+the loss kernel, bounds and outcome type, the map from a prediction-grid
+parameter to a prediction, and the closed forms the kind has (the
+divergence and the trace's gap column, the level-2 move, the aggregating
+pool's substitution, and the mixability constants).  Other modules read a
+game's entry, ``game.spec``, once, when they build a game, reset a strategy
+or parse a command, and never per step.  A kind without a closed form
+takes the numeric path (the gap search below), so adding a kind is one
+entry.
 """
 
 from __future__ import annotations
@@ -30,11 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DivergenceOverestimate, DomainError, MixabilityViolation
 
 Prediction = Union[float, np.ndarray]
 
@@ -45,6 +56,7 @@ _REFINE_POINTS = 21
 _REFINE_STARTS = 3
 _MIXABILITY_FIRST_REFINED = 32
 _BLOCK = 256
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class GameKind(str, Enum):
@@ -56,21 +68,44 @@ class GameKind(str, Enum):
     LOG_LOSS = "log_loss"
 
 
-# Declared (hard) bounds; None means the whole real line.
-_BOUNDS = {
-    GameKind.ABSOLUTE: (None, None),
-    GameKind.SQUARE: (None, None),
-    GameKind.BOUNDED_SQUARE: ((0.0, 1.0), (0.0, 1.0)),
-    GameKind.BOUNDED_ABSOLUTE: ((0.0, 1.0), (0.0, 1.0)),
-    GameKind.QUARTIC: ((-1.0, 1.0), (-1.0, 1.0)),
-}
-_FLOAT_MAX = float(np.finfo(float).max)
+@dataclass(frozen=True)
+class MixabilityParams:
+    """Learning rate and regret constant for one game."""
+
+    eta: float
+    C: float
 
 
-# Loss kernels, unvalidated.  A scalar game's kernel serves Game.loss,
+@dataclass(frozen=True)
+class GameSpec:
+    """One game kind: its loss, and what is known about it in closed form.
+
+    Closed forms are factories, called once where a run starts, that return
+    the per-step function.  A kind with a ``level2`` move has its
+    ``divergence`` too: the move's profile is the weighted mean shifted down
+    by exactly that.  ``mix`` and ``substitute`` return None where their
+    closed form does not dominate within ``tol``; the gap search takes over.
+    """
+
+    kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
+    losses: Callable          # the kernel broadcast over outcomes and predictions
+    param_losses: Callable    # (game, params) -> (P, O) profiles over the outcome grid
+    bounds: Callable          # m -> (outcome bounds, prediction bounds); None: the reals
+    outcome_type: type        # int on a finite outcome space, float otherwise
+    from_param: Callable      # clamped prediction-grid parameter -> prediction
+    make: Callable            # (grid_size, m) -> Game with default grids
+    trace_gap: Callable       # game -> (g1, g2) -> the trace's gap column
+    divergence: Optional[Callable] = None   # (game, alpha) -> (g1, g2) -> divergence
+    level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
+    mix: Optional[Callable] = None          # (log_w, preds, eta, tol) -> pool move
+    substitute: Optional[Callable] = None   # (game, g, tol) -> move dominated by g
+    mixability: Optional[MixabilityParams] = None  # checked by the regret-slack tests
+
+
+# ---------------------------------------------------------------------------
+# loss kernels, unvalidated.  A scalar game's kernel serves Game.loss,
 # loss_fn, canonical_point and losses_for_params alike, so they agree bit
-# for bit, and broadcasts over numpy arrays; the log-loss kernel serves
-# Game.loss and loss_fn.
+# for bit, and broadcasts over numpy arrays.
 
 def _absolute_kernel(omega, gamma):
     return abs(omega - gamma)
@@ -92,14 +127,28 @@ def _log_kernel(omega, gamma):
     return -math.log(p) if p > 0.0 else math.inf
 
 
-_KERNELS = {
-    GameKind.ABSOLUTE: _absolute_kernel,
-    GameKind.SQUARE: _square_kernel,
-    GameKind.BOUNDED_SQUARE: _square_kernel,
-    GameKind.BOUNDED_ABSOLUTE: _absolute_kernel,
-    GameKind.QUARTIC: _quartic_kernel,
-    GameKind.LOG_LOSS: _log_kernel,
-}
+def _log_losses(omega, gamma):
+    # broadcasting log loss: the last axis of gamma holds the probabilities
+    p = np.asarray(gamma, dtype=float)[..., np.asarray(omega, dtype=np.intp)]
+    with np.errstate(divide="ignore"):
+        return np.where(p > 0.0, -np.log(np.maximum(p, 1e-300)), np.inf)
+
+
+def _binary_log_param_losses(game, params):
+    # the parameter is the probability of outcome 1
+    with np.errstate(divide="ignore"):
+        l1 = -np.log(params[:, None])
+        l0 = -np.log(1.0 - params[:, None])
+    return np.concatenate([l0, l1], axis=1)
+
+
+def _lse1(x: np.ndarray) -> float:
+    # lean 1-D log-sum-exp for hot loops; exp underflow to 0 is the intended
+    # treatment of eliminated experts
+    m = x.max()
+    if m == -math.inf:
+        return -math.inf
+    return float(m) + math.log(float(np.exp(x - m).sum()))
 
 
 @dataclass
@@ -110,6 +159,8 @@ class Game:
     log-loss).  ``prediction_grid`` is a strictly increasing array of scalar
     parameters; for scalar games the parameter is the prediction itself,
     for binary log-loss it is the probability assigned to outcome 1.
+    ``spec`` is the kind's :class:`GameSpec`; ``prediction_shape`` is ``()``
+    for scalar predictions and ``(m,)`` for probability vectors.
     Instances are immutable by convention: no method mutates them, so they
     are safe to share across threads.
     """
@@ -119,27 +170,29 @@ class Game:
     prediction_grid: Optional[np.ndarray]
     m: int = 0
     _loss_matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    spec: GameSpec = field(default=None, init=False, repr=False, compare=False)
+    prediction_shape: tuple = field(default=(), init=False, repr=False, compare=False)
     # fixed at construction: bounds, the fast-path ranges and the loss kernel;
-    # ``_log`` spares the per-step validators an enum lookup (~0.1 us)
-    _log: bool = field(default=False, init=False, repr=False, compare=False)
+    # ``_discrete`` spares the per-step validators a lookup (~0.1 us)
+    _discrete: bool = field(default=False, init=False, repr=False, compare=False)
     _bounds: tuple = field(default=None, init=False, repr=False, compare=False)
     _outcome_range: tuple = field(default=None, init=False, repr=False, compare=False)
     _prediction_range: tuple = field(default=None, init=False, repr=False, compare=False)
     _kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.spec = GAME_SPECS[self.kind]
         self.outcome_grid = np.asarray(self.outcome_grid, dtype=float)
         if self.prediction_grid is not None:
             self.prediction_grid = np.asarray(self.prediction_grid, dtype=float)
             if np.any(np.diff(self.prediction_grid) <= 0):
                 raise ValueError("prediction_grid must be strictly increasing")
-        if self.kind is not GameKind.LOG_LOSS and np.any(np.diff(self.outcome_grid) <= 0):
+        if np.any(np.diff(self.outcome_grid) <= 0):
             raise ValueError("outcome_grid must be strictly increasing")
-        self._log = self.kind is GameKind.LOG_LOSS
-        if self._log:
-            self._bounds = ((0.0, float(self.m - 1)), (0.0, 1.0))
-        else:
-            self._bounds = _BOUNDS[self.kind]
+        # a finite outcome space takes probability-vector predictions
+        self._discrete = self.spec.outcome_type is int
+        self.prediction_shape = (self.m,) if self._discrete else ()
+        self._bounds = self.spec.bounds(self.m)
         ob, pb = self._bounds
         if ob is not None:
             if self.outcome_grid[0] < ob[0] - 1e-12 or self.outcome_grid[-1] > ob[1] + 1e-12:
@@ -152,7 +205,7 @@ class Game:
         whole_line = (-_FLOAT_MAX, _FLOAT_MAX)
         self._outcome_range = ob if ob is not None else whole_line
         self._prediction_range = pb if pb is not None else whole_line
-        self._kernel = _KERNELS[self.kind]
+        self._kernel = self.spec.kernel
 
     # -- domain ----------------------------------------------------------
 
@@ -164,7 +217,7 @@ class Game:
         # fast path: an outcome of the type the bundled natures emit (int for
         # log-loss, float otherwise) inside the bounds; NaN fails the comparison
         lo, hi = self._outcome_range
-        if self._log:
+        if self._discrete:
             if type(omega) is int and lo <= omega <= hi:
                 return
             if not math.isfinite(omega) or omega != int(omega) or not 0 <= int(omega) < self.m:
@@ -179,7 +232,7 @@ class Game:
             raise DomainError(f"outcome {omega!r} outside {ob}")
 
     def validate_prediction(self, gamma) -> None:
-        if self._log:
+        if self._discrete:
             if self.m == 2:
                 try:
                     p0, p1 = float(gamma[0]), float(gamma[1])
@@ -215,34 +268,28 @@ class Game:
         """
         self.validate_outcome(omega)
         self.validate_prediction(gamma)
-        if self.kind is GameKind.LOG_LOSS:
-            gamma = np.asarray(gamma, dtype=float)
         return self._kernel(omega, gamma)
 
     def canonical_point(self, gamma: Prediction) -> np.ndarray:
         """Loss profile of ``gamma`` over the outcome grid."""
         self.validate_prediction(gamma)
-        if self.kind is GameKind.LOG_LOSS:
-            g = np.asarray(gamma, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(g > 0.0, -np.log(np.maximum(g, 1e-300)), np.inf)
-        return self._kernel(self.outcome_grid, gamma)
+        return self.spec.losses(self.outcome_grid, gamma)
+
+    def profiles(self, predictions) -> np.ndarray:
+        """Unvalidated loss profiles of K predictions (one per row), shape (K, O)."""
+        preds = np.asarray(predictions, dtype=float)
+        return self.spec.losses(self.outcome_grid, preds.reshape(len(preds), -1))
 
     def prediction_from_param(self, u: float) -> Prediction:
-        """Map a prediction-grid parameter to an actual prediction."""
-        if self.kind is GameKind.LOG_LOSS:
-            return np.array([1.0 - u, u])
-        return float(u)
+        """Map a prediction-grid parameter, clamped to the bounds, to a prediction."""
+        pb = self._bounds[1]
+        if pb is not None:
+            u = min(pb[1], max(pb[0], u))
+        return self.spec.from_param(u)
 
     def losses_for_params(self, params: np.ndarray) -> np.ndarray:
         """Loss profiles for an array of parameters, shape (len(params), O)."""
-        params = np.asarray(params, dtype=float)
-        if self.kind is GameKind.LOG_LOSS:
-            with np.errstate(divide="ignore"):
-                l1 = -np.log(params[:, None])
-                l0 = -np.log(1.0 - params[:, None])
-            return np.concatenate([l0, l1], axis=1)
-        return self._kernel(self.outcome_grid[None, :], params[:, None])
+        return self.spec.param_losses(self, np.asarray(params, dtype=float))
 
     def grid_canonical_points(self) -> np.ndarray:
         """Cached (P, O) matrix of canonical points over the prediction grid."""
@@ -333,23 +380,185 @@ def log_loss_game(m: int = 2, grid_size: int = DEFAULT_GRID_SIZE) -> Game:
     return Game(GameKind.LOG_LOSS, og, pg, m=m)
 
 
-_CONSTRUCTORS = {
-    GameKind.ABSOLUTE: absolute_loss_game,
-    GameKind.SQUARE: square_loss_game,
-    GameKind.BOUNDED_SQUARE: bounded_square_loss_game,
-    GameKind.BOUNDED_ABSOLUTE: bounded_absolute_loss_game,
-}
-
-
 def game_from_descriptor(desc: dict) -> Game:
     """Rebuild a game from its JSON descriptor {kind, bounds, grid_size, m}."""
     kind = GameKind(desc["kind"])
     grid_size = int(desc.get("grid_size") or DEFAULT_GRID_SIZE)
-    if kind is GameKind.LOG_LOSS:
-        return log_loss_game(m=int(desc.get("m") or 2), grid_size=grid_size)
-    if kind is GameKind.QUARTIC:
-        return quartic_loss_game(prediction_grid_size=grid_size)
-    return _CONSTRUCTORS[kind](grid_size=grid_size)
+    return GAME_SPECS[kind].make(grid_size, int(desc.get("m") or 2))
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+def _scale(alpha: float) -> float:
+    return 4.0 / (1.0 - alpha * alpha)
+
+
+def _check_alpha_open(alpha: float) -> None:
+    if not -1.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
+
+
+def _log_affinity(gamma1, gamma2, alpha: float) -> float:
+    _check_alpha_open(alpha)
+    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+    return float(np.sum(np.asarray(gamma1, dtype=float) ** w1
+                        * np.asarray(gamma2, dtype=float) ** w2))
+
+
+def alpha_divergence_square_loss(gamma1: float, gamma2: float, alpha: float) -> float:
+    """Square-loss divergence: ``(gamma1 - gamma2)^2``, independent of alpha."""
+    return _square_divergence(None, alpha)(gamma1, gamma2)
+
+
+def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
+    """Log-loss divergence: scaled negative log-affinity of the two vectors."""
+    affinity = _log_affinity(gamma1, gamma2, alpha)
+    if affinity <= 0.0:
+        return math.inf
+    return -_scale(alpha) * math.log(affinity)
+
+
+def _square_divergence(game, alpha):
+    if not -1.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
+    return lambda g1, g2: (g1 - g2) * (g1 - g2)
+
+
+def _square_level2(game, w1, w2):
+    # the weighted mean prediction: its profile is the weighted mean of the
+    # profiles shifted down by w1 w2 (g1 - g2)^2, the divergence's shift
+    return lambda g1, g2: w1 * g1 + w2 * g2
+
+
+def _log_gap(game):
+    # sqrt of the zero-order divergence: squares sum to the series
+    if game.m == 2:
+        def gap2(g1, g2):
+            affinity = (math.sqrt(float(g1[0]) * float(g2[0]))
+                        + math.sqrt(float(g1[1]) * float(g2[1])))
+            if affinity <= 0.0:
+                return math.inf
+            return math.sqrt(max(0.0, -4.0 * math.log(affinity)))
+        return gap2
+
+    def gap(g1, g2):
+        affinity = float(np.sum(np.sqrt(np.asarray(g1) * np.asarray(g2))))
+        if affinity <= 0.0:
+            return math.inf
+        return math.sqrt(max(0.0, -4.0 * math.log(affinity)))
+    return gap
+
+
+def _log_divergence(game, alpha):
+    _check_alpha_open(alpha)
+    if game.m != 2:
+        return lambda g1, g2: alpha_divergence_log_loss(g1, g2, alpha)
+    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+    scale = -4.0 / (1.0 - alpha * alpha)
+
+    def div2(g1, g2):
+        affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
+                    + float(g1[1]) ** w1 * float(g2[1]) ** w2)
+        if affinity <= 0.0:
+            return math.inf
+        return scale * math.log(affinity)
+    return div2
+
+
+def _log_level2(game, w1, w2):
+    # the normalized geometric mixture: its profile is the weighted mean of
+    # the profiles shifted down by minus the log-affinity
+    if game.m == 2:
+        def move2(g1, g2):
+            a = float(g1[0]) ** w1 * float(g2[0]) ** w2
+            b = float(g1[1]) ** w1 * float(g2[1]) ** w2
+            total = a + b
+            if total <= 0.0:
+                raise DivergenceOverestimate(
+                    "predictions have disjoint support; divergence is infinite")
+            return np.array((a / total, b / total))
+        return move2
+
+    def move(g1, g2):
+        raw = np.asarray(g1, dtype=float) ** w1 * np.asarray(g2, dtype=float) ** w2
+        total = float(raw.sum())
+        if total <= 0.0:
+            raise DivergenceOverestimate(
+                "predictions have disjoint support; divergence is infinite")
+        return raw / total
+    return move
+
+
+def _endpoint_move(g0: float, g1: float, tol: float, lo=0.0, hi=1.0):
+    # bounded square: equalizes the excesses at outcomes 0 and 1; checked at
+    # the ends lo, hi where g0, g1 were taken, it dominates in between
+    # because (omega - gamma)^2 - g(omega) is convex for eta <= 2 mixtures
+    gamma = min(1.0, max(0.0, 0.5 * (1.0 + g0 - g1)))
+    return gamma if max((lo - gamma) ** 2 - g0, (hi - gamma) ** 2 - g1) <= tol else None
+
+
+def _bounded_square_mix(log_w, preds, eta, tol):
+    # the generalized prediction at the outcome interval's endpoints
+    g0 = -_lse1(log_w - eta * (preds * preds)) / eta
+    g1 = -_lse1(log_w - eta * (1.0 - preds) ** 2) / eta
+    return _endpoint_move(g0, g1, tol)
+
+
+def _normalized_mixture(raw: np.ndarray, tol: float) -> np.ndarray:
+    # log loss: raw = exp(-g) is the mixture of probability vectors; for
+    # eta <= 1 its mass is at most one, so renormalizing only raises it
+    total = float(raw.sum())
+    if total <= 0.0:
+        raise MixabilityViolation("generalized prediction is infinite everywhere")
+    if total > 1.0 + tol:
+        raise MixabilityViolation(
+            f"substitution excess {math.log(total):.3g} exceeds tolerance")
+    return raw / total
+
+
+def _log_mix(log_w, preds, eta, tol):
+    # at eta = 1 the mixture is the weighted mean of the probability vectors
+    return _normalized_mixture(np.exp(log_w) @ preds, tol) if eta == 1.0 else None
+
+
+def _scalar_spec(kernel, bounds, make, **closed_forms) -> GameSpec:
+    # a scalar kind's prediction is its own grid parameter; make: grid_size -> Game
+    return GameSpec(
+        kernel=kernel, losses=kernel,
+        param_losses=lambda game, params: kernel(game.outcome_grid[None, :], params[:, None]),
+        bounds=lambda m: bounds, outcome_type=float, from_param=float,
+        make=lambda grid_size, m: make(grid_size),
+        trace_gap=lambda game: lambda g1, g2: abs(g1 - g2), **closed_forms)
+
+
+_UNIT = (0.0, 1.0)
+
+GAME_SPECS = {
+    GameKind.ABSOLUTE: _scalar_spec(_absolute_kernel, (None, None), absolute_loss_game),
+    GameKind.SQUARE: _scalar_spec(
+        _square_kernel, (None, None), square_loss_game,
+        divergence=_square_divergence, level2=_square_level2),
+    GameKind.BOUNDED_SQUARE: _scalar_spec(
+        _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game,
+        divergence=_square_divergence, level2=_square_level2, mix=_bounded_square_mix,
+        substitute=lambda game, g, tol: _endpoint_move(
+            float(g[0]), float(g[-1]), tol, *game.outcome_grid[[0, -1]]),
+        mixability=MixabilityParams(eta=2.0, C=0.5)),
+    GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
+        _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game),
+    GameKind.QUARTIC: _scalar_spec(
+        _quartic_kernel, ((-1.0, 1.0), (-1.0, 1.0)),
+        lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size)),
+    GameKind.LOG_LOSS: GameSpec(
+        kernel=_log_kernel, losses=_log_losses, param_losses=_binary_log_param_losses,
+        bounds=lambda m: ((0.0, float(m - 1)), _UNIT), outcome_type=int,
+        from_param=lambda u: np.array([1.0 - u, u]),
+        make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
+        trace_gap=_log_gap, divergence=_log_divergence, level2=_log_level2,
+        mix=_log_mix, substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol),
+        mixability=MixabilityParams(eta=1.0, C=1.0)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +682,7 @@ def _binary_restriction(game: Game) -> Game:
     """The same game with the outcome grid cut down to its endpoints."""
     if game.is_binary():
         return game
-    if game.kind is GameKind.LOG_LOSS:
+    if game.prediction_grid is None:
         raise ValueError("perfect-mixability test requires a binary outcome grid")
     og = np.array([game.outcome_grid[0], game.outcome_grid[-1]])
     return Game(game.kind, og, game.prediction_grid, m=game.m)

@@ -3,8 +3,10 @@
 Strategies are stateful objects reset at the start of each run with the
 game, a dedicated random generator, and the horizon, which makes every
 run reproducible from its seed.  Predictions are clamped to the game's
-bounds.  The protocol engine validates every announced move once, as it
-is announced; strategies that score moves use the game's unvalidated
+bounds by :meth:`~jeffreys.games.Game.prediction_from_param`; outcomes take
+the game's outcome type (int on a finite outcome space).  The protocol
+engine validates every announced move once, as it is announced;
+strategies that score moves use the game's unvalidated
 :meth:`~jeffreys.games.Game.loss_fn` kernel and check anything of their
 own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 """
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .games import Game, GameKind
+from .games import Game
 
 
 class PredictorStrategy:
@@ -58,19 +60,6 @@ class ReplayExhausted(Exception):
     """Raised by a replay Nature that has run out of recorded outcomes."""
 
 
-def _clamp(game: Game, value: float) -> float:
-    _, pb = game.bounds()
-    if pb is None:
-        return value
-    return min(pb[1], max(pb[0], value))
-
-
-def _prob_vector(game: Game, p1: float) -> np.ndarray:
-    # binary log-loss prediction from the probability of outcome 1
-    p1 = min(1.0, max(0.0, p1))
-    return np.array([1.0 - p1, p1])
-
-
 # ---------------------------------------------------------------------------
 # natures
 
@@ -80,7 +69,7 @@ class ConstantNature(NatureStrategy):
         self.omega0 = omega
 
     def reset(self, game, rng, horizon):
-        self._value = int(self.omega0) if game.kind is GameKind.LOG_LOSS else float(self.omega0)
+        self._value = game.spec.outcome_type(self.omega0)
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         return self._value
@@ -96,13 +85,10 @@ class IidBernoulliNature(NatureStrategy):
 
     def reset(self, game, rng, horizon):
         self._draws = rng.random(horizon) < self.p
-        self._log = game.kind is GameKind.LOG_LOSS
+        self._miss, self._hit = (game.spec.outcome_type(w) for w in (0, 1))
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
-        hit = bool(self._draws[n - 1])
-        if self._log:
-            return 1 if hit else 0
-        return 1.0 if hit else 0.0
+        return self._hit if self._draws[n - 1] else self._miss
 
 
 class IidUniformNature(NatureStrategy):
@@ -112,7 +98,7 @@ class IidUniformNature(NatureStrategy):
         self.lo, self.hi = lo, hi
 
     def reset(self, game, rng, horizon):
-        if game.kind is GameKind.LOG_LOSS:
+        if game.spec.outcome_type is int:
             raise ConfigError("uniform nature is undefined for log-loss outcomes")
         self._draws = rng.uniform(self.lo, self.hi, horizon)
 
@@ -132,13 +118,12 @@ class ReplayNature(NatureStrategy):
             return cls([float(line) for line in fh if line.strip()])
 
     def reset(self, game, rng, horizon):
-        self._log = game.kind is GameKind.LOG_LOSS
+        self._outcome = game.spec.outcome_type
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         if n - 1 >= len(self.values):
             raise ReplayExhausted(f"replay provides only {len(self.values)} outcomes")
-        v = self.values[n - 1]
-        return int(v) if self._log else float(v)
+        return self._outcome(self.values[n - 1])
 
 
 class AdversarialGreedyNature(NatureStrategy):
@@ -163,10 +148,8 @@ class AdversarialGreedyNature(NatureStrategy):
                     game.validate_outcome(w)
                 except DomainError as exc:
                     raise ConfigError(f"adversarial_greedy candidate: {exc}") from exc
-        elif game.kind is GameKind.LOG_LOSS:
-            self._cands = list(range(game.m))
         else:
-            self._cands = [0.0, 1.0]
+            self._cands = [game.spec.outcome_type(w) for w in range(max(game.m, 2))]
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         loss = self._loss
@@ -187,13 +170,8 @@ class ConstantPredictor(PredictorStrategy):
         self.gamma0 = gamma
 
     def reset(self, game, rng, horizon):
-        if game.kind is GameKind.LOG_LOSS:
-            g = np.asarray(self.gamma0, dtype=float)
-            if g.ndim == 0:
-                g = _prob_vector(game, float(g))
-            self._value = g
-        else:
-            self._value = _clamp(game, float(self.gamma0))
+        g = np.asarray(self.gamma0, dtype=float)
+        self._value = game.prediction_from_param(float(g)) if g.ndim == 0 else g
 
     def predict(self, n):
         return self._value
@@ -211,26 +189,33 @@ class RunningMeanPredictor(PredictorStrategy):
 
     def reset(self, game, rng, horizon):
         self._game = game
-        self._log = game.kind is GameKind.LOG_LOSS
-        if self._log:
+        if game.prediction_shape:
             self._counts = np.ones(game.m)
+            self._mean, self._add = self._frequencies, self._count
         else:
             self._sum = 0.0
             self._n = 0
+            self._mean, self._add = self._running_mean, self._accumulate
 
     def predict(self, n):
-        if self._log:
-            return self._counts / self._counts.sum()
-        if self._n == 0:
-            return _clamp(self._game, self.initial)
-        return _clamp(self._game, self._sum / self._n)
+        return self._mean()
 
     def observe(self, n, omega):
-        if self._log:
-            self._counts[int(omega)] += 1.0
-        else:
-            self._sum += omega
-            self._n += 1
+        self._add(omega)
+
+    def _frequencies(self):
+        return self._counts / self._counts.sum()
+
+    def _count(self, omega):
+        self._counts[int(omega)] += 1.0
+
+    def _running_mean(self):
+        value = self.initial if self._n == 0 else self._sum / self._n
+        return self._game.prediction_from_param(value)
+
+    def _accumulate(self, omega):
+        self._sum += omega
+        self._n += 1
 
 
 class NoisyTargetPredictor(PredictorStrategy):
@@ -247,14 +232,11 @@ class NoisyTargetPredictor(PredictorStrategy):
 
     def reset(self, game, rng, horizon):
         self._game = game
-        self._log = game.kind is GameKind.LOG_LOSS
         self._noise = rng.standard_normal(horizon)
 
     def predict(self, n):
-        value = self.target + self.sigma * self._noise[n - 1] / n
-        if self._log:
-            return _prob_vector(self._game, value)
-        return _clamp(self._game, value)
+        return self._game.prediction_from_param(
+            self.target + self.sigma * self._noise[n - 1] / n)
 
 
 class DriftPredictor(PredictorStrategy):
@@ -266,13 +248,9 @@ class DriftPredictor(PredictorStrategy):
 
     def reset(self, game, rng, horizon):
         self._game = game
-        self._log = game.kind is GameKind.LOG_LOSS
 
     def predict(self, n):
-        value = self.gamma0 + self.delta * (n - 1)
-        if self._log:
-            return _prob_vector(self._game, value)
-        return _clamp(self._game, value)
+        return self._game.prediction_from_param(self.gamma0 + self.delta * (n - 1))
 
 
 # ---------------------------------------------------------------------------

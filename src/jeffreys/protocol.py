@@ -17,12 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import alpha_divergence_log_loss
 from .errors import ConfigError, DomainError, ProtocolViolationError
 from .games import Game, GameKind
 from .players import NatureStrategy, PredictorStrategy, ReplayExhausted
-from .sceptics import (Level1Sceptic, Level2Sceptic, ScepticStrategy,
-                       level2_inequality_slack)
+from .sceptics import Level1Sceptic, ScepticStrategy, level2_inequality_slack
 
 VERDICT_GAP_VANISHES = "gap-vanishes"
 VERDICT_BEATS_P1 = "beats-P1"
@@ -32,6 +30,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 DEFAULT_GAP_SUM_MAX = 1.0
 DEFAULT_LOSS_GAP_MIN = 10.0
+
+# the fair-coin martingale identity is a property of absolute loss alone
+MARTINGALE_NULL_KINDS = (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE)
 
 
 @dataclass
@@ -142,52 +143,6 @@ class RunReport:
         }
 
 
-def _gap_fn(game: Game):
-    if game.kind is GameKind.LOG_LOSS:
-        if game.m == 2:
-            def gap2(g1, g2):
-                affinity = (math.sqrt(float(g1[0]) * float(g2[0]))
-                            + math.sqrt(float(g1[1]) * float(g2[1])))
-                if affinity <= 0.0:
-                    return math.inf
-                return math.sqrt(max(0.0, -4.0 * math.log(affinity)))
-            return gap2
-
-        def gap(g1, g2):
-            # sqrt of the zero-order divergence: squares sum to the series
-            affinity = float(np.sum(np.sqrt(np.asarray(g1) * np.asarray(g2))))
-            if affinity <= 0.0:
-                return math.inf
-            return math.sqrt(max(0.0, -4.0 * math.log(affinity)))
-        return gap
-    return lambda g1, g2: abs(g1 - g2)
-
-
-def _divergence_fn(game: Game, sceptic) -> Optional[object]:
-    alpha = getattr(sceptic, "alpha", None)
-    if alpha is None:
-        return None
-    if game.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-        return lambda g1, g2: (g1 - g2) * (g1 - g2)
-    if game.kind is GameKind.LOG_LOSS:
-        if game.m == 2:
-            w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
-            scale = -4.0 / (1.0 - alpha * alpha)
-
-            def div2(g1, g2):
-                affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
-                            + float(g1[1]) ** w1 * float(g2[1]) ** w2)
-                if affinity <= 0.0:
-                    return math.inf
-                return scale * math.log(affinity)
-            return div2
-        return lambda g1, g2: alpha_divergence_log_loss(g1, g2, alpha)
-    if isinstance(sceptic, Level2Sceptic):
-        # no closed form: the divergence term the numeric move achieved
-        return lambda g1, g2: sceptic.step_divergence
-    return None
-
-
 def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
                  predictor2: PredictorStrategy, sceptic: ScepticStrategy,
                  game: Game, horizon: int, seed: int = 0) -> Trace:
@@ -214,8 +169,9 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     validate_prediction = game.validate_prediction
     validate_outcome = game.validate_outcome
     loss = game.loss_fn()
-    gap = _gap_fn(game)
-    divergence = _divergence_fn(game, sceptic)
+    gap = game.spec.trace_gap(game)
+    # a divergence strategy's per-step term, for the eq9 check
+    divergence = getattr(sceptic, "divergence_term", None)
     c1 = c2 = cs = 0.0
 
     for n in range(1, horizon + 1):
@@ -344,7 +300,7 @@ def _check_martingale_null(trace: Trace, sceptic) -> float:
     is 1/2, for the sceptic and both predictors alike.
     """
     game = trace.game
-    if game.kind not in (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE):
+    if game.kind not in MARTINGALE_NULL_KINDS:
         raise ConfigError("martingale_null check is defined for absolute-loss games")
 
     def expected_loss(col):

@@ -25,13 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .aggregating import (DOMINATION_TOL, ExpertPool, MixabilityParams,
-                          _lse1, _substitute_bounded_square, aa_observe,
-                          generalized_prediction, log_sum_exp, params_for,
-                          substitute)
-from .divergence import _scale
-from .errors import (DivergenceOverestimate, MixabilityViolation,
-                     PoolCollapseError)
-from .games import (Game, GameKind, Prediction, check_perfectly_mixable,
+                          _lse1, aa_observe, params_for, pool_mixer)
+from .errors import DivergenceOverestimate, MixabilityViolation
+from .games import (Game, Prediction, _scale, check_perfectly_mixable,
                     superprediction_gap)
 
 
@@ -71,39 +67,23 @@ class Level2Config:
             raise ValueError("epsilon must be positive")
 
 
-def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config, n: int) -> Prediction:
-    """One move of the divergence strategy at (1-based) step ``n``.
+def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config) -> Prediction:
+    """One move of the divergence strategy.
 
-    Square-loss games admit the exact weighted mean of the predictions and
-    log-loss games the normalized geometric mixture, neither consuming any
-    slack.  Other games play the prediction whose canonical point attains
-    the numeric lower divergence: one gap search over the prediction grid
-    for the point furthest below the weighted mean of the predictors'
-    canonical points.  Its shift is the divergence by definition, so no
-    slack is spent either.  Moves are not validated here: inside a run the
-    engine has validated them.
+    Games with a closed form in their table entry play it: the exact
+    weighted mean of the predictions for the square-loss family, the
+    normalized geometric mixture for log-loss; neither consumes any slack.
+    Other games play the prediction whose canonical point attains the
+    numeric lower divergence: one gap search over the prediction grid for
+    the point furthest below the weighted mean of the predictors' canonical
+    points.  Its shift is the divergence by definition, so no slack is
+    spent either.  Moves are not validated here: inside a run the engine
+    has validated them.
     """
-    w1, w2 = (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0
-    if game.kind in (GameKind.SQUARE, GameKind.BOUNDED_SQUARE):
-        return w1 * gamma1 + w2 * gamma2
-    if game.kind is GameKind.LOG_LOSS:
-        if game.m == 2:
-            a = float(gamma1[0]) ** w1 * float(gamma2[0]) ** w2
-            b = float(gamma1[1]) ** w1 * float(gamma2[1]) ** w2
-            total = a + b
-            if total <= 0.0:
-                raise DivergenceOverestimate(
-                    "predictions have disjoint support; divergence is infinite")
-            return np.array((a / total, b / total))
-        g1 = np.asarray(gamma1, dtype=float)
-        g2 = np.asarray(gamma2, dtype=float)
-        raw = g1 ** w1 * g2 ** w2
-        total = float(raw.sum())
-        if total <= 0.0:
-            raise DivergenceOverestimate(
-                "predictions have disjoint support; divergence is infinite")
-        return raw / total
-    return _level2_numeric(game, gamma1, gamma2, cfg)[0]
+    closed = game.spec.level2
+    if closed is None:
+        return _level2_numeric(game, gamma1, gamma2, cfg)[0]
+    return closed(game, (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0)(gamma1, gamma2)
 
 
 def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config):
@@ -121,17 +101,14 @@ def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config):
     return game.prediction_from_param(u), _scale(cfg.alpha) * -gap
 
 
-# games whose level-2 move and divergence have closed forms
-_CLOSED_FORM_KINDS = (GameKind.SQUARE, GameKind.BOUNDED_SQUARE, GameKind.LOG_LOSS)
-
-
 class Level2Sceptic(ScepticStrategy):
     """Stateful wrapper around :func:`level2_step` for protocol runs.
 
-    On games without a closed-form divergence, ``step_divergence`` holds
-    the divergence term the last move achieved (the numeric move's shift
-    scaled by ``4 / (1 - alpha^2)``), which the engine records in the
-    trace; it is NaN otherwise.
+    ``divergence_term(gamma1, gamma2)``, set at reset, is the per-step
+    divergence the engine records in the trace: the game's closed form, or
+    on games without one the divergence term the last numeric move
+    achieved (its shift scaled by ``4 / (1 - alpha^2)``), which
+    ``step_divergence`` holds; ``step_divergence`` is NaN otherwise.
     """
 
     def __init__(self, alpha: float, epsilon: float = 1e-3):
@@ -143,14 +120,21 @@ class Level2Sceptic(ScepticStrategy):
 
     def reset(self, game, rng, horizon):
         self._game = game
-        self._numeric = game.kind not in _CLOSED_FORM_KINDS
         self.step_divergence = math.nan
+        if game.spec.level2 is None:
+            self._move = self._numeric_move
+            self.divergence_term = lambda gamma1, gamma2: self.step_divergence
+        else:
+            w1, w2 = (1.0 - self.alpha) / 2.0, (1.0 + self.alpha) / 2.0
+            self._move = game.spec.level2(game, w1, w2)
+            self.divergence_term = game.spec.divergence(game, self.alpha)
 
     def predict(self, n, gamma1, gamma2):
-        if self._numeric:
-            gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.cfg)
-            return gamma
-        return level2_step(self._game, gamma1, gamma2, self.cfg, n)
+        return self._move(gamma1, gamma2)
+
+    def _numeric_move(self, gamma1, gamma2):
+        gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.cfg)
+        return gamma
 
 
 def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
@@ -339,13 +323,12 @@ class _AAEngine:
     produced the move.
     """
 
-    def __init__(self, game: Game, pool: ExpertPool, eta: float, C: float,
+    def __init__(self, game: Game, pool: ExpertPool, params: MixabilityParams,
                  domination_tol: float):
-        self.game = game
-        self._loss = game.loss_fn()
+        self.eta, self.C = params.eta, params.C
+        self._losses = game.spec.losses
+        self._mix = pool_mixer(game, self.eta, domination_tol)
         self.pool = pool
-        self.eta = eta
-        self.C = C
         self.domination_tol = domination_tol
         self.expert_cums = np.zeros(len(pool))
         self.cum_self = 0.0
@@ -353,65 +336,19 @@ class _AAEngine:
         # plain running sums' rounding would drown the regret slack
         self._comp_experts = np.zeros(len(pool))
         self._comp_self = 0.0
-        self._penalty = C * np.log(1.0 / pool.priors)
+        self._penalty = self.C * np.log(1.0 / pool.priors)
         self.worst_eq8_slack = math.inf
         self._log_w_norm: Optional[np.ndarray] = None
 
-    def _normalized_log_weights(self) -> np.ndarray:
-        lw = self.pool.log_weights
-        total = _lse1(lw)
-        if total == -math.inf:
-            raise PoolCollapseError("every expert has suffered infinite loss")
-        return lw - total
-
     def mix(self, preds):
         """Predictions array (K,) or (K, m) -> the pool's aggregated move."""
-        game = self.game
-        log_w = self._normalized_log_weights()
-        self._log_w_norm = log_w
-        eta = self.eta
-        if game.kind is GameKind.BOUNDED_SQUARE:
-            # the outcome-interval endpoints pin down the substitution
-            g0 = -_lse1(log_w - eta * (preds * preds)) / eta
-            g1 = -_lse1(log_w - eta * (1.0 - preds) ** 2) / eta
-            return _substitute_bounded_square(g0, g1)
-        if game.kind is GameKind.LOG_LOSS:
-            # the mixture of probability vectors; for eta <= 1 the mass is
-            # at most one and renormalizing only raises the prediction
-            if eta == 1.0:
-                w = np.exp(log_w)
-                raw = w @ preds
-            else:
-                with np.errstate(divide="ignore"):
-                    points = -np.log(preds)
-                with np.errstate(invalid="ignore"):
-                    exponents = log_w[:, None] - eta * points
-                exponents = np.where(np.isnan(exponents), -np.inf, exponents)
-                g = -log_sum_exp(exponents, axis=0) / eta
-                raw = np.exp(-g)
-            total = float(raw.sum())
-            if total <= 0.0:
-                raise MixabilityViolation("generalized prediction is infinite everywhere")
-            if total > 1.0 + self.domination_tol:
-                raise MixabilityViolation(
-                    f"substitution excess {math.log(total):.3g} exceeds tolerance")
-            return raw / total
-        points = np.stack([game.canonical_point(p) for p in preds])
-        g = generalized_prediction(self.pool, points, self.eta)
-        return substitute(game, g, self.domination_tol)
-
-    def expert_losses(self, omega, preds) -> np.ndarray:
-        if self.game.kind is GameKind.LOG_LOSS:
-            p = preds[:, int(omega)]
-            with np.errstate(divide="ignore"):
-                return np.where(p > 0.0, -np.log(np.maximum(p, 1e-300)), np.inf)
-        # scalar games: the kernel broadcasts over the pool's predictions
-        return self._loss(omega, preds)
+        self._log_w_norm = self.pool.normalized_log_weights()
+        return self._mix(self._log_w_norm, preds)
 
     def observe(self, n, omega, preds, own_loss) -> np.ndarray:
-        losses = self.expert_losses(omega, preds)
+        losses = self._losses(omega, preds)
         log_w = self._log_w_norm if self._log_w_norm is not None \
-            else self._normalized_log_weights()
+            else self.pool.normalized_log_weights()
         # -inf - inf stays -inf, so eliminated experts drop out cleanly
         g_played = -_lse1(log_w - self.eta * losses) / self.eta
         if own_loss > g_played + self.domination_tol:
@@ -475,9 +412,7 @@ class AggregatingSceptic(ScepticStrategy):
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
-        self.engine = _AAEngine(game, ExpertPool(self.priors), params.eta,
-                                params.C, self.domination_tol)
-        self._game = game
+        self.engine = _AAEngine(game, ExpertPool(self.priors), params, self.domination_tol)
         self._loss = game.loss_fn()
         # a pool of constants emits the same prediction matrix every step
         self._static_preds = None
@@ -490,10 +425,7 @@ class AggregatingSceptic(ScepticStrategy):
         return self.engine.worst_eq8_slack if self.engine else math.inf
 
     def _collect(self, n):
-        raw = [e.predict(n) for e in self.experts]
-        if self._game.kind is GameKind.LOG_LOSS:
-            return np.stack(raw)
-        return np.asarray(raw, dtype=float)
+        return np.asarray([e.predict(n) for e in self.experts], dtype=float)
 
     def predict(self, n, gamma1, gamma2):
         preds = self._static_preds if self._static_preds is not None \
@@ -551,12 +483,10 @@ class Level3Sceptic(ScepticStrategy):
         self.cfg = cfg
         self._params = params
         self.domination_tol = domination_tol
-        self._game: Optional[Game] = None
         self.engine: Optional[_AAEngine] = None
 
     def reset(self, game, rng, horizon):
         params = _resolve_params(game, self._params)
-        self._game = game
         self.eta, self.C = params.eta, params.C
         self.base.reset(game, rng, horizon)
         self.cum1 = 0.0
@@ -565,12 +495,11 @@ class Level3Sceptic(ScepticStrategy):
         k = self.cfg.k_max
         self.thresholds = np.concatenate([self.cfg.thresholds(), self.cfg.thresholds()])
         self.switched = np.zeros(2 * k, dtype=bool)
-        self.engine = _AAEngine(game, ExpertPool(self.cfg.priors()), params.eta,
-                                params.C, self.domination_tol)
+        self.engine = _AAEngine(game, ExpertPool(self.cfg.priors()), params,
+                                self.domination_tol)
         self.switch_times: dict = {}
         self._loss = game.loss_fn()
-        self._targets = (np.empty((2 * k, game.m)) if game.kind is GameKind.LOG_LOSS
-                         else np.empty(2 * k))
+        self._targets = np.empty((2 * k,) + game.prediction_shape)
         self._pending = None
 
     @property
@@ -581,19 +510,15 @@ class Level3Sceptic(ScepticStrategy):
     def cum_self(self) -> float:
         return self.engine.cum_self
 
-    def _expert_predictions(self, gamma1, gamma2, gamma_base):
-        k = self.cfg.k_max
-        targets = self._targets
-        targets[:k] = gamma1
-        targets[k:] = gamma2
-        if self._game.kind is GameKind.LOG_LOSS:
-            return np.where(self.switched[:, None], targets,
-                            np.asarray(gamma_base)[None, :])
-        return np.where(self.switched, targets, gamma_base)
-
     def predict(self, n, gamma1, gamma2):
         gamma_base = self.base.predict(n, gamma1, gamma2)
-        preds = self._expert_predictions(gamma1, gamma2, gamma_base)
+        # the experts' predictions, in a buffer the engine is done with
+        # before the next step
+        k = self.cfg.k_max
+        preds = self._targets
+        preds[:k] = gamma1
+        preds[k:] = gamma2
+        preds[~self.switched] = gamma_base
         gamma = self.engine.mix(preds)
         self._pending = (gamma1, gamma2, gamma_base, preds, gamma)
         return gamma

@@ -108,6 +108,35 @@ def test_divergence_subcommand_square_closed_form(capsys):
     assert out["method"] == "closed_form"
 
 
+@pytest.mark.parametrize("args", [
+    ["--game", "log", "--g1", "0.5,0.7", "--g2", "0.3,0.7"],
+    ["--game", "log", "--m", "3", "--g1", "0.5,0.5", "--g2", "0.3,0.7"],
+    ["--game", "bounded_square", "--g1", "1.5", "--g2", "0.2", "--method", "closed"],
+    ["--game", "bounded_square", "--g1", "1.5", "--g2", "0.2", "--method", "numeric"],
+    ["--game", "square", "--g1", "0.2,0.3", "--g2", "0.2"],
+], ids=["off-simplex", "wrong-length", "out-of-bounds-closed", "out-of-bounds-numeric",
+        "vector-on-scalar-game"])
+def test_divergence_rejects_bad_predictions(args, capsys):
+    assert main(["divergence"] + args) == 2
+    assert "config error: bad prediction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["standard", "kl"])
+def test_divergence_log_loss_sides_need_probability_vectors(side, capsys):
+    assert main(["divergence", "--game", "square", "--g1", "0.2", "--g2", "0.8",
+                 "--side", side]) == 2
+    assert "is a log-loss quantity" in capsys.readouterr().err
+    assert main(["divergence", "--game", "log", "--g1", "0.5,0.5", "--g2", "0.25,0.75",
+                 "--side", side]) == 0
+
+
+def test_divergence_auto_takes_the_closed_form_from_the_table(capsys):
+    assert main(["divergence", "--game", "bounded_square", "--g1", "0.2", "--g2", "0.8"]) == 0
+    out = json.loads(capsys.readouterr().out.strip())
+    assert out["method"] == "closed_form"
+    assert out["value"] == (0.2 - 0.8) * (0.2 - 0.8)
+
+
 def test_divergence_unbracketable_still_exits_zero(capsys):
     assert main(["divergence", "--game", "log", "--g1", "1,0", "--g2", "0,1",
                  "--side", "lower", "--method", "numeric"]) == 0

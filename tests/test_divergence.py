@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jeffreys import (alpha_divergence_log_loss, alpha_divergence_square_loss,
-                      bounded_absolute_loss_game, bounded_square_loss_game,
+from jeffreys import (GAME_SPECS, GameKind, alpha_divergence_log_loss,
+                      alpha_divergence_square_loss, bounded_absolute_loss_game,
+                      bounded_square_loss_game, game_from_descriptor,
                       kl_divergence_log_loss, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game, standard_alpha_divergence_log_loss,
                       upper_alpha_divergence_numeric)
@@ -111,26 +112,29 @@ def test_quartic_lower_and_upper_shifts_differ():
     assert up.value == pytest.approx(28.0, abs=4e-6)
 
 
-def test_numeric_agreement_square_grid():
-    g = bounded_square_loss_game()
-    for g1 in (0.0, 0.3, 0.8):
-        for g2 in (0.1, 0.6, 1.0):
-            for alpha in (-0.8, 0.0, 0.8):
-                closed = alpha_divergence_square_loss(g1, g2, alpha)
-                got = lower_alpha_divergence_numeric(g, g1, g2, alpha, tol=1e-7).value
-                assert abs(got - closed) <= 1e-5
+# every table entry with a closed-form divergence, at the tolerance each
+# family had before the table: 1e-5 for square losses, 1e-4 for log loss
+CLOSED_FORM_KINDS = [kind for kind, spec in GAME_SPECS.items() if spec.divergence]
+AGREEMENT_TOL = {GameKind.LOG_LOSS: 1e-4}
 
 
-def test_numeric_agreement_log_loss():
-    game = log_loss_game(m=2)
-    for p in (0.2, 0.5, 0.7):
-        for q in (0.1, 0.6, 0.9):
-            for alpha in (-0.4, 0.0, 0.4):
-                g1 = np.array([1 - p, p])
-                g2 = np.array([1 - q, q])
-                closed = alpha_divergence_log_loss(g1, g2, alpha)
-                got = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=1e-7).value
-                assert abs(got - closed) <= 1e-4
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS,
+                         ids=lambda kind: kind.value.removesuffix("_loss") + "_loss_game")
+def test_numeric_agreement_with_closed_form(kind):
+    game = game_from_descriptor({"kind": kind.value})
+    closed_form = game.spec.divergence
+    tol = AGREEMENT_TOL.get(kind, 1e-5)
+    # the union of the square-loss and log-loss cases the test had per family
+    for u1 in (0.0, 0.2, 0.3, 0.5, 0.7, 0.8):
+        for u2 in (0.1, 0.6, 0.9, 1.0):
+            g1, g2 = game.prediction_from_param(u1), game.prediction_from_param(u2)
+            for alpha in (-0.8, -0.4, 0.0, 0.4, 0.8):
+                closed = closed_form(game, alpha)(g1, g2)
+                for numeric in (lower_alpha_divergence_numeric,
+                                upper_alpha_divergence_numeric):
+                    got = numeric(game, g1, g2, alpha, tol=1e-7).value
+                    assert got == closed or abs(got - closed) <= tol, (
+                        numeric.__name__, u1, u2, alpha, got, closed)
 
 
 def test_hellinger_symmetry():

@@ -1,11 +1,13 @@
 """Game definitions, canonical points, and geometric predicates."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
-from jeffreys import (DomainError, absolute_loss_game,
+from jeffreys import (GAME_SPECS, DomainError, absolute_loss_game,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       check_non_redundant, check_perfectly_mixable,
                       game_from_descriptor, is_subprediction,
@@ -45,25 +47,32 @@ def test_infinite_loss_poisons_cumulative_sums():
     assert total == math.inf
 
 
-@pytest.mark.parametrize("factory", [
-    absolute_loss_game, square_loss_game, bounded_square_loss_game,
-    bounded_absolute_loss_game,
-    lambda: quartic_loss_game(outcome_grid_size=65, prediction_grid_size=65),
-])
-def test_loss_paths_agree_bitwise(factory):
-    # Game.loss, loss_fn, canonical_point and losses_for_params share one
-    # kernel, so they agree exactly, not only to rounding
-    game = factory()
+def constructor_name(kind):
+    return kind.value.removesuffix("_loss") + "_loss_game"
+
+
+@pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
+def test_loss_paths_agree_bitwise(kind):
+    # Game.loss, loss_fn, canonical_point and losses_for_params agree
+    # exactly where they share one kernel, as every scalar kind does; log
+    # loss's per-move kernel uses math.log and its array paths np.log, which
+    # may round the last bit differently
+    game = game_from_descriptor({"kind": kind.value, "grid_size": 65})
     kernel = game.loss_fn()
+    shared = game.spec.losses is kernel
     params = game.prediction_grid[::5]
     matrix = game.losses_for_params(params)
-    for row, gamma in zip(matrix, params):
-        gamma = float(gamma)
+    for row, u in zip(matrix, params):
+        gamma = game.prediction_from_param(float(u))
         point = game.canonical_point(gamma)
         assert np.array_equal(point, row)
         for omega, value in zip(game.outcome_grid[::3], point[::3]):
-            omega = float(omega)
-            assert game.loss(omega, gamma) == kernel(omega, gamma) == value
+            omega = game.spec.outcome_type(omega)
+            assert game.loss(omega, gamma) == kernel(omega, gamma)
+            if shared:
+                assert kernel(omega, gamma) == value
+            else:
+                assert kernel(omega, gamma) == pytest.approx(value, rel=4e-16, abs=0.0)
 
 
 def test_quartic_loss_squares_the_square():
@@ -233,3 +242,30 @@ def test_descriptor_round_trip():
 def test_grids_must_increase():
     with pytest.raises(ValueError):
         bounded_square_loss_game(outcome_grid=[1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# one table per game kind
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "jeffreys")
+KIND_TEST = re.compile(r"GameKind\.[A-Z]|\.kind (is|in|not in|==|!=)")
+
+# every kind comparison outside games.py, and why it stays
+ALLOWED_KIND_TESTS = {
+    ("protocol.py", "MARTINGALE_NULL_KINDS = (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE)"):
+        "the fair-coin martingale identity is a property of absolute loss; this names its kinds",
+    ("protocol.py", "if game.kind not in MARTINGALE_NULL_KINDS:"):
+        "the martingale_null check refuses other games",
+    ("cli.py", 'if "martingale_null" in checks and game.kind not in MARTINGALE_NULL_KINDS:'):
+        "the same refusal, made before a run starts",
+}
+
+
+def test_kind_knowledge_lives_in_the_table():
+    hits = set()
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "games.py":
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            hits |= {(name, line.strip()) for line in fh if KIND_TEST.search(line)}
+    assert hits == set(ALLOWED_KIND_TESTS)

@@ -7,12 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jeffreys import (IidBernoulliNature, ConstantNature, ConstantPredictor,
+from jeffreys import (GAME_SPECS, IidBernoulliNature, ConstantNature, ConstantPredictor,
                       Level1Sceptic, Level1State, Level2Config, Level2Sceptic,
                       Level3Config, Level3Sceptic, MixabilityViolation,
                       RunningMeanPredictor, absolute_loss_game,
                       bounded_absolute_loss_game, bounded_square_loss_game,
-                      f_mix, f_mix_integral, level1_ledger_update, level1_step,
+                      f_mix, f_mix_integral, game_from_descriptor,
+                      level1_ledger_update, level1_step,
                       level2_inequality_slack, level2_step, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game,
                       run_protocol, square_loss_game, verify_run)
@@ -32,22 +33,22 @@ def test_level2_config_validation():
 def test_level2_square_weighted_mean():
     game = square_loss_game()
     cfg = Level2Config(alpha=0.0)
-    assert level2_step(game, 0.0, 1.0, cfg, 1) == 0.5
+    assert level2_step(game, 0.0, 1.0, cfg) == 0.5
     cfg = Level2Config(alpha=0.8)
-    assert level2_step(game, 0.0, 1.0, cfg, 1) == pytest.approx(0.9)
+    assert level2_step(game, 0.0, 1.0, cfg) == pytest.approx(0.9)
 
 
 def test_level2_log_loss_identical_inputs():
     game = log_loss_game(m=2)
     cfg = Level2Config(alpha=0.3)
     g = np.array([0.5, 0.5])
-    assert np.allclose(level2_step(game, g, g, cfg, 1), g)
+    assert np.allclose(level2_step(game, g, g, cfg), g)
 
 
 def test_level2_log_loss_geometric_mean():
     game = log_loss_game(m=2)
     cfg = Level2Config(alpha=0.0)
-    got = level2_step(game, np.array([0.8, 0.2]), np.array([0.2, 0.8]), cfg, 1)
+    got = level2_step(game, np.array([0.8, 0.2]), np.array([0.2, 0.8]), cfg)
     assert np.allclose(got, [0.5, 0.5], atol=1e-12)
     # the move's loss profile must sit below the divergence target
     lam = game.canonical_point(got)
@@ -58,11 +59,35 @@ def test_level2_log_loss_geometric_mean():
     assert np.all(lam <= mean - shift + 1e-12)
 
 
+def _closed_form_level2_games():
+    # every table entry with a closed-form level-2 move, plus log loss at m = 3
+    games = [game_from_descriptor({"kind": kind.value})
+             for kind, spec in GAME_SPECS.items() if spec.level2]
+    return games + [log_loss_game(m=3)]
+
+
+@pytest.mark.parametrize("game", _closed_form_level2_games(),
+                         ids=lambda game: f"{game.kind.value}-m{game.m}")
+def test_closed_form_level2_profile_is_mean_minus_shift(game):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        if game.prediction_grid is None:
+            g1, g2 = rng.dirichlet(np.ones(game.m), 2)
+        else:
+            g1, g2 = (game.prediction_from_param(u) for u in rng.uniform(0.05, 0.95, 2))
+        alpha = rng.uniform(-0.9, 0.9)
+        w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+        move = game.spec.level2(game, w1, w2)(g1, g2)
+        shift = game.spec.divergence(game, alpha)(g1, g2) * (1.0 - alpha * alpha) / 4.0
+        mean = w1 * game.canonical_point(g1) + w2 * game.canonical_point(g2)
+        assert np.max(np.abs(game.canonical_point(move) - (mean - shift))) <= 1e-9
+
+
 def test_level2_numeric_path_bounded_absolute():
     # zero-divergence game: the search must still find a dominated point
     game = bounded_absolute_loss_game()
     cfg = Level2Config(alpha=0.0, epsilon=1e-3)
-    gamma = level2_step(game, 0.2, 0.8, cfg, 1)
+    gamma = level2_step(game, 0.2, 0.8, cfg)
     lam = game.canonical_point(gamma)
     mean = 0.5 * game.canonical_point(0.2) + 0.5 * game.canonical_point(0.8)
     assert np.all(lam <= mean + cfg.epsilon)
