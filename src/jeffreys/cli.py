@@ -146,14 +146,17 @@ def _execute_run(cfg: dict, game: Game, seed: int):
 def _divergence_expectation_check(cfg: dict) -> int:
     """Scenario mode asserting expected divergence values instead of a run."""
     section = cfg["divergence"]
-    game = game_from_descriptor(section["game"]) if isinstance(section.get("game"), dict) \
-        else game_from_descriptor({"kind": section["game"]})
+    desc = section["game"] if isinstance(section.get("game"), dict) else {"kind": section["game"]}
+    game = _build_game({"game": desc})
     g1 = _parse_prediction(game, str(section["g1"]))
     g2 = _parse_prediction(game, str(section["g2"]))
     alpha = float(section.get("alpha", 0.0))
-    tol = float(section.get("tol", 1e-4))
-    lower = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
-    upper = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+    tol = _check_tol(float(section.get("tol", 1e-4)))
+    try:
+        lower = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+        upper = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     expects = cfg.get("expects", {})
     check_tol = float(expects.get("tol", 1e-3))
     ok = True
@@ -235,9 +238,18 @@ def _parse_prediction(game: Game, text: str):
     return gamma
 
 
+def _check_tol(tol: float) -> float:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def cmd_divergence(args) -> int:
+    if math.isnan(args.alpha):
+        raise ConfigError("--alpha must be a number")
+    _check_tol(args.tol)
     kind = "log_loss" if args.game == "log" else args.game
-    game = game_from_descriptor({"kind": kind, "grid_size": args.grid_size, "m": args.m})
+    game = _build_game({"game": {"kind": kind, "grid_size": args.grid_size, "m": args.m}})
     if args.side in ("standard", "kl") and not game.prediction_shape:
         raise ConfigError(f"side {args.side!r} is a log-loss quantity; the "
                           f"{game.kind.value} game has scalar predictions")
@@ -249,27 +261,30 @@ def cmd_divergence(args) -> int:
     if method == "auto":
         method = "closed" if args.side in ("standard", "kl") or closed_form else "numeric"
 
-    if method == "closed":
-        # the raw shift is only meaningful for the geometric (lower/upper)
-        # definition; the standard form and the KL limit report it as null
-        if args.side == "kl":
-            value = kl_divergence_log_loss(g1, g2)
-            result = DivergenceResult(-1.0, "kl", value, None, "closed_form", 0.0)
-        elif args.side == "standard":
-            value = standard_alpha_divergence_log_loss(g1, g2, alpha)
-            result = DivergenceResult(alpha, "standard", value, None, "closed_form", 0.0)
+    try:
+        if method == "closed":
+            # the raw shift is only meaningful for the geometric (lower/upper)
+            # definition; the standard form and the KL limit report it as null
+            if args.side == "kl":
+                value = kl_divergence_log_loss(g1, g2)
+                result = DivergenceResult(-1.0, "kl", value, None, "closed_form", 0.0)
+            elif args.side == "standard":
+                value = standard_alpha_divergence_log_loss(g1, g2, alpha)
+                result = DivergenceResult(alpha, "standard", value, None, "closed_form", 0.0)
+            else:
+                if closed_form is None:
+                    raise ConfigError(f"no closed form for the {game.kind.value} game")
+                value = closed_form(game, alpha)(g1, g2)
+                shift = value * (1.0 - alpha * alpha) / 4.0 if math.isfinite(value) else value
+                result = DivergenceResult(alpha, args.side, value, shift, "closed_form", 0.0)
+        elif args.side == "lower":
+            result = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=args.tol)
+        elif args.side == "upper":
+            result = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=args.tol)
         else:
-            if closed_form is None:
-                raise ConfigError(f"no closed form for the {game.kind.value} game")
-            value = closed_form(game, alpha)(g1, g2)
-            shift = value * (1.0 - alpha * alpha) / 4.0 if math.isfinite(value) else value
-            result = DivergenceResult(alpha, args.side, value, shift, "closed_form", 0.0)
-    elif args.side == "lower":
-        result = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=args.tol)
-    elif args.side == "upper":
-        result = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=args.tol)
-    else:
-        raise ConfigError(f"side {args.side!r} has no numeric method")
+            raise ConfigError(f"side {args.side!r} has no numeric method")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(json.dumps(result.to_dict()))
     return EXIT_OK
 

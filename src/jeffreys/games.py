@@ -4,9 +4,13 @@ A game couples an outcome space, a prediction space, and a loss function.
 Everything geometric in this package is phrased in terms of the game's
 canonical points: the loss profile ``omega -> loss(omega, gamma)`` of each
 prediction, restricted to a finite outcome grid.  Continuous outcome and
-prediction spaces are represented by grids; the membership predicates
-refine locally around the best candidate until the grid resolution is
-well below the requested tolerance, so their error is quantifiable.
+prediction spaces are represented by grids.  The membership queries, the
+numeric divergences and the mixability test are one gap search: the
+smallest uniform excess of a canonical point over a target point, scanned
+on the prediction grid and refined in lockstep until the local spacing is
+well below the requested tolerance, so its error is quantifiable.
+Profiles are outcome-major, ``(O, ...)``, so maxima over outcomes run
+over contiguous rows.
 
 The bundled games:
 
@@ -54,7 +58,6 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 _MAX_REFINE_ROUNDS = 16
 _REFINE_POINTS = 21
 _REFINE_STARTS = 3
-_MIXABILITY_FIRST_REFINED = 32
 _BLOCK = 256
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -89,7 +92,7 @@ class GameSpec:
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
     losses: Callable          # the kernel broadcast over outcomes and predictions
-    param_losses: Callable    # (game, params) -> (P, O) profiles over the outcome grid
+    param_losses: Callable    # (game, params) -> (O, *params.shape) profiles over the outcome grid
     bounds: Callable          # m -> (outcome bounds, prediction bounds); None: the reals
     outcome_type: type        # int on a finite outcome space, float otherwise
     from_param: Callable      # clamped prediction-grid parameter -> prediction
@@ -137,9 +140,7 @@ def _log_losses(omega, gamma):
 def _binary_log_param_losses(game, params):
     # the parameter is the probability of outcome 1
     with np.errstate(divide="ignore"):
-        l1 = -np.log(params[:, None])
-        l0 = -np.log(1.0 - params[:, None])
-    return np.concatenate([l0, l1], axis=1)
+        return np.stack([-np.log(1.0 - params), -np.log(params)])
 
 
 def _lse1(x: np.ndarray) -> float:
@@ -185,6 +186,8 @@ class Game:
         self.outcome_grid = np.asarray(self.outcome_grid, dtype=float)
         if self.prediction_grid is not None:
             self.prediction_grid = np.asarray(self.prediction_grid, dtype=float)
+            if len(self.prediction_grid) < 2:
+                raise ValueError("prediction_grid needs at least two points")
             if np.any(np.diff(self.prediction_grid) <= 0):
                 raise ValueError("prediction_grid must be strictly increasing")
         if np.any(np.diff(self.outcome_grid) <= 0):
@@ -288,16 +291,16 @@ class Game:
         return self.spec.from_param(u)
 
     def losses_for_params(self, params: np.ndarray) -> np.ndarray:
-        """Loss profiles for an array of parameters, shape (len(params), O)."""
-        return self.spec.param_losses(self, np.asarray(params, dtype=float))
+        """Loss profiles (len(params), O): a view of the outcome-major ``param_losses``."""
+        return self.spec.param_losses(self, np.asarray(params, dtype=float)).T
 
     def grid_canonical_points(self) -> np.ndarray:
-        """Cached (P, O) matrix of canonical points over the prediction grid."""
+        """(P, O) grid canonical points: a view of the cached outcome-major matrix."""
         if self.prediction_grid is None:
             raise ValueError(f"{self.kind.value} game has no prediction grid")
         if self._loss_matrix is None:
-            self._loss_matrix = self.losses_for_params(self.prediction_grid)
-        return self._loss_matrix
+            self._loss_matrix = self.spec.param_losses(self, self.prediction_grid)
+        return self._loss_matrix.T
 
     def is_binary(self) -> bool:
         return len(self.outcome_grid) == 2
@@ -412,11 +415,12 @@ def alpha_divergence_square_loss(gamma1: float, gamma2: float, alpha: float) -> 
 
 
 def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
-    """Log-loss divergence: scaled negative log-affinity of the two vectors."""
-    affinity = _log_affinity(gamma1, gamma2, alpha)
-    if affinity <= 0.0:
-        return math.inf
-    return -_scale(alpha) * math.log(affinity)
+    """Log-loss divergence: scaled negative log-affinity of the two vectors.
+
+    The arithmetic is the table's closed form, so the value equals a log-loss
+    trace's divergence term bit for bit.
+    """
+    return _log_divergence(len(gamma1), alpha)(gamma1, gamma2)
 
 
 def _square_divergence(game, alpha):
@@ -450,20 +454,23 @@ def _log_gap(game):
     return gap
 
 
-def _log_divergence(game, alpha):
+def _log_divergence(m: int, alpha: float):
+    # scaled negative log-affinity over m outcomes; two outcomes in Python floats
     _check_alpha_open(alpha)
-    if game.m != 2:
-        return lambda g1, g2: alpha_divergence_log_loss(g1, g2, alpha)
     w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
     scale = -4.0 / (1.0 - alpha * alpha)
 
-    def div2(g1, g2):
-        affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
-                    + float(g1[1]) ** w1 * float(g2[1]) ** w2)
+    def div(g1, g2):
+        if m == 2:
+            affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
+                        + float(g1[1]) ** w1 * float(g2[1]) ** w2)
+        else:
+            affinity = float(np.sum(np.asarray(g1, dtype=float) ** w1
+                                    * np.asarray(g2, dtype=float) ** w2))
         if affinity <= 0.0:
             return math.inf
         return scale * math.log(affinity)
-    return div2
+    return div
 
 
 def _log_level2(game, w1, w2):
@@ -526,7 +533,8 @@ def _scalar_spec(kernel, bounds, make, **closed_forms) -> GameSpec:
     # a scalar kind's prediction is its own grid parameter; make: grid_size -> Game
     return GameSpec(
         kernel=kernel, losses=kernel,
-        param_losses=lambda game, params: kernel(game.outcome_grid[None, :], params[:, None]),
+        param_losses=lambda game, params: kernel(
+            game.outcome_grid.reshape((-1,) + (1,) * params.ndim), params),
         bounds=lambda m: bounds, outcome_type=float, from_param=float,
         make=lambda grid_size, m: make(grid_size),
         trace_gap=lambda game: lambda g1, g2: abs(g1 - g2), **closed_forms)
@@ -555,7 +563,8 @@ GAME_SPECS = {
         bounds=lambda m: ((0.0, float(m - 1)), _UNIT), outcome_type=int,
         from_param=lambda u: np.array([1.0 - u, u]),
         make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
-        trace_gap=_log_gap, divergence=_log_divergence, level2=_log_level2,
+        trace_gap=_log_gap, level2=_log_level2,
+        divergence=lambda game, alpha: _log_divergence(game.m, alpha),
         mix=_log_mix, substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol),
         mixability=MixabilityParams(eta=1.0, C=1.0)),
 }
@@ -564,53 +573,74 @@ GAME_SPECS = {
 # ---------------------------------------------------------------------------
 # membership predicates
 
-def _ext_diff(a: np.ndarray, b) -> np.ndarray:
-    """a - b on extended reals where b == +inf makes the result -inf.
+def _excess(profiles: np.ndarray, points, sub: bool) -> np.ndarray:
+    """Uniform excess of ``profiles`` over ``points`` (of ``points`` over
+    ``profiles`` when ``sub``): the max over the leading outcome axis.
 
-    Used for per-outcome constraint gaps: a +inf on the dominating side
-    satisfies the constraint no matter what the other side is.
+    On extended reals a +inf on the dominating side satisfies the
+    constraint whatever the other side is, so it contributes -inf.
     """
+    a, b = (points, profiles) if sub else (profiles, points)
     with np.errstate(invalid="ignore"):
-        out = np.asarray(a, dtype=float) - b
-    binf = np.isposinf(b)
+        diff = a - b
+    binf = b == np.inf
     if np.any(binf):
-        out = np.where(binf, -np.inf, out)
-    return out
+        diff = np.where(binf, -np.inf, diff)
+    return diff.max(axis=0)
 
 
-def _min_gap(game: Game, gap_of_params, tol: float):
-    """Minimize a per-parameter gap function by coarse grid plus refinement.
+def _min_gap(game: Game, points: np.ndarray, u: np.ndarray, v: np.ndarray,
+             tol: float, sub: bool):
+    """Refine R gap minimizations in lockstep; returns the refined (u, v).
 
-    ``gap_of_params`` maps an array of prediction parameters to gap values.
-    Refines around each of the ``_REFINE_STARTS`` best coarse candidates
-    until the local spacing drops below ``tol * 1e-3`` (floored at 1e-13)
-    and keeps the best result, so the returned minimum is accurate well
-    below the membership tolerance even where the gap has several local
-    minima (piecewise-linear losses).
+    Row r starts at parameter ``u[r]`` with gap ``v[r]`` against the target
+    ``points[:, r]``; ``points`` is (O, R), or (O, 1) for one target shared
+    by all rows.  Each round evaluates ``_REFINE_POINTS`` parameters
+    spanning one spacing either side of the row's best, in a window shrunk
+    at the grid's ends, and keeps any improvement.  A row stops once its
+    spacing drops below ``tol * 1e-3`` (floored at 1e-13).
     """
     grid = game.prediction_grid
-    if grid is None:
-        raise ValueError("game has no scalar prediction parametrization")
     lo, hi = float(grid[0]), float(grid[-1])
-    vals = gap_of_params(grid)
     resolution = max(tol * 1e-3, 1e-13)
-    best = None
-    for j in np.argsort(vals, kind="stable")[:_REFINE_STARTS]:
-        u, v = float(grid[j]), float(vals[j])
-        h = (hi - lo) / (len(grid) - 1)
-        for _ in range(_MAX_REFINE_ROUNDS):
-            if h <= resolution:
-                break
-            a, b = max(lo, u - h), min(hi, u + h)
-            local = np.linspace(a, b, _REFINE_POINTS)
-            local_vals = gap_of_params(local)
-            k = int(np.argmin(local_vals))
-            if local_vals[k] < v:
-                u, v = float(local[k]), float(local_vals[k])
-            h = (b - a) / (_REFINE_POINTS - 1)
-        if best is None or v < best[1]:
-            best = (u, v)
-    return best
+    h = np.full(len(u), (hi - lo) / (len(grid) - 1))
+    steps = np.arange(_REFINE_POINTS, dtype=float)
+    rows = np.arange(len(u))
+    points = points[:, :, None]
+    for _ in range(_MAX_REFINE_ROUNDS):
+        # rows that have stopped are evaluated but never updated
+        live = h > resolution
+        if not live.any():
+            break
+        a = np.maximum(lo, u - h)
+        b = np.minimum(hi, u + h)
+        step = (b - a) / (_REFINE_POINTS - 1)
+        h = np.where(live, step, h)
+        # np.linspace(a, b, _REFINE_POINTS) per row, bit for bit
+        local = steps * step[:, None] + a[:, None]
+        local[:, -1] = b
+        vals = _excess(game.spec.param_losses(game, local), points, sub)
+        k = np.argmin(vals, axis=1)
+        best = vals[rows, k]
+        better = live & (best < v)
+        u = np.where(better, local[rows, k], u)
+        v = np.where(better, best, v)
+    return u, v
+
+
+def _gap_search(game: Game, point, tol: float, sub: bool):
+    """(param, gap): the grid's ``_REFINE_STARTS`` best candidates, refined
+    as rows of one target.  Several starts keep the minimum accurate where
+    the gap has several local minima (piecewise-linear losses).
+    """
+    if game.prediction_grid is None:
+        raise ValueError("game has no scalar prediction parametrization")
+    point = np.asarray(point, dtype=float)[:, None]
+    vals = _excess(game.grid_canonical_points().T, point, sub)
+    starts = np.argsort(vals, kind="stable")[:_REFINE_STARTS]
+    u, v = _min_gap(game, point, game.prediction_grid[starts], vals[starts], tol, sub)
+    best = int(np.argmin(v))
+    return float(u[best]), float(v[best])
 
 
 def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
@@ -619,24 +649,12 @@ def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
     ``gap <= 0`` means some canonical point is dominated by ``point``,
     i.e. ``point`` is a superprediction.
     """
-    point = np.asarray(point, dtype=float)
-
-    def gap(params):
-        L = game.losses_for_params(np.atleast_1d(params))
-        return np.max(_ext_diff(L, point[None, :]), axis=1)
-
-    return _min_gap(game, gap, tol)
+    return _gap_search(game, point, tol, sub=False)
 
 
 def subprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
     """(param, gap) with gap <= 0 iff ``point`` lies below some canonical point."""
-    point = np.asarray(point, dtype=float)
-
-    def gap(params):
-        L = game.losses_for_params(np.atleast_1d(params))
-        return np.max(_ext_diff(point[None, :], L), axis=1)
-
-    return _min_gap(game, gap, tol)
+    return _gap_search(game, point, tol, sub=True)
 
 
 def is_superprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -688,50 +706,6 @@ def _binary_restriction(game: Game) -> Game:
     return Game(game.kind, og, game.prediction_grid, m=game.m)
 
 
-def _coarse_domination_gaps(game: Game, points: np.ndarray):
-    """(best_u, best_v): each point's smallest grid domination gap (binary games)."""
-    grid = game.prediction_grid
-    L = game.grid_canonical_points()
-    best_u = np.empty(len(points))
-    best_v = np.empty(len(points))
-    for start in range(0, len(points), _BLOCK):
-        blk = points[start:start + _BLOCK]
-        gaps = np.maximum(_ext_diff(L[None, :, 0], blk[:, 0][:, None]),
-                          _ext_diff(L[None, :, 1], blk[:, 1][:, None]))
-        j = np.argmin(gaps, axis=1)
-        best_u[start:start + _BLOCK] = grid[j]
-        best_v[start:start + _BLOCK] = gaps[np.arange(len(blk)), j]
-    return best_u, best_v
-
-
-def _refined_domination_gaps(game: Game, points: np.ndarray, best_u: np.ndarray,
-                             best_v: np.ndarray, tol: float) -> np.ndarray:
-    """Refine coarse domination gaps, every point's window in lockstep.
-
-    Same grid-plus-refinement scheme as :func:`superprediction_gap`, with
-    the window clipped to the grid rather than shrunk at its ends.
-    """
-    grid = game.prediction_grid
-    lo, hi = float(grid[0]), float(grid[-1])
-    h = (hi - lo) / (len(grid) - 1)
-    resolution = max(tol * 1e-3, 1e-13)
-    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
-    rows = np.arange(len(points))
-    for _ in range(_MAX_REFINE_ROUNDS):
-        if h <= resolution:
-            break
-        us = np.clip(best_u[:, None] + h * offsets[None, :], lo, hi)
-        Lf = game.losses_for_params(us.ravel()).reshape(len(points), _REFINE_POINTS, -1)
-        gaps = np.maximum(_ext_diff(Lf[:, :, 0], points[:, 0][:, None]),
-                          _ext_diff(Lf[:, :, 1], points[:, 1][:, None]))
-        j = np.argmin(gaps, axis=1)
-        improved = gaps[rows, j] < best_v
-        best_u = np.where(improved, us[rows, j], best_u)
-        best_v = np.where(improved, gaps[rows, j], best_v)
-        h /= (_REFINE_POINTS - 1) / 2.0
-    return best_v
-
-
 def check_perfectly_mixable(game: Game, eta: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """Midpoint test for convexity of the exponentiated superprediction set.
 
@@ -762,22 +736,26 @@ _MIXABILITY_CACHE: dict = {}
 
 
 def _mixability_midpoint_test(game: Game, eta: float, tol: float) -> bool:
-    pts = game.grid_canonical_points()
+    grid = game.prediction_grid
+    pts = game.grid_canonical_points().T
     mapped = np.exp(-eta * pts)
-    P = len(mapped)
-    ia, ib = np.triu_indices(P, k=1)
-    mids = 0.5 * (mapped[ia] + mapped[ib])
+    ia, ib = np.triu_indices(len(grid), k=1)
+    mids = 0.5 * (mapped[:, ia] + mapped[:, ib])
     with np.errstate(divide="ignore"):
         back = -np.log(mids) / eta
-    best_u, best_v = _coarse_domination_gaps(game, back)
-    # refinement only lowers a gap, so only coarse gaps above tol can fail;
-    # the worst few settle most non-mixable games before the bulk is refined
-    open_ = np.nonzero(best_v > tol)[0]
-    open_ = open_[np.argsort(-best_v[open_], kind="stable")]
-    batches = [open_[:_MIXABILITY_FIRST_REFINED]]
-    batches += [open_[s:s + _BLOCK] for s in range(_MIXABILITY_FIRST_REFINED, len(open_), _BLOCK)]
-    for idx in batches:
-        if len(idx) and np.max(_refined_domination_gaps(
-                game, back[idx], best_u[idx], best_v[idx], tol)) > tol:
-            return False
+    # refinement only lowers a gap, so only midpoints whose coarse gap is
+    # above tol can fail; they are refined once _BLOCK of them have piled up
+    pending = []
+    for start in range(0, back.shape[1], _BLOCK):
+        blk = back[:, start:start + _BLOCK]
+        gaps = _excess(pts[:, None, :], blk[:, :, None], sub=False)
+        j = np.argmin(gaps, axis=1)
+        v = gaps[np.arange(len(j)), j]
+        keep = v > tol
+        pending.append((blk[:, keep], grid[j[keep]], v[keep]))
+        if sum(len(p[2]) for p in pending) >= _BLOCK or start + _BLOCK >= back.shape[1]:
+            points, u, v = (np.concatenate(x, axis=-1) for x in zip(*pending))
+            pending = []
+            if len(v) and np.max(_min_gap(game, points, u, v, tol, sub=False)[1]) > tol:
+                return False
     return True

@@ -121,6 +121,28 @@ def test_divergence_rejects_bad_predictions(args, capsys):
     assert "config error: bad prediction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--game", "log", "--g1", "0.5,0.5", "--g2", "0.9,0.1", "--alpha", "1.5"],
+    ["--game", "bounded_absolute", "--g1", "0.2", "--g2", "0.8", "--alpha", "1.5"],
+    ["--game", "square", "--g1", "0.2", "--g2", "0.8", "--alpha", "nan"],
+    ["--game", "log", "--g1", "0.5,0.5", "--g2", "0.9,0.1", "--alpha", "nan", "--side", "kl"],
+    ["--game", "quartic", "--g1", "-1", "--g2", "1", "--alpha", "nan"],
+    ["--game", "log", "--m", "1", "--g1", "1", "--g2", "1"],
+    ["--game", "log", "--m", "3", "--g1", "0.2,0.3,0.5", "--g2", "0.5,0.3,0.2",
+     "--method", "numeric"],
+    ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol", "0"],
+    ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol=-1e-4"],
+    ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol", "nan"],
+    ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol", "inf"],
+    ["--game", "bounded_absolute", "--g1", "0.2", "--g2", "0.8", "--grid-size", "1"],
+], ids=["alpha-closed", "alpha-numeric", "alpha-nan-closed", "alpha-nan-kl",
+        "alpha-nan-numeric", "m-1", "m-3-numeric", "tol-zero", "tol-negative", "tol-nan",
+        "tol-inf", "grid-size-1"])
+def test_divergence_rejects_bad_parameters(args, capsys):
+    assert main(["divergence"] + args) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("side", ["standard", "kl"])
 def test_divergence_log_loss_sides_need_probability_vectors(side, capsys):
     assert main(["divergence", "--game", "square", "--g1", "0.2", "--g2", "0.8",
@@ -180,6 +202,18 @@ def test_bundled_divergence_scenario_passes(capsys):
     assert main(["run", os.path.join(SCENARIOS, "remark1_quartic.json")]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+@pytest.mark.parametrize("section", [{"tol": 0.0}, {"alpha": 1.5},
+                                     {"game": {"kind": "quartic", "grid_size": 1}}],
+                         ids=["tol-zero", "alpha-outside", "grid-size-1"])
+def test_divergence_scenario_rejects_bad_parameters(tmp_path, section):
+    cfg = {"spec_version": 1,
+           "divergence": {"game": {"kind": "quartic"}, "g1": -1.0, "g2": 1.0, **section},
+           "expects": {"lower_shift": 1.0}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
 
 
 def test_failed_expectation_exits_one(tmp_path):

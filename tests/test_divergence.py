@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jeffreys import (GAME_SPECS, GameKind, alpha_divergence_log_loss,
+from jeffreys import (GAME_SPECS, GameKind, Level2Sceptic, alpha_divergence_log_loss,
                       alpha_divergence_square_loss, bounded_absolute_loss_game,
                       bounded_square_loss_game, game_from_descriptor,
                       kl_divergence_log_loss, log_loss_game,
@@ -38,6 +38,20 @@ def test_log_loss_closed_form():
     assert alpha_divergence_log_loss([1.0, 0.0], [0.0, 1.0], 0.0) == math.inf
     got = alpha_divergence_log_loss([0.5, 0.5], [0.9, 0.1], 0.0)
     assert got == pytest.approx(LOG_DIV_HALF_VS_09, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_log_loss_closed_form_is_the_trace_term(m):
+    # the public function and the level-2 sceptic's recorded term share one
+    # arithmetic, so a trace's divergence column is reproducible bit for bit
+    rng = np.random.default_rng(m)
+    game = log_loss_game(m=m)
+    for _ in range(200):
+        g1, g2 = rng.dirichlet(np.ones(m), size=2)
+        alpha = rng.uniform(-0.95, 0.95)
+        sceptic = Level2Sceptic(alpha=alpha)
+        sceptic.reset(game, rng, 1)
+        assert alpha_divergence_log_loss(g1, g2, alpha) == sceptic.divergence_term(g1, g2)
 
 
 def test_standard_alpha_divergence():

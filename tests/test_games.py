@@ -207,11 +207,19 @@ def test_bounded_absolute_not_mixable():
 
 @pytest.mark.parametrize("make_game, eta, expected", [
     (bounded_square_loss_game, 1.9, True),
+    (bounded_square_loss_game, 2.0001, True),
+    (bounded_square_loss_game, 2.0002, False),
     (bounded_square_loss_game, 2.05, False),
+    (lambda: log_loss_game(m=2), 1.0, True),
+    (lambda: log_loss_game(m=2), 1.00001, False),
     (lambda: log_loss_game(m=2), 1.02, False),
+    (lambda: quartic_loss_game(outcome_grid_size=257), 0.5625, True),
+    (lambda: quartic_loss_game(outcome_grid_size=257), 0.5626, False),
 ])
 def test_mixability_near_threshold(make_game, eta, expected):
-    # bounded square is mixable iff eta <= 2, binary log loss iff eta <= 1
+    # bounded square is mixable iff eta <= 2, binary log loss iff eta <= 1,
+    # quartic on [-1, 1] iff eta <= 9/16; at the default tol the grid test
+    # flips within 1.2e-4 above each
     assert check_perfectly_mixable(make_game(), eta) is expected
 
 
@@ -244,6 +252,12 @@ def test_grids_must_increase():
         bounded_square_loss_game(outcome_grid=[1.0, 0.0])
 
 
+def test_prediction_grid_needs_two_points():
+    # the gap search's spacing is the grid's span over its intervals
+    with pytest.raises(ValueError, match="at least two points"):
+        bounded_absolute_loss_game(grid_size=1)
+
+
 # ---------------------------------------------------------------------------
 # one table per game kind
 
@@ -269,3 +283,16 @@ def test_kind_knowledge_lives_in_the_table():
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
             hits |= {(name, line.strip()) for line in fh if KIND_TEST.search(line)}
     assert hits == set(ALLOWED_KIND_TESTS)
+
+
+# ---------------------------------------------------------------------------
+# one gap search
+
+
+def test_one_refinement_loop():
+    # the membership queries, the numeric divergences and the mixability
+    # test share _min_gap, the only loop bounded by _MAX_REFINE_ROUNDS
+    with open(os.path.join(SRC, "games.py"), encoding="utf-8") as fh:
+        uses = [line for line in fh
+                if "_MAX_REFINE_ROUNDS" in line and not line.startswith("_MAX_REFINE_ROUNDS =")]
+    assert len(uses) == 1
