@@ -41,11 +41,14 @@ def log_sum_exp(x: np.ndarray, axis=None) -> np.ndarray:
 
 
 def params_for(game: Game) -> MixabilityParams:
-    """The game's (eta, C), from its table entry."""
-    if game.spec.mixability is None:
+    """The game's (eta, C) = (eta*, 1 / eta*), eta* its kind's mixability
+    constant on the outcome bounds; an unbounded or non-mixable kind has none."""
+    ob = game.bounds()[0]
+    eta = game.spec.eta_star(ob[1] - ob[0]) if ob is not None else 0.0
+    if eta <= 0.0:
         raise MixabilityViolation(
             f"no mixability parameters for the {game.kind.value} game")
-    return game.spec.mixability
+    return MixabilityParams(eta, 1.0 / eta)
 
 
 @dataclass

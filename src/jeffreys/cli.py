@@ -59,25 +59,29 @@ def _strategy_desc(cfg: dict, key: str) -> tuple:
 
 
 def _build_sceptic(kind: str, params: dict):
-    if kind == "level1":
-        return Level1Sceptic(c=params.get("c", 0.4))
-    if kind == "level2":
-        if "alpha" not in params:
-            raise ConfigError("level2 sceptic needs an 'alpha' parameter")
-        return Level2Sceptic(alpha=params["alpha"],
-                             epsilon=params.get("epsilon", 1e-3))
-    if kind == "level3":
-        base_desc = params.get("base", {"kind": "level2",
-                                        "params": {"alpha": 0.0}})
-        base = _build_sceptic(base_desc["kind"], base_desc.get("params", {}))
-        return Level3Sceptic(base, Level3Config(k_max=params.get("k_max", 20)))
-    if kind == "aggregating":
-        experts_desc = params.get("experts")
-        if not experts_desc:
-            raise ConfigError("aggregating sceptic needs a non-empty 'experts' list")
-        experts = [predictor_strategy(d["kind"], d.get("params", {}))
-                   for d in experts_desc]
-        return AggregatingSceptic(experts, priors=params.get("priors"))
+    # the strategies' own range checks raise ValueError on a bad parameter
+    try:
+        if kind == "level1":
+            return Level1Sceptic(c=params.get("c", 0.4))
+        if kind == "level2":
+            if "alpha" not in params:
+                raise ConfigError("level2 sceptic needs an 'alpha' parameter")
+            return Level2Sceptic(alpha=params["alpha"],
+                                 epsilon=params.get("epsilon", 1e-3))
+        if kind == "level3":
+            base_desc = params.get("base", {"kind": "level2",
+                                            "params": {"alpha": 0.0}})
+            base = _build_sceptic(base_desc["kind"], base_desc.get("params", {}))
+            return Level3Sceptic(base, Level3Config(k_max=params.get("k_max", 20)))
+        if kind == "aggregating":
+            experts_desc = params.get("experts")
+            if not experts_desc:
+                raise ConfigError("aggregating sceptic needs a non-empty 'experts' list")
+            experts = [predictor_strategy(d["kind"], d.get("params", {}))
+                       for d in experts_desc]
+            return AggregatingSceptic(experts, priors=params.get("priors"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} sceptic parameters: {exc}") from exc
     raise ConfigError(f"unknown sceptic kind {kind!r}; "
                       "options: ['aggregating', 'level1', 'level2', 'level3']")
 

@@ -4,11 +4,16 @@ A game couples an outcome space, a prediction space, and a loss function.
 Everything geometric in this package is phrased in terms of the game's
 canonical points: the loss profile ``omega -> loss(omega, gamma)`` of each
 prediction, restricted to a finite outcome grid.  Continuous outcome and
-prediction spaces are represented by grids.  The membership queries, the
-numeric divergences and the mixability test are one gap search: the
-smallest uniform excess of a canonical point over a target point, scanned
-on the prediction grid and refined in lockstep until the local spacing is
-well below the requested tolerance, so its error is quantifiable.
+prediction spaces are represented by grids.  The membership queries and the
+numeric divergences are one gap search: the smallest uniform excess of a
+canonical point over a target point, scanned on the prediction grid and
+refined in lockstep until the local spacing is well below the requested
+tolerance, so its error is quantifiable.  Perfect mixability needs no
+search: each kind's constant ``eta*`` is a closed form in the span ``W`` of
+its outcomes, the infimum of the loss curve's curvature ratio (Haussler,
+Kivinen & Warmuth, IEEE Trans. IT 1998; Vovk, Competitive on-line
+statistics, 2001): ``2 / W^2`` for square loss, ``9 / W^4`` for quartic
+loss, 0 for absolute loss and 1 for log loss.
 Profiles are outcome-major, ``(O, ...)``, so maxima over outcomes run
 over contiguous rows.
 
@@ -33,7 +38,7 @@ it sits in one table, ``GAME_SPECS``: one :class:`GameSpec` per kind, with
 the loss kernel, bounds and outcome type, the map from a prediction-grid
 parameter to a prediction, and the closed forms the kind has (the
 divergence and the trace's gap column, the level-2 move, the aggregating
-pool's substitution, and the mixability constants).  Other modules read a
+pool's substitution, and the mixability constant).  Other modules read a
 game's entry, ``game.spec``, once, when they build a game, reset a strategy
 or parse a command, and never per step.  A kind without a closed form
 takes the numeric path (the gap search below), so adding a kind is one
@@ -58,7 +63,6 @@ DEFAULT_MEMBERSHIP_TOL = 1e-9
 _MAX_REFINE_ROUNDS = 16
 _REFINE_POINTS = 21
 _REFINE_STARTS = 3
-_BLOCK = 256
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -98,11 +102,11 @@ class GameSpec:
     from_param: Callable      # clamped prediction-grid parameter -> prediction
     make: Callable            # (grid_size, m) -> Game with default grids
     trace_gap: Callable       # game -> (g1, g2) -> the trace's gap column
+    eta_star: Callable        # outcome span W -> the largest eta the game is mixable at
     divergence: Optional[Callable] = None   # (game, alpha) -> (g1, g2) -> divergence
     level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
     mix: Optional[Callable] = None          # (log_w, preds, eta, tol) -> pool move
     substitute: Optional[Callable] = None   # (game, g, tol) -> move dominated by g
-    mixability: Optional[MixabilityParams] = None  # checked by the regret-slack tests
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +306,6 @@ class Game:
             self._loss_matrix = self.spec.param_losses(self, self.prediction_grid)
         return self._loss_matrix.T
 
-    def is_binary(self) -> bool:
-        return len(self.outcome_grid) == 2
-
     def loss_fn(self):
         """The unvalidated loss kernel ``(omega, gamma) -> loss``, for hot loops.
 
@@ -324,7 +325,7 @@ class Game:
         return {
             "kind": self.kind.value,
             "bounds": list(ob) if ob is not None else None,
-            "grid_size": len(self.prediction_grid) if self.prediction_grid is not None else 0,
+            "grid_size": len(self.prediction_grid) if self.prediction_grid is not None else None,
             "m": self.m,
         }
 
@@ -383,11 +384,23 @@ def log_loss_game(m: int = 2, grid_size: int = DEFAULT_GRID_SIZE) -> Game:
     return Game(GameKind.LOG_LOSS, og, pg, m=m)
 
 
+def _descriptor_int(desc: dict, key: str, default: int) -> int:
+    # only a missing (or null) value takes the default; 2.7 or "3" is refused
+    value = desc.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def game_from_descriptor(desc: dict) -> Game:
     """Rebuild a game from its JSON descriptor {kind, bounds, grid_size, m}."""
     kind = GameKind(desc["kind"])
-    grid_size = int(desc.get("grid_size") or DEFAULT_GRID_SIZE)
-    return GAME_SPECS[kind].make(grid_size, int(desc.get("m") or 2))
+    grid_size = _descriptor_int(desc, "grid_size", DEFAULT_GRID_SIZE)
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    return GAME_SPECS[kind].make(grid_size, _descriptor_int(desc, "m", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +542,7 @@ def _log_mix(log_w, preds, eta, tol):
     return _normalized_mixture(np.exp(log_w) @ preds, tol) if eta == 1.0 else None
 
 
-def _scalar_spec(kernel, bounds, make, **closed_forms) -> GameSpec:
+def _scalar_spec(kernel, bounds, make, eta_star, **closed_forms) -> GameSpec:
     # a scalar kind's prediction is its own grid parameter; make: grid_size -> Game
     return GameSpec(
         kernel=kernel, losses=kernel,
@@ -537,36 +550,51 @@ def _scalar_spec(kernel, bounds, make, **closed_forms) -> GameSpec:
             game.outcome_grid.reshape((-1,) + (1,) * params.ndim), params),
         bounds=lambda m: bounds, outcome_type=float, from_param=float,
         make=lambda grid_size, m: make(grid_size),
-        trace_gap=lambda game: lambda g1, g2: abs(g1 - g2), **closed_forms)
+        trace_gap=lambda game: lambda g1, g2: abs(g1 - g2), eta_star=eta_star,
+        **closed_forms)
+
+
+# eta* on an outcome interval of width w: the curvature ratio of the loss
+# curve at the outcome endpoints, minimized over predictions
+def _absolute_eta_star(w):
+    return 0.0
+
+
+def _square_eta_star(w):
+    return 2.0 / (w * w)
+
+
+def _quartic_eta_star(w):
+    return 9.0 / (w * w * w * w)
 
 
 _UNIT = (0.0, 1.0)
 
 GAME_SPECS = {
-    GameKind.ABSOLUTE: _scalar_spec(_absolute_kernel, (None, None), absolute_loss_game),
+    GameKind.ABSOLUTE: _scalar_spec(
+        _absolute_kernel, (None, None), absolute_loss_game, _absolute_eta_star),
     GameKind.SQUARE: _scalar_spec(
-        _square_kernel, (None, None), square_loss_game,
+        _square_kernel, (None, None), square_loss_game, _square_eta_star,
         divergence=_square_divergence, level2=_square_level2),
     GameKind.BOUNDED_SQUARE: _scalar_spec(
-        _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game,
+        _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game, _square_eta_star,
         divergence=_square_divergence, level2=_square_level2, mix=_bounded_square_mix,
         substitute=lambda game, g, tol: _endpoint_move(
-            float(g[0]), float(g[-1]), tol, *game.outcome_grid[[0, -1]]),
-        mixability=MixabilityParams(eta=2.0, C=0.5)),
+            float(g[0]), float(g[-1]), tol, *game.outcome_grid[[0, -1]])),
     GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
-        _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game),
+        _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game, _absolute_eta_star),
     GameKind.QUARTIC: _scalar_spec(
         _quartic_kernel, ((-1.0, 1.0), (-1.0, 1.0)),
-        lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size)),
+        lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size),
+        _quartic_eta_star),
     GameKind.LOG_LOSS: GameSpec(
         kernel=_log_kernel, losses=_log_losses, param_losses=_binary_log_param_losses,
         bounds=lambda m: ((0.0, float(m - 1)), _UNIT), outcome_type=int,
         from_param=lambda u: np.array([1.0 - u, u]),
         make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
-        trace_gap=_log_gap, level2=_log_level2,
+        trace_gap=_log_gap, eta_star=lambda w: 1.0, level2=_log_level2,
         divergence=lambda game, alpha: _log_divergence(game.m, alpha),
-        mix=_log_mix, substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol),
-        mixability=MixabilityParams(eta=1.0, C=1.0)),
+        mix=_log_mix, substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol)),
 }
 
 
@@ -696,66 +724,23 @@ def check_non_redundant(game: Game, tol: float = 1e-9) -> bool:
     return points_non_redundant(game.grid_canonical_points(), tol)
 
 
-def _binary_restriction(game: Game) -> Game:
-    """The same game with the outcome grid cut down to its endpoints."""
-    if game.is_binary():
-        return game
-    if game.prediction_grid is None:
-        raise ValueError("perfect-mixability test requires a binary outcome grid")
-    og = np.array([game.outcome_grid[0], game.outcome_grid[-1]])
-    return Game(game.kind, og, game.prediction_grid, m=game.m)
+def check_perfectly_mixable(game: Game, eta: float) -> bool:
+    """True iff the game is perfectly mixable at learning rate ``eta``.
 
-
-def check_perfectly_mixable(game: Game, eta: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Midpoint test for convexity of the exponentiated superprediction set.
-
-    Maps every prediction-grid canonical point (x, y) to
-    (exp(-eta*x), exp(-eta*y)); for each pair of mapped points the midpoint
-    is mapped back and must be a superprediction within ``tol``.  Scalar
-    games with more than two grid outcomes are tested on their outcome
-    interval's endpoints, which carry the binding constraints for the
-    bundled loss shapes.  Answers are cached for the life of the process,
-    keyed on everything the test reads: the kind, ``m``, the two tested
-    outcomes and the prediction grid of the binary restriction, plus
-    ``eta`` and ``tol``.
+    That is ``eta <= eta*``, where ``eta*`` is the table entry's constant
+    on the span ``W`` of the outcome grid: ``2 / W^2`` for square loss,
+    ``9 / W^4`` for quartic loss (9/16 on [-1, 1]), 0 for absolute loss,
+    which is mixable at no ``eta``, and 1 for log loss over any number of
+    outcomes.  For a binary game ``eta*`` is the infimum over predictions
+    of the curvature ratio ``(l0' l1'' - l0'' l1') / (l0' l1' (l1' - l0'))``
+    of the loss curve (Haussler, Kivinen & Warmuth, IEEE Trans. IT 1998;
+    Vovk, Competitive on-line statistics, 2001); the scalar games take it
+    on their outcome interval's endpoints, which carry the binding
+    constraint for these loss shapes.  Log loss is mixable at 1 on every
+    finite outcome space: the Bayes mixture is a prediction.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    binary = _binary_restriction(game)
-    key = (binary.kind, binary.m, tuple(binary.outcome_grid.tolist()),
-           binary.prediction_grid.tobytes(), float(eta), float(tol))
-    cached = _MIXABILITY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _mixability_midpoint_test(binary, eta, tol)
-    _MIXABILITY_CACHE[key] = result
-    return result
-
-
-_MIXABILITY_CACHE: dict = {}
-
-
-def _mixability_midpoint_test(game: Game, eta: float, tol: float) -> bool:
-    grid = game.prediction_grid
-    pts = game.grid_canonical_points().T
-    mapped = np.exp(-eta * pts)
-    ia, ib = np.triu_indices(len(grid), k=1)
-    mids = 0.5 * (mapped[:, ia] + mapped[:, ib])
-    with np.errstate(divide="ignore"):
-        back = -np.log(mids) / eta
-    # refinement only lowers a gap, so only midpoints whose coarse gap is
-    # above tol can fail; they are refined once _BLOCK of them have piled up
-    pending = []
-    for start in range(0, back.shape[1], _BLOCK):
-        blk = back[:, start:start + _BLOCK]
-        gaps = _excess(pts[:, None, :], blk[:, :, None], sub=False)
-        j = np.argmin(gaps, axis=1)
-        v = gaps[np.arange(len(j)), j]
-        keep = v > tol
-        pending.append((blk[:, keep], grid[j[keep]], v[keep]))
-        if sum(len(p[2]) for p in pending) >= _BLOCK or start + _BLOCK >= back.shape[1]:
-            points, u, v = (np.concatenate(x, axis=-1) for x in zip(*pending))
-            pending = []
-            if len(v) and np.max(_min_gap(game, points, u, v, tol, sub=False)[1]) > tol:
-                return False
-    return True
+    width = float(game.outcome_grid[-1] - game.outcome_grid[0])
+    # a game with one outcome is mixable at every eta
+    return width == 0.0 or eta <= game.spec.eta_star(width)

@@ -63,7 +63,7 @@ class Level2Config:
     def __post_init__(self):
         if not -1.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (-1, 1)")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
 

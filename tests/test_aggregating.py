@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from jeffreys import (ExpertPool, MixabilityViolation, PoolCollapseError,
-                      aa_observe, aa_regret_slack, aa_step,
-                      bounded_square_loss_game, generalized_prediction,
-                      log_loss_game, substitute, uniform_pool)
+from jeffreys import (ExpertPool, MixabilityParams, MixabilityViolation,
+                      PoolCollapseError, aa_observe, aa_regret_slack, aa_step,
+                      bounded_absolute_loss_game, bounded_square_loss_game,
+                      generalized_prediction, log_loss_game, params_for,
+                      quartic_loss_game, square_loss_game, substitute,
+                      uniform_pool)
 from jeffreys.aggregating import _substitute_numeric, log_sum_exp
 
 
@@ -30,6 +32,20 @@ def test_normalized_weights_sum_to_one():
 
 def test_log_sum_exp_handles_all_neginf():
     assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def test_params_are_eta_star_on_the_outcome_bounds():
+    assert params_for(bounded_square_loss_game()) == MixabilityParams(2.0, 0.5)
+    assert params_for(log_loss_game(m=2)) == MixabilityParams(1.0, 1.0)
+    assert params_for(log_loss_game(m=3)) == MixabilityParams(1.0, 1.0)
+    assert params_for(quartic_loss_game()) == MixabilityParams(0.5625, 16.0 / 9.0)
+
+
+@pytest.mark.parametrize("make_game", [square_loss_game, bounded_absolute_loss_game],
+                         ids=["unbounded", "not-mixable"])
+def test_params_refused_without_a_positive_eta_star(make_game):
+    with pytest.raises(MixabilityViolation):
+        params_for(make_game())
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,79 @@ def test_level3_on_non_mixable_game_is_config_error(tmp_path, capsys):
     assert "MixabilityViolation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sceptic", [
+    {"kind": "aggregating", "params": {"experts": [
+        {"kind": "constant", "params": {"gamma": [0.2, 0.3, 0.5]}},
+        {"kind": "constant", "params": {"gamma": [0.6, 0.2, 0.2]}}]}},
+    {"kind": "level3", "params": {"k_max": 4}},
+], ids=["aggregating", "level3"])
+def test_log_loss_with_three_outcomes_runs_aggregating_sceptics(tmp_path, sceptic):
+    # log loss is mixable at eta = 1 over any finite outcome space
+    path, _ = write_config(
+        tmp_path,
+        game={"kind": "log_loss", "m": 3},
+        horizon=20,
+        predictor1={"kind": "constant", "params": {"gamma": [0.2, 0.3, 0.5]}},
+        predictor2={"kind": "constant", "params": {"gamma": [0.5, 0.25, 0.25]}},
+        nature={"kind": "constant", "params": {"omega": 2}},
+        sceptic=sceptic,
+        checks=["eq8"],
+    )
+    assert main(["run", str(path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks_passed"] is True
+
+
+def test_quartic_runs_the_aggregating_sceptic_from_its_table_entry(tmp_path):
+    # (eta, C) = (9/16, 16/9) on the default grids; the uniform Nature plays
+    # outcomes off the outcome grid
+    experts = [{"kind": "constant", "params": {"gamma": g}}
+               for g in (-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9)]
+    path, _ = write_config(
+        tmp_path,
+        game={"kind": "quartic"},
+        horizon=300,
+        nature={"kind": "iid_uniform", "params": {"lo": -1.0, "hi": 1.0}},
+        sceptic={"kind": "aggregating", "params": {"experts": experts}},
+        checks=["eq8"],
+    )
+    assert main(["run", str(path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks_passed"] is True
+    assert report["check_slacks"]["eq8"] >= 0.0
+
+
+@pytest.mark.parametrize("sceptic", [
+    {"kind": "level2", "params": {"alpha": 1.5}},
+    {"kind": "level2", "params": {"alpha": -1.0}},
+    {"kind": "level2", "params": {"alpha": float("nan")}},
+    {"kind": "level2", "params": {"alpha": 0.0, "epsilon": 0.0}},
+    {"kind": "level2", "params": {"alpha": 0.0, "epsilon": -1.0}},
+    {"kind": "level2", "params": {"alpha": 0.0, "epsilon": float("nan")}},
+    {"kind": "level3", "params": {"base": {"kind": "level2", "params": {"alpha": 1.5}}}},
+], ids=["alpha-1.5", "alpha-minus-1", "alpha-nan", "epsilon-0", "epsilon-minus-1",
+        "epsilon-nan", "level3-base-alpha-1.5"])
+def test_bad_sceptic_parameter_is_config_error(tmp_path, capsys, sceptic):
+    path, _ = write_config(tmp_path, game={"kind": "bounded_square"}, sceptic=sceptic,
+                           checks=[])
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game", [
+    {"kind": "square", "grid_size": 0},
+    {"kind": "square", "grid_size": 1},
+    {"kind": "square", "grid_size": 2.7},
+    {"kind": "square", "grid_size": "65"},
+    {"kind": "log_loss", "m": 0},
+    {"kind": "log_loss", "m": 2.7},
+], ids=["grid-size-0", "grid-size-1", "grid-size-2.7", "grid-size-string", "m-0", "m-2.7"])
+def test_bad_game_size_is_config_error(tmp_path, capsys, game):
+    path, _ = write_config(tmp_path, game=game)
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_eq9_runs_on_numeric_path_games(tmp_path):
     path, _ = write_config(
         tmp_path,
@@ -135,9 +208,10 @@ def test_divergence_rejects_bad_predictions(args, capsys):
     ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol", "nan"],
     ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol", "inf"],
     ["--game", "bounded_absolute", "--g1", "0.2", "--g2", "0.8", "--grid-size", "1"],
+    ["--game", "quartic", "--g1", "-1", "--g2", "1", "--grid-size", "0"],
 ], ids=["alpha-closed", "alpha-numeric", "alpha-nan-closed", "alpha-nan-kl",
         "alpha-nan-numeric", "m-1", "m-3-numeric", "tol-zero", "tol-negative", "tol-nan",
-        "tol-inf", "grid-size-1"])
+        "tol-inf", "grid-size-1", "grid-size-0"])
 def test_divergence_rejects_bad_parameters(args, capsys):
     assert main(["divergence"] + args) == 2
     assert "config error: " in capsys.readouterr().err

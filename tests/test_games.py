@@ -7,12 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from jeffreys import (GAME_SPECS, DomainError, absolute_loss_game,
-                      bounded_absolute_loss_game, bounded_square_loss_game,
+from jeffreys import (GAME_SPECS, DomainError, Game, GameKind,
+                      absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
                       check_non_redundant, check_perfectly_mixable,
                       game_from_descriptor, is_subprediction,
                       is_superprediction, log_loss_game, points_non_redundant,
                       quartic_loss_game, square_loss_game)
+from jeffreys.games import DEFAULT_MEMBERSHIP_TOL, _excess, _min_gap
 
 
 def binary_bsq():
@@ -194,7 +195,7 @@ def test_log_loss_mixable_at_eta_one():
 
 
 def test_log_loss_not_mixable_at_eta_three_halves():
-    assert not check_perfectly_mixable(log_loss_game(m=2), 1.5, tol=1e-6)
+    assert not check_perfectly_mixable(log_loss_game(m=2), 1.5)
 
 
 def test_bounded_square_mixable_at_eta_two():
@@ -207,7 +208,7 @@ def test_bounded_absolute_not_mixable():
 
 @pytest.mark.parametrize("make_game, eta, expected", [
     (bounded_square_loss_game, 1.9, True),
-    (bounded_square_loss_game, 2.0001, True),
+    (bounded_square_loss_game, 2.0001, False),
     (bounded_square_loss_game, 2.0002, False),
     (bounded_square_loss_game, 2.05, False),
     (lambda: log_loss_game(m=2), 1.0, True),
@@ -218,15 +219,99 @@ def test_bounded_absolute_not_mixable():
 ])
 def test_mixability_near_threshold(make_game, eta, expected):
     # bounded square is mixable iff eta <= 2, binary log loss iff eta <= 1,
-    # quartic on [-1, 1] iff eta <= 9/16; at the default tol the grid test
-    # flips within 1.2e-4 above each
+    # quartic on [-1, 1] iff eta <= 9/16, exactly
     assert check_perfectly_mixable(make_game(), eta) is expected
 
 
-def test_mixability_cache_sees_the_outcome_grid():
+def quartic_on_unit_outcomes():
+    return Game(GameKind.QUARTIC, np.linspace(0.0, 1.0, 257), np.linspace(-1.0, 1.0, 257))
+
+
+EXACT_ETA_STAR = {
+    "bounded_square": (bounded_square_loss_game, 2.0),
+    "square": (square_loss_game, 2.0),
+    "square_wide": (lambda: square_loss_game(outcome_grid=np.linspace(-3.0, 3.0, 257)),
+                    2.0 / 36.0),
+    "log_loss_m2": (lambda: log_loss_game(m=2), 1.0),
+    "log_loss_m3": (lambda: log_loss_game(m=3), 1.0),
+    "quartic": (quartic_loss_game, 0.5625),
+    "quartic_unit_outcomes": (quartic_on_unit_outcomes, 9.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ETA_STAR))
+def test_mixability_boundary_is_exact(name):
+    make_game, eta_star = EXACT_ETA_STAR[name]
+    game = make_game()
+    assert check_perfectly_mixable(game, eta_star)
+    assert not check_perfectly_mixable(game, math.nextafter(eta_star, math.inf))
+
+
+@pytest.mark.parametrize("eta", [1e-9, 0.1, 1.0])
+def test_absolute_loss_is_mixable_at_no_eta(eta):
+    assert not check_perfectly_mixable(bounded_absolute_loss_game(), eta)
+    assert not check_perfectly_mixable(absolute_loss_game(), eta)
+
+
+def test_one_outcome_is_mixable_at_every_eta():
+    for make_game in (bounded_square_loss_game, bounded_absolute_loss_game):
+        assert check_perfectly_mixable(make_game(outcome_grid=[0.5]), 100.0)
+
+
+def test_mixability_sees_the_outcome_grid():
     assert check_perfectly_mixable(square_loss_game(), 2.0)
     wide = square_loss_game(outcome_grid=np.linspace(-3.0, 3.0, 257))
     assert not check_perfectly_mixable(wide, 2.0)
+
+
+# the grid midpoint test, kept as an independent reference for eta*: every
+# prediction-grid canonical point on the outcome endpoints is mapped to
+# (exp(-eta x), exp(-eta y)), and each midpoint of two mapped points, mapped
+# back, must be a superprediction within tol
+
+_BLOCK = 256
+
+
+def _binary_restriction(game: Game) -> Game:
+    og = np.array([game.outcome_grid[0], game.outcome_grid[-1]])
+    return Game(game.kind, og, game.prediction_grid, m=game.m)
+
+
+def _mixability_midpoint_test(game: Game, eta: float, tol: float) -> bool:
+    grid = game.prediction_grid
+    pts = game.grid_canonical_points().T
+    mapped = np.exp(-eta * pts)
+    ia, ib = np.triu_indices(len(grid), k=1)
+    mids = 0.5 * (mapped[:, ia] + mapped[:, ib])
+    with np.errstate(divide="ignore"):
+        back = -np.log(mids) / eta
+    # refinement only lowers a gap, so only midpoints whose coarse gap is
+    # above tol can fail; they are refined once _BLOCK of them have piled up
+    pending = []
+    for start in range(0, back.shape[1], _BLOCK):
+        blk = back[:, start:start + _BLOCK]
+        gaps = _excess(pts[:, None, :], blk[:, :, None], sub=False)
+        j = np.argmin(gaps, axis=1)
+        v = gaps[np.arange(len(j)), j]
+        keep = v > tol
+        pending.append((blk[:, keep], grid[j[keep]], v[keep]))
+        if sum(len(p[2]) for p in pending) >= _BLOCK or start + _BLOCK >= back.shape[1]:
+            points, u, v = (np.concatenate(x, axis=-1) for x in zip(*pending))
+            pending = []
+            if len(v) and np.max(_min_gap(game, points, u, v, tol, sub=False)[1]) > tol:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["bounded_square", "log_loss_m2", "quartic", "square_wide"])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_eta_star_agrees_with_the_midpoint_test(name, factor):
+    make_game, eta_star = EXACT_ETA_STAR[name]
+    game = make_game()
+    eta = eta_star * factor
+    reference = _mixability_midpoint_test(_binary_restriction(game), eta,
+                                          DEFAULT_MEMBERSHIP_TOL)
+    assert check_perfectly_mixable(game, eta) is reference is (factor < 1.0)
 
 
 def test_mixability_rejects_bad_eta():
@@ -245,6 +330,16 @@ def test_descriptor_round_trip():
         rebuilt = game_from_descriptor(desc)
         assert rebuilt.kind == game.kind
         assert rebuilt.m == game.m
+
+
+def test_descriptor_defaults_only_missing_sizes():
+    assert log_loss_game(m=3).descriptor()["grid_size"] is None
+    for desc in ({"kind": "square"}, {"kind": "square", "grid_size": None}):
+        assert len(game_from_descriptor(desc).prediction_grid) == 257
+    for bad in ({"grid_size": 0}, {"grid_size": 2.7}, {"grid_size": True}, {"m": 0},
+                {"m": 2.7}):
+        with pytest.raises(ValueError):
+            game_from_descriptor({"kind": "log_loss", **bad})
 
 
 def test_grids_must_increase():
@@ -290,8 +385,8 @@ def test_kind_knowledge_lives_in_the_table():
 
 
 def test_one_refinement_loop():
-    # the membership queries, the numeric divergences and the mixability
-    # test share _min_gap, the only loop bounded by _MAX_REFINE_ROUNDS
+    # the membership queries and the numeric divergences share _min_gap,
+    # the only loop bounded by _MAX_REFINE_ROUNDS
     with open(os.path.join(SRC, "games.py"), encoding="utf-8") as fh:
         uses = [line for line in fh
                 if "_MAX_REFINE_ROUNDS" in line and not line.startswith("_MAX_REFINE_ROUNDS =")]
