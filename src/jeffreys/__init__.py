@@ -6,9 +6,8 @@ predictors' loss profiles sit apart, and numerically exercising the
 guarantees of the sceptic strategies that certify forecaster agreement.
 """
 
-from .aggregating import (ExpertPool, aa_observe, aa_regret_slack, aa_step,
-                          generalized_prediction, params_for, pool_mixer,
-                          substitute, uniform_pool)
+from .aggregating import (ExpertPool, aa_observe, generalized_prediction,
+                          params_for, pool_mixer, substitute, uniform_pool)
 from .divergence import (DivergenceResult, alpha_divergence_log_loss,
                          alpha_divergence_square_loss, kl_divergence_log_loss,
                          lower_alpha_divergence_numeric,
@@ -31,11 +30,9 @@ from .players import (AdversarialGreedyNature, ConstantNature,
                       nature_strategy, predictor_strategy)
 from .protocol import (RunReport, StepRecord, Trace, classify_disjuncts,
                        run_protocol, verify_run)
-from .sceptics import (AggregatingSceptic, Level1Sceptic, Level1State,
-                       Level2Config, Level2Sceptic, Level3Config,
+from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,
                        Level3Sceptic, ScepticStrategy, f_mix, f_mix_integral,
-                       level1_ledger_update, level1_step,
-                       level2_inequality_slack, level2_step)
+                       level2_inequality_slack)
 from .serialize import trace_to_csv_string, write_report_json, write_trace_csv
 
 __version__ = "0.1.0"

@@ -7,18 +7,17 @@ whenever the game is perfectly mixable at the pool's learning rate.  The
 resulting cumulative loss trails every expert by at most
 ``C * ln(1 / p_k)`` with ``C = 1 / eta``.
 
-:func:`pool_mixer` is the one mix-and-substitute routine, for :func:`aa_step`
-and the sceptics' engine: the closed form in the game's table entry (the
-bounded square-loss endpoint formula, the log-loss probability mixture), or
-else the mixed loss profiles and a numeric minimax search over the
-prediction grid, which the closed forms are tested against.
+:func:`pool_mixer` is the one mix-and-substitute routine, for the pool
+sceptics: the closed form in the game's table entry (the bounded
+square-loss endpoint formula, the log-loss probability mixture), or else
+the mixed loss profiles and a numeric minimax search over the prediction
+grid, which the closed forms are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +65,7 @@ class ExpertPool:
 
     def __post_init__(self):
         self.priors = np.asarray(self.priors, dtype=float)
-        if np.any(self.priors <= 0.0):
+        if not np.all(self.priors > 0.0):
             raise ValueError("priors must be strictly positive")
         if float(self.priors.sum()) > 1.0 + 1e-12:
             raise ValueError("priors must sum to at most 1")
@@ -80,13 +79,6 @@ class ExpertPool:
         if total == -math.inf:
             raise PoolCollapseError("every expert has suffered infinite loss")
         return self.log_weights - total
-
-    def normalized_weights(self) -> np.ndarray:
-        if np.all(np.isneginf(self.log_weights)):
-            raise PoolCollapseError("every expert has suffered infinite loss")
-        shifted = self.log_weights - np.max(self.log_weights)
-        w = np.exp(shifted)
-        return w / w.sum()
 
 
 def uniform_pool(k: int) -> ExpertPool:
@@ -153,13 +145,6 @@ def pool_mixer(game: Game, eta: float, tol: float = DOMINATION_TOL):
     return mix
 
 
-def aa_step(pool: ExpertPool, expert_predictions: Sequence[Prediction],
-            game: Game, eta: float, tol: float = DOMINATION_TOL) -> Prediction:
-    """One prediction of the aggregating strategy; weights are not touched."""
-    preds = np.asarray(expert_predictions, dtype=float)
-    return pool_mixer(game, eta, tol)(pool.normalized_log_weights(), preds)
-
-
 def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> ExpertPool:
     """Decay the pool's weights by the observed expert losses (in place).
 
@@ -178,15 +163,3 @@ def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> Exper
         decayed -= top
     pool.log_weights = decayed
     return pool
-
-
-def aa_regret_slack(sceptic_cum: np.ndarray, expert_cums: np.ndarray,
-                    priors: np.ndarray, C: float) -> np.ndarray:
-    """Per-expert slack ``L_k(n) + C ln(1/p_k) - L_sceptic(n)``, shape (K, N).
-
-    Nonnegative (up to tolerance) everywhere for a correct aggregating run.
-    """
-    sceptic_cum = np.asarray(sceptic_cum, dtype=float)
-    expert_cums = np.asarray(expert_cums, dtype=float)
-    penalty = C * np.log(1.0 / np.asarray(priors, dtype=float))
-    return expert_cums + penalty[:, None] - sceptic_cum[None, :]

@@ -27,7 +27,7 @@ from .protocol import (DEFAULT_GAP_SUM_MAX, DEFAULT_LOSS_GAP_MIN,
                        MARTINGALE_NULL_KINDS, classify_disjuncts, run_protocol,
                        verify_run)
 from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,
-                       Level3Config, Level3Sceptic, _resolve_params)
+                       Level3Sceptic, _resolve_params)
 from .serialize import write_report_json, write_trace_csv
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def _build_sceptic(kind: str, params: dict):
             base_desc = params.get("base", {"kind": "level2",
                                             "params": {"alpha": 0.0}})
             base = _build_sceptic(base_desc["kind"], base_desc.get("params", {}))
-            return Level3Sceptic(base, Level3Config(k_max=params.get("k_max", 20)))
+            return Level3Sceptic(base, k_max=params.get("k_max", 20))
         if kind == "aggregating":
             experts_desc = params.get("experts")
             if not experts_desc:
@@ -207,6 +207,8 @@ def cmd_sweep(args) -> int:
     for seed in seeds:
         try:
             _, report = _execute_run(cfg, game, seed)
+        except ConfigError:
+            raise
         except JeffreysError as exc:
             failures.append({"seed": seed, "error": str(exc)})
             all_passed = False

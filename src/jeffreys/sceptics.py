@@ -14,12 +14,16 @@ Three constructions, ordered by the strength of what they certify:
   pool of experts that mimic a base sceptic until a predictor falls a
   power-of-two behind it, then permanently defect to that predictor;
   requires a perfectly mixable game.
+
+Each strategy has one implementation, its ``ScepticStrategy`` class.  The
+threshold lift and ``AggregatingSceptic``, the aggregating mixture of a
+fixed pool of expert strategies, share one pool engine: they differ only
+in their experts' predictions and in what the experts observe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,40 +59,9 @@ class ScepticStrategy:
 # level 2: the divergence strategy
 
 
-@dataclass(frozen=True)
-class Level2Config:
-    alpha: float
-    epsilon: float = 1e-3
-
-    def __post_init__(self):
-        if not -1.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (-1, 1)")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-
-
-def level2_step(game: Game, gamma1, gamma2, cfg: Level2Config) -> Prediction:
-    """One move of the divergence strategy.
-
-    Games with a closed form in their table entry play it: the exact
-    weighted mean of the predictions for the square-loss family, the
-    normalized geometric mixture for log-loss; neither consumes any slack.
-    Other games play the prediction whose canonical point attains the
-    numeric lower divergence: one gap search over the prediction grid for
-    the point furthest below the weighted mean of the predictors' canonical
-    points.  Its shift is the divergence by definition, so no slack is
-    spent either.  Moves are not validated here: inside a run the engine
-    has validated them.
-    """
-    closed = game.spec.level2
-    if closed is None:
-        return _level2_numeric(game, gamma1, gamma2, cfg)[0]
-    return closed(game, (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0)(gamma1, gamma2)
-
-
-def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config):
+def _level2_numeric(game: Game, gamma1, gamma2, alpha: float):
     """(move, divergence term it achieves) for a scalar game without a closed form."""
-    w1, w2 = (1.0 - cfg.alpha) / 2.0, (1.0 + cfg.alpha) / 2.0
+    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
     # the rows are the two canonical points, computed without re-validating
     lam = game.losses_for_params((gamma1, gamma2))
     mean = w1 * lam[0] + w2 * lam[1]
@@ -98,11 +71,20 @@ def _level2_numeric(game: Game, gamma1, gamma2, cfg: Level2Config):
     if gap > DOMINATION_TOL:
         raise DivergenceOverestimate(
             f"no canonical point below the weighted mean (gap {gap:.3g})")
-    return game.prediction_from_param(u), _scale(cfg.alpha) * -gap
+    return game.prediction_from_param(u), _scale(alpha) * -gap
 
 
 class Level2Sceptic(ScepticStrategy):
-    """Stateful wrapper around :func:`level2_step` for protocol runs.
+    """The divergence strategy.
+
+    Games with a closed form in their table entry play it: the exact
+    weighted mean of the predictions for the square-loss family, the
+    normalized geometric mixture for log-loss; neither consumes any slack.
+    Other games play the prediction whose canonical point attains the
+    numeric lower divergence: one gap search over the prediction grid for
+    the point furthest below the weighted mean of the predictors' canonical
+    points.  Its shift is the divergence by definition, so no slack is
+    spent either.  ``reset`` picks one of the two for the run.
 
     ``divergence_term(gamma1, gamma2)``, set at reset, is the per-step
     divergence the engine records in the trace: the game's closed form, or
@@ -112,9 +94,12 @@ class Level2Sceptic(ScepticStrategy):
     """
 
     def __init__(self, alpha: float, epsilon: float = 1e-3):
-        self.cfg = Level2Config(alpha, epsilon)
-        self.alpha = self.cfg.alpha
-        self.epsilon = self.cfg.epsilon
+        if not -1.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly inside (-1, 1)")
+        if not epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
+        self.alpha = alpha
+        self.epsilon = epsilon
         self._game: Optional[Game] = None
         self.step_divergence = math.nan
 
@@ -133,7 +118,7 @@ class Level2Sceptic(ScepticStrategy):
         return self._move(gamma1, gamma2)
 
     def _numeric_move(self, gamma1, gamma2):
-        gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.cfg)
+        gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
         return gamma
 
 
@@ -203,159 +188,136 @@ def triangle_area(d_old: float, delta: float, c: float) -> float:
     return first + second + max(0.0, across)
 
 
-@dataclass
-class Level1State:
-    """Ledger state of the mixture strategy.
+class Level1Sceptic(ScepticStrategy):
+    """The mixture strategy, keeping its ledger and the full audit trail.
 
-    ``D`` is the predictors' cumulative loss difference, ``triangle_sum``
-    the accumulated curvilinear-triangle areas, ``excess`` the sceptic's
-    realized loss over the predictors' average.  The ledger bound
-    ``integral(f, 0..D) - triangle_sum`` dominates ``excess`` at all times,
-    exactly so while every outcome falls outside the predictors' gap.
-    """
-
-    c: float = 0.4
-    D: float = 0.0
-    triangle_sum: float = 0.0
-    excess: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.c < 0.5:
-            raise ValueError("c must lie in (0, 1/2)")
-
-    @property
-    def ledger_integral(self) -> float:
-        return f_mix_integral(self.D, self.c)
-
-    @property
-    def ledger_bound(self) -> float:
-        return self.ledger_integral - self.triangle_sum
-
-
-def level1_step(state: Level1State, gamma1, gamma2):
-    """Weight the predictors by the current loss difference.
-
-    Returns ``(1/2 + f(D)) gamma1 + (1/2 - f(D)) gamma2``; the further
+    Each move weights the predictors by their cumulative loss difference
+    ``D``: ``(1/2 + f(D)) gamma1 + (1/2 - f(D)) gamma2``.  The further
     predictor 1 is behind (large D), the more weight it gets, capped at
     ``1/2 + c``.  Swapping the predictors and negating D gives the same
     move, by oddness of f.
+
+    ``triangle_sum`` accumulates the curvilinear-triangle areas and
+    ``excess`` the sceptic's realized loss over the predictors' average.
+    The ledger bound ``integral(f, 0..D) - triangle_sum`` dominates
+    ``excess`` at all times, exactly so while every outcome falls outside
+    the predictors' gap.  The triangle areas use the closed-form integral
+    of f, so the ledger is exact up to float rounding: no quadrature is
+    involved.  Every step appends its area and the cumulative excess and
+    bound to ``audit_areas``, ``audit_excess`` and ``audit_bounds``.
     """
-    w = f_mix(state.D, state.c)
-    return (0.5 + w) * gamma1 + (0.5 - w) * gamma2
 
-
-@dataclass
-class Level1Audit:
-    """Per-step ledger entries produced by :func:`level1_ledger_update`."""
-
-    triangle_area: float
-    excess: float          # cumulative sceptic loss over the predictors' average
-    bound: float           # cumulative ledger bound
-
-
-def level1_ledger_update(game: Game, state: Level1State, omega,
-                         gamma1, gamma2, gamma_sceptic) -> Level1Audit:
-    """Advance the ledger after Nature's move; mutates ``state``.
-
-    The triangle area uses the closed-form integral of f, so the ledger
-    is exact up to float rounding: no quadrature is involved.  The moves
-    are validated (through :meth:`Game.loss`).
-    """
-    return _advance_ledger(state, game.loss(omega, gamma1), game.loss(omega, gamma2),
-                           game.loss(omega, gamma_sceptic))
-
-
-def _advance_ledger(state: Level1State, l1: float, l2: float, ls: float) -> Level1Audit:
-    # the ledger arithmetic, from the three players' losses
-    d_old = state.D
-    delta = l1 - l2
-    area = triangle_area(d_old, delta, state.c)
-    state.D = d_old + delta
-    state.triangle_sum += area
-    state.excess += ls - 0.5 * (l1 + l2)
-    return Level1Audit(area, state.excess, state.ledger_bound)
-
-
-class Level1Sceptic(ScepticStrategy):
-    """Protocol wrapper keeping the ledger and its full audit trail."""
-
-    def __init__(self, c: float = 0.4, record_audit: bool = True):
+    def __init__(self, c: float = 0.4):
+        if not 0.0 < c < 0.5:
+            raise ValueError("c must lie in (0, 1/2)")
         self.c = c
-        self.record_audit = record_audit
-        self.state = Level1State(c=c)
-        self.audit_areas: list = []
-        self.audit_excess: list = []
-        self.audit_bounds: list = []
-        self._pending = None
+        self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
 
     def reset(self, game, rng, horizon):
         self._loss = game.loss_fn()
-        self.state = Level1State(c=self.c)
+        self.D = 0.0
+        self.triangle_sum = 0.0
+        self.excess = 0.0
         self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
         self._pending = None
 
+    @property
+    def ledger_bound(self) -> float:
+        return f_mix_integral(self.D, self.c) - self.triangle_sum
+
     def predict(self, n, gamma1, gamma2):
-        gamma = level1_step(self.state, gamma1, gamma2)
+        w = f_mix(self.D, self.c)
+        gamma = (0.5 + w) * gamma1 + (0.5 - w) * gamma2
         self._pending = (gamma1, gamma2, gamma)
         return gamma
 
     def observe(self, n, omega):
         gamma1, gamma2, gamma = self._pending
         loss = self._loss
-        audit = _advance_ledger(self.state, loss(omega, gamma1), loss(omega, gamma2),
-                                loss(omega, gamma))
-        if self.record_audit:
-            self.audit_areas.append(audit.triangle_area)
-            self.audit_excess.append(audit.excess)
-            self.audit_bounds.append(audit.bound)
+        l1, l2 = loss(omega, gamma1), loss(omega, gamma2)
+        delta = l1 - l2
+        area = triangle_area(self.D, delta, self.c)
+        self.D += delta
+        self.triangle_sum += area
+        self.excess += loss(omega, gamma) - 0.5 * (l1 + l2)
+        self.audit_areas.append(area)
+        self.audit_excess.append(self.excess)
+        self.audit_bounds.append(self.ledger_bound)
 
 
 # ---------------------------------------------------------------------------
-# aggregation engine shared by the pool-based sceptics
+# the pool sceptics: aggregation over a fixed pool of experts
 
 
-class _AAEngine:
-    """Mix-and-substitute core: one pool, one game, running regret audit.
+def _resolve_params(game: Game, params: Optional[MixabilityParams]) -> MixabilityParams:
+    resolved = params or params_for(game)
+    if not check_perfectly_mixable(game, resolved.eta):
+        raise MixabilityViolation(
+            f"{game.kind.value} game fails the mixability test at eta={resolved.eta}")
+    return resolved
 
-    Tracks the per-expert cumulative losses, the strategy's own cumulative
-    loss, and the worst regret slack seen so far.  Every observation also
-    re-checks domination at the realized outcome with the weights that
-    produced the move.
+
+class _PoolSceptic(ScepticStrategy):
+    """Mix-and-substitute over one pool, with a running regret audit.
+
+    Subclasses supply their experts' predictions (``_expert_predictions``)
+    and what the experts learn from each outcome (``_observe_experts``).
+    The pool is built, and its priors checked, at construction; reset
+    refuses games that fail the perfect-mixability test.  Tracks the
+    per-expert cumulative losses, the strategy's own cumulative loss
+    ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``.
+    Every observation also re-checks domination at the realized outcome
+    with the weights that produced the move.
     """
 
-    def __init__(self, game: Game, pool: ExpertPool, params: MixabilityParams,
-                 domination_tol: float):
-        self.eta, self.C = params.eta, params.C
-        self._losses = game.spec.losses
-        self._mix = pool_mixer(game, self.eta, domination_tol)
-        self.pool = pool
+    def __init__(self, priors, params: Optional[MixabilityParams], domination_tol: float):
+        self.pool = ExpertPool(priors)
+        self._params = params
         self.domination_tol = domination_tol
-        self.expert_cums = np.zeros(len(pool))
+        self.worst_eq8_slack = math.inf
+
+    def reset(self, game, rng, horizon):
+        params = _resolve_params(game, self._params)
+        self.eta, self.C = params.eta, params.C
+        self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
+        self._loss = game.loss_fn()
+        self._losses = game.spec.losses
+        self._mix = pool_mixer(game, self.eta, self.domination_tol)
+        self.expert_cums = np.zeros(len(self.pool))
         self.cum_self = 0.0
         # compensation terms: cumulative losses reach magnitudes where the
         # plain running sums' rounding would drown the regret slack
-        self._comp_experts = np.zeros(len(pool))
+        self._comp_experts = np.zeros(len(self.pool))
         self._comp_self = 0.0
-        self._penalty = self.C * np.log(1.0 / pool.priors)
+        self._penalty = self.C * np.log(1.0 / self.pool.priors)
         self.worst_eq8_slack = math.inf
-        self._log_w_norm: Optional[np.ndarray] = None
+        self._pending = None
 
-    def mix(self, preds):
-        """Predictions array (K,) or (K, m) -> the pool's aggregated move."""
-        self._log_w_norm = self.pool.normalized_log_weights()
-        return self._mix(self._log_w_norm, preds)
+    def _expert_predictions(self, n, gamma1, gamma2) -> np.ndarray:
+        """The experts' predictions, shape (K,) or (K, m)."""
+        raise NotImplementedError
 
-    def observe(self, n, omega, preds, own_loss) -> np.ndarray:
+    def _observe_experts(self, n, omega) -> None:
+        """Let the experts learn the outcome of step ``n``."""
+        raise NotImplementedError
+
+    def predict(self, n, gamma1, gamma2):
+        preds = self._expert_predictions(n, gamma1, gamma2)
+        log_w = self.pool.normalized_log_weights()
+        gamma = self._mix(log_w, preds)
+        self._pending = (preds, log_w, gamma)
+        return gamma
+
+    def observe(self, n, omega):
+        preds, log_w, gamma = self._pending
+        own_loss = self._loss(omega, gamma)
         losses = self._losses(omega, preds)
-        log_w = self._log_w_norm if self._log_w_norm is not None \
-            else self.pool.normalized_log_weights()
         # -inf - inf stays -inf, so eliminated experts drop out cleanly
         g_played = -_lse1(log_w - self.eta * losses) / self.eta
         if own_loss > g_played + self.domination_tol:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
         aa_observe(self.pool, losses, self.eta)
-        self._log_w_norm = None
         # Neumaier-compensated accumulation on both sides of the slack
         total = self.expert_cums + losses
         resid = np.where(np.abs(self.expert_cums) >= np.abs(losses),
@@ -374,23 +336,15 @@ class _AAEngine:
                  - (self.cum_self + self._comp_self))
         if slack < self.worst_eq8_slack:
             self.worst_eq8_slack = slack
-        return losses
+        self._observe_experts(n, omega)
 
 
-def _resolve_params(game: Game, params: Optional[MixabilityParams]) -> MixabilityParams:
-    resolved = params or params_for(game)
-    if not check_perfectly_mixable(game, resolved.eta):
-        raise MixabilityViolation(
-            f"{game.kind.value} game fails the mixability test at eta={resolved.eta}")
-    return resolved
-
-
-class AggregatingSceptic(ScepticStrategy):
+class AggregatingSceptic(_PoolSceptic):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
 
     The protocol's two predictors are ignored; the experts are the
-    sceptic's own.  ``worst_eq8_slack`` exposes the tightest regret slack
-    seen."""
+    sceptic's own.  ``priors`` default to uniform and need one entry per
+    expert."""
 
     def __init__(self, experts, priors=None,
                  params: Optional[MixabilityParams] = None,
@@ -398,46 +352,32 @@ class AggregatingSceptic(ScepticStrategy):
         if not experts:
             raise ValueError("expert pool must not be empty")
         self.experts = list(experts)
-        self.priors = (np.asarray(priors, dtype=float) if priors is not None
-                       else np.full(len(experts), 1.0 / len(experts)))
-        self._params = params
-        self.domination_tol = domination_tol
-        self.engine: Optional[_AAEngine] = None
+        if priors is None:
+            priors = np.full(len(self.experts), 1.0 / len(self.experts))
+        super().__init__(priors, params, domination_tol)
+        if len(self.pool) != len(self.experts):
+            raise ValueError(f"priors has {len(self.pool)} entries for "
+                             f"{len(self.experts)} experts")
 
     def reset(self, game, rng, horizon):
         from .players import ConstantPredictor
 
-        params = _resolve_params(game, self._params)
-        self.eta, self.C = params.eta, params.C
+        super().reset(game, rng, horizon)
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
-        self.engine = _AAEngine(game, ExpertPool(self.priors), params, self.domination_tol)
-        self._loss = game.loss_fn()
         # a pool of constants emits the same prediction matrix every step
         self._static_preds = None
         if all(isinstance(e, ConstantPredictor) for e in self.experts):
             self._static_preds = self._collect(1)
-        self._pending = None
-
-    @property
-    def worst_eq8_slack(self) -> float:
-        return self.engine.worst_eq8_slack if self.engine else math.inf
 
     def _collect(self, n):
         return np.asarray([e.predict(n) for e in self.experts], dtype=float)
 
-    def predict(self, n, gamma1, gamma2):
-        preds = self._static_preds if self._static_preds is not None \
-            else self._collect(n)
-        gamma = self.engine.mix(preds)
-        self._pending = (preds, gamma)
-        return gamma
+    def _expert_predictions(self, n, gamma1, gamma2):
+        return self._static_preds if self._static_preds is not None else self._collect(n)
 
-    def observe(self, n, omega):
-        preds, gamma = self._pending
-        own = self._loss(omega, gamma)
-        self.engine.observe(n, omega, preds, own)
+    def _observe_experts(self, n, omega):
         if self._static_preds is None:
             for e in self.experts:
                 e.observe(n, omega)
@@ -446,92 +386,66 @@ class AggregatingSceptic(ScepticStrategy):
 # ---------------------------------------------------------------------------
 # level 3: the threshold-expert lift
 
-
-@dataclass(frozen=True)
-class Level3Config:
-    """Truncated pool of threshold experts: two per threshold ``2^k``."""
-
-    k_max: int = 20
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-
-    def thresholds(self) -> np.ndarray:
-        return 2.0 ** np.arange(1, self.k_max + 1)
-
-    def priors(self) -> np.ndarray:
-        # expert (k, j) carries prior 2^-(k+1); the pool sums to 1 - 2^-k_max
-        p = 2.0 ** -(np.arange(1, self.k_max + 1) + 1)
-        return np.concatenate([p, p])
+# the largest k for which the threshold 2^k and the reciprocal 2^(k+1) of
+# the smallest prior, which the regret penalty takes, are finite floats
+K_MAX_LIMIT = 1022
 
 
-class Level3Sceptic(ScepticStrategy):
+class Level3Sceptic(_PoolSceptic):
     """Aggregates threshold experts over a base sceptic strategy.
 
-    Expert ``(k, 1)`` mimics the base sceptic until predictor 1 trails the
-    base sceptic's cumulative loss by more than ``2^k``, then switches to
-    predictor 1 for good; expert ``(k, 2)`` watches predictor 2.  The pool
-    is mixed with the game's aggregation parameters; reset refuses games
-    that fail the perfect-mixability test.
+    The truncated pool holds two experts per threshold ``2^k``, k = 1 ..
+    ``k_max``.  Expert ``(k, 1)`` mimics the base sceptic until predictor 1
+    trails the base sceptic's cumulative loss by more than ``2^k``, then
+    switches to predictor 1 for good; expert ``(k, 2)`` watches predictor
+    2.  Expert ``(k, j)`` carries prior ``2^-(k+1)``, so the pool sums to
+    ``1 - 2^-k_max``.  The pool is mixed with the game's aggregation
+    parameters.
     """
 
-    def __init__(self, base: ScepticStrategy, cfg: Level3Config = Level3Config(),
+    def __init__(self, base: ScepticStrategy, k_max: int = 20,
                  params: Optional[MixabilityParams] = None,
                  domination_tol: float = DOMINATION_TOL):
+        if isinstance(k_max, bool) or not isinstance(k_max, int) \
+                or not 1 <= k_max <= K_MAX_LIMIT:
+            raise ValueError(f"k_max must be an integer in [1, {K_MAX_LIMIT}], got {k_max!r}")
         self.base = base
-        self.cfg = cfg
-        self._params = params
-        self.domination_tol = domination_tol
-        self.engine: Optional[_AAEngine] = None
+        self.k_max = k_max
+        thresholds = 2.0 ** np.arange(1, k_max + 1)
+        self.thresholds = np.concatenate([thresholds, thresholds])
+        p = 2.0 ** -(np.arange(1, k_max + 1) + 1)
+        super().__init__(np.concatenate([p, p]), params, domination_tol)
 
     def reset(self, game, rng, horizon):
-        params = _resolve_params(game, self._params)
-        self.eta, self.C = params.eta, params.C
+        super().reset(game, rng, horizon)
         self.base.reset(game, rng, horizon)
         self.cum1 = 0.0
         self.cum2 = 0.0
         self.cum_base = 0.0
-        k = self.cfg.k_max
-        self.thresholds = np.concatenate([self.cfg.thresholds(), self.cfg.thresholds()])
-        self.switched = np.zeros(2 * k, dtype=bool)
-        self.engine = _AAEngine(game, ExpertPool(self.cfg.priors()), params,
-                                self.domination_tol)
+        self.switched = np.zeros(2 * self.k_max, dtype=bool)
         self.switch_times: dict = {}
-        self._loss = game.loss_fn()
-        self._targets = np.empty((2 * k,) + game.prediction_shape)
-        self._pending = None
+        self._targets = np.empty((2 * self.k_max,) + game.prediction_shape)
 
-    @property
-    def worst_eq8_slack(self) -> float:
-        return self.engine.worst_eq8_slack if self.engine else math.inf
-
-    @property
-    def cum_self(self) -> float:
-        return self.engine.cum_self
-
-    def predict(self, n, gamma1, gamma2):
+    def _expert_predictions(self, n, gamma1, gamma2):
         gamma_base = self.base.predict(n, gamma1, gamma2)
-        # the experts' predictions, in a buffer the engine is done with
+        self._moves = (gamma1, gamma2, gamma_base)
+        # the experts' predictions, in a buffer the pool is done with
         # before the next step
-        k = self.cfg.k_max
+        k = self.k_max
         preds = self._targets
         preds[:k] = gamma1
         preds[k:] = gamma2
         preds[~self.switched] = gamma_base
-        gamma = self.engine.mix(preds)
-        self._pending = (gamma1, gamma2, gamma_base, preds, gamma)
-        return gamma
+        return preds
 
-    def observe(self, n, omega):
-        gamma1, gamma2, gamma_base, preds, gamma = self._pending
+    def _observe_experts(self, n, omega):
+        gamma1, gamma2, gamma_base = self._moves
         self.base.observe(n, omega)
         loss = self._loss
-        self.engine.observe(n, omega, preds, loss(omega, gamma))
         self.cum1 += loss(omega, gamma1)
         self.cum2 += loss(omega, gamma2)
         self.cum_base += loss(omega, gamma_base)
-        k = self.cfg.k_max
+        k = self.k_max
         if not np.all(self.switched):
             behind = np.empty(2 * k)
             behind[:k] = self.cum1 - self.cum_base

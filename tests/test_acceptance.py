@@ -161,6 +161,8 @@ def test_criterion_4b_bayes_tree_oracle():
     game = j.log_loss_game(m=2)
     experts = [np.array([0.3, 0.7]), np.array([0.6, 0.4]), np.array([0.85, 0.15])]
     priors = np.array([0.5, 0.25, 0.25])
+    mix = j.pool_mixer(game, 1.0)
+    preds = np.asarray(experts, dtype=float)
     n_steps = 12
     worst = 0.0
     for code in range(2 ** n_steps):
@@ -169,7 +171,7 @@ def test_criterion_4b_bayes_tree_oracle():
         likelihoods = priors.copy()
         for i in range(n_steps):
             omega = (code >> i) & 1
-            gamma = j.aa_step(pool, experts, game, eta=1.0)
+            gamma = mix(pool.normalized_log_weights(), preds)
             cum += game.loss(omega, gamma)
             losses = np.array([game.loss(omega, e) for e in experts])
             j.aa_observe(pool, losses, eta=1.0)
@@ -258,7 +260,7 @@ def test_criterion_7_fair_coin_martingale_scenario():
     recross_both = 0
     worst_null = 0.0
     for seed in range(100):
-        sceptic = j.Level1Sceptic(c=0.4, record_audit=False)
+        sceptic = j.Level1Sceptic(c=0.4)
         trace = j.run_protocol(j.IidBernoulliNature(0.5), j.ConstantPredictor(0.0),
                                j.ConstantPredictor(1.0), sceptic, game, horizon,
                                seed=seed)

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from jeffreys import (ExpertPool, MixabilityParams, MixabilityViolation,
-                      PoolCollapseError, aa_observe, aa_regret_slack, aa_step,
-                      bounded_absolute_loss_game, bounded_square_loss_game,
-                      generalized_prediction, log_loss_game, params_for,
-                      quartic_loss_game, square_loss_game, substitute,
-                      uniform_pool)
+from jeffreys import (AggregatingSceptic, ConstantPredictor, ExpertPool,
+                      MixabilityParams, MixabilityViolation, PoolCollapseError,
+                      ReplayNature, aa_observe, bounded_absolute_loss_game,
+                      bounded_square_loss_game, generalized_prediction,
+                      log_loss_game, params_for, pool_mixer, quartic_loss_game,
+                      run_protocol, square_loss_game, substitute, uniform_pool)
 from jeffreys.aggregating import _substitute_numeric, log_sum_exp
 
 
@@ -19,15 +19,10 @@ def test_pool_validation():
         ExpertPool(np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
         ExpertPool(np.array([0.9, 0.9]))
+    with pytest.raises(ValueError):
+        ExpertPool(np.array([0.5, math.nan]))
     pool = ExpertPool(np.array([0.25, 0.25]))  # deficient priors are fine
     assert len(pool) == 2
-
-
-def test_normalized_weights_sum_to_one():
-    pool = uniform_pool(7)
-    aa_observe(pool, np.arange(7, dtype=float), eta=1.0)
-    w = pool.normalized_weights()
-    assert abs(float(w.sum()) - 1.0) < 1e-12
 
 
 def test_log_sum_exp_handles_all_neginf():
@@ -125,7 +120,7 @@ def test_substitute_domination_on_continuum():
         pts = np.stack([game.canonical_point(x) for x in gammas])
         g_ends = generalized_prediction(pool, pts, eta=2.0)
         gamma = substitute(game, g_ends)
-        mix = np.log(np.dot(pool.normalized_weights(),
+        mix = np.log(np.dot(np.exp(pool.normalized_log_weights()),
                             np.exp(-2.0 * (omegas[None, :] - gammas[:, None]) ** 2)))
         g_all = -mix / 2.0
         assert np.max((omegas - gamma) ** 2 - g_all) <= 1e-9
@@ -152,15 +147,21 @@ def test_substitute_flags_excessive_eta():
 # the step/observe cycle
 
 
+def _aa_step(pool, experts, game, eta):
+    # one aggregated move; the pool's weights are not touched
+    return pool_mixer(game, eta)(pool.normalized_log_weights(),
+                                 np.asarray(experts, dtype=float))
+
+
 def test_aa_step_single_expert():
     game = log_loss_game(m=2)
-    gamma = aa_step(uniform_pool(1), [np.array([0.3, 0.7])], game, eta=1.0)
+    gamma = _aa_step(uniform_pool(1), [np.array([0.3, 0.7])], game, eta=1.0)
     assert np.allclose(gamma, [0.3, 0.7], atol=1e-12)
 
 
 def test_aa_step_identical_experts():
     game = bounded_square_loss_game()
-    gamma = aa_step(uniform_pool(3), [0.42, 0.42, 0.42], game, eta=2.0)
+    gamma = _aa_step(uniform_pool(3), [0.42, 0.42, 0.42], game, eta=2.0)
     assert gamma == pytest.approx(0.42, abs=1e-12)
 
 
@@ -175,50 +176,38 @@ def test_aa_observe_updates():
 
     pool = uniform_pool(2)
     aa_observe(pool, np.array([0.0, math.log(2.0)]), eta=1.0)
-    w = pool.normalized_weights()
+    w = np.exp(pool.normalized_log_weights())
     assert w[0] / w[1] == pytest.approx(2.0, abs=1e-12)
+
+
+def _aggregate(experts, priors, outcomes):
+    # the aggregating sceptic over constant experts, replaying the outcomes
+    game = log_loss_game(m=2)
+    sceptic = AggregatingSceptic([ConstantPredictor(e) for e in experts], priors=priors)
+    trace = run_protocol(ReplayNature(outcomes), ConstantPredictor(experts[0]),
+                         ConstantPredictor(experts[0]), sceptic, game, len(outcomes), seed=0)
+    return sceptic, trace
 
 
 def test_regret_slack_single_expert_is_zero():
     game = log_loss_game(m=2)
-    pool = ExpertPool(np.array([1.0]))
     rng = np.random.default_rng(2)
     expert = np.array([0.3, 0.7])
-    sceptic_cum, expert_cum = [], []
-    cs = ce = 0.0
-    for _ in range(200):
-        gamma = aa_step(pool, [expert], game, eta=1.0)
-        omega = int(rng.random() < 0.7)
-        cs += game.loss(omega, gamma)
-        ce += game.loss(omega, expert)
-        aa_observe(pool, np.array([game.loss(omega, expert)]), eta=1.0)
-        sceptic_cum.append(cs)
-        expert_cum.append(ce)
-    slack = aa_regret_slack(sceptic_cum, [expert_cum], pool.priors, C=1.0)
-    assert np.max(np.abs(slack)) < 1e-9
+    outcomes = [int(rng.random() < 0.7) for _ in range(200)]
+    sceptic, trace = _aggregate([expert], [1.0], outcomes)
+    # with one expert at prior 1 the slack is L_expert(n) - L_sceptic(n)
+    expert_cum = np.cumsum([game.loss(omega, expert) for omega in outcomes])
+    assert np.max(np.abs(expert_cum - np.asarray(trace.cum_sceptic))) < 1e-9
+    assert abs(sceptic.worst_eq8_slack) < 1e-9
 
 
 def test_regret_slack_property_simulated():
-    game = log_loss_game(m=2)
     experts = [np.array([0.8, 0.2]), np.array([0.5, 0.5]), np.array([0.1, 0.9])]
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        pool = uniform_pool(3)
-        cs = 0.0
-        cums = np.zeros(3)
-        sceptic_cum, expert_cums = [], []
-        for _ in range(300):
-            gamma = aa_step(pool, experts, game, eta=1.0)
-            omega = int(rng.random() < 0.4)
-            losses = np.array([game.loss(omega, e) for e in experts])
-            cs += game.loss(omega, gamma)
-            cums = cums + losses
-            aa_observe(pool, losses, eta=1.0)
-            sceptic_cum.append(cs)
-            expert_cums.append(cums.copy())
-        slack = aa_regret_slack(sceptic_cum, np.array(expert_cums).T,
-                                pool.priors, C=1.0)
-        assert float(np.min(slack)) >= -1e-9
+        outcomes = [int(rng.random() < 0.4) for _ in range(300)]
+        sceptic, _ = _aggregate(experts, None, outcomes)
+        assert sceptic.worst_eq8_slack >= -1e-9
 
 
 def test_exhaustive_bayes_tree_oracle():
@@ -237,7 +226,7 @@ def test_exhaustive_bayes_tree_oracle():
         pool = ExpertPool(priors)
         cum = 0.0
         for omega in seq:
-            gamma = aa_step(pool, experts, game, eta=1.0)
+            gamma = _aa_step(pool, experts, game, eta=1.0)
             cum += game.loss(omega, gamma)
             aa_observe(pool, np.array([game.loss(omega, e) for e in experts]),
                        eta=1.0)

@@ -103,6 +103,10 @@ def test_quartic_runs_the_aggregating_sceptic_from_its_table_entry(tmp_path):
     assert report["check_slacks"]["eq8"] >= 0.0
 
 
+TWO_EXPERTS = [{"kind": "constant", "params": {"gamma": 0.2}},
+               {"kind": "constant", "params": {"gamma": 0.7}}]
+
+
 @pytest.mark.parametrize("sceptic", [
     {"kind": "level2", "params": {"alpha": 1.5}},
     {"kind": "level2", "params": {"alpha": -1.0}},
@@ -111,8 +115,16 @@ def test_quartic_runs_the_aggregating_sceptic_from_its_table_entry(tmp_path):
     {"kind": "level2", "params": {"alpha": 0.0, "epsilon": -1.0}},
     {"kind": "level2", "params": {"alpha": 0.0, "epsilon": float("nan")}},
     {"kind": "level3", "params": {"base": {"kind": "level2", "params": {"alpha": 1.5}}}},
+    {"kind": "level3", "params": {"k_max": 2.5}},
+    {"kind": "level3", "params": {"k_max": True}},
+    {"kind": "level3", "params": {"k_max": 0}},
+    {"kind": "level3", "params": {"k_max": 1100}},
+    {"kind": "aggregating", "params": {"experts": TWO_EXPERTS, "priors": [0.6, 0.6]}},
+    {"kind": "aggregating", "params": {"experts": TWO_EXPERTS, "priors": [0.5, 0.0]}},
+    {"kind": "aggregating", "params": {"experts": TWO_EXPERTS, "priors": [0.5]}},
 ], ids=["alpha-1.5", "alpha-minus-1", "alpha-nan", "epsilon-0", "epsilon-minus-1",
-        "epsilon-nan", "level3-base-alpha-1.5"])
+        "epsilon-nan", "level3-base-alpha-1.5", "k-max-2.5", "k-max-true", "k-max-0",
+        "k-max-1100", "priors-sum-above-1", "priors-zero", "priors-too-few"])
 def test_bad_sceptic_parameter_is_config_error(tmp_path, capsys, sceptic):
     path, _ = write_config(tmp_path, game={"kind": "bounded_square"}, sceptic=sceptic,
                            checks=[])
@@ -244,6 +256,21 @@ def test_divergence_unbracketable_still_exits_zero(capsys):
 def test_sweep_empty_seeds_is_usage_error(tmp_path):
     path, _ = write_config(tmp_path, seeds=[])
     assert main(["sweep", str(path)]) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sceptic": {"kind": "level2", "params": {"alpha": 1.5}}},
+    {"game": {"kind": "bounded_absolute"},
+     "sceptic": {"kind": "level3", "params": {"k_max": 4}}, "checks": []},
+], ids=["level2-alpha-1.5", "level3-on-bounded-absolute"])
+def test_sweep_config_error_exits_two(tmp_path, capsys, overrides):
+    # a config error is the same on every seed: the sweep stops with it
+    path, _ = write_config(tmp_path, seeds=[1, 2],
+                           outputs={"report_json": str(tmp_path / "sweep.json")},
+                           **overrides)
+    assert main(["sweep", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_sweep_single_seed_matches_run(tmp_path):

@@ -7,14 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jeffreys import (GAME_SPECS, IidBernoulliNature, ConstantNature, ConstantPredictor,
-                      Level1Sceptic, Level1State, Level2Config, Level2Sceptic,
-                      Level3Config, Level3Sceptic, MixabilityViolation,
-                      RunningMeanPredictor, absolute_loss_game,
+from jeffreys import (GAME_SPECS, IidBernoulliNature, IidUniformNature, ConstantNature,
+                      ConstantPredictor, Level1Sceptic, Level2Sceptic, Level3Sceptic,
+                      MixabilityViolation, RunningMeanPredictor, absolute_loss_game,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       f_mix, f_mix_integral, game_from_descriptor,
-                      level1_ledger_update, level1_step,
-                      level2_inequality_slack, level2_step, log_loss_game,
+                      level2_inequality_slack, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game,
                       run_protocol, square_loss_game, verify_run)
 
@@ -23,32 +21,35 @@ from jeffreys import (GAME_SPECS, IidBernoulliNature, ConstantNature, ConstantPr
 # level 2
 
 
+def _level2(game, alpha, epsilon=1e-3):
+    # a divergence-strategy sceptic ready for its first move
+    sceptic = Level2Sceptic(alpha, epsilon)
+    sceptic.reset(game, None, 1)
+    return sceptic
+
+
 def test_level2_config_validation():
-    with pytest.raises(ValueError):
-        Level2Config(alpha=1.0)
-    with pytest.raises(ValueError):
-        Level2Config(alpha=0.0, epsilon=0.0)
+    with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+        Level2Sceptic(alpha=1.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        Level2Sceptic(alpha=0.0, epsilon=0.0)
 
 
 def test_level2_square_weighted_mean():
     game = square_loss_game()
-    cfg = Level2Config(alpha=0.0)
-    assert level2_step(game, 0.0, 1.0, cfg) == 0.5
-    cfg = Level2Config(alpha=0.8)
-    assert level2_step(game, 0.0, 1.0, cfg) == pytest.approx(0.9)
+    assert _level2(game, 0.0).predict(1, 0.0, 1.0) == 0.5
+    assert _level2(game, 0.8).predict(1, 0.0, 1.0) == pytest.approx(0.9)
 
 
 def test_level2_log_loss_identical_inputs():
     game = log_loss_game(m=2)
-    cfg = Level2Config(alpha=0.3)
     g = np.array([0.5, 0.5])
-    assert np.allclose(level2_step(game, g, g, cfg), g)
+    assert np.allclose(_level2(game, 0.3).predict(1, g, g), g)
 
 
 def test_level2_log_loss_geometric_mean():
     game = log_loss_game(m=2)
-    cfg = Level2Config(alpha=0.0)
-    got = level2_step(game, np.array([0.8, 0.2]), np.array([0.2, 0.8]), cfg)
+    got = _level2(game, 0.0).predict(1, np.array([0.8, 0.2]), np.array([0.2, 0.8]))
     assert np.allclose(got, [0.5, 0.5], atol=1e-12)
     # the move's loss profile must sit below the divergence target
     lam = game.canonical_point(got)
@@ -86,11 +87,11 @@ def test_closed_form_level2_profile_is_mean_minus_shift(game):
 def test_level2_numeric_path_bounded_absolute():
     # zero-divergence game: the search must still find a dominated point
     game = bounded_absolute_loss_game()
-    cfg = Level2Config(alpha=0.0, epsilon=1e-3)
-    gamma = level2_step(game, 0.2, 0.8, cfg)
+    sceptic = _level2(game, 0.0, epsilon=1e-3)
+    gamma = sceptic.predict(1, 0.2, 0.8)
     lam = game.canonical_point(gamma)
     mean = 0.5 * game.canonical_point(0.2) + 0.5 * game.canonical_point(0.8)
-    assert np.all(lam <= mean + cfg.epsilon)
+    assert np.all(lam <= mean + sceptic.epsilon)
 
 
 def test_level2_numeric_path_full_run_quartic():
@@ -188,57 +189,74 @@ def test_f_mix_integral_is_even_and_exact():
     assert f_mix_integral(-2.5, 0.4) == f_mix_integral(2.5, 0.4)
 
 
+def _level1(D=0.0):
+    # a mixture sceptic whose ledger starts at the loss difference D
+    sceptic = Level1Sceptic(c=0.4)
+    sceptic.reset(absolute_loss_game(), None, 1)
+    sceptic.D = D
+    return sceptic
+
+
 def test_level1_state_validation():
-    with pytest.raises(ValueError):
-        Level1State(c=0.5)
+    with pytest.raises(ValueError, match=r"c must lie in \(0, 1/2\)"):
+        Level1Sceptic(c=0.5)
 
 
 def test_level1_step_midpoint_at_zero():
-    state = Level1State(c=0.4)
-    assert level1_step(state, 0.2, 0.8) == pytest.approx(0.5)
+    assert _level1().predict(1, 0.2, 0.8) == pytest.approx(0.5)
 
 
 def test_level1_step_saturates():
-    state = Level1State(c=0.4, D=1e6)
-    got = level1_step(state, 1.0, 0.0)
+    got = _level1(D=1e6).predict(1, 1.0, 0.0)
     assert got == pytest.approx(0.9, abs=1e-5)
 
 
-def test_level1_step_swap_symmetry():
-    state_pos = Level1State(c=0.4, D=1.7)
-    state_neg = Level1State(c=0.4, D=-1.7)
-    assert level1_step(state_pos, 0.1, 0.9) == pytest.approx(
-        level1_step(state_neg, 0.9, 0.1))
+@pytest.mark.parametrize("nature", [IidUniformNature(0.0, 1.0), IidBernoulliNature(0.5)],
+                         ids=["uniform", "bernoulli"])
+def test_level1_swap_symmetry_over_whole_runs(nature):
+    # swapping the predictors negates D at every step, and by oddness of f
+    # the moves and the ledger are bitwise unchanged
+    game = bounded_absolute_loss_game()
+    for seed in range(10):
+        runs = []
+        for first, second in ((RunningMeanPredictor(0.3), ConstantPredictor(0.8)),
+                              (ConstantPredictor(0.8), RunningMeanPredictor(0.3))):
+            sceptic = Level1Sceptic(c=0.4)
+            trace = run_protocol(nature, first, second, sceptic, game, 500, seed=seed)
+            runs.append((sceptic, trace))
+        (a, trace_a), (b, trace_b) = runs
+        assert trace_a.gamma_sceptic == trace_b.gamma_sceptic
+        assert a.audit_areas == b.audit_areas
+        assert a.audit_excess == b.audit_excess
+        assert a.audit_bounds == b.audit_bounds
+        assert a.D == -b.D
 
 
 def test_ledger_noop_when_predictions_agree():
-    game = absolute_loss_game()
-    state = Level1State(c=0.4, D=0.3)
-    audit = level1_ledger_update(game, state, 0.7, 0.5, 0.5, 0.5)
-    assert state.D == 0.3
-    assert audit.triangle_area == 0.0
+    sceptic = _level1(D=0.3)
+    sceptic.predict(1, 0.5, 0.5)
+    sceptic.observe(1, 0.7)
+    assert sceptic.D == 0.3
+    assert sceptic.audit_areas == [0.0]
 
 
 def test_ledger_area_closed_form():
     # D moves 0 -> 1; the triangle area is the full integral of f over [0, 1]
-    game = absolute_loss_game()
-    state = Level1State(c=0.4)
-    gamma = level1_step(state, 0.0, 1.0)
-    assert gamma == 0.5
-    audit = level1_ledger_update(game, state, 1.0, 0.0, 1.0, gamma)
-    assert state.D == 1.0
-    assert audit.triangle_area == pytest.approx(0.4 * (1.0 - math.log(2.0)), abs=1e-12)
+    sceptic = _level1()
+    assert sceptic.predict(1, 0.0, 1.0) == 0.5
+    sceptic.observe(1, 1.0)
+    assert sceptic.D == 1.0
+    assert sceptic.audit_areas[-1] == pytest.approx(0.4 * (1.0 - math.log(2.0)), abs=1e-12)
     # outcome at the interval edge: the audit identity holds with equality
-    assert audit.excess == pytest.approx(audit.bound, abs=1e-12)
+    assert sceptic.excess == pytest.approx(sceptic.ledger_bound, abs=1e-12)
 
 
 def test_ledger_strict_inequality_inside_gap():
-    game = absolute_loss_game()
-    state = Level1State(c=0.4, D=2.0)
-    gamma = level1_step(state, 0.0, 1.0)
-    audit = level1_ledger_update(game, state, 0.5, 0.0, 1.0, gamma)
-    assert audit.triangle_area >= 0.0
-    assert audit.excess < audit.bound - 1e-6
+    sceptic = _level1(D=2.0)
+    sceptic.predict(1, 0.0, 1.0)
+    sceptic.observe(1, 0.5)
+    assert sceptic.audit_areas[-1] >= 0.0
+    assert sceptic.audit_excess[-1] < sceptic.audit_bounds[-1] - 1e-6
 
 
 def test_level1_full_run_equality_scenario():
@@ -270,10 +288,10 @@ def test_level1_inequality_general_scenario():
 
 def test_level3_config():
     with pytest.raises(ValueError):
-        Level3Config(k_max=0)
-    cfg = Level3Config(k_max=20)
-    assert float(cfg.priors().sum()) <= 1.0
-    assert cfg.thresholds()[0] == 2.0
+        Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=0)
+    sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=20)
+    assert float(sceptic.pool.priors.sum()) <= 1.0
+    assert sceptic.thresholds[0] == 2.0
 
 
 def test_level3_refuses_non_mixable_game():
@@ -289,21 +307,21 @@ def test_level3_without_switches_tracks_base():
     # copies, and the lift coincides with aggregation over those copies,
     # so its regret to the base stays under C ln(1/min prior)
     game = bounded_square_loss_game()
-    sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), Level3Config(k_max=5))
+    sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=5)
     trace = run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.5),
                          ConstantPredictor(0.5), sceptic, game, 2000, seed=4)
     assert not sceptic.switch_times
     assert np.allclose(trace.gamma_sceptic, 0.5, atol=1e-12)
-    bound = sceptic.C * math.log(1.0 / float(np.min(sceptic.engine.pool.priors)))
+    bound = sceptic.C * math.log(1.0 / float(np.min(sceptic.pool.priors)))
     assert sceptic.cum_self - sceptic.cum_base <= bound + 1e-9
 
 
 def test_level3_degenerate_pool_is_plain_aggregation():
     game = bounded_square_loss_game()
-    sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), Level3Config(k_max=1))
+    sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=1)
     run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.3),
                  ConstantPredictor(0.7), sceptic, game, 500, seed=8)
-    assert len(sceptic.engine.pool) == 2
+    assert len(sceptic.pool) == 2
     assert sceptic.worst_eq8_slack >= -1e-9
 
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from jeffreys import (AdversarialGreedyNature, AggregatingSceptic, ConfigError,
                       ConstantNature, ConstantPredictor, Game,
                       IidBernoulliNature, Level1Sceptic, Level2Sceptic,
-                      Level3Config, Level3Sceptic, NatureStrategy,
-                      PredictorStrategy, ProtocolViolationError,
+                      Level3Sceptic, NatureStrategy, PredictorStrategy,
+                      ProtocolViolationError,
                       RunningMeanPredictor, ScepticStrategy, absolute_loss_game,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       log_loss_game, quartic_loss_game, run_protocol,
@@ -212,7 +212,7 @@ RUNS = {
     "level1, adversarial nature": (
         absolute_loss_game, Level1Sceptic, AdversarialGreedyNature, 0.0, 1.0),
     "level3": (
-        bounded_square_loss_game, lambda: Level3Sceptic(Level2Sceptic(0.0), Level3Config(k_max=4)),
+        bounded_square_loss_game, lambda: Level3Sceptic(Level2Sceptic(0.0), k_max=4),
         lambda: ConstantNature(0.9), 0.1, 0.9),
     "aggregating": (
         bounded_square_loss_game, _aggregating, AdversarialGreedyNature, 0.1, 0.9),
