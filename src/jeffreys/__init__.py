@@ -28,7 +28,7 @@ from .players import (AdversarialGreedyNature, ConstantNature,
                       IidUniformNature, NatureStrategy, NoisyTargetPredictor,
                       PredictorStrategy, ReplayNature, RunningMeanPredictor,
                       nature_strategy, predictor_strategy)
-from .protocol import (RunReport, StepRecord, Trace, classify_disjuncts,
+from .protocol import (RunReport, Trace, classify_disjuncts, require_checks,
                        run_protocol, verify_run)
 from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,
                        Level3Sceptic, ScepticStrategy, f_mix, f_mix_integral,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MixabilityViolation, PoolCollapseError
 from .games import (Game, MixabilityParams, Prediction, _lse1,
-                    superprediction_gap)
+                    check_perfectly_mixable, superprediction_gap)
 
 DOMINATION_TOL = 1e-9
 
@@ -41,12 +41,16 @@ def log_sum_exp(x: np.ndarray, axis=None) -> np.ndarray:
 
 def params_for(game: Game) -> MixabilityParams:
     """The game's (eta, C) = (eta*, 1 / eta*), eta* its kind's mixability
-    constant on the outcome bounds; an unbounded or non-mixable kind has none."""
+    constant on the outcome bounds; refuses an unbounded or non-mixable kind,
+    and a game that fails the perfect-mixability test at eta*."""
     ob = game.bounds()[0]
     eta = game.spec.eta_star(ob[1] - ob[0]) if ob is not None else 0.0
     if eta <= 0.0:
         raise MixabilityViolation(
             f"no mixability parameters for the {game.kind.value} game")
+    if not check_perfectly_mixable(game, eta):
+        raise MixabilityViolation(
+            f"{game.kind.value} game fails the mixability test at eta={eta}")
     return MixabilityParams(eta, 1.0 / eta)
 
 

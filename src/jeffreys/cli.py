@@ -20,14 +20,15 @@ from .divergence import (DivergenceResult, kl_divergence_log_loss,
                          lower_alpha_divergence_numeric,
                          standard_alpha_divergence_log_loss,
                          upper_alpha_divergence_numeric)
+from .aggregating import params_for
 from .errors import ConfigError, DomainError, JeffreysError, MixabilityViolation
 from .games import Game, GameKind, game_from_descriptor
 from .players import nature_strategy, predictor_strategy
 from .protocol import (DEFAULT_GAP_SUM_MAX, DEFAULT_LOSS_GAP_MIN,
-                       MARTINGALE_NULL_KINDS, classify_disjuncts, run_protocol,
+                       classify_disjuncts, require_checks, run_protocol,
                        verify_run)
 from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,
-                       Level3Sceptic, _resolve_params)
+                       Level3Sceptic)
 from .serialize import write_report_json, write_trace_csv
 
 EXIT_OK = 0
@@ -86,21 +87,13 @@ def _build_sceptic(kind: str, params: dict):
                       "options: ['aggregating', 'level1', 'level2', 'level3']")
 
 
-def _validate_compatibility(cfg: dict, game: Game, sceptic, checks) -> None:
-    """Strategy/game compatibility rules, applied before any run starts."""
+def _validate_compatibility(game: Game, sceptic) -> None:
+    """Refuse, before any run starts, an aggregating sceptic on a non-mixable game."""
     if isinstance(sceptic, (Level3Sceptic, AggregatingSceptic)):
         try:
-            _resolve_params(game, None)
+            params_for(game)
         except MixabilityViolation as exc:
             raise ConfigError(f"MixabilityViolation: {exc}") from exc
-    if "eq9" in checks and not isinstance(sceptic, Level2Sceptic):
-        raise ConfigError("check 'eq9' requires a level2 sceptic")
-    if "eq8" in checks and not isinstance(sceptic, (Level3Sceptic, AggregatingSceptic)):
-        raise ConfigError("check 'eq8' requires an aggregating or level3 sceptic")
-    if "ledger" in checks and not isinstance(sceptic, Level1Sceptic):
-        raise ConfigError("check 'ledger' requires a level1 sceptic")
-    if "martingale_null" in checks and game.kind not in MARTINGALE_NULL_KINDS:
-        raise ConfigError("check 'martingale_null' requires an absolute-loss game")
 
 
 def _load_config(path: str) -> dict:
@@ -126,19 +119,24 @@ def _execute_run(cfg: dict, game: Game, seed: int):
     nature = nature_strategy(*_strategy_desc(cfg, "nature"))
     sceptic = _build_sceptic(*_strategy_desc(cfg, "sceptic"))
     checks = cfg.get("checks", [])
-    _validate_compatibility(cfg, game, sceptic, checks)
+    _validate_compatibility(game, sceptic)
+    require_checks(checks, sceptic, game)
     horizon = cfg.get("horizon")
     if not isinstance(horizon, int) or horizon < 1:
         raise ConfigError("config needs a positive integer 'horizon'")
-    trace = run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     thresholds = cfg.get("thresholds", {})
-    report = classify_disjuncts(
-        trace,
-        gap_sum_max=thresholds.get("gap_sum_max", DEFAULT_GAP_SUM_MAX),
-        loss_gap_min=thresholds.get("loss_gap_min", DEFAULT_LOSS_GAP_MIN),
-        seed=seed,
-        config=cfg,
-    )
+    if not isinstance(thresholds, dict):
+        raise ConfigError("'thresholds' must be an object")
+    gap_sum_max = thresholds.get("gap_sum_max", DEFAULT_GAP_SUM_MAX)
+    loss_gap_min = thresholds.get("loss_gap_min", DEFAULT_LOSS_GAP_MIN)
+    for value in (gap_sum_max, loss_gap_min):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigError(f"thresholds must be finite numbers, got {value!r}")
+    trace = run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
+    report = classify_disjuncts(trace, gap_sum_max=gap_sum_max,
+                                loss_gap_min=loss_gap_min, seed=seed, config=cfg)
     report = verify_run(trace, checks, sceptic=sceptic, report=report)
     return trace, report
 

@@ -4,9 +4,9 @@ Strategies are stateful objects reset at the start of each run with the
 game, a dedicated random generator, and the horizon, which makes every
 run reproducible from its seed.  Predictions are clamped to the game's
 bounds by :meth:`~jeffreys.games.Game.prediction_from_param`; outcomes take
-the game's outcome type (int on a finite outcome space).  The protocol
-engine validates every announced move once, as it is announced;
-strategies that score moves use the game's unvalidated
+the game's outcome type (int on a finite outcome space, where a configured
+non-integral value is left as it is).  The engine validates every move once,
+as it is announced; strategies that score moves use the game's unvalidated
 :meth:`~jeffreys.games.Game.loss_fn` kernel and check anything of their
 own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 """
@@ -14,6 +14,7 @@ own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,16 +61,30 @@ class ReplayExhausted(Exception):
     """Raised by a replay Nature that has run out of recorded outcomes."""
 
 
+def _real(value, name: str) -> float:
+    """A configured number as a float; a string or other non-number is a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_outcome(game: Game, w):
+    # a non-integral outcome on a finite space is left for the engine to refuse
+    if game.spec.outcome_type is int and not float(w).is_integer():
+        return w
+    return game.spec.outcome_type(w)
+
+
 # ---------------------------------------------------------------------------
 # natures
 
 
 class ConstantNature(NatureStrategy):
     def __init__(self, omega):
-        self.omega0 = omega
+        self.omega0 = _real(omega, "omega")
 
     def reset(self, game, rng, horizon):
-        self._value = game.spec.outcome_type(self.omega0)
+        self._value = _as_outcome(game, self.omega0)
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         return self._value
@@ -79,9 +94,9 @@ class IidBernoulliNature(NatureStrategy):
     """Outcome 1 with probability p, else 0; for binary or log-loss games."""
 
     def __init__(self, p: float = 0.5):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"bernoulli p must lie in [0, 1], got {p}")
-        self.p = p
+        self.p = _real(p, "p")
+        if not 0.0 <= self.p <= 1.0:
+            raise ConfigError(f"bernoulli p must lie in [0, 1], got {self.p}")
 
     def reset(self, game, rng, horizon):
         self._draws = rng.random(horizon) < self.p
@@ -93,9 +108,9 @@ class IidBernoulliNature(NatureStrategy):
 
 class IidUniformNature(NatureStrategy):
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
-        if hi <= lo:
+        self.lo, self.hi = _real(lo, "lo"), _real(hi, "hi")
+        if self.hi <= self.lo:
             raise ConfigError("uniform nature needs lo < hi")
-        self.lo, self.hi = lo, hi
 
     def reset(self, game, rng, horizon):
         if game.spec.outcome_type is int:
@@ -110,7 +125,9 @@ class ReplayNature(NatureStrategy):
     """Replays a recorded outcome sequence; truncates the run when exhausted."""
 
     def __init__(self, values: Sequence[float]):
-        self.values = list(values)
+        self.values = [_real(v, "replay value") for v in values]
+        if not self.values:
+            raise ValueError("replay needs at least one outcome")
 
     @classmethod
     def from_file(cls, path) -> "ReplayNature":
@@ -118,12 +135,12 @@ class ReplayNature(NatureStrategy):
             return cls([float(line) for line in fh if line.strip()])
 
     def reset(self, game, rng, horizon):
-        self._outcome = game.spec.outcome_type
+        self._outcomes = [_as_outcome(game, w) for w in self.values]
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
-        if n - 1 >= len(self.values):
-            raise ReplayExhausted(f"replay provides only {len(self.values)} outcomes")
-        return self._outcome(self.values[n - 1])
+        if n - 1 >= len(self._outcomes):
+            raise ReplayExhausted(f"replay provides only {len(self._outcomes)} outcomes")
+        return self._outcomes[n - 1]
 
 
 class AdversarialGreedyNature(NatureStrategy):
@@ -167,10 +184,10 @@ class AdversarialGreedyNature(NatureStrategy):
 
 class ConstantPredictor(PredictorStrategy):
     def __init__(self, gamma):
-        self.gamma0 = gamma
+        self.gamma0 = np.asarray(gamma, dtype=float)
 
     def reset(self, game, rng, horizon):
-        g = np.asarray(self.gamma0, dtype=float)
+        g = self.gamma0
         self._value = game.prediction_from_param(float(g)) if g.ndim == 0 else g
 
     def predict(self, n):
@@ -185,7 +202,7 @@ class RunningMeanPredictor(PredictorStrategy):
     """
 
     def __init__(self, initial: float = 0.5):
-        self.initial = initial
+        self.initial = _real(initial, "initial")
 
     def reset(self, game, rng, horizon):
         self._game = game
@@ -227,8 +244,8 @@ class NoisyTargetPredictor(PredictorStrategy):
     """
 
     def __init__(self, target: float, sigma: float = 0.15):
-        self.target = target
-        self.sigma = sigma
+        self.target = _real(target, "target")
+        self.sigma = _real(sigma, "sigma")
 
     def reset(self, game, rng, horizon):
         self._game = game
@@ -243,8 +260,8 @@ class DriftPredictor(PredictorStrategy):
     """Starts at gamma0 and drifts by delta per step, clamped to bounds."""
 
     def __init__(self, gamma0: float, delta: float):
-        self.gamma0 = gamma0
-        self.delta = delta
+        self.gamma0 = _real(gamma0, "gamma0")
+        self.delta = _real(delta, "delta")
 
     def reset(self, game, rng, horizon):
         self._game = game
@@ -275,19 +292,23 @@ _PREDICTOR_KINDS = {
 }
 
 
-def nature_strategy(kind: str, params: Optional[dict] = None) -> NatureStrategy:
+def _build(kinds: dict, role: str, kind: str, params: Optional[dict]):
+    # a missing, mistyped or unreadable parameter is a configuration error naming the kind
     try:
-        factory = _NATURE_KINDS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown nature kind {kind!r}; "
-                          f"options: {sorted(_NATURE_KINDS)}") from None
-    return factory(params or {})
+        factory = kinds[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown {role} kind {kind!r}; options: {sorted(kinds)}") from None
+    try:
+        return factory(params or {})
+    except KeyError as exc:
+        raise ConfigError(f"{kind} {role} needs the parameter {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} {role} parameters: {exc}") from exc
+
+
+def nature_strategy(kind: str, params: Optional[dict] = None) -> NatureStrategy:
+    return _build(_NATURE_KINDS, "nature", kind, params)
 
 
 def predictor_strategy(kind: str, params: Optional[dict] = None) -> PredictorStrategy:
-    try:
-        factory = _PREDICTOR_KINDS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown predictor kind {kind!r}; "
-                          f"options: {sorted(_PREDICTOR_KINDS)}") from None
-    return factory(params or {})
+    return _build(_PREDICTOR_KINDS, "predictor", kind, params)

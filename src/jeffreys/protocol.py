@@ -2,10 +2,10 @@
 
 Each step proceeds in the fixed order: both predictors announce, the
 sceptic announces knowing their moves, Nature announces knowing all three.
-The engine records every move and loss in a columnar trace, classifies
-which branch of the agreement-or-outperformance disjunction a finished
-run exhibits, and re-verifies the strategies' guarantees (regret bound,
-divergence inequality, mixture ledger, martingale null) from the trace.
+The engine records one row per step, builds the columnar trace once the
+run ends, classifies which branch of the agreement-or-outperformance
+disjunction a finished run exhibits, and verifies the requested checks:
+martingale null itself, every other guarantee through its sceptic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, ProtocolViolationError
 from .games import Game, GameKind
 from .players import NatureStrategy, PredictorStrategy, ReplayExhausted
-from .sceptics import Level1Sceptic, ScepticStrategy, level2_inequality_slack
+from .sceptics import ScepticStrategy
 
 VERDICT_GAP_VANISHES = "gap-vanishes"
 VERDICT_BEATS_P1 = "beats-P1"
@@ -35,76 +36,33 @@ DEFAULT_LOSS_GAP_MIN = 10.0
 MARTINGALE_NULL_KINDS = (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE)
 
 
-@dataclass
-class StepRecord:
-    n: int
-    gamma1: object
-    gamma2: object
-    gamma_sceptic: object
-    omega: object
-    loss1: float
-    loss2: float
-    loss_sceptic: float
-    cum1: float
-    cum2: float
-    cum_sceptic: float
-    gap: float
-    divergence_term: float
-
-
 class Trace:
-    """Column-oriented record of one protocol run.
+    """Column-oriented record of one protocol run, built from its rows.
 
-    Cumulative columns are running sums of the per-step losses in the
-    exact order they were played; ``gap`` is the absolute prediction
-    difference for scalar games and the square root of the step
-    divergence for log-loss, so that ``gap**2`` sums to the disjunction's
-    divergence series in both cases.
+    ``rows`` holds each step's ``(gamma1, gamma2, gamma_sceptic, omega,
+    loss1, loss2, loss_sceptic, gap, divergence_term)`` back to back in
+    play order: one flat list, as a tuple per step would load the garbage
+    collector.  Cumulative columns are running sums of the per-step losses
+    in play order from 0.0, so a first loss of -0.0 sums to 0.0; ``gap``
+    is the absolute prediction difference for scalar games and the square
+    root of the step divergence for log-loss, so that ``gap**2`` sums to
+    the disjunction's divergence series in both cases.
     """
 
-    def __init__(self, game: Game, seed: Optional[int] = None):
+    def __init__(self, game: Game, rows: Sequence[tuple], seed: Optional[int] = None,
+                 truncated: bool = False):
         self.game = game
         self.seed = seed
-        self.truncated = False
-        self.gamma1: list = []
-        self.gamma2: list = []
-        self.gamma_sceptic: list = []
-        self.omega: list = []
-        self.loss1: list = []
-        self.loss2: list = []
-        self.loss_sceptic: list = []
-        self.cum1: list = []
-        self.cum2: list = []
-        self.cum_sceptic: list = []
-        self.gap: list = []
-        self.divergence_term: list = []
+        self.truncated = truncated
+        (self.gamma1, self.gamma2, self.gamma_sceptic, self.omega, self.loss1,
+         self.loss2, self.loss_sceptic, self.gap,
+         self.divergence_term) = (rows[i::9] for i in range(9))
+        self.cum1, self.cum2, self.cum_sceptic = (
+            list(islice(accumulate(col, initial=0.0), 1, None))
+            for col in (self.loss1, self.loss2, self.loss_sceptic))
 
     def __len__(self) -> int:
         return len(self.omega)
-
-    def append(self, gamma1, gamma2, gamma_sceptic, omega, l1, l2, ls,
-               c1, c2, cs, gap, dterm) -> None:
-        self.gamma1.append(gamma1)
-        self.gamma2.append(gamma2)
-        self.gamma_sceptic.append(gamma_sceptic)
-        self.omega.append(omega)
-        self.loss1.append(l1)
-        self.loss2.append(l2)
-        self.loss_sceptic.append(ls)
-        self.cum1.append(c1)
-        self.cum2.append(c2)
-        self.cum_sceptic.append(cs)
-        self.gap.append(gap)
-        self.divergence_term.append(dterm)
-
-    def final(self) -> StepRecord:
-        if not len(self):
-            raise ValueError("empty trace")
-        return StepRecord(len(self), self.gamma1[-1], self.gamma2[-1],
-                          self.gamma_sceptic[-1], self.omega[-1],
-                          self.loss1[-1], self.loss2[-1], self.loss_sceptic[-1],
-                          self.cum1[-1], self.cum2[-1], self.cum_sceptic[-1],
-                          self.gap[-1], self.divergence_term[-1])
 
 
 @dataclass
@@ -164,15 +122,14 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     sceptic.reset(game, np.random.default_rng(streams[2]), horizon)
     nature.reset(game, np.random.default_rng(streams[3]), horizon)
 
-    trace = Trace(game, seed=seed)
-    append = trace.append
+    rows: list = []
+    record = rows.extend
+    truncated = False
     validate_prediction = game.validate_prediction
     validate_outcome = game.validate_outcome
     loss = game.loss_fn()
     gap = game.spec.trace_gap(game)
-    # a divergence strategy's per-step term, for the eq9 check
-    divergence = getattr(sceptic, "divergence_term", None)
-    c1 = c2 = cs = 0.0
+    divergence = sceptic.divergence_term
 
     for n in range(1, horizon + 1):
         g1 = predictor1.predict(n)
@@ -194,22 +151,20 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
             omega = nature.outcome(n, g1, g2, gs)
         except ReplayExhausted as exc:
             warnings.warn(f"run truncated at step {n}: {exc}")
-            trace.truncated = True
+            truncated = True
             break
         try:
             validate_outcome(omega)
         except DomainError as exc:
             raise ProtocolViolationError(f"nature: {exc}", n) from exc
 
-        l1, l2, ls = loss(omega, g1), loss(omega, g2), loss(omega, gs)
-        c1, c2, cs = c1 + l1, c2 + l2, cs + ls
-        dterm = divergence(g1, g2) if divergence is not None else math.nan
-        append(g1, g2, gs, omega, l1, l2, ls, c1, c2, cs, gap(g1, g2), dterm)
+        record((g1, g2, gs, omega, loss(omega, g1), loss(omega, g2), loss(omega, gs),
+                gap(g1, g2), divergence(g1, g2) if divergence is not None else math.nan))
 
         predictor1.observe(n, omega)
         predictor2.observe(n, omega)
         sceptic.observe(n, omega)
-    return trace
+    return Trace(game, rows, seed=seed, truncated=truncated)
 
 
 def classify_disjuncts(trace: Trace,
@@ -225,10 +180,10 @@ def classify_disjuncts(trace: Trace,
     """
     if not len(trace):
         raise ValueError("cannot classify an empty trace")
-    final = trace.final()
+    cum1, cum2, cum_sceptic = trace.cum1[-1], trace.cum2[-1], trace.cum_sceptic[-1]
     gap_sq = float(np.sum(np.square(np.asarray(trace.gap, dtype=float))))
-    lg1 = final.cum1 - final.cum_sceptic
-    lg2 = final.cum2 - final.cum_sceptic
+    lg1 = cum1 - cum_sceptic
+    lg2 = cum2 - cum_sceptic
     verdicts = []
     if gap_sq <= gap_sum_max:
         verdicts.append(VERDICT_GAP_VANISHES)
@@ -242,9 +197,9 @@ def classify_disjuncts(trace: Trace,
         verdicts.append(VERDICT_INCONCLUSIVE)
     return RunReport(
         horizon=len(trace),
-        final_cum1=final.cum1,
-        final_cum2=final.cum2,
-        final_cum_sceptic=final.cum_sceptic,
+        final_cum1=cum1,
+        final_cum2=cum2,
+        final_cum_sceptic=cum_sceptic,
         gap_squared_sum=gap_sq,
         verdicts=verdicts,
         thresholds={"gap_sum_max": gap_sum_max, "loss_gap_min": loss_gap_min},
@@ -259,69 +214,35 @@ def classify_disjuncts(trace: Trace,
 
 CHECK_TOL = 1e-9
 
-
-def _check_eq9(trace: Trace, sceptic) -> float:
-    alpha = getattr(sceptic, "alpha", None)
-    epsilon = getattr(sceptic, "epsilon", None)
-    if alpha is None or epsilon is None:
-        raise ConfigError("eq9 check needs a divergence-strategy sceptic "
-                          "(alpha and epsilon attributes)")
-    if np.any(np.isnan(trace.divergence_term)):
-        raise ConfigError("eq9 check needs per-step divergence terms in the trace")
-    slack = level2_inequality_slack(trace, alpha, epsilon)
-    return float(np.min(slack))
+# martingale_null is the game's; a sceptic certifies each of the others
+CHECKS = ("eq8", "eq9", "ledger", "martingale_null")
 
 
-def _check_eq8(trace: Trace, sceptic) -> float:
-    worst = getattr(sceptic, "worst_eq8_slack", None)
-    if worst is None:
-        raise ConfigError("eq8 check needs an aggregating sceptic "
-                          "(worst_eq8_slack attribute)")
-    return float(worst)
+def require_checks(checks, sceptic: Optional[ScepticStrategy], game: Game) -> None:
+    """ConfigError unless ``checks`` is a list of checks that this sceptic
+    certifies or, for martingale_null, that this game admits."""
+    if not isinstance(checks, list):
+        raise ConfigError(f"checks must be a list of check names, got {checks!r}")
+    for name in checks:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; options: {list(CHECKS)}")
+        if name == "martingale_null":
+            if game.kind not in MARTINGALE_NULL_KINDS:
+                raise ConfigError("check 'martingale_null' requires an absolute-loss game")
+        elif sceptic is None or sceptic.check != name:
+            raise ConfigError(f"check {name!r} is not certified by {type(sceptic).__name__}")
 
 
-def _check_ledger(trace: Trace, sceptic) -> float:
-    if not isinstance(sceptic, Level1Sceptic) or not sceptic.audit_bounds:
-        raise ConfigError("ledger check needs a mixture sceptic with a "
-                          "recorded audit trail")
-    areas = np.asarray(sceptic.audit_areas)
-    excess = np.asarray(sceptic.audit_excess)
-    bounds = np.asarray(sceptic.audit_bounds)
-    worst_area = float(np.min(areas))
-    worst_bound = float(np.min(bounds - excess))
-    return min(worst_area, worst_bound)
-
-
-def _check_martingale_null(trace: Trace, sceptic) -> float:
+def _martingale_null_deviation(trace: Trace) -> float:
     """Worst absolute deviation of the fair-coin conditional expectation.
 
     Exactly zero for the two-constant-predictor scenario: the expected
     absolute loss of any prediction in [0, 1] under a fair coin on {0, 1}
     is 1/2, for the sceptic and both predictors alike.
     """
-    game = trace.game
-    if game.kind not in MARTINGALE_NULL_KINDS:
-        raise ConfigError("martingale_null check is defined for absolute-loss games")
-
-    def expected_loss(col):
-        g = np.asarray(col, dtype=float)
-        return (np.abs(g) + np.abs(1.0 - g)) / 2.0
-    es = expected_loss(trace.gamma_sceptic)
-    worst = 0.0
-    for col in (trace.gamma1, trace.gamma2):
-        worst = max(worst, float(np.max(np.abs(expected_loss(col) - es))))
-    return worst
-
-
-_CHECKS = {
-    "eq8": _check_eq8,
-    "eq9": _check_eq9,
-    "ledger": _check_ledger,
-    "martingale_null": _check_martingale_null,
-}
-
-# checks whose slack must be (near) zero rather than merely nonnegative
-_EXACT_CHECKS = {"martingale_null"}
+    g = np.asarray([trace.gamma1, trace.gamma2, trace.gamma_sceptic], dtype=float)
+    expected_loss = (np.abs(g) + np.abs(1.0 - g)) / 2.0
+    return float(np.max(np.abs(expected_loss[:2] - expected_loss[2])))
 
 
 def verify_run(trace: Trace, checks: Sequence[str], sceptic=None,
@@ -330,20 +251,17 @@ def verify_run(trace: Trace, checks: Sequence[str], sceptic=None,
     """Evaluate the requested guarantee checks on a finished run.
 
     Inequality checks pass when their worst slack is at least ``-tol``;
-    exact-identity checks when the worst deviation is within ``tol``.
-    Requesting a check whose metadata the run lacks raises ConfigError
-    naming the check.
+    the exact martingale_null identity when its worst deviation is within
+    ``tol``.  Checks :func:`require_checks` refuses, or whose record the run
+    lacks, raise ConfigError naming the check.
     """
+    require_checks(checks, sceptic, trace.game)
     if report is None:
         report = classify_disjuncts(trace)
     for name in checks:
-        if name not in _CHECKS:
-            raise ConfigError(f"unknown check {name!r}; options: {sorted(_CHECKS)}")
-        try:
-            slack = _CHECKS[name](trace, sceptic)
-        except ConfigError as exc:
-            raise ConfigError(f"check {name!r}: {exc}") from None
+        exact = name == "martingale_null"
+        slack = _martingale_null_deviation(trace) if exact else sceptic.worst_slack(trace)
+        ok = abs(slack) <= tol if exact else slack >= -tol
         report.check_slacks[name] = slack
-        ok = abs(slack) <= tol if name in _EXACT_CHECKS else slack >= -tol
         report.checks_passed = report.checks_passed and bool(ok)
     return report

@@ -15,10 +15,12 @@ Three constructions, ordered by the strength of what they certify:
   power-of-two behind it, then permanently defect to that predictor;
   requires a perfectly mixable game.
 
-Each strategy has one implementation, its ``ScepticStrategy`` class.  The
-threshold lift and ``AggregatingSceptic``, the aggregating mixture of a
-fixed pool of expert strategies, share one pool engine: they differ only
-in their experts' predictions and in what the experts observe.
+Each strategy has one implementation, its ``ScepticStrategy`` class, which
+certifies its own guarantee: ``eq9`` (level 2), ``ledger`` (level 1) or
+``eq8`` (the threshold lift, and ``AggregatingSceptic``, the aggregating
+mixture of a fixed pool of expert strategies).  Those two share one pool
+engine: they differ only in their experts' predictions and in what the
+experts observe.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregating import (DOMINATION_TOL, ExpertPool, MixabilityParams,
-                          _lse1, aa_observe, params_for, pool_mixer)
-from .errors import DivergenceOverestimate, MixabilityViolation
-from .games import (Game, Prediction, _scale, check_perfectly_mixable,
-                    superprediction_gap)
+from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
+                          params_for, pool_mixer)
+from .errors import ConfigError, DivergenceOverestimate, MixabilityViolation
+from .games import Game, Prediction, _scale, superprediction_gap
 
 
 class ScepticStrategy:
@@ -43,7 +44,17 @@ class ScepticStrategy:
     announced, and the outcome before ``observe`` sees it.  Strategies
     score those moves with the game's unvalidated ``loss_fn`` kernel rather
     than re-checking them through ``Game.loss``.
+
+    ``check`` names the guarantee the strategy certifies, ``worst_slack``
+    its worst slack over a finished run; the engine records any
+    ``divergence_term(gamma1, gamma2)`` per step.
     """
+
+    check: Optional[str] = None
+    divergence_term = None
+
+    def worst_slack(self, trace) -> float:
+        raise NotImplementedError
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
         pass
@@ -93,6 +104,8 @@ class Level2Sceptic(ScepticStrategy):
     ``step_divergence`` holds; ``step_divergence`` is NaN otherwise.
     """
 
+    check = "eq9"
+
     def __init__(self, alpha: float, epsilon: float = 1e-3):
         if not -1.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (-1, 1)")
@@ -120,6 +133,11 @@ class Level2Sceptic(ScepticStrategy):
     def _numeric_move(self, gamma1, gamma2):
         gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
         return gamma
+
+    def worst_slack(self, trace) -> float:
+        if np.any(np.isnan(trace.divergence_term)):
+            raise ConfigError("eq9 check needs per-step divergence terms in the trace")
+        return float(np.min(level2_inequality_slack(trace, self.alpha, self.epsilon)))
 
 
 def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
@@ -207,6 +225,8 @@ class Level1Sceptic(ScepticStrategy):
     bound to ``audit_areas``, ``audit_excess`` and ``audit_bounds``.
     """
 
+    check = "ledger"
+
     def __init__(self, c: float = 0.4):
         if not 0.0 < c < 0.5:
             raise ValueError("c must lie in (0, 1/2)")
@@ -244,17 +264,15 @@ class Level1Sceptic(ScepticStrategy):
         self.audit_excess.append(self.excess)
         self.audit_bounds.append(self.ledger_bound)
 
+    def worst_slack(self, trace) -> float:
+        if not self.audit_bounds:
+            raise ConfigError("ledger check needs a recorded audit trail")
+        worst_bound = np.min(np.asarray(self.audit_bounds) - np.asarray(self.audit_excess))
+        return min(float(np.min(self.audit_areas)), float(worst_bound))
+
 
 # ---------------------------------------------------------------------------
 # the pool sceptics: aggregation over a fixed pool of experts
-
-
-def _resolve_params(game: Game, params: Optional[MixabilityParams]) -> MixabilityParams:
-    resolved = params or params_for(game)
-    if not check_perfectly_mixable(game, resolved.eta):
-        raise MixabilityViolation(
-            f"{game.kind.value} game fails the mixability test at eta={resolved.eta}")
-    return resolved
 
 
 class _PoolSceptic(ScepticStrategy):
@@ -263,26 +281,26 @@ class _PoolSceptic(ScepticStrategy):
     Subclasses supply their experts' predictions (``_expert_predictions``)
     and what the experts learn from each outcome (``_observe_experts``).
     The pool is built, and its priors checked, at construction; reset
-    refuses games that fail the perfect-mixability test.  Tracks the
-    per-expert cumulative losses, the strategy's own cumulative loss
-    ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``.
+    refuses games without aggregation parameters (:func:`params_for`).
+    Tracks the per-expert cumulative losses, the strategy's own cumulative
+    loss ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``.
     Every observation also re-checks domination at the realized outcome
     with the weights that produced the move.
     """
 
-    def __init__(self, priors, params: Optional[MixabilityParams], domination_tol: float):
+    check = "eq8"
+
+    def __init__(self, priors):
         self.pool = ExpertPool(priors)
-        self._params = params
-        self.domination_tol = domination_tol
         self.worst_eq8_slack = math.inf
 
     def reset(self, game, rng, horizon):
-        params = _resolve_params(game, self._params)
+        params = params_for(game)
         self.eta, self.C = params.eta, params.C
         self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
-        self._mix = pool_mixer(game, self.eta, self.domination_tol)
+        self._mix = pool_mixer(game, self.eta)
         self.expert_cums = np.zeros(len(self.pool))
         self.cum_self = 0.0
         # compensation terms: cumulative losses reach magnitudes where the
@@ -314,7 +332,7 @@ class _PoolSceptic(ScepticStrategy):
         losses = self._losses(omega, preds)
         # -inf - inf stays -inf, so eliminated experts drop out cleanly
         g_played = -_lse1(log_w - self.eta * losses) / self.eta
-        if own_loss > g_played + self.domination_tol:
+        if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
         aa_observe(self.pool, losses, self.eta)
@@ -338,6 +356,9 @@ class _PoolSceptic(ScepticStrategy):
             self.worst_eq8_slack = slack
         self._observe_experts(n, omega)
 
+    def worst_slack(self, trace) -> float:
+        return float(self.worst_eq8_slack)
+
 
 class AggregatingSceptic(_PoolSceptic):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
@@ -346,15 +367,13 @@ class AggregatingSceptic(_PoolSceptic):
     sceptic's own.  ``priors`` default to uniform and need one entry per
     expert."""
 
-    def __init__(self, experts, priors=None,
-                 params: Optional[MixabilityParams] = None,
-                 domination_tol: float = DOMINATION_TOL):
+    def __init__(self, experts, priors=None):
         if not experts:
             raise ValueError("expert pool must not be empty")
         self.experts = list(experts)
         if priors is None:
             priors = np.full(len(self.experts), 1.0 / len(self.experts))
-        super().__init__(priors, params, domination_tol)
+        super().__init__(priors)
         if len(self.pool) != len(self.experts):
             raise ValueError(f"priors has {len(self.pool)} entries for "
                              f"{len(self.experts)} experts")
@@ -403,9 +422,7 @@ class Level3Sceptic(_PoolSceptic):
     parameters.
     """
 
-    def __init__(self, base: ScepticStrategy, k_max: int = 20,
-                 params: Optional[MixabilityParams] = None,
-                 domination_tol: float = DOMINATION_TOL):
+    def __init__(self, base: ScepticStrategy, k_max: int = 20):
         if isinstance(k_max, bool) or not isinstance(k_max, int) \
                 or not 1 <= k_max <= K_MAX_LIMIT:
             raise ValueError(f"k_max must be an integer in [1, {K_MAX_LIMIT}], got {k_max!r}")
@@ -414,7 +431,7 @@ class Level3Sceptic(_PoolSceptic):
         thresholds = 2.0 ** np.arange(1, k_max + 1)
         self.thresholds = np.concatenate([thresholds, thresholds])
         p = 2.0 ** -(np.arange(1, k_max + 1) + 1)
-        super().__init__(np.concatenate([p, p]), params, domination_tol)
+        super().__init__(np.concatenate([p, p]))
 
     def reset(self, game, rng, horizon):
         super().reset(game, rng, horizon)

@@ -29,25 +29,17 @@ def _format_move(value) -> str:
     return format_number(value)
 
 
+# a row's eight loss, sum, gap and divergence columns, in format_number's format
+_NUMBERS = ",".join(["%.17g"] * 8)
+
+
 def trace_to_csv(trace: Trace, stream: IO[str]) -> None:
     stream.write(CSV_HEADER + "\n")
-    for i in range(len(trace)):
-        row = (
-            str(i + 1),
-            _format_move(trace.gamma1[i]),
-            _format_move(trace.gamma2[i]),
-            _format_move(trace.gamma_sceptic[i]),
-            _format_move(trace.omega[i]),
-            format_number(trace.loss1[i]),
-            format_number(trace.loss2[i]),
-            format_number(trace.loss_sceptic[i]),
-            format_number(trace.cum1[i]),
-            format_number(trace.cum2[i]),
-            format_number(trace.cum_sceptic[i]),
-            format_number(trace.gap[i]),
-            format_number(trace.divergence_term[i]),
-        )
-        stream.write(",".join(row) + "\n")
+    moves = zip(trace.gamma1, trace.gamma2, trace.gamma_sceptic, trace.omega)
+    numbers = zip(trace.loss1, trace.loss2, trace.loss_sceptic, trace.cum1, trace.cum2,
+                  trace.cum_sceptic, trace.gap, trace.divergence_term)
+    for n, (move, values) in enumerate(zip(moves, numbers), 1):
+        stream.write(f"{n},{','.join(map(_format_move, move))},{_NUMBERS % values}\n")
 
 
 def trace_to_csv_string(trace: Trace) -> str:

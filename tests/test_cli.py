@@ -146,6 +146,72 @@ def test_bad_game_size_is_config_error(tmp_path, capsys, game):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    # a config refused before the run never starts the engine
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_protocol called for a config that must be refused")
+    monkeypatch.setattr("jeffreys.cli.run_protocol", refuse)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sceptic": {"kind": "level1", "params": {}}, "checks": ["eq9"]},
+    {"checks": ["eq8"]},
+    {"game": {"kind": "bounded_square"},
+     "sceptic": {"kind": "aggregating", "params": {"experts": TWO_EXPERTS}},
+     "checks": ["ledger"]},
+    {"checks": ["martingale_null"]},
+    {"checks": "eq9"},
+    {"checks": ["nonsense"]},
+], ids=["eq9-level1", "eq8-level2", "ledger-aggregating", "martingale-null-square",
+        "checks-not-a-list", "unknown-check"])
+def test_check_not_certified_is_config_error(tmp_path, capsys, no_run, overrides):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"nature": {"kind": "iid_bernoulli", "params": {"p": "0.5"}}},
+    {"nature": {"kind": "iid_uniform", "params": {"hi": "1"}}},
+    {"nature": {"kind": "constant", "params": {}}},
+    {"predictor1": {"kind": "drift", "params": {"gamma0": 0.0}}},
+    {"predictor1": {"kind": "constant", "params": {"gamma": "abc"}}},
+    {"nature": {"kind": "replay", "params": {"values": []}}},
+    {"nature": {"kind": "replay", "params": {"values": "abc"}}},
+    {"nature": {"kind": "replay", "params": {"file": "/nonexistent/outcomes.txt"}}},
+    {"seed": -1},
+    {"seed": "x"},
+    {"seed": True},
+    {"thresholds": {"gap_sum_max": "1"}},
+    {"thresholds": {"loss_gap_min": float("inf")}},
+], ids=["bernoulli-p-string", "uniform-hi-string", "constant-nature-no-omega",
+        "drift-no-delta", "constant-gamma-abc", "replay-empty", "replay-string",
+        "replay-no-file", "seed-negative", "seed-string", "seed-bool", "threshold-string",
+        "threshold-inf"])
+def test_bad_player_or_run_parameter_is_config_error(tmp_path, capsys, no_run, overrides):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nature,outcome", [
+    ({"kind": "replay", "params": {"values": [0.5, 1.9, 1]}}, "outcome 0.5"),
+    ({"kind": "constant", "params": {"omega": 0.7}}, "outcome 0.7"),
+], ids=["replay", "constant"])
+def test_non_integral_log_loss_outcome_is_refused_not_truncated(tmp_path, capsys, nature,
+                                                                 outcome):
+    path, _ = write_config(
+        tmp_path,
+        game={"kind": "log_loss", "m": 2},
+        predictor1={"kind": "constant", "params": {"gamma": [0.8, 0.2]}},
+        predictor2={"kind": "constant", "params": {"gamma": [0.3, 0.7]}},
+        nature=nature,
+    )
+    assert main(["run", str(path)]) == 1
+    assert f"step 1: nature: {outcome} not in 0..1" in capsys.readouterr().err
+
+
 def test_eq9_runs_on_numeric_path_games(tmp_path):
     path, _ = write_config(
         tmp_path,
@@ -262,12 +328,12 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     {"sceptic": {"kind": "level2", "params": {"alpha": 1.5}}},
     {"game": {"kind": "bounded_absolute"},
      "sceptic": {"kind": "level3", "params": {"k_max": 4}}, "checks": []},
-], ids=["level2-alpha-1.5", "level3-on-bounded-absolute"])
+    {"seeds": [1, "x"]},
+], ids=["level2-alpha-1.5", "level3-on-bounded-absolute", "seed-string"])
 def test_sweep_config_error_exits_two(tmp_path, capsys, overrides):
     # a config error is the same on every seed: the sweep stops with it
-    path, _ = write_config(tmp_path, seeds=[1, 2],
-                           outputs={"report_json": str(tmp_path / "sweep.json")},
-                           **overrides)
+    path, _ = write_config(tmp_path, **{"seeds": [1, 2], **overrides},
+                           outputs={"report_json": str(tmp_path / "sweep.json")})
     assert main(["sweep", str(path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "sweep.json").exists()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys import (GAME_SPECS, GameKind, Level2Sceptic, alpha_divergence_log_loss,
                       alpha_divergence_square_loss, bounded_absolute_loss_game,
@@ -175,6 +177,25 @@ def test_upper_at_least_lower():
             lo = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
             up = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
             assert -tol <= lo.shift <= up.shift + tol, (game.kind, g1, g2, alpha)
+
+
+# every table entry with a prediction grid (log loss with m = 2)
+GRID_GAMES = [g for g in (spec.make(65, 2) for spec in GAME_SPECS.values())
+              if g.prediction_grid is not None]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(game=st.sampled_from(GRID_GAMES), u1=st.floats(0.02, 0.98), u2=st.floats(0.02, 0.98),
+       alpha=st.floats(-0.9, 0.9))
+def test_lower_between_zero_and_upper_on_every_grid_game(game, u1, u2, alpha):
+    # the draws are fractions of the prediction grid's span, kept off its
+    # ends so that log-loss divergences stay finite
+    tol = 1e-6
+    grid = game.prediction_grid
+    g1, g2 = (game.prediction_from_param(grid[0] + u * (grid[-1] - grid[0])) for u in (u1, u2))
+    lo = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+    up = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+    assert -tol <= lo.shift <= up.shift + tol
 
 
 def test_bounded_absolute_upper_within_lipschitz_cap():

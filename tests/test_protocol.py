@@ -23,9 +23,8 @@ def test_single_step_constant_players():
                          ConstantPredictor(1.0), Level2Sceptic(alpha=0.0),
                          game, 1, seed=0)
     assert len(trace) == 1
-    rec = trace.final()
-    assert (rec.loss1, rec.loss2, rec.loss_sceptic) == (1.0, 0.0, 0.25)
-    assert rec.gap == 1.0
+    assert (trace.loss1[-1], trace.loss2[-1], trace.loss_sceptic[-1]) == (1.0, 0.0, 0.25)
+    assert trace.gap[-1] == 1.0
 
 
 def test_three_step_cumulative_losses():
@@ -33,8 +32,19 @@ def test_three_step_cumulative_losses():
     trace = run_protocol(ConstantNature(1.0), ConstantPredictor(0.0),
                          ConstantPredictor(1.0), Level2Sceptic(alpha=0.0),
                          game, 3, seed=0)
-    rec = trace.final()
-    assert (rec.cum1, rec.cum2, rec.cum_sceptic) == (3.0, 0.0, 0.75)
+    assert (trace.cum1[-1], trace.cum2[-1], trace.cum_sceptic[-1]) == (3.0, 0.0, 0.75)
+
+
+def test_running_sums_start_from_zero():
+    # a log-loss hit at probability 1 costs -0.0; the running sums start
+    # from 0.0, so the first cumulative loss is 0.0 and the CSV writes 0
+    game = log_loss_game(m=2)
+    trace = run_protocol(ConstantNature(1), ConstantPredictor(np.array([0.0, 1.0])),
+                         ConstantPredictor(np.array([0.5, 0.5])), Level2Sceptic(alpha=0.0),
+                         game, 2, seed=0)
+    assert math.copysign(1.0, trace.loss1[0]) == -1.0
+    header, row = (line.split(",") for line in trace_to_csv_string(trace).split("\n")[:2])
+    assert row[header.index("cum1")] == row[header.index("cum_sceptic")] == "0"
 
 
 def test_identical_seeds_identical_traces():
@@ -127,16 +137,8 @@ def test_log_loss_gap_squares_to_divergence():
 
 
 def _flat_trace(cum1_step, cum2_step, cums_step, gap_value, n=100):
-    game = square_loss_game()
-    trace = Trace(game)
-    c1 = c2 = cs = 0.0
-    for i in range(n):
-        c1 += cum1_step
-        c2 += cum2_step
-        cs += cums_step
-        trace.append(0.0, gap_value, 0.5, 1.0, cum1_step, cum2_step, cums_step,
-                     c1, c2, cs, gap_value, math.nan)
-    return trace
+    row = (0.0, gap_value, 0.5, 1.0, cum1_step, cum2_step, cums_step, gap_value, math.nan)
+    return Trace(square_loss_game(), row * n)
 
 
 def test_verdict_gap_vanishes_for_identical_predictors():

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys import (GAME_SPECS, IidBernoulliNature, IidUniformNature, ConstantNature,
                       ConstantPredictor, Level1Sceptic, Level2Sceptic, Level3Sceptic,
@@ -257,6 +259,25 @@ def test_ledger_strict_inequality_inside_gap():
     sceptic.observe(1, 0.5)
     assert sceptic.audit_areas[-1] >= 0.0
     assert sceptic.audit_excess[-1] < sceptic.audit_bounds[-1] - 1e-6
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c=st.floats(0.01, 0.49),
+       steps=st.lists(st.tuples(unit, unit, st.booleans(), unit), min_size=1, max_size=40))
+def test_ledger_identity_on_outcomes_outside_the_gap(c, steps):
+    # an outcome outside the predictors' gap, its edges included, makes the
+    # absolute loss affine along the segment the move lies on, so the
+    # excess equals the ledger bound at every step
+    sceptic = Level1Sceptic(c=c)
+    sceptic.reset(bounded_absolute_loss_game(), None, len(steps))
+    for n, (g1, g2, above, t) in enumerate(steps, 1):
+        lo, hi = min(g1, g2), max(g1, g2)
+        sceptic.predict(n, g1, g2)
+        sceptic.observe(n, hi + t * (1.0 - hi) if above else t * lo)
+        assert sceptic.excess == pytest.approx(sceptic.ledger_bound, abs=1e-9)
 
 
 def test_level1_full_run_equality_scenario():
