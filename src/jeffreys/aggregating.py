@@ -11,7 +11,8 @@ resulting cumulative loss trails every expert by at most
 sceptics: the closed form in the game's table entry (the bounded
 square-loss endpoint formula, the log-loss probability mixture), or else
 the mixed loss profiles and a numeric minimax search over the prediction
-grid, which the closed forms are tested against.
+grid, which the closed forms are tested against; :func:`fixed_pool_mixer`
+prepares it once for expert predictions that a run holds fixed.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def generalized_prediction(pool: ExpertPool, expert_points: np.ndarray,
 
 
 def _generalized(log_w: np.ndarray, points: np.ndarray, eta: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        exponents = log_w[:, None] - eta * points
+    # -inf - (+inf) is -inf; only a NaN loss makes a NaN, and drops out
+    exponents = log_w[:, None] - eta * points
     exponents = np.where(np.isnan(exponents), -np.inf, exponents)
     return -log_sum_exp(exponents, axis=0) / eta
 
@@ -134,15 +135,23 @@ def pool_mixer(game: Game, eta: float, tol: float = DOMINATION_TOL):
     """The aggregating move as a function ``(log_w, preds) -> prediction``.
 
     ``log_w`` are the pool's normalized log-weights and ``preds`` the
-    experts' predictions, shape (K,) or (K, m).  The game's closed form
-    (read here, once) is tried first; where it has none, or it does not
-    dominate within ``tol``, the experts' loss profiles are mixed and
-    substituted by :func:`substitute`.  The predictions are not validated.
+    experts' predictions, shape (K,) or (K, m), which are not validated:
+    :func:`fixed_pool_mixer`'s move for those predictions.
     """
-    closed = game.spec.mix
+    return lambda log_w, preds: fixed_pool_mixer(game, eta, preds, tol)(log_w)
 
-    def mix(log_w, preds):
-        gamma = closed(log_w, preds, eta, tol) if closed is not None else None
+
+def fixed_pool_mixer(game: Game, eta: float, preds, tol: float):
+    """The aggregating move for fixed expert predictions, ``log_w -> prediction``.
+
+    The game's closed form, prepared here once for ``preds``, is tried
+    first; where it has none, or it does not dominate within ``tol``, the
+    experts' loss profiles are mixed and substituted by :func:`substitute`.
+    """
+    closed = game.spec.mix(preds, eta, tol) if game.spec.mix is not None else None
+
+    def mix(log_w):
+        gamma = closed(log_w) if closed is not None else None
         if gamma is None:
             gamma = substitute(game, _generalized(log_w, game.profiles(preds), eta), tol)
         return gamma
@@ -155,14 +164,15 @@ def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> Exper
     Weights are stored up to a common additive constant in log space:
     anchoring the maximum at zero costs nothing observable (normalization
     removes constants) and keeps the precision of the weights that matter
-    from degrading as cumulative losses grow.
+    from degrading as cumulative losses grow.  A NaN loss eliminates its expert.
     """
     losses = np.asarray(expert_losses, dtype=float)
-    with np.errstate(invalid="ignore"):
-        decayed = pool.log_weights - eta * losses
-    # a -inf weight stays eliminated even against an infinite new loss
-    decayed = np.where(np.isnan(decayed), -np.inf, decayed)
+    # -inf - (+inf) is -inf: a weight stays eliminated against an infinite loss
+    decayed = pool.log_weights - (losses if eta == 1.0 else eta * losses)
     top = decayed.max()
+    if top != top:
+        decayed = np.where(np.isnan(decayed), -np.inf, decayed)
+        top = decayed.max()
     if top < -512.0 and math.isfinite(top):
         decayed -= top
     pool.log_weights = decayed

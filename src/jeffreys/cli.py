@@ -36,6 +36,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 SPEC_VERSION = 1
+CONFIG_KEYS = ("checks", "divergence", "expects", "game", "horizon", "nature", "outputs", "seed",
+               "predictor1", "predictor2", "sceptic", "seeds", "spec_version", "thresholds")
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,12 @@ def _validate_compatibility(game: Game, sceptic) -> None:
             raise ConfigError(f"MixabilityViolation: {exc}") from exc
 
 
+def _check_keys(section: dict, allowed: tuple, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; options: {list(allowed)}")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,6 +114,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(cfg, CONFIG_KEYS, "config")
     version = cfg.get("spec_version", SPEC_VERSION)
     if version != SPEC_VERSION:
         raise ConfigError(f"unsupported spec_version {version}")
@@ -129,6 +138,7 @@ def _execute_run(cfg: dict, game: Game, seed: int):
     thresholds = cfg.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError("'thresholds' must be an object")
+    _check_keys(thresholds, ("gap_sum_max", "loss_gap_min"), "thresholds")
     gap_sum_max = thresholds.get("gap_sum_max", DEFAULT_GAP_SUM_MAX)
     loss_gap_min = thresholds.get("loss_gap_min", DEFAULT_LOSS_GAP_MIN)
     for value in (gap_sum_max, loss_gap_min):

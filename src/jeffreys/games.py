@@ -90,8 +90,9 @@ class GameSpec:
     Closed forms are factories, called once where a run starts, that return
     the per-step function.  A kind with a ``level2`` move has its
     ``divergence`` too: the move's profile is the weighted mean shifted down
-    by exactly that.  ``mix`` and ``substitute`` return None where their
-    closed form does not dominate within ``tol``; the gap search takes over.
+    by exactly that.  ``mix``, prepared once for the experts' predictions,
+    and ``substitute`` give None where their closed form does not dominate
+    within ``tol``; the gap search takes over.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -105,7 +106,7 @@ class GameSpec:
     eta_star: Callable        # outcome span W -> the largest eta the game is mixable at
     divergence: Optional[Callable] = None   # (game, alpha) -> (g1, g2) -> divergence
     level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
-    mix: Optional[Callable] = None          # (log_w, preds, eta, tol) -> pool move
+    mix: Optional[Callable] = None          # (preds, eta, tol) -> (log_w -> pool move)
     substitute: Optional[Callable] = None   # (game, g, tol) -> move dominated by g
 
 
@@ -135,10 +136,9 @@ def _log_kernel(omega, gamma):
 
 
 def _log_losses(omega, gamma):
-    # broadcasting log loss: the last axis of gamma holds the probabilities
+    # broadcasting log loss over the probabilities' last axis; the clamp keeps log off 0
     p = np.asarray(gamma, dtype=float)[..., np.asarray(omega, dtype=np.intp)]
-    with np.errstate(divide="ignore"):
-        return np.where(p > 0.0, -np.log(np.maximum(p, 1e-300)), np.inf)
+    return np.where(p > 0.0, -np.log(np.maximum(p, 1e-300)), np.inf)
 
 
 def _binary_log_param_losses(game, params):
@@ -154,6 +154,16 @@ def _lse1(x: np.ndarray) -> float:
     if m == -math.inf:
         return -math.inf
     return float(m) + math.log(float(np.exp(x - m).sum()))
+
+
+def _lse_rows(x: np.ndarray) -> list:
+    # _lse1 of each row, bit for bit, in one reduction per stage; where a
+    # row is all -inf, every row takes _lse1's path
+    m = x.max(axis=1, keepdims=True)
+    tops = m[:, 0].tolist()
+    if -math.inf in tops:
+        return [_lse1(row) for row in x]
+    return [a + math.log(b) for a, b in zip(tops, np.exp(x - m).sum(axis=1).tolist())]
 
 
 @dataclass
@@ -518,11 +528,14 @@ def _endpoint_move(g0: float, g1: float, tol: float, lo=0.0, hi=1.0):
     return gamma if max((lo - gamma) ** 2 - g0, (hi - gamma) ** 2 - g1) <= tol else None
 
 
-def _bounded_square_mix(log_w, preds, eta, tol):
-    # the generalized prediction at the outcome interval's endpoints
-    g0 = -_lse1(log_w - eta * (preds * preds)) / eta
-    g1 = -_lse1(log_w - eta * (1.0 - preds) ** 2) / eta
-    return _endpoint_move(g0, g1, tol)
+_UNIT_ENDS = np.array([[0.0], [1.0]])
+
+
+def _bounded_square_mix(preds, eta, tol):
+    # the generalized prediction at the outcome interval's endpoints, from
+    # the experts' eta-scaled losses there, one row per endpoint
+    scaled = eta * _square_kernel(_UNIT_ENDS, preds)
+    return lambda log_w: _endpoint_move(*[-g / eta for g in _lse_rows(log_w - scaled)], tol)
 
 
 def _normalized_mixture(raw: np.ndarray, tol: float) -> np.ndarray:
@@ -537,9 +550,9 @@ def _normalized_mixture(raw: np.ndarray, tol: float) -> np.ndarray:
     return raw / total
 
 
-def _log_mix(log_w, preds, eta, tol):
+def _log_mix(preds, eta, tol):
     # at eta = 1 the mixture is the weighted mean of the probability vectors
-    return _normalized_mixture(np.exp(log_w) @ preds, tol) if eta == 1.0 else None
+    return (lambda log_w: _normalized_mixture(np.exp(log_w) @ preds, tol)) if eta == 1.0 else None
 
 
 def _scalar_spec(kernel, bounds, make, eta_star, **closed_forms) -> GameSpec:

@@ -184,6 +184,8 @@ class AdversarialGreedyNature(NatureStrategy):
 
 class ConstantPredictor(PredictorStrategy):
     def __init__(self, gamma):
+        if not np.issubdtype(np.asarray(gamma).dtype, np.number):  # e.g. a string
+            raise TypeError(f"gamma must be a number or a vector of numbers, got {gamma!r}")
         self.gamma0 = np.asarray(gamma, dtype=float)
 
     def reset(self, game, rng, horizon):

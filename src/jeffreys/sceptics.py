@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
-                          params_for, pool_mixer)
-from .errors import ConfigError, DivergenceOverestimate, MixabilityViolation
+                          fixed_pool_mixer, params_for)
+from .errors import ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation
 from .games import Game, Prediction, _scale, superprediction_gap
 
 
@@ -279,7 +279,9 @@ class _PoolSceptic(ScepticStrategy):
     """Mix-and-substitute over one pool, with a running regret audit.
 
     Subclasses supply their experts' predictions (``_expert_predictions``)
-    and what the experts learn from each outcome (``_observe_experts``).
+    and what the experts learn from each outcome (``_observe_experts``),
+    and may prepare once for predictions fixed for the run (``_fixed_mix``,
+    ``_loss_table``).
     The pool is built, and its priors checked, at construction; reset
     refuses games without aggregation parameters (:func:`params_for`).
     Tracks the per-expert cumulative losses, the strategy's own cumulative
@@ -297,10 +299,11 @@ class _PoolSceptic(ScepticStrategy):
     def reset(self, game, rng, horizon):
         params = params_for(game)
         self.eta, self.C = params.eta, params.C
+        self._game = game
         self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
-        self._mix = pool_mixer(game, self.eta)
+        self._fixed_mix = self._loss_table = None
         self.expert_cums = np.zeros(len(self.pool))
         self.cum_self = 0.0
         # compensation terms: cumulative losses reach magnitudes where the
@@ -322,35 +325,40 @@ class _PoolSceptic(ScepticStrategy):
     def predict(self, n, gamma1, gamma2):
         preds = self._expert_predictions(n, gamma1, gamma2)
         log_w = self.pool.normalized_log_weights()
-        gamma = self._mix(log_w, preds)
+        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
+        gamma = mix(log_w)
         self._pending = (preds, log_w, gamma)
         return gamma
 
     def observe(self, n, omega):
         preds, log_w, gamma = self._pending
         own_loss = self._loss(omega, gamma)
-        losses = self._losses(omega, preds)
+        if self._loss_table is None:
+            losses = self._losses(omega, preds)
+            scaled = self.eta * losses
+        else:
+            losses, scaled = self._loss_table[int(omega)]
         # -inf - inf stays -inf, so eliminated experts drop out cleanly
-        g_played = -_lse1(log_w - self.eta * losses) / self.eta
+        g_played = -_lse1(log_w - scaled) / self.eta
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        aa_observe(self.pool, losses, self.eta)
-        # Neumaier-compensated accumulation on both sides of the slack
+        aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
+        # compensated accumulation on both sides of the slack: TwoSum's exact
+        # rounding errors; an infinite cumulative loss carries no compensation
         total = self.expert_cums + losses
-        resid = np.where(np.abs(self.expert_cums) >= np.abs(losses),
-                         (self.expert_cums - total) + losses,
-                         (losses - total) + self.expert_cums)
-        self._comp_experts += np.where(np.isfinite(resid), resid, 0.0)
+        live = ... if math.isfinite(total.max()) else np.isfinite(total)
+        a, b, t = self.expert_cums[live], losses[live], total[live]
+        back = t - a
+        self._comp_experts[live] += (a - (t - back)) + (b - back)
         self.expert_cums = total
         t = self.cum_self + own_loss
-        resid_s = ((self.cum_self - t) + own_loss
-                   if abs(self.cum_self) >= abs(own_loss)
-                   else (own_loss - t) + self.cum_self)
+        back = t - self.cum_self
+        resid_s = (self.cum_self - (t - back)) + (own_loss - back)
         if math.isfinite(resid_s):
             self._comp_self += resid_s
         self.cum_self = t
-        slack = (float(np.min(self.expert_cums + self._comp_experts + self._penalty))
+        slack = (float((total + self._comp_experts + self._penalty).min())
                  - (self.cum_self + self._comp_self))
         if slack < self.worst_eq8_slack:
             self.worst_eq8_slack = slack
@@ -385,10 +393,20 @@ class AggregatingSceptic(_PoolSceptic):
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
-        # a pool of constants emits the same prediction matrix every step
+        # a pool of constants emits the same prediction matrix every step: it is
+        # checked, and its mix and (on a finite outcome space) losses prepared, once
         self._static_preds = None
         if all(isinstance(e, ConstantPredictor) for e in self.experts):
-            self._static_preds = self._collect(1)
+            for i, expert in enumerate(self.experts, 1):
+                try:
+                    game.validate_prediction(expert.predict(1))
+                except DomainError as exc:
+                    raise ConfigError(f"aggregating expert {i}: {exc}") from exc
+            self._static_preds = preds = self._collect(1)
+            self._fixed_mix = fixed_pool_mixer(game, self.eta, preds, DOMINATION_TOL)
+            if game.spec.outcome_type is int:  # per outcome: losses, eta-scaled losses
+                rows = (self._losses(w, preds) for w in range(game.m))
+                self._loss_table = [(row, self.eta * row) for row in rows]
 
     def _collect(self, n):
         return np.asarray([e.predict(n) for e in self.experts], dtype=float)
@@ -430,6 +448,7 @@ class Level3Sceptic(_PoolSceptic):
         self.k_max = k_max
         thresholds = 2.0 ** np.arange(1, k_max + 1)
         self.thresholds = np.concatenate([thresholds, thresholds])
+        self._levels = thresholds.tolist()
         p = 2.0 ** -(np.arange(1, k_max + 1) + 1)
         super().__init__(np.concatenate([p, p]))
 
@@ -439,8 +458,9 @@ class Level3Sceptic(_PoolSceptic):
         self.cum1 = 0.0
         self.cum2 = 0.0
         self.cum_base = 0.0
-        self.switched = np.zeros(2 * self.k_max, dtype=bool)
         self.switch_times: dict = {}
+        # thresholds increase with k: each predictor's switched experts are a prefix
+        self._n_switched = [0, 0]
         self._targets = np.empty((2 * self.k_max,) + game.prediction_shape)
 
     def _expert_predictions(self, n, gamma1, gamma2):
@@ -449,10 +469,11 @@ class Level3Sceptic(_PoolSceptic):
         # the experts' predictions, in a buffer the pool is done with
         # before the next step
         k = self.k_max
+        s1, s2 = self._n_switched
         preds = self._targets
-        preds[:k] = gamma1
-        preds[k:] = gamma2
-        preds[~self.switched] = gamma_base
+        preds[:] = gamma_base
+        preds[:s1] = gamma1
+        preds[k:k + s2] = gamma2
         return preds
 
     def _observe_experts(self, n, omega):
@@ -463,12 +484,9 @@ class Level3Sceptic(_PoolSceptic):
         self.cum2 += loss(omega, gamma2)
         self.cum_base += loss(omega, gamma_base)
         k = self.k_max
-        if not np.all(self.switched):
-            behind = np.empty(2 * k)
-            behind[:k] = self.cum1 - self.cum_base
-            behind[k:] = self.cum2 - self.cum_base
-            newly = (~self.switched) & (behind > self.thresholds)
-            if np.any(newly):
-                for i in np.nonzero(newly)[0]:
-                    self.switch_times[int(i)] = n
-                self.switched = self.switched | newly
+        for j, behind in enumerate((self.cum1 - self.cum_base, self.cum2 - self.cum_base)):
+            i = self._n_switched[j]
+            while i < k and behind > self._levels[i]:
+                self.switch_times[j * k + i] = n
+                i += 1
+            self._n_switched[j] = i

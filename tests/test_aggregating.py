@@ -12,6 +12,7 @@ from jeffreys import (AggregatingSceptic, ConstantPredictor, ExpertPool,
                       log_loss_game, params_for, pool_mixer, quartic_loss_game,
                       run_protocol, square_loss_game, substitute, uniform_pool)
 from jeffreys.aggregating import _substitute_numeric, log_sum_exp
+from jeffreys.games import _lse1, _lse_rows
 
 
 def test_pool_validation():
@@ -178,6 +179,26 @@ def test_aa_observe_updates():
     aa_observe(pool, np.array([0.0, math.log(2.0)]), eta=1.0)
     w = np.exp(pool.normalized_log_weights())
     assert w[0] / w[1] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_aa_observe_eliminates_an_expert_with_a_nan_loss():
+    pool = uniform_pool(3)
+    aa_observe(pool, np.array([0.5, math.nan, math.inf]), eta=2.0)
+    assert pool.log_weights[1] == pool.log_weights[2] == -math.inf
+    assert math.isfinite(pool.log_weights[0])
+
+
+def test_fused_row_reduction_matches_lse1_bit_for_bit():
+    # the bounded-square mix reduces its two endpoint rows at once; each row
+    # must be _lse1's answer to the last bit, at every pool size
+    rng = np.random.default_rng(9)
+    for k in range(1, 65):
+        x = rng.normal(scale=rng.uniform(0.1, 50.0), size=(2, k))
+        x[rng.random((2, k)) < 0.2] = -math.inf
+        x[:, 0] = rng.normal(size=2)
+        assert [v.hex() for v in _lse_rows(x)] == [_lse1(row).hex() for row in x]
+    x[1] = -math.inf
+    assert _lse_rows(x) == [_lse1(x[0]), -math.inf]
 
 
 def _aggregate(experts, priors, outcomes):

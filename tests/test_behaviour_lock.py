@@ -4,22 +4,28 @@ Each run scenario is played at its full horizon through the CLI, and the
 SHA-256 of its trace CSV and of its report JSON must match the hashes
 recorded here.  The numeric path is pinned the same way: seeded gap
 searches on every kind, two numeric level-2 traces, and the printed
-output of the quartic divergence scenario.  A change that alters any of
-them changes what the library computes; such a change must say why, and
-re-record the hashes on purpose.
+output of the quartic divergence scenario, and so are the pool sceptics:
+aggregating pools on log loss, bounded square and quartic loss, one with
+an expert that is eliminated, and the level-3 lift on log loss.  A change
+that alters any of them changes what the library computes; such a change
+must say why, and re-record the hashes on purpose.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from jeffreys import (GAME_SPECS, ConstantPredictor, IidBernoulliNature,
-                      IidUniformNature, Level2Sceptic, bounded_absolute_loss_game,
-                      game_from_descriptor, quartic_loss_game, run_protocol,
+from jeffreys import (GAME_SPECS, AggregatingSceptic, ConstantPredictor,
+                      DriftPredictor, IidBernoulliNature, IidUniformNature,
+                      Level2Sceptic, Level3Sceptic, NoisyTargetPredictor,
+                      RunningMeanPredictor, bounded_absolute_loss_game,
+                      bounded_square_loss_game, game_from_descriptor,
+                      log_loss_game, quartic_loss_game, run_protocol,
                       trace_to_csv_string)
 from jeffreys.cli import main
 from jeffreys.games import subprediction_gap, superprediction_gap
@@ -116,3 +122,64 @@ NUMERIC_LOCKED = {
 def test_numeric_outputs_are_locked(name):
     text = NUMERIC_CASES[name]()
     assert hashlib.sha256(text.encode()).hexdigest() == NUMERIC_LOCKED[name]
+
+
+# ---------------------------------------------------------------------------
+# the pool sceptics: each case's trace CSV and the hex of its worst eq8 slack
+
+def _pool_run(game, sceptic, p1, p2, nature, horizon, seed) -> str:
+    # any floating-point warning on the pool path is an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_protocol(nature, ConstantPredictor(p1), ConstantPredictor(p2),
+                             sceptic, game, horizon, seed=seed)
+    return trace_to_csv_string(trace) + float(sceptic.worst_eq8_slack).hex() + "\n"
+
+
+_SPREAD = (np.arange(7) + 1.0) / 8.0
+_COIN = np.array([0.5, 0.5])
+
+
+def _log_constants(probs):
+    return [ConstantPredictor(np.array([1.0 - p, p])) for p in probs]
+
+
+POOL_CASES = {
+    "log_loss_k7": lambda: _pool_run(
+        log_loss_game(m=2), AggregatingSceptic(_log_constants(_SPREAD)),
+        _COIN, _COIN, IidBernoulliNature(0.3), 2000, 11),
+    "bounded_square_k7": lambda: _pool_run(
+        bounded_square_loss_game(), AggregatingSceptic([ConstantPredictor(p) for p in _SPREAD]),
+        0.5, 0.5, IidUniformNature(0.0, 1.0), 2000, 12),
+    "bounded_square_learners": lambda: _pool_run(
+        bounded_square_loss_game(),
+        AggregatingSceptic([RunningMeanPredictor(0.5), DriftPredictor(0.1, 0.001),
+                            NoisyTargetPredictor(0.6, 0.15), ConstantPredictor(0.3)]),
+        0.5, 0.5, IidUniformNature(0.2, 0.9), 1000, 13),
+    "log_loss_eliminated": lambda: _pool_run(
+        log_loss_game(m=2), AggregatingSceptic(_log_constants((0.0, 0.3, 0.5, 0.8))),
+        _COIN, _COIN, IidBernoulliNature(0.6), 1000, 14),
+    "level3_log_loss": lambda: _pool_run(
+        log_loss_game(m=2), Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=12),
+        np.array([0.2, 0.8]), np.array([0.7, 0.3]), IidBernoulliNature(0.75), 1000, 15),
+    "quartic_generic": lambda: _pool_run(
+        quartic_loss_game(outcome_grid_size=65),
+        AggregatingSceptic([ConstantPredictor(g) for g in (-0.6, 0.0, 0.4)]),
+        0.0, 0.0, IidUniformNature(-1.0, 1.0), 60, 16),
+}
+
+# case -> SHA-256 of its text
+POOL_LOCKED = {
+    "log_loss_k7": "c4bbf4a01852c1cf3b8efdc2f4d9e48b9e6a69d75a0023be8bf65750d067096f",
+    "bounded_square_k7": "4a13a8b76964e2bbfafd7523355b373fa5c8162f5bc50a8166f543d903117b7f",
+    "bounded_square_learners": "9f1212d60eb58aa56c35dd6da00fb01c7b42e451b5a26f5670ce487772f14501",
+    "log_loss_eliminated": "52b810a31c130bf19605972bd5053d1fb70d464f708dc6e9fe3f1dc6fe9293af",
+    "level3_log_loss": "eb47a62c202ba45a061b3601ec7713831bef45758945111fdc3ef5f7c0d41c54",
+    "quartic_generic": "a5eed28b20c5943f7ad944cd478e1b12c4a542f995fa6f2e1238d7d7c6b05e48",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_CASES))
+def test_pool_outputs_are_locked(name):
+    text = POOL_CASES[name]()
+    assert hashlib.sha256(text.encode()).hexdigest() == POOL_LOCKED[name]

@@ -185,10 +185,15 @@ def test_check_not_certified_is_config_error(tmp_path, capsys, no_run, overrides
     {"seed": True},
     {"thresholds": {"gap_sum_max": "1"}},
     {"thresholds": {"loss_gap_min": float("inf")}},
+    {"predictor1": {"kind": "constant", "params": {"gamma": "0.5"}}},
+    {"predictor1": {"kind": "constant", "params": {"gamma": [0.5, "0.5"]}}},
+    {"thresholds": {"gap_sum": 0.0}},
+    {"chekcs": ["eq9"]},
 ], ids=["bernoulli-p-string", "uniform-hi-string", "constant-nature-no-omega",
         "drift-no-delta", "constant-gamma-abc", "replay-empty", "replay-string",
         "replay-no-file", "seed-negative", "seed-string", "seed-bool", "threshold-string",
-        "threshold-inf"])
+        "threshold-inf", "constant-gamma-numeric-string", "constant-gamma-vector-string",
+        "threshold-unknown-key", "unknown-top-level-key"])
 def test_bad_player_or_run_parameter_is_config_error(tmp_path, capsys, no_run, overrides):
     path, _ = write_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == 2
@@ -329,7 +334,10 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     {"game": {"kind": "bounded_absolute"},
      "sceptic": {"kind": "level3", "params": {"k_max": 4}}, "checks": []},
     {"seeds": [1, "x"]},
-], ids=["level2-alpha-1.5", "level3-on-bounded-absolute", "seed-string"])
+    {"chekcs": ["eq9"]},
+    {"thresholds": {"gap_sum": 0.0}},
+], ids=["level2-alpha-1.5", "level3-on-bounded-absolute", "seed-string",
+        "unknown-top-level-key", "threshold-unknown-key"])
 def test_sweep_config_error_exits_two(tmp_path, capsys, overrides):
     # a config error is the same on every seed: the sweep stops with it
     path, _ = write_config(tmp_path, **{"seeds": [1, 2], **overrides},
@@ -393,3 +401,21 @@ def test_failed_expectation_exits_one(tmp_path):
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 1
+
+
+@pytest.mark.parametrize("experts", [
+    [[0.2, 0.2], [0.1, 0.3]],
+    [[0.5, 0.5], [0.7, 0.7]],
+    [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]],
+], ids=["mass-below-one", "mass-above-one", "length-3-on-binary"])
+def test_invalid_constant_expert_is_config_error(tmp_path, capsys, experts):
+    # a pool of constants is validated once, at reset, before the first step
+    path, _ = write_config(
+        tmp_path, game={"kind": "log_loss", "m": 2},
+        predictor1={"kind": "constant", "params": {"gamma": [0.5, 0.5]}},
+        predictor2={"kind": "constant", "params": {"gamma": [0.4, 0.6]}},
+        sceptic={"kind": "aggregating", "params": {"experts": [
+            {"kind": "constant", "params": {"gamma": g}} for g in experts]}},
+        checks=["eq8"])
+    assert main(["run", str(path)]) == 2
+    assert "config error: aggregating expert" in capsys.readouterr().err
