@@ -288,7 +288,7 @@ def cmd_divergence(args) -> int:
             else:
                 if closed_form is None:
                     raise ConfigError(f"no closed form for the {game.kind.value} game")
-                value = closed_form(game, alpha)(g1, g2)
+                value = closed_form(game, alpha)([g1], [g2])[0]
                 shift = value * (1.0 - alpha * alpha) / 4.0 if math.isfinite(value) else value
                 result = DivergenceResult(alpha, args.side, value, shift, "closed_form", 0.0)
         elif args.side == "lower":

@@ -88,7 +88,10 @@ class GameSpec:
     """One game kind: its loss, and what is known about it in closed form.
 
     Closed forms are factories, called once where a run starts, that return
-    the per-step function.  A kind with a ``level2`` move has its
+    the per-step function.  Column forms (``loss_column``, ``trace_gap``,
+    the function ``divergence`` returns) take a run's move columns, one row
+    per step, and return lists of floats, bit for bit the per-move
+    arithmetic.  A kind with a ``level2`` move has its
     ``divergence`` too: the move's profile is the weighted mean shifted down
     by exactly that.  ``mix``, prepared once for the experts' predictions,
     and ``substitute`` give None where their closed form does not dominate
@@ -97,14 +100,15 @@ class GameSpec:
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
     losses: Callable          # the kernel broadcast over outcomes and predictions
+    loss_column: Callable     # (omegas, gammas) -> the kernel's loss per row
     param_losses: Callable    # (game, params) -> (O, *params.shape) profiles over the outcome grid
     bounds: Callable          # m -> (outcome bounds, prediction bounds); None: the reals
     outcome_type: type        # int on a finite outcome space, float otherwise
     from_param: Callable      # clamped prediction-grid parameter -> prediction
     make: Callable            # (grid_size, m) -> Game with default grids
-    trace_gap: Callable       # game -> (g1, g2) -> the trace's gap column
+    trace_gap: Callable       # (gammas1, gammas2) -> the trace's gap column
     eta_star: Callable        # outcome span W -> the largest eta the game is mixable at
-    divergence: Optional[Callable] = None   # (game, alpha) -> (g1, g2) -> divergence
+    divergence: Optional[Callable] = None   # (game, alpha) -> (gammas1, gammas2) -> column
     level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
     mix: Optional[Callable] = None          # (preds, eta, tol) -> (log_w -> pool move)
     substitute: Optional[Callable] = None   # (game, g, tol) -> move dominated by g
@@ -133,6 +137,13 @@ def _quartic_kernel(omega, gamma):
 def _log_kernel(omega, gamma):
     p = gamma[int(omega)]
     return -math.log(p) if p > 0.0 else math.inf
+
+
+def _log_loss_column(omega, gamma):
+    # the probability each row's prediction gave its outcome, logged by libm as the kernel does
+    g = np.asarray(gamma, dtype=float)
+    p = g[np.arange(len(g)), np.asarray(omega, dtype=np.intp)]
+    return [-math.log(x) if x > 0.0 else math.inf for x in p.tolist()]
 
 
 def _log_losses(omega, gamma):
@@ -298,9 +309,10 @@ class Game:
         return self.spec.losses(self.outcome_grid, preds.reshape(len(preds), -1))
 
     def prediction_from_param(self, u: float) -> Prediction:
-        """Map a prediction-grid parameter, clamped to the bounds, to a prediction."""
+        """Map a prediction-grid parameter, clamped to the bounds, to a
+        prediction; NaN stays NaN, for the engine to refuse."""
         pb = self._bounds[1]
-        if pb is not None:
+        if pb is not None and not math.isnan(u):
             u = min(pb[1], max(pb[0], u))
         return self.spec.from_param(u)
 
@@ -434,7 +446,7 @@ def _log_affinity(gamma1, gamma2, alpha: float) -> float:
 
 def alpha_divergence_square_loss(gamma1: float, gamma2: float, alpha: float) -> float:
     """Square-loss divergence: ``(gamma1 - gamma2)^2``, independent of alpha."""
-    return _square_divergence(None, alpha)(gamma1, gamma2)
+    return _square_divergence(None, alpha)([gamma1], [gamma2])[0]
 
 
 def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
@@ -443,13 +455,17 @@ def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
     The arithmetic is the table's closed form, so the value equals a log-loss
     trace's divergence term bit for bit.
     """
-    return _log_divergence(len(gamma1), alpha)(gamma1, gamma2)
+    return _log_divergence(None, alpha)([gamma1], [gamma2])[0]
+
+
+def _difference(g1, g2) -> np.ndarray:
+    return np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
 
 
 def _square_divergence(game, alpha):
     if not -1.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
-    return lambda g1, g2: (g1 - g2) * (g1 - g2)
+    return lambda g1, g2: np.square(_difference(g1, g2)).tolist()
 
 
 def _square_level2(game, w1, w2):
@@ -458,41 +474,31 @@ def _square_level2(game, w1, w2):
     return lambda g1, g2: w1 * g1 + w2 * g2
 
 
-def _log_gap(game):
-    # sqrt of the zero-order divergence: squares sum to the series
-    if game.m == 2:
-        def gap2(g1, g2):
-            affinity = (math.sqrt(float(g1[0]) * float(g2[0]))
-                        + math.sqrt(float(g1[1]) * float(g2[1])))
-            if affinity <= 0.0:
-                return math.inf
-            return math.sqrt(max(0.0, -4.0 * math.log(affinity)))
-        return gap2
-
-    def gap(g1, g2):
-        affinity = float(np.sum(np.sqrt(np.asarray(g1) * np.asarray(g2))))
-        if affinity <= 0.0:
-            return math.inf
-        return math.sqrt(max(0.0, -4.0 * math.log(affinity)))
-    return gap
+def _log_gap(g1, g2):
+    # sqrt of the zero-order divergence: squares sum to the series; each
+    # row's affinity is summed over outcomes as np.sum sums one vector
+    affinity = np.sum(np.sqrt(np.asarray(g1, dtype=float) * np.asarray(g2, dtype=float)), axis=1)
+    return [math.sqrt(max(0.0, -4.0 * math.log(a))) if a > 0.0 else math.inf
+            for a in affinity.tolist()]
 
 
-def _log_divergence(m: int, alpha: float):
-    # scaled negative log-affinity over m outcomes; two outcomes in Python floats
+def _power(g, w: float) -> np.ndarray:
+    # two outcomes take libm's pow over floats, as the level-2 move does; more take numpy's
+    g = np.asarray(g, dtype=float)
+    if g.shape[1] != 2:
+        return g ** w
+    return np.array([x ** w for x in g.ravel().tolist()]).reshape(g.shape)
+
+
+def _log_divergence(game, alpha: float):
+    # scaled negative log-affinity over the outcomes
     _check_alpha_open(alpha)
     w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
     scale = -4.0 / (1.0 - alpha * alpha)
 
     def div(g1, g2):
-        if m == 2:
-            affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
-                        + float(g1[1]) ** w1 * float(g2[1]) ** w2)
-        else:
-            affinity = float(np.sum(np.asarray(g1, dtype=float) ** w1
-                                    * np.asarray(g2, dtype=float) ** w2))
-        if affinity <= 0.0:
-            return math.inf
-        return scale * math.log(affinity)
+        affinity = np.sum(_power(g1, w1) * _power(g2, w2), axis=1)
+        return [scale * math.log(a) if a > 0.0 else math.inf for a in affinity.tolist()]
     return div
 
 
@@ -559,11 +565,13 @@ def _scalar_spec(kernel, bounds, make, eta_star, **closed_forms) -> GameSpec:
     # a scalar kind's prediction is its own grid parameter; make: grid_size -> Game
     return GameSpec(
         kernel=kernel, losses=kernel,
+        loss_column=lambda omega, gamma: kernel(np.asarray(omega, dtype=float),
+                                                np.asarray(gamma, dtype=float)).tolist(),
         param_losses=lambda game, params: kernel(
             game.outcome_grid.reshape((-1,) + (1,) * params.ndim), params),
         bounds=lambda m: bounds, outcome_type=float, from_param=float,
         make=lambda grid_size, m: make(grid_size),
-        trace_gap=lambda game: lambda g1, g2: abs(g1 - g2), eta_star=eta_star,
+        trace_gap=lambda g1, g2: np.abs(_difference(g1, g2)).tolist(), eta_star=eta_star,
         **closed_forms)
 
 
@@ -601,12 +609,13 @@ GAME_SPECS = {
         lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size),
         _quartic_eta_star),
     GameKind.LOG_LOSS: GameSpec(
-        kernel=_log_kernel, losses=_log_losses, param_losses=_binary_log_param_losses,
+        kernel=_log_kernel, losses=_log_losses, loss_column=_log_loss_column,
+        param_losses=_binary_log_param_losses,
         bounds=lambda m: ((0.0, float(m - 1)), _UNIT), outcome_type=int,
         from_param=lambda u: np.array([1.0 - u, u]),
         make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
         trace_gap=_log_gap, eta_star=lambda w: 1.0, level2=_log_level2,
-        divergence=lambda game, alpha: _log_divergence(game.m, alpha),
+        divergence=_log_divergence,
         mix=_log_mix, substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol)),
 }
 

@@ -62,9 +62,11 @@ class ReplayExhausted(Exception):
 
 
 def _real(value, name: str) -> float:
-    """A configured number as a float; a string or other non-number is a TypeError."""
+    """A configured number as a float: TypeError for a non-number, ValueError if not finite."""
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -187,6 +189,8 @@ class ConstantPredictor(PredictorStrategy):
         if not np.issubdtype(np.asarray(gamma).dtype, np.number):  # e.g. a string
             raise TypeError(f"gamma must be a number or a vector of numbers, got {gamma!r}")
         self.gamma0 = np.asarray(gamma, dtype=float)
+        if not np.isfinite(self.gamma0).all():
+            raise ValueError(f"gamma must be finite, got {gamma!r}")
 
     def reset(self, game, rng, horizon):
         g = self.gamma0
@@ -210,6 +214,7 @@ class RunningMeanPredictor(PredictorStrategy):
         self._game = game
         if game.prediction_shape:
             self._counts = np.ones(game.m)
+            self._total = float(game.m)  # the counts' exact sum: they are integers
             self._mean, self._add = self._frequencies, self._count
         else:
             self._sum = 0.0
@@ -223,10 +228,11 @@ class RunningMeanPredictor(PredictorStrategy):
         self._add(omega)
 
     def _frequencies(self):
-        return self._counts / self._counts.sum()
+        return self._counts / self._total
 
     def _count(self, omega):
         self._counts[int(omega)] += 1.0
+        self._total += 1.0
 
     def _running_mean(self):
         value = self.initial if self._n == 0 else self._sum / self._n

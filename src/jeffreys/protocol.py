@@ -2,10 +2,11 @@
 
 Each step proceeds in the fixed order: both predictors announce, the
 sceptic announces knowing their moves, Nature announces knowing all three.
-The engine records one row per step, builds the columnar trace once the
-run ends, classifies which branch of the agreement-or-outperformance
-disjunction a finished run exhibits, and verifies the requested checks:
-martingale null itself, every other guarantee through its sceptic.
+The engine records each step's four moves, builds the columnar trace with
+its loss, gap and divergence columns once the run ends, classifies which
+branch of the agreement-or-outperformance disjunction a finished run
+exhibits, and verifies the requested checks: martingale null itself, every
+other guarantee through its sceptic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,26 +38,37 @@ MARTINGALE_NULL_KINDS = (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE)
 
 
 class Trace:
-    """Column-oriented record of one protocol run, built from its rows.
+    """Column-oriented record of one protocol run, built from its moves.
 
-    ``rows`` holds each step's ``(gamma1, gamma2, gamma_sceptic, omega,
-    loss1, loss2, loss_sceptic, gap, divergence_term)`` back to back in
-    play order: one flat list, as a tuple per step would load the garbage
-    collector.  Cumulative columns are running sums of the per-step losses
-    in play order from 0.0, so a first loss of -0.0 sums to 0.0; ``gap``
-    is the absolute prediction difference for scalar games and the square
-    root of the step divergence for log-loss, so that ``gap**2`` sums to
-    the disjunction's divergence series in both cases.
+    ``rows`` holds each step's ``(gamma1, gamma2, gamma_sceptic, omega)``
+    back to back in play order: one flat list, as a tuple per step would
+    load the garbage collector.  The derived columns are computed once,
+    from the move columns, by the game's column forms, which match the
+    per-move arithmetic bit for bit.  Cumulative columns are running sums
+    of the per-step losses in play order from 0.0, so a first loss of -0.0
+    sums to 0.0; ``gap`` is the absolute prediction difference for scalar
+    games and the square root of the step divergence for log-loss, so that
+    ``gap**2`` sums to the disjunction's divergence series in both cases.
+    ``divergence(gamma1, gamma2)`` gives the sceptic's divergence column;
+    without it the column is NaN.
     """
 
-    def __init__(self, game: Game, rows: Sequence[tuple], seed: Optional[int] = None,
-                 truncated: bool = False):
+    def __init__(self, game: Game, rows: Sequence, seed: Optional[int] = None,
+                 truncated: bool = False, divergence: Optional[Callable] = None):
         self.game = game
         self.seed = seed
         self.truncated = truncated
-        (self.gamma1, self.gamma2, self.gamma_sceptic, self.omega, self.loss1,
-         self.loss2, self.loss_sceptic, self.gap,
-         self.divergence_term) = (rows[i::9] for i in range(9))
+        self.gamma1, self.gamma2, self.gamma_sceptic, self.omega = (
+            rows[i::4] for i in range(4))
+        shape = (len(self.omega),) + game.prediction_shape
+        g1, g2, gs = (np.asarray(col, dtype=float).reshape(shape)
+                      for col in (self.gamma1, self.gamma2, self.gamma_sceptic))
+        spec = game.spec
+        self.loss1, self.loss2, self.loss_sceptic = (
+            spec.loss_column(self.omega, g) for g in (g1, g2, gs))
+        self.gap = spec.trace_gap(g1, g2)
+        self.divergence_term = (divergence(g1, g2) if divergence is not None
+                                else [math.nan] * len(self.omega))
         self.cum1, self.cum2, self.cum_sceptic = (
             list(islice(accumulate(col, initial=0.0), 1, None))
             for col in (self.loss1, self.loss2, self.loss_sceptic))
@@ -127,9 +139,6 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     truncated = False
     validate_prediction = game.validate_prediction
     validate_outcome = game.validate_outcome
-    loss = game.loss_fn()
-    gap = game.spec.trace_gap(game)
-    divergence = sceptic.divergence_term
 
     for n in range(1, horizon + 1):
         g1 = predictor1.predict(n)
@@ -158,13 +167,13 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
         except DomainError as exc:
             raise ProtocolViolationError(f"nature: {exc}", n) from exc
 
-        record((g1, g2, gs, omega, loss(omega, g1), loss(omega, g2), loss(omega, gs),
-                gap(g1, g2), divergence(g1, g2) if divergence is not None else math.nan))
+        record((g1, g2, gs, omega))
 
         predictor1.observe(n, omega)
         predictor2.observe(n, omega)
         sceptic.observe(n, omega)
-    return Trace(game, rows, seed=seed, truncated=truncated)
+    return Trace(game, rows, seed=seed, truncated=truncated,
+                 divergence=sceptic.divergence_column)
 
 
 def classify_disjuncts(trace: Trace,

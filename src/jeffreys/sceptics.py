@@ -46,12 +46,15 @@ class ScepticStrategy:
     than re-checking them through ``Game.loss``.
 
     ``check`` names the guarantee the strategy certifies, ``worst_slack``
-    its worst slack over a finished run; the engine records any
-    ``divergence_term(gamma1, gamma2)`` per step.
+    its worst slack over a finished run; the trace records as its per-step
+    divergence terms the ``divergence_column`` of the run's move columns
+    (NaN for a strategy that has none).
     """
 
     check: Optional[str] = None
-    divergence_term = None
+
+    def divergence_column(self, gammas1, gammas2) -> list:
+        return [math.nan] * len(gammas1)
 
     def worst_slack(self, trace) -> float:
         raise NotImplementedError
@@ -97,11 +100,11 @@ class Level2Sceptic(ScepticStrategy):
     points.  Its shift is the divergence by definition, so no slack is
     spent either.  ``reset`` picks one of the two for the run.
 
-    ``divergence_term(gamma1, gamma2)``, set at reset, is the per-step
-    divergence the engine records in the trace: the game's closed form, or
-    on games without one the divergence term the last numeric move
-    achieved (its shift scaled by ``4 / (1 - alpha^2)``), which
-    ``step_divergence`` holds; ``step_divergence`` is NaN otherwise.
+    ``divergence_column(gammas1, gammas2)`` is the run's column of per-step
+    divergence terms the trace records: the game's closed form over the move
+    columns, or on games without one the divergence term each numeric move
+    achieved (its shift scaled by ``4 / (1 - alpha^2)``), as many as the
+    trace has steps.
     """
 
     check = "eq9"
@@ -114,25 +117,29 @@ class Level2Sceptic(ScepticStrategy):
         self.alpha = alpha
         self.epsilon = epsilon
         self._game: Optional[Game] = None
-        self.step_divergence = math.nan
 
     def reset(self, game, rng, horizon):
         self._game = game
-        self.step_divergence = math.nan
+        self._achieved = []
         if game.spec.level2 is None:
             self._move = self._numeric_move
-            self.divergence_term = lambda gamma1, gamma2: self.step_divergence
         else:
             w1, w2 = (1.0 - self.alpha) / 2.0, (1.0 + self.alpha) / 2.0
             self._move = game.spec.level2(game, w1, w2)
-            self.divergence_term = game.spec.divergence(game, self.alpha)
 
     def predict(self, n, gamma1, gamma2):
         return self._move(gamma1, gamma2)
 
     def _numeric_move(self, gamma1, gamma2):
-        gamma, self.step_divergence = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
+        gamma, term = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
+        self._achieved.append(term)
         return gamma
+
+    def divergence_column(self, gammas1, gammas2):
+        # a truncated run made one move more than it recorded
+        if self._game.spec.level2 is None:
+            return self._achieved[:len(gammas1)]
+        return self._game.spec.divergence(self._game, self.alpha)(gammas1, gammas2)
 
     def worst_slack(self, trace) -> float:
         if np.any(np.isnan(trace.divergence_term)):
@@ -151,10 +158,11 @@ def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
     w1 = np.longdouble(1.0 - alpha) / 2.0
     w2 = np.longdouble(1.0 + alpha) / 2.0
     coeff = (np.longdouble(1.0) - np.longdouble(alpha) ** 2) / 4.0
-    l1 = np.asarray(trace.loss1, dtype=np.longdouble)
-    l2 = np.asarray(trace.loss2, dtype=np.longdouble)
-    ls = np.asarray(trace.loss_sceptic, dtype=np.longdouble)
-    d = np.asarray(trace.divergence_term, dtype=np.longdouble)
+    # through float64, exact for these float columns and far quicker than
+    # converting each list element to longdouble
+    l1, l2, ls, d = (np.asarray(col, dtype=float).astype(np.longdouble)
+                     for col in (trace.loss1, trace.loss2, trace.loss_sceptic,
+                                 trace.divergence_term))
     increments = w1 * l1 + w2 * l2 - ls - coeff * d
     return np.cumsum(increments) + np.longdouble(epsilon)
 
@@ -393,15 +401,17 @@ class AggregatingSceptic(_PoolSceptic):
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
-        # a pool of constants emits the same prediction matrix every step: it is
-        # checked, and its mix and (on a finite outcome space) losses prepared, once
-        self._static_preds = None
-        if all(isinstance(e, ConstantPredictor) for e in self.experts):
-            for i, expert in enumerate(self.experts, 1):
+        # a constant expert is checked once, here; a pool of constants emits the
+        # same prediction matrix every step, so its mix and (on a finite
+        # outcome space) losses are prepared once too
+        for i, expert in enumerate(self.experts, 1):
+            if isinstance(expert, ConstantPredictor):
                 try:
                     game.validate_prediction(expert.predict(1))
                 except DomainError as exc:
                     raise ConfigError(f"aggregating expert {i}: {exc}") from exc
+        self._static_preds = None
+        if all(isinstance(e, ConstantPredictor) for e in self.experts):
             self._static_preds = preds = self._collect(1)
             self._fixed_mix = fixed_pool_mixer(game, self.eta, preds, DOMINATION_TOL)
             if game.spec.outcome_type is int:  # per outcome: losses, eta-scaled losses

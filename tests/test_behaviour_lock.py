@@ -6,7 +6,10 @@ recorded here.  The numeric path is pinned the same way: seeded gap
 searches on every kind, two numeric level-2 traces, and the printed
 output of the quartic divergence scenario, and so are the pool sceptics:
 aggregating pools on log loss, bounded square and quartic loss, one with
-an expert that is eliminated, and the level-3 lift on log loss.  A change
+an expert that is eliminated, and the level-3 lift on log loss.  The
+closed-form level-2 runs of the benchmark's level-2 sweep are pinned too:
+an adversarial Nature on binary log loss and on square loss, at alpha
+-0.8 and 0.8, against a constant and a running-mean second predictor.  A change
 that alters any of them changes what the library computes; such a change
 must say why, and re-record the hashes on purpose.
 """
@@ -20,13 +23,13 @@ import warnings
 import numpy as np
 import pytest
 
-from jeffreys import (GAME_SPECS, AggregatingSceptic, ConstantPredictor,
-                      DriftPredictor, IidBernoulliNature, IidUniformNature,
+from jeffreys import (GAME_SPECS, AdversarialGreedyNature, AggregatingSceptic,
+                      ConstantPredictor, DriftPredictor, IidBernoulliNature, IidUniformNature,
                       Level2Sceptic, Level3Sceptic, NoisyTargetPredictor,
                       RunningMeanPredictor, bounded_absolute_loss_game,
                       bounded_square_loss_game, game_from_descriptor,
                       log_loss_game, quartic_loss_game, run_protocol,
-                      trace_to_csv_string)
+                      square_loss_game, trace_to_csv_string, verify_run)
 from jeffreys.cli import main
 from jeffreys.games import subprediction_gap, superprediction_gap
 
@@ -183,3 +186,50 @@ POOL_LOCKED = {
 def test_pool_outputs_are_locked(name):
     text = POOL_CASES[name]()
     assert hashlib.sha256(text.encode()).hexdigest() == POOL_LOCKED[name]
+
+
+# ---------------------------------------------------------------------------
+# closed-form level-2 runs against the adversarial Nature: each case's trace
+# CSV and the hex of its worst eq9 slack
+
+def _level2_adversarial_run(game, alpha, p1, p2) -> str:
+    sceptic = Level2Sceptic(alpha=alpha)
+    trace = run_protocol(AdversarialGreedyNature(), p1, p2, sceptic, game, 2000, seed=17)
+    slack = verify_run(trace, ["eq9"], sceptic=sceptic).check_slacks["eq9"]
+    return trace_to_csv_string(trace) + float(slack).hex() + "\n"
+
+
+def _level2_predictors(game_name, second):
+    if game_name == "log_loss":
+        p1, p2 = ConstantPredictor(np.array([0.8, 0.2])), ConstantPredictor(np.array([0.3, 0.7]))
+    else:
+        p1, p2 = ConstantPredictor(0.25), ConstantPredictor(0.75)
+    return p1, p2 if second == "constant" else RunningMeanPredictor()
+
+
+LEVEL2_GAMES = {"log_loss": lambda: log_loss_game(m=2), "square": square_loss_game}
+LEVEL2_CASES = {
+    f"{game_name}_alpha{alpha:+.1f}_{second}": (game_name, alpha, second)
+    for game_name in LEVEL2_GAMES for alpha in (-0.8, 0.8)
+    for second in ("constant", "running_mean")
+}
+
+# case -> SHA-256 of its text
+LEVEL2_LOCKED = {
+    "log_loss_alpha+0.8_constant": "46978d9d19d09740bb66ef105871ce9d0b893b7ba875f1f93474d6a1818ee3bd",
+    "log_loss_alpha+0.8_running_mean": "ea1968a9095b571fed3416f3f35cf2e3f6b6f506f57365ff983816c1e1b9400f",
+    "log_loss_alpha-0.8_constant": "8f42e37e2b7e70148a0224a74a772569e60e7161192632edcf2770a76eb90a0d",
+    "log_loss_alpha-0.8_running_mean": "42948a4ac34fe3730cbcc3ad4cdab9716469ee8c885afd3ea0080198641a3900",
+    "square_alpha+0.8_constant": "1a521cc4449d1a335719002df69260128e1826237c712ad865549888dd0dfe99",
+    "square_alpha+0.8_running_mean": "c11d1a205bed0e234d1a22836621ff2996818146a442e66eaa192905ea5639cb",
+    "square_alpha-0.8_constant": "ebf45cedaa37a28033d6d4b4d4aa36a606575cb8c0ae92aa72519a313effe6ab",
+    "square_alpha-0.8_running_mean": "f92acb959f63306c1ddc30ff168983a3117f4407a16b8e7d5dc1f3cd247c17c1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL2_CASES))
+def test_level2_adversarial_outputs_are_locked(name):
+    game_name, alpha, second = LEVEL2_CASES[name]
+    text = _level2_adversarial_run(LEVEL2_GAMES[game_name](), alpha,
+                                   *_level2_predictors(game_name, second))
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVEL2_LOCKED[name]

@@ -189,11 +189,17 @@ def test_check_not_certified_is_config_error(tmp_path, capsys, no_run, overrides
     {"predictor1": {"kind": "constant", "params": {"gamma": [0.5, "0.5"]}}},
     {"thresholds": {"gap_sum": 0.0}},
     {"chekcs": ["eq9"]},
+    {"game": {"kind": "bounded_square"},
+     "predictor1": {"kind": "constant", "params": {"gamma": float("nan")}}},
+    {"predictor1": {"kind": "constant", "params": {"gamma": [0.5, float("inf")]}}},
+    {"predictor2": {"kind": "drift", "params": {"gamma0": 0.0, "delta": float("inf")}}},
+    {"nature": {"kind": "constant", "params": {"omega": float("nan")}}},
 ], ids=["bernoulli-p-string", "uniform-hi-string", "constant-nature-no-omega",
         "drift-no-delta", "constant-gamma-abc", "replay-empty", "replay-string",
         "replay-no-file", "seed-negative", "seed-string", "seed-bool", "threshold-string",
         "threshold-inf", "constant-gamma-numeric-string", "constant-gamma-vector-string",
-        "threshold-unknown-key", "unknown-top-level-key"])
+        "threshold-unknown-key", "unknown-top-level-key", "constant-gamma-nan",
+        "constant-gamma-vector-inf", "drift-delta-inf", "constant-omega-nan"])
 def test_bad_player_or_run_parameter_is_config_error(tmp_path, capsys, no_run, overrides):
     path, _ = write_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == 2
@@ -407,15 +413,19 @@ def test_failed_expectation_exits_one(tmp_path):
     [[0.2, 0.2], [0.1, 0.3]],
     [[0.5, 0.5], [0.7, 0.7]],
     [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]],
-], ids=["mass-below-one", "mass-above-one", "length-3-on-binary"])
+    [[0.7, 0.7], None],
+], ids=["mass-below-one", "mass-above-one", "length-3-on-binary", "beside-a-learner"])
 def test_invalid_constant_expert_is_config_error(tmp_path, capsys, experts):
-    # a pool of constants is validated once, at reset, before the first step
+    # each constant expert is validated once, at reset, before the first
+    # step, also beside a learning (running-mean, None here) expert
     path, _ = write_config(
         tmp_path, game={"kind": "log_loss", "m": 2},
         predictor1={"kind": "constant", "params": {"gamma": [0.5, 0.5]}},
         predictor2={"kind": "constant", "params": {"gamma": [0.4, 0.6]}},
         sceptic={"kind": "aggregating", "params": {"experts": [
-            {"kind": "constant", "params": {"gamma": g}} for g in experts]}},
+            {"kind": "constant", "params": {"gamma": g}} if g is not None
+            else {"kind": "running_mean"} for g in experts]}},
         checks=["eq8"])
     assert main(["run", str(path)]) == 2
     assert "config error: aggregating expert" in capsys.readouterr().err
+

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import (GAME_SPECS, GameKind, Level2Sceptic, alpha_divergence_log_loss,
+from jeffreys import (GAME_SPECS, ConstantNature, ConstantPredictor, GameKind,
+                      Level2Sceptic, alpha_divergence_log_loss,
                       alpha_divergence_square_loss, bounded_absolute_loss_game,
                       bounded_square_loss_game, game_from_descriptor,
                       kl_divergence_log_loss, log_loss_game,
-                      lower_alpha_divergence_numeric, quartic_loss_game, standard_alpha_divergence_log_loss,
-                      upper_alpha_divergence_numeric)
+                      lower_alpha_divergence_numeric, quartic_loss_game, run_protocol,
+                      standard_alpha_divergence_log_loss, upper_alpha_divergence_numeric)
 
 # frozen from direct evaluation of the log-affinity formula
 LOG_DIV_HALF_VS_09 = -4.0 * math.log(math.sqrt(0.45) + math.sqrt(0.05))
@@ -51,9 +52,9 @@ def test_log_loss_closed_form_is_the_trace_term(m):
     for _ in range(200):
         g1, g2 = rng.dirichlet(np.ones(m), size=2)
         alpha = rng.uniform(-0.95, 0.95)
-        sceptic = Level2Sceptic(alpha=alpha)
-        sceptic.reset(game, rng, 1)
-        assert alpha_divergence_log_loss(g1, g2, alpha) == sceptic.divergence_term(g1, g2)
+        trace = run_protocol(ConstantNature(0), ConstantPredictor(g1), ConstantPredictor(g2),
+                             Level2Sceptic(alpha=alpha), game, 1)
+        assert alpha_divergence_log_loss(g1, g2, alpha) == trace.divergence_term[0]
 
 
 def test_standard_alpha_divergence():
@@ -145,7 +146,7 @@ def test_numeric_agreement_with_closed_form(kind):
         for u2 in (0.1, 0.6, 0.9, 1.0):
             g1, g2 = game.prediction_from_param(u1), game.prediction_from_param(u2)
             for alpha in (-0.8, -0.4, 0.0, 0.4, 0.8):
-                closed = closed_form(game, alpha)(g1, g2)
+                closed = closed_form(game, alpha)([g1], [g2])[0]
                 for numeric in (lower_alpha_divergence_numeric,
                                 upper_alpha_divergence_numeric):
                     got = numeric(game, g1, g2, alpha, tol=1e-7).value

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jeffreys import (GAME_SPECS, DomainError, Game, GameKind,
                       absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
@@ -75,6 +77,87 @@ def test_loss_paths_agree_bitwise(kind):
                 assert kernel(omega, gamma) == value
             else:
                 assert kernel(omega, gamma) == pytest.approx(value, rel=4e-16, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# column forms: a run's loss, gap and divergence columns, computed once,
+# equal the per-move scalar arithmetic bit for bit
+
+COLUMNS = settings(max_examples=300, deadline=None, derandomize=True)
+SCALAR_KINDS = [kind for kind in GAME_SPECS if GAME_SPECS[kind].outcome_type is float]
+# zeros of both signs and repeats, so differences of -0.0 and ties are drawn
+scalar_values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),
+                          st.floats(-2.0, 2.0, allow_subnormal=True))
+# weights with exact and signed zeros: zero probabilities, disjoint supports
+weight_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _bits(column) -> list:
+    return [float(x).hex() for x in column]
+
+
+def _probability_rows(m):
+    vector = st.lists(weight_values, min_size=m, max_size=m).filter(
+        lambda w: sum(w) > 0.0).map(lambda w: [x / sum(w) for x in w])
+    return st.lists(st.tuples(vector, vector, st.integers(0, m - 1)), min_size=1, max_size=6)
+
+
+# rows of (gamma1, gamma2, omega) over two or three outcomes
+log_rows = st.sampled_from([2, 3]).flatmap(_probability_rows)
+
+
+def _scalar_log_gap(g1, g2):
+    # the scalar arithmetic a log-loss trace's gap had, one step at a time
+    if len(g1) == 2:
+        affinity = math.sqrt(float(g1[0]) * float(g2[0])) + math.sqrt(float(g1[1]) * float(g2[1]))
+    else:
+        affinity = float(np.sum(np.sqrt(np.asarray(g1) * np.asarray(g2))))
+    return math.inf if affinity <= 0.0 else math.sqrt(max(0.0, -4.0 * math.log(affinity)))
+
+
+def _scalar_log_divergence(g1, g2, alpha):
+    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+    if len(g1) == 2:
+        affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
+                    + float(g1[1]) ** w1 * float(g2[1]) ** w2)
+    else:
+        affinity = float(np.sum(np.asarray(g1, dtype=float) ** w1
+                                * np.asarray(g2, dtype=float) ** w2))
+    return math.inf if affinity <= 0.0 else -4.0 / (1.0 - alpha * alpha) * math.log(affinity)
+
+
+@COLUMNS
+@example(kind=GameKind.ABSOLUTE, rows=[(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0)], alpha=0.0)
+@given(kind=st.sampled_from(SCALAR_KINDS),
+       rows=st.lists(st.tuples(scalar_values, scalar_values, scalar_values), min_size=1,
+                     max_size=6),
+       alpha=st.floats(-1.0, 1.0))
+def test_scalar_column_forms_match_the_per_move_arithmetic(kind, rows, alpha):
+    spec = GAME_SPECS[kind]
+    g1, g2, omega = (np.array(col) for col in zip(*rows))
+    assert _bits(spec.loss_column(omega, g1)) == _bits(
+        [spec.kernel(w, g) for w, g in zip(omega.tolist(), g1.tolist())])
+    assert _bits(spec.trace_gap(g1, g2)) == _bits(
+        [abs(a - b) for a, b in zip(g1.tolist(), g2.tolist())])
+    if spec.divergence is not None:
+        assert _bits(spec.divergence(None, alpha)(g1, g2)) == _bits(
+            [(a - b) * (a - b) for a, b in zip(g1.tolist(), g2.tolist())])
+
+
+@COLUMNS
+# disjoint supports: an infinite loss, gap and divergence; a -0.0 probability
+@example(rows=[([1.0, 0.0], [0.0, 1.0], 1), ([-0.0, 1.0], [0.5, 0.5], 0)], alpha=0.3)
+@given(rows=log_rows, alpha=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)))
+def test_log_loss_column_forms_match_the_per_move_arithmetic(rows, alpha):
+    m = len(rows[0][0])
+    spec = GAME_SPECS[GameKind.LOG_LOSS]
+    g1, g2 = (np.array([row[i] for row in rows]) for i in (0, 1))
+    omega = [row[2] for row in rows]
+    assert _bits(spec.loss_column(omega, g1)) == _bits(
+        [spec.kernel(w, g) for w, g in zip(omega, g1)])
+    assert _bits(spec.trace_gap(g1, g2)) == _bits([_scalar_log_gap(a, b) for a, b in zip(g1, g2)])
+    assert _bits(spec.divergence(log_loss_game(m=m), alpha)(g1, g2)) == _bits(
+        [_scalar_log_divergence(a, b, alpha) for a, b in zip(g1, g2)])
 
 
 def test_quartic_loss_squares_the_square():

@@ -1,16 +1,17 @@
 """Protocol engine: move order, trace integrity, verdicts, verification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from jeffreys import (AdversarialGreedyNature, ConfigError, ConstantNature,
+from jeffreys import (GAME_SPECS, AdversarialGreedyNature, ConfigError, ConstantNature,
                       ConstantPredictor, IidBernoulliNature, Level1Sceptic,
                       Level2Sceptic, ProtocolViolationError,
                       RunningMeanPredictor, ScepticStrategy, Trace,
-                      bounded_absolute_loss_game, classify_disjuncts,
-                      log_loss_game, run_protocol, square_loss_game,
+                      absolute_loss_game, bounded_absolute_loss_game, classify_disjuncts,
+                      game_from_descriptor, log_loss_game, run_protocol, square_loss_game,
                       trace_to_csv_string, verify_run)
 from jeffreys.protocol import (VERDICT_BEATS_P1, VERDICT_BEATS_P2,
                                VERDICT_BEATS_WORSE, VERDICT_GAP_VANISHES,
@@ -132,23 +133,47 @@ def test_log_loss_gap_squares_to_divergence():
     assert trace.gap[0] ** 2 == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("game, g1, g2", [
+    (square_loss_game(), 0.2, 0.7),
+    (log_loss_game(m=2), np.array([0.8, 0.2]), np.array([0.3, 0.7])),
+], ids=["square", "log_loss"])
+def test_closed_form_step_loop_makes_no_loss_calls(monkeypatch, game, g1, g2):
+    # a step only plays: the losses, gaps and divergence terms are columns
+    # computed once the run ends, so no per-move loss is evaluated in the loop
+    spec = GAME_SPECS[game.kind]
+    per_move = []
+
+    def counting(omega, gamma):
+        if np.ndim(omega) == 0:
+            per_move.append(omega)
+        return spec.kernel(omega, gamma)
+
+    monkeypatch.setitem(GAME_SPECS, game.kind, dataclasses.replace(spec, kernel=counting))
+    game = game_from_descriptor(game.descriptor())
+    trace = run_protocol(IidBernoulliNature(0.4), ConstantPredictor(g1), ConstantPredictor(g2),
+                         Level2Sceptic(alpha=0.5), game, 200, seed=9)
+    assert len(trace) == 200 and min(trace.loss1) > 0.0
+    assert per_move == []
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
 
-def _flat_trace(cum1_step, cum2_step, cums_step, gap_value, n=100):
-    row = (0.0, gap_value, 0.5, 1.0, cum1_step, cum2_step, cums_step, gap_value, math.nan)
-    return Trace(square_loss_game(), row * n)
+def _flat_trace(gamma1, gamma2, gamma_sceptic, n=100):
+    # absolute loss at outcome 0: each step's losses are the moves' sizes,
+    # its gap their distance
+    return Trace(absolute_loss_game(), (gamma1, gamma2, gamma_sceptic, 0.0) * n)
 
 
 def test_verdict_gap_vanishes_for_identical_predictors():
-    trace = _flat_trace(0.3, 0.3, 0.3, gap_value=0.0)
+    trace = _flat_trace(0.3, 0.3, 0.3)
     report = classify_disjuncts(trace)
     assert VERDICT_GAP_VANISHES in report.verdicts
 
 
 def test_verdict_beats_p1():
-    trace = _flat_trace(1.0, 0.0, 0.1, gap_value=1.0)
+    trace = _flat_trace(1.0, 0.0, 0.1)
     report = classify_disjuncts(trace, loss_gap_min=10.0)
     assert VERDICT_BEATS_P1 in report.verdicts
     assert VERDICT_BEATS_P2 not in report.verdicts
@@ -156,13 +181,13 @@ def test_verdict_beats_p1():
 
 
 def test_verdict_inconclusive():
-    trace = _flat_trace(0.3, 0.3, 0.3, gap_value=0.5, n=10)
+    trace = _flat_trace(0.3, -0.3, 0.3, n=10)
     report = classify_disjuncts(trace, gap_sum_max=1.0, loss_gap_min=10.0)
     assert report.verdicts == [VERDICT_INCONCLUSIVE]
 
 
 def test_infinite_loss_gap_counts_as_beating():
-    trace = _flat_trace(math.inf, 0.0, 0.1, gap_value=1.0, n=5)
+    trace = _flat_trace(math.inf, 0.0, 0.1, n=5)
     report = classify_disjuncts(trace, gap_sum_max=1.0)
     assert VERDICT_BEATS_P1 in report.verdicts
 

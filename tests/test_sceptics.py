@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from jeffreys import (GAME_SPECS, IidBernoulliNature, IidUniformNature, ConstantNature,
                       ConstantPredictor, Level1Sceptic, Level2Sceptic, Level3Sceptic,
-                      MixabilityViolation, RunningMeanPredictor, absolute_loss_game,
-                      bounded_absolute_loss_game, bounded_square_loss_game,
+                      MixabilityViolation, ReplayNature, RunningMeanPredictor,
+                      absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
                       f_mix, f_mix_integral, game_from_descriptor,
                       level2_inequality_slack, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game,
@@ -81,7 +81,7 @@ def test_closed_form_level2_profile_is_mean_minus_shift(game):
         alpha = rng.uniform(-0.9, 0.9)
         w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
         move = game.spec.level2(game, w1, w2)(g1, g2)
-        shift = game.spec.divergence(game, alpha)(g1, g2) * (1.0 - alpha * alpha) / 4.0
+        shift = game.spec.divergence(game, alpha)([g1], [g2])[0] * (1.0 - alpha * alpha) / 4.0
         mean = w1 * game.canonical_point(g1) + w2 * game.canonical_point(g2)
         assert np.max(np.abs(game.canonical_point(move) - (mean - shift))) <= 1e-9
 
@@ -118,6 +118,20 @@ def test_level2_numeric_path_full_run_quartic():
                                  loss_sceptic=trace.loss_sceptic,
                                  divergence_term=np.zeros(len(trace)))
     assert float(np.min(level2_inequality_slack(zero_terms, 0.0, 1e-3))) >= -1e-9
+
+
+def test_numeric_divergence_column_has_the_truncated_trace_length():
+    # the sceptic moves at the step where the replay runs out, but the trace
+    # records only the steps played: the achieved terms are cut to match
+    game = bounded_absolute_loss_game(grid_size=33)
+    sceptic = Level2Sceptic(alpha=0.4)
+    with pytest.warns(UserWarning, match="run truncated at step 6"):
+        trace = run_protocol(ReplayNature([0.0, 1.0, 1.0, 0.0, 1.0]), ConstantPredictor(0.2),
+                             ConstantPredictor(0.8), sceptic, game, 10, seed=2)
+    assert trace.truncated and len(trace) == 5
+    assert len(trace.divergence_term) == 5
+    assert all(math.isfinite(term) for term in trace.divergence_term)
+    assert verify_run(trace, ["eq9"], sceptic=sceptic).checks_passed
 
 
 @pytest.mark.parametrize("game_factory, g1, g2", [

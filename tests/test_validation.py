@@ -203,6 +203,10 @@ def _aggregating():
                                RunningMeanPredictor()])
 
 
+# the aggregating pool checks each of its two constant experts once, at reset
+RESET_CHECKS = {"aggregating": 2}
+
+
 RUNS = {
     "level2 closed form, adversarial nature": (
         square_loss_game, lambda: Level2Sceptic(alpha=0.4), AdversarialGreedyNature, 0.0, 1.0),
@@ -240,4 +244,4 @@ def test_each_move_is_validated_exactly_once(name, monkeypatch):
     trace = run_protocol(nature_factory(), ConstantPredictor(g1), ConstantPredictor(g2),
                          sceptic_factory(), game, horizon, seed=3)
     assert len(trace) == horizon
-    assert calls == {"prediction": 3 * horizon, "outcome": horizon}
+    assert calls == {"prediction": 3 * horizon + RESET_CHECKS.get(name, 0), "outcome": horizon}
