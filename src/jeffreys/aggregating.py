@@ -7,12 +7,12 @@ whenever the game is perfectly mixable at the pool's learning rate.  The
 resulting cumulative loss trails every expert by at most
 ``C * ln(1 / p_k)`` with ``C = 1 / eta``.
 
-:func:`pool_mixer` is the one mix-and-substitute routine, for the pool
-sceptics: the closed form in the game's table entry (the bounded
-square-loss endpoint formula, the log-loss probability mixture), or else
-the mixed loss profiles and a numeric minimax search over the prediction
-grid, which the closed forms are tested against; :func:`fixed_pool_mixer`
-prepares it once for expert predictions that a run holds fixed.
+:func:`fixed_pool_mixer` is the one mix-and-substitute routine, for the
+pool sceptics, prepared once for the experts' predictions: the closed form
+in the game's table entry (the bounded square-loss endpoint formula, the
+log-loss probability mixture), or else the mixed loss profiles
+(:func:`_generalized`) and a numeric minimax search over the prediction
+grid, which the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -27,17 +27,6 @@ from .games import (Game, MixabilityParams, Prediction, _lse1,
                     check_perfectly_mixable, superprediction_gap)
 
 DOMINATION_TOL = 1e-9
-
-
-def log_sum_exp(x: np.ndarray, axis=None) -> np.ndarray:
-    """Overflow-safe log of a sum of exponentials; handles all--inf slices."""
-    m = np.max(x, axis=axis, keepdims=axis is not None)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(x - safe), axis=axis, keepdims=axis is not None))
-    if axis is None:
-        return float(out)
-    return np.squeeze(out, axis=axis)
 
 
 def params_for(game: Game) -> MixabilityParams:
@@ -86,28 +75,17 @@ class ExpertPool:
         return self.log_weights - total
 
 
-def uniform_pool(k: int) -> ExpertPool:
-    return ExpertPool(np.full(k, 1.0 / k))
-
-
-def generalized_prediction(pool: ExpertPool, expert_points: np.ndarray,
-                           eta: float) -> np.ndarray:
-    """Per-outcome mixture loss ``g(omega) = -ln(sum_k w_k e^(-eta loss_k)) / eta``.
-
-    ``expert_points`` has shape (K, O): expert canonical points over the
-    outcomes of interest.  Infinite expert losses drop out of the mixture.
-    """
-    if np.all(np.isneginf(pool.log_weights)):
-        raise PoolCollapseError("every expert has suffered infinite loss")
-    log_w = pool.log_weights - log_sum_exp(pool.log_weights)
-    return _generalized(log_w, np.asarray(expert_points, dtype=float), eta)
-
-
 def _generalized(log_w: np.ndarray, points: np.ndarray, eta: float) -> np.ndarray:
+    """Per-outcome mixture loss ``g(omega) = -ln(sum_k w_k e^(-eta loss_k)) / eta``
+    of normalized log-weights over (K, O) expert loss profiles."""
     # -inf - (+inf) is -inf; only a NaN loss makes a NaN, and drops out
     exponents = log_w[:, None] - eta * points
     exponents = np.where(np.isnan(exponents), -np.inf, exponents)
-    return -log_sum_exp(exponents, axis=0) / eta
+    # a log-sum-exp down each outcome's column, in one pass over all the outcomes
+    top = exponents.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return -(top + np.log(np.exp(exponents - top).sum(axis=0))) / eta
 
 
 def substitute(game: Game, g: np.ndarray, tol: float = DOMINATION_TOL) -> Prediction:
@@ -129,16 +107,6 @@ def _substitute_numeric(game: Game, g: np.ndarray, tol: float) -> Prediction:
     if worst > tol:
         raise MixabilityViolation(f"substitution excess {worst:.3g} exceeds {tol:.3g}")
     return game.prediction_from_param(u)
-
-
-def pool_mixer(game: Game, eta: float, tol: float = DOMINATION_TOL):
-    """The aggregating move as a function ``(log_w, preds) -> prediction``.
-
-    ``log_w`` are the pool's normalized log-weights and ``preds`` the
-    experts' predictions, shape (K,) or (K, m), which are not validated:
-    :func:`fixed_pool_mixer`'s move for those predictions.
-    """
-    return lambda log_w, preds: fixed_pool_mixer(game, eta, preds, tol)(log_w)
 
 
 def fixed_pool_mixer(game: Game, eta: float, preds, tol: float):

@@ -54,11 +54,23 @@ def _build_game(cfg: dict) -> Game:
         raise ConfigError(f"bad game descriptor: {exc}") from exc
 
 
-def _strategy_desc(cfg: dict, key: str) -> tuple:
-    desc = cfg.get(key)
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _strategy_desc(desc, where: str) -> tuple:
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"config needs a {key} object with a 'kind'")
-    return desc["kind"], desc.get("params", {})
+        raise ConfigError(f"config needs a {where} object with a 'kind'")
+    return desc["kind"], _object(desc.get("params", {}), f"{where} params")
 
 
 def _build_sceptic(kind: str, params: dict):
@@ -74,14 +86,14 @@ def _build_sceptic(kind: str, params: dict):
         if kind == "level3":
             base_desc = params.get("base", {"kind": "level2",
                                             "params": {"alpha": 0.0}})
-            base = _build_sceptic(base_desc["kind"], base_desc.get("params", {}))
+            base = _build_sceptic(*_strategy_desc(base_desc, "level3 base"))
             return Level3Sceptic(base, k_max=params.get("k_max", 20))
         if kind == "aggregating":
             experts_desc = params.get("experts")
             if not experts_desc:
                 raise ConfigError("aggregating sceptic needs a non-empty 'experts' list")
-            experts = [predictor_strategy(d["kind"], d.get("params", {}))
-                       for d in experts_desc]
+            experts = [predictor_strategy(*_strategy_desc(d, f"aggregating expert {i}"))
+                       for i, d in enumerate(experts_desc, 1)]
             return AggregatingSceptic(experts, priors=params.get("priors"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} sceptic parameters: {exc}") from exc
@@ -123,10 +135,10 @@ def _load_config(path: str) -> dict:
 
 def _execute_run(cfg: dict, game: Game, seed: int):
     """Build fresh strategies and play one seeded run."""
-    p1 = predictor_strategy(*_strategy_desc(cfg, "predictor1"))
-    p2 = predictor_strategy(*_strategy_desc(cfg, "predictor2"))
-    nature = nature_strategy(*_strategy_desc(cfg, "nature"))
-    sceptic = _build_sceptic(*_strategy_desc(cfg, "sceptic"))
+    p1 = predictor_strategy(*_strategy_desc(cfg.get("predictor1"), "predictor1"))
+    p2 = predictor_strategy(*_strategy_desc(cfg.get("predictor2"), "predictor2"))
+    nature = nature_strategy(*_strategy_desc(cfg.get("nature"), "nature"))
+    sceptic = _build_sceptic(*_strategy_desc(cfg.get("sceptic"), "sceptic"))
     checks = cfg.get("checks", [])
     _validate_compatibility(game, sceptic)
     require_checks(checks, sceptic, game)
@@ -157,25 +169,27 @@ def _execute_run(cfg: dict, game: Game, seed: int):
 
 def _divergence_expectation_check(cfg: dict) -> int:
     """Scenario mode asserting expected divergence values instead of a run."""
-    section = cfg["divergence"]
-    desc = section["game"] if isinstance(section.get("game"), dict) else {"kind": section["game"]}
+    section = _object(cfg["divergence"], "'divergence'")
+    if not {"game", "g1", "g2"} <= section.keys():
+        raise ConfigError("a divergence section needs 'game', 'g1' and 'g2'")
+    desc = section["game"] if isinstance(section["game"], dict) else {"kind": section["game"]}
     game = _build_game({"game": desc})
     g1 = _parse_prediction(game, str(section["g1"]))
     g2 = _parse_prediction(game, str(section["g2"]))
-    alpha = float(section.get("alpha", 0.0))
-    tol = _check_tol(float(section.get("tol", 1e-4)))
+    alpha = _number(section.get("alpha", 0.0), "divergence alpha")
+    tol = _check_tol(_number(section.get("tol", 1e-4), "divergence tol"))
+    expects = _object(cfg.get("expects", {}), "'expects'")
+    check_tol = _number(expects.get("tol", 1e-3), "expects tol")
     try:
         lower = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
         upper = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    expects = cfg.get("expects", {})
-    check_tol = float(expects.get("tol", 1e-3))
     ok = True
     for key, got in (("lower_shift", lower.shift), ("upper_shift", upper.shift),
                      ("lower_value", lower.value), ("upper_value", upper.value)):
         if key in expects:
-            good = abs(got - float(expects[key])) <= check_tol
+            good = abs(got - _number(expects[key], f"expects {key}")) <= check_tol
             ok = ok and good
             print(f"{key}: got {got:.6g}, expected {expects[key]} "
                   f"+- {check_tol:g} -> {'pass' if good else 'FAIL'}")
@@ -189,8 +203,8 @@ def cmd_run(args) -> int:
         return _divergence_expectation_check(cfg)
     game = _build_game(cfg)
     seed = cfg.get("seed", 0)
+    outputs = _object(cfg.get("outputs", {}), "'outputs'")
     trace, report = _execute_run(cfg, game, seed)
-    outputs = cfg.get("outputs", {})
     trace_path = args.trace_out or outputs.get("trace_csv", "trace.csv")
     report_path = args.report_out or outputs.get("report_json", "report.json")
     write_trace_csv(trace, trace_path)
@@ -208,6 +222,8 @@ def cmd_sweep(args) -> int:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("sweep config needs a non-empty 'seeds' list")
     game = _build_game(cfg)
+    outputs = _object(cfg.get("outputs", {}), "'outputs'")
+    out = args.report_out or outputs.get("report_json", "sweep.json")
     worst_slacks: dict = {}
     verdict_histogram: dict = {}
     failures = []
@@ -233,7 +249,6 @@ def cmd_sweep(args) -> int:
         "verdict_histogram": verdict_histogram,
         "all_passed": all_passed,
     }
-    out = args.report_out or cfg.get("outputs", {}).get("report_json", "sweep.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)
         fh.write("\n")

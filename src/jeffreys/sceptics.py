@@ -18,9 +18,10 @@ Three constructions, ordered by the strength of what they certify:
 Each strategy has one implementation, its ``ScepticStrategy`` class, which
 certifies its own guarantee: ``eq9`` (level 2), ``ledger`` (level 1) or
 ``eq8`` (the threshold lift, and ``AggregatingSceptic``, the aggregating
-mixture of a fixed pool of expert strategies).  Those two share one pool
-engine: they differ only in their experts' predictions and in what the
-experts observe.
+mixture of a fixed pool of expert strategies).  Those two share the game's
+mix (``fixed_pool_mixer``), not an engine: the aggregating sceptic keeps
+one weight per expert, the lift one weight per group of experts that
+predict alike, three in all.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 
 from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
                           fixed_pool_mixer, params_for)
-from .errors import ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation
+from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
+                     PoolCollapseError)
 from .games import Game, Prediction, _scale, superprediction_gap
 
 
@@ -280,31 +282,46 @@ class Level1Sceptic(ScepticStrategy):
 
 
 # ---------------------------------------------------------------------------
-# the pool sceptics: aggregation over a fixed pool of experts
+# the aggregating sceptic: aggregation over a fixed pool of experts
 
 
-class _PoolSceptic(ScepticStrategy):
-    """Mix-and-substitute over one pool, with a running regret audit.
+def _compensated_add(total: float, comp: float, x: float) -> tuple:
+    # TwoSum: comp gathers the exact rounding error of each addition; an
+    # infinite sum carries no compensation
+    t = total + x
+    back = t - total
+    resid = (total - (t - back)) + (x - back)
+    return t, comp + resid if math.isfinite(resid) else comp
 
-    Subclasses supply their experts' predictions (``_expert_predictions``)
-    and what the experts learn from each outcome (``_observe_experts``),
-    and may prepare once for predictions fixed for the run (``_fixed_mix``,
-    ``_loss_table``).
-    The pool is built, and its priors checked, at construction; reset
-    refuses games without aggregation parameters (:func:`params_for`).
-    Tracks the per-expert cumulative losses, the strategy's own cumulative
-    loss ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``.
-    Every observation also re-checks domination at the realized outcome
-    with the weights that produced the move.
+
+class AggregatingSceptic(ScepticStrategy):
+    """Plays the aggregating mixture of a fixed pool of expert strategies.
+
+    The protocol's two predictors are ignored; the experts are the
+    sceptic's own.  ``priors`` default to uniform and need one entry per
+    expert.  Tracks the per-expert cumulative losses, the strategy's own
+    ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``;
+    each observation re-checks domination at the realized outcome with the
+    weights that produced the move.
     """
 
     check = "eq8"
 
-    def __init__(self, priors):
+    def __init__(self, experts, priors=None):
+        if not experts:
+            raise ValueError("expert pool must not be empty")
+        self.experts = list(experts)
+        if priors is None:
+            priors = np.full(len(self.experts), 1.0 / len(self.experts))
         self.pool = ExpertPool(priors)
+        if len(self.pool) != len(self.experts):
+            raise ValueError(f"priors has {len(self.pool)} entries for "
+                             f"{len(self.experts)} experts")
         self.worst_eq8_slack = math.inf
 
     def reset(self, game, rng, horizon):
+        from .players import ConstantPredictor
+
         params = params_for(game)
         self.eta, self.C = params.eta, params.C
         self._game = game
@@ -321,83 +338,6 @@ class _PoolSceptic(ScepticStrategy):
         self._penalty = self.C * np.log(1.0 / self.pool.priors)
         self.worst_eq8_slack = math.inf
         self._pending = None
-
-    def _expert_predictions(self, n, gamma1, gamma2) -> np.ndarray:
-        """The experts' predictions, shape (K,) or (K, m)."""
-        raise NotImplementedError
-
-    def _observe_experts(self, n, omega) -> None:
-        """Let the experts learn the outcome of step ``n``."""
-        raise NotImplementedError
-
-    def predict(self, n, gamma1, gamma2):
-        preds = self._expert_predictions(n, gamma1, gamma2)
-        log_w = self.pool.normalized_log_weights()
-        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
-        gamma = mix(log_w)
-        self._pending = (preds, log_w, gamma)
-        return gamma
-
-    def observe(self, n, omega):
-        preds, log_w, gamma = self._pending
-        own_loss = self._loss(omega, gamma)
-        if self._loss_table is None:
-            losses = self._losses(omega, preds)
-            scaled = self.eta * losses
-        else:
-            losses, scaled = self._loss_table[int(omega)]
-        # -inf - inf stays -inf, so eliminated experts drop out cleanly
-        g_played = -_lse1(log_w - scaled) / self.eta
-        if own_loss > g_played + DOMINATION_TOL:
-            raise MixabilityViolation(
-                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
-        # compensated accumulation on both sides of the slack: TwoSum's exact
-        # rounding errors; an infinite cumulative loss carries no compensation
-        total = self.expert_cums + losses
-        live = ... if math.isfinite(total.max()) else np.isfinite(total)
-        a, b, t = self.expert_cums[live], losses[live], total[live]
-        back = t - a
-        self._comp_experts[live] += (a - (t - back)) + (b - back)
-        self.expert_cums = total
-        t = self.cum_self + own_loss
-        back = t - self.cum_self
-        resid_s = (self.cum_self - (t - back)) + (own_loss - back)
-        if math.isfinite(resid_s):
-            self._comp_self += resid_s
-        self.cum_self = t
-        slack = (float((total + self._comp_experts + self._penalty).min())
-                 - (self.cum_self + self._comp_self))
-        if slack < self.worst_eq8_slack:
-            self.worst_eq8_slack = slack
-        self._observe_experts(n, omega)
-
-    def worst_slack(self, trace) -> float:
-        return float(self.worst_eq8_slack)
-
-
-class AggregatingSceptic(_PoolSceptic):
-    """Plays the aggregating mixture of a fixed pool of expert strategies.
-
-    The protocol's two predictors are ignored; the experts are the
-    sceptic's own.  ``priors`` default to uniform and need one entry per
-    expert."""
-
-    def __init__(self, experts, priors=None):
-        if not experts:
-            raise ValueError("expert pool must not be empty")
-        self.experts = list(experts)
-        if priors is None:
-            priors = np.full(len(self.experts), 1.0 / len(self.experts))
-        super().__init__(priors)
-        if len(self.pool) != len(self.experts):
-            raise ValueError(f"priors has {len(self.pool)} entries for "
-                             f"{len(self.experts)} experts")
-
-    def reset(self, game, rng, horizon):
-        from .players import ConstantPredictor
-
-        super().reset(game, rng, horizon)
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
@@ -421,34 +361,84 @@ class AggregatingSceptic(_PoolSceptic):
     def _collect(self, n):
         return np.asarray([e.predict(n) for e in self.experts], dtype=float)
 
-    def _expert_predictions(self, n, gamma1, gamma2):
-        return self._static_preds if self._static_preds is not None else self._collect(n)
+    def predict(self, n, gamma1, gamma2):
+        preds = self._static_preds if self._static_preds is not None else self._collect(n)
+        log_w = self.pool.normalized_log_weights()
+        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
+        gamma = mix(log_w)
+        self._pending = (preds, log_w, gamma)
+        return gamma
 
-    def _observe_experts(self, n, omega):
+    def observe(self, n, omega):
+        preds, log_w, gamma = self._pending
+        own_loss = self._loss(omega, gamma)
+        if self._loss_table is None:
+            losses = self._losses(omega, preds)
+            scaled = self.eta * losses
+        else:
+            losses, scaled = self._loss_table[int(omega)]
+        # -inf - inf stays -inf, so eliminated experts drop out cleanly
+        g_played = -_lse1(log_w - scaled) / self.eta
+        if own_loss > g_played + DOMINATION_TOL:
+            raise MixabilityViolation(
+                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
+        aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
+        # compensated accumulation on both sides of the slack, as in
+        # _compensated_add; an infinite cumulative loss carries no compensation
+        total = self.expert_cums + losses
+        live = ... if math.isfinite(total.max()) else np.isfinite(total)
+        a, b, t = self.expert_cums[live], losses[live], total[live]
+        back = t - a
+        self._comp_experts[live] += (a - (t - back)) + (b - back)
+        self.expert_cums = total
+        self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
+                                                          own_loss)
+        slack = (float((total + self._comp_experts + self._penalty).min())
+                 - (self.cum_self + self._comp_self))
+        if slack < self.worst_eq8_slack:
+            self.worst_eq8_slack = slack
         if self._static_preds is None:
             for e in self.experts:
                 e.observe(n, omega)
 
+    def worst_slack(self, trace) -> float:
+        return float(self.worst_eq8_slack)
+
 
 # ---------------------------------------------------------------------------
 # level 3: the threshold-expert lift
+
+
+def _lse_floats(xs) -> float:
+    # _lse1 over a few Python floats, where numpy's per-call overhead would dominate
+    top = max(xs)
+    return top if top == -math.inf else top + math.log(sum([math.exp(x - top) for x in xs]))
+
 
 # the largest k for which the threshold 2^k and the reciprocal 2^(k+1) of
 # the smallest prior, which the regret penalty takes, are finite floats
 K_MAX_LIMIT = 1022
 
 
-class Level3Sceptic(_PoolSceptic):
+class Level3Sceptic(ScepticStrategy):
     """Aggregates threshold experts over a base sceptic strategy.
 
     The truncated pool holds two experts per threshold ``2^k``, k = 1 ..
-    ``k_max``.  Expert ``(k, 1)`` mimics the base sceptic until predictor 1
-    trails the base sceptic's cumulative loss by more than ``2^k``, then
-    switches to predictor 1 for good; expert ``(k, 2)`` watches predictor
-    2.  Expert ``(k, j)`` carries prior ``2^-(k+1)``, so the pool sums to
-    ``1 - 2^-k_max``.  The pool is mixed with the game's aggregation
-    parameters.
+    ``k_max``.  Expert ``(k, j)``, of prior ``p_k = 2^-(k+1)`` (the pool sums
+    to ``1 - 2^-k_max``), mimics the base sceptic until predictor j trails
+    the base sceptic's cumulative loss by more than ``2^k``, then switches
+    to predictor j for good.  The game's mix (:func:`fixed_pool_mixer`)
+    plays the pool as three groups of experts that predict alike, at a step
+    cost flat in ``k_max``: the unswitched experts, of weight ``U e^(-eta
+    L_base)`` (U their priors' sum), and per predictor j those switched to
+    it, of weight ``e^(S_j - eta L_j)``, where each switch at step t
+    log-adds ``ln p_k - eta (L_base(t) - L_j(t))`` into ``S_j``.  The eq8
+    audit is, per group, its loss plus a floor fixed at switches.  An
+    infinite loss of predictor j eliminates group j; its ``L_j`` restarts
+    at zero for the experts that switch then.
     """
+
+    check = "eq8"
 
     def __init__(self, base: ScepticStrategy, k_max: int = 20):
         if isinstance(k_max, bool) or not isinstance(k_max, int) \
@@ -460,43 +450,90 @@ class Level3Sceptic(_PoolSceptic):
         self.thresholds = np.concatenate([thresholds, thresholds])
         self._levels = thresholds.tolist()
         p = 2.0 ** -(np.arange(1, k_max + 1) + 1)
-        super().__init__(np.concatenate([p, p]))
+        self.priors = np.concatenate([p, p])
+        self._log_p, self._log_inv_p = np.log(p).tolist(), np.log(1.0 / p).tolist()
+        self.worst_eq8_slack = math.inf
 
     def reset(self, game, rng, horizon):
-        super().reset(game, rng, horizon)
+        params = params_for(game)
+        self.eta, self.C = params.eta, params.C
+        self._game = game
+        self._loss = game.loss_fn()
         self.base.reset(game, rng, horizon)
-        self.cum1 = 0.0
-        self.cum2 = 0.0
-        self.cum_base = 0.0
+        # cum1, cum2 and cum_base are the plain running sums the switches compare
+        self.cum1 = self.cum2 = self.cum_base = self.cum_self = self._comp_self = 0.0
+        # per group (unswitched, switched to predictor 1, to predictor 2): its
+        # loss with its TwoSum compensation, its log-weight offset and eq8 floor
+        self._sums = [(0.0, 0.0)] * 3
+        self._offsets, self._floors = [0.0, -math.inf, -math.inf], [0.0, math.inf, math.inf]
         self.switch_times: dict = {}
         # thresholds increase with k: each predictor's switched experts are a prefix
         self._n_switched = [0, 0]
-        self._targets = np.empty((2 * self.k_max,) + game.prediction_shape)
+        self._update_unswitched()
+        self.worst_eq8_slack = math.inf
+        self._pending = self._mix_key = None
 
-    def _expert_predictions(self, n, gamma1, gamma2):
+    def predict(self, n, gamma1, gamma2):
         gamma_base = self.base.predict(n, gamma1, gamma2)
-        self._moves = (gamma1, gamma2, gamma_base)
-        # the experts' predictions, in a buffer the pool is done with
-        # before the next step
-        k = self.k_max
-        s1, s2 = self._n_switched
-        preds = self._targets
-        preds[:] = gamma_base
-        preds[:s1] = gamma1
-        preds[k:k + s2] = gamma2
-        return preds
+        eta = self.eta
+        w = [o - eta * (s + c) for o, (s, c) in zip(self._offsets, self._sums)]
+        total = _lse_floats(w)
+        if total == -math.inf:
+            raise PoolCollapseError("every expert has suffered infinite loss")
+        log_w = [x - total for x in w]
+        preds = np.array([gamma_base, gamma1, gamma2], dtype=float)
+        if preds.tobytes() != self._mix_key:  # prepared anew when the predictions change
+            self._mix_key = preds.tobytes()
+            self._mix = fixed_pool_mixer(self._game, eta, preds, DOMINATION_TOL)
+        gamma = self._mix(np.array(log_w))
+        self._pending = (gamma_base, gamma1, gamma2, log_w, gamma)
+        return gamma
 
-    def _observe_experts(self, n, omega):
-        gamma1, gamma2, gamma_base = self._moves
+    def observe(self, n, omega):
+        gamma_base, gamma1, gamma2, log_w, gamma = self._pending
+        loss, eta = self._loss, self.eta
+        own_loss = loss(omega, gamma)
+        losses = (loss(omega, gamma_base), loss(omega, gamma1), loss(omega, gamma2))
+        # -inf - inf stays -inf, so eliminated groups drop out cleanly
+        g_played = -_lse_floats([w - eta * x for w, x in zip(log_w, losses)]) / eta
+        if own_loss > g_played + DOMINATION_TOL:
+            raise MixabilityViolation(
+                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
         self.base.observe(n, omega)
-        loss = self._loss
-        self.cum1 += loss(omega, gamma1)
-        self.cum2 += loss(omega, gamma2)
-        self.cum_base += loss(omega, gamma_base)
+        self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
+                                                          own_loss)
+        sums = self._sums = [_compensated_add(s, c, x) for (s, c), x in zip(self._sums, losses)]
+        for j in (1, 2):
+            if sums[j][0] == math.inf:
+                sums[j], self._offsets[j], self._floors[j] = (0.0, 0.0), -math.inf, math.inf
+        slack = (min([s + c + f for (s, c), f in zip(sums, self._floors)])
+                 - (self.cum_self + self._comp_self))
+        if slack < self.worst_eq8_slack:
+            self.worst_eq8_slack = slack
+        self.cum_base = sums[0][0]
+        self.cum1, self.cum2 = self.cum1 + losses[1], self.cum2 + losses[2]
+        self._switch(n)
+
+    def _switch(self, n):
         k = self.k_max
-        for j, behind in enumerate((self.cum1 - self.cum_base, self.cum2 - self.cum_base)):
-            i = self._n_switched[j]
+        for j, behind in ((1, self.cum1 - self.cum_base), (2, self.cum2 - self.cum_base)):
+            i = self._n_switched[j - 1]
             while i < k and behind > self._levels[i]:
-                self.switch_times[j * k + i] = n
-                i += 1
-            self._n_switched[j] = i
+                self.switch_times[(j - 1) * k + i] = n
+                c = sum(self._sums[0]) - sum(self._sums[j])
+                self._offsets[j] = float(np.logaddexp(self._offsets[j],
+                                                      self._log_p[i] - self.eta * c))
+                self._floors[j] = min(self._floors[j], c + self.C * self._log_inv_p[i])
+                i = self._n_switched[j - 1] = i + 1
+                self._update_unswitched()
+
+    def _update_unswitched(self):
+        # ln U, and the penalty of the largest unswitched prior
+        k = self.k_max
+        u = sum(2.0 ** -(s + 1) - 2.0 ** -(k + 1) for s in self._n_switched)
+        self._offsets[0] = math.log(u) if u > 0.0 else -math.inf
+        s = min(self._n_switched)
+        self._floors[0] = self.C * self._log_inv_p[s] if s < k else math.inf
+
+    def worst_slack(self, trace) -> float:
+        return float(self.worst_eq8_slack)

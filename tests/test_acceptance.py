@@ -161,8 +161,8 @@ def test_criterion_4b_bayes_tree_oracle():
     game = j.log_loss_game(m=2)
     experts = [np.array([0.3, 0.7]), np.array([0.6, 0.4]), np.array([0.85, 0.15])]
     priors = np.array([0.5, 0.25, 0.25])
-    mix = j.pool_mixer(game, 1.0)
     preds = np.asarray(experts, dtype=float)
+    mix = j.fixed_pool_mixer(game, 1.0, preds, j.aggregating.DOMINATION_TOL)
     n_steps = 12
     worst = 0.0
     for code in range(2 ** n_steps):
@@ -171,7 +171,7 @@ def test_criterion_4b_bayes_tree_oracle():
         likelihoods = priors.copy()
         for i in range(n_steps):
             omega = (code >> i) & 1
-            gamma = mix(pool.normalized_log_weights(), preds)
+            gamma = mix(pool.normalized_log_weights())
             cum += game.loss(omega, gamma)
             losses = np.array([game.loss(omega, e) for e in experts])
             j.aa_observe(pool, losses, eta=1.0)

@@ -8,11 +8,20 @@ import pytest
 from jeffreys import (AggregatingSceptic, ConstantPredictor, ExpertPool,
                       MixabilityParams, MixabilityViolation, PoolCollapseError,
                       ReplayNature, aa_observe, bounded_absolute_loss_game,
-                      bounded_square_loss_game, generalized_prediction,
-                      log_loss_game, params_for, pool_mixer, quartic_loss_game,
-                      run_protocol, square_loss_game, substitute, uniform_pool)
-from jeffreys.aggregating import _substitute_numeric, log_sum_exp
+                      bounded_square_loss_game, fixed_pool_mixer, log_loss_game,
+                      params_for, quartic_loss_game, run_protocol, square_loss_game,
+                      substitute)
+from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
 from jeffreys.games import _lse1, _lse_rows
+
+
+def _uniform(k):
+    return ExpertPool(np.full(k, 1.0 / k))
+
+
+def _mixed(pool, points, eta):
+    # the pool's generalized prediction over the experts' loss profiles
+    return _generalized(pool.normalized_log_weights(), np.asarray(points, dtype=float), eta)
 
 
 def test_pool_validation():
@@ -26,8 +35,8 @@ def test_pool_validation():
     assert len(pool) == 2
 
 
-def test_log_sum_exp_handles_all_neginf():
-    assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
+def test_lse1_handles_all_neginf():
+    assert _lse1(np.array([-math.inf, -math.inf])) == -math.inf
 
 
 def test_params_are_eta_star_on_the_outcome_bounds():
@@ -51,7 +60,7 @@ def test_params_refused_without_a_positive_eta_star(make_game):
 def test_identical_experts_leave_point_unchanged():
     game = log_loss_game(m=2)
     lam = game.canonical_point(np.array([0.3, 0.7]))
-    g = generalized_prediction(uniform_pool(4), np.tile(lam, (4, 1)), eta=1.0)
+    g = _mixed(_uniform(4), np.tile(lam, (4, 1)), eta=1.0)
     assert np.allclose(g, lam, atol=1e-12)
 
 
@@ -59,9 +68,9 @@ def test_degenerate_weights_pick_single_expert():
     game = log_loss_game(m=2)
     lam1 = game.canonical_point(np.array([0.3, 0.7]))
     lam2 = game.canonical_point(np.array([0.9, 0.1]))
-    pool = uniform_pool(2)
+    pool = _uniform(2)
     pool.log_weights = np.array([0.0, -math.inf])
-    g = generalized_prediction(pool, np.stack([lam1, lam2]), eta=1.0)
+    g = _mixed(pool, np.stack([lam1, lam2]), eta=1.0)
     assert np.allclose(g, lam1, atol=1e-12)
 
 
@@ -69,15 +78,15 @@ def test_bayes_mixture_value():
     game = log_loss_game(m=2)
     pts = np.stack([game.canonical_point(np.array([0.2, 0.8])),
                     game.canonical_point(np.array([0.8, 0.2]))])
-    g = generalized_prediction(uniform_pool(2), pts, eta=1.0)
+    g = _mixed(_uniform(2), pts, eta=1.0)
     assert np.allclose(g, [-math.log(0.5), -math.log(0.5)], atol=1e-12)
 
 
 def test_collapsed_pool_raises():
-    pool = uniform_pool(2)
+    pool = _uniform(2)
     pool.log_weights = np.array([-math.inf, -math.inf])
     with pytest.raises(PoolCollapseError):
-        generalized_prediction(pool, np.zeros((2, 2)), eta=1.0)
+        pool.normalized_log_weights()
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +104,7 @@ def test_substitute_bayes_rule():
     game = log_loss_game(m=2)
     pts = np.stack([game.canonical_point(np.array([0.2, 0.8])),
                     game.canonical_point(np.array([0.8, 0.2]))])
-    g = generalized_prediction(uniform_pool(2), pts, eta=1.0)
+    g = _mixed(_uniform(2), pts, eta=1.0)
     gamma = substitute(game, g)
     assert np.allclose(gamma, [0.5, 0.5], atol=1e-12)
 
@@ -103,7 +112,7 @@ def test_substitute_bayes_rule():
 def test_substitute_domination_bounded_square():
     game = bounded_square_loss_game()
     pts = np.stack([game.canonical_point(0.3), game.canonical_point(0.7)])
-    g = generalized_prediction(uniform_pool(2), pts, eta=2.0)
+    g = _mixed(_uniform(2), pts, eta=2.0)
     gamma = substitute(game, g)
     for idx, omega in ((0, 0.0), (-1, 1.0)):
         assert (omega - gamma) ** 2 <= g[idx] + 1e-9
@@ -119,7 +128,7 @@ def test_substitute_domination_on_continuum():
         pool = ExpertPool(rng.dirichlet(np.ones(k)))
         gammas = rng.random(k)
         pts = np.stack([game.canonical_point(x) for x in gammas])
-        g_ends = generalized_prediction(pool, pts, eta=2.0)
+        g_ends = _mixed(pool, pts, eta=2.0)
         gamma = substitute(game, g_ends)
         mix = np.log(np.dot(np.exp(pool.normalized_log_weights()),
                             np.exp(-2.0 * (omegas[None, :] - gammas[:, None]) ** 2)))
@@ -130,7 +139,7 @@ def test_substitute_domination_on_continuum():
 def test_generic_search_agrees_with_closed_form():
     game = bounded_square_loss_game()
     pts = np.stack([game.canonical_point(0.2), game.canonical_point(0.9)])
-    g_full = generalized_prediction(uniform_pool(2), pts, eta=2.0)
+    g_full = _mixed(_uniform(2), pts, eta=2.0)
     assert _substitute_numeric(game, g_full, 1e-9) == pytest.approx(
         substitute(game, g_full), abs=1e-6)
 
@@ -139,7 +148,7 @@ def test_substitute_flags_excessive_eta():
     game = log_loss_game(m=2)
     pts = np.stack([game.canonical_point(np.array([0.05, 0.95])),
                     game.canonical_point(np.array([0.95, 0.05]))])
-    g = generalized_prediction(uniform_pool(2), pts, eta=4.0)
+    g = _mixed(_uniform(2), pts, eta=4.0)
     with pytest.raises(MixabilityViolation):
         substitute(game, g)
 
@@ -150,24 +159,24 @@ def test_substitute_flags_excessive_eta():
 
 def _aa_step(pool, experts, game, eta):
     # one aggregated move; the pool's weights are not touched
-    return pool_mixer(game, eta)(pool.normalized_log_weights(),
-                                 np.asarray(experts, dtype=float))
+    preds = np.asarray(experts, dtype=float)
+    return fixed_pool_mixer(game, eta, preds, DOMINATION_TOL)(pool.normalized_log_weights())
 
 
 def test_aa_step_single_expert():
     game = log_loss_game(m=2)
-    gamma = _aa_step(uniform_pool(1), [np.array([0.3, 0.7])], game, eta=1.0)
+    gamma = _aa_step(_uniform(1), [np.array([0.3, 0.7])], game, eta=1.0)
     assert np.allclose(gamma, [0.3, 0.7], atol=1e-12)
 
 
 def test_aa_step_identical_experts():
     game = bounded_square_loss_game()
-    gamma = _aa_step(uniform_pool(3), [0.42, 0.42, 0.42], game, eta=2.0)
+    gamma = _aa_step(_uniform(3), [0.42, 0.42, 0.42], game, eta=2.0)
     assert gamma == pytest.approx(0.42, abs=1e-12)
 
 
 def test_aa_observe_updates():
-    pool = uniform_pool(2)
+    pool = _uniform(2)
     before = pool.log_weights.copy()
     aa_observe(pool, np.zeros(2), eta=1.0)
     assert np.array_equal(pool.log_weights, before)
@@ -175,14 +184,14 @@ def test_aa_observe_updates():
     aa_observe(pool, np.array([0.0, math.inf]), eta=1.0)
     assert pool.log_weights[1] == -math.inf
 
-    pool = uniform_pool(2)
+    pool = _uniform(2)
     aa_observe(pool, np.array([0.0, math.log(2.0)]), eta=1.0)
     w = np.exp(pool.normalized_log_weights())
     assert w[0] / w[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_aa_observe_eliminates_an_expert_with_a_nan_loss():
-    pool = uniform_pool(3)
+    pool = _uniform(3)
     aa_observe(pool, np.array([0.5, math.nan, math.inf]), eta=2.0)
     assert pool.log_weights[1] == pool.log_weights[2] == -math.inf
     assert math.isfinite(pool.log_weights[0])

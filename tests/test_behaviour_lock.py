@@ -41,7 +41,7 @@ LOCKED = {
                      "30263b6092aa3ebcd872a2c4f4d26c0a43c5831e290b3dd43d1ad4db119bdb5d"),
     "prop6_logloss": ("6075198b02541875c215ac6abe55a957bcce3ea45cffa0928080af5d688afd18",
                       "aed35b84162fb854cb640878000a9ad06806cc559b7bc17703361e367096e0ad"),
-    "prop5_lift": ("b1d29545531882e536ce4d055bc32f15f49b38e49f88695b85f209559ffbaec1",
+    "prop5_lift": ("75a29cda30b933d633c437e5211639bbdb66778b5fe63d5dac0c4031063209db",
                    "bb253a4e07af7446ff718c49f4a38125fcdfa49e78f966ffa000eb1a4ada943f"),
     "prop1_absolute": ("3c074bdcbe3fa8d05a014a3661618c8b1ab2b1e38bdfa2926200523eded0d168",
                        "f85eadc2e9f17900be944e30f2b31efddd3d13121c22cafef929e68739fdbd42"),
@@ -177,7 +177,7 @@ POOL_LOCKED = {
     "bounded_square_k7": "4a13a8b76964e2bbfafd7523355b373fa5c8162f5bc50a8166f543d903117b7f",
     "bounded_square_learners": "9f1212d60eb58aa56c35dd6da00fb01c7b42e451b5a26f5670ce487772f14501",
     "log_loss_eliminated": "52b810a31c130bf19605972bd5053d1fb70d464f708dc6e9fe3f1dc6fe9293af",
-    "level3_log_loss": "eb47a62c202ba45a061b3601ec7713831bef45758945111fdc3ef5f7c0d41c54",
+    "level3_log_loss": "db53d0ec6821ce795b1b472f85df919b075410fd07de15ae3eeaa28f0c4f6366",
     "quartic_generic": "a5eed28b20c5943f7ad944cd478e1b12c4a542f995fa6f2e1238d7d7c6b05e48",
 }
 

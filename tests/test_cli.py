@@ -194,12 +194,15 @@ def test_check_not_certified_is_config_error(tmp_path, capsys, no_run, overrides
     {"predictor1": {"kind": "constant", "params": {"gamma": [0.5, float("inf")]}}},
     {"predictor2": {"kind": "drift", "params": {"gamma0": 0.0, "delta": float("inf")}}},
     {"nature": {"kind": "constant", "params": {"omega": float("nan")}}},
+    {"outputs": 3},
+    {"nature": {"kind": "iid_bernoulli", "params": 3}},
 ], ids=["bernoulli-p-string", "uniform-hi-string", "constant-nature-no-omega",
         "drift-no-delta", "constant-gamma-abc", "replay-empty", "replay-string",
         "replay-no-file", "seed-negative", "seed-string", "seed-bool", "threshold-string",
         "threshold-inf", "constant-gamma-numeric-string", "constant-gamma-vector-string",
         "threshold-unknown-key", "unknown-top-level-key", "constant-gamma-nan",
-        "constant-gamma-vector-inf", "drift-delta-inf", "constant-omega-nan"])
+        "constant-gamma-vector-inf", "drift-delta-inf", "constant-omega-nan",
+        "outputs-not-an-object", "nature-params-not-an-object"])
 def test_bad_player_or_run_parameter_is_config_error(tmp_path, capsys, no_run, overrides):
     path, _ = write_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == 2
@@ -395,6 +398,37 @@ def test_divergence_scenario_rejects_bad_parameters(tmp_path, section):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    {"divergence": {"game": {"kind": "quartic"}, "g2": 1.0}},
+    {"divergence": {"game": {"kind": "quartic"}, "g1": -1.0, "g2": 1.0, "alpha": "abc"}},
+    {"divergence": {"game": {"kind": "quartic"}, "g1": -1.0, "g2": 1.0},
+     "expects": {"tol": "x"}},
+    {"divergence": 3},
+    {"divergence": {"game": {"kind": "quartic"}, "g1": -1.0, "g2": 1.0},
+     "expects": {"lower_shift": "x"}},
+], ids=["no-g1", "alpha-string", "expects-tol-string", "not-an-object",
+        "expected-value-string"])
+def test_divergence_section_of_the_wrong_shape_is_config_error(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"spec_version": 1, **cfg}))
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sceptic", [
+    {"kind": "aggregating", "params": {"experts": [{"params": {"gamma": 0.2}}]}},
+    {"kind": "level3", "params": {"base": {"params": {}}}},
+    {"kind": "level3", "params": {"base": {"kind": "level2", "params": [0.0]}}},
+], ids=["aggregating-expert-without-kind", "level3-base-without-kind",
+        "level3-base-params-not-an-object"])
+def test_nested_sceptic_section_of_the_wrong_shape_is_config_error(tmp_path, capsys, no_run,
+                                                                   sceptic):
+    path, _ = write_config(tmp_path, game={"kind": "bounded_square"}, sceptic=sceptic,
+                           checks=["eq8"])
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_failed_expectation_exits_one(tmp_path):

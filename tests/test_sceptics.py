@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import (GAME_SPECS, IidBernoulliNature, IidUniformNature, ConstantNature,
-                      ConstantPredictor, Level1Sceptic, Level2Sceptic, Level3Sceptic,
-                      MixabilityViolation, ReplayNature, RunningMeanPredictor,
-                      absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
+from jeffreys import (GAME_SPECS, AggregatingSceptic, IidBernoulliNature, IidUniformNature,
+                      ConstantNature, ConstantPredictor, Level1Sceptic, Level2Sceptic,
+                      Level3Sceptic, JeffreysError, MixabilityViolation,
+                      NoisyTargetPredictor, PoolCollapseError, ReplayNature,
+                      RunningMeanPredictor, classify_disjuncts, absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
                       f_mix, f_mix_integral, game_from_descriptor,
                       level2_inequality_slack, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game,
                       run_protocol, square_loss_game, verify_run)
+from jeffreys.sceptics import K_MAX_LIMIT
+from pool_reference import PerExpertLevel3
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +328,7 @@ def test_level3_config():
     with pytest.raises(ValueError):
         Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=0)
     sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=20)
-    assert float(sceptic.pool.priors.sum()) <= 1.0
+    assert float(sceptic.priors.sum()) <= 1.0
     assert sceptic.thresholds[0] == 2.0
 
 
@@ -347,7 +350,7 @@ def test_level3_without_switches_tracks_base():
                          ConstantPredictor(0.5), sceptic, game, 2000, seed=4)
     assert not sceptic.switch_times
     assert np.allclose(trace.gamma_sceptic, 0.5, atol=1e-12)
-    bound = sceptic.C * math.log(1.0 / float(np.min(sceptic.pool.priors)))
+    bound = sceptic.C * math.log(1.0 / float(np.min(sceptic.priors)))
     assert sceptic.cum_self - sceptic.cum_base <= bound + 1e-9
 
 
@@ -356,7 +359,7 @@ def test_level3_degenerate_pool_is_plain_aggregation():
     sceptic = Level3Sceptic(Level2Sceptic(alpha=0.0), k_max=1)
     run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.3),
                  ConstantPredictor(0.7), sceptic, game, 500, seed=8)
-    assert len(sceptic.pool) == 2
+    assert len(sceptic.priors) == 2
     assert sceptic.worst_eq8_slack >= -1e-9
 
 
@@ -390,3 +393,111 @@ def test_level3_disjunction_at_long_horizon():
                          sceptic, game, horizon, seed=52)
     report = classify_disjuncts(trace, gap_sum_max=1.0, loss_gap_min=100.0)
     assert "gap-vanishes" in report.verdicts
+
+
+# ---------------------------------------------------------------------------
+# level 3's three group weights against the per-expert reference engine
+
+def _lift_case(game, p1, p2, nature, horizon, seed, k_max=20, base=None):
+    return (game, p1, p2, nature, horizon, seed, k_max,
+            base or (lambda: Level2Sceptic(alpha=0.0, epsilon=1e-3)))
+
+
+def _noisy(target):
+    return NoisyTargetPredictor(target, sigma=0.15)
+
+
+def _log_pair(p, q):
+    return ConstantPredictor(np.array(p)), ConstantPredictor(np.array(q))
+
+
+LIFT_CASES = {
+    # the locked runs: the prop5_lift scenario and the level-3 pool lock
+    "prop5_lift": lambda: _lift_case(bounded_square_loss_game(), ConstantPredictor(0.1),
+                                     ConstantPredictor(0.9), ConstantNature(0.9),
+                                     10_000, 20090713),
+    "level3_log_loss": lambda: _lift_case(log_loss_game(m=2), *_log_pair([0.2, 0.8], [0.7, 0.3]),
+                                          IidBernoulliNature(0.75), 1000, 15, k_max=12),
+    # acceptance criterion 6, and the long-horizon disjunction test
+    "criterion6_diverging": lambda: _lift_case(
+        bounded_square_loss_game(), ConstantPredictor(0.1), ConstantPredictor(0.9),
+        ConstantNature(0.9), 10_000, 41),
+    "criterion6_converging": lambda: _lift_case(
+        bounded_square_loss_game(), _noisy(0.6), _noisy(0.6), IidBernoulliNature(0.6),
+        10_000, 42),
+    "long_diverging": lambda: _lift_case(
+        bounded_square_loss_game(), ConstantPredictor(0.2), ConstantPredictor(0.7),
+        IidUniformNature(0.6, 0.8), 100_000, 51),
+    "long_converging": lambda: _lift_case(
+        bounded_square_loss_game(), _noisy(0.4), _noisy(0.4), IidBernoulliNature(0.4),
+        100_000, 52),
+    # the numeric substitution, three outcomes, and the pool's size
+    "quartic": lambda: _lift_case(quartic_loss_game(outcome_grid_size=65),
+                                  ConstantPredictor(-0.5), ConstantPredictor(0.5),
+                                  IidUniformNature(-1.0, 1.0), 100, 16, k_max=5),
+    "log_loss_m3": lambda: _lift_case(log_loss_game(m=3),
+                                      *_log_pair([0.6, 0.3, 0.1], [0.1, 0.2, 0.7]),
+                                      ReplayNature([0, 1, 2, 2, 1, 0, 2] * 300), 2000, 17),
+    "k_max_1": lambda: _lift_case(bounded_square_loss_game(), ConstantPredictor(0.3),
+                                  ConstantPredictor(0.7), IidBernoulliNature(0.5), 500, 8,
+                                  k_max=1),
+    "k_max_5": lambda: _lift_case(bounded_square_loss_game(), ConstantPredictor(0.1),
+                                  ConstantPredictor(0.9), ConstantNature(0.9), 3000, 13,
+                                  k_max=5),
+    "k_max_limit": lambda: _lift_case(bounded_square_loss_game(), ConstantPredictor(0.1),
+                                      ConstantPredictor(0.9), ConstantNature(0.9), 3000, 13,
+                                      k_max=K_MAX_LIMIT),
+    "k_max_limit_log_loss": lambda: _lift_case(
+        log_loss_game(m=2), *_log_pair([0.2, 0.8], [0.7, 0.3]), IidBernoulliNature(0.75),
+        1000, 15, k_max=K_MAX_LIMIT),
+    # every expert suffers an infinite loss at step 1: the pool collapses at step 2
+    "collapse": lambda: _lift_case(log_loss_game(m=2), *_log_pair([1.0, 0.0], [0.5, 0.5]),
+                                   IidBernoulliNature(0.5), 100, 3),
+    # predictor 1's infinite losses against a base that never suffers one:
+    # its group is eliminated, and every watcher of it switches at once
+    "infinite_predictor_loss": lambda: _lift_case(
+        log_loss_game(m=2), *_log_pair([1.0, 0.0], [0.5, 0.5]), IidBernoulliNature(0.3),
+        300, 5, k_max=K_MAX_LIMIT,
+        base=lambda: AggregatingSceptic([ConstantPredictor(np.array([0.5, 0.5])),
+                                         ConstantPredictor(np.array([0.8, 0.2]))])),
+}
+
+
+def _play_lift(make, case):
+    game, p1, p2, nature, horizon, seed, k_max, base = case
+    sceptic = make(base(), k_max=k_max)
+    steps = []
+    predict = sceptic.predict
+
+    def counted(n, gamma1, gamma2):
+        steps.append(n)
+        return predict(n, gamma1, gamma2)
+    sceptic.predict = counted
+    try:
+        trace = run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
+    except JeffreysError as exc:
+        return sceptic, None, (type(exc), steps[-1])
+    report = verify_run(trace, ["eq8"], sceptic=sceptic,
+                        report=classify_disjuncts(trace, gap_sum_max=1.0, loss_gap_min=100.0))
+    return sceptic, trace, report
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+def test_level3_groups_match_the_per_expert_engine(name):
+    # the three group weights play the 2 * k_max experts one by one would,
+    # to rounding: the same switches, verdicts and failures, the same moves
+    # and the same eq8 slack
+    ours, trace, report = _play_lift(Level3Sceptic, LIFT_CASES[name]())
+    ref, ref_trace, ref_report = _play_lift(PerExpertLevel3, LIFT_CASES[name]())
+    if name == "collapse":
+        assert ref_report == (PoolCollapseError, 2)
+    if ref_trace is None or trace is None:
+        assert report == ref_report  # (exception class, step)
+        return
+    assert ours.switch_times == ref.switch_times
+    assert report.verdicts == ref_report.verdicts
+    assert report.checks_passed and ref_report.checks_passed
+    gammas = np.asarray(trace.gamma_sceptic, dtype=float)
+    assert np.max(np.abs(gammas - np.asarray(ref_trace.gamma_sceptic, dtype=float))) <= 1e-12
+    assert abs(ours.worst_eq8_slack - ref.worst_eq8_slack) <= 1e-9
+    assert ours.worst_eq8_slack >= -1e-9
