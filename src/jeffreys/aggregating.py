@@ -13,6 +13,13 @@ in the game's table entry (the bounded square-loss endpoint formula, the
 log-loss probability mixture), or else the mixed loss profiles
 (:func:`_generalized`) and a numeric minimax search over the prediction
 grid, which the closed forms are tested against.
+
+:func:`aa_observe` decays the weights and reports the constant its
+anchoring subtracted, so that a caller that keeps the weights'
+log-normalizer ``T = ln sum_k e^(log_w_k)`` reads the mixture loss at the
+realized outcome off two normalizers: ``-((T' + shift) - T) / eta``, the
+quantity the aggregating sceptic re-checks domination against without a
+second log-sum-exp.
 """
 
 from __future__ import annotations
@@ -126,13 +133,15 @@ def fixed_pool_mixer(game: Game, eta: float, preds, tol: float):
     return mix
 
 
-def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> ExpertPool:
+def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> float:
     """Decay the pool's weights by the observed expert losses (in place).
 
     Weights are stored up to a common additive constant in log space:
     anchoring the maximum at zero costs nothing observable (normalization
     removes constants) and keeps the precision of the weights that matter
     from degrading as cumulative losses grow.  A NaN loss eliminates its expert.
+    Returns the constant the anchoring subtracted from every log-weight
+    (0.0 when it did not anchor).
     """
     losses = np.asarray(expert_losses, dtype=float)
     # -inf - (+inf) is -inf: a weight stays eliminated against an infinite loss
@@ -141,7 +150,9 @@ def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> Exper
     if top != top:
         decayed = np.where(np.isnan(decayed), -np.inf, decayed)
         top = decayed.max()
+    shift = 0.0
     if top < -512.0 and math.isfinite(top):
         decayed -= top
+        shift = float(top)
     pool.log_weights = decayed
-    return pool
+    return shift

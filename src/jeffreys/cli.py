@@ -197,13 +197,23 @@ def _divergence_expectation_check(cfg: dict) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _outputs(cfg: dict) -> dict:
+    """The config's 'outputs' object, each path in it a non-empty string."""
+    outputs = _object(cfg.get("outputs", {}), "'outputs'")
+    for key in ("trace_csv", "report_json"):
+        if key in outputs and not (isinstance(outputs[key], str) and outputs[key]):
+            raise ConfigError(f"outputs {key} must be a non-empty path string, "
+                              f"got {outputs[key]!r}")
+    return outputs
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if "divergence" in cfg:
         return _divergence_expectation_check(cfg)
     game = _build_game(cfg)
     seed = cfg.get("seed", 0)
-    outputs = _object(cfg.get("outputs", {}), "'outputs'")
+    outputs = _outputs(cfg)
     trace, report = _execute_run(cfg, game, seed)
     trace_path = args.trace_out or outputs.get("trace_csv", "trace.csv")
     report_path = args.report_out or outputs.get("report_json", "report.json")
@@ -222,7 +232,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("sweep config needs a non-empty 'seeds' list")
     game = _build_game(cfg)
-    outputs = _object(cfg.get("outputs", {}), "'outputs'")
+    outputs = _outputs(cfg)
     out = args.report_out or outputs.get("report_json", "sweep.json")
     worst_slacks: dict = {}
     verdict_histogram: dict = {}

@@ -294,15 +294,41 @@ def _compensated_add(total: float, comp: float, x: float) -> tuple:
     return t, comp + resid if math.isfinite(resid) else comp
 
 
+def _compensated_cumsum(total, comp, rows) -> tuple:
+    # _compensated_add over rows (a list of floats or of (K,) arrays) from
+    # (total, comp), as running columns: the running sums and compensations
+    # after each row, bit for bit those of adding the rows one by one
+    # (np.cumsum adds in order); callers ignore invalid-value warnings
+    x = np.array([total, *rows])
+    sums = np.cumsum(x, axis=0)
+    a, t = sums[:-1], sums[1:]
+    back = t - a
+    resid = (a - (t - back)) + (x[1:] - back)
+    resid[~np.isfinite(resid)] = 0.0
+    x[0], x[1:] = comp, resid
+    return t, np.cumsum(x, axis=0)[1:]
+
+
+# steps whose eq8 audit rows the aggregating sceptic holds before folding
+# them: the audit's memory is O(EQ8_BLOCK * K), whatever the horizon
+EQ8_BLOCK = 256
+
+
 class AggregatingSceptic(ScepticStrategy):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
 
     The protocol's two predictors are ignored; the experts are the
     sceptic's own.  ``priors`` default to uniform and need one entry per
-    expert.  Tracks the per-expert cumulative losses, the strategy's own
-    ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``;
-    each observation re-checks domination at the realized outcome with the
-    weights that produced the move.
+    expert.  A step only plays: ``observe`` decays the weights and keeps
+    their log-normalizer for the next ``predict``, and re-checks
+    domination at the realized outcome with the weights that produced the
+    move, from the normalizers before and after the decay.  The eq8 audit
+    (Vovk's regret bound, a statement about cumulative sums) holds each
+    step's expert losses and own loss, and folds them every ``EQ8_BLOCK``
+    steps and on each read, as TwoSum-compensated column sums, into the
+    per-expert cumulative losses ``expert_cums``, the strategy's own
+    ``cum_self``, the tightest regret slack seen, ``worst_eq8_slack``, and
+    the first step that attains it, ``worst_eq8_step``.
     """
 
     check = "eq8"
@@ -317,7 +343,8 @@ class AggregatingSceptic(ScepticStrategy):
         if len(self.pool) != len(self.experts):
             raise ValueError(f"priors has {len(self.pool)} entries for "
                              f"{len(self.experts)} experts")
-        self.worst_eq8_slack = math.inf
+        self._rows, self._own = [], []
+        self._worst, self._worst_step = math.inf, None
 
     def reset(self, game, rng, horizon):
         from .players import ConstantPredictor
@@ -326,17 +353,20 @@ class AggregatingSceptic(ScepticStrategy):
         self.eta, self.C = params.eta, params.C
         self._game = game
         self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
+        self._total = _lse1(self.pool.log_weights)
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
         self._fixed_mix = self._loss_table = None
-        self.expert_cums = np.zeros(len(self.pool))
-        self.cum_self = 0.0
-        # compensation terms: cumulative losses reach magnitudes where the
-        # plain running sums' rounding would drown the regret slack
-        self._comp_experts = np.zeros(len(self.pool))
-        self._comp_self = 0.0
+        # the audit's carried sums, with compensation terms: cumulative losses
+        # reach magnitudes where the plain running sums' rounding would drown
+        # the regret slack
+        self._cums = np.zeros(len(self.pool))
+        self._comps = np.zeros(len(self.pool))
+        self._cum_self = self._comp_self = 0.0
         self._penalty = self.C * np.log(1.0 / self.pool.priors)
-        self.worst_eq8_slack = math.inf
+        self._rows, self._own = [], []
+        self._folded = 0
+        self._worst, self._worst_step = math.inf, None
         self._pending = None
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
@@ -363,43 +393,79 @@ class AggregatingSceptic(ScepticStrategy):
 
     def predict(self, n, gamma1, gamma2):
         preds = self._static_preds if self._static_preds is not None else self._collect(n)
-        log_w = self.pool.normalized_log_weights()
+        if self._total == -math.inf:
+            raise PoolCollapseError("every expert has suffered infinite loss")
+        # the bits of ExpertPool.normalized_log_weights, its normalizer kept from observe
+        log_w = self.pool.log_weights - self._total
         mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
         gamma = mix(log_w)
-        self._pending = (preds, log_w, gamma)
+        self._pending = (preds, gamma)
         return gamma
 
     def observe(self, n, omega):
-        preds, log_w, gamma = self._pending
+        preds, gamma = self._pending
         own_loss = self._loss(omega, gamma)
         if self._loss_table is None:
             losses = self._losses(omega, preds)
             scaled = self.eta * losses
         else:
             losses, scaled = self._loss_table[int(omega)]
-        # -inf - inf stays -inf, so eliminated experts drop out cleanly
-        g_played = -_lse1(log_w - scaled) / self.eta
+        before = self._total
+        shift = aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
+        after = self._total = _lse1(self.pool.log_weights)
+        # the mixture loss -ln(sum_k w_k e^(-eta loss_k)) / eta under the
+        # normalized weights that made the move is the normalizers' difference;
+        # an eliminated expert's -inf weight adds to neither normalizer
+        g_played = -((after + shift) - before) / self.eta
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
-        # compensated accumulation on both sides of the slack, as in
-        # _compensated_add; an infinite cumulative loss carries no compensation
-        total = self.expert_cums + losses
-        live = ... if math.isfinite(total.max()) else np.isfinite(total)
-        a, b, t = self.expert_cums[live], losses[live], total[live]
-        back = t - a
-        self._comp_experts[live] += (a - (t - back)) + (b - back)
-        self.expert_cums = total
-        self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
-                                                          own_loss)
-        slack = (float((total + self._comp_experts + self._penalty).min())
-                 - (self.cum_self + self._comp_self))
-        if slack < self.worst_eq8_slack:
-            self.worst_eq8_slack = slack
+        self._rows.append(losses)
+        self._own.append(own_loss)
+        if len(self._own) == EQ8_BLOCK:
+            self._fold()
         if self._static_preds is None:
             for e in self.experts:
                 e.observe(n, omega)
+
+    def _fold(self):
+        # the held steps' eq8 slacks, min over the experts of (cumulative
+        # loss + penalty) less the own cumulative loss, each sum compensated;
+        # a NaN slack is skipped, and an infinite sum carries no compensation
+        if not self._own:
+            return
+        with np.errstate(invalid="ignore"):
+            cums, comps = _compensated_cumsum(self._cums, self._comps, self._rows)
+            own, own_comps = _compensated_cumsum(self._cum_self, self._comp_self, self._own)
+            slacks = ((cums + comps) + self._penalty).min(axis=1) - (own + own_comps)
+        slacks[np.isnan(slacks)] = math.inf
+        i = int(slacks.argmin())
+        if slacks[i] < self._worst:
+            self._worst, self._worst_step = float(slacks[i]), self._folded + i + 1
+        self._cums, self._comps = cums[-1].copy(), comps[-1].copy()
+        self._cum_self, self._comp_self = float(own[-1]), float(own_comps[-1])
+        self._folded += len(self._own)
+        self._rows, self._own = [], []
+
+    @property
+    def worst_eq8_slack(self) -> float:
+        self._fold()
+        return self._worst
+
+    @property
+    def worst_eq8_step(self) -> Optional[int]:
+        self._fold()
+        return self._worst_step
+
+    @property
+    def expert_cums(self) -> np.ndarray:
+        self._fold()
+        return self._cums
+
+    @property
+    def cum_self(self) -> float:
+        self._fold()
+        return self._cum_self
 
     def worst_slack(self, trace) -> float:
         return float(self.worst_eq8_slack)
@@ -433,9 +499,10 @@ class Level3Sceptic(ScepticStrategy):
     L_base)`` (U their priors' sum), and per predictor j those switched to
     it, of weight ``e^(S_j - eta L_j)``, where each switch at step t
     log-adds ``ln p_k - eta (L_base(t) - L_j(t))`` into ``S_j``.  The eq8
-    audit is, per group, its loss plus a floor fixed at switches.  An
-    infinite loss of predictor j eliminates group j; its ``L_j`` restarts
-    at zero for the experts that switch then.
+    audit is, per group, its loss plus a floor fixed at switches; it keeps
+    the worst slack, ``worst_eq8_slack``, and the first step that attains
+    it, ``worst_eq8_step``.  An infinite loss of predictor j eliminates
+    group j; its ``L_j`` restarts at zero for the experts that switch then.
     """
 
     check = "eq8"
@@ -452,7 +519,7 @@ class Level3Sceptic(ScepticStrategy):
         p = 2.0 ** -(np.arange(1, k_max + 1) + 1)
         self.priors = np.concatenate([p, p])
         self._log_p, self._log_inv_p = np.log(p).tolist(), np.log(1.0 / p).tolist()
-        self.worst_eq8_slack = math.inf
+        self.worst_eq8_slack, self.worst_eq8_step = math.inf, None
 
     def reset(self, game, rng, horizon):
         params = params_for(game)
@@ -470,7 +537,7 @@ class Level3Sceptic(ScepticStrategy):
         # thresholds increase with k: each predictor's switched experts are a prefix
         self._n_switched = [0, 0]
         self._update_unswitched()
-        self.worst_eq8_slack = math.inf
+        self.worst_eq8_slack, self.worst_eq8_step = math.inf, None
         self._pending = self._mix_key = None
 
     def predict(self, n, gamma1, gamma2):
@@ -509,7 +576,7 @@ class Level3Sceptic(ScepticStrategy):
         slack = (min([s + c + f for (s, c), f in zip(sums, self._floors)])
                  - (self.cum_self + self._comp_self))
         if slack < self.worst_eq8_slack:
-            self.worst_eq8_slack = slack
+            self.worst_eq8_slack, self.worst_eq8_step = slack, n
         self.cum_base = sums[0][0]
         self.cum1, self.cum2 = self.cum1 + losses[1], self.cum2 + losses[2]
         self._switch(n)

@@ -18,28 +18,29 @@ CSV_HEADER = ("n,gamma1,gamma2,gamma_sceptic,omega,"
               "loss1,loss2,loss_sceptic,cum1,cum2,cum_sceptic,gap,divergence_term")
 
 
-def format_number(x) -> str:
-    return "%.17g" % float(x)
-
-
-def _format_move(value) -> str:
-    # log-loss predictions are probability vectors: semicolon-joined
-    if isinstance(value, np.ndarray):
-        return ";".join(format_number(v) for v in value)
-    return format_number(value)
-
-
-# a row's eight loss, sum, gap and divergence columns, in format_number's format
-_NUMBERS = ",".join(["%.17g"] * 8)
+# rows formatted by one % over a block's template, and written at once; the
+# block's columns are the only copy of the trace the writer makes
+_BLOCK_ROWS = 1000
 
 
 def trace_to_csv(trace: Trace, stream: IO[str]) -> None:
+    """Write the trace as CSV: each number in ``%.17g``, the moves of a
+    log-loss game as their probabilities joined by ``;``."""
     stream.write(CSV_HEADER + "\n")
-    moves = zip(trace.gamma1, trace.gamma2, trace.gamma_sceptic, trace.omega)
-    numbers = zip(trace.loss1, trace.loss2, trace.loss_sceptic, trace.cum1, trace.cum2,
-                  trace.cum_sceptic, trace.gap, trace.divergence_term)
-    for n, (move, values) in enumerate(zip(moves, numbers), 1):
-        stream.write(f"{n},{','.join(map(_format_move, move))},{_NUMBERS % values}\n")
+    width = int(np.prod(trace.game.prediction_shape))
+    move = ";".join(["%.17g"] * width)
+    row = ",".join(["%d"] + [move] * 3 + ["%.17g"] * 9) + "\n"
+    moves = (trace.gamma1, trace.gamma2, trace.gamma_sceptic)
+    numbers = (trace.omega, trace.loss1, trace.loss2, trace.loss_sceptic, trace.cum1,
+               trace.cum2, trace.cum_sceptic, trace.gap, trace.divergence_term)
+    for start in range(0, len(trace), _BLOCK_ROWS):
+        end = min(start + _BLOCK_ROWS, len(trace))
+        block = np.column_stack(
+            [np.arange(start + 1, end + 1)]
+            + [np.asarray(col[start:end], dtype=float).reshape(end - start, width)
+               for col in moves]
+            + [np.asarray(col[start:end], dtype=float) for col in numbers])
+        stream.write((row * (end - start)) % tuple(block.ravel().tolist()))
 
 
 def trace_to_csv_string(trace: Trace) -> str:

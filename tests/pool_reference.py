@@ -1,11 +1,17 @@
-"""The threshold lift played over its 2 * k_max experts one by one.
+"""Reference pool sceptics, one plain step at a time.
 
-``PerExpertLevel3`` keeps one log-weight and one compensated cumulative
-loss per threshold expert, mixes the (2 * k_max,) predictions through
-``fixed_pool_mixer`` and audits eq8 over every expert.  It is the reference
-the library's ``Level3Sceptic``, which keeps three group weights, is
-tested against: the same switches, the same moves to rounding, the same
-eq8 slack to rounding.
+``PerExpertLevel3`` plays the threshold lift over its 2 * k_max experts one
+by one: one log-weight and one compensated cumulative loss per threshold
+expert, the (2 * k_max,) predictions mixed through ``fixed_pool_mixer`` and
+eq8 audited over every expert.  It is the reference the library's
+``Level3Sceptic``, which keeps three group weights, is tested against: the
+same switches, the same moves to rounding, the same eq8 slack to rounding.
+
+``PerStepAggregating`` is the aggregating sceptic that re-checks domination
+with a second log-sum-exp and audits eq8 inside every step, kept as it was
+before the library's ``AggregatingSceptic`` folded its audit in column
+blocks and read the re-check off the next normalizer.  The two must play
+the same moves and find the same worst eq8 slack, bit for bit.
 """
 
 import math
@@ -14,8 +20,8 @@ import numpy as np
 
 from jeffreys.aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
                                   fixed_pool_mixer, params_for)
-from jeffreys.errors import MixabilityViolation
-from jeffreys.sceptics import ScepticStrategy
+from jeffreys.errors import ConfigError, DomainError, MixabilityViolation
+from jeffreys.sceptics import ScepticStrategy, _compensated_add
 
 
 class PerExpertLevel3(ScepticStrategy):
@@ -108,4 +114,115 @@ class PerExpertLevel3(ScepticStrategy):
             self._n_switched[j] = i
 
     def worst_slack(self, trace):
+        return float(self.worst_eq8_slack)
+
+
+class PerStepAggregating(ScepticStrategy):
+    """Plays the aggregating mixture of a fixed pool of expert strategies.
+
+    The protocol's two predictors are ignored; the experts are the
+    sceptic's own.  ``priors`` default to uniform and need one entry per
+    expert.  Tracks the per-expert cumulative losses, the strategy's own
+    ``cum_self``, and the tightest regret slack seen, ``worst_eq8_slack``;
+    each observation re-checks domination at the realized outcome with the
+    weights that produced the move.
+    """
+
+    check = "eq8"
+
+    def __init__(self, experts, priors=None):
+        if not experts:
+            raise ValueError("expert pool must not be empty")
+        self.experts = list(experts)
+        if priors is None:
+            priors = np.full(len(self.experts), 1.0 / len(self.experts))
+        self.pool = ExpertPool(priors)
+        if len(self.pool) != len(self.experts):
+            raise ValueError(f"priors has {len(self.pool)} entries for "
+                             f"{len(self.experts)} experts")
+        self.worst_eq8_slack = math.inf
+
+    def reset(self, game, rng, horizon):
+        from jeffreys.players import ConstantPredictor
+
+        params = params_for(game)
+        self.eta, self.C = params.eta, params.C
+        self._game = game
+        self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
+        self._loss = game.loss_fn()
+        self._losses = game.spec.losses
+        self._fixed_mix = self._loss_table = None
+        self.expert_cums = np.zeros(len(self.pool))
+        self.cum_self = 0.0
+        # compensation terms: cumulative losses reach magnitudes where the
+        # plain running sums' rounding would drown the regret slack
+        self._comp_experts = np.zeros(len(self.pool))
+        self._comp_self = 0.0
+        self._penalty = self.C * np.log(1.0 / self.pool.priors)
+        self.worst_eq8_slack = math.inf
+        self._pending = None
+        streams = rng.spawn(len(self.experts))
+        for expert, stream in zip(self.experts, streams):
+            expert.reset(game, stream, horizon)
+        # a constant expert is checked once, here; a pool of constants emits the
+        # same prediction matrix every step, so its mix and (on a finite
+        # outcome space) losses are prepared once too
+        for i, expert in enumerate(self.experts, 1):
+            if isinstance(expert, ConstantPredictor):
+                try:
+                    game.validate_prediction(expert.predict(1))
+                except DomainError as exc:
+                    raise ConfigError(f"aggregating expert {i}: {exc}") from exc
+        self._static_preds = None
+        if all(isinstance(e, ConstantPredictor) for e in self.experts):
+            self._static_preds = preds = self._collect(1)
+            self._fixed_mix = fixed_pool_mixer(game, self.eta, preds, DOMINATION_TOL)
+            if game.spec.outcome_type is int:  # per outcome: losses, eta-scaled losses
+                rows = (self._losses(w, preds) for w in range(game.m))
+                self._loss_table = [(row, self.eta * row) for row in rows]
+
+    def _collect(self, n):
+        return np.asarray([e.predict(n) for e in self.experts], dtype=float)
+
+    def predict(self, n, gamma1, gamma2):
+        preds = self._static_preds if self._static_preds is not None else self._collect(n)
+        log_w = self.pool.normalized_log_weights()
+        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
+        gamma = mix(log_w)
+        self._pending = (preds, log_w, gamma)
+        return gamma
+
+    def observe(self, n, omega):
+        preds, log_w, gamma = self._pending
+        own_loss = self._loss(omega, gamma)
+        if self._loss_table is None:
+            losses = self._losses(omega, preds)
+            scaled = self.eta * losses
+        else:
+            losses, scaled = self._loss_table[int(omega)]
+        # -inf - inf stays -inf, so eliminated experts drop out cleanly
+        g_played = -_lse1(log_w - scaled) / self.eta
+        if own_loss > g_played + DOMINATION_TOL:
+            raise MixabilityViolation(
+                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
+        aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
+        # compensated accumulation on both sides of the slack, as in
+        # _compensated_add; an infinite cumulative loss carries no compensation
+        total = self.expert_cums + losses
+        live = ... if math.isfinite(total.max()) else np.isfinite(total)
+        a, b, t = self.expert_cums[live], losses[live], total[live]
+        back = t - a
+        self._comp_experts[live] += (a - (t - back)) + (b - back)
+        self.expert_cums = total
+        self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
+                                                          own_loss)
+        slack = (float((total + self._comp_experts + self._penalty).min())
+                 - (self.cum_self + self._comp_self))
+        if slack < self.worst_eq8_slack:
+            self.worst_eq8_slack = slack
+        if self._static_preds is None:
+            for e in self.experts:
+                e.observe(n, omega)
+
+    def worst_slack(self, trace) -> float:
         return float(self.worst_eq8_slack)

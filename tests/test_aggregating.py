@@ -1,18 +1,22 @@
 """Exponential-weights mixing, substitution, and the regret guarantee."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jeffreys import (AggregatingSceptic, ConstantPredictor, ExpertPool,
-                      MixabilityParams, MixabilityViolation, PoolCollapseError,
-                      ReplayNature, aa_observe, bounded_absolute_loss_game,
-                      bounded_square_loss_game, fixed_pool_mixer, log_loss_game,
-                      params_for, quartic_loss_game, run_protocol, square_loss_game,
-                      substitute)
+from jeffreys import (AggregatingSceptic, ConstantPredictor, DriftPredictor, ExpertPool,
+                      IidBernoulliNature, IidUniformNature, JeffreysError, MixabilityParams,
+                      MixabilityViolation, NoisyTargetPredictor, PoolCollapseError,
+                      PredictorStrategy, ReplayNature, RunningMeanPredictor, aa_observe,
+                      bounded_absolute_loss_game, bounded_square_loss_game,
+                      fixed_pool_mixer, log_loss_game, params_for, quartic_loss_game,
+                      run_protocol, square_loss_game, substitute)
 from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
 from jeffreys.games import _lse1, _lse_rows
+from jeffreys.sceptics import EQ8_BLOCK
+from pool_reference import PerStepAggregating
 
 
 def _uniform(k):
@@ -263,3 +267,194 @@ def test_exhaustive_bayes_tree_oracle():
         likelihood = sum(p * np.prod([e[w] for w in seq])
                          for p, e in zip(priors, experts))
         assert abs(cum - (-math.log(likelihood))) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the block-folded eq8 audit against the per-step reference, bit for bit
+
+_SPREAD7 = (np.arange(7) + 1.0) / 8.0
+_COIN = np.array([0.5, 0.5])
+
+
+def _log_experts(probs):
+    return [ConstantPredictor(np.array([1.0 - p, p])) for p in probs]
+
+
+def _pool_case(game, experts, fixed, nature, horizon, seed, priors=None):
+    return game, experts, fixed, nature, horizon, seed, priors
+
+
+def _criterion4_case(game_name, seed):
+    # acceptance criterion 4's pool and Nature for this seed, N = 10^4
+    k = 2 + seed % 39
+    spread = (np.arange(k) + 1.0) / (k + 1.0)
+    if game_name == "log_loss":
+        return _pool_case(log_loss_game(m=2), lambda: _log_experts(spread), _COIN,
+                          IidBernoulliNature(0.1 + 0.8 * seed / 99.0), 10_000, seed)
+    return _pool_case(bounded_square_loss_game(),
+                      lambda: [ConstantPredictor(p) for p in spread], 0.5,
+                      IidUniformNature(0.0, 1.0), 10_000, seed)
+
+
+def _horizon_case(game_name, horizon):
+    if game_name == "log_loss":
+        return _pool_case(log_loss_game(m=2), lambda: _log_experts(_SPREAD7), _COIN,
+                          IidBernoulliNature(0.3), horizon, 11)
+    return _pool_case(bounded_square_loss_game(),
+                      lambda: [ConstantPredictor(p) for p in _SPREAD7], 0.5,
+                      IidUniformNature(0.0, 1.0), horizon, 12)
+
+
+class _NanFrom(PredictorStrategy):
+    # an expert whose prediction turns NaN at step ``start``: its loss is NaN,
+    # its weight is eliminated, and every later eq8 slack is NaN and skipped
+    def __init__(self, start):
+        self.start = start
+
+    def predict(self, n):
+        return math.nan if n >= self.start else 0.4
+
+
+EQUIVALENCE_CASES = {
+    # the aggregating pool locks
+    "log_loss_k7": lambda: _horizon_case("log_loss", 2000),
+    "bounded_square_k7": lambda: _horizon_case("bounded_square", 2000),
+    "learners": lambda: _pool_case(
+        bounded_square_loss_game(),
+        lambda: [RunningMeanPredictor(0.5), DriftPredictor(0.1, 0.001),
+                 NoisyTargetPredictor(0.6, 0.15), ConstantPredictor(0.3)],
+        0.5, IidUniformNature(0.2, 0.9), 1000, 13),
+    "eliminated": lambda: _pool_case(log_loss_game(m=2),
+                                     lambda: _log_experts((0.0, 0.3, 0.5, 0.8)), _COIN,
+                                     IidBernoulliNature(0.6), 1000, 14),
+    "quartic": lambda: _pool_case(quartic_loss_game(outcome_grid_size=65),
+                                  lambda: [ConstantPredictor(g) for g in (-0.6, 0.0, 0.4)],
+                                  0.0, IidUniformNature(-1.0, 1.0), 60, 16),
+    "nan_expert": lambda: _pool_case(
+        bounded_square_loss_game(), lambda: [_NanFrom(EQ8_BLOCK + 5), ConstantPredictor(0.3),
+                                             ConstantPredictor(0.8)],
+        0.5, IidUniformNature(0.0, 1.0), 2 * EQ8_BLOCK, 19),
+    # deficient priors on a log-loss pool whose weights are anchored many times
+    "deficient_priors": lambda: _pool_case(log_loss_game(m=2),
+                                           lambda: _log_experts(_SPREAD7), _COIN,
+                                           IidBernoulliNature(0.05), 3000, 18,
+                                           priors=np.full(7, 0.1)),
+    # every expert eliminated by step 3: the pool collapses at step 4
+    "collapse": lambda: _pool_case(log_loss_game(m=2), lambda: _log_experts((0.0, 1.0)),
+                                   _COIN, ReplayNature([0, 0, 1, 0, 1]), 5, 3),
+    **{f"criterion4_{game_name}_seed{seed}": (lambda g=game_name, s=seed: _criterion4_case(g, s))
+       for game_name in ("log_loss", "bounded_square") for seed in (0, 38, 57)},
+    **{f"horizon_{game_name}_{horizon}": (lambda g=game_name, h=horizon: _horizon_case(g, h))
+       for game_name in ("log_loss", "bounded_square")
+       for horizon in (EQ8_BLOCK - 1, EQ8_BLOCK, EQ8_BLOCK + 1, 3 * EQ8_BLOCK + 7)},
+}
+
+
+def _play_pool(cls, case, record=False):
+    # (trace or None, the failure's (class, step) or None, the sceptic, and
+    # with ``record`` the sceptic's worst eq8 slack after each step it observed)
+    game, experts, fixed, nature, horizon, seed, priors = case
+    sceptic = cls(experts(), priors=priors)
+    running, steps = [], []
+    predict, observe = sceptic.predict, sceptic.observe
+
+    def counted(n, gamma1, gamma2):
+        steps.append(n)
+        return predict(n, gamma1, gamma2)
+
+    def recorded(n, omega):
+        observe(n, omega)
+        running.append(sceptic.worst_eq8_slack)
+    sceptic.predict = counted
+    if record:
+        sceptic.observe = recorded
+    try:
+        trace = run_protocol(nature, ConstantPredictor(fixed), ConstantPredictor(fixed),
+                             sceptic, game, horizon, seed=seed)
+    except JeffreysError as exc:
+        return None, (type(exc), steps[-1]), sceptic, running
+    return trace, None, sceptic, running
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+def test_folded_audit_matches_the_per_step_reference(name):
+    # the same moves, the same failure at the same step, the same worst eq8
+    # slack and cumulative sums to the last bit, and the step of the worst slack
+    trace, failure, ours, _ = _play_pool(AggregatingSceptic, EQUIVALENCE_CASES[name]())
+    ref_trace, ref_failure, ref, running = _play_pool(PerStepAggregating,
+                                                      EQUIVALENCE_CASES[name](), record=True)
+    assert failure == ref_failure
+    if name == "collapse":
+        assert failure == (PoolCollapseError, 4)
+    if trace is not None:
+        ours_gammas = np.asarray(trace.gamma_sceptic, dtype=float)
+        assert ours_gammas.tobytes() == np.asarray(ref_trace.gamma_sceptic,
+                                                   dtype=float).tobytes()
+    assert ours.worst_eq8_slack.hex() == float(ref.worst_eq8_slack).hex()
+    assert ours.expert_cums.tobytes() == ref.expert_cums.tobytes()
+    assert ours.cum_self.hex() == float(ref.cum_self).hex()
+    worst = ref.worst_eq8_slack
+    expected_step = running.index(worst) + 1 if worst < math.inf else None
+    assert ours.worst_eq8_step == expected_step
+
+
+def test_folded_audit_at_any_partition_matches_the_reference():
+    # reading the worst slack after every step folds blocks of one step
+    horizon = 2 * EQ8_BLOCK + 3
+    _, _, ours, ours_running = _play_pool(
+        AggregatingSceptic, _horizon_case("bounded_square", horizon), record=True)
+    _, _, ref, ref_running = _play_pool(
+        PerStepAggregating, _horizon_case("bounded_square", horizon), record=True)
+    assert [x.hex() for x in ours_running] == [float(x).hex() for x in ref_running]
+    assert ours.expert_cums.tobytes() == ref.expert_cums.tobytes()
+
+
+@pytest.fixture
+def bad_mix_from_step_40(monkeypatch):
+    # a mixer whose moves stop being dominated at step 40, in the library
+    # and in the reference alike
+    import pool_reference
+    import jeffreys.sceptics
+
+    def mixer(game, eta, preds, tol):
+        mix = fixed_pool_mixer(game, eta, preds, tol)
+        calls = []
+
+        def bad(log_w):
+            calls.append(None)
+            gamma = mix(log_w)
+            return gamma if len(calls) < 40 else min(1.0, gamma + 0.3)
+        return bad
+    monkeypatch.setattr(jeffreys.sceptics, "fixed_pool_mixer", mixer)
+    monkeypatch.setattr(pool_reference, "fixed_pool_mixer", mixer)
+
+
+def test_mixability_violation_at_the_reference_step(bad_mix_from_step_40):
+    case = _horizon_case("bounded_square", 500)
+    _, failure, _, _ = _play_pool(AggregatingSceptic, case)
+    _, ref_failure, _, _ = _play_pool(PerStepAggregating, _horizon_case("bounded_square", 500))
+    assert ref_failure is not None and ref_failure[0] is MixabilityViolation
+    assert ref_failure[1] >= 40
+    assert failure == ref_failure
+
+
+def test_audit_memory_is_independent_of_the_horizon():
+    # the held audit rows are folded every EQ8_BLOCK steps: a run 4x longer
+    # peaks within 20 % of the shorter one
+    def peak(horizon):
+        game = bounded_square_loss_game()
+        sceptic = AggregatingSceptic([ConstantPredictor(p)
+                                      for p in (np.arange(40) + 1.0) / 41.0])
+        outcomes = np.random.default_rng(3).uniform(size=horizon).tolist()
+        sceptic.reset(game, np.random.default_rng(4), horizon)
+        tracemalloc.start()
+        try:
+            for n, omega in enumerate(outcomes, 1):
+                sceptic.predict(n, 0.5, 0.5)
+                sceptic.observe(n, omega)
+            assert sceptic.worst_eq8_slack >= -1e-9
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    short, long = peak(4 * EQ8_BLOCK), peak(16 * EQ8_BLOCK)
+    assert max(short, long) <= 1.2 * min(short, long)

@@ -356,6 +356,22 @@ def test_sweep_config_error_exits_two(tmp_path, capsys, overrides):
     assert not (tmp_path / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("outputs", [
+    {"trace_csv": 1},
+    {"trace_csv": ""},
+    {"report_json": None},
+    {"report_json": ["report.json"]},
+], ids=["trace-csv-fd", "trace-csv-empty", "report-json-null", "report-json-list"])
+def test_output_path_not_a_string_is_config_error(tmp_path, capsys, no_run, command,
+                                                  outputs):
+    # refused before the run: an integer path would open a file descriptor
+    path, _ = write_config(tmp_path, seeds=[1, 2], outputs=outputs)
+    assert main([command, str(path)]) == 2
+    assert "config error: outputs" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_sweep_single_seed_matches_run(tmp_path):
     path, cfg = write_config(
         tmp_path, seeds=[3],

@@ -281,3 +281,34 @@ def test_csv_format_round_trips():
     assert len(lines) == 21
     row = lines[3].split(",")
     assert float(row[8]) == trace.cum1[2]  # 17 digits round-trip exactly
+
+
+def _spelled_rows(trace):
+    # each trace row spelled value by value, as the CSV format defines it
+    def spell(value):
+        if isinstance(value, np.ndarray):
+            return ";".join("%.17g" % v for v in value)
+        return "%.17g" % float(value)
+    columns = (trace.gamma1, trace.gamma2, trace.gamma_sceptic, trace.omega, trace.loss1,
+               trace.loss2, trace.loss_sceptic, trace.cum1, trace.cum2, trace.cum_sceptic,
+               trace.gap, trace.divergence_term)
+    return [f"{n},{','.join(map(spell, values))}"
+            for n, values in enumerate(zip(*columns), 1)]
+
+
+@pytest.mark.parametrize("m,horizon", [(2, 1), (3, 1001), (2, 2500)])
+def test_trace_csv_spells_every_value_in_17_digits(m, horizon):
+    # across the write blocks, with log-loss moves joined by ';', and the
+    # special values a trace can hold
+    game = log_loss_game(m=m)
+    first = np.full(m, 1.0 / m)
+    trace = run_protocol(IidBernoulliNature(0.5) if m == 2 else ConstantNature(2),
+                         ConstantPredictor(first), RunningMeanPredictor(),
+                         Level2Sceptic(alpha=0.3), game, horizon, seed=4)
+    trace.loss1 = list(trace.loss1)
+    trace.loss1[-1] = math.inf
+    trace.cum1 = list(trace.cum1)
+    trace.cum1[0] = math.nan
+    trace.gap = [-0.0] + list(trace.gap[1:])
+    lines = trace_to_csv_string(trace).splitlines()
+    assert lines[1:] == _spelled_rows(trace)

@@ -501,3 +501,27 @@ def test_level3_groups_match_the_per_expert_engine(name):
     assert np.max(np.abs(gammas - np.asarray(ref_trace.gamma_sceptic, dtype=float))) <= 1e-12
     assert abs(ours.worst_eq8_slack - ref.worst_eq8_slack) <= 1e-9
     assert ours.worst_eq8_slack >= -1e-9
+
+
+@pytest.mark.parametrize("name", ["criterion6_diverging", "infinite_predictor_loss", "k_max_1",
+                                  "k_max_5", "level3_log_loss", "log_loss_m3", "quartic"])
+def test_level3_worst_eq8_step_against_the_per_expert_series(name):
+    # the step the group audit names attains the per-expert audit's worst
+    # slack, to rounding, and is that audit's step where its worst is unique
+    ours, _, _ = _play_lift(Level3Sceptic, LIFT_CASES[name]())
+    game, p1, p2, nature, horizon, seed, k_max, base = LIFT_CASES[name]()
+    ref = PerExpertLevel3(base(), k_max=k_max)
+    series = []
+    observe = ref.observe
+
+    def recorded(n, omega):
+        observe(n, omega)
+        series.append(float((ref.expert_cums + ref._comp_experts + ref._penalty).min())
+                      - (ref.cum_self + ref._comp_self))
+    ref.observe = recorded
+    run_protocol(nature, p1, p2, ref, game, horizon, seed=seed)
+    series = np.array(series)
+    worst, second = np.partition(series, 1)[:2]
+    assert abs(series[ours.worst_eq8_step - 1] - worst) <= 1e-9
+    if second - worst > 1e-9:
+        assert ours.worst_eq8_step == int(series.argmin()) + 1
