@@ -32,7 +32,7 @@ from .protocol import (RunReport, Trace, classify_disjuncts, require_checks,
                        run_protocol, verify_run)
 from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,
                        Level3Sceptic, ScepticStrategy, f_mix, f_mix_integral,
-                       level2_inequality_slack)
+                       level1_ledger, level2_inequality_slack)
 from .serialize import trace_to_csv_string, write_report_json, write_trace_csv
 
 __version__ = "0.1.0"

@@ -8,8 +8,9 @@ Three constructions, ordered by the strength of what they certify:
   forces the divergence sum to be dominated by the loss advantage;
 * the mixture-weighting strategy (``Level1Sceptic``): for convex games
   with zero divergence (absolute loss), weights the two predictors by an
-  odd saturating function of their loss difference and keeps an exact
-  integral/triangle ledger of its excess over their average loss;
+  odd saturating function of their loss difference; its exact
+  integral/triangle ledger of its excess over their average loss,
+  ``level1_ledger``, is read off the finished trace's loss columns;
 * the threshold lift (``Level3Sceptic``): aggregates a doubly-indexed
   pool of experts that mimic a base sceptic until a predictor falls a
   power-of-two behind it, then permanently defect to that predictor;
@@ -174,11 +175,8 @@ def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
 
 
 def f_mix(x: float, c: float) -> float:
-    """Odd, strictly increasing, concave-on-the-right weighting function.
-
-    ``c x / (1 + |x|)``: zero at zero, saturating at ``c < 1/2``.
-    """
-    return c * x / (1.0 + abs(x))
+    """Odd, increasing ``c x / (1 + |x|)``, concave right of 0; ``+-c`` at ``+-inf``."""
+    return math.copysign(c, x) if math.isinf(x) else c * x / (1.0 + abs(x))
 
 
 def f_mix_integral(x: float, c: float) -> float:
@@ -187,52 +185,64 @@ def f_mix_integral(x: float, c: float) -> float:
     return c * (ax - math.log1p(ax))
 
 
-def _area_piece(a: float, delta: float, c: float) -> float:
-    # area between f and the level f(a) over a sign-constant interval
-    # [a, a + delta]; reduces to u - log1p(u) >= 0, which is stable where
-    # the naive integral difference cancels catastrophically
-    if delta == 0.0:
-        return 0.0
-    if a > 0.0 or (a == 0.0 and delta > 0.0):
-        u = delta / (1.0 + a)
-    else:
-        u = -delta / (1.0 - a)
-    return max(0.0, c * (u - math.log1p(u)))
+def _area_pieces(a: np.ndarray, delta: np.ndarray, c: float) -> np.ndarray:
+    # per row, the area between f and the level f(a) over the sign-constant
+    # interval [a, a + delta]: c (u - log1p(u)) >= 0, stable where the naive
+    # integral difference cancels; log1p sees only each row's own branch (the
+    # other gives u <= -1), and a row with delta = 0 has area 0
+    areas = np.zeros(len(a))
+    moving = delta != 0.0
+    a, delta = a[moving], delta[moving]
+    u = np.where((a > 0.0) | ((a == 0.0) & (delta > 0.0)), delta / (1.0 + a), -delta / (1.0 - a))
+    # libm's log1p, as f_mix_integral takes it: numpy's differs in the last bit
+    piece = c * (u - np.array([math.log1p(x) for x in u.tolist()]))
+    areas[moving] = np.where(piece > 0.0, piece, 0.0)
+    return areas
 
 
-def triangle_area(d_old: float, delta: float, c: float) -> float:
-    """Area of the curvilinear triangle swept while D moves by ``delta``.
-
-    Equals ``integral(f, d_old..d_old+delta) - f(d_old) * delta``; always
-    nonnegative since f is increasing.  Sign-crossing moves are split at
-    zero so every term is individually nonnegative in floating point.
-    """
+def _triangle_areas(d_old: np.ndarray, delta: np.ndarray, c: float) -> np.ndarray:
+    # per row, integral(f, d_old..d_old+delta) - f(d_old) delta >= 0, the
+    # curvilinear triangle swept while D moves by delta; a move across zero is
+    # split there, so that every term is nonnegative in floating point
     d_new = d_old + delta
-    if (d_old >= 0.0) == (d_new >= 0.0) or d_new == 0.0:
-        return _area_piece(d_old, delta, c)
-    first = _area_piece(d_old, -d_old, c)
-    second = _area_piece(0.0, d_new, c)
-    across = -f_mix(d_old, c) * d_new
-    return first + second + max(0.0, across)
+    cross = ((d_old >= 0.0) != (d_new >= 0.0)) & (d_new != 0.0)
+    beyond = np.where(cross, d_new, 0.0)
+    across = -(c * d_old / (1.0 + np.abs(d_old))) * beyond
+    return (_area_pieces(d_old, np.where(cross, -d_old, delta), c)
+            + _area_pieces(np.zeros(len(d_old)), beyond, c) + np.where(across > 0.0, across, 0.0))
+
+
+def level1_ledger(trace, c: float) -> tuple:
+    """The mixture strategy's ledger, per step, from the trace's loss columns.
+
+    ``areas``: the triangle swept by the running loss difference ``D = L1 -
+    L2``; ``excess``: the sceptic's running loss over the predictors' mean;
+    ``bounds``: ``integral(f, 0..D) - (running sum of areas)``, at least the
+    excess, and equal while every outcome falls outside the predictors' gap.
+    Running sums add in play order from 0.0, as the strategy's ``D`` does.
+    """
+    l1, l2, ls = (np.asarray(col, dtype=float)
+                  for col in (trace.loss1, trace.loss2, trace.loss_sceptic))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = l1 - l2
+        d = np.cumsum(np.concatenate(([0.0], delta)))
+        areas = _triangle_areas(d[:-1], delta, c)
+        excess = np.cumsum(np.concatenate(([0.0], ls - 0.5 * (l1 + l2))))[1:]
+        # no area is -0.0, so the plain running sum is the one from 0.0
+        integral = np.array([f_mix_integral(x, c) for x in d[1:].tolist()])
+        bounds = integral - np.cumsum(areas)
+    return areas, excess, bounds
 
 
 class Level1Sceptic(ScepticStrategy):
-    """The mixture strategy, keeping its ledger and the full audit trail.
+    """The mixture strategy: a step only plays, and keeps only ``D``.
 
     Each move weights the predictors by their cumulative loss difference
     ``D``: ``(1/2 + f(D)) gamma1 + (1/2 - f(D)) gamma2``.  The further
     predictor 1 is behind (large D), the more weight it gets, capped at
     ``1/2 + c``.  Swapping the predictors and negating D gives the same
-    move, by oddness of f.
-
-    ``triangle_sum`` accumulates the curvilinear-triangle areas and
-    ``excess`` the sceptic's realized loss over the predictors' average.
-    The ledger bound ``integral(f, 0..D) - triangle_sum`` dominates
-    ``excess`` at all times, exactly so while every outcome falls outside
-    the predictors' gap.  The triangle areas use the closed-form integral
-    of f, so the ledger is exact up to float rounding: no quadrature is
-    involved.  Every step appends its area and the cumulative excess and
-    bound to ``audit_areas``, ``audit_excess`` and ``audit_bounds``.
+    move, by oddness of f.  The ledger that certifies the strategy is
+    :func:`level1_ledger` of the finished trace.
     """
 
     check = "ledger"
@@ -241,44 +251,25 @@ class Level1Sceptic(ScepticStrategy):
         if not 0.0 < c < 0.5:
             raise ValueError("c must lie in (0, 1/2)")
         self.c = c
-        self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
 
     def reset(self, game, rng, horizon):
         self._loss = game.loss_fn()
         self.D = 0.0
-        self.triangle_sum = 0.0
-        self.excess = 0.0
-        self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
-        self._pending = None
-
-    @property
-    def ledger_bound(self) -> float:
-        return f_mix_integral(self.D, self.c) - self.triangle_sum
 
     def predict(self, n, gamma1, gamma2):
         w = f_mix(self.D, self.c)
-        gamma = (0.5 + w) * gamma1 + (0.5 - w) * gamma2
-        self._pending = (gamma1, gamma2, gamma)
-        return gamma
+        self._pending = (gamma1, gamma2)
+        return (0.5 + w) * gamma1 + (0.5 - w) * gamma2
 
     def observe(self, n, omega):
-        gamma1, gamma2, gamma = self._pending
-        loss = self._loss
-        l1, l2 = loss(omega, gamma1), loss(omega, gamma2)
-        delta = l1 - l2
-        area = triangle_area(self.D, delta, self.c)
-        self.D += delta
-        self.triangle_sum += area
-        self.excess += loss(omega, gamma) - 0.5 * (l1 + l2)
-        self.audit_areas.append(area)
-        self.audit_excess.append(self.excess)
-        self.audit_bounds.append(self.ledger_bound)
+        gamma1, gamma2 = self._pending
+        self.D += self._loss(omega, gamma1) - self._loss(omega, gamma2)
 
     def worst_slack(self, trace) -> float:
-        if not self.audit_bounds:
-            raise ConfigError("ledger check needs a recorded audit trail")
-        worst_bound = np.min(np.asarray(self.audit_bounds) - np.asarray(self.audit_excess))
-        return min(float(np.min(self.audit_areas)), float(worst_bound))
+        if not len(trace):
+            raise ConfigError("ledger check needs a run of at least one step")
+        areas, excess, bounds = level1_ledger(trace, self.c)
+        return min(float(np.min(areas)), float(np.min(bounds - excess)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +422,16 @@ class AggregatingSceptic(ScepticStrategy):
     def _fold(self):
         # the held steps' eq8 slacks, min over the experts of (cumulative
         # loss + penalty) less the own cumulative loss, each sum compensated;
-        # a NaN slack is skipped, and an infinite sum carries no compensation
+        # the min skips an expert whose sum is NaN, its bound vacuous, a slack
+        # with every expert NaN is skipped, and an infinite sum carries no
+        # compensation
         if not self._own:
             return
         with np.errstate(invalid="ignore"):
             cums, comps = _compensated_cumsum(self._cums, self._comps, self._rows)
             own, own_comps = _compensated_cumsum(self._cum_self, self._comp_self, self._own)
-            slacks = ((cums + comps) + self._penalty).min(axis=1) - (own + own_comps)
+            slacks = (np.fmin.reduce((cums + comps) + self._penalty, axis=1)
+                      - (own + own_comps))
         slacks[np.isnan(slacks)] = math.inf
         i = int(slacks.argmin())
         if slacks[i] < self._worst:

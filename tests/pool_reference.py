@@ -216,7 +216,7 @@ class PerStepAggregating(ScepticStrategy):
         self.expert_cums = total
         self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
                                                           own_loss)
-        slack = (float((total + self._comp_experts + self._penalty).min())
+        slack = (float(np.fmin.reduce(total + self._comp_experts + self._penalty))
                  - (self.cum_self + self._comp_self))
         if slack < self.worst_eq8_slack:
             self.worst_eq8_slack = slack

@@ -207,11 +207,8 @@ def test_criterion_5_mixture_ledger():
     worst_ineq = math.inf
     worst_eq = 0.0
     for name, nature, p1, p2, exact in _ledger_scenarios():
-        sceptic = j.Level1Sceptic(c=0.4)
-        j.run_protocol(nature, p1, p2, sceptic, game, horizon, seed=31)
-        areas = np.asarray(sceptic.audit_areas)
-        excess = np.asarray(sceptic.audit_excess)
-        bounds = np.asarray(sceptic.audit_bounds)
+        trace = j.run_protocol(nature, p1, p2, j.Level1Sceptic(c=0.4), game, horizon, seed=31)
+        areas, excess, bounds = j.level1_ledger(trace, 0.4)
         worst_area = min(worst_area, float(np.min(areas)))
         worst_ineq = min(worst_ineq, float(np.min(bounds - excess)))
         if exact:

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jeffreys import (AggregatingSceptic, ConstantPredictor, DriftPredictor, ExpertPool,
-                      IidBernoulliNature, IidUniformNature, JeffreysError, MixabilityParams,
-                      MixabilityViolation, NoisyTargetPredictor, PoolCollapseError,
-                      PredictorStrategy, ReplayNature, RunningMeanPredictor, aa_observe,
-                      bounded_absolute_loss_game, bounded_square_loss_game,
+from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, DriftPredictor,
+                      ExpertPool, IidBernoulliNature, IidUniformNature, JeffreysError,
+                      MixabilityParams, MixabilityViolation, NoisyTargetPredictor,
+                      PoolCollapseError, PredictorStrategy, ReplayNature, RunningMeanPredictor,
+                      aa_observe, bounded_absolute_loss_game, bounded_square_loss_game,
                       fixed_pool_mixer, log_loss_game, params_for, quartic_loss_game,
                       run_protocol, square_loss_game, substitute)
 from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
@@ -307,7 +307,7 @@ def _horizon_case(game_name, horizon):
 
 class _NanFrom(PredictorStrategy):
     # an expert whose prediction turns NaN at step ``start``: its loss is NaN,
-    # its weight is eliminated, and every later eq8 slack is NaN and skipped
+    # its weight is eliminated, and the eq8 min skips its NaN cumulative loss
     def __init__(self, start):
         self.start = start
 
@@ -396,6 +396,20 @@ def test_folded_audit_matches_the_per_step_reference(name):
     worst = ref.worst_eq8_slack
     expected_step = running.index(worst) + 1 if worst < math.inf else None
     assert ours.worst_eq8_step == expected_step
+
+
+def test_eq8_audit_sees_past_an_expert_gone_nan():
+    # expert 1 turns NaN at step 10; the other experts' bounds still hold
+    # and the audit keeps reading them, in the library and the reference alike
+    case = lambda: _pool_case(bounded_square_loss_game(),
+                              lambda: [_NanFrom(10), ConstantPredictor(0.3),
+                                       ConstantPredictor(0.8)],
+                              0.5, ConstantNature(0.3), 2 * EQ8_BLOCK, 1)
+    _, _, ours, _ = _play_pool(AggregatingSceptic, case())
+    _, _, ref, _ = _play_pool(PerStepAggregating, case())
+    assert ours.worst_eq8_step == 38
+    assert ours.worst_eq8_slack.hex() == float(ref.worst_eq8_slack).hex()
+    assert ours.worst_eq8_slack >= -1e-9
 
 
 def test_folded_audit_at_any_partition_matches_the_reference():

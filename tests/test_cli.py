@@ -479,3 +479,21 @@ def test_invalid_constant_expert_is_config_error(tmp_path, capsys, experts):
     assert main(["run", str(path)]) == 2
     assert "config error: aggregating expert" in capsys.readouterr().err
 
+
+def test_level1_plays_on_after_an_infinite_loss_difference(tmp_path):
+    # predictor 1 gives the outcome 1 probability zero: its first 1 makes D
+    # infinite, and the mixture weights take their limits 1/2 +- c
+    path, _ = write_config(
+        tmp_path,
+        game={"kind": "log_loss", "m": 2},
+        horizon=50,
+        seed=5,
+        predictor1={"kind": "constant", "params": {"gamma": [1.0, 0.0]}},
+        predictor2={"kind": "constant", "params": {"gamma": [0.5, 0.5]}},
+        nature={"kind": "iid_bernoulli", "params": {"p": 0.3}},
+        sceptic={"kind": "level1", "params": {}},
+        checks=[],
+    )
+    assert main(["run", str(path)]) == 0
+    trace = (tmp_path / "trace.csv").read_text().strip().split("\n")
+    assert len(trace) == 51

@@ -2,6 +2,7 @@
 
 import math
 import signal
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import (GAME_SPECS, AggregatingSceptic, IidBernoulliNature, IidUniformNature,
-                      ConstantNature, ConstantPredictor, Level1Sceptic, Level2Sceptic,
-                      Level3Sceptic, JeffreysError, MixabilityViolation,
+from jeffreys import (GAME_SPECS, AdversarialGreedyNature, AggregatingSceptic,
+                      ConfigError, IidBernoulliNature, IidUniformNature,
+                      ConstantNature, ConstantPredictor, DriftPredictor, Level1Sceptic,
+                      Level2Sceptic, Level3Sceptic, JeffreysError, MixabilityViolation,
                       NoisyTargetPredictor, PoolCollapseError, ReplayNature,
-                      RunningMeanPredictor, classify_disjuncts, absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
-                      f_mix, f_mix_integral, game_from_descriptor,
+                      RunningMeanPredictor, Trace, classify_disjuncts, absolute_loss_game,
+                      bounded_absolute_loss_game, bounded_square_loss_game,
+                      f_mix, f_mix_integral, game_from_descriptor, level1_ledger,
                       level2_inequality_slack, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game,
                       run_protocol, square_loss_game, verify_run)
-from jeffreys.sceptics import K_MAX_LIMIT
+from jeffreys.sceptics import K_MAX_LIMIT, _triangle_areas
+from ledger_reference import PerStepLevel1, triangle_area
 from pool_reference import PerExpertLevel3
 
 
@@ -200,6 +204,11 @@ def test_f_mix_shape():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def test_f_mix_takes_its_limits_at_infinity():
+    assert f_mix(math.inf, 0.4) == 0.4
+    assert f_mix(-math.inf, 0.4) == -0.4
+
+
 def test_f_mix_integral_is_even_and_exact():
     # independent quadrature oracle
     xs = np.linspace(0.0, 2.5, 20001)
@@ -214,6 +223,19 @@ def _level1(D=0.0):
     sceptic.reset(absolute_loss_game(), None, 1)
     sceptic.D = D
     return sceptic
+
+
+def _play_level1(steps, c=0.4, game=None):
+    # play (gamma1, gamma2, omega) steps through a mixture sceptic in the
+    # engine's order, and return it with the trace of the run
+    game = game or absolute_loss_game()
+    sceptic = Level1Sceptic(c=c)
+    sceptic.reset(game, None, len(steps))
+    rows = []
+    for n, (g1, g2, omega) in enumerate(steps, 1):
+        rows.extend((g1, g2, sceptic.predict(n, g1, g2), omega))
+        sceptic.observe(n, omega)
+    return sceptic, Trace(game, rows)
 
 
 def test_level1_state_validation():
@@ -245,37 +267,36 @@ def test_level1_swap_symmetry_over_whole_runs(nature):
             runs.append((sceptic, trace))
         (a, trace_a), (b, trace_b) = runs
         assert trace_a.gamma_sceptic == trace_b.gamma_sceptic
-        assert a.audit_areas == b.audit_areas
-        assert a.audit_excess == b.audit_excess
-        assert a.audit_bounds == b.audit_bounds
+        for col_a, col_b in zip(level1_ledger(trace_a, 0.4), level1_ledger(trace_b, 0.4)):
+            assert col_a.tobytes() == col_b.tobytes()
         assert a.D == -b.D
 
 
 def test_ledger_noop_when_predictions_agree():
-    sceptic = _level1(D=0.3)
-    sceptic.predict(1, 0.5, 0.5)
-    sceptic.observe(1, 0.7)
+    # a leading step moves D to 0.3
+    sceptic, trace = _play_level1([(0.3, 0.0, 0.0), (0.5, 0.5, 0.7)])
     assert sceptic.D == 0.3
-    assert sceptic.audit_areas == [0.0]
+    assert level1_ledger(trace, 0.4)[0][-1] == 0.0
 
 
 def test_ledger_area_closed_form():
     # D moves 0 -> 1; the triangle area is the full integral of f over [0, 1]
-    sceptic = _level1()
-    assert sceptic.predict(1, 0.0, 1.0) == 0.5
-    sceptic.observe(1, 1.0)
+    sceptic, trace = _play_level1([(0.0, 1.0, 1.0)])
+    assert trace.gamma_sceptic == [0.5]
     assert sceptic.D == 1.0
-    assert sceptic.audit_areas[-1] == pytest.approx(0.4 * (1.0 - math.log(2.0)), abs=1e-12)
+    areas, excess, bounds = level1_ledger(trace, 0.4)
+    assert areas[-1] == pytest.approx(0.4 * (1.0 - math.log(2.0)), abs=1e-12)
     # outcome at the interval edge: the audit identity holds with equality
-    assert sceptic.excess == pytest.approx(sceptic.ledger_bound, abs=1e-12)
+    assert excess[-1] == pytest.approx(bounds[-1], abs=1e-12)
 
 
 def test_ledger_strict_inequality_inside_gap():
-    sceptic = _level1(D=2.0)
-    sceptic.predict(1, 0.0, 1.0)
-    sceptic.observe(1, 0.5)
-    assert sceptic.audit_areas[-1] >= 0.0
-    assert sceptic.audit_excess[-1] < sceptic.audit_bounds[-1] - 1e-6
+    # two leading steps at an edge outcome move D to 2.0
+    sceptic, trace = _play_level1([(1.0, 0.0, 0.0)] * 2 + [(0.0, 1.0, 0.5)])
+    assert sceptic.D == 2.0
+    areas, excess, bounds = level1_ledger(trace, 0.4)
+    assert areas[-1] >= 0.0
+    assert excess[-1] < bounds[-1] - 1e-6
 
 
 unit = st.floats(0.0, 1.0)
@@ -288,36 +309,136 @@ def test_ledger_identity_on_outcomes_outside_the_gap(c, steps):
     # an outcome outside the predictors' gap, its edges included, makes the
     # absolute loss affine along the segment the move lies on, so the
     # excess equals the ledger bound at every step
-    sceptic = Level1Sceptic(c=c)
-    sceptic.reset(bounded_absolute_loss_game(), None, len(steps))
-    for n, (g1, g2, above, t) in enumerate(steps, 1):
+    moves = []
+    for g1, g2, above, t in steps:
         lo, hi = min(g1, g2), max(g1, g2)
-        sceptic.predict(n, g1, g2)
-        sceptic.observe(n, hi + t * (1.0 - hi) if above else t * lo)
-        assert sceptic.excess == pytest.approx(sceptic.ledger_bound, abs=1e-9)
+        moves.append((g1, g2, hi + t * (1.0 - hi) if above else t * lo))
+    _, trace = _play_level1(moves, c=c, game=bounded_absolute_loss_game())
+    _, excess, bounds = level1_ledger(trace, c)
+    assert np.all(np.abs(excess - bounds) <= 1e-9)
 
 
 def test_level1_full_run_equality_scenario():
     game = absolute_loss_game()
-    sceptic = Level1Sceptic(c=0.4)
-    run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.0),
-                 ConstantPredictor(1.0), sceptic, game, 5000, seed=21)
-    areas = np.asarray(sceptic.audit_areas)
-    excess = np.asarray(sceptic.audit_excess)
-    bounds = np.asarray(sceptic.audit_bounds)
+    trace = run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.0),
+                         ConstantPredictor(1.0), Level1Sceptic(c=0.4), game, 5000, seed=21)
+    areas, excess, bounds = level1_ledger(trace, 0.4)
     assert float(np.min(areas)) >= 0.0
     assert float(np.max(np.abs(excess - bounds))) < 1e-9
 
 
 def test_level1_inequality_general_scenario():
     game = absolute_loss_game()
-    sceptic = Level1Sceptic(c=0.4)
-    run_protocol(IidBernoulliNature(0.5), RunningMeanPredictor(0.3),
-                 ConstantPredictor(0.9), sceptic, game, 5000, seed=22)
-    excess = np.asarray(sceptic.audit_excess)
-    bounds = np.asarray(sceptic.audit_bounds)
-    assert float(np.min(np.asarray(sceptic.audit_areas))) >= 0.0
+    trace = run_protocol(IidBernoulliNature(0.5), RunningMeanPredictor(0.3),
+                         ConstantPredictor(0.9), Level1Sceptic(c=0.4), game, 5000, seed=22)
+    areas, excess, bounds = level1_ledger(trace, 0.4)
+    assert float(np.min(areas)) >= 0.0
     assert float(np.min(bounds - excess)) >= -1e-9
+
+
+def test_ledger_check_refuses_an_empty_trace():
+    game = absolute_loss_game()
+    with pytest.raises(ConfigError, match="ledger check"):
+        Level1Sceptic(c=0.4).worst_slack(Trace(game, []))
+
+
+def _ledger_case(game, nature, p1, p2, horizon, seed, c=0.4):
+    return game, nature, p1, p2, horizon, seed, c
+
+
+LEDGER_CASES = {
+    # acceptance criterion 5's scenarios, and criterion 7's, at N = 20,000
+    "edge_outcomes": lambda: _ledger_case(
+        absolute_loss_game(), IidBernoulliNature(0.5), ConstantPredictor(0.0),
+        ConstantPredictor(1.0), 20_000, 31),
+    "interior_outcomes": lambda: _ledger_case(
+        absolute_loss_game(), IidUniformNature(0.25, 0.75), ConstantPredictor(0.0),
+        ConstantPredictor(1.0), 20_000, 31),
+    "adversarial_drift": lambda: _ledger_case(
+        absolute_loss_game(), AdversarialGreedyNature(), DriftPredictor(0.2, 1e-5),
+        ConstantPredictor(0.8), 20_000, 31),
+    "wide_outcomes": lambda: _ledger_case(
+        absolute_loss_game(), IidUniformNature(-0.5, 1.5), RunningMeanPredictor(0.5),
+        ConstantPredictor(0.6), 20_000, 31),
+    "fair_coin": lambda: _ledger_case(
+        bounded_absolute_loss_game(), IidBernoulliNature(0.5), ConstantPredictor(0.0),
+        ConstantPredictor(1.0), 20_000, 0),
+    "adversarial_bounded": lambda: _ledger_case(
+        bounded_absolute_loss_game(), AdversarialGreedyNature([0.0, 0.25, 0.5, 0.75, 1.0]),
+        RunningMeanPredictor(0.3), ConstantPredictor(0.6), 5_000, 7),
+    "replay_truncates": lambda: _ledger_case(
+        bounded_absolute_loss_game(),
+        ReplayNature(np.random.default_rng(8).uniform(size=300).tolist()),
+        RunningMeanPredictor(0.5), ConstantPredictor(0.2), 500, 8),
+    **{f"bounded_c{c}": (lambda c=c: _ledger_case(
+        bounded_absolute_loss_game(), IidUniformNature(0.0, 1.0), RunningMeanPredictor(0.5),
+        NoisyTargetPredictor(0.4, 0.2), 20_000, 9, c))
+       for c in (0.1, 0.49)},
+    "binary_log_loss": lambda: _ledger_case(
+        log_loss_game(m=2), IidBernoulliNature(0.3), ConstantPredictor(np.array([0.7, 0.3])),
+        RunningMeanPredictor(), 5_000, 3),
+}
+
+
+def _play_ledger(cls, case):
+    game, nature, p1, p2, horizon, seed, c = case
+    sceptic = cls(c=c)
+    return sceptic, run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
+
+
+@pytest.mark.filterwarnings("ignore:run truncated")
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_column_ledger_matches_the_per_step_reference(name):
+    # the same moves, the same areas, excess and bounds, and the same worst
+    # slack, to the last bit
+    ours, trace = _play_ledger(Level1Sceptic, LEDGER_CASES[name]())
+    ref, ref_trace = _play_ledger(PerStepLevel1, LEDGER_CASES[name]())
+    assert trace.truncated == (name == "replay_truncates")
+    assert (np.asarray(trace.gamma_sceptic, dtype=float).tobytes()
+            == np.asarray(ref_trace.gamma_sceptic, dtype=float).tobytes())
+    columns = level1_ledger(trace, ours.c)
+    for got, want in zip(columns, (ref.audit_areas, ref.audit_excess, ref.audit_bounds)):
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert ours.D.hex() == ref.D.hex()
+    assert ours.worst_slack(trace).hex() == ref.worst_slack(ref_trace).hex()
+
+
+def test_column_areas_match_the_scalar_triangle_area():
+    # random moves of D, with exact zeros, moves to exactly zero and sign
+    # crossings between integers
+    rng = np.random.default_rng(12)
+    d_old = rng.normal(0.0, 3.0, 100_000)
+    delta = rng.normal(0.0, 3.0, 100_000)
+    d_old[:5_000] = 0.0
+    delta[5_000:10_000] = 0.0
+    delta[10_000:15_000] = -d_old[10_000:15_000]
+    d_old[15_000:25_000] = np.round(d_old[15_000:25_000])
+    delta[15_000:25_000] = np.round(delta[15_000:25_000])
+    d_old[25_000:30_000] = -0.0
+    for c in (0.1, 0.4, 0.49):
+        with np.errstate(divide="ignore"):
+            got = _triangle_areas(d_old, delta, c)
+        want = [triangle_area(a, b, c) for a, b in zip(d_old.tolist(), delta.tolist())]
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def test_level1_play_memory_is_independent_of_the_horizon():
+    # a step only moves D: a run 4x longer peaks within 20 % of the shorter one
+    def peak(horizon):
+        game = bounded_absolute_loss_game()
+        sceptic = Level1Sceptic(c=0.4)
+        outcomes = np.random.default_rng(3).uniform(size=horizon).tolist()
+        sceptic.reset(game, None, horizon)
+        tracemalloc.start()
+        try:
+            for n, omega in enumerate(outcomes, 1):
+                sceptic.predict(n, 0.2, 0.7)
+                sceptic.observe(n, omega)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    short, long = peak(2_000), peak(8_000)
+    assert max(short, long) <= 1.2 * min(short, long)
 
 
 # ---------------------------------------------------------------------------
