@@ -26,8 +26,7 @@ from .games import (GAME_SPECS, Game, GameKind, GameSpec, MixabilityParams,
 from .players import (AdversarialGreedyNature, ConstantNature,
                       ConstantPredictor, DriftPredictor, IidBernoulliNature,
                       IidUniformNature, NatureStrategy, NoisyTargetPredictor,
-                      PredictorStrategy, ReplayNature, RunningMeanPredictor,
-                      nature_strategy, predictor_strategy)
+                      PredictorStrategy, ReplayNature, RunningMeanPredictor)
 from .protocol import (RunReport, Trace, classify_disjuncts, require_checks,
                        run_protocol, verify_run)
 from .sceptics import (AggregatingSceptic, Level1Sceptic, Level2Sceptic,

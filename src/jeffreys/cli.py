@@ -3,7 +3,9 @@
 Configuration is a single JSON document (no environment variables), so
 every result is reproducible from the config file and seed alone.  Exit
 codes are a stable contract: 0 all requested checks passed, 1 a check
-failed, 2 the configuration or invocation was invalid.
+failed, 2 the configuration or invocation was invalid.  The config
+format is the schema below: a document is checked whole against it before
+anything is built, and never written to, as the report embeds it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .divergence import (DivergenceResult, kl_divergence_log_loss,
                          upper_alpha_divergence_numeric)
 from .aggregating import params_for
 from .errors import ConfigError, DomainError, JeffreysError, MixabilityViolation
-from .games import Game, GameKind, game_from_descriptor
-from .players import nature_strategy, predictor_strategy
+from .games import DEFAULT_GRID_SIZE, Game, GameKind, game_from_descriptor
+from .players import (AdversarialGreedyNature, ConstantNature, ConstantPredictor,
+                      DriftPredictor, IidBernoulliNature, IidUniformNature,
+                      NoisyTargetPredictor, ReplayNature, RunningMeanPredictor)
 from .protocol import (DEFAULT_GAP_SUM_MAX, DEFAULT_LOSS_GAP_MIN,
                        classify_disjuncts, require_checks, run_protocol,
                        verify_run)
@@ -36,69 +40,194 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 SPEC_VERSION = 1
-CONFIG_KEYS = ("checks", "divergence", "expects", "game", "horizon", "nature", "outputs", "seed",
-               "predictor1", "predictor2", "sceptic", "seeds", "spec_version", "thresholds")
+
+
+# ---------------------------------------------------------------------------
+# the schema: a table per section and strategy kind maps each key to (check,
+# default); a check takes (value, path) and raises a ConfigError naming the path
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _join(path: str, key) -> str:
+    return f"{path} {key}" if path else str(key)
+
+
+def _finite(value) -> bool:
+    # a finite JSON number: not a bool, nor an integer beyond the float range
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _value(test, what: str):
+    def check(value, path: str) -> None:
+        if not test(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return check
+
+
+def _integer(low: int):
+    return _value(lambda v: type(v) is int and v >= low, f"an integer >= {low}")
+
+
+def _choice(*options):
+    return _value(lambda v: any(type(v) is type(o) and v == o for o in options),
+                  f"one of {sorted(options)}")
+
+
+_number = _value(_finite, "a finite number")
+_positive = _value(lambda v: _finite(v) and v > 0, "a positive finite number")
+_text = _value(lambda v: type(v) is str and v != "", "a non-empty string")
+_number_or_text = _value(lambda v: _finite(v) or type(v) is str and v != "",
+                         "a number or a comma-separated string")
+_ANY = _value(lambda v: True, "anything")
+
+
+def _built(check, value, path: str):
+    # a section, strategy or list of them is built; None is an optional key not given
+    return check.build(value, path) if hasattr(check, "build") and value is not None else value
+
+
+class _List:
+    """A list whose items ``item`` checks; empty only where ``empty``."""
+
+    def __init__(self, item, empty: bool = False):
+        self.item, self.empty = item, empty
+
+    def __call__(self, value, path: str) -> None:
+        if type(value) is not list or not (value or self.empty):
+            raise ConfigError(f"{path} must be a {'' if self.empty else 'non-empty '}list, "
+                              f"got {value!r}")
+        for i, item in enumerate(value, 1):
+            self.item(item, _join(path, i))
+
+    def build(self, value, path: str) -> list:
+        return [_built(self.item, item, _join(path, i)) for i, item in enumerate(value, 1)]
+
+
+_NUMBERS = _List(_number)
+
+
+def _number_or_vector(value, path: str) -> None:
+    (_NUMBERS if type(value) is list else _number)(value, path)
+
+
+class _Section:
+    """An object with the keys ``table`` lists.  Checking it refuses an
+    unknown key, a missing required one and a value its check refuses;
+    ``make`` builds it from each key's value or default, and the ValueError
+    or TypeError of a range ``make`` guards is a ConfigError naming it."""
+
+    def __init__(self, table: dict, make=dict):
+        self.table, self.make = table, make
+
+    def __call__(self, value, path: str = "") -> None:
+        if type(value) is not dict:
+            raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+        for key in value:
+            if key not in self.table:
+                raise ConfigError(f"unknown key {_join(path, key)}; "
+                                  f"options: {sorted(self.table)}")
+        for key, (check, default) in self.table.items():
+            if key in value:
+                check(value[key], _join(path, key))
+            elif default is REQUIRED:
+                raise ConfigError(f"{_join(path, key)} is required")
+
+    def build(self, value: dict, path: str = ""):
+        settings = {key: _built(check, value.get(key, default), _join(path, key))
+                    for key, (check, default) in self.table.items()}
+        try:
+            return self.make(**settings)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+class _Strategy:
+    """A descriptor ``{"kind": ..., "params": {...}}``, its params the
+    section ``kinds`` gives for its kind."""
+
+    def __init__(self, kinds: dict):
+        self.kinds = kinds
+
+    def __call__(self, value, path: str) -> None:
+        _Section({"kind": (_choice(*self.kinds), REQUIRED), "params": (_ANY, {})})(value, path)
+        self.kinds[value["kind"]](value.get("params", {}), _join(path, "params"))
+
+    def build(self, value, path: str):
+        return self.kinds[value["kind"]].build(value.get("params", {}), _join(path, "params"))
+
+
+def _replay(values, file):
+    if (values is None) == (file is None):
+        raise ConfigError("a replay nature needs exactly one of 'values' and 'file'")
+    return ReplayNature(values) if file is None else ReplayNature.from_file(file)
+
+
+NATURES = {
+    "constant": _Section({"omega": (_number, REQUIRED)}, ConstantNature),
+    "iid_bernoulli": _Section({"p": (_number, 0.5)}, IidBernoulliNature),
+    "iid_uniform": _Section({"lo": (_number, 0.0), "hi": (_number, 1.0)}, IidUniformNature),
+    "replay": _Section({"values": (_NUMBERS, None), "file": (_text, None)}, _replay),
+    "adversarial_greedy": _Section({"candidates": (_NUMBERS, None)}, AdversarialGreedyNature),
+}
+PREDICTORS = {
+    "constant": _Section({"gamma": (_number_or_vector, REQUIRED)}, ConstantPredictor),
+    "running_mean": _Section({"initial": (_number, 0.5)}, RunningMeanPredictor),
+    "noisy_target": _Section({"target": (_number, REQUIRED), "sigma": (_number, 0.15)},
+                             NoisyTargetPredictor),
+    "drift": _Section({"gamma0": (_number, REQUIRED), "delta": (_number, REQUIRED)},
+                      DriftPredictor),
+}
+SCEPTICS: dict = {}  # a level-3 base is a sceptic itself
+SCEPTICS.update({
+    "level1": _Section({"c": (_number, 0.4)}, Level1Sceptic),
+    "level2": _Section({"alpha": (_number, REQUIRED), "epsilon": (_number, 1e-3)},
+                       Level2Sceptic),
+    "level3": _Section({"base": (_Strategy(SCEPTICS),
+                                 {"kind": "level2", "params": {"alpha": 0.0}}),
+                        "k_max": (_integer(1), 20)}, Level3Sceptic),
+    "aggregating": _Section({"experts": (_List(_Strategy(PREDICTORS)), REQUIRED),
+                             "priors": (_NUMBERS, None)}, AggregatingSceptic),
+})
+GAME = _Section({"kind": (_choice(*(kind.value for kind in GameKind)), REQUIRED),
+                 "grid_size": (_integer(2), DEFAULT_GRID_SIZE), "m": (_integer(2), 2)},
+                lambda **desc: game_from_descriptor(desc))
+
+_VERSION = (_choice(SPEC_VERSION), SPEC_VERSION)
+_OUTPUTS = {"trace_csv": (_text, "trace.csv"), "report_json": (_text, "report.json")}
+RUN = _Section({
+    "spec_version": _VERSION,
+    "game": (GAME, REQUIRED),
+    "horizon": (_integer(1), REQUIRED),
+    "seed": (_integer(0), 0),
+    "seeds": (_List(_integer(0)), None),
+    "predictor1": (_Strategy(PREDICTORS), REQUIRED),
+    "predictor2": (_Strategy(PREDICTORS), REQUIRED),
+    "nature": (_Strategy(NATURES), REQUIRED),
+    "sceptic": (_Strategy(SCEPTICS), REQUIRED),
+    "checks": (_List(_text, empty=True), []),
+    "thresholds": (_Section({"gap_sum_max": (_number, DEFAULT_GAP_SUM_MAX),
+                             "loss_gap_min": (_number, DEFAULT_LOSS_GAP_MIN)}), {}),
+    "outputs": (_Section(_OUTPUTS), {}),
+})
+SWEEP = _Section({**RUN.table, "seeds": (_List(_integer(0)), REQUIRED),
+                  "outputs": (_Section({**_OUTPUTS, "report_json": (_text, "sweep.json")}), {})})
+DIVERGENCE = _Section({
+    "spec_version": _VERSION,
+    "divergence": (_Section({"game": (GAME, REQUIRED), "g1": (_number_or_text, REQUIRED),
+                             "g2": (_number_or_text, REQUIRED), "alpha": (_number, 0.0),
+                             "tol": (_positive, 1e-4)}), REQUIRED),
+    "expects": (_Section({"lower_shift": (_number, None), "upper_shift": (_number, None),
+                          "lower_value": (_number, None), "upper_value": (_number, None),
+                          "tol": (_positive, 1e-3)}), {}),
+})
 
 
 # ---------------------------------------------------------------------------
 # config -> objects
-
-
-def _build_game(cfg: dict) -> Game:
-    desc = cfg.get("game")
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("config needs a game object with a 'kind'")
-    try:
-        return game_from_descriptor(desc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad game descriptor: {exc}") from exc
-
-
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    return value
-
-
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-
-
-def _strategy_desc(desc, where: str) -> tuple:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"config needs a {where} object with a 'kind'")
-    return desc["kind"], _object(desc.get("params", {}), f"{where} params")
-
-
-def _build_sceptic(kind: str, params: dict):
-    # the strategies' own range checks raise ValueError on a bad parameter
-    try:
-        if kind == "level1":
-            return Level1Sceptic(c=params.get("c", 0.4))
-        if kind == "level2":
-            if "alpha" not in params:
-                raise ConfigError("level2 sceptic needs an 'alpha' parameter")
-            return Level2Sceptic(alpha=params["alpha"],
-                                 epsilon=params.get("epsilon", 1e-3))
-        if kind == "level3":
-            base_desc = params.get("base", {"kind": "level2",
-                                            "params": {"alpha": 0.0}})
-            base = _build_sceptic(*_strategy_desc(base_desc, "level3 base"))
-            return Level3Sceptic(base, k_max=params.get("k_max", 20))
-        if kind == "aggregating":
-            experts_desc = params.get("experts")
-            if not experts_desc:
-                raise ConfigError("aggregating sceptic needs a non-empty 'experts' list")
-            experts = [predictor_strategy(*_strategy_desc(d, f"aggregating expert {i}"))
-                       for i, d in enumerate(experts_desc, 1)]
-            return AggregatingSceptic(experts, priors=params.get("priors"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind} sceptic parameters: {exc}") from exc
-    raise ConfigError(f"unknown sceptic kind {kind!r}; "
-                      "options: ['aggregating', 'level1', 'level2', 'level3']")
 
 
 def _validate_compatibility(game: Game, sceptic) -> None:
@@ -110,56 +239,33 @@ def _validate_compatibility(game: Game, sceptic) -> None:
             raise ConfigError(f"MixabilityViolation: {exc}") from exc
 
 
-def _check_keys(section: dict, allowed: tuple, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {where} keys {unknown}; options: {list(allowed)}")
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, document: _Section) -> tuple:
+    """The config at ``path`` and the document it passed: ``document``, or
+    DIVERGENCE for a ``run`` config with a ``divergence`` section."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested past the limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, CONFIG_KEYS, "config")
-    version = cfg.get("spec_version", SPEC_VERSION)
-    if version != SPEC_VERSION:
-        raise ConfigError(f"unsupported spec_version {version}")
-    return cfg
+    if document is RUN and isinstance(cfg, dict) and "divergence" in cfg:
+        document = DIVERGENCE
+    document(cfg)
+    return cfg, document
 
 
-def _execute_run(cfg: dict, game: Game, seed: int):
-    """Build fresh strategies and play one seeded run."""
-    p1 = predictor_strategy(*_strategy_desc(cfg.get("predictor1"), "predictor1"))
-    p2 = predictor_strategy(*_strategy_desc(cfg.get("predictor2"), "predictor2"))
-    nature = nature_strategy(*_strategy_desc(cfg.get("nature"), "nature"))
-    sceptic = _build_sceptic(*_strategy_desc(cfg.get("sceptic"), "sceptic"))
-    checks = cfg.get("checks", [])
+def _execute_run(cfg: dict, run: dict, seed: int):
+    """Play one seeded run of the settings ``run`` read from ``cfg``."""
+    game, sceptic = run["game"], run["sceptic"]
     _validate_compatibility(game, sceptic)
-    require_checks(checks, sceptic, game)
-    horizon = cfg.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ConfigError("config needs a positive integer 'horizon'")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    thresholds = cfg.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError("'thresholds' must be an object")
-    _check_keys(thresholds, ("gap_sum_max", "loss_gap_min"), "thresholds")
-    gap_sum_max = thresholds.get("gap_sum_max", DEFAULT_GAP_SUM_MAX)
-    loss_gap_min = thresholds.get("loss_gap_min", DEFAULT_LOSS_GAP_MIN)
-    for value in (gap_sum_max, loss_gap_min):
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ConfigError(f"thresholds must be finite numbers, got {value!r}")
-    trace = run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
-    report = classify_disjuncts(trace, gap_sum_max=gap_sum_max,
-                                loss_gap_min=loss_gap_min, seed=seed, config=cfg)
-    report = verify_run(trace, checks, sceptic=sceptic, report=report)
+    require_checks(run["checks"], sceptic, game)
+    trace = run_protocol(run["nature"], run["predictor1"], run["predictor2"], sceptic, game,
+                         run["horizon"], seed=seed)
+    thresholds = run["thresholds"]
+    report = classify_disjuncts(trace, gap_sum_max=thresholds["gap_sum_max"],
+                                loss_gap_min=thresholds["loss_gap_min"], seed=seed, config=cfg)
+    report = verify_run(trace, run["checks"], sceptic=sceptic, report=report)
     return trace, report
 
 
@@ -169,17 +275,12 @@ def _execute_run(cfg: dict, game: Game, seed: int):
 
 def _divergence_expectation_check(cfg: dict) -> int:
     """Scenario mode asserting expected divergence values instead of a run."""
-    section = _object(cfg["divergence"], "'divergence'")
-    if not {"game", "g1", "g2"} <= section.keys():
-        raise ConfigError("a divergence section needs 'game', 'g1' and 'g2'")
-    desc = section["game"] if isinstance(section["game"], dict) else {"kind": section["game"]}
-    game = _build_game({"game": desc})
+    doc = DIVERGENCE.build(cfg)
+    section, expects = doc["divergence"], doc["expects"]
+    game = section["game"]
     g1 = _parse_prediction(game, str(section["g1"]))
     g2 = _parse_prediction(game, str(section["g2"]))
-    alpha = _number(section.get("alpha", 0.0), "divergence alpha")
-    tol = _check_tol(_number(section.get("tol", 1e-4), "divergence tol"))
-    expects = _object(cfg.get("expects", {}), "'expects'")
-    check_tol = _number(expects.get("tol", 1e-3), "expects tol")
+    alpha, tol, check_tol = float(section["alpha"]), float(section["tol"]), expects["tol"]
     try:
         lower = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
         upper = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
@@ -188,8 +289,8 @@ def _divergence_expectation_check(cfg: dict) -> int:
     ok = True
     for key, got in (("lower_shift", lower.shift), ("upper_shift", upper.shift),
                      ("lower_value", lower.value), ("upper_value", upper.value)):
-        if key in expects:
-            good = abs(got - _number(expects[key], f"expects {key}")) <= check_tol
+        if expects[key] is not None:
+            good = abs(got - expects[key]) <= check_tol
             ok = ok and good
             print(f"{key}: got {got:.6g}, expected {expects[key]} "
                   f"+- {check_tol:g} -> {'pass' if good else 'FAIL'}")
@@ -197,26 +298,14 @@ def _divergence_expectation_check(cfg: dict) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _outputs(cfg: dict) -> dict:
-    """The config's 'outputs' object, each path in it a non-empty string."""
-    outputs = _object(cfg.get("outputs", {}), "'outputs'")
-    for key in ("trace_csv", "report_json"):
-        if key in outputs and not (isinstance(outputs[key], str) and outputs[key]):
-            raise ConfigError(f"outputs {key} must be a non-empty path string, "
-                              f"got {outputs[key]!r}")
-    return outputs
-
-
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    if "divergence" in cfg:
+    cfg, document = _load_config(args.config, RUN)
+    if document is DIVERGENCE:
         return _divergence_expectation_check(cfg)
-    game = _build_game(cfg)
-    seed = cfg.get("seed", 0)
-    outputs = _outputs(cfg)
-    trace, report = _execute_run(cfg, game, seed)
-    trace_path = args.trace_out or outputs.get("trace_csv", "trace.csv")
-    report_path = args.report_out or outputs.get("report_json", "report.json")
+    run = RUN.build(cfg)
+    trace, report = _execute_run(cfg, run, run["seed"])
+    trace_path = args.trace_out or run["outputs"]["trace_csv"]
+    report_path = args.report_out or run["outputs"]["report_json"]
     write_trace_csv(trace, trace_path)
     write_report_json(report, report_path)
     for name, slack in report.check_slacks.items():
@@ -227,20 +316,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    seeds = cfg.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("sweep config needs a non-empty 'seeds' list")
-    game = _build_game(cfg)
-    outputs = _outputs(cfg)
-    out = args.report_out or outputs.get("report_json", "sweep.json")
+    cfg, _ = _load_config(args.config, SWEEP)
     worst_slacks: dict = {}
     verdict_histogram: dict = {}
     failures = []
     all_passed = True
-    for seed in seeds:
+    for seed in cfg["seeds"]:
+        run = SWEEP.build(cfg)  # a fresh game and strategies for each seed
         try:
-            _, report = _execute_run(cfg, game, seed)
+            _, report = _execute_run(cfg, run, seed)
         except ConfigError:
             raise
         except JeffreysError as exc:
@@ -253,12 +337,13 @@ def cmd_sweep(args) -> int:
         for verdict in report.verdicts:
             verdict_histogram[verdict] = verdict_histogram.get(verdict, 0) + 1
     aggregate = {
-        "runs": len(seeds),
+        "runs": len(cfg["seeds"]),
         "failures": failures,
         "worst_slacks": worst_slacks,
         "verdict_histogram": verdict_histogram,
         "all_passed": all_passed,
     }
+    out = args.report_out or run["outputs"]["report_json"]  # seeds is never empty
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -277,18 +362,13 @@ def _parse_prediction(game: Game, text: str):
     return gamma
 
 
-def _check_tol(tol: float) -> float:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tol must be positive and finite, got {tol}")
-    return tol
-
-
 def cmd_divergence(args) -> int:
-    if math.isnan(args.alpha):
-        raise ConfigError("--alpha must be a number")
-    _check_tol(args.tol)
-    kind = "log_loss" if args.game == "log" else args.game
-    game = _build_game({"game": {"kind": kind, "grid_size": args.grid_size, "m": args.m}})
+    _number(args.alpha, "--alpha")
+    _positive(args.tol, "--tol")
+    desc = {"kind": "log_loss" if args.game == "log" else args.game,
+            "grid_size": args.grid_size, "m": args.m}
+    GAME(desc, "--game")
+    game = GAME.build(desc, "--game")
     if args.side in ("standard", "kl") and not game.prediction_shape:
         raise ConfigError(f"side {args.side!r} is a log-loss quantity; the "
                           f"{game.kind.value} game has scalar predictions")
@@ -376,7 +456,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except JeffreysError as exc:

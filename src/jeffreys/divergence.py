@@ -57,8 +57,11 @@ class DivergenceResult:
 
 
 def _weighted_mean_point(game: Game, gamma1, gamma2, alpha: float) -> np.ndarray:
-    lam1 = game.canonical_point(gamma1)
-    lam2 = game.canonical_point(gamma2)
+    # a loss of a finite prediction may exceed the float range: it is +inf,
+    # and so is the divergence
+    with np.errstate(over="ignore"):
+        lam1 = game.canonical_point(gamma1)
+        lam2 = game.canonical_point(gamma2)
     w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
     return w1 * lam1 + w2 * lam2
 

@@ -66,6 +66,19 @@ _REFINE_STARTS = 3
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
+def _finite(move, what: str) -> bool:
+    """Whether a move off the validators' fast path is finite; a DomainError
+    if it is not one real number (a vector, a string, None)."""
+    if np.ndim(move) != 0:
+        raise DomainError(f"{what} {move!r} is not a number")
+    try:
+        return math.isfinite(move)
+    except OverflowError:  # an integer beyond the float range
+        return False
+    except TypeError:
+        raise DomainError(f"{what} {move!r} is not a number") from None
+
+
 class GameKind(str, Enum):
     ABSOLUTE = "absolute"
     SQUARE = "square"
@@ -248,12 +261,13 @@ class Game:
         if self._discrete:
             if type(omega) is int and lo <= omega <= hi:
                 return
-            if not math.isfinite(omega) or omega != int(omega) or not 0 <= int(omega) < self.m:
+            if not _finite(omega, "outcome") or omega != int(omega) \
+                    or not 0 <= int(omega) < self.m:
                 raise DomainError(f"outcome {omega!r} not in 0..{self.m - 1}")
             return
         if isinstance(omega, float) and lo <= omega <= hi:
             return
-        if not math.isfinite(omega):
+        if not _finite(omega, "outcome"):
             raise DomainError(f"outcome {omega!r} is not finite")
         ob, _ = self._bounds
         if ob is not None and not ob[0] <= omega <= ob[1]:
@@ -264,14 +278,17 @@ class Game:
             if self.m == 2:
                 try:
                     p0, p1 = float(gamma[0]), float(gamma[1])
-                except (TypeError, IndexError, ValueError) as exc:
+                except (TypeError, IndexError, ValueError, OverflowError) as exc:
                     raise DomainError("prediction must be a length-2 vector") from exc
                 # written so that NaN fails the comparisons
                 if len(gamma) != 2 or not (p0 >= 0.0 and p1 >= 0.0
                                            and abs(p0 + p1 - 1.0) <= 1e-12):
                     raise DomainError("prediction must be a probability vector")
                 return
-            g = np.asarray(gamma, dtype=float)
+            try:
+                g = np.asarray(gamma, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"prediction must be a length-{self.m} vector") from exc
             if g.shape != (self.m,):
                 raise DomainError(f"prediction must be a length-{self.m} vector")
             if not (np.all(g >= 0) and abs(float(g.sum()) - 1.0) <= 1e-12):
@@ -280,7 +297,7 @@ class Game:
         lo, hi = self._prediction_range
         if isinstance(gamma, float) and lo <= gamma <= hi:
             return
-        if not math.isfinite(gamma):
+        if not _finite(gamma, "prediction"):
             raise DomainError(f"prediction {gamma!r} is not finite")
         _, pb = self._bounds
         if pb is not None and not pb[0] <= gamma <= pb[1]:

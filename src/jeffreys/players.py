@@ -70,6 +70,14 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _check_form(game: Game, vector: bool, who: str) -> None:
+    # vectors on a finite outcome space; numbers where a prediction grid maps them
+    if not (game.prediction_shape if vector else game.prediction_grid is not None):
+        takes = "probability vectors" if game.prediction_shape else "numbers"
+        raise ConfigError(f"{who} predicts a {'vector' if vector else 'number'}; "
+                          f"this {game.kind.value} game takes {takes}")
+
+
 def _as_outcome(game: Game, w):
     # a non-integral outcome on a finite space is left for the engine to refuse
     if game.spec.outcome_type is int and not float(w).is_integer():
@@ -156,6 +164,8 @@ class AdversarialGreedyNature(NatureStrategy):
     in every bundled game's outcome space."""
 
     def __init__(self, candidates: Optional[Sequence[float]] = None):
+        if candidates is not None and not len(candidates):
+            raise ValueError("adversarial_greedy needs at least one candidate")
         self.candidates = candidates
 
     def reset(self, game, rng, horizon):
@@ -172,7 +182,8 @@ class AdversarialGreedyNature(NatureStrategy):
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         loss = self._loss
-        best, best_score = None, -math.inf
+        # when no score beats -inf (a NaN one never does), the first candidate plays
+        best, best_score = self._cands[0], -math.inf
         for w in self._cands:
             score = loss(w, gamma_sceptic) - min(loss(w, gamma1), loss(w, gamma2))
             if score > best_score:
@@ -194,6 +205,7 @@ class ConstantPredictor(PredictorStrategy):
 
     def reset(self, game, rng, horizon):
         g = self.gamma0
+        _check_form(game, g.ndim > 0, "a constant predictor")
         self._value = game.prediction_from_param(float(g)) if g.ndim == 0 else g
 
     def predict(self, n):
@@ -256,6 +268,7 @@ class NoisyTargetPredictor(PredictorStrategy):
         self.sigma = _real(sigma, "sigma")
 
     def reset(self, game, rng, horizon):
+        _check_form(game, False, "a noisy_target predictor")
         self._game = game
         self._noise = rng.standard_normal(horizon)
 
@@ -272,51 +285,8 @@ class DriftPredictor(PredictorStrategy):
         self.delta = _real(delta, "delta")
 
     def reset(self, game, rng, horizon):
+        _check_form(game, False, "a drift predictor")
         self._game = game
 
     def predict(self, n):
         return self._game.prediction_from_param(self.gamma0 + self.delta * (n - 1))
-
-
-# ---------------------------------------------------------------------------
-# descriptor-based construction (the CLI speaks in these)
-
-_NATURE_KINDS = {
-    "constant": lambda params: ConstantNature(params["omega"]),
-    "iid_bernoulli": lambda params: IidBernoulliNature(params.get("p", 0.5)),
-    "iid_uniform": lambda params: IidUniformNature(params.get("lo", 0.0),
-                                                   params.get("hi", 1.0)),
-    "replay": lambda params: (ReplayNature.from_file(params["file"])
-                              if "file" in params else ReplayNature(params["values"])),
-    "adversarial_greedy": lambda params: AdversarialGreedyNature(params.get("candidates")),
-}
-
-_PREDICTOR_KINDS = {
-    "constant": lambda params: ConstantPredictor(params["gamma"]),
-    "running_mean": lambda params: RunningMeanPredictor(params.get("initial", 0.5)),
-    "noisy_target": lambda params: NoisyTargetPredictor(params["target"],
-                                                        params.get("sigma", 0.15)),
-    "drift": lambda params: DriftPredictor(params["gamma0"], params["delta"]),
-}
-
-
-def _build(kinds: dict, role: str, kind: str, params: Optional[dict]):
-    # a missing, mistyped or unreadable parameter is a configuration error naming the kind
-    try:
-        factory = kinds[kind]
-    except (KeyError, TypeError):
-        raise ConfigError(f"unknown {role} kind {kind!r}; options: {sorted(kinds)}") from None
-    try:
-        return factory(params or {})
-    except KeyError as exc:
-        raise ConfigError(f"{kind} {role} needs the parameter {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind} {role} parameters: {exc}") from exc
-
-
-def nature_strategy(kind: str, params: Optional[dict] = None) -> NatureStrategy:
-    return _build(_NATURE_KINDS, "nature", kind, params)
-
-
-def predictor_strategy(kind: str, params: Optional[dict] = None) -> PredictorStrategy:
-    return _build(_PREDICTOR_KINDS, "predictor", kind, params)

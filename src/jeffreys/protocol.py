@@ -64,11 +64,14 @@ class Trace:
         g1, g2, gs = (np.asarray(col, dtype=float).reshape(shape)
                       for col in (self.gamma1, self.gamma2, self.gamma_sceptic))
         spec = game.spec
-        self.loss1, self.loss2, self.loss_sceptic = (
-            spec.loss_column(self.omega, g) for g in (g1, g2, gs))
-        self.gap = spec.trace_gap(g1, g2)
-        self.divergence_term = (divergence(g1, g2) if divergence is not None
-                                else [math.nan] * len(self.omega))
+        # a loss or divergence of finite moves far apart may exceed the float
+        # range: it is +inf
+        with np.errstate(over="ignore"):
+            self.loss1, self.loss2, self.loss_sceptic = (
+                spec.loss_column(self.omega, g) for g in (g1, g2, gs))
+            self.gap = spec.trace_gap(g1, g2)
+            self.divergence_term = (divergence(g1, g2) if divergence is not None
+                                    else [math.nan] * len(self.omega))
         self.cum1, self.cum2, self.cum_sceptic = (
             list(islice(accumulate(col, initial=0.0), 1, None))
             for col in (self.loss1, self.loss2, self.loss_sceptic))
@@ -190,7 +193,8 @@ def classify_disjuncts(trace: Trace,
     if not len(trace):
         raise ValueError("cannot classify an empty trace")
     cum1, cum2, cum_sceptic = trace.cum1[-1], trace.cum2[-1], trace.cum_sceptic[-1]
-    gap_sq = float(np.sum(np.square(np.asarray(trace.gap, dtype=float))))
+    with np.errstate(over="ignore"):
+        gap_sq = float(np.sum(np.square(np.asarray(trace.gap, dtype=float))))
     lg1 = cum1 - cum_sceptic
     lg2 = cum2 - cum_sceptic
     verdicts = []

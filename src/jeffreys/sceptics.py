@@ -115,8 +115,8 @@ class Level2Sceptic(ScepticStrategy):
     def __init__(self, alpha: float, epsilon: float = 1e-3):
         if not -1.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (-1, 1)")
-        if not epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.alpha = alpha
         self.epsilon = epsilon
         self._game: Optional[Game] = None
@@ -166,8 +166,10 @@ def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
     l1, l2, ls, d = (np.asarray(col, dtype=float).astype(np.longdouble)
                      for col in (trace.loss1, trace.loss2, trace.loss_sceptic,
                                  trace.divergence_term))
-    increments = w1 * l1 + w2 * l2 - ls - coeff * d
-    return np.cumsum(increments) + np.longdouble(epsilon)
+    # infinite losses on both sides leave the step's slack NaN: the check fails
+    with np.errstate(invalid="ignore"):
+        increments = w1 * l1 + w2 * l2 - ls - coeff * d
+        return np.cumsum(increments) + np.longdouble(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,11 @@ class Level1Sceptic(ScepticStrategy):
         if not len(trace):
             raise ConfigError("ledger check needs a run of at least one step")
         areas, excess, bounds = level1_ledger(trace, self.c)
-        return min(float(np.min(areas)), float(np.min(bounds - excess)))
+        # a row whose excess is -inf holds whatever its bound; any other NaN
+        # makes the slack NaN, which fails the check
+        with np.errstate(invalid="ignore"):
+            held = np.where(excess == -math.inf, math.inf, bounds - excess)
+        return float(np.min(np.concatenate((areas, held))))
 
 
 # ---------------------------------------------------------------------------

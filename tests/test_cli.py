@@ -1,11 +1,13 @@
 """CLI exit codes, file outputs, and the JSON config surface."""
 
+import copy
 import json
 import os
 
 import pytest
 
-from jeffreys.cli import main
+from jeffreys.cli import (DIVERGENCE, NATURES, PREDICTORS, RUN, SCEPTICS, _load_config,
+                          main)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -48,6 +50,15 @@ def test_malformed_config_is_usage_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("content", [b'{"horizon": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-past-the-limit"])
+def test_config_that_json_cannot_read_is_config_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_level3_on_non_mixable_game_is_config_error(tmp_path, capsys):
@@ -254,6 +265,20 @@ def test_unknown_strategy_kind_is_config_error(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("role,kind", [("nature", "weather"), ("predictor1", "oracle")])
+def test_unknown_player_kind_is_config_error(tmp_path, capsys, no_run, role, kind):
+    path, _ = write_config(tmp_path, **{role: {"kind": kind, "params": {}}})
+    assert main(["run", str(path)]) == 2
+    assert f"config error: {role} kind must be one of" in capsys.readouterr().err
+
+
+def test_constant_nature_and_running_mean_predictor_build_from_descriptors(tmp_path):
+    path, _ = write_config(tmp_path, game={"kind": "bounded_square"},
+                           nature={"kind": "constant", "params": {"omega": 0.5}},
+                           predictor2={"kind": "running_mean"})
+    assert main(["run", str(path)]) == 0
+
+
 def test_divergence_subcommand_quartic(capsys):
     assert main(["divergence", "--game", "quartic", "--g1", "-1", "--g2", "1",
                  "--alpha", "0", "--side", "lower", "--tol", "1e-4"]) == 0
@@ -370,6 +395,15 @@ def test_output_path_not_a_string_is_config_error(tmp_path, capsys, no_run, comm
     assert main([command, str(path)]) == 2
     assert "config error: outputs" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_path_that_cannot_be_written_is_config_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing" / "out")
+    path, _ = write_config(tmp_path, seeds=[1], outputs={"trace_csv": missing,
+                                                         "report_json": missing})
+    assert main([command, str(path)]) == 2
+    assert "config error: [Errno 2] No such file or directory" in capsys.readouterr().err
 
 
 def test_sweep_single_seed_matches_run(tmp_path):
@@ -497,3 +531,103 @@ def test_level1_plays_on_after_an_infinite_loss_difference(tmp_path):
     assert main(["run", str(path)]) == 0
     trace = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert len(trace) == 51
+
+
+@pytest.mark.parametrize("overrides", [
+    {"horizon": True},
+    {"nature": {"kind": "adversarial_greedy", "params": {"candidates": "ab"}}},
+    {"nature": {"kind": "adversarial_greedy", "params": {"candidates": []}}},
+    {"predictor1": {"kind": "constant", "params": {"gamma": [0.5]}}},
+    {"sceptic": {"kind": "level2", "params": {"alpha": 0.0, "epsilon": float("inf")}}},
+    {"sceptic": {"kind": "level2", "params": {"alpha": 0.0, "epsillon": 0.001}}},
+    {"predictor2": {"kind": "constant", "params": {"gamma": 1.0, "gama": 1.0}}},
+    {"game": {"kind": "square", "grid_sise": 65}},
+    {"nature": {"kind": "iid_bernoulli", "params": {"p": 0.5}, "parms": {"p": 0.5}}},
+    {"nature": {"kind": "iid_bernoulli", "params": {"p": True}}},
+    {"game": {"kind": "bounded_square"},
+     "sceptic": {"kind": "aggregating",
+                 "params": {"experts": TWO_EXPERTS[:1], "priors": [True]}},
+     "checks": ["eq8"]},
+    {"nature": {"kind": "adversarial_greedy", "params": {"candidates": [0.5, True]}}},
+    {"game": {"kind": "log_loss", "m": 3},
+     "predictor1": {"kind": "constant", "params": {"gamma": [0.2, 0.3, 0.5]}},
+     "predictor2": {"kind": "running_mean"}, "nature": {"kind": "constant", "params": {"omega": 2}},
+     "sceptic": {"kind": "aggregating", "params": {"experts": [
+         {"kind": "running_mean"}, {"kind": "noisy_target", "params": {"target": 0.3}}]}},
+     "checks": ["eq8"]},
+], ids=["horizon-true", "candidates-string", "candidates-empty", "vector-gamma-on-scalar-game",
+        "epsilon-inf", "sceptic-param-misspelt", "predictor-param-misspelt",
+        "game-key-misspelt", "params-misspelt-beside-params", "bernoulli-p-true",
+        "priors-true", "candidate-true", "number-expert-on-three-outcomes"])
+def test_config_hole_is_config_error(tmp_path, capsys, overrides):
+    path, _ = write_config(tmp_path, **{"horizon": 20, **overrides})
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"expects": {"tol": float("inf"), "lower_shift": 99}},
+    {"expects": {"tol": -1e-3, "lower_shift": 1.0}},
+    {"expects": {"tol": float("nan"), "lower_shift": 1.0}},
+    {"expects": {"lowr_shift": 1.0}},
+    {"expects": {"lower_shift": float("inf")}},
+    {"divergence": {"game": {"kind": "quartic"}, "g1": -1.0, "g2": 1.0, "alpah": 0.0}},
+], ids=["expects-tol-inf", "expects-tol-negative", "expects-tol-nan", "expects-key-misspelt",
+        "expected-value-inf", "divergence-key-misspelt"])
+def test_divergence_document_hole_is_config_error(tmp_path, capsys, cfg):
+    doc = {"spec_version": 1,
+           "divergence": {"game": {"kind": "quartic"}, "g1": -1.0, "g2": 1.0}, **cfg}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
+def test_reading_a_bundled_scenario_leaves_its_document_as_written(name):
+    # the report embeds the document: the schema's defaults go to fresh settings
+    cfg, document = _load_config(os.path.join(SCENARIOS, name), RUN)
+    assert document is (DIVERGENCE if name.startswith("remark1") else RUN)
+    written = copy.deepcopy(cfg)
+    document.build(cfg)
+    assert cfg == written
+
+
+def test_readme_tables_name_every_key_of_the_schema():
+    with open(os.path.join(SCENARIOS, "..", "README.md"), encoding="utf-8") as fh:
+        rows = [line for line in fh.read().splitlines() if line.startswith("| ")]
+    for role, kinds in (("nature", NATURES), ("predictor", PREDICTORS),
+                        ("sceptic", SCEPTICS)):
+        for kind, section in kinds.items():
+            described = " ".join(r for r in rows if r.startswith(f"| {role} `{kind}` |"))
+            assert all(f"`{key}`" in described for key in section.table), (role, kind)
+
+    def keys(section):
+        for key, (check, _) in section.table.items():
+            yield key
+            if hasattr(check, "table"):
+                yield from keys(check)
+
+    text = " ".join(rows)
+    for document in (RUN, DIVERGENCE):
+        assert all(f"`{key}`" in text for key in keys(document))
+
+
+@pytest.mark.parametrize("command,cfg,code", [
+    ("run", {"predictor1": {"kind": "constant", "params": {"gamma": 1e300}}}, 1),
+    ("run", {"nature": {"kind": "adversarial_greedy",
+                        "params": {"candidates": [1e300, -1e300]}}}, 1),
+    ("divergence", {"divergence": {"game": {"kind": "square"}, "g1": 1e300, "g2": -1e300}}, 0),
+], ids=["constant-1e300", "candidates-1e300", "divergence-1e300"])
+def test_losses_beyond_the_float_range_keep_the_exit_contract(tmp_path, capsys, command, cfg,
+                                                             code):
+    # the losses are +inf, without an escaping RuntimeWarning; eq9 fails on
+    # inf - inf, and the divergences are inf
+    if command == "divergence":
+        path = tmp_path / "div.json"
+        path.write_text(json.dumps({"spec_version": 1, **cfg}))
+    else:
+        path, _ = write_config(tmp_path, horizon=20, **cfg)
+    assert main(["run", str(path)]) == code
+    if command == "divergence":
+        assert '"value": Infinity' in capsys.readouterr().out

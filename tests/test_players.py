@@ -7,7 +7,7 @@ from jeffreys import (AdversarialGreedyNature, ConstantNature,
                       ConstantPredictor, DriftPredictor, IidBernoulliNature,
                       IidUniformNature, NoisyTargetPredictor, ReplayNature,
                       RunningMeanPredictor, bounded_square_loss_game,
-                      log_loss_game, nature_strategy, predictor_strategy)
+                      log_loss_game)
 from jeffreys.errors import ConfigError
 
 
@@ -65,6 +65,8 @@ def test_adversarial_greedy_with_given_candidates():
     assert n.outcome(1, 0.5, 0.5, 0.25) == 1.0
     with pytest.raises(ConfigError):
         AdversarialGreedyNature(candidates=[0.0, 1.5]).reset(game, rng(), 10)
+    with pytest.raises(ValueError, match="at least one candidate"):
+        AdversarialGreedyNature(candidates=[])
 
 
 def test_replay_nature_exhaustion_truncates_run():
@@ -125,11 +127,3 @@ def test_drift_predictor_clamps():
     assert p.predict(1) == 0.9
     assert p.predict(10) == 1.0
 
-
-def test_strategy_factories():
-    assert isinstance(nature_strategy("constant", {"omega": 0.5}), ConstantNature)
-    assert isinstance(predictor_strategy("running_mean"), RunningMeanPredictor)
-    with pytest.raises(ConfigError):
-        nature_strategy("weather")
-    with pytest.raises(ConfigError):
-        predictor_strategy("oracle")

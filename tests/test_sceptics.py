@@ -40,8 +40,9 @@ def _level2(game, alpha, epsilon=1e-3):
 def test_level2_config_validation():
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
         Level2Sceptic(alpha=1.0)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        Level2Sceptic(alpha=0.0, epsilon=0.0)
+    for epsilon in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            Level2Sceptic(alpha=0.0, epsilon=epsilon)
 
 
 def test_level2_square_weighted_mean():
@@ -334,6 +335,26 @@ def test_level1_inequality_general_scenario():
     areas, excess, bounds = level1_ledger(trace, 0.4)
     assert float(np.min(areas)) >= 0.0
     assert float(np.min(bounds - excess)) >= -1e-9
+
+
+def test_ledger_row_with_infinite_predictor_loss_holds_and_nan_fails():
+    # predictor 1 gives outcome 1 probability zero: from its first 1 the
+    # excess is -inf and the bound NaN, and such a row holds
+    sceptic = Level1Sceptic(c=0.4)
+    trace = run_protocol(IidBernoulliNature(0.3), ConstantPredictor(np.array([1.0, 0.0])),
+                         ConstantPredictor(np.array([0.5, 0.5])), sceptic,
+                         log_loss_game(m=2), 50, seed=5)
+    _, excess, bounds = level1_ledger(trace, 0.4)
+    assert np.array_equal(np.isnan(bounds), excess == -math.inf)
+    assert int(np.isnan(bounds).sum()) == 40
+    report = verify_run(trace, ["ledger"], sceptic=sceptic)
+    assert report.checks_passed and report.check_slacks["ledger"] == 0.0
+    # a NaN loss anywhere else fails the check
+    rows = [0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.5, math.nan, 0.0, 1.0, 0.5, 0.0]
+    report = verify_run(Trace(absolute_loss_game(), rows), ["ledger"],
+                        sceptic=Level1Sceptic(c=0.4))
+    assert not report.checks_passed
+    assert math.isnan(report.check_slacks["ledger"])
 
 
 def test_ledger_check_refuses_an_empty_trace():

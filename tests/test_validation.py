@@ -106,28 +106,31 @@ def test_nan_probability_vectors_are_rejected():
 BAD_STEP = 3
 
 
+NO_BAD = object()  # a player that only makes good moves; None is a bad move
+
+
 class _Predictor(PredictorStrategy):
-    def __init__(self, good, bad=None):
+    def __init__(self, good, bad=NO_BAD):
         self.good, self.bad = good, bad
 
     def predict(self, n):
-        return self.bad if n == BAD_STEP and self.bad is not None else self.good
+        return self.bad if n == BAD_STEP and self.bad is not NO_BAD else self.good
 
 
 class _Sceptic(ScepticStrategy):
-    def __init__(self, good, bad=None):
+    def __init__(self, good, bad=NO_BAD):
         self.good, self.bad = good, bad
 
     def predict(self, n, gamma1, gamma2):
-        return self.bad if n == BAD_STEP and self.bad is not None else self.good
+        return self.bad if n == BAD_STEP and self.bad is not NO_BAD else self.good
 
 
 class _Nature(NatureStrategy):
-    def __init__(self, good, bad=None):
+    def __init__(self, good, bad=NO_BAD):
         self.good, self.bad = good, bad
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
-        return self.bad if n == BAD_STEP and self.bad is not None else self.good
+        return self.bad if n == BAD_STEP and self.bad is not NO_BAD else self.good
 
 
 _GOOD = {
@@ -165,6 +168,19 @@ VIOLATIONS = [
     ("log3", "predictor 1", np.array([0.5, 0.5, 0.5]), "prediction must be a probability vector"),
     ("log3", "nature", math.nan, "outcome nan not in 0..2"),
     ("log3", "nature", 3, "outcome 3 not in 0..2"),
+    # moves that are not one number
+    ("square", "predictor 1", np.array([0.5]), "prediction array([0.5]) is not a number"),
+    ("square", "predictor 2", [0.5], "prediction [0.5] is not a number"),
+    ("square", "sceptic", "x", "prediction 'x' is not a number"),
+    ("bounded_absolute", "predictor 1", None, "prediction None is not a number"),
+    ("square", "nature", np.array([0.5]), "outcome array([0.5]) is not a number"),
+    ("bounded_square", "nature", [0.5], "outcome [0.5] is not a number"),
+    ("quartic", "nature", "x", "outcome 'x' is not a number"),
+    ("quartic", "nature", None, "outcome None is not a number"),
+    ("log2", "nature", "x", "outcome 'x' is not a number"),
+    ("log2", "predictor 1", "x", "prediction must be a length-2 vector"),
+    ("log3", "predictor 2", "x", "prediction must be a length-3 vector"),
+    ("log3", "nature", None, "outcome None is not a number"),
 ]
 
 
@@ -172,10 +188,10 @@ VIOLATIONS = [
 def test_out_of_domain_move_names_player_and_step(game_name, mover, bad, message):
     factory, gamma, omega = _GOOD[game_name]
     players = dict(
-        nature=_Nature(omega, bad if mover == "nature" else None),
-        predictor1=_Predictor(gamma, bad if mover == "predictor 1" else None),
-        predictor2=_Predictor(gamma, bad if mover == "predictor 2" else None),
-        sceptic=_Sceptic(gamma, bad if mover == "sceptic" else None),
+        nature=_Nature(omega, bad if mover == "nature" else NO_BAD),
+        predictor1=_Predictor(gamma, bad if mover == "predictor 1" else NO_BAD),
+        predictor2=_Predictor(gamma, bad if mover == "predictor 2" else NO_BAD),
+        sceptic=_Sceptic(gamma, bad if mover == "sceptic" else NO_BAD),
     )
     with pytest.raises(ProtocolViolationError) as err:
         run_protocol(game=factory(), horizon=6, seed=0, **players)
