@@ -264,7 +264,7 @@ def _execute_run(cfg: dict, run: dict, seed: int):
                          run["horizon"], seed=seed)
     thresholds = run["thresholds"]
     report = classify_disjuncts(trace, gap_sum_max=thresholds["gap_sum_max"],
-                                loss_gap_min=thresholds["loss_gap_min"], seed=seed, config=cfg)
+                                loss_gap_min=thresholds["loss_gap_min"], config=cfg)
     report = verify_run(trace, run["checks"], sceptic=sceptic, report=report)
     return trace, report
 

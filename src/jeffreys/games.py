@@ -103,7 +103,7 @@ class GameSpec:
     Closed forms are factories, called once where a run starts, that return
     the per-step function.  Column forms (``loss_column``, ``trace_gap``,
     the function ``divergence`` returns) take a run's move columns, one row
-    per step, and return lists of floats, bit for bit the per-move
+    per step, and return float64 arrays, bit for bit the per-move
     arithmetic.  A kind with a ``level2`` move has its
     ``divergence`` too: the move's profile is the weighted mean shifted down
     by exactly that.  ``mix``, prepared once for the experts' predictions,
@@ -154,15 +154,15 @@ def _log_kernel(omega, gamma):
 
 def _log_loss_column(omega, gamma):
     # the probability each row's prediction gave its outcome, logged by libm as the kernel does
-    g = np.asarray(gamma, dtype=float)
-    p = g[np.arange(len(g)), np.asarray(omega, dtype=np.intp)]
-    return [-math.log(x) if x > 0.0 else math.inf for x in p.tolist()]
+    p = gamma[np.arange(len(gamma)), np.asarray(omega, dtype=np.intp)]
+    return np.array([-math.log(x) if x > 0.0 else math.inf for x in p.tolist()])
 
 
 def _log_losses(omega, gamma):
-    # broadcasting log loss over the probabilities' last axis; the clamp keeps log off 0
+    # broadcasting log loss over the probabilities' last axis; a probability of 0 loses +inf
     p = np.asarray(gamma, dtype=float)[..., np.asarray(omega, dtype=np.intp)]
-    return np.where(p > 0.0, -np.log(np.maximum(p, 1e-300)), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, -np.log(p), np.inf)
 
 
 def _binary_log_param_losses(game, params):
@@ -463,7 +463,7 @@ def _log_affinity(gamma1, gamma2, alpha: float) -> float:
 
 def alpha_divergence_square_loss(gamma1: float, gamma2: float, alpha: float) -> float:
     """Square-loss divergence: ``(gamma1 - gamma2)^2``, independent of alpha."""
-    return _square_divergence(None, alpha)([gamma1], [gamma2])[0]
+    return float(_square_divergence(None, alpha)([gamma1], [gamma2])[0])
 
 
 def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
@@ -472,17 +472,18 @@ def alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
     The arithmetic is the table's closed form, so the value equals a log-loss
     trace's divergence term bit for bit.
     """
-    return _log_divergence(None, alpha)([gamma1], [gamma2])[0]
-
-
-def _difference(g1, g2) -> np.ndarray:
-    return np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
+    return float(_log_divergence(None, alpha)([gamma1], [gamma2])[0])
 
 
 def _square_divergence(game, alpha):
     if not -1.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
-    return lambda g1, g2: np.square(_difference(g1, g2)).tolist()
+
+    def div(g1, g2):
+        # moves far apart have a divergence past the float range: +inf
+        with np.errstate(over="ignore"):
+            return np.square(np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float))
+    return div
 
 
 def _square_level2(game, w1, w2):
@@ -494,9 +495,9 @@ def _square_level2(game, w1, w2):
 def _log_gap(g1, g2):
     # sqrt of the zero-order divergence: squares sum to the series; each
     # row's affinity is summed over outcomes as np.sum sums one vector
-    affinity = np.sum(np.sqrt(np.asarray(g1, dtype=float) * np.asarray(g2, dtype=float)), axis=1)
-    return [math.sqrt(max(0.0, -4.0 * math.log(a))) if a > 0.0 else math.inf
-            for a in affinity.tolist()]
+    affinity = np.sum(np.sqrt(g1 * g2), axis=1)
+    return np.array([math.sqrt(max(0.0, -4.0 * math.log(a))) if a > 0.0 else math.inf
+                     for a in affinity.tolist()])
 
 
 def _power(g, w: float) -> np.ndarray:
@@ -515,7 +516,8 @@ def _log_divergence(game, alpha: float):
 
     def div(g1, g2):
         affinity = np.sum(_power(g1, w1) * _power(g2, w2), axis=1)
-        return [scale * math.log(a) if a > 0.0 else math.inf for a in affinity.tolist()]
+        return np.array([scale * math.log(a) if a > 0.0 else math.inf
+                         for a in affinity.tolist()])
     return div
 
 
@@ -582,13 +584,12 @@ def _scalar_spec(kernel, bounds, make, eta_star, **closed_forms) -> GameSpec:
     # a scalar kind's prediction is its own grid parameter; make: grid_size -> Game
     return GameSpec(
         kernel=kernel, losses=kernel,
-        loss_column=lambda omega, gamma: kernel(np.asarray(omega, dtype=float),
-                                                np.asarray(gamma, dtype=float)).tolist(),
+        loss_column=kernel,
         param_losses=lambda game, params: kernel(
             game.outcome_grid.reshape((-1,) + (1,) * params.ndim), params),
         bounds=lambda m: bounds, outcome_type=float, from_param=float,
         make=lambda grid_size, m: make(grid_size),
-        trace_gap=lambda g1, g2: np.abs(_difference(g1, g2)).tolist(), eta_star=eta_star,
+        trace_gap=lambda g1, g2: np.abs(g1 - g2), eta_star=eta_star,
         **closed_forms)
 
 

@@ -78,6 +78,16 @@ def _check_form(game: Game, vector: bool, who: str) -> None:
                           f"this {game.kind.value} game takes {takes}")
 
 
+def _predraw(draw, horizon: int, who: str) -> np.ndarray:
+    """``draw(horizon)``, a run's draws taken at reset; a ConfigError naming
+    the horizon where numpy refuses that many or cannot allocate them."""
+    try:
+        return draw(horizon)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"horizon {horizon} is too long for {who} to draw "
+                          f"at reset: {exc}") from exc
+
+
 def _as_outcome(game: Game, w):
     # a non-integral outcome on a finite space is left for the engine to refuse
     if game.spec.outcome_type is int and not float(w).is_integer():
@@ -109,7 +119,7 @@ class IidBernoulliNature(NatureStrategy):
             raise ConfigError(f"bernoulli p must lie in [0, 1], got {self.p}")
 
     def reset(self, game, rng, horizon):
-        self._draws = rng.random(horizon) < self.p
+        self._draws = _predraw(rng.random, horizon, "a bernoulli nature") < self.p
         self._miss, self._hit = (game.spec.outcome_type(w) for w in (0, 1))
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
@@ -125,7 +135,8 @@ class IidUniformNature(NatureStrategy):
     def reset(self, game, rng, horizon):
         if game.spec.outcome_type is int:
             raise ConfigError("uniform nature is undefined for log-loss outcomes")
-        self._draws = rng.uniform(self.lo, self.hi, horizon)
+        self._draws = _predraw(lambda size: rng.uniform(self.lo, self.hi, size), horizon,
+                               "a uniform nature")
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         return float(self._draws[n - 1])
@@ -270,7 +281,7 @@ class NoisyTargetPredictor(PredictorStrategy):
     def reset(self, game, rng, horizon):
         _check_form(game, False, "a noisy_target predictor")
         self._game = game
-        self._noise = rng.standard_normal(horizon)
+        self._noise = _predraw(rng.standard_normal, horizon, "a noisy_target predictor")
 
     def predict(self, n):
         return self._game.prediction_from_param(

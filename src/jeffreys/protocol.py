@@ -11,10 +11,8 @@ other guarantee through its sceptic.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,15 +40,17 @@ class Trace:
 
     ``rows`` holds each step's ``(gamma1, gamma2, gamma_sceptic, omega)``
     back to back in play order: one flat list, as a tuple per step would
-    load the garbage collector.  The derived columns are computed once,
-    from the move columns, by the game's column forms, which match the
-    per-move arithmetic bit for bit.  Cumulative columns are running sums
-    of the per-step losses in play order from 0.0, so a first loss of -0.0
-    sums to 0.0; ``gap`` is the absolute prediction difference for scalar
-    games and the square root of the step divergence for log-loss, so that
-    ``gap**2`` sums to the disjunction's divergence series in both cases.
-    ``divergence(gamma1, gamma2)`` gives the sceptic's divergence column;
-    without it the column is NaN.
+    load the garbage collector.  Every column is a float64 array built
+    once: the moves, of shape ``(N,) + game.prediction_shape``, the
+    outcomes, and the derived columns, computed from the moves by the
+    game's column forms, which match the per-move arithmetic bit for bit.
+    Cumulative columns are running sums of the per-step losses in play
+    order from 0.0, so a first loss of -0.0 sums to 0.0; ``gap`` is the
+    absolute prediction difference for scalar games and the square root of
+    the step divergence for log-loss, so that ``gap**2`` sums to the
+    disjunction's divergence series in both cases.  ``divergence(gamma1,
+    gamma2)`` gives the sceptic's divergence column; without it the column
+    is NaN.
     """
 
     def __init__(self, game: Game, rows: Sequence, seed: Optional[int] = None,
@@ -58,23 +58,24 @@ class Trace:
         self.game = game
         self.seed = seed
         self.truncated = truncated
-        self.gamma1, self.gamma2, self.gamma_sceptic, self.omega = (
-            rows[i::4] for i in range(4))
-        shape = (len(self.omega),) + game.prediction_shape
-        g1, g2, gs = (np.asarray(col, dtype=float).reshape(shape)
-                      for col in (self.gamma1, self.gamma2, self.gamma_sceptic))
+        self.omega = np.asarray(rows[3::4], dtype=float)
+        shape = self.omega.shape + game.prediction_shape
+        self.gamma1, self.gamma2, self.gamma_sceptic = (
+            np.asarray(rows[i::4], dtype=float).reshape(shape) for i in range(3))
         spec = game.spec
-        # a loss or divergence of finite moves far apart may exceed the float
-        # range: it is +inf
+        # a loss, divergence or running sum of finite moves far apart may
+        # exceed the float range: it is +inf
         with np.errstate(over="ignore"):
             self.loss1, self.loss2, self.loss_sceptic = (
-                spec.loss_column(self.omega, g) for g in (g1, g2, gs))
-            self.gap = spec.trace_gap(g1, g2)
-            self.divergence_term = (divergence(g1, g2) if divergence is not None
-                                    else [math.nan] * len(self.omega))
-        self.cum1, self.cum2, self.cum_sceptic = (
-            list(islice(accumulate(col, initial=0.0), 1, None))
-            for col in (self.loss1, self.loss2, self.loss_sceptic))
+                spec.loss_column(self.omega, g)
+                for g in (self.gamma1, self.gamma2, self.gamma_sceptic))
+            self.gap = spec.trace_gap(self.gamma1, self.gamma2)
+            self.divergence_term = (divergence(self.gamma1, self.gamma2)
+                                    if divergence is not None
+                                    else np.full(len(self.omega), np.nan))
+            self.cum1, self.cum2, self.cum_sceptic = (
+                np.cumsum(np.concatenate(([0.0], col)))[1:]
+                for col in (self.loss1, self.loss2, self.loss_sceptic))
 
     def __len__(self) -> int:
         return len(self.omega)
@@ -82,12 +83,11 @@ class Trace:
 
 @dataclass
 class RunReport:
-    """Verdicts and worst observed check slacks for one finished run."""
+    """Verdicts and worst observed check slacks for one finished run; its
+    fields are the report's JSON document."""
 
     horizon: int
-    final_cum1: float
-    final_cum2: float
-    final_cum_sceptic: float
+    final_cum_losses: dict
     gap_squared_sum: float
     verdicts: list
     thresholds: dict
@@ -98,22 +98,7 @@ class RunReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "final_cum_losses": {
-                "predictor1": self.final_cum1,
-                "predictor2": self.final_cum2,
-                "sceptic": self.final_cum_sceptic,
-            },
-            "gap_squared_sum": self.gap_squared_sum,
-            "verdicts": list(self.verdicts),
-            "thresholds": dict(self.thresholds),
-            "check_slacks": dict(self.check_slacks),
-            "checks_passed": self.checks_passed,
-            "seed": self.seed,
-            "truncated": self.truncated,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
@@ -182,7 +167,6 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
 def classify_disjuncts(trace: Trace,
                        gap_sum_max: float = DEFAULT_GAP_SUM_MAX,
                        loss_gap_min: float = DEFAULT_LOSS_GAP_MIN,
-                       seed: Optional[int] = None,
                        config: Optional[dict] = None) -> RunReport:
     """Threshold verdicts for the disjunctions at a finite horizon.
 
@@ -192,9 +176,10 @@ def classify_disjuncts(trace: Trace,
     """
     if not len(trace):
         raise ValueError("cannot classify an empty trace")
-    cum1, cum2, cum_sceptic = trace.cum1[-1], trace.cum2[-1], trace.cum_sceptic[-1]
+    cum1, cum2, cum_sceptic = (float(col[-1])
+                               for col in (trace.cum1, trace.cum2, trace.cum_sceptic))
     with np.errstate(over="ignore"):
-        gap_sq = float(np.sum(np.square(np.asarray(trace.gap, dtype=float))))
+        gap_sq = float(np.sum(np.square(trace.gap)))
     lg1 = cum1 - cum_sceptic
     lg2 = cum2 - cum_sceptic
     verdicts = []
@@ -210,13 +195,11 @@ def classify_disjuncts(trace: Trace,
         verdicts.append(VERDICT_INCONCLUSIVE)
     return RunReport(
         horizon=len(trace),
-        final_cum1=cum1,
-        final_cum2=cum2,
-        final_cum_sceptic=cum_sceptic,
+        final_cum_losses={"predictor1": cum1, "predictor2": cum2, "sceptic": cum_sceptic},
         gap_squared_sum=gap_sq,
         verdicts=verdicts,
         thresholds={"gap_sum_max": gap_sum_max, "loss_gap_min": loss_gap_min},
-        seed=seed if seed is not None else trace.seed,
+        seed=trace.seed,
         truncated=trace.truncated,
         config=config or {},
     )
@@ -253,20 +236,20 @@ def _martingale_null_deviation(trace: Trace) -> float:
     absolute loss of any prediction in [0, 1] under a fair coin on {0, 1}
     is 1/2, for the sceptic and both predictors alike.
     """
-    g = np.asarray([trace.gamma1, trace.gamma2, trace.gamma_sceptic], dtype=float)
+    g = np.stack((trace.gamma1, trace.gamma2, trace.gamma_sceptic))
     expected_loss = (np.abs(g) + np.abs(1.0 - g)) / 2.0
     return float(np.max(np.abs(expected_loss[:2] - expected_loss[2])))
 
 
 def verify_run(trace: Trace, checks: Sequence[str], sceptic=None,
-               report: Optional[RunReport] = None,
-               tol: float = CHECK_TOL) -> RunReport:
+               report: Optional[RunReport] = None) -> RunReport:
     """Evaluate the requested guarantee checks on a finished run.
 
-    Inequality checks pass when their worst slack is at least ``-tol``;
-    the exact martingale_null identity when its worst deviation is within
-    ``tol``.  Checks :func:`require_checks` refuses, or whose record the run
-    lacks, raise ConfigError naming the check.
+    Inequality checks pass when their worst slack is at least
+    ``-CHECK_TOL``; the exact martingale_null identity when its worst
+    deviation is within ``CHECK_TOL``.  Checks :func:`require_checks`
+    refuses, or whose record the run lacks, raise ConfigError naming the
+    check.
     """
     require_checks(checks, sceptic, trace.game)
     if report is None:
@@ -274,7 +257,7 @@ def verify_run(trace: Trace, checks: Sequence[str], sceptic=None,
     for name in checks:
         exact = name == "martingale_null"
         slack = _martingale_null_deviation(trace) if exact else sceptic.worst_slack(trace)
-        ok = abs(slack) <= tol if exact else slack >= -tol
+        ok = abs(slack) <= CHECK_TOL if exact else slack >= -CHECK_TOL
         report.check_slacks[name] = slack
         report.checks_passed = report.checks_passed and bool(ok)
     return report

@@ -56,8 +56,8 @@ class ScepticStrategy:
 
     check: Optional[str] = None
 
-    def divergence_column(self, gammas1, gammas2) -> list:
-        return [math.nan] * len(gammas1)
+    def divergence_column(self, gammas1, gammas2) -> np.ndarray:
+        return np.full(len(gammas1), math.nan)
 
     def worst_slack(self, trace) -> float:
         raise NotImplementedError
@@ -141,7 +141,7 @@ class Level2Sceptic(ScepticStrategy):
     def divergence_column(self, gammas1, gammas2):
         # a truncated run made one move more than it recorded
         if self._game.spec.level2 is None:
-            return self._achieved[:len(gammas1)]
+            return np.array(self._achieved[:len(gammas1)], dtype=float)
         return self._game.spec.divergence(self._game, self.alpha)(gammas1, gammas2)
 
     def worst_slack(self, trace) -> float:
@@ -161,9 +161,7 @@ def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
     w1 = np.longdouble(1.0 - alpha) / 2.0
     w2 = np.longdouble(1.0 + alpha) / 2.0
     coeff = (np.longdouble(1.0) - np.longdouble(alpha) ** 2) / 4.0
-    # through float64, exact for these float columns and far quicker than
-    # converting each list element to longdouble
-    l1, l2, ls, d = (np.asarray(col, dtype=float).astype(np.longdouble)
+    l1, l2, ls, d = (col.astype(np.longdouble)
                      for col in (trace.loss1, trace.loss2, trace.loss_sceptic,
                                  trace.divergence_term))
     # infinite losses on both sides leave the step's slack NaN: the check fails
@@ -223,8 +221,7 @@ def level1_ledger(trace, c: float) -> tuple:
     excess, and equal while every outcome falls outside the predictors' gap.
     Running sums add in play order from 0.0, as the strategy's ``D`` does.
     """
-    l1, l2, ls = (np.asarray(col, dtype=float)
-                  for col in (trace.loss1, trace.loss2, trace.loss_sceptic))
+    l1, l2, ls = trace.loss1, trace.loss2, trace.loss_sceptic
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = l1 - l2
         d = np.cumsum(np.concatenate(([0.0], delta)))
@@ -360,7 +357,12 @@ class AggregatingSceptic(ScepticStrategy):
         self._cums = np.zeros(len(self.pool))
         self._comps = np.zeros(len(self.pool))
         self._cum_self = self._comp_self = 0.0
-        self._penalty = self.C * np.log(1.0 / self.pool.priors)
+        # C ln(1/p), or C (-ln p) where 1/p overflows (a subnormal prior): the
+        # two differ in the last bit for some uniform priors
+        priors = self.pool.priors
+        with np.errstate(over="ignore"):
+            inverse = 1.0 / priors
+        self._penalty = self.C * np.where(np.isfinite(inverse), np.log(inverse), -np.log(priors))
         self._rows, self._own = [], []
         self._folded = 0
         self._worst, self._worst_step = math.inf, None

@@ -14,8 +14,11 @@ import numpy as np
 
 from .protocol import RunReport, Trace
 
-CSV_HEADER = ("n,gamma1,gamma2,gamma_sceptic,omega,"
-              "loss1,loss2,loss_sceptic,cum1,cum2,cum_sceptic,gap,divergence_term")
+# the trace's columns in CSV order, after the step number; the first three
+# are the moves
+CSV_COLUMNS = ("gamma1", "gamma2", "gamma_sceptic", "omega", "loss1", "loss2", "loss_sceptic",
+               "cum1", "cum2", "cum_sceptic", "gap", "divergence_term")
+CSV_HEADER = ",".join(("n",) + CSV_COLUMNS)
 
 
 # rows formatted by one % over a block's template, and written at once; the
@@ -27,19 +30,13 @@ def trace_to_csv(trace: Trace, stream: IO[str]) -> None:
     """Write the trace as CSV: each number in ``%.17g``, the moves of a
     log-loss game as their probabilities joined by ``;``."""
     stream.write(CSV_HEADER + "\n")
-    width = int(np.prod(trace.game.prediction_shape))
-    move = ";".join(["%.17g"] * width)
-    row = ",".join(["%d"] + [move] * 3 + ["%.17g"] * 9) + "\n"
-    moves = (trace.gamma1, trace.gamma2, trace.gamma_sceptic)
-    numbers = (trace.omega, trace.loss1, trace.loss2, trace.loss_sceptic, trace.cum1,
-               trace.cum2, trace.cum_sceptic, trace.gap, trace.divergence_term)
+    move = ";".join(["%.17g"] * int(np.prod(trace.game.prediction_shape)))
+    row = ",".join(["%d"] + [move] * 3 + ["%.17g"] * (len(CSV_COLUMNS) - 3)) + "\n"
+    columns = [getattr(trace, name) for name in CSV_COLUMNS]
     for start in range(0, len(trace), _BLOCK_ROWS):
         end = min(start + _BLOCK_ROWS, len(trace))
-        block = np.column_stack(
-            [np.arange(start + 1, end + 1)]
-            + [np.asarray(col[start:end], dtype=float).reshape(end - start, width)
-               for col in moves]
-            + [np.asarray(col[start:end], dtype=float) for col in numbers])
+        block = np.column_stack([np.arange(start + 1, end + 1)]
+                                + [col[start:end] for col in columns])
         stream.write((row * (end - start)) % tuple(block.ravel().tolist()))
 
 

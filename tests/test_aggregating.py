@@ -235,6 +235,24 @@ def test_regret_slack_single_expert_is_zero():
     assert abs(sceptic.worst_eq8_slack) < 1e-9
 
 
+def test_expert_with_a_probability_below_1e_300_is_charged_its_loss():
+    game = log_loss_game(m=2)
+    expert = np.array([1.0, 1e-310])
+    sceptic, _ = _aggregate([expert], [1.0], [1, 1, 1])
+    assert sceptic.expert_cums[0] == pytest.approx(3 * game.loss(1, expert), rel=1e-12)
+    assert sceptic.expert_cums[0] == pytest.approx(2141.40, abs=0.01)
+
+
+def test_subnormal_prior_has_a_finite_regret_penalty():
+    # 1 / 5e-324 overflows; the penalty is C (-ln p) = 0.5 * 1074 ln 2, and
+    # with one expert the mixture plays its move, so that is the slack
+    sceptic = AggregatingSceptic([ConstantPredictor(0.4)], priors=[5e-324])
+    run_protocol(ConstantNature(0.3), ConstantPredictor(0.0), ConstantPredictor(1.0), sceptic,
+                 bounded_square_loss_game(), 5, seed=0)
+    assert sceptic.worst_eq8_slack == pytest.approx(0.5 * 1074 * math.log(2.0), rel=1e-12)
+    assert sceptic.worst_eq8_slack == pytest.approx(372.2, abs=0.05)
+
+
 def test_regret_slack_property_simulated():
     experts = [np.array([0.8, 0.2]), np.array([0.5, 0.5]), np.array([0.1, 0.9])]
     for seed in range(5):

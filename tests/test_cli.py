@@ -298,6 +298,12 @@ def test_divergence_subcommand_square_closed_form(capsys):
     assert out["method"] == "closed_form"
 
 
+def test_divergence_subcommand_square_beyond_the_float_range_is_inf(capsys):
+    # without an overflow warning, which the suite's filter makes an error
+    assert main(["divergence", "--game", "square", "--g1", "1e300", "--g2=-1e300"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == float("inf")
+
+
 @pytest.mark.parametrize("args", [
     ["--game", "log", "--g1", "0.5,0.7", "--g2", "0.3,0.7"],
     ["--game", "log", "--m", "3", "--g1", "0.5,0.5", "--g2", "0.3,0.7"],
@@ -611,6 +617,20 @@ def test_readme_tables_name_every_key_of_the_schema():
     text = " ".join(rows)
     for document in (RUN, DIVERGENCE):
         assert all(f"`{key}`" in text for key in keys(document))
+
+
+# only horizons numpy refuses before it allocates anything
+@pytest.mark.parametrize("horizon", [10 ** 400, 2 ** 62], ids=["10**400", "2**62"])
+@pytest.mark.parametrize("overrides", [
+    {"nature": {"kind": "iid_bernoulli", "params": {"p": 0.5}}},
+    {"nature": {"kind": "iid_uniform", "params": {"lo": 0.0, "hi": 1.0}}},
+    {"predictor1": {"kind": "noisy_target", "params": {"target": 0.5}}},
+], ids=["bernoulli", "uniform", "noisy-target"])
+def test_horizon_too_long_to_draw_is_config_error(tmp_path, capsys, horizon, overrides):
+    path, _ = write_config(tmp_path, horizon=horizon, **overrides)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"horizon {horizon} " in err
 
 
 @pytest.mark.parametrize("command,cfg,code", [

@@ -203,6 +203,16 @@ def test_log_loss_canonical_points_recover_probabilities():
         assert abs(float(np.sum(np.exp(-lam))) - 1.0) < 1e-9
 
 
+def test_log_loss_profile_of_a_probability_below_1e_300_is_its_loss():
+    # -ln(1e-310) is 713.80, not the 690.78 of a probability clamped at 1e-300
+    g = log_loss_game(m=2)
+    gamma = [1.0, 1e-310]
+    point = g.canonical_point(gamma)
+    assert point[1] == pytest.approx(g.loss(1, gamma), rel=1e-15)
+    assert point[1] == pytest.approx(713.80, abs=0.01)
+    assert g.canonical_point([1.0, 0.0])[1] == math.inf
+
+
 # ---------------------------------------------------------------------------
 # membership predicates
 

@@ -1,10 +1,11 @@
 """The benchmark harness's traced mode still runs against the library.
 
 ``perfbench/tracer.py`` wraps library functions and the sceptic classes
-(``Level3Sceptic``, ``AggregatingSceptic`` among them) by name, so a change
-to those names or to the methods it wraps shows up here, in the suite, and
-not first in a benchmark run.  Each case plays one traced cycle of a
-workload in a fresh process, as ``perfbench/run.py --trace 1`` does.
+(``Level3Sceptic``, ``AggregatingSceptic`` among them) by name, and the
+workloads read trace columns and report fields, so a change to those names,
+to the methods it wraps or to the record's types shows up here, in the
+suite, and not first in a benchmark run.  Each case plays one traced cycle
+of a workload in a fresh process, as ``perfbench/run.py --trace 1`` does.
 """
 
 import json
@@ -17,7 +18,8 @@ import pytest
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-@pytest.mark.parametrize("workload", ["pool_aggregation", "scenario_runs"])
+@pytest.mark.parametrize("workload", ["level2_sweep", "pool_aggregation", "numeric_oracle",
+                                      "scenario_runs"])
 def test_traced_benchmark_cycle_runs(workload):
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     src = os.path.join(ROOT, "src")
@@ -28,4 +30,5 @@ def test_traced_benchmark_cycle_runs(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, result["unexpected"]
-    assert result["layers"]["sceptics.level3.predict.us_per_call"] > 0.0
+    if workload in ("pool_aggregation", "scenario_runs"):  # the two that play level 3
+        assert result["layers"]["sceptics.level3.predict.us_per_call"] > 0.0
