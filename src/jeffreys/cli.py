@@ -18,9 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .divergence import (DivergenceResult, kl_divergence_log_loss,
-                         lower_alpha_divergence_numeric,
-                         standard_alpha_divergence_log_loss,
+from .divergence import (closed_form_divergence, lower_alpha_divergence_numeric,
                          upper_alpha_divergence_numeric)
 from .aggregating import params_for
 from .errors import ConfigError, DomainError, JeffreysError, MixabilityViolation
@@ -333,7 +331,8 @@ def cmd_sweep(args) -> int:
             continue
         all_passed = all_passed and report.checks_passed
         for name, slack in report.check_slacks.items():
-            worst_slacks[name] = min(worst_slacks.get(name, math.inf), slack)
+            # np.minimum keeps a NaN slack, which Python's min may drop
+            worst_slacks[name] = float(np.minimum(worst_slacks.get(name, math.inf), slack))
         for verdict in report.verdicts:
             verdict_histogram[verdict] = verdict_histogram.get(verdict, 0) + 1
     aggregate = {
@@ -374,32 +373,15 @@ def cmd_divergence(args) -> int:
                           f"{game.kind.value} game has scalar predictions")
     g1 = _parse_prediction(game, args.g1)
     g2 = _parse_prediction(game, args.g2)
-    alpha = args.alpha
-    method = args.method
-    closed_form = game.spec.divergence
-    if method == "auto":
-        method = "closed" if args.side in ("standard", "kl") or closed_form else "numeric"
-
+    closed = args.method == "closed" or args.method == "auto" and (
+        args.side in ("standard", "kl") or game.spec.divergence is not None)
     try:
-        if method == "closed":
-            # the raw shift is only meaningful for the geometric (lower/upper)
-            # definition; the standard form and the KL limit report it as null
-            if args.side == "kl":
-                value = kl_divergence_log_loss(g1, g2)
-                result = DivergenceResult(-1.0, "kl", value, None, "closed_form", 0.0)
-            elif args.side == "standard":
-                value = standard_alpha_divergence_log_loss(g1, g2, alpha)
-                result = DivergenceResult(alpha, "standard", value, None, "closed_form", 0.0)
-            else:
-                if closed_form is None:
-                    raise ConfigError(f"no closed form for the {game.kind.value} game")
-                value = closed_form(game, alpha)([g1], [g2])[0]
-                shift = value * (1.0 - alpha * alpha) / 4.0 if math.isfinite(value) else value
-                result = DivergenceResult(alpha, args.side, value, shift, "closed_form", 0.0)
+        if closed:
+            result = closed_form_divergence(game, g1, g2, args.alpha, args.side)
         elif args.side == "lower":
-            result = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=args.tol)
+            result = lower_alpha_divergence_numeric(game, g1, g2, args.alpha, tol=args.tol)
         elif args.side == "upper":
-            result = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=args.tol)
+            result = upper_alpha_divergence_numeric(game, g1, g2, args.alpha, tol=args.tol)
         else:
             raise ConfigError(f"side {args.side!r} has no numeric method")
     except ValueError as exc:

@@ -5,15 +5,16 @@ alpha-weighted mean of their canonical points, then find the largest
 vertical shift that keeps the mean a superprediction (lower divergence)
 or the smallest shift that makes it a subprediction (upper divergence).
 Both shifts are a max-min over the prediction grid, so each numeric
-divergence is a single gap search.  The shift, scaled by
-``4 / (1 - alpha^2)``, is the divergence value; both quantities are
-reported since the raw shift is what the vertical-distance picture reads
-off directly.
+divergence is one gap search, ``mean_gap``, as is the numeric level-2 move.
+The shift, scaled by ``4 / (1 - alpha^2)``, is the divergence value; both
+are reported, since the raw shift is what the vertical-distance picture
+reads off directly.
 
 The closed forms live in the games' table (``jeffreys.games.GAME_SPECS``):
 the square-loss family's ``(gamma1 - gamma2)^2`` for every alpha, and the
 log-affinity formula for log-loss, re-exported here.  This module adds the
-standard alpha-divergence and the Kullback-Leibler limit for log-loss.
+standard alpha-divergence and the Kullback-Leibler limit for log-loss; each
+closed form is a ``DivergenceResult`` through ``closed_form_divergence``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from typing import Optional
 import numpy as np
 
 # the closed forms are re-exported from the games' table
-from .games import (Game, _check_alpha_open, _log_affinity, _scale,  # noqa: F401
-                    alpha_divergence_log_loss, alpha_divergence_square_loss,
-                    subprediction_gap, superprediction_gap)
+from .games import (Game, _gap_search, _log_affinity, _scale, alpha_weights,  # noqa: F401
+                    alpha_divergence_log_loss, alpha_divergence_square_loss)
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,24 @@ class DivergenceResult:
         return asdict(self)
 
 
-def _weighted_mean_point(game: Game, gamma1, gamma2, alpha: float) -> np.ndarray:
-    # a loss of a finite prediction may exceed the float range: it is +inf,
-    # and so is the divergence
+def mean_gap(game: Game, gamma1, gamma2, alpha: float, tol: float, sub: bool):
+    """(param, gap) against the weighted mean ``w1 lambda(gamma1) + w2 lambda(gamma2)`` of
+    two unvalidated predictions: minus the lower divergence's shift, or the upper's if ``sub``."""
+    w1, w2 = alpha_weights(alpha)
+    # a loss of a finite prediction may exceed the float range: it is +inf, and so is the mean
     with np.errstate(over="ignore"):
-        lam1 = game.canonical_point(gamma1)
-        lam2 = game.canonical_point(gamma2)
-    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
-    return w1 * lam1 + w2 * lam2
+        lam = game.profiles((gamma1, gamma2))
+        mean = w1 * lam[0] + w2 * lam[1]
+    return _gap_search(game, mean, tol, sub)
+
+
+def _numeric_divergence(game: Game, gamma1, gamma2, alpha: float, tol: float, side: str):
+    game.validate_prediction(gamma1)
+    game.validate_prediction(gamma2)
+    gap = mean_gap(game, gamma1, gamma2, alpha, tol, side == "upper")[1]
+    shift = gap if side == "upper" else -gap
+    return DivergenceResult(alpha, side, _scale(alpha) * shift, shift, "max_min", tol,
+                            math.isfinite(shift))
 
 
 def lower_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
@@ -74,11 +84,7 @@ def lower_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
     ``(mean - lambda_gamma)(omega)``, one superprediction gap search refined
     to ``tol * 1e-3`` in the prediction parameter.
     """
-    _check_alpha_open(alpha)
-    mean = _weighted_mean_point(game, gamma1, gamma2, alpha)
-    shift = -superprediction_gap(game, mean, tol)[1]
-    return DivergenceResult(alpha, "lower", _scale(alpha) * shift, shift, "max_min", tol,
-                            math.isfinite(shift))
+    return _numeric_divergence(game, gamma1, gamma2, alpha, tol, "lower")
 
 
 def upper_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
@@ -89,11 +95,23 @@ def upper_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
     ``(mean - lambda_gamma)(omega)``: the smallest shift that puts the mean
     below some canonical point, i.e. into the subprediction set.
     """
-    _check_alpha_open(alpha)
-    mean = _weighted_mean_point(game, gamma1, gamma2, alpha)
-    shift = subprediction_gap(game, mean, tol)[1]
-    return DivergenceResult(alpha, "upper", _scale(alpha) * shift, shift, "max_min", tol,
-                            math.isfinite(shift))
+    return _numeric_divergence(game, gamma1, gamma2, alpha, tol, "upper")
+
+
+def closed_form_divergence(game: Game, gamma1, gamma2, alpha: float, side: str):
+    """``side``'s closed form for validated predictions, as a DivergenceResult; the
+    standard form and the KL limit have no geometric shift and report it as None."""
+    shift = None
+    if side == "kl":
+        alpha, value = -1.0, kl_divergence_log_loss(gamma1, gamma2)  # the alpha -> -1 limit
+    elif side == "standard":
+        value = standard_alpha_divergence_log_loss(gamma1, gamma2, alpha)
+    elif game.spec.divergence is None:
+        raise ValueError(f"no closed form for the {game.kind.value} game")
+    else:
+        value = game.spec.divergence(game, alpha)([gamma1], [gamma2])[0]
+        shift = value * (1.0 - alpha * alpha) / 4.0 if math.isfinite(value) else value
+    return DivergenceResult(alpha, side, value, shift, "closed_form", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +119,8 @@ def upper_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
 
 def standard_alpha_divergence_log_loss(gamma1, gamma2, alpha: float) -> float:
     """The textbook alpha-divergence; a lower bound on the game version."""
-    return _scale(alpha) * (1.0 - _log_affinity(gamma1, gamma2, alpha))
+    # the affinity checks alpha's range before the scale divides by 1 - alpha^2
+    return (1.0 - _log_affinity(gamma1, gamma2, alpha)) * _scale(alpha)
 
 
 def kl_divergence_log_loss(gamma1, gamma2) -> float:

@@ -449,14 +449,15 @@ def _scale(alpha: float) -> float:
     return 4.0 / (1.0 - alpha * alpha)
 
 
-def _check_alpha_open(alpha: float) -> None:
+def alpha_weights(alpha: float) -> tuple:
+    """(w1, w2) = ((1 - alpha) / 2, (1 + alpha) / 2), for alpha strictly inside (-1, 1)."""
     if not -1.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha}")
+    return (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
 
 
 def _log_affinity(gamma1, gamma2, alpha: float) -> float:
-    _check_alpha_open(alpha)
-    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+    w1, w2 = alpha_weights(alpha)
     return float(np.sum(np.asarray(gamma1, dtype=float) ** w1
                         * np.asarray(gamma2, dtype=float) ** w2))
 
@@ -510,8 +511,7 @@ def _power(g, w: float) -> np.ndarray:
 
 def _log_divergence(game, alpha: float):
     # scaled negative log-affinity over the outcomes
-    _check_alpha_open(alpha)
-    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+    w1, w2 = alpha_weights(alpha)
     scale = -4.0 / (1.0 - alpha * alpha)
 
     def div(g1, g2):

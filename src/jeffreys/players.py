@@ -129,8 +129,10 @@ class IidBernoulliNature(NatureStrategy):
 class IidUniformNature(NatureStrategy):
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
         self.lo, self.hi = _real(lo, "lo"), _real(hi, "hi")
-        if self.hi <= self.lo:
-            raise ConfigError("uniform nature needs lo < hi")
+        # numpy draws lo + (hi - lo) u, and refuses a width past the float range
+        if not 0.0 < self.hi - self.lo < math.inf:
+            raise ConfigError(f"uniform nature needs lo < hi a finite width apart, got "
+                              f"lo {self.lo!r}, hi {self.hi!r}")
 
     def reset(self, game, rng, horizon):
         if game.spec.outcome_type is int:

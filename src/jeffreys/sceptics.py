@@ -36,7 +36,8 @@ from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
                           fixed_pool_mixer, params_for)
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
                      PoolCollapseError)
-from .games import Game, Prediction, _scale, superprediction_gap
+from .divergence import mean_gap
+from .games import Game, Prediction, _scale, alpha_weights
 
 
 class ScepticStrategy:
@@ -78,13 +79,9 @@ class ScepticStrategy:
 
 def _level2_numeric(game: Game, gamma1, gamma2, alpha: float):
     """(move, divergence term it achieves) for a scalar game without a closed form."""
-    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
-    # the rows are the two canonical points, computed without re-validating
-    lam = game.losses_for_params((gamma1, gamma2))
-    mean = w1 * lam[0] + w2 * lam[1]
-    # the argmin's canonical point lies below mean - shift for the lower
-    # divergence's shift = -gap, so the move achieves the shift exactly
-    u, gap = superprediction_gap(game, mean, DOMINATION_TOL)
+    # the engine validated the moves; the argmin's canonical point lies below the
+    # mean by the lower divergence's shift = -gap, so the move achieves it exactly
+    u, gap = mean_gap(game, gamma1, gamma2, alpha, DOMINATION_TOL, False)
     if gap > DOMINATION_TOL:
         raise DivergenceOverestimate(
             f"no canonical point below the weighted mean (gap {gap:.3g})")
@@ -113,8 +110,7 @@ class Level2Sceptic(ScepticStrategy):
     check = "eq9"
 
     def __init__(self, alpha: float, epsilon: float = 1e-3):
-        if not -1.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (-1, 1)")
+        self._weights = alpha_weights(alpha)
         if not 0.0 < epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         self.alpha = alpha
@@ -127,8 +123,7 @@ class Level2Sceptic(ScepticStrategy):
         if game.spec.level2 is None:
             self._move = self._numeric_move
         else:
-            w1, w2 = (1.0 - self.alpha) / 2.0, (1.0 + self.alpha) / 2.0
-            self._move = game.spec.level2(game, w1, w2)
+            self._move = game.spec.level2(game, *self._weights)
 
     def predict(self, n, gamma1, gamma2):
         return self._move(gamma1, gamma2)
@@ -222,11 +217,12 @@ def level1_ledger(trace, c: float) -> tuple:
     Running sums add in play order from 0.0, as the strategy's ``D`` does.
     """
     l1, l2, ls = trace.loss1, trace.loss2, trace.loss_sceptic
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # halving is exact: the mean of two losses near the float range stays finite
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         delta = l1 - l2
         d = np.cumsum(np.concatenate(([0.0], delta)))
         areas = _triangle_areas(d[:-1], delta, c)
-        excess = np.cumsum(np.concatenate(([0.0], ls - 0.5 * (l1 + l2))))[1:]
+        excess = np.cumsum(np.concatenate(([0.0], ls - (0.5 * l1 + 0.5 * l2))))[1:]
         # no area is -0.0, so the plain running sum is the one from 0.0
         integral = np.array([f_mix_integral(x, c) for x in d[1:].tolist()])
         bounds = integral - np.cumsum(areas)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 
 import pytest
@@ -320,6 +321,8 @@ def test_divergence_rejects_bad_predictions(args, capsys):
 @pytest.mark.parametrize("args", [
     ["--game", "log", "--g1", "0.5,0.5", "--g2", "0.9,0.1", "--alpha", "1.5"],
     ["--game", "bounded_absolute", "--g1", "0.2", "--g2", "0.8", "--alpha", "1.5"],
+    ["--game", "log", "--g1", "0.5,0.5", "--g2", "0.9,0.1", "--alpha", "1", "--side",
+     "standard"],
     ["--game", "square", "--g1", "0.2", "--g2", "0.8", "--alpha", "nan"],
     ["--game", "log", "--g1", "0.5,0.5", "--g2", "0.9,0.1", "--alpha", "nan", "--side", "kl"],
     ["--game", "quartic", "--g1", "-1", "--g2", "1", "--alpha", "nan"],
@@ -332,9 +335,9 @@ def test_divergence_rejects_bad_predictions(args, capsys):
     ["--game", "quartic", "--g1", "-1", "--g2", "1", "--tol", "inf"],
     ["--game", "bounded_absolute", "--g1", "0.2", "--g2", "0.8", "--grid-size", "1"],
     ["--game", "quartic", "--g1", "-1", "--g2", "1", "--grid-size", "0"],
-], ids=["alpha-closed", "alpha-numeric", "alpha-nan-closed", "alpha-nan-kl",
-        "alpha-nan-numeric", "m-1", "m-3-numeric", "tol-zero", "tol-negative", "tol-nan",
-        "tol-inf", "grid-size-1", "grid-size-0"])
+], ids=["alpha-closed", "alpha-numeric", "alpha-1-standard", "alpha-nan-closed",
+        "alpha-nan-kl", "alpha-nan-numeric", "m-1", "m-3-numeric", "tol-zero", "tol-negative",
+        "tol-nan", "tol-inf", "grid-size-1", "grid-size-0"])
 def test_divergence_rejects_bad_parameters(args, capsys):
     assert main(["divergence"] + args) == 2
     assert "config error: " in capsys.readouterr().err
@@ -651,3 +654,39 @@ def test_losses_beyond_the_float_range_keep_the_exit_contract(tmp_path, capsys, 
     assert main(["run", str(path)]) == code
     if command == "divergence":
         assert '"value": Infinity' in capsys.readouterr().out
+
+
+def test_uniform_nature_width_beyond_the_float_range_is_config_error(tmp_path, capsys):
+    # lo and hi are finite, but numpy cannot draw over a width of +inf
+    path, _ = write_config(tmp_path, horizon=5, nature={
+        "kind": "iid_uniform", "params": {"lo": -1e308, "hi": 1e308}})
+    assert main(["run", str(path)]) == 2
+    assert "config error: uniform nature needs lo < hi a finite width apart" \
+        in capsys.readouterr().err
+
+
+def test_level1_ledger_of_losses_near_the_float_range(tmp_path):
+    # both losses are 1e308 at every step: their mean is finite, and the
+    # running excess reaches -inf without an overflow warning, which the
+    # suite's filter makes an error
+    path, _ = write_config(
+        tmp_path, horizon=5, game={"kind": "absolute"},
+        predictor1={"kind": "constant", "params": {"gamma": 1e308}},
+        predictor2={"kind": "constant", "params": {"gamma": -1e308}},
+        nature={"kind": "constant", "params": {"omega": 0.0}},
+        sceptic={"kind": "level1", "params": {}}, checks=["ledger"])
+    assert main(["run", str(path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["check_slacks"] == {"ledger": 0.0}
+
+
+def test_sweep_keeps_a_nan_slack(tmp_path):
+    # every seed's eq9 slack is NaN (inf - inf losses): the aggregate says so
+    path, _ = write_config(
+        tmp_path, seeds=[1, 2, 3],
+        predictor1={"kind": "constant", "params": {"gamma": 1e308}},
+        predictor2={"kind": "constant", "params": {"gamma": -1e308}},
+        outputs={"report_json": str(tmp_path / "sweep.json")})
+    assert main(["sweep", str(path)]) == 1
+    agg = json.loads((tmp_path / "sweep.json").read_text())
+    assert math.isnan(agg["worst_slacks"]["eq9"])
+    assert agg["all_passed"] is False

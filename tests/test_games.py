@@ -462,14 +462,35 @@ ALLOWED_KIND_TESTS = {
 }
 
 
-def test_kind_knowledge_lives_in_the_table():
+def _src_lines_matching(pattern, skip=()) -> set:
+    # (module, stripped line) for every src/ line the pattern matches
     hits = set()
     for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py") or name == "games.py":
+        if not name.endswith(".py") or name in skip:
             continue
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            hits |= {(name, line.strip()) for line in fh if KIND_TEST.search(line)}
-    assert hits == set(ALLOWED_KIND_TESTS)
+            hits |= {(name, line.strip()) for line in fh if pattern.search(line)}
+    return hits
+
+
+def test_kind_knowledge_lives_in_the_table():
+    assert _src_lines_matching(KIND_TEST, skip=("games.py",)) == set(ALLOWED_KIND_TESTS)
+
+
+# (1 -+ alpha) / 2 formed anywhere in src/, and why it stays
+ALPHA_WEIGHT = re.compile(r"1\.0\s*[-+]\s*(self\.)?alpha\)?\s*/\s*2")
+ALLOWED_ALPHA_WEIGHTS = {
+    ("games.py", "return (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0"):
+        "alpha_weights, the one owner of the weights and of alpha's open range",
+    ("sceptics.py", "w1 = np.longdouble(1.0 - alpha) / 2.0"):
+        "level2_inequality_slack audits eq9 in extended precision",
+    ("sceptics.py", "w2 = np.longdouble(1.0 + alpha) / 2.0"):
+        "level2_inequality_slack audits eq9 in extended precision",
+}
+
+
+def test_alpha_weights_have_one_owner():
+    assert _src_lines_matching(ALPHA_WEIGHT) == set(ALLOWED_ALPHA_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
