@@ -110,6 +110,8 @@ def substitute(game: Game, g: np.ndarray, tol: float = DOMINATION_TOL) -> Predic
 
 
 def _substitute_numeric(game: Game, g: np.ndarray, tol: float) -> Prediction:
+    """A prediction whose loss exceeds ``g`` by at most ``tol`` at each outcome
+    of the grid, where ``g`` is given: a statement about the grid, not the interval."""
     u, worst = superprediction_gap(game, g, tol)
     if worst > tol:
         raise MixabilityViolation(f"substitution excess {worst:.3g} exceeds {tol:.3g}")

@@ -4,8 +4,8 @@ Configuration is a single JSON document (no environment variables), so
 every result is reproducible from the config file and seed alone.  Exit
 codes are a stable contract: 0 all requested checks passed, 1 a check
 failed, 2 the configuration or invocation was invalid.  The config
-format is the schema below: a document is checked whole against it before
-anything is built, and never written to, as the report embeds it.
+format is the schema below, which reads a whole document before anything
+runs, and never writes to it, as the report embeds it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .divergence import (closed_form_divergence, lower_alpha_divergence_numeric,
                          upper_alpha_divergence_numeric)
 from .aggregating import params_for
 from .errors import ConfigError, DomainError, JeffreysError, MixabilityViolation
-from .games import DEFAULT_GRID_SIZE, Game, GameKind, game_from_descriptor
+from .games import Game, GameKind, game_from_descriptor
 from .players import (AdversarialGreedyNature, ConstantNature, ConstantPredictor,
                       DriftPredictor, IidBernoulliNature, IidUniformNature,
                       NoisyTargetPredictor, ReplayNature, RunningMeanPredictor)
@@ -41,10 +41,12 @@ SPEC_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# the schema: a table per section and strategy kind maps each key to (check,
-# default); a check takes (value, path) and raises a ConfigError naming the path
+# the schema reads a document in one walk: a table per section and strategy kind
+# maps each key to (check, default); a check takes (value, path), raises a
+# ConfigError naming the path, and returns what the value reads as
 
 REQUIRED = object()  # the default of a key that must be given
+OMITTED = object()  # the default of a key not passed when not given
 
 
 def _join(path: str, key) -> str:
@@ -60,9 +62,10 @@ def _finite(value) -> bool:
 
 
 def _value(test, what: str):
-    def check(value, path: str) -> None:
+    def check(value, path: str):
         if not test(value):
             raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return value
     return check
 
 
@@ -83,60 +86,50 @@ _number_or_text = _value(lambda v: _finite(v) or type(v) is str and v != "",
 _ANY = _value(lambda v: True, "anything")
 
 
-def _built(check, value, path: str):
-    # a section, strategy or list of them is built; None is an optional key not given
-    return check.build(value, path) if hasattr(check, "build") and value is not None else value
-
-
 class _List:
-    """A list whose items ``item`` checks; empty only where ``empty``."""
+    """A list whose items ``item`` reads; empty only where ``empty``."""
 
     def __init__(self, item, empty: bool = False):
         self.item, self.empty = item, empty
 
-    def __call__(self, value, path: str) -> None:
+    def __call__(self, value, path: str) -> list:
         if type(value) is not list or not (value or self.empty):
             raise ConfigError(f"{path} must be a {'' if self.empty else 'non-empty '}list, "
                               f"got {value!r}")
-        for i, item in enumerate(value, 1):
-            self.item(item, _join(path, i))
-
-    def build(self, value, path: str) -> list:
-        return [_built(self.item, item, _join(path, i)) for i, item in enumerate(value, 1)]
+        return [self.item(item, _join(path, i)) for i, item in enumerate(value, 1)]
 
 
 _NUMBERS = _List(_number)
 
 
-def _number_or_vector(value, path: str) -> None:
-    (_NUMBERS if type(value) is list else _number)(value, path)
+def _number_or_vector(value, path: str):
+    return (_NUMBERS if type(value) is list else _number)(value, path)
 
 
 class _Section:
-    """An object with the keys ``table`` lists.  Checking it refuses an
-    unknown key, a missing required one and a value its check refuses;
-    ``make`` builds it from each key's value or default, and the ValueError
-    or TypeError of a range ``make`` guards is a ConfigError naming it."""
+    """An object with the keys ``table`` lists.  Reading it refuses an
+    unknown key, a missing required one and a value its check refuses, and
+    passes ``make`` each key's read value or default, if not OMITTED; the
+    ValueError or TypeError of a range ``make`` guards is a ConfigError."""
 
     def __init__(self, table: dict, make=dict):
         self.table, self.make = table, make
 
-    def __call__(self, value, path: str = "") -> None:
+    def __call__(self, value, path: str = ""):
         if type(value) is not dict:
             raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
         for key in value:
             if key not in self.table:
                 raise ConfigError(f"unknown key {_join(path, key)}; "
                                   f"options: {sorted(self.table)}")
+        settings = {}
         for key, (check, default) in self.table.items():
             if key in value:
-                check(value[key], _join(path, key))
+                settings[key] = check(value[key], _join(path, key))
             elif default is REQUIRED:
                 raise ConfigError(f"{_join(path, key)} is required")
-
-    def build(self, value: dict, path: str = ""):
-        settings = {key: _built(check, value.get(key, default), _join(path, key))
-                    for key, (check, default) in self.table.items()}
+            elif default is not OMITTED:
+                settings[key] = check(default, _join(path, key))
         try:
             return self.make(**settings)
         except (OSError, TypeError, ValueError) as exc:
@@ -150,15 +143,13 @@ class _Strategy:
     def __init__(self, kinds: dict):
         self.kinds = kinds
 
-    def __call__(self, value, path: str) -> None:
-        _Section({"kind": (_choice(*self.kinds), REQUIRED), "params": (_ANY, {})})(value, path)
-        self.kinds[value["kind"]](value.get("params", {}), _join(path, "params"))
-
-    def build(self, value, path: str):
-        return self.kinds[value["kind"]].build(value.get("params", {}), _join(path, "params"))
+    def __call__(self, value, path: str):
+        descriptor = _Section({"kind": (_choice(*self.kinds), REQUIRED), "params": (_ANY, {})})
+        desc = descriptor(value, path)
+        return self.kinds[desc["kind"]](desc["params"], _join(path, "params"))
 
 
-def _replay(values, file):
+def _replay(values=None, file=None):
     if (values is None) == (file is None):
         raise ConfigError("a replay nature needs exactly one of 'values' and 'file'")
     return ReplayNature(values) if file is None else ReplayNature.from_file(file)
@@ -166,32 +157,34 @@ def _replay(values, file):
 
 NATURES = {
     "constant": _Section({"omega": (_number, REQUIRED)}, ConstantNature),
-    "iid_bernoulli": _Section({"p": (_number, 0.5)}, IidBernoulliNature),
-    "iid_uniform": _Section({"lo": (_number, 0.0), "hi": (_number, 1.0)}, IidUniformNature),
-    "replay": _Section({"values": (_NUMBERS, None), "file": (_text, None)}, _replay),
-    "adversarial_greedy": _Section({"candidates": (_NUMBERS, None)}, AdversarialGreedyNature),
+    "iid_bernoulli": _Section({"p": (_number, OMITTED)}, IidBernoulliNature),
+    "iid_uniform": _Section({"lo": (_number, OMITTED), "hi": (_number, OMITTED)},
+                            IidUniformNature),
+    "replay": _Section({"values": (_NUMBERS, OMITTED), "file": (_text, OMITTED)}, _replay),
+    "adversarial_greedy": _Section({"candidates": (_NUMBERS, OMITTED)},
+                                   AdversarialGreedyNature),
 }
 PREDICTORS = {
     "constant": _Section({"gamma": (_number_or_vector, REQUIRED)}, ConstantPredictor),
-    "running_mean": _Section({"initial": (_number, 0.5)}, RunningMeanPredictor),
-    "noisy_target": _Section({"target": (_number, REQUIRED), "sigma": (_number, 0.15)},
+    "running_mean": _Section({"initial": (_number, OMITTED)}, RunningMeanPredictor),
+    "noisy_target": _Section({"target": (_number, REQUIRED), "sigma": (_number, OMITTED)},
                              NoisyTargetPredictor),
     "drift": _Section({"gamma0": (_number, REQUIRED), "delta": (_number, REQUIRED)},
                       DriftPredictor),
 }
 SCEPTICS: dict = {}  # a level-3 base is a sceptic itself
 SCEPTICS.update({
-    "level1": _Section({"c": (_number, 0.4)}, Level1Sceptic),
-    "level2": _Section({"alpha": (_number, REQUIRED), "epsilon": (_number, 1e-3)},
+    "level1": _Section({"c": (_number, OMITTED)}, Level1Sceptic),
+    "level2": _Section({"alpha": (_number, REQUIRED), "epsilon": (_number, OMITTED)},
                        Level2Sceptic),
     "level3": _Section({"base": (_Strategy(SCEPTICS),
                                  {"kind": "level2", "params": {"alpha": 0.0}}),
-                        "k_max": (_integer(1), 20)}, Level3Sceptic),
+                        "k_max": (_integer(1), OMITTED)}, Level3Sceptic),
     "aggregating": _Section({"experts": (_List(_Strategy(PREDICTORS)), REQUIRED),
-                             "priors": (_NUMBERS, None)}, AggregatingSceptic),
+                             "priors": (_NUMBERS, OMITTED)}, AggregatingSceptic),
 })
 GAME = _Section({"kind": (_choice(*(kind.value for kind in GameKind)), REQUIRED),
-                 "grid_size": (_integer(2), DEFAULT_GRID_SIZE), "m": (_integer(2), 2)},
+                 "grid_size": (_integer(2), OMITTED), "m": (_integer(2), OMITTED)},
                 lambda **desc: game_from_descriptor(desc))
 
 _VERSION = (_choice(SPEC_VERSION), SPEC_VERSION)
@@ -201,7 +194,7 @@ RUN = _Section({
     "game": (GAME, REQUIRED),
     "horizon": (_integer(1), REQUIRED),
     "seed": (_integer(0), 0),
-    "seeds": (_List(_integer(0)), None),
+    "seeds": (_List(_integer(0)), OMITTED),
     "predictor1": (_Strategy(PREDICTORS), REQUIRED),
     "predictor2": (_Strategy(PREDICTORS), REQUIRED),
     "nature": (_Strategy(NATURES), REQUIRED),
@@ -213,13 +206,14 @@ RUN = _Section({
 })
 SWEEP = _Section({**RUN.table, "seeds": (_List(_integer(0)), REQUIRED),
                   "outputs": (_Section({**_OUTPUTS, "report_json": (_text, "sweep.json")}), {})})
+QUERY = _Section({"game": (GAME, REQUIRED), "g1": (_number_or_text, REQUIRED),
+                  "g2": (_number_or_text, REQUIRED), "alpha": (_number, 0.0),
+                  "tol": (_positive, 1e-4)})
 DIVERGENCE = _Section({
     "spec_version": _VERSION,
-    "divergence": (_Section({"game": (GAME, REQUIRED), "g1": (_number_or_text, REQUIRED),
-                             "g2": (_number_or_text, REQUIRED), "alpha": (_number, 0.0),
-                             "tol": (_positive, 1e-4)}), REQUIRED),
-    "expects": (_Section({"lower_shift": (_number, None), "upper_shift": (_number, None),
-                          "lower_value": (_number, None), "upper_value": (_number, None),
+    "divergence": (QUERY, REQUIRED),
+    "expects": (_Section({"lower_shift": (_number, OMITTED), "upper_shift": (_number, OMITTED),
+                          "lower_value": (_number, OMITTED), "upper_value": (_number, OMITTED),
                           "tol": (_positive, 1e-3)}), {}),
 })
 
@@ -238,8 +232,8 @@ def _validate_compatibility(game: Game, sceptic) -> None:
 
 
 def _load_config(path: str, document: _Section) -> tuple:
-    """The config at ``path`` and the document it passed: ``document``, or
-    DIVERGENCE for a ``run`` config with a ``divergence`` section."""
+    """The config at ``path`` and what it reads as under ``document``, or
+    under DIVERGENCE for a ``run`` config with a ``divergence`` section."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -249,8 +243,7 @@ def _load_config(path: str, document: _Section) -> tuple:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if document is RUN and isinstance(cfg, dict) and "divergence" in cfg:
         document = DIVERGENCE
-    document(cfg)
-    return cfg, document
+    return cfg, document(cfg)
 
 
 def _execute_run(cfg: dict, run: dict, seed: int):
@@ -267,27 +260,54 @@ def _execute_run(cfg: dict, run: dict, seed: int):
     return trace, report
 
 
+def _parse_prediction(game: Game, text: str):
+    """A validated prediction: comma-separated for probability vectors."""
+    try:
+        gamma = np.array([float(v) for v in text.split(",")]) if game.prediction_shape \
+            else float(text)
+        game.validate_prediction(gamma)
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"bad prediction {text!r}: {exc}") from exc
+    return gamma
+
+
+def _divergence(query: dict, side: str, method: str = "numeric"):
+    """The ``side`` divergence of a read QUERY section by ``method``:
+    ``closed``, ``numeric``, or ``auto`` (closed where the game has a form)."""
+    game = query["game"]
+    if side in ("standard", "kl") and not game.prediction_shape:
+        raise ConfigError(f"side {side!r} is a log-loss quantity; the "
+                          f"{game.kind.value} game has scalar predictions")
+    g1 = _parse_prediction(game, str(query["g1"]))
+    g2 = _parse_prediction(game, str(query["g2"]))
+    alpha, tol = float(query["alpha"]), float(query["tol"])
+    closed = method == "closed" or method == "auto" and (
+        side in ("standard", "kl") or game.spec.divergence is not None)
+    try:
+        if closed:
+            return closed_form_divergence(game, g1, g2, alpha, side)
+        if side == "lower":
+            return lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+        if side == "upper":
+            return upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    raise ConfigError(f"side {side!r} has no numeric method")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _divergence_expectation_check(cfg: dict) -> int:
+def _divergence_expectation_check(doc: dict) -> int:
     """Scenario mode asserting expected divergence values instead of a run."""
-    doc = DIVERGENCE.build(cfg)
-    section, expects = doc["divergence"], doc["expects"]
-    game = section["game"]
-    g1 = _parse_prediction(game, str(section["g1"]))
-    g2 = _parse_prediction(game, str(section["g2"]))
-    alpha, tol, check_tol = float(section["alpha"]), float(section["tol"]), expects["tol"]
-    try:
-        lower = lower_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
-        upper = upper_alpha_divergence_numeric(game, g1, g2, alpha, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    query, expects = doc["divergence"], doc["expects"]
+    lower, upper = _divergence(query, "lower"), _divergence(query, "upper")
+    check_tol = expects["tol"]
     ok = True
     for key, got in (("lower_shift", lower.shift), ("upper_shift", upper.shift),
                      ("lower_value", lower.value), ("upper_value", upper.value)):
-        if expects[key] is not None:
+        if key in expects:
             good = abs(got - expects[key]) <= check_tol
             ok = ok and good
             print(f"{key}: got {got:.6g}, expected {expects[key]} "
@@ -297,10 +317,9 @@ def _divergence_expectation_check(cfg: dict) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, document = _load_config(args.config, RUN)
-    if document is DIVERGENCE:
-        return _divergence_expectation_check(cfg)
-    run = RUN.build(cfg)
+    cfg, run = _load_config(args.config, RUN)
+    if "divergence" in run:
+        return _divergence_expectation_check(run)
     trace, report = _execute_run(cfg, run, run["seed"])
     trace_path = args.trace_out or run["outputs"]["trace_csv"]
     report_path = args.report_out or run["outputs"]["report_json"]
@@ -314,13 +333,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, _ = _load_config(args.config, SWEEP)
+    cfg, run = _load_config(args.config, SWEEP)  # checks the whole document first
     worst_slacks: dict = {}
     verdict_histogram: dict = {}
     failures = []
     all_passed = True
-    for seed in cfg["seeds"]:
-        run = SWEEP.build(cfg)  # a fresh game and strategies for each seed
+    for i, seed in enumerate(run["seeds"]):
+        run = SWEEP(cfg) if i else run  # a fresh game and strategies for each later seed
         try:
             _, report = _execute_run(cfg, run, seed)
         except ConfigError:
@@ -336,13 +355,13 @@ def cmd_sweep(args) -> int:
         for verdict in report.verdicts:
             verdict_histogram[verdict] = verdict_histogram.get(verdict, 0) + 1
     aggregate = {
-        "runs": len(cfg["seeds"]),
+        "runs": len(run["seeds"]),
         "failures": failures,
         "worst_slacks": worst_slacks,
         "verdict_histogram": verdict_histogram,
         "all_passed": all_passed,
     }
-    out = args.report_out or run["outputs"]["report_json"]  # seeds is never empty
+    out = args.report_out or run["outputs"]["report_json"]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -350,43 +369,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _parse_prediction(game: Game, text: str):
-    """A validated prediction: comma-separated for probability vectors."""
-    try:
-        gamma = np.array([float(v) for v in text.split(",")]) if game.prediction_shape \
-            else float(text)
-        game.validate_prediction(gamma)
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"bad prediction {text!r}: {exc}") from exc
-    return gamma
-
-
 def cmd_divergence(args) -> int:
-    _number(args.alpha, "--alpha")
-    _positive(args.tol, "--tol")
-    desc = {"kind": "log_loss" if args.game == "log" else args.game,
+    game = {"kind": "log_loss" if args.game == "log" else args.game,
             "grid_size": args.grid_size, "m": args.m}
-    GAME(desc, "--game")
-    game = GAME.build(desc, "--game")
-    if args.side in ("standard", "kl") and not game.prediction_shape:
-        raise ConfigError(f"side {args.side!r} is a log-loss quantity; the "
-                          f"{game.kind.value} game has scalar predictions")
-    g1 = _parse_prediction(game, args.g1)
-    g2 = _parse_prediction(game, args.g2)
-    closed = args.method == "closed" or args.method == "auto" and (
-        args.side in ("standard", "kl") or game.spec.divergence is not None)
-    try:
-        if closed:
-            result = closed_form_divergence(game, g1, g2, args.alpha, args.side)
-        elif args.side == "lower":
-            result = lower_alpha_divergence_numeric(game, g1, g2, args.alpha, tol=args.tol)
-        elif args.side == "upper":
-            result = upper_alpha_divergence_numeric(game, g1, g2, args.alpha, tol=args.tol)
-        else:
-            raise ConfigError(f"side {args.side!r} has no numeric method")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(json.dumps(result.to_dict()))
+    query = QUERY({"game": {k: v for k, v in game.items() if v is not None}, "g1": args.g1,
+                   "g2": args.g2, "alpha": args.alpha, "tol": args.tol})
+    print(json.dumps(_divergence(query, args.side, args.method).to_dict()))
     return EXIT_OK
 
 
@@ -424,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--tol", type=float, default=1e-6,
                        help="gap-search resolution: the prediction parameter is refined "
                             "to tol * 1e-3")
-    p_div.add_argument("--grid-size", type=int, default=257)
-    p_div.add_argument("--m", type=int, default=2)
+    p_div.add_argument("--grid-size", type=int)
+    p_div.add_argument("--m", type=int)
     p_div.set_defaults(func=cmd_divergence)
     return parser
 

@@ -714,33 +714,36 @@ def _gap_search(game: Game, point, tol: float, sub: bool):
 def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
     """(param, gap): smallest uniform excess of any canonical point over ``point``.
 
-    ``gap <= 0`` means some canonical point is dominated by ``point``,
-    i.e. ``point`` is a superprediction.
+    ``gap <= 0`` means some canonical point is dominated by ``point``, i.e.
+    ``point`` is a superprediction: on the outcome grid, not the interval.
     """
     return _gap_search(game, point, tol, sub=False)
 
 
 def subprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
-    """(param, gap) with gap <= 0 iff ``point`` lies below some canonical point."""
+    """(param, gap) with gap <= 0 iff ``point`` lies below some canonical point:
+    on the outcome grid, not the interval."""
     return _gap_search(game, point, tol, sub=True)
 
 
-def is_superprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """True iff ``point`` dominates some canonical point within ``tol``."""
+def _is_member(game: Game, point, tol: float, sub: bool) -> bool:
     if len(np.asarray(point)) != len(game.outcome_grid):
         raise ValueError("point dimension must match the outcome grid")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return superprediction_gap(game, point, tol)[1] <= tol
+    return _gap_search(game, point, tol, sub)[1] <= tol
+
+
+def is_superprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+    """True iff ``point`` dominates some canonical point within ``tol``: a
+    statement about the outcome grid, not the outcome interval."""
+    return _is_member(game, point, tol, sub=False)
 
 
 def is_subprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """True iff ``point`` is dominated by some canonical point within ``tol``."""
-    if len(np.asarray(point)) != len(game.outcome_grid):
-        raise ValueError("point dimension must match the outcome grid")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return subprediction_gap(game, point, tol)[1] <= tol
+    """True iff ``point`` is dominated by some canonical point within ``tol``:
+    a statement about the outcome grid, not the outcome interval."""
+    return _is_member(game, point, tol, sub=True)
 
 
 def points_non_redundant(points: np.ndarray, tol: float = 1e-9) -> bool:

@@ -286,8 +286,9 @@ class NoisyTargetPredictor(PredictorStrategy):
         self._noise = _predraw(rng.standard_normal, horizon, "a noisy_target predictor")
 
     def predict(self, n):
+        # in Python floats: the same bits, and an overflow to inf without a warning
         return self._game.prediction_from_param(
-            self.target + self.sigma * self._noise[n - 1] / n)
+            self.target + self.sigma * float(self._noise[n - 1]) / n)
 
 
 class DriftPredictor(PredictorStrategy):

@@ -8,11 +8,12 @@ import pytest
 
 from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, DriftPredictor,
                       ExpertPool, IidBernoulliNature, IidUniformNature, JeffreysError,
-                      MixabilityParams, MixabilityViolation, NoisyTargetPredictor,
-                      PoolCollapseError, PredictorStrategy, ReplayNature, RunningMeanPredictor,
+                      MixabilityParams, MixabilityViolation, NatureStrategy,
+                      NoisyTargetPredictor, PoolCollapseError, PredictorStrategy, ReplayNature,
+                      RunningMeanPredictor,
                       aa_observe, bounded_absolute_loss_game, bounded_square_loss_game,
                       fixed_pool_mixer, log_loss_game, params_for, quartic_loss_game,
-                      run_protocol, square_loss_game, substitute)
+                      run_protocol, square_loss_game, substitute, verify_run)
 from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
 from jeffreys.games import _lse1, _lse_rows
 from jeffreys.sceptics import EQ8_BLOCK
@@ -490,3 +491,41 @@ def test_audit_memory_is_independent_of_the_horizon():
             tracemalloc.stop()
     short, long = peak(4 * EQ8_BLOCK), peak(16 * EQ8_BLOCK)
     assert max(short, long) <= 1.2 * min(short, long)
+
+
+class _DenseAdversary(NatureStrategy):
+    """Plays the dense outcome where the pool sceptic's own loss most exceeds
+    its mixture bound, the mixed expert losses under the weights of its move."""
+
+    def __init__(self, sceptic, omegas):
+        self.sceptic, self.omegas = sceptic, omegas
+
+    def reset(self, game, rng, horizon):
+        self._loss = game.loss_fn()
+
+    def outcome(self, n, gamma1, gamma2, gamma_sceptic):
+        pool = self.sceptic
+        preds = np.array([e.predict(n) for e in pool.experts])
+        bound = _generalized(pool.pool.normalized_log_weights(),
+                             self._loss(self.omegas[None, :], preds[:, None]), pool.eta)
+        return float(self.omegas[np.argmax(self._loss(self.omegas, gamma_sceptic) - bound)])
+
+
+# the symmetric pool's adversary plays only -1, 0 and 1, on both grids; the
+# asymmetric pool's plays off them at nearly every step
+@pytest.mark.parametrize("outcomes", [65, 1025])
+@pytest.mark.parametrize("experts,off_grid", [((-0.9, -0.3, 0.3, 0.9), False),
+                                              ((-0.9, -0.2, 0.35, 0.8), True)],
+                         ids=["symmetric", "asymmetric"])
+def test_quartic_pool_holds_against_a_dense_adversary(outcomes, experts, off_grid):
+    # the substitution is a statement about the outcome grid; off it, the
+    # sceptic re-checks domination at each realized outcome, and eq8 holds
+    game = quartic_loss_game(outcome_grid_size=outcomes)
+    sceptic = AggregatingSceptic([ConstantPredictor(g) for g in experts])
+    nature = _DenseAdversary(sceptic, np.linspace(-1.0, 1.0, 20001))
+    trace = run_protocol(nature, ConstantPredictor(0.0), ConstantPredictor(0.5), sceptic,
+                         game, 200, seed=1)
+    assert len(trace.omega) == 200
+    if off_grid:
+        assert np.mean(np.isin(trace.omega, game.outcome_grid)) < 0.1
+    assert verify_run(trace, ["eq8"], sceptic=sceptic).checks_passed

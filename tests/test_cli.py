@@ -1,14 +1,14 @@
 """CLI exit codes, file outputs, and the JSON config surface."""
 
-import copy
+import inspect
 import json
 import math
 import os
 
 import pytest
 
-from jeffreys.cli import (DIVERGENCE, NATURES, PREDICTORS, RUN, SCEPTICS, _load_config,
-                          main)
+from jeffreys.cli import (DIVERGENCE, GAME, NATURES, OMITTED, PREDICTORS, REQUIRED, RUN,
+                          SCEPTICS, _load_config, main)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -595,11 +595,42 @@ def test_divergence_document_hole_is_config_error(tmp_path, capsys, cfg):
 @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
 def test_reading_a_bundled_scenario_leaves_its_document_as_written(name):
     # the report embeds the document: the schema's defaults go to fresh settings
-    cfg, document = _load_config(os.path.join(SCENARIOS, name), RUN)
-    assert document is (DIVERGENCE if name.startswith("remark1") else RUN)
-    written = copy.deepcopy(cfg)
-    document.build(cfg)
-    assert cfg == written
+    path = os.path.join(SCENARIOS, name)
+    cfg, read = _load_config(path, RUN)
+    assert ("divergence" in read) == name.startswith("remark1")
+    with open(path, encoding="utf-8") as fh:
+        assert cfg == json.load(fh)
+
+
+def test_the_constructors_own_the_strategy_and_game_defaults():
+    # an optional key not given is not passed, so the constructor's default
+    # applies; a literal in the table is allowed only where there is none
+    literals = []
+    for kinds in (NATURES, PREDICTORS, SCEPTICS):
+        for kind, section in kinds.items():
+            parameters = inspect.signature(section.make).parameters
+            for key, (_, default) in section.table.items():
+                if parameters[key].default is not inspect.Parameter.empty:
+                    assert default is OMITTED, (kind, key)
+                elif default is not REQUIRED:
+                    literals.append((kind, key))
+    assert literals == [("level3", "base")]
+    assert all(default is REQUIRED or default is OMITTED for _, default in GAME.table.values())
+
+
+@pytest.mark.parametrize("game,g1,g2", [("quartic", -1.0, 1.0), ("bounded_absolute", 0.2, 0.7)])
+def test_a_divergence_document_and_its_flags_answer_alike(tmp_path, capsys, game, g1, g2):
+    # the flags are read as the document's divergence section
+    path = tmp_path / "div.json"
+    path.write_text(json.dumps({"spec_version": 1, "divergence": {
+        "game": {"kind": game}, "g1": g1, "g2": g2, "alpha": 0.3, "tol": 1e-4}}))
+    assert main(["run", str(path)]) == 0
+    answers = json.loads(capsys.readouterr().out)
+    for side in ("lower", "upper"):
+        assert main(["divergence", "--game", game, "--g1", str(g1), "--g2", str(g2),
+                     "--alpha", "0.3", "--tol", "1e-4", "--method", "numeric",
+                     "--side", side]) == 0
+        assert json.loads(capsys.readouterr().out) == answers[side]
 
 
 def test_readme_tables_name_every_key_of_the_schema():
@@ -640,8 +671,10 @@ def test_horizon_too_long_to_draw_is_config_error(tmp_path, capsys, horizon, ove
     ("run", {"predictor1": {"kind": "constant", "params": {"gamma": 1e300}}}, 1),
     ("run", {"nature": {"kind": "adversarial_greedy",
                         "params": {"candidates": [1e300, -1e300]}}}, 1),
+    ("run", {"seed": 1, "predictor1": {"kind": "noisy_target",
+                                       "params": {"target": 0.5, "sigma": 1e308}}}, 1),
     ("divergence", {"divergence": {"game": {"kind": "square"}, "g1": 1e300, "g2": -1e300}}, 0),
-], ids=["constant-1e300", "candidates-1e300", "divergence-1e300"])
+], ids=["constant-1e300", "candidates-1e300", "noisy-target-sigma-1e308", "divergence-1e300"])
 def test_losses_beyond_the_float_range_keep_the_exit_contract(tmp_path, capsys, command, cfg,
                                                              code):
     # the losses are +inf, without an escaping RuntimeWarning; eq9 fails on

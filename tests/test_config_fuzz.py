@@ -5,7 +5,9 @@ the schema's tables in :mod:`jeffreys.cli`, so a new section, key or
 strategy kind is fuzzed with no edit here.  A mutated document changes one
 thing in a valid one: a value becomes a wrong type, a bool, NaN, +-inf, a
 size of 0 or 1, or out of range; a key is dropped or an unknown key added;
-a kind, a check or the seed list is replaced by one that cannot be.
+a kind, a check or the seed list is replaced by one that cannot be.  A
+pushed-apart document sets a pair of numeric keys, of one strategy or both
+predictors' ``gamma``, to two different ends of the float range.
 Whatever the document, ``cli.main`` returns 0, 1 or 2 within a time bound,
 raises nothing, and prints ``config error:`` when it returns 2.
 
@@ -68,6 +70,12 @@ MUTANTS = ["x", "", True, False, None, math.nan, math.inf, -math.inf, [], {}, [T
            ["x"], 0, 1, -1, 2.5, -2.0, 1e300, 10 ** 400]
 SIZE_KEYS = ("horizon", "grid_size", "m", "k_max")
 SIZE_MUTANTS = ["x", True, None, math.nan, math.inf, -math.inf, [], 0, 1, -1, 2.5]
+# (role, kind, key, key): two numeric keys pushed apart at once; the role
+# "predictors" gives the first key to predictor1 and the second to predictor2
+JOINT = [("nature", "iid_uniform", "lo", "hi"), ("predictors", "constant", "gamma", "gamma"),
+         ("predictor1", "drift", "gamma0", "delta"),
+         ("predictor2", "noisy_target", "target", "sigma")]
+EXTREMES = [1e308, -1e308, 5e-324, -5e-324]
 
 
 def _accepts(check, value, key) -> bool:
@@ -106,6 +114,18 @@ def _places(doc) -> list:
         if isinstance(value, (dict, list)):
             found.extend(_places(value))
     return found
+
+
+def _push_apart(data, doc, pair) -> None:
+    # the keys of a JOINT pair at two different EXTREMES
+    role, kind, a, b = pair
+    x = data.draw(st.sampled_from(EXTREMES))
+    y = data.draw(st.sampled_from([e for e in EXTREMES if e != x]))
+    if role == "predictors":
+        doc["predictor1"] = {"kind": kind, "params": {a: x}}
+        doc["predictor2"] = {"kind": kind, "params": {b: y}}
+    else:
+        doc[role] = {"kind": kind, "params": {a: x, b: y}}
 
 
 def _mutate(data, doc) -> None:
@@ -194,3 +214,15 @@ def test_sweep_documents_keep_the_cli_contract(data):
 @given(data=st.data())
 def test_divergence_documents_keep_the_cli_contract(data):
     _fuzz(data, "run", DIVERGENCE)
+
+
+@pytest.mark.filterwarnings("ignore:run truncated")
+@pytest.mark.parametrize("pair", JOINT, ids=[f"{kind}-{a}-{b}" for _, kind, a, b in JOINT])
+@pytest.mark.parametrize("command,document", [("run", RUN), ("sweep", SWEEP)],
+                         ids=["run", "sweep"])
+@settings(FUZZ, max_examples=50)
+@given(data=st.data())
+def test_joint_extremes_keep_the_cli_contract(command, document, pair, data):
+    doc = copy.deepcopy(_draw_section(data, document.table))
+    _push_apart(data, doc, pair)
+    _run_cli(command, doc, data.draw(st.booleans()))
