@@ -158,3 +158,41 @@ def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> float
         shift = float(top)
     pool.log_weights = decayed
     return shift
+
+
+# rows of the first window of aa_observe_rows, and of each window after an anchoring
+_ANCHOR_WINDOW = 64
+
+
+def aa_observe_rows(log_weights: np.ndarray, scaled: np.ndarray) -> tuple:
+    """:func:`aa_observe` at ``eta = 1`` of each row of ``scaled`` (B, K),
+    eta-scaled losses free of NaN, in turn from ``log_weights``, bit for bit.
+
+    Returns the (B, K) log-weights after each row and the (B,) constants
+    the anchorings subtracted.  A sequential ``cumsum`` continues the running
+    subtraction; an anchoring makes every later row start again from the
+    anchored one, so rows are taken in windows that double while no row
+    anchors and start short again after one that does.
+    """
+    n, k = scaled.shape
+    rows, shifts = np.empty((n, k)), np.zeros(n)
+    start, width, carry = 0, _ANCHOR_WINDOW, log_weights
+    while start < n:
+        x = np.empty((min(width, n - start) + 1, k))
+        x[0] = carry
+        np.negative(scaled[start:start + len(x) - 1], out=x[1:])
+        window = np.cumsum(x, axis=0)[1:]
+        top = window.max(axis=1)
+        low = np.flatnonzero((top < -512.0) & np.isfinite(top))
+        if len(low):
+            i = low[0]
+            window = window[:i + 1]
+            window[i] -= top[i]
+            shifts[start + i] = top[i]
+            width = _ANCHOR_WINDOW
+        else:
+            width *= 2
+        rows[start:start + len(window)] = window
+        start += len(window)
+        carry = window[-1]
+    return rows, shifts

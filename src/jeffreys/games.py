@@ -108,7 +108,11 @@ class GameSpec:
     ``divergence`` too: the move's profile is the weighted mean shifted down
     by exactly that.  ``mix``, prepared once for the experts' predictions,
     and ``substitute`` give None where their closed form does not dominate
-    within ``tol``; the gap search takes over.
+    within ``tol``; the gap search takes over.  ``level2_column`` and
+    ``mix_column`` are the column forms of ``level2`` and ``mix``, one row
+    per step, bit for bit the per-step moves; they give None for the whole
+    column where any row has no closed-form move, and the per-step loop
+    plays the run.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -123,7 +127,9 @@ class GameSpec:
     eta_star: Callable        # outcome span W -> the largest eta the game is mixable at
     divergence: Optional[Callable] = None   # (game, alpha) -> (gammas1, gammas2) -> column
     level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
+    level2_column: Optional[Callable] = None  # (game, w1, w2) -> (gammas1, gammas2) -> moves
     mix: Optional[Callable] = None          # (preds, eta, tol) -> (log_w -> pool move)
+    mix_column: Optional[Callable] = None   # (preds, eta, tol) -> (log_w rows -> pool moves)
     substitute: Optional[Callable] = None   # (game, g, tol) -> move dominated by g
 
 
@@ -303,6 +309,28 @@ class Game:
         if pb is not None and not pb[0] <= gamma <= pb[1]:
             raise DomainError(f"prediction {gamma!r} outside {pb}")
 
+    def accepts_outcomes(self, omegas: np.ndarray) -> bool:
+        """Whether :meth:`validate_outcome` accepts every outcome of a float
+        column: in the bounds, and integral on a finite outcome space (the
+        natures hand such a value to the validator as an int)."""
+        lo, hi = self._outcome_range
+        ok = (omegas >= lo) & (omegas <= hi)
+        if self._discrete:
+            ok &= omegas == np.floor(omegas)
+        return omegas.ndim == 1 and bool(ok.all())
+
+    def accepts_predictions(self, gammas: np.ndarray) -> bool:
+        """Whether every row of a float column of predictions passes
+        :meth:`validate_prediction`'s fast path, the same comparisons in the
+        same arithmetic; NaN fails them."""
+        if gammas.shape[1:] != self.prediction_shape or gammas.ndim != 1 + self._discrete:
+            return False
+        if not self._discrete:
+            lo, hi = self._prediction_range
+            return bool(((gammas >= lo) & (gammas <= hi)).all())
+        total = gammas[:, 0] + gammas[:, 1] if self.m == 2 else gammas.sum(axis=1)
+        return bool(((gammas >= 0.0).all(axis=1) & (np.abs(total - 1.0) <= 1e-12)).all())
+
     # -- loss ------------------------------------------------------------
 
     def loss(self, omega, gamma: Prediction) -> float:
@@ -332,6 +360,17 @@ class Game:
         if pb is not None and not math.isnan(u):
             u = min(pb[1], max(pb[0], u))
         return self.spec.from_param(u)
+
+    def prediction_column(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`prediction_from_param` over a column of parameters, bit for
+        bit: Python's ``max`` and ``min`` keep the bound on a tie (``0.0``
+        over ``-0.0``), and NaN stays NaN."""
+        pb = self._bounds[1]
+        if pb is not None:
+            lo, hi = pb
+            clamped = np.where(u > lo, u, lo)
+            u = np.where(np.isnan(u), u, np.where(clamped < hi, clamped, hi))
+        return np.ascontiguousarray(self.spec.from_param(u).T) if self._discrete else u
 
     def losses_for_params(self, params: np.ndarray) -> np.ndarray:
         """Loss profiles (len(params), O): a view of the outcome-major ``param_losses``."""
@@ -489,7 +528,8 @@ def _square_divergence(game, alpha):
 
 def _square_level2(game, w1, w2):
     # the weighted mean prediction: its profile is the weighted mean of the
-    # profiles shifted down by w1 w2 (g1 - g2)^2, the divergence's shift
+    # profiles shifted down by w1 w2 (g1 - g2)^2, the divergence's shift;
+    # elementwise, it is its own column form
     return lambda g1, g2: w1 * g1 + w2 * g2
 
 
@@ -545,12 +585,34 @@ def _log_level2(game, w1, w2):
     return move
 
 
+def _log_level2_column(game, w1, w2):
+    # the per-step move over columns: libm's pow for two outcomes (_power),
+    # the two-term total a + b, and None where a row's supports are disjoint
+    def moves(g1, g2):
+        raw = _power(g1, w1) * _power(g2, w2)
+        total = raw[:, 0] + raw[:, 1] if game.m == 2 else raw.sum(axis=1)
+        return raw / total[:, None] if (total > 0.0).all() else None
+    return moves
+
+
 def _endpoint_move(g0: float, g1: float, tol: float, lo=0.0, hi=1.0):
     # bounded square: equalizes the excesses at outcomes 0 and 1; checked at
     # the ends lo, hi where g0, g1 were taken, it dominates in between
     # because (omega - gamma)^2 - g(omega) is convex for eta <= 2 mixtures
     gamma = min(1.0, max(0.0, 0.5 * (1.0 + g0 - g1)))
     return gamma if max((lo - gamma) ** 2 - g0, (hi - gamma) ** 2 - g1) <= tol else None
+
+
+def _endpoint_moves(g0: np.ndarray, g1: np.ndarray, tol: float):
+    # _endpoint_move over columns, on [0, 1], bit for bit: Python's max and
+    # min keep their first argument on a tie and take a NaN move to 0, and
+    # the squares take libm's pow as ** does; None unless every row dominates
+    v = 0.5 * (1.0 + g0 - g1)
+    v = np.where(v > 0.0, v, 0.0)
+    gamma = np.where(v < 1.0, v, 1.0)
+    low = np.array([x ** 2 for x in (0.0 - gamma).tolist()]) - g0
+    high = np.array([x ** 2 for x in (1.0 - gamma).tolist()]) - g1
+    return gamma if (np.where(high > low, high, low) <= tol).all() else None
 
 
 _UNIT_ENDS = np.array([[0.0], [1.0]])
@@ -561,6 +623,17 @@ def _bounded_square_mix(preds, eta, tol):
     # the experts' eta-scaled losses there, one row per endpoint
     scaled = eta * _square_kernel(_UNIT_ENDS, preds)
     return lambda log_w: _endpoint_move(*[-g / eta for g in _lse_rows(log_w - scaled)], tol)
+
+
+def _bounded_square_mix_column(preds, eta, tol):
+    # _bounded_square_mix over (B, K) rows of log-weights: each step's two
+    # endpoint rows, log-sum-exped as _lse_rows takes them
+    scaled = eta * _square_kernel(_UNIT_ENDS, preds)
+
+    def moves(log_w):
+        g = -np.array(_lse_rows((log_w[:, None, :] - scaled).reshape(-1, len(preds)))) / eta
+        return _endpoint_moves(g[0::2], g[1::2], tol)
+    return moves
 
 
 def _normalized_mixture(raw: np.ndarray, tol: float) -> np.ndarray:
@@ -578,6 +651,20 @@ def _normalized_mixture(raw: np.ndarray, tol: float) -> np.ndarray:
 def _log_mix(preds, eta, tol):
     # at eta = 1 the mixture is the weighted mean of the probability vectors
     return (lambda log_w: _normalized_mixture(np.exp(log_w) @ preds, tol)) if eta == 1.0 else None
+
+
+def _log_mix_column(preds, eta, tol):
+    # _log_mix over (B, K) rows: one (1, K) @ (K, m) product per row, as the
+    # step takes it (a single (B, K) @ (K, m) product differs in the last
+    # bit), and None where a row's total is not in (0, 1 + tol]
+    if eta != 1.0:
+        return None
+
+    def moves(log_w):
+        raw = np.matmul(np.exp(log_w)[:, None, :], preds)[:, 0]
+        total = raw.sum(axis=1)
+        return raw / total[:, None] if ((total > 0.0) & (total <= 1.0 + tol)).all() else None
+    return moves
 
 
 def _scalar_spec(kernel, bounds, make, eta_star, **closed_forms) -> GameSpec:
@@ -614,10 +701,11 @@ GAME_SPECS = {
         _absolute_kernel, (None, None), absolute_loss_game, _absolute_eta_star),
     GameKind.SQUARE: _scalar_spec(
         _square_kernel, (None, None), square_loss_game, _square_eta_star,
-        divergence=_square_divergence, level2=_square_level2),
+        divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2),
     GameKind.BOUNDED_SQUARE: _scalar_spec(
         _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game, _square_eta_star,
-        divergence=_square_divergence, level2=_square_level2, mix=_bounded_square_mix,
+        divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
+        mix=_bounded_square_mix, mix_column=_bounded_square_mix_column,
         substitute=lambda game, g, tol: _endpoint_move(
             float(g[0]), float(g[-1]), tol, *game.outcome_grid[[0, -1]])),
     GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
@@ -633,8 +721,9 @@ GAME_SPECS = {
         from_param=lambda u: np.array([1.0 - u, u]),
         make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
         trace_gap=_log_gap, eta_star=lambda w: 1.0, level2=_log_level2,
-        divergence=_log_divergence,
-        mix=_log_mix, substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol)),
+        level2_column=_log_level2_column, divergence=_log_divergence,
+        mix=_log_mix, mix_column=_log_mix_column,
+        substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol)),
 }
 
 

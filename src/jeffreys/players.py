@@ -9,6 +9,15 @@ non-integral value is left as it is).  The engine validates every move once,
 as it is announced; strategies that score moves use the game's unvalidated
 :meth:`~jeffreys.games.Game.loss_fn` kernel and check anything of their
 own, like the adversarial Nature's candidate outcomes, once in ``reset``.
+
+Column forms: a Nature whose outcomes do not depend on the moves
+(constant, iid, a replay as long as the run) gives the whole outcome column
+at once, ``outcome_column(horizon)``; a predictor whose move reads only past
+outcomes gives its whole move column from the outcome column,
+``predict_column(omegas)``.  Both read only what ``reset`` left, change no
+state, and give the bits of the per-step methods, which they stand in for
+only while those are the class's own (:func:`plays_own`).  A strategy
+without a column form gives None, and the engine plays the per-step loop.
 """
 
 from __future__ import annotations
@@ -23,13 +32,24 @@ from .errors import ConfigError, DomainError
 from .games import Game
 
 
+def plays_own(strategy, owner: type, *methods: str) -> bool:
+    """Whether ``strategy`` plays ``owner``'s per-step ``methods``, neither
+    overridden in a subclass nor set on the instance; a column form stands
+    in for them only then.  A wrapper set on ``owner`` itself still counts."""
+    cls = type(strategy)
+    return all(name not in vars(strategy) and getattr(cls, name) is getattr(owner, name)
+               for name in methods)
+
+
 class PredictorStrategy:
     """Announces a prediction each step, before the sceptic and Nature.
 
     Validate-once contract: the protocol engine validates each announced
-    prediction, and each outcome passed to ``observe``, exactly once.
-    Strategies need not re-check them, and score them with the game's
-    unvalidated ``loss_fn`` kernel.
+    prediction, and each outcome passed to ``observe``, exactly once: per
+    move in the per-step loop, per column in column play.  Strategies need
+    not re-check them, and score them with the game's unvalidated
+    ``loss_fn`` kernel.  ``predict_column(omegas)`` gives the moves of a
+    whole run against the outcome column ``omegas``, or None.
     """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
@@ -41,13 +61,17 @@ class PredictorStrategy:
     def observe(self, n: int, omega) -> None:
         pass
 
+    def predict_column(self, omegas: np.ndarray) -> Optional[np.ndarray]:
+        return None
+
 
 class NatureStrategy:
     """Announces the outcome each step, after seeing all three predictions.
 
     The predictions it is shown are already validated by the engine, which
     also validates the outcome it returns (the validate-once contract of
-    :class:`PredictorStrategy`).
+    :class:`PredictorStrategy`).  ``outcome_column(horizon)`` gives the
+    outcomes of a whole run, when they do not depend on the moves, or None.
     """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
@@ -55,6 +79,9 @@ class NatureStrategy:
 
     def outcome(self, n: int, gamma1, gamma2, gamma_sceptic):
         raise NotImplementedError
+
+    def outcome_column(self, horizon: int) -> Optional[np.ndarray]:
+        return None
 
 
 class ReplayExhausted(Exception):
@@ -109,6 +136,11 @@ class ConstantNature(NatureStrategy):
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         return self._value
 
+    def outcome_column(self, horizon):
+        if not plays_own(self, ConstantNature, "outcome"):
+            return None
+        return np.full(horizon, float(self._value))
+
 
 class IidBernoulliNature(NatureStrategy):
     """Outcome 1 with probability p, else 0; for binary or log-loss games."""
@@ -124,6 +156,10 @@ class IidBernoulliNature(NatureStrategy):
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         return self._hit if self._draws[n - 1] else self._miss
+
+    def outcome_column(self, horizon):
+        return self._draws.astype(float) if plays_own(self, IidBernoulliNature,
+                                                      "outcome") else None
 
 
 class IidUniformNature(NatureStrategy):
@@ -142,6 +178,9 @@ class IidUniformNature(NatureStrategy):
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         return float(self._draws[n - 1])
+
+    def outcome_column(self, horizon):
+        return self._draws if plays_own(self, IidUniformNature, "outcome") else None
 
 
 class ReplayNature(NatureStrategy):
@@ -164,6 +203,12 @@ class ReplayNature(NatureStrategy):
         if n - 1 >= len(self._outcomes):
             raise ReplayExhausted(f"replay provides only {len(self._outcomes)} outcomes")
         return self._outcomes[n - 1]
+
+    def outcome_column(self, horizon):
+        # a shorter replay truncates the run, with the loop's warning
+        if len(self._outcomes) < horizon or not plays_own(self, ReplayNature, "outcome"):
+            return None
+        return np.array(self._outcomes[:horizon], dtype=float)
 
 
 class AdversarialGreedyNature(NatureStrategy):
@@ -224,12 +269,18 @@ class ConstantPredictor(PredictorStrategy):
     def predict(self, n):
         return self._value
 
+    def predict_column(self, omegas):
+        if not plays_own(self, ConstantPredictor, "predict", "observe"):
+            return None
+        return np.full((len(omegas),) + np.shape(self._value), self._value, dtype=float)
+
 
 class RunningMeanPredictor(PredictorStrategy):
     """Predicts the mean of past outcomes, starting from an initial value.
 
     For log-loss games this is the add-one-smoothed outcome frequency,
-    which keeps every probability strictly positive.
+    which keeps every probability strictly positive; it starts from the
+    uniform prediction, and ``initial`` is unused.
     """
 
     def __init__(self, initial: float = 0.5):
@@ -267,6 +318,20 @@ class RunningMeanPredictor(PredictorStrategy):
         self._sum += omega
         self._n += 1
 
+    def predict_column(self, omegas):
+        if not plays_own(self, RunningMeanPredictor, "predict", "observe"):
+            return None
+        n = len(omegas)
+        if self._game.prediction_shape:
+            # the counts before each step, whole numbers as the loop's are
+            seen = np.zeros((n, self._game.m))
+            seen[np.arange(1, n), omegas[:-1].astype(np.intp)] = 1.0
+            return (np.cumsum(seen, axis=0) + 1.0) / (np.arange(n) + self._total)[:, None]
+        # running sums from 0.0 in play order, so a first outcome of -0.0 sums to 0.0
+        sums = np.cumsum(np.concatenate(([0.0], omegas[:-1])))
+        means = np.concatenate(([self.initial], sums[1:] / np.arange(1, n)))
+        return self._game.prediction_column(means)
+
 
 class NoisyTargetPredictor(PredictorStrategy):
     """Predicts a fixed target plus seeded noise with scale ``sigma/n``.
@@ -290,6 +355,12 @@ class NoisyTargetPredictor(PredictorStrategy):
         return self._game.prediction_from_param(
             self.target + self.sigma * float(self._noise[n - 1]) / n)
 
+    def predict_column(self, omegas):
+        if not plays_own(self, NoisyTargetPredictor, "predict", "observe"):
+            return None
+        steps = np.arange(1, len(omegas) + 1, dtype=float)
+        return self._game.prediction_column(self.target + self.sigma * self._noise / steps)
+
 
 class DriftPredictor(PredictorStrategy):
     """Starts at gamma0 and drifts by delta per step, clamped to bounds."""
@@ -304,3 +375,9 @@ class DriftPredictor(PredictorStrategy):
 
     def predict(self, n):
         return self._game.prediction_from_param(self.gamma0 + self.delta * (n - 1))
+
+    def predict_column(self, omegas):
+        if not plays_own(self, DriftPredictor, "predict", "observe"):
+            return None
+        steps = np.arange(len(omegas), dtype=float)
+        return self._game.prediction_column(self.gamma0 + self.delta * steps)

@@ -2,11 +2,19 @@
 
 Each step proceeds in the fixed order: both predictors announce, the
 sceptic announces knowing their moves, Nature announces knowing all three.
-The engine records each step's four moves, builds the columnar trace with
-its loss, gap and divergence columns once the run ends, classifies which
-branch of the agreement-or-outperformance disjunction a finished run
-exhibits, and verifies the requested checks: martingale null itself, every
-other guarantee through its sceptic.
+Where Nature's outcomes do not depend on the moves and all four strategies
+have a column form, the engine plays the run as columns, in dependency
+order: the outcome column, both predictors' move columns, then the
+sceptic's.  The protocol fixes the order of information, not the order of
+computation, so each player still sees only what it would see step by step.
+Otherwise, and wherever a column attempt meets a move or a step the loop
+would refuse or warn about, it plays the per-step loop from step 1, which
+records each step's four moves and names the step of any error.  Both
+paths build the same columnar trace, with its loss, gap and divergence
+columns, once the run ends.  The engine then classifies which branch of
+the agreement-or-outperformance disjunction a finished run exhibits, and
+verifies the requested checks: martingale null itself, every other
+guarantee through its sceptic.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ProtocolViolationError
+from .errors import (ConfigError, DivergenceOverestimate, DomainError, PoolCollapseError,
+                     ProtocolViolationError)
 from .games import Game, GameKind
 from .players import NatureStrategy, PredictorStrategy, ReplayExhausted
 from .sceptics import ScepticStrategy
@@ -40,8 +49,10 @@ class Trace:
 
     ``rows`` holds each step's ``(gamma1, gamma2, gamma_sceptic, omega)``
     back to back in play order: one flat list, as a tuple per step would
-    load the garbage collector.  Every column is a float64 array built
-    once: the moves, of shape ``(N,) + game.prediction_shape``, the
+    load the garbage collector.  :meth:`from_columns` takes the four move
+    columns instead; the engine builds every trace there, from the columns
+    of its loop's rows or of column play.  Every column is a float64 array
+    built once: the moves, of shape ``(N,) + game.prediction_shape``, the
     outcomes, and the derived columns, computed from the moves by the
     game's column forms, which match the per-move arithmetic bit for bit.
     Cumulative columns are running sums of the per-step losses in play
@@ -55,13 +66,25 @@ class Trace:
 
     def __init__(self, game: Game, rows: Sequence, seed: Optional[int] = None,
                  truncated: bool = False, divergence: Optional[Callable] = None):
+        self._fill(game, *(rows[i::4] for i in range(4)), seed, truncated, divergence)
+
+    @classmethod
+    def from_columns(cls, game: Game, gamma1, gamma2, gamma_sceptic, omega,
+                     seed: Optional[int] = None, truncated: bool = False,
+                     divergence: Optional[Callable] = None) -> "Trace":
+        """The trace of a run's move columns, one row per step."""
+        trace = cls.__new__(cls)
+        trace._fill(game, gamma1, gamma2, gamma_sceptic, omega, seed, truncated, divergence)
+        return trace
+
+    def _fill(self, game, gamma1, gamma2, gamma_sceptic, omega, seed, truncated, divergence):
         self.game = game
         self.seed = seed
         self.truncated = truncated
-        self.omega = np.asarray(rows[3::4], dtype=float)
+        self.omega = np.asarray(omega, dtype=float)
         shape = self.omega.shape + game.prediction_shape
         self.gamma1, self.gamma2, self.gamma_sceptic = (
-            np.asarray(rows[i::4], dtype=float).reshape(shape) for i in range(3))
+            np.asarray(g, dtype=float).reshape(shape) for g in (gamma1, gamma2, gamma_sceptic))
         spec = game.spec
         # a loss, divergence or running sum of finite moves far apart may
         # exceed the float range: it is +inf
@@ -107,21 +130,65 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     """Play ``horizon`` steps and return the trace.
 
     Deterministic given (configuration, seed): each player gets an
-    independent generator spawned from the seed.  The engine is the only
-    validator of moves in a run: it checks each move exactly once, as it
-    is announced (predictor 1, predictor 2, the sceptic, then Nature), and
-    the strategies rely on that.  An out-of-domain move aborts the run
-    with the offending step index; a replay Nature running out of outcomes
-    truncates the run with a warning.
+    independent generator spawned from the seed.  The run plays as columns
+    where every strategy offers its column form, and as the per-step loop
+    otherwise; both give the same trace, bit for bit.  The engine is the
+    only validator of moves in a run: it checks each move exactly once, as
+    it is announced (predictor 1, predictor 2, the sceptic, then Nature),
+    or each column, and the strategies rely on that.  An out-of-domain move
+    aborts the run with the offending step index, as does a pool that
+    collapses or a level-2 move of infinite divergence; a replay Nature
+    running out of outcomes truncates the run with a warning.
     """
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
-    streams = np.random.SeedSequence(seed).spawn(4)
-    predictor1.reset(game, np.random.default_rng(streams[0]), horizon)
-    predictor2.reset(game, np.random.default_rng(streams[1]), horizon)
-    sceptic.reset(game, np.random.default_rng(streams[2]), horizon)
-    nature.reset(game, np.random.default_rng(streams[3]), horizon)
+    players = (predictor1, predictor2, sceptic, nature)
+    _reset(players, game, horizon, seed)
+    truncated = False
+    # a failed column attempt leaves every error and warning to the loop
+    with np.errstate(all="ignore"):
+        columns = _play_columns(players, game, horizon, seed)
+    if columns is None:
+        columns, truncated = _play_loop(players, game, horizon)
+    return Trace.from_columns(game, *columns, seed=seed, truncated=truncated,
+                              divergence=sceptic.divergence_column)
 
+
+def _reset(players, game: Game, horizon: int, seed: int) -> None:
+    streams = np.random.SeedSequence(seed).spawn(4)
+    for player, stream in zip(players, streams):
+        player.reset(game, np.random.default_rng(stream), horizon)
+
+
+def _play_columns(players, game: Game, horizon: int, seed: int):
+    """The run's four move columns, in dependency order, or None where the
+    loop must play it: a strategy without a column form, or a column with a
+    move the validators' fast path does not accept.  Only a sceptic column
+    that succeeded has changed any state, so a refused one resets every
+    player again from the same seed."""
+    predictor1, predictor2, sceptic, nature = players
+
+    def accepted(column, accepts) -> bool:
+        return column is not None and len(column) == horizon and accepts(column)
+
+    omegas = nature.outcome_column(horizon)
+    if not accepted(omegas, game.accepts_outcomes):
+        return None
+    gammas = (predictor1.predict_column(omegas), predictor2.predict_column(omegas))
+    if not all(accepted(column, game.accepts_predictions) for column in gammas):
+        return None
+    column = sceptic.predict_column(*gammas, omegas)
+    if column is None:
+        return None
+    if not accepted(column, game.accepts_predictions):
+        _reset(players, game, horizon, seed)
+        return None
+    return (*gammas, column, omegas)
+
+
+def _play_loop(players, game: Game, horizon: int) -> tuple:
+    """(the four move columns, truncated): the run played step by step."""
+    predictor1, predictor2, sceptic, nature = players
     rows: list = []
     record = rows.extend
     truncated = False
@@ -139,7 +206,10 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
             validate_prediction(g2)
         except DomainError as exc:
             raise ProtocolViolationError(f"predictor 2: {exc}", n) from exc
-        gs = sceptic.predict(n, g1, g2)
+        try:
+            gs = sceptic.predict(n, g1, g2)
+        except (PoolCollapseError, DivergenceOverestimate) as exc:
+            raise type(exc)(f"step {n}: {exc}") from exc
         try:
             validate_prediction(gs)
         except DomainError as exc:
@@ -160,8 +230,7 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
         predictor1.observe(n, omega)
         predictor2.observe(n, omega)
         sceptic.observe(n, omega)
-    return Trace(game, rows, seed=seed, truncated=truncated,
-                 divergence=sceptic.divergence_column)
+    return [rows[i::4] for i in range(4)], truncated
 
 
 def classify_disjuncts(trace: Trace,

@@ -27,17 +27,19 @@ predict alike, three in all.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Optional
 
 import numpy as np
 
-from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
+from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe, aa_observe_rows,
                           fixed_pool_mixer, params_for)
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
                      PoolCollapseError)
 from .divergence import mean_gap
-from .games import Game, Prediction, _scale, alpha_weights
+from .games import Game, Prediction, _lse_rows, _scale, alpha_weights
+from .players import ConstantPredictor, plays_own
 
 
 class ScepticStrategy:
@@ -45,9 +47,22 @@ class ScepticStrategy:
 
     Validate-once contract: the protocol engine validates both predictors'
     moves before ``predict`` sees them, the sceptic's own move as it is
-    announced, and the outcome before ``observe`` sees it.  Strategies
-    score those moves with the game's unvalidated ``loss_fn`` kernel rather
-    than re-checking them through ``Game.loss``.
+    announced, and the outcome before ``observe`` sees it; in column play
+    it validates the outcome and both predictors' columns before
+    ``predict_column`` sees them, and the sceptic's column after.
+    Strategies score those moves with the game's unvalidated ``loss_fn``
+    kernel rather than re-checking them through ``Game.loss``.
+
+    ``predict_column(gammas1, gammas2, omegas)`` plays a whole run at once
+    from its validated move and outcome columns, where the outcomes do not
+    depend on the sceptic's moves: it gives the sceptic's move column, bit
+    for bit the per-step moves, and leaves the state the per-step loop
+    would leave.  Where any of its own steps would raise, warn or leave the
+    closed forms, or its per-step methods are not its class's own, it gives
+    None and changes no state; the engine then plays the loop, which tells
+    what went wrong and at which step.  A move column the engine refuses
+    (a NaN move, say) has changed the state, so the engine resets every
+    player before the loop plays.
 
     ``check`` names the guarantee the strategy certifies, ``worst_slack``
     its worst slack over a finished run; the trace records as its per-step
@@ -71,6 +86,10 @@ class ScepticStrategy:
 
     def observe(self, n: int, omega) -> None:
         pass
+
+    def predict_column(self, gammas1: np.ndarray, gammas2: np.ndarray,
+                       omegas: np.ndarray) -> Optional[np.ndarray]:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +146,12 @@ class Level2Sceptic(ScepticStrategy):
 
     def predict(self, n, gamma1, gamma2):
         return self._move(gamma1, gamma2)
+
+    def predict_column(self, gammas1, gammas2, omegas):
+        column = self._game.spec.level2_column
+        if column is None or not plays_own(self, Level2Sceptic, "predict", "observe"):
+            return None
+        return column(self._game, *self._weights)(gammas1, gammas2)
 
     def _numeric_move(self, gamma1, gamma2):
         gamma, term = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
@@ -249,6 +274,7 @@ class Level1Sceptic(ScepticStrategy):
 
     def reset(self, game, rng, horizon):
         self._loss = game.loss_fn()
+        self._loss_column = game.spec.loss_column
         self.D = 0.0
 
     def predict(self, n, gamma1, gamma2):
@@ -259,6 +285,18 @@ class Level1Sceptic(ScepticStrategy):
     def observe(self, n, omega):
         gamma1, gamma2 = self._pending
         self.D += self._loss(omega, gamma1) - self._loss(omega, gamma2)
+
+    def predict_column(self, gammas1, gammas2, omegas):
+        if not plays_own(self, Level1Sceptic, "predict", "observe"):
+            return None
+        # D before each step: the running sum of the loss differences from 0.0
+        d = np.cumsum(np.concatenate(([0.0], self._loss_column(omegas, gammas1)
+                                      - self._loss_column(omegas, gammas2))))
+        before, c = d[:-1], self.c
+        w = np.where(np.isinf(before), np.copysign(c, before), c * before / (1.0 + np.abs(before)))
+        w = w.reshape(w.shape + (1,) * (gammas1.ndim - 1))
+        self.D = float(d[-1])
+        return (0.5 + w) * gammas1 + (0.5 - w) * gammas2
 
     def worst_slack(self, trace) -> float:
         if not len(trace):
@@ -285,11 +323,11 @@ def _compensated_add(total: float, comp: float, x: float) -> tuple:
 
 
 def _compensated_cumsum(total, comp, rows) -> tuple:
-    # _compensated_add over rows (a list of floats or of (K,) arrays) from
-    # (total, comp), as running columns: the running sums and compensations
-    # after each row, bit for bit those of adding the rows one by one
-    # (np.cumsum adds in order); callers ignore invalid-value warnings
-    x = np.array([total, *rows])
+    # _compensated_add over rows (floats, or (K,) arrays, as a list or one
+    # array) from (total, comp), as running columns: the running sums and
+    # compensations after each row, bit for bit those of adding the rows one
+    # by one (np.cumsum adds in order); callers ignore invalid-value warnings
+    x = np.concatenate((np.asarray(total, dtype=float)[None], np.asarray(rows, dtype=float)))
     sums = np.cumsum(x, axis=0)
     a, t = sums[:-1], sums[1:]
     back = t - a
@@ -300,8 +338,43 @@ def _compensated_cumsum(total, comp, rows) -> tuple:
 
 
 # steps whose eq8 audit rows the aggregating sceptic holds before folding
-# them: the audit's memory is O(EQ8_BLOCK * K), whatever the horizon
+# them, and the steps its column form takes at a time: the memory of either
+# is O(EQ8_BLOCK * K) beyond the run's move columns, whatever the horizon
 EQ8_BLOCK = 256
+
+
+class _Eq8Audit:
+    """The eq8 audit's carried state: the per-expert cumulative losses
+    ``cums`` and the own ``cum_self``, each with its TwoSum compensation (the
+    plain running sums' rounding would drown the regret slack at the
+    magnitudes cumulative losses reach), the tightest slack seen, ``worst``,
+    the first step that attains it, ``worst_step``, and the steps folded."""
+
+    def __init__(self, k: int, penalty: np.ndarray):
+        self.penalty = penalty
+        self.cums, self.comps = np.zeros(k), np.zeros(k)
+        self.cum_self = self.comp_self = 0.0
+        self.worst, self.worst_step = math.inf, None
+        self.folded = 0
+
+    def fold(self, rows, own) -> None:
+        # the steps' eq8 slacks, min over the experts of (cumulative loss +
+        # penalty) less the own cumulative loss, each sum compensated; the
+        # min skips an expert whose sum is NaN, its bound vacuous, a slack
+        # with every expert NaN is skipped, and an infinite sum carries no
+        # compensation.  Folding in any partition gives the same bits.
+        with np.errstate(invalid="ignore"):
+            cums, comps = _compensated_cumsum(self.cums, self.comps, rows)
+            cum_self, comp_self = _compensated_cumsum(self.cum_self, self.comp_self, own)
+            slacks = (np.fmin.reduce((cums + comps) + self.penalty, axis=1)
+                      - (cum_self + comp_self))
+        slacks[np.isnan(slacks)] = math.inf
+        i = int(slacks.argmin())
+        if slacks[i] < self.worst:
+            self.worst, self.worst_step = float(slacks[i]), self.folded + i + 1
+        self.cums, self.comps = cums[-1].copy(), comps[-1].copy()
+        self.cum_self, self.comp_self = float(cum_self[-1]), float(comp_self[-1])
+        self.folded += len(own)
 
 
 class AggregatingSceptic(ScepticStrategy):
@@ -319,6 +392,12 @@ class AggregatingSceptic(ScepticStrategy):
     per-expert cumulative losses ``expert_cums``, the strategy's own
     ``cum_self``, the tightest regret slack seen, ``worst_eq8_slack``, and
     the first step that attains it, ``worst_eq8_step``.
+
+    A pool of constant experts on a game with a column form of its mix
+    plays a run in columns (``predict_column``), ``EQ8_BLOCK`` steps at a time:
+    the weights' decay with its anchoring (:func:`aa_observe_rows`), the
+    normalizers, the moves, the domination re-check and the folded audit,
+    each bit for bit the steps'.
     """
 
     check = "eq8"
@@ -334,11 +413,9 @@ class AggregatingSceptic(ScepticStrategy):
             raise ValueError(f"priors has {len(self.pool)} entries for "
                              f"{len(self.experts)} experts")
         self._rows, self._own = [], []
-        self._worst, self._worst_step = math.inf, None
+        self._audit = _Eq8Audit(len(self.pool), np.zeros(len(self.pool)))
 
     def reset(self, game, rng, horizon):
-        from .players import ConstantPredictor
-
         params = params_for(game)
         self.eta, self.C = params.eta, params.C
         self._game = game
@@ -346,22 +423,15 @@ class AggregatingSceptic(ScepticStrategy):
         self._total = _lse1(self.pool.log_weights)
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
-        self._fixed_mix = self._loss_table = None
-        # the audit's carried sums, with compensation terms: cumulative losses
-        # reach magnitudes where the plain running sums' rounding would drown
-        # the regret slack
-        self._cums = np.zeros(len(self.pool))
-        self._comps = np.zeros(len(self.pool))
-        self._cum_self = self._comp_self = 0.0
+        self._fixed_mix = self._column_mix = self._loss_table = None
         # C ln(1/p), or C (-ln p) where 1/p overflows (a subnormal prior): the
         # two differ in the last bit for some uniform priors
         priors = self.pool.priors
         with np.errstate(over="ignore"):
             inverse = 1.0 / priors
-        self._penalty = self.C * np.where(np.isfinite(inverse), np.log(inverse), -np.log(priors))
+        self._audit = _Eq8Audit(len(self.pool), self.C * np.where(
+            np.isfinite(inverse), np.log(inverse), -np.log(priors)))
         self._rows, self._own = [], []
-        self._folded = 0
-        self._worst, self._worst_step = math.inf, None
         self._pending = None
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
@@ -379,6 +449,8 @@ class AggregatingSceptic(ScepticStrategy):
         if all(isinstance(e, ConstantPredictor) for e in self.experts):
             self._static_preds = preds = self._collect(1)
             self._fixed_mix = fixed_pool_mixer(game, self.eta, preds, DOMINATION_TOL)
+            if game.spec.mix_column is not None:
+                self._column_mix = game.spec.mix_column(preds, self.eta, DOMINATION_TOL)
             if game.spec.outcome_type is int:  # per outcome: losses, eta-scaled losses
                 rows = (self._losses(w, preds) for w in range(game.m))
                 self._loss_table = [(row, self.eta * row) for row in rows]
@@ -423,47 +495,70 @@ class AggregatingSceptic(ScepticStrategy):
             for e in self.experts:
                 e.observe(n, omega)
 
-    def _fold(self):
-        # the held steps' eq8 slacks, min over the experts of (cumulative
-        # loss + penalty) less the own cumulative loss, each sum compensated;
-        # the min skips an expert whose sum is NaN, its bound vacuous, a slack
-        # with every expert NaN is skipped, and an infinite sum carries no
-        # compensation
-        if not self._own:
-            return
-        with np.errstate(invalid="ignore"):
-            cums, comps = _compensated_cumsum(self._cums, self._comps, self._rows)
-            own, own_comps = _compensated_cumsum(self._cum_self, self._comp_self, self._own)
-            slacks = (np.fmin.reduce((cums + comps) + self._penalty, axis=1)
-                      - (own + own_comps))
-        slacks[np.isnan(slacks)] = math.inf
-        i = int(slacks.argmin())
-        if slacks[i] < self._worst:
-            self._worst, self._worst_step = float(slacks[i]), self._folded + i + 1
-        self._cums, self._comps = cums[-1].copy(), comps[-1].copy()
-        self._cum_self, self._comp_self = float(own[-1]), float(own_comps[-1])
-        self._folded += len(self._own)
+    def predict_column(self, gammas1, gammas2, omegas):
+        if self._column_mix is None or not plays_own(self, AggregatingSceptic,
+                                                     "predict", "observe"):
+            return None
+        preds, eta = self._static_preds, self.eta
+        if self._loss_table is not None:
+            table = np.array([row for row, _ in self._loss_table])
+            scaled_table = np.array([scaled for _, scaled in self._loss_table])
+        log_weights, total = self.pool.log_weights, self._total
+        # fold replaces the audit's arrays rather than writing into them
+        audit, moves = copy.copy(self._audit), []
+        for start in range(0, len(omegas), EQ8_BLOCK):
+            block = omegas[start:start + EQ8_BLOCK]
+            if self._loss_table is None:
+                losses = self._losses(block[:, None], preds)
+                scaled = eta * losses
+            else:
+                losses, scaled = table[block.astype(np.intp)], scaled_table[block.astype(np.intp)]
+            if np.isnan(scaled).any():
+                return None
+            weights, shifts = aa_observe_rows(log_weights, scaled)
+            totals = np.array(_lse_rows(weights))
+            before = np.concatenate(([total], totals[:-1]))
+            # the pool collapses at a step whose weights before it are all -inf
+            if (before == -math.inf).any():
+                return None
+            gammas = self._column_mix(np.vstack((log_weights, weights[:-1])) - before[:, None])
+            if gammas is None:
+                return None
+            own = self._game.spec.loss_column(block, gammas)
+            if (own > -((totals + shifts) - before) / eta + DOMINATION_TOL).any():
+                return None
+            audit.fold(losses, own)
+            moves.append(gammas)
+            log_weights, total = weights[-1], float(totals[-1])
+        self.pool.log_weights, self._total, self._audit = log_weights.copy(), total, audit
         self._rows, self._own = [], []
+        self._pending = (preds, moves[-1][-1])
+        return np.concatenate(moves)
+
+    def _fold(self):
+        if self._own:
+            self._audit.fold(self._rows, self._own)
+            self._rows, self._own = [], []
 
     @property
     def worst_eq8_slack(self) -> float:
         self._fold()
-        return self._worst
+        return self._audit.worst
 
     @property
     def worst_eq8_step(self) -> Optional[int]:
         self._fold()
-        return self._worst_step
+        return self._audit.worst_step
 
     @property
     def expert_cums(self) -> np.ndarray:
         self._fold()
-        return self._cums
+        return self._audit.cums
 
     @property
     def cum_self(self) -> float:
         self._fold()
-        return self._cum_self
+        return self._audit.cum_self
 
     def worst_slack(self, trace) -> float:
         return float(self.worst_eq8_slack)

@@ -238,6 +238,25 @@ def test_non_integral_log_loss_outcome_is_refused_not_truncated(tmp_path, capsys
     assert f"step 1: nature: {outcome} not in 0..1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,message", [
+    # the only expert loses +inf at step 1: no weight is left for step 2
+    ({"predictor1": {"kind": "constant", "params": {"gamma": [0.5, 0.5]}},
+      "predictor2": {"kind": "constant", "params": {"gamma": [0.5, 0.5]}},
+      "nature": {"kind": "constant", "params": {"omega": 1}},
+      "sceptic": {"kind": "aggregating",
+                  "params": {"experts": [{"kind": "constant", "params": {"gamma": [1, 0]}}]}},
+      "checks": ["eq8"]},
+     "error: step 2: every expert has suffered infinite loss"),
+    ({"predictor1": {"kind": "constant", "params": {"gamma": [1, 0]}},
+      "predictor2": {"kind": "constant", "params": {"gamma": [0, 1]}}},
+     "error: step 1: predictions have disjoint support; divergence is infinite"),
+], ids=["pool_collapse", "disjoint_support"])
+def test_an_error_that_ends_a_run_names_its_step(tmp_path, capsys, overrides, message):
+    path, _ = write_config(tmp_path, game={"kind": "log_loss", "m": 2}, **overrides)
+    assert main(["run", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_eq9_runs_on_numeric_path_games(tmp_path):
     path, _ = write_config(
         tmp_path,

@@ -1,0 +1,394 @@
+"""Column play against the per-step loop, bit for bit.
+
+Where Nature is oblivious and every strategy has a column form, the engine
+plays a run as columns.  Each case here plays it both ways: as columns,
+with every per-step method that column play stands in for replaced by one
+that fails (so the case cannot pass by falling back to the loop), and as
+the loop, through a wrapper that delegates to each strategy but offers no
+column form.  The two must agree on every trace column's bytes, the report's
+bytes, the check slacks in hex and, for a pool, its worst eq8 step, final
+log-weights and audit sums; a run that fails must fail with the same
+error, message and step, or truncate with the same warning.
+"""
+
+import contextlib
+import io
+import json
+import os
+import warnings
+
+import numpy as np
+import pytest
+
+import jeffreys as j
+from jeffreys.cli import RUN, main
+from jeffreys.sceptics import EQ8_BLOCK
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+TRACE_COLUMNS = ("gamma1", "gamma2", "gamma_sceptic", "omega", "loss1", "loss2",
+                 "loss_sceptic", "gap", "divergence_term", "cum1", "cum2", "cum_sceptic")
+
+
+class LoopOnly:
+    """Delegates to a strategy, but offers no column form: the loop plays."""
+
+    def __init__(self, strategy):
+        self._strategy = strategy
+
+    def __getattr__(self, name):
+        return getattr(self._strategy, name)
+
+    def predict_column(self, *columns):
+        return None
+
+    def outcome_column(self, horizon):
+        return None
+
+
+# the per-step methods column play stands in for, on the classes that
+# define a column form: a run that reaches any of them has played the loop
+PER_STEP = {
+    j.ConstantNature: ("outcome",), j.IidBernoulliNature: ("outcome",),
+    j.IidUniformNature: ("outcome",), j.ReplayNature: ("outcome",),
+    j.ConstantPredictor: ("observe",), j.RunningMeanPredictor: ("predict", "observe"),
+    j.NoisyTargetPredictor: ("predict", "observe"), j.DriftPredictor: ("predict", "observe"),
+    j.Level1Sceptic: ("predict", "observe"), j.Level2Sceptic: ("predict", "observe"),
+    j.AggregatingSceptic: ("predict", "observe"),
+}
+
+
+@contextlib.contextmanager
+def columns_only():
+    """Replace each per-step method column play stands in for with one that fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-step method was called: the run played the loop")
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, methods in PER_STEP.items():
+            for name in methods:
+                patch.setattr(cls, name, refuse)
+        yield
+
+
+def _play(case, loop: bool):
+    """(outcome, sceptic): the trace and report, or the error or warning, of one way of play."""
+    make, game, horizon, seed = case
+    nature, p1, p2, sceptic = make()
+    wrap = LoopOnly if loop else (lambda strategy: strategy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            trace = j.run_protocol(wrap(nature), wrap(p1), wrap(p2), wrap(sceptic), game,
+                                   horizon, seed=seed)
+        except j.JeffreysError as exc:
+            return (type(exc), str(exc), getattr(exc, "step", None)), sceptic
+    return (trace, [str(w.message) for w in caught]), sceptic
+
+
+def _report(trace, sceptic) -> str:
+    checks = [sceptic.check] if sceptic.check else []
+    if trace.game.kind in j.protocol.MARTINGALE_NULL_KINDS:
+        checks.append("martingale_null")
+    report = j.verify_run(trace, checks, sceptic=sceptic, report=j.classify_disjuncts(trace))
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def assert_same_run(case):
+    with columns_only():
+        ours, sceptic = _play(case, loop=False)
+    ref, ref_sceptic = _play(case, loop=True)
+    if not isinstance(ours[0], j.Trace):
+        raise AssertionError(f"column play failed: {ours}")
+    (trace, warned), (ref_trace, ref_warned) = ours, ref
+    assert warned == ref_warned == []
+    for name in TRACE_COLUMNS:
+        assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
+    assert (trace.seed, trace.truncated) == (ref_trace.seed, ref_trace.truncated)
+    assert _report(trace, sceptic) == _report(ref_trace, ref_sceptic)
+    if sceptic.check:
+        assert (float(sceptic.worst_slack(trace)).hex()
+                == float(ref_sceptic.worst_slack(ref_trace)).hex())
+    if isinstance(sceptic, j.AggregatingSceptic):
+        assert sceptic.worst_eq8_step == ref_sceptic.worst_eq8_step
+        assert sceptic.pool.log_weights.tobytes() == ref_sceptic.pool.log_weights.tobytes()
+        assert sceptic.expert_cums.tobytes() == ref_sceptic.expert_cums.tobytes()
+        assert sceptic.cum_self.hex() == ref_sceptic.cum_self.hex()
+    if isinstance(sceptic, j.Level1Sceptic):
+        assert sceptic.D.hex() == ref_sceptic.D.hex()
+    return sceptic
+
+
+# ---------------------------------------------------------------------------
+# the acceptance criteria's runs, as tests/test_acceptance.py plays them
+
+SQUARE, LOG2, LOG3 = j.square_loss_game(), j.log_loss_game(m=2), j.log_loss_game(m=3)
+BOUNDED_SQUARE, BOUNDED_ABSOLUTE = j.bounded_square_loss_game(), j.bounded_absolute_loss_game()
+ABSOLUTE = j.absolute_loss_game()
+ALPHAS = (-0.8, 0.0, 0.8)
+COIN = np.array([0.5, 0.5])
+
+
+def _criterion3(seed, alpha, game_name, horizon):
+    if game_name == "square":
+        pair = (0.0, 1.0) if seed % 2 == 0 else (0.25, 0.75)
+        return (lambda: (j.IidBernoulliNature(0.5), j.ConstantPredictor(pair[0]),
+                         j.ConstantPredictor(pair[1]), j.Level2Sceptic(alpha, 1e-3)),
+                SQUARE, horizon, seed)
+    return (lambda: (j.IidBernoulliNature(0.2 + 0.6 * seed / 99.0),
+                     j.ConstantPredictor(np.array([0.8, 0.2])), j.RunningMeanPredictor(),
+                     j.Level2Sceptic(alpha, 1e-3)),
+            LOG2, horizon, seed)
+
+
+def _criterion4(seed, game_name, horizon):
+    k = 2 + seed % 39
+    spread = (np.arange(k) + 1.0) / (k + 1.0)
+    if game_name == "log_loss":
+        return (lambda: (j.IidBernoulliNature(0.1 + 0.8 * seed / 99.0), j.ConstantPredictor(COIN),
+                         j.ConstantPredictor(COIN),
+                         j.AggregatingSceptic([j.ConstantPredictor(np.array([1.0 - p, p]))
+                                               for p in spread])),
+                LOG2, horizon, seed)
+    return (lambda: (j.IidUniformNature(0.0, 1.0), j.ConstantPredictor(0.5),
+                     j.ConstantPredictor(0.5),
+                     j.AggregatingSceptic([j.ConstantPredictor(p) for p in spread])),
+            BOUNDED_SQUARE, horizon, seed)
+
+
+def _criterion7(seed, horizon):
+    return (lambda: (j.IidBernoulliNature(0.5), j.ConstantPredictor(0.0),
+                     j.ConstantPredictor(1.0), j.Level1Sceptic(c=0.4)),
+            BOUNDED_ABSOLUTE, horizon, seed)
+
+
+SHORT = 200
+
+
+@pytest.mark.parametrize("game_name", ["square", "log_loss"])
+def test_criterion3_iid_runs_match_the_loop(game_name):
+    for seed in range(100):
+        for alpha in ALPHAS:
+            assert_same_run(_criterion3(seed, alpha, game_name, SHORT))
+    for seed, alpha in ((0, -0.8), (57, 0.0), (99, 0.8)):
+        assert_same_run(_criterion3(seed, alpha, game_name, 10_000))
+
+
+@pytest.mark.parametrize("game_name", ["log_loss", "bounded_square"])
+def test_criterion4_pools_match_the_loop(game_name):
+    for seed in range(100):
+        assert_same_run(_criterion4(seed, game_name, SHORT))
+    for seed in (0, 38, 57):
+        assert_same_run(_criterion4(seed, game_name, 10_000))
+
+
+def test_criterion7_runs_match_the_loop():
+    for seed in range(100):
+        assert_same_run(_criterion7(seed, SHORT))
+    for seed in (0, 63):
+        assert_same_run(_criterion7(seed, 100_000))
+
+
+CRITERION5 = {
+    "edge-outcomes": lambda: (j.IidBernoulliNature(0.5), j.ConstantPredictor(0.0),
+                              j.ConstantPredictor(1.0), j.Level1Sceptic(c=0.4)),
+    "interior-outcomes": lambda: (j.IidUniformNature(0.25, 0.75), j.ConstantPredictor(0.0),
+                                  j.ConstantPredictor(1.0), j.Level1Sceptic(c=0.4)),
+    "wide-outcomes": lambda: (j.IidUniformNature(-0.5, 1.5), j.RunningMeanPredictor(0.5),
+                              j.ConstantPredictor(0.6), j.Level1Sceptic(c=0.4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION5))
+def test_criterion5_oblivious_runs_match_the_loop(name):
+    assert_same_run((CRITERION5[name], ABSOLUTE, 100_000, 31))
+
+
+# ---------------------------------------------------------------------------
+# the bundled scenarios that play columns, at their full horizons
+
+COLUMN_SCENARIOS = ("prop1_absolute", "prop4_counterexample", "prop6_logloss", "prop6_square")
+
+
+def _scenario_case(name):
+    with open(os.path.join(SCENARIO_DIR, name + ".json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+
+    def make():
+        run = RUN(cfg)
+        return run["nature"], run["predictor1"], run["predictor2"], run["sceptic"]
+    return make, RUN(cfg)["game"], cfg["horizon"], cfg["seed"]
+
+
+@pytest.mark.parametrize("name", COLUMN_SCENARIOS)
+def test_bundled_scenarios_match_the_loop(name):
+    assert_same_run(_scenario_case(name))
+
+
+# ---------------------------------------------------------------------------
+# pools: anchoring, elimination, block edges, more than two outcomes
+
+def _log_pool(probs, p, horizon, seed, priors=None):
+    return (lambda: (j.IidBernoulliNature(p), j.ConstantPredictor(COIN), j.ConstantPredictor(COIN),
+                     j.AggregatingSceptic([j.ConstantPredictor(np.array([1.0 - q, q]))
+                                           for q in probs], priors=priors)),
+            LOG2, horizon, seed)
+
+
+def test_a_log_loss_pool_that_re_anchors_matches_the_loop():
+    sceptic = assert_same_run(_log_pool((0.1, 0.3, 0.5, 0.7, 0.9), 0.5, 5000, 21))
+    # the best expert has lost more than 2 * 512: without its anchorings at
+    # -512, every log-weight would lie below -1024
+    assert sceptic.eta * sceptic.expert_cums.min() > 2 * 512.0
+    assert sceptic.pool.log_weights.max() > -512.0
+
+
+def test_the_eliminated_expert_pool_matches_the_loop():
+    # the behaviour lock's pool whose first expert never predicts outcome 1
+    assert_same_run(_log_pool((0.0, 0.3, 0.5, 0.8), 0.6, 1000, 14))
+
+
+@pytest.mark.parametrize("horizon", [EQ8_BLOCK - 1, EQ8_BLOCK, EQ8_BLOCK + 1,
+                                     2 * EQ8_BLOCK + 3])
+def test_pools_across_column_blocks_match_the_loop(horizon):
+    assert_same_run(_criterion4(7, "bounded_square", horizon))
+    assert_same_run(_log_pool(np.arange(1, 8) / 8.0, 0.05, horizon, 18, np.full(7, 0.1)))
+
+
+def test_three_outcome_runs_match_the_loop():
+    experts = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1]), np.array([1 / 3] * 3)]
+    assert_same_run((lambda: (j.ReplayNature(np.random.default_rng(5).integers(0, 3, 500)),
+                              j.ConstantPredictor(experts[0]), j.RunningMeanPredictor(),
+                              j.AggregatingSceptic([j.ConstantPredictor(e) for e in experts])),
+                     LOG3, 500, 5))
+    for alpha in ALPHAS:
+        assert_same_run((lambda: (j.ReplayNature(np.random.default_rng(6).integers(0, 3, 500)),
+                                  j.ConstantPredictor(experts[1]), j.RunningMeanPredictor(),
+                                  j.Level2Sceptic(alpha)),
+                         LOG3, 500, 6))
+
+
+@pytest.mark.parametrize("game", [SQUARE, BOUNDED_SQUARE, BOUNDED_ABSOLUTE, LOG2],
+                         ids=lambda game: game.kind.value)
+def test_learning_predictors_match_the_loop(game):
+    # outcomes inside a bounded game's interval, and beyond [0, 1] elsewhere
+    lo, hi = game.bounds()[0] or (-0.2, 1.3)
+    nature = ((lambda: j.IidBernoulliNature(0.4)) if game.prediction_shape
+              else (lambda: j.IidUniformNature(lo, hi)))
+    sceptic = j.Level1Sceptic if game.spec.level2 is None else (lambda: j.Level2Sceptic(0.3))
+    pairs = [(lambda: j.NoisyTargetPredictor(0.6, 0.15), lambda: j.DriftPredictor(0.1, 1e-3)),
+             (lambda: j.RunningMeanPredictor(-0.0), lambda: j.DriftPredictor(1.2, -2e-3))]
+    for first, second in pairs:
+        assert_same_run((lambda: (nature(), first(), second(), sceptic()), game, 1000, 8))
+
+
+# ---------------------------------------------------------------------------
+# a run that fails fails as the loop fails it
+
+def _same_failure(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ours, _ = _play(case, loop=False)
+        ref, _ = _play(case, loop=True)
+    if isinstance(ours[0], j.Trace):
+        (trace, warned), (ref_trace, ref_warned) = ours, ref
+        assert warned == ref_warned
+        for name in TRACE_COLUMNS:
+            assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
+        assert trace.truncated == ref_trace.truncated
+    else:
+        assert ours == ref
+    return ours
+
+
+def test_drift_past_the_float_range_fails_at_step_2():
+    failure = _same_failure((lambda: (j.ConstantNature(0.5), j.DriftPredictor(1e308, 1e308),
+                                      j.ConstantPredictor(0.0), j.Level2Sceptic(0.0)),
+                             SQUARE, 10, 0))
+    assert failure == (j.ProtocolViolationError,
+                       "step 2: predictor 1: prediction inf is not finite", 2)
+
+
+def test_a_collapsing_pool_fails_at_step_2():
+    only_zero = [j.ConstantPredictor(np.array([1.0, 0.0]))]
+    failure = _same_failure((lambda: (j.ConstantNature(1), j.ConstantPredictor(COIN),
+                                      j.ConstantPredictor(COIN), j.AggregatingSceptic(only_zero)),
+                             LOG2, 5, 0))
+    assert failure[:2] == (j.PoolCollapseError, "step 2: every expert has suffered infinite loss")
+
+
+def test_disjoint_supports_fail_at_step_1():
+    failure = _same_failure((lambda: (j.IidBernoulliNature(0.5),
+                                      j.ConstantPredictor(np.array([1.0, 0.0])),
+                                      j.ConstantPredictor(np.array([0.0, 1.0])),
+                                      j.Level2Sceptic(0.0)),
+                             LOG2, 5, 0))
+    assert failure[:2] == (j.DivergenceOverestimate,
+                           "step 1: predictions have disjoint support; divergence is infinite")
+
+
+def test_a_short_replay_truncates_with_the_loops_warning():
+    trace, warned = _same_failure((lambda: (j.ReplayNature([0.0, 1.0, 0.5]),
+                                            j.RunningMeanPredictor(), j.ConstantPredictor(1.0),
+                                            j.Level2Sceptic(0.0)),
+                                   SQUARE, 10, 0))
+    assert len(trace) == 3 and trace.truncated
+    assert warned == ["run truncated at step 4: replay provides only 3 outcomes"]
+
+
+@pytest.mark.parametrize("game", [SQUARE, BOUNDED_SQUARE], ids=lambda game: game.kind.value)
+@pytest.mark.parametrize("seed", range(3))
+def test_noise_past_the_float_range_plays_as_the_loop(game, seed):
+    _same_failure((lambda: (j.IidBernoulliNature(0.5), j.NoisyTargetPredictor(0.5, 1e308),
+                            j.NoisyTargetPredictor(0.5, 1e308), j.Level2Sceptic(0.3)),
+                   game, 50, seed))
+
+
+def test_a_refused_sceptic_column_replays_from_a_fresh_reset():
+    # level 1's column commits D, then a move of NaN (D = inf - inf) is
+    # refused: the loop plays from a fresh reset and names the step
+    failure = _same_failure((lambda: (j.IidUniformNature(-8e307, 8e307),
+                                      j.ConstantPredictor(1.7e308), j.ConstantPredictor(-1.7e308),
+                                      j.Level1Sceptic(0.4)),
+                             ABSOLUTE, 50, 0))
+    assert failure[0] is j.ProtocolViolationError
+    assert "sceptic: prediction nan is not finite" in failure[1]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's run shapes play columns: a change that sends them back to
+# the loop fails here, not first as a slower benchmark
+
+def _benchmark_shapes():
+    for alpha in ALPHAS:
+        for second in (lambda: j.ConstantPredictor(1.0), j.RunningMeanPredictor):
+            yield (lambda: (j.IidBernoulliNature(0.4), j.ConstantPredictor(0.0), second(),
+                            j.Level2Sceptic(alpha, 1e-3)), SQUARE, 2000, 1)
+        for second in (lambda: j.ConstantPredictor(np.array([0.3, 0.7])), j.RunningMeanPredictor):
+            yield (lambda: (j.IidBernoulliNature(0.4), j.ConstantPredictor(np.array([0.8, 0.2])),
+                            second(), j.Level2Sceptic(alpha, 1e-3)), LOG2, 2000, 2)
+    for k in (2, 5, 10, 20, 30, 40):
+        spread = (np.arange(k) + 1.0) / (k + 1.0)
+        yield (lambda: (j.IidBernoulliNature(0.3), j.ConstantPredictor(COIN),
+                        j.ConstantPredictor(COIN),
+                        j.AggregatingSceptic([j.ConstantPredictor(np.array([1.0 - p, p]))
+                                              for p in spread])), LOG2, 500, 3)
+        yield (lambda: (j.IidUniformNature(0.0, 1.0), j.ConstantPredictor(0.5),
+                        j.ConstantPredictor(0.5),
+                        j.AggregatingSceptic([j.ConstantPredictor(p) for p in spread])),
+               BOUNDED_SQUARE, 500, 4)
+
+
+def test_the_benchmarks_runs_never_call_a_per_step_method():
+    with columns_only():
+        for make, game, horizon, seed in _benchmark_shapes():
+            nature, p1, p2, sceptic = make()
+            trace = j.run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
+            assert len(trace) == horizon
+            assert j.verify_run(trace, [sceptic.check], sceptic=sceptic).checks_passed
+
+
+@pytest.mark.parametrize("name", COLUMN_SCENARIOS)
+def test_the_column_scenarios_never_call_a_per_step_method(name, tmp_path):
+    with columns_only(), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", os.path.join(SCENARIO_DIR, name + ".json"),
+                     "--trace-out", str(tmp_path / "trace.csv"),
+                     "--report-out", str(tmp_path / "report.json")]) == 0
