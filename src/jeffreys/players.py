@@ -11,12 +11,13 @@ as it is announced; strategies that score moves use the game's unvalidated
 own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 
 Column forms: a Nature whose outcomes do not depend on the moves
-(constant, iid, a replay as long as the run) gives the whole outcome column
-at once, ``outcome_column(horizon)``; a predictor whose move reads only past
+(constant, iid, a replay) gives the whole outcome column at once,
+``outcome_column(horizon)``; a predictor whose move reads only past
 outcomes gives its whole move column from the outcome column,
 ``predict_column(omegas)``.  Both read only what ``reset`` left, change no
-state, and give the bits of the per-step methods, which they stand in for
-only while those are the class's own (:func:`plays_own`).  A strategy
+state, and give the bits of the per-step methods of the class that defines
+them.  Whether a column form may stand in for a strategy's per-step methods
+is the engine's decision, made once per run (:func:`plays_own`); a strategy
 without a column form gives None, and the engine plays the per-step loop.
 """
 
@@ -34,11 +35,12 @@ from .games import Game
 
 def plays_own(strategy, owner: type, *methods: str) -> bool:
     """Whether ``strategy`` plays ``owner``'s per-step ``methods``, neither
-    overridden in a subclass nor set on the instance; a column form stands
-    in for them only then.  A wrapper set on ``owner`` itself still counts."""
+    overridden in a subclass nor set on the instance; only then does
+    ``owner``'s column form stand in for them.  A wrapper set on ``owner``
+    itself still counts."""
     cls = type(strategy)
-    return all(name not in vars(strategy) and getattr(cls, name) is getattr(owner, name)
-               for name in methods)
+    return all(name not in vars(strategy)
+               and getattr(cls, name, None) is getattr(owner, name, None) for name in methods)
 
 
 class PredictorStrategy:
@@ -137,8 +139,6 @@ class ConstantNature(NatureStrategy):
         return self._value
 
     def outcome_column(self, horizon):
-        if not plays_own(self, ConstantNature, "outcome"):
-            return None
         return np.full(horizon, float(self._value))
 
 
@@ -158,8 +158,7 @@ class IidBernoulliNature(NatureStrategy):
         return self._hit if self._draws[n - 1] else self._miss
 
     def outcome_column(self, horizon):
-        return self._draws.astype(float) if plays_own(self, IidBernoulliNature,
-                                                      "outcome") else None
+        return self._draws.astype(float)
 
 
 class IidUniformNature(NatureStrategy):
@@ -180,7 +179,7 @@ class IidUniformNature(NatureStrategy):
         return float(self._draws[n - 1])
 
     def outcome_column(self, horizon):
-        return self._draws if plays_own(self, IidUniformNature, "outcome") else None
+        return self._draws
 
 
 class ReplayNature(NatureStrategy):
@@ -205,9 +204,6 @@ class ReplayNature(NatureStrategy):
         return self._outcomes[n - 1]
 
     def outcome_column(self, horizon):
-        # a shorter replay truncates the run, with the loop's warning
-        if len(self._outcomes) < horizon or not plays_own(self, ReplayNature, "outcome"):
-            return None
         return np.array(self._outcomes[:horizon], dtype=float)
 
 
@@ -270,8 +266,6 @@ class ConstantPredictor(PredictorStrategy):
         return self._value
 
     def predict_column(self, omegas):
-        if not plays_own(self, ConstantPredictor, "predict", "observe"):
-            return None
         return np.full((len(omegas),) + np.shape(self._value), self._value, dtype=float)
 
 
@@ -319,8 +313,6 @@ class RunningMeanPredictor(PredictorStrategy):
         self._n += 1
 
     def predict_column(self, omegas):
-        if not plays_own(self, RunningMeanPredictor, "predict", "observe"):
-            return None
         n = len(omegas)
         if self._game.prediction_shape:
             # the counts before each step, whole numbers as the loop's are
@@ -356,8 +348,6 @@ class NoisyTargetPredictor(PredictorStrategy):
             self.target + self.sigma * float(self._noise[n - 1]) / n)
 
     def predict_column(self, omegas):
-        if not plays_own(self, NoisyTargetPredictor, "predict", "observe"):
-            return None
         steps = np.arange(1, len(omegas) + 1, dtype=float)
         return self._game.prediction_column(self.target + self.sigma * self._noise / steps)
 
@@ -377,7 +367,5 @@ class DriftPredictor(PredictorStrategy):
         return self._game.prediction_from_param(self.gamma0 + self.delta * (n - 1))
 
     def predict_column(self, omegas):
-        if not plays_own(self, DriftPredictor, "predict", "observe"):
-            return None
         steps = np.arange(len(omegas), dtype=float)
         return self._game.prediction_column(self.gamma0 + self.delta * steps)

@@ -7,9 +7,12 @@ have a column form, the engine plays the run as columns, in dependency
 order: the outcome column, both predictors' move columns, then the
 sceptic's.  The protocol fixes the order of information, not the order of
 computation, so each player still sees only what it would see step by step.
-Otherwise, and wherever a column attempt meets a move or a step the loop
-would refuse or warn about, it plays the per-step loop from step 1, which
-records each step's four moves and names the step of any error.  Both
+The engine alone decides whether a column form may stand in for a
+strategy's per-step methods: only where the strategy plays the per-step
+methods of the class that defines the form.  Otherwise, and wherever a
+column attempt meets a move or a step the loop would refuse or warn about,
+it plays the per-step loop from step 1, which records each step's four
+moves and names the step of any error.  Both
 paths build the same columnar trace, with its loss, gap and divergence
 columns, once the run ends.  The engine then classifies which branch of
 the agreement-or-outperformance disjunction a finished run exhibits, and
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, PoolCollapseError,
                      ProtocolViolationError)
 from .games import Game, GameKind
-from .players import NatureStrategy, PredictorStrategy, ReplayExhausted
+from .players import NatureStrategy, PredictorStrategy, ReplayExhausted, plays_own
 from .sceptics import ScepticStrategy
 
 VERDICT_GAP_VANISHES = "gap-vanishes"
@@ -45,16 +48,14 @@ MARTINGALE_NULL_KINDS = (GameKind.ABSOLUTE, GameKind.BOUNDED_ABSOLUTE)
 
 
 class Trace:
-    """Column-oriented record of one protocol run, built from its moves.
+    """Column-oriented record of one protocol run, built from its four move
+    columns, one row per step.
 
-    ``rows`` holds each step's ``(gamma1, gamma2, gamma_sceptic, omega)``
-    back to back in play order: one flat list, as a tuple per step would
-    load the garbage collector.  :meth:`from_columns` takes the four move
-    columns instead; the engine builds every trace there, from the columns
-    of its loop's rows or of column play.  Every column is a float64 array
-    built once: the moves, of shape ``(N,) + game.prediction_shape``, the
-    outcomes, and the derived columns, computed from the moves by the
-    game's column forms, which match the per-move arithmetic bit for bit.
+    The engine builds every trace from the move columns of column play or
+    of its loop.  Every column is a float64 array built once: the moves, of
+    shape ``(N,) + game.prediction_shape``, the outcomes, and the derived
+    columns, computed from the moves by the game's column forms, which
+    match the per-move arithmetic bit for bit.
     Cumulative columns are running sums of the per-step losses in play
     order from 0.0, so a first loss of -0.0 sums to 0.0; ``gap`` is the
     absolute prediction difference for scalar games and the square root of
@@ -64,20 +65,9 @@ class Trace:
     is NaN.
     """
 
-    def __init__(self, game: Game, rows: Sequence, seed: Optional[int] = None,
-                 truncated: bool = False, divergence: Optional[Callable] = None):
-        self._fill(game, *(rows[i::4] for i in range(4)), seed, truncated, divergence)
-
-    @classmethod
-    def from_columns(cls, game: Game, gamma1, gamma2, gamma_sceptic, omega,
-                     seed: Optional[int] = None, truncated: bool = False,
-                     divergence: Optional[Callable] = None) -> "Trace":
-        """The trace of a run's move columns, one row per step."""
-        trace = cls.__new__(cls)
-        trace._fill(game, gamma1, gamma2, gamma_sceptic, omega, seed, truncated, divergence)
-        return trace
-
-    def _fill(self, game, gamma1, gamma2, gamma_sceptic, omega, seed, truncated, divergence):
+    def __init__(self, game: Game, gamma1, gamma2, gamma_sceptic, omega,
+                 seed: Optional[int] = None, truncated: bool = False,
+                 divergence: Optional[Callable] = None):
         self.game = game
         self.seed = seed
         self.truncated = truncated
@@ -150,8 +140,8 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
         columns = _play_columns(players, game, horizon, seed)
     if columns is None:
         columns, truncated = _play_loop(players, game, horizon)
-    return Trace.from_columns(game, *columns, seed=seed, truncated=truncated,
-                              divergence=sceptic.divergence_column)
+    return Trace(game, *columns, seed=seed, truncated=truncated,
+                 divergence=sceptic.divergence_column)
 
 
 def _reset(players, game: Game, horizon: int, seed: int) -> None:
@@ -160,24 +150,41 @@ def _reset(players, game: Game, horizon: int, seed: int) -> None:
         player.reset(game, np.random.default_rng(stream), horizon)
 
 
+# each column form, and the per-step methods it stands in for
+_STANDS_IN_FOR = {"outcome_column": ("outcome",), "predict_column": ("predict", "observe")}
+
+
+def _column(strategy, form: str, *args):
+    """``strategy``'s column form ``form`` of ``args``, read off the class
+    that defines it; None where the strategy does not play that class's own
+    per-step methods (:func:`plays_own`), so the form cannot stand in for
+    them, or where the form gives None."""
+    owner = next((cls for cls in type(strategy).__mro__ if form in vars(cls)), None)
+    if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):
+        return None
+    return getattr(owner, form)(strategy, *args)
+
+
 def _play_columns(players, game: Game, horizon: int, seed: int):
     """The run's four move columns, in dependency order, or None where the
-    loop must play it: a strategy without a column form, or a column with a
-    move the validators' fast path does not accept.  Only a sceptic column
-    that succeeded has changed any state, so a refused one resets every
-    player again from the same seed."""
+    loop must play it: a strategy without a column form that may stand in
+    for it, or a column of another length than the horizon or with a move
+    the validators' fast path does not accept.  Only a sceptic column that
+    succeeded has changed any state, so a refused one resets every player
+    again from the same seed."""
     predictor1, predictor2, sceptic, nature = players
 
     def accepted(column, accepts) -> bool:
         return column is not None and len(column) == horizon and accepts(column)
 
-    omegas = nature.outcome_column(horizon)
+    omegas = _column(nature, "outcome_column", horizon)
     if not accepted(omegas, game.accepts_outcomes):
         return None
-    gammas = (predictor1.predict_column(omegas), predictor2.predict_column(omegas))
+    gammas = (_column(predictor1, "predict_column", omegas),
+              _column(predictor2, "predict_column", omegas))
     if not all(accepted(column, game.accepts_predictions) for column in gammas):
         return None
-    column = sceptic.predict_column(*gammas, omegas)
+    column = _column(sceptic, "predict_column", *gammas, omegas)
     if column is None:
         return None
     if not accepted(column, game.accepts_predictions):

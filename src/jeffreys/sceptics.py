@@ -56,13 +56,15 @@ class ScepticStrategy:
     ``predict_column(gammas1, gammas2, omegas)`` plays a whole run at once
     from its validated move and outcome columns, where the outcomes do not
     depend on the sceptic's moves: it gives the sceptic's move column, bit
-    for bit the per-step moves, and leaves the state the per-step loop
-    would leave.  Where any of its own steps would raise, warn or leave the
-    closed forms, or its per-step methods are not its class's own, it gives
-    None and changes no state; the engine then plays the loop, which tells
-    what went wrong and at which step.  A move column the engine refuses
-    (a NaN move, say) has changed the state, so the engine resets every
-    player before the loop plays.
+    for bit the per-step moves of the class that defines it, and leaves the
+    state the per-step loop would leave.  The engine decides once per run
+    whether it may stand in for them: only where the strategy plays that
+    class's own ``predict`` and ``observe``.  Where any of its own steps
+    would raise, warn or leave the closed forms, it gives None and changes
+    no state; the engine then plays the loop, which tells what went wrong
+    and at which step.  A move column the engine refuses (a NaN move, say)
+    has changed the state, so the engine resets every player before the
+    loop plays.
 
     ``check`` names the guarantee the strategy certifies, ``worst_slack``
     its worst slack over a finished run; the trace records as its per-step
@@ -149,7 +151,7 @@ class Level2Sceptic(ScepticStrategy):
 
     def predict_column(self, gammas1, gammas2, omegas):
         column = self._game.spec.level2_column
-        if column is None or not plays_own(self, Level2Sceptic, "predict", "observe"):
+        if column is None:
             return None
         return column(self._game, *self._weights)(gammas1, gammas2)
 
@@ -287,8 +289,6 @@ class Level1Sceptic(ScepticStrategy):
         self.D += self._loss(omega, gamma1) - self._loss(omega, gamma2)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        if not plays_own(self, Level1Sceptic, "predict", "observe"):
-            return None
         # D before each step: the running sum of the loss differences from 0.0
         d = np.cumsum(np.concatenate(([0.0], self._loss_column(omegas, gammas1)
                                       - self._loss_column(omegas, gammas2))))
@@ -377,6 +377,12 @@ class _Eq8Audit:
         self.folded += len(own)
 
 
+def _is_constant(expert) -> bool:
+    # an expert that plays ConstantPredictor's own per-step methods makes the
+    # same move every step; a subclass that overrides them may not
+    return plays_own(expert, ConstantPredictor, "predict", "observe")
+
+
 class AggregatingSceptic(ScepticStrategy):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
 
@@ -393,8 +399,9 @@ class AggregatingSceptic(ScepticStrategy):
     ``cum_self``, the tightest regret slack seen, ``worst_eq8_slack``, and
     the first step that attains it, ``worst_eq8_step``.
 
-    A pool of constant experts on a game with a column form of its mix
-    plays a run in columns (``predict_column``), ``EQ8_BLOCK`` steps at a time:
+    A pool of constant experts (each plays ``ConstantPredictor``'s own
+    per-step methods) on a game with a column form of its mix plays a run
+    in columns (``predict_column``), ``EQ8_BLOCK`` steps at a time:
     the weights' decay with its anchoring (:func:`aa_observe_rows`), the
     normalizers, the moves, the domination re-check and the folded audit,
     each bit for bit the steps'.
@@ -423,7 +430,6 @@ class AggregatingSceptic(ScepticStrategy):
         self._total = _lse1(self.pool.log_weights)
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
-        self._fixed_mix = self._column_mix = self._loss_table = None
         # C ln(1/p), or C (-ln p) where 1/p overflows (a subnormal prior): the
         # two differ in the last bit for some uniform priors
         priors = self.pool.priors
@@ -432,53 +438,40 @@ class AggregatingSceptic(ScepticStrategy):
         self._audit = _Eq8Audit(len(self.pool), self.C * np.where(
             np.isfinite(inverse), np.log(inverse), -np.log(priors)))
         self._rows, self._own = [], []
-        self._pending = None
+        self._pending = self._mix_key = None
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
-        # a constant expert is checked once, here; a pool of constants emits the
-        # same prediction matrix every step, so its mix and (on a finite
-        # outcome space) losses are prepared once too
+        # a constant expert is checked once, here
         for i, expert in enumerate(self.experts, 1):
-            if isinstance(expert, ConstantPredictor):
+            if _is_constant(expert):
                 try:
                     game.validate_prediction(expert.predict(1))
                 except DomainError as exc:
                     raise ConfigError(f"aggregating expert {i}: {exc}") from exc
-        self._static_preds = None
-        if all(isinstance(e, ConstantPredictor) for e in self.experts):
-            self._static_preds = preds = self._collect(1)
-            self._fixed_mix = fixed_pool_mixer(game, self.eta, preds, DOMINATION_TOL)
-            if game.spec.mix_column is not None:
-                self._column_mix = game.spec.mix_column(preds, self.eta, DOMINATION_TOL)
-            if game.spec.outcome_type is int:  # per outcome: losses, eta-scaled losses
-                rows = (self._losses(w, preds) for w in range(game.m))
-                self._loss_table = [(row, self.eta * row) for row in rows]
 
     def _collect(self, n):
         return np.asarray([e.predict(n) for e in self.experts], dtype=float)
 
     def predict(self, n, gamma1, gamma2):
-        preds = self._static_preds if self._static_preds is not None else self._collect(n)
+        preds = self._collect(n)
         if self._total == -math.inf:
             raise PoolCollapseError("every expert has suffered infinite loss")
         # the bits of ExpertPool.normalized_log_weights, its normalizer kept from observe
         log_w = self.pool.log_weights - self._total
-        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
-        gamma = mix(log_w)
+        if preds.tobytes() != self._mix_key:  # prepared anew when the predictions change
+            self._mix_key = preds.tobytes()
+            self._mix = fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
+        gamma = self._mix(log_w)
         self._pending = (preds, gamma)
         return gamma
 
     def observe(self, n, omega):
         preds, gamma = self._pending
         own_loss = self._loss(omega, gamma)
-        if self._loss_table is None:
-            losses = self._losses(omega, preds)
-            scaled = self.eta * losses
-        else:
-            losses, scaled = self._loss_table[int(omega)]
+        losses = self._losses(omega, preds)
         before = self._total
-        shift = aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
+        shift = aa_observe(self.pool, self.eta * losses, 1.0)  # the losses come scaled by eta
         after = self._total = _lse1(self.pool.log_weights)
         # the mixture loss -ln(sum_k w_k e^(-eta loss_k)) / eta under the
         # normalized weights that made the move is the normalizers' difference;
@@ -491,28 +484,29 @@ class AggregatingSceptic(ScepticStrategy):
         self._own.append(own_loss)
         if len(self._own) == EQ8_BLOCK:
             self._fold()
-        if self._static_preds is None:
-            for e in self.experts:
-                e.observe(n, omega)
+        for e in self.experts:
+            e.observe(n, omega)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        if self._column_mix is None or not plays_own(self, AggregatingSceptic,
-                                                     "predict", "observe"):
+        game, eta, mix_column = self._game, self.eta, self._game.spec.mix_column
+        if mix_column is None or not all(map(_is_constant, self.experts)):
             return None
-        preds, eta = self._static_preds, self.eta
-        if self._loss_table is not None:
-            table = np.array([row for row, _ in self._loss_table])
-            scaled_table = np.array([scaled for _, scaled in self._loss_table])
+        # a pool of constants emits the same predictions every step: its mix
+        # and (on a finite outcome space) losses per outcome are prepared once
+        preds = self._collect(1)
+        column_mix = mix_column(preds, eta, DOMINATION_TOL)
+        if column_mix is None:
+            return None
+        table = (np.array([self._losses(w, preds) for w in range(game.m)])
+                 if game.spec.outcome_type is int else None)
         log_weights, total = self.pool.log_weights, self._total
         # fold replaces the audit's arrays rather than writing into them
         audit, moves = copy.copy(self._audit), []
         for start in range(0, len(omegas), EQ8_BLOCK):
             block = omegas[start:start + EQ8_BLOCK]
-            if self._loss_table is None:
-                losses = self._losses(block[:, None], preds)
-                scaled = eta * losses
-            else:
-                losses, scaled = table[block.astype(np.intp)], scaled_table[block.astype(np.intp)]
+            losses = (self._losses(block[:, None], preds) if table is None
+                      else table[block.astype(np.intp)])
+            scaled = eta * losses
             if np.isnan(scaled).any():
                 return None
             weights, shifts = aa_observe_rows(log_weights, scaled)
@@ -521,10 +515,10 @@ class AggregatingSceptic(ScepticStrategy):
             # the pool collapses at a step whose weights before it are all -inf
             if (before == -math.inf).any():
                 return None
-            gammas = self._column_mix(np.vstack((log_weights, weights[:-1])) - before[:, None])
+            gammas = column_mix(np.vstack((log_weights, weights[:-1])) - before[:, None])
             if gammas is None:
                 return None
-            own = self._game.spec.loss_column(block, gammas)
+            own = game.spec.loss_column(block, gammas)
             if (own > -((totals + shifts) - before) / eta + DOMINATION_TOL).any():
                 return None
             audit.fold(losses, own)

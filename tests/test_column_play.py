@@ -392,3 +392,78 @@ def test_the_column_scenarios_never_call_a_per_step_method(name, tmp_path):
         assert main(["run", os.path.join(SCENARIO_DIR, name + ".json"),
                      "--trace-out", str(tmp_path / "trace.csv"),
                      "--report-out", str(tmp_path / "report.json")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the engine's stand-in rule: a column form stands in only for the per-step
+# methods of the class that defines it, neither overridden in a subclass nor
+# set on the instance
+
+class EveryOtherOutcome(j.ConstantNature):
+    def outcome(self, n, gamma1, gamma2, gamma_sceptic):
+        return n % 2
+
+
+def _quarter_mean():
+    predictor = j.RunningMeanPredictor(0.5)
+    predictor.predict = lambda n: 0.25
+    return predictor
+
+
+class FrozenLevel1(j.Level1Sceptic):
+    def observe(self, n, omega):  # D stays 0: every move is the predictors' midpoint
+        pass
+
+
+STAND_IN_OVERRIDES = {
+    "nature_subclass": (
+        lambda: (EveryOtherOutcome(1), j.ConstantPredictor(0.0), j.ConstantPredictor(1.0),
+                 j.Level1Sceptic(0.4)),
+        lambda trace: trace.omega, lambda n: n % 2),
+    "predictor_instance": (
+        lambda: (j.IidBernoulliNature(0.5), _quarter_mean(), j.ConstantPredictor(1.0),
+                 j.Level1Sceptic(0.4)),
+        lambda trace: trace.gamma1, lambda n: 0.25),
+    "sceptic_subclass": (
+        lambda: (j.IidBernoulliNature(0.5), j.ConstantPredictor(0.0), j.ConstantPredictor(1.0),
+                 FrozenLevel1(0.4)),
+        lambda trace: trace.gamma_sceptic, lambda n: 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAND_IN_OVERRIDES))
+def test_an_overridden_per_step_method_plays_the_loop(name):
+    make, column, override = STAND_IN_OVERRIDES[name]
+    case = (make, BOUNDED_ABSOLUTE, 300, 9)
+    (trace, warned), _ = _play(case, loop=False)
+    (ref_trace, ref_warned), _ = _play(case, loop=True)
+    assert warned == ref_warned == []
+    # the override, not the column form of the class it overrides, made the moves
+    assert column(trace).tolist() == [override(n) for n in range(1, 301)]
+    for col in TRACE_COLUMNS:
+        assert getattr(trace, col).tobytes() == getattr(ref_trace, col).tobytes(), col
+
+
+class Ramp(j.ConstantPredictor):
+    # a constant predictor's subclass whose move varies with the step
+    def predict(self, n):
+        return min(1.0, 0.1 + 0.01 * n)
+
+
+class PlainRamp(j.PredictorStrategy):
+    def predict(self, n):
+        return min(1.0, 0.1 + 0.01 * n)
+
+
+@pytest.mark.parametrize("nature", [lambda: j.IidUniformNature(0.0, 1.0),
+                                    j.AdversarialGreedyNature],
+                         ids=["iid_uniform", "adversarial_greedy"])
+def test_a_pool_plays_a_subclassed_constant_experts_own_moves(nature):
+    runs = []
+    for first in (Ramp(0.1), PlainRamp()):
+        sceptic = j.AggregatingSceptic([first, j.ConstantPredictor(0.9)])
+        trace = j.run_protocol(nature(), j.ConstantPredictor(0.5), j.ConstantPredictor(0.5),
+                               sceptic, BOUNDED_SQUARE, 50, seed=1)
+        runs.append((trace.gamma_sceptic.tobytes(), sceptic.expert_cums.tobytes(),
+                     float(sceptic.worst_eq8_slack).hex()))
+    assert runs[0] == runs[1]

@@ -493,6 +493,23 @@ def test_alpha_weights_have_one_owner():
     assert _src_lines_matching(ALPHA_WEIGHT) == set(ALLOWED_ALPHA_WEIGHTS)
 
 
+# the stand-in rule, whether a column form may stand in for a strategy's
+# per-step methods, applied anywhere in src/, and why it is applied there
+PLAYS_OWN = re.compile(r"\bplays_own\(")
+ALLOWED_PLAYS_OWN = {
+    ("players.py", "def plays_own(strategy, owner: type, *methods: str) -> bool:"):
+        "the rule's definition",
+    ("protocol.py", "if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):"):
+        "the engine decides stand-in once per run, for every role",
+    ("sceptics.py", 'return plays_own(expert, ConstantPredictor, "predict", "observe")'):
+        "the aggregating pool's test of a constant expert",
+}
+
+
+def test_the_stand_in_rule_has_one_owner():
+    assert _src_lines_matching(PLAYS_OWN) == set(ALLOWED_PLAYS_OWN)
+
+
 # ---------------------------------------------------------------------------
 # one gap search
 

@@ -163,7 +163,8 @@ def test_closed_form_step_loop_makes_no_loss_calls(monkeypatch, game, g1, g2):
 def _flat_trace(gamma1, gamma2, gamma_sceptic, n=100):
     # absolute loss at outcome 0: each step's losses are the moves' sizes,
     # its gap their distance
-    return Trace(absolute_loss_game(), (gamma1, gamma2, gamma_sceptic, 0.0) * n)
+    return Trace(absolute_loss_game(), [gamma1] * n, [gamma2] * n, [gamma_sceptic] * n,
+                 [0.0] * n)
 
 
 def test_verdict_gap_vanishes_for_identical_predictors():

@@ -239,7 +239,7 @@ def _play_level1(steps, c=0.4, game=None):
     for n, (g1, g2, omega) in enumerate(steps, 1):
         rows.extend((g1, g2, sceptic.predict(n, g1, g2), omega))
         sceptic.observe(n, omega)
-    return sceptic, Trace(game, rows)
+    return sceptic, Trace(game, *(rows[i::4] for i in range(4)))
 
 
 def test_level1_state_validation():
@@ -353,8 +353,8 @@ def test_ledger_row_with_infinite_predictor_loss_holds_and_nan_fails():
     report = verify_run(trace, ["ledger"], sceptic=sceptic)
     assert report.checks_passed and report.check_slacks["ledger"] == 0.0
     # a NaN loss anywhere else fails the check
-    rows = [0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.5, math.nan, 0.0, 1.0, 0.5, 0.0]
-    report = verify_run(Trace(absolute_loss_game(), rows), ["ledger"],
+    report = verify_run(Trace(absolute_loss_game(), [0.0] * 3, [1.0] * 3, [0.5] * 3,
+                              [1.0, math.nan, 0.0]), ["ledger"],
                         sceptic=Level1Sceptic(c=0.4))
     assert not report.checks_passed
     assert math.isnan(report.check_slacks["ledger"])
@@ -363,7 +363,7 @@ def test_ledger_row_with_infinite_predictor_loss_holds_and_nan_fails():
 def test_ledger_check_refuses_an_empty_trace():
     game = absolute_loss_game()
     with pytest.raises(ConfigError, match="ledger check"):
-        Level1Sceptic(c=0.4).worst_slack(Trace(game, []))
+        Level1Sceptic(c=0.4).worst_slack(Trace(game, [], [], [], []))
 
 
 def _ledger_case(game, nature, p1, p2, horizon, seed, c=0.4):
