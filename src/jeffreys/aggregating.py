@@ -12,14 +12,16 @@ pool sceptics, prepared once for the experts' predictions: the closed form
 in the game's table entry (the bounded square-loss endpoint formula, the
 log-loss probability mixture), or else the mixed loss profiles
 (:func:`_generalized`) and a numeric minimax search over the prediction
-grid, which the closed forms are tested against.
+grid, which the closed forms are tested against.  Moves dominate within
+``DOMINATION_TOL``, the constant of :mod:`.games`, re-exported here.
 
 :func:`aa_observe` decays the weights and reports the constant its
 anchoring subtracted, so that a caller that keeps the weights'
 log-normalizer ``T = ln sum_k e^(log_w_k)`` reads the mixture loss at the
 realized outcome off two normalizers: ``-((T' + shift) - T) / eta``, the
 quantity the aggregating sceptic re-checks domination against without a
-second log-sum-exp.
+second log-sum-exp.  :func:`aa_observe_rows` is the same over a block of
+steps, one ``cumsum`` per stretch between anchorings.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixabilityViolation, PoolCollapseError
-from .games import (Game, MixabilityParams, Prediction, _lse1,
+from .games import (DOMINATION_TOL, Game, MixabilityParams, Prediction, _lse1,
                     check_perfectly_mixable, superprediction_gap)
 
-DOMINATION_TOL = 1e-9
+# a log-weight maximum below this is anchored back to zero
+_ANCHOR_BELOW = -512.0
 
 
 def params_for(game: Game) -> MixabilityParams:
@@ -95,42 +98,43 @@ def _generalized(log_w: np.ndarray, points: np.ndarray, eta: float) -> np.ndarra
         return -(top + np.log(np.exp(exponents - top).sum(axis=0))) / eta
 
 
-def substitute(game: Game, g: np.ndarray, tol: float = DOMINATION_TOL) -> Prediction:
+def substitute(game: Game, g: np.ndarray) -> Prediction:
     """A prediction whose loss is dominated by ``g`` on the outcome grid.
 
     The game's closed form, if it has one, and otherwise a minimax search
     over the prediction grid.  Raises MixabilityViolation when the best
-    achievable excess exceeds ``tol`` (learning rate too large, or the game
-    is not mixable).
+    achievable excess exceeds ``DOMINATION_TOL`` (learning rate too large,
+    or the game is not mixable).
     """
     g = np.asarray(g, dtype=float)
     closed = game.spec.substitute
-    gamma = closed(game, g, tol) if closed is not None else None
-    return gamma if gamma is not None else _substitute_numeric(game, g, tol)
+    gamma = closed(game, g) if closed is not None else None
+    return gamma if gamma is not None else _substitute_numeric(game, g)
 
 
-def _substitute_numeric(game: Game, g: np.ndarray, tol: float) -> Prediction:
-    """A prediction whose loss exceeds ``g`` by at most ``tol`` at each outcome
-    of the grid, where ``g`` is given: a statement about the grid, not the interval."""
-    u, worst = superprediction_gap(game, g, tol)
-    if worst > tol:
-        raise MixabilityViolation(f"substitution excess {worst:.3g} exceeds {tol:.3g}")
+def _substitute_numeric(game: Game, g: np.ndarray) -> Prediction:
+    """A prediction whose loss exceeds ``g`` by at most ``DOMINATION_TOL`` at
+    each outcome of the grid: a statement about the grid, not the interval."""
+    u, worst = superprediction_gap(game, g, DOMINATION_TOL)
+    if worst > DOMINATION_TOL:
+        raise MixabilityViolation(
+            f"substitution excess {worst:.3g} exceeds {DOMINATION_TOL:.3g}")
     return game.prediction_from_param(u)
 
 
-def fixed_pool_mixer(game: Game, eta: float, preds, tol: float):
+def fixed_pool_mixer(game: Game, eta: float, preds):
     """The aggregating move for fixed expert predictions, ``log_w -> prediction``.
 
     The game's closed form, prepared here once for ``preds``, is tried
-    first; where it has none, or it does not dominate within ``tol``, the
-    experts' loss profiles are mixed and substituted by :func:`substitute`.
+    first; where it has none, or it does not dominate, the experts' loss
+    profiles are mixed and substituted by :func:`substitute`.
     """
-    closed = game.spec.mix(preds, eta, tol) if game.spec.mix is not None else None
+    closed = game.spec.mix(preds, eta) if game.spec.mix is not None else None
 
     def mix(log_w):
         gamma = closed(log_w) if closed is not None else None
         if gamma is None:
-            gamma = substitute(game, _generalized(log_w, game.profiles(preds), eta), tol)
+            gamma = substitute(game, _generalized(log_w, game.profiles(preds), eta))
         return gamma
     return mix
 
@@ -147,21 +151,17 @@ def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> float
     """
     losses = np.asarray(expert_losses, dtype=float)
     # -inf - (+inf) is -inf: a weight stays eliminated against an infinite loss
-    decayed = pool.log_weights - (losses if eta == 1.0 else eta * losses)
+    decayed = pool.log_weights - eta * losses
     top = decayed.max()
     if top != top:
         decayed = np.where(np.isnan(decayed), -np.inf, decayed)
         top = decayed.max()
     shift = 0.0
-    if top < -512.0 and math.isfinite(top):
+    if top < _ANCHOR_BELOW and math.isfinite(top):
         decayed -= top
         shift = float(top)
     pool.log_weights = decayed
     return shift
-
-
-# rows of the first window of aa_observe_rows, and of each window after an anchoring
-_ANCHOR_WINDOW = 64
 
 
 def aa_observe_rows(log_weights: np.ndarray, scaled: np.ndarray) -> tuple:
@@ -169,30 +169,22 @@ def aa_observe_rows(log_weights: np.ndarray, scaled: np.ndarray) -> tuple:
     eta-scaled losses free of NaN, in turn from ``log_weights``, bit for bit.
 
     Returns the (B, K) log-weights after each row and the (B,) constants
-    the anchorings subtracted.  A sequential ``cumsum`` continues the running
-    subtraction; an anchoring makes every later row start again from the
-    anchored one, so rows are taken in windows that double while no row
-    anchors and start short again after one that does.
+    the anchorings subtracted.  One sequential ``cumsum`` from the carried
+    weights over the rest of the block continues the running subtraction
+    up to the first row that anchors; the next starts from the anchored row.
     """
-    n, k = scaled.shape
-    rows, shifts = np.empty((n, k)), np.zeros(n)
-    start, width, carry = 0, _ANCHOR_WINDOW, log_weights
-    while start < n:
-        x = np.empty((min(width, n - start) + 1, k))
-        x[0] = carry
-        np.negative(scaled[start:start + len(x) - 1], out=x[1:])
-        window = np.cumsum(x, axis=0)[1:]
-        top = window.max(axis=1)
-        low = np.flatnonzero((top < -512.0) & np.isfinite(top))
-        if len(low):
-            i = low[0]
-            window = window[:i + 1]
-            window[i] -= top[i]
-            shifts[start + i] = top[i]
-            width = _ANCHOR_WINDOW
-        else:
-            width *= 2
-        rows[start:start + len(window)] = window
-        start += len(window)
-        carry = window[-1]
-    return rows, shifts
+    n = len(scaled)
+    rows, shifts = np.empty((n + 1, scaled.shape[1])), np.zeros(n)
+    rows[0] = log_weights
+    np.negative(scaled, out=rows[1:])
+    start = 0  # rows[start] holds the weights the segment starts from
+    while True:
+        np.cumsum(rows[start:], axis=0, out=rows[start:])
+        top = rows[start + 1:].max(axis=1)
+        low = np.flatnonzero((top < _ANCHOR_BELOW) & np.isfinite(top))
+        if not len(low):
+            return rows[1:], shifts
+        start += low[0] + 1
+        shifts[start - 1] = top[low[0]]
+        rows[start] -= top[low[0]]
+        np.negative(scaled[start:], out=rows[start + 1:])

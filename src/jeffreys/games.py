@@ -108,11 +108,11 @@ class GameSpec:
     ``divergence`` too: the move's profile is the weighted mean shifted down
     by exactly that.  ``mix``, prepared once for the experts' predictions,
     and ``substitute`` give None where their closed form does not dominate
-    within ``tol``; the gap search takes over.  ``level2_column`` and
-    ``mix_column`` are the column forms of ``level2`` and ``mix``, one row
-    per step, bit for bit the per-step moves; they give None for the whole
-    column where any row has no closed-form move, and the per-step loop
-    plays the run.
+    within the constant ``DOMINATION_TOL``; the gap search takes over.
+    ``level2_column`` and ``mix_column`` are the column forms of ``level2``
+    and ``mix``, one row per step, bit for bit the per-step moves; they give
+    None for the whole column where any row has no closed-form move, and
+    the per-step loop plays the run.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -128,9 +128,9 @@ class GameSpec:
     divergence: Optional[Callable] = None   # (game, alpha) -> (gammas1, gammas2) -> column
     level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
     level2_column: Optional[Callable] = None  # (game, w1, w2) -> (gammas1, gammas2) -> moves
-    mix: Optional[Callable] = None          # (preds, eta, tol) -> (log_w -> pool move)
-    mix_column: Optional[Callable] = None   # (preds, eta, tol) -> (log_w rows -> pool moves)
-    substitute: Optional[Callable] = None   # (game, g, tol) -> move dominated by g
+    mix: Optional[Callable] = None          # (preds, eta) -> (log_w -> pool move)
+    mix_column: Optional[Callable] = None   # (preds, eta) -> (log_w rows -> pool moves)
+    substitute: Optional[Callable] = None   # (game, g) -> move dominated by g
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,6 @@ class Game:
     outcome_grid: np.ndarray
     prediction_grid: Optional[np.ndarray]
     m: int = 0
-    _loss_matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     spec: GameSpec = field(default=None, init=False, repr=False, compare=False)
     prediction_shape: tuple = field(default=(), init=False, repr=False, compare=False)
     # fixed at construction: bounds, the fast-path ranges and the loss kernel;
@@ -224,6 +223,8 @@ class Game:
     _outcome_range: tuple = field(default=None, init=False, repr=False, compare=False)
     _prediction_range: tuple = field(default=None, init=False, repr=False, compare=False)
     _kernel: object = field(default=None, init=False, repr=False, compare=False)
+    # a cache, filled on first use: the prediction grid's canonical points
+    _loss_matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.spec = GAME_SPECS[self.kind]
@@ -283,12 +284,13 @@ class Game:
         if self._discrete:
             if self.m == 2:
                 try:
+                    if len(gamma) != 2:  # the length first, as for m > 2
+                        raise IndexError
                     p0, p1 = float(gamma[0]), float(gamma[1])
                 except (TypeError, IndexError, ValueError, OverflowError) as exc:
                     raise DomainError("prediction must be a length-2 vector") from exc
                 # written so that NaN fails the comparisons
-                if len(gamma) != 2 or not (p0 >= 0.0 and p1 >= 0.0
-                                           and abs(p0 + p1 - 1.0) <= 1e-12):
+                if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= 1e-12):
                     raise DomainError("prediction must be a probability vector")
                 return
             try:
@@ -595,15 +597,19 @@ def _log_level2_column(game, w1, w2):
     return moves
 
 
-def _endpoint_move(g0: float, g1: float, tol: float, lo=0.0, hi=1.0):
+# a pool move's largest excess over the mixture loss at any outcome
+DOMINATION_TOL = 1e-9
+
+
+def _endpoint_move(g0: float, g1: float, lo=0.0, hi=1.0):
     # bounded square: equalizes the excesses at outcomes 0 and 1; checked at
     # the ends lo, hi where g0, g1 were taken, it dominates in between
     # because (omega - gamma)^2 - g(omega) is convex for eta <= 2 mixtures
     gamma = min(1.0, max(0.0, 0.5 * (1.0 + g0 - g1)))
-    return gamma if max((lo - gamma) ** 2 - g0, (hi - gamma) ** 2 - g1) <= tol else None
+    return gamma if max((lo - gamma) ** 2 - g0, (hi - gamma) ** 2 - g1) <= DOMINATION_TOL else None
 
 
-def _endpoint_moves(g0: np.ndarray, g1: np.ndarray, tol: float):
+def _endpoint_moves(g0: np.ndarray, g1: np.ndarray):
     # _endpoint_move over columns, on [0, 1], bit for bit: Python's max and
     # min keep their first argument on a tie and take a NaN move to 0, and
     # the squares take libm's pow as ** does; None unless every row dominates
@@ -612,58 +618,59 @@ def _endpoint_moves(g0: np.ndarray, g1: np.ndarray, tol: float):
     gamma = np.where(v < 1.0, v, 1.0)
     low = np.array([x ** 2 for x in (0.0 - gamma).tolist()]) - g0
     high = np.array([x ** 2 for x in (1.0 - gamma).tolist()]) - g1
-    return gamma if (np.where(high > low, high, low) <= tol).all() else None
+    return gamma if (np.where(high > low, high, low) <= DOMINATION_TOL).all() else None
 
 
 _UNIT_ENDS = np.array([[0.0], [1.0]])
 
 
-def _bounded_square_mix(preds, eta, tol):
+def _bounded_square_mix(preds, eta):
     # the generalized prediction at the outcome interval's endpoints, from
     # the experts' eta-scaled losses there, one row per endpoint
     scaled = eta * _square_kernel(_UNIT_ENDS, preds)
-    return lambda log_w: _endpoint_move(*[-g / eta for g in _lse_rows(log_w - scaled)], tol)
+    return lambda log_w: _endpoint_move(*[-g / eta for g in _lse_rows(log_w - scaled)])
 
 
-def _bounded_square_mix_column(preds, eta, tol):
+def _bounded_square_mix_column(preds, eta):
     # _bounded_square_mix over (B, K) rows of log-weights: each step's two
     # endpoint rows, log-sum-exped as _lse_rows takes them
     scaled = eta * _square_kernel(_UNIT_ENDS, preds)
 
     def moves(log_w):
         g = -np.array(_lse_rows((log_w[:, None, :] - scaled).reshape(-1, len(preds)))) / eta
-        return _endpoint_moves(g[0::2], g[1::2], tol)
+        return _endpoint_moves(g[0::2], g[1::2])
     return moves
 
 
-def _normalized_mixture(raw: np.ndarray, tol: float) -> np.ndarray:
+def _normalized_mixture(raw: np.ndarray) -> np.ndarray:
     # log loss: raw = exp(-g) is the mixture of probability vectors; for
     # eta <= 1 its mass is at most one, so renormalizing only raises it
     total = float(raw.sum())
     if total <= 0.0:
         raise MixabilityViolation("generalized prediction is infinite everywhere")
-    if total > 1.0 + tol:
+    if total > 1.0 + DOMINATION_TOL:
         raise MixabilityViolation(
             f"substitution excess {math.log(total):.3g} exceeds tolerance")
     return raw / total
 
 
-def _log_mix(preds, eta, tol):
+def _log_mix(preds, eta):
     # at eta = 1 the mixture is the weighted mean of the probability vectors
-    return (lambda log_w: _normalized_mixture(np.exp(log_w) @ preds, tol)) if eta == 1.0 else None
+    return (lambda log_w: _normalized_mixture(np.exp(log_w) @ preds)) if eta == 1.0 else None
 
 
-def _log_mix_column(preds, eta, tol):
+def _log_mix_column(preds, eta):
     # _log_mix over (B, K) rows: one (1, K) @ (K, m) product per row, as the
     # step takes it (a single (B, K) @ (K, m) product differs in the last
-    # bit), and None where a row's total is not in (0, 1 + tol]
+    # bit), and None where a row's total is not in (0, 1 + DOMINATION_TOL]
     if eta != 1.0:
         return None
 
     def moves(log_w):
         raw = np.matmul(np.exp(log_w)[:, None, :], preds)[:, 0]
         total = raw.sum(axis=1)
-        return raw / total[:, None] if ((total > 0.0) & (total <= 1.0 + tol)).all() else None
+        ok = (total > 0.0) & (total <= 1.0 + DOMINATION_TOL)
+        return raw / total[:, None] if ok.all() else None
     return moves
 
 
@@ -706,8 +713,8 @@ GAME_SPECS = {
         _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game, _square_eta_star,
         divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
         mix=_bounded_square_mix, mix_column=_bounded_square_mix_column,
-        substitute=lambda game, g, tol: _endpoint_move(
-            float(g[0]), float(g[-1]), tol, *game.outcome_grid[[0, -1]])),
+        substitute=lambda game, g: _endpoint_move(
+            float(g[0]), float(g[-1]), *game.outcome_grid[[0, -1]])),
     GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
         _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game, _absolute_eta_star),
     GameKind.QUARTIC: _scalar_spec(
@@ -723,7 +730,7 @@ GAME_SPECS = {
         trace_gap=_log_gap, eta_star=lambda w: 1.0, level2=_log_level2,
         level2_column=_log_level2_column, divergence=_log_divergence,
         mix=_log_mix, mix_column=_log_mix_column,
-        substitute=lambda game, g, tol: _normalized_mixture(np.exp(-g), tol)),
+        substitute=lambda game, g: _normalized_mixture(np.exp(-g))),
 }
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe, aa_observe_rows,
                           fixed_pool_mixer, params_for)
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
-                     PoolCollapseError)
+                     PoolCollapseError, ProtocolViolationError)
 from .divergence import mean_gap
 from .games import Game, Prediction, _lse_rows, _scale, alpha_weights
 from .players import ConstantPredictor, plays_own
@@ -377,6 +377,14 @@ class _Eq8Audit:
         self.folded += len(own)
 
 
+def _check_inner(game, move, who: str, n: int) -> None:
+    # a move a pool mixes is refused as the engine refuses a player's
+    try:
+        game.validate_prediction(move)
+    except DomainError as exc:
+        raise ProtocolViolationError(f"{who}: {exc}", n) from exc
+
+
 def _is_constant(expert) -> bool:
     # an expert that plays ConstantPredictor's own per-step methods makes the
     # same move every step; a subclass that overrides them may not
@@ -388,10 +396,13 @@ class AggregatingSceptic(ScepticStrategy):
 
     The protocol's two predictors are ignored; the experts are the
     sceptic's own.  ``priors`` default to uniform and need one entry per
-    expert.  A step only plays: ``observe`` decays the weights and keeps
-    their log-normalizer for the next ``predict``, and re-checks
-    domination at the realized outcome with the weights that produced the
-    move, from the normalizers before and after the decay.  The eq8 audit
+    expert.  A constant expert's move is checked once, at reset; where the
+    moves change, a refused one ends the run as a player's does, but a NaN
+    move only eliminates its expert, by its NaN loss.  A step only plays:
+    ``observe`` decays the weights and keeps their log-normalizer for the
+    next ``predict``, and re-checks domination at the realized outcome with
+    the weights that produced the move, from the normalizers before and
+    after the decay.  The eq8 audit
     (Vovk's regret bound, a statement about cumulative sums) holds each
     step's expert losses and own loss, and folds them every ``EQ8_BLOCK``
     steps and on each read, as TwoSum-compensated column sums, into the
@@ -451,7 +462,13 @@ class AggregatingSceptic(ScepticStrategy):
                     raise ConfigError(f"aggregating expert {i}: {exc}") from exc
 
     def _collect(self, n):
-        return np.asarray([e.predict(n) for e in self.experts], dtype=float)
+        moves = [e.predict(n) for e in self.experts]
+        try:
+            return np.asarray(moves, dtype=float)
+        except (TypeError, ValueError):  # moves of different forms: name the refused one
+            for i, move in enumerate(moves, 1):
+                _check_inner(self._game, move, f"aggregating expert {i}", n)
+            raise
 
     def predict(self, n, gamma1, gamma2):
         preds = self._collect(n)
@@ -460,8 +477,12 @@ class AggregatingSceptic(ScepticStrategy):
         # the bits of ExpertPool.normalized_log_weights, its normalizer kept from observe
         log_w = self.pool.log_weights - self._total
         if preds.tobytes() != self._mix_key:  # prepared anew when the predictions change
+            if not self._game.accepts_predictions(preds):  # the column test, then the culprit
+                for i, move in enumerate(preds, 1):
+                    if not np.isnan(move).all():  # a NaN move's NaN loss eliminates its expert
+                        _check_inner(self._game, move.tolist(), f"aggregating expert {i}", n)
             self._mix_key = preds.tobytes()
-            self._mix = fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
+            self._mix = fixed_pool_mixer(self._game, self.eta, preds)
         gamma = self._mix(log_w)
         self._pending = (preds, gamma)
         return gamma
@@ -494,7 +515,7 @@ class AggregatingSceptic(ScepticStrategy):
         # a pool of constants emits the same predictions every step: its mix
         # and (on a finite outcome space) losses per outcome are prepared once
         preds = self._collect(1)
-        column_mix = mix_column(preds, eta, DOMINATION_TOL)
+        column_mix = mix_column(preds, eta)
         if column_mix is None:
             return None
         table = (np.array([self._losses(w, preds) for w in range(game.m)])
@@ -590,6 +611,7 @@ class Level3Sceptic(ScepticStrategy):
     the worst slack, ``worst_eq8_slack``, and the first step that attains
     it, ``worst_eq8_step``.  An infinite loss of predictor j eliminates
     group j; its ``L_j`` restarts at zero for the experts that switch then.
+    Where the moves change, a refused base move ends the run as a player's does.
     """
 
     check = "eq8"
@@ -635,10 +657,15 @@ class Level3Sceptic(ScepticStrategy):
         if total == -math.inf:
             raise PoolCollapseError("every expert has suffered infinite loss")
         log_w = [x - total for x in w]
-        preds = np.array([gamma_base, gamma1, gamma2], dtype=float)
+        try:
+            preds = np.array([gamma_base, gamma1, gamma2], dtype=float)
+        except (TypeError, ValueError):  # a base move of another form than the predictors'
+            _check_inner(self._game, gamma_base, "level-3 base", n)
+            raise
         if preds.tobytes() != self._mix_key:  # prepared anew when the predictions change
+            _check_inner(self._game, gamma_base, "level-3 base", n)
             self._mix_key = preds.tobytes()
-            self._mix = fixed_pool_mixer(self._game, eta, preds, DOMINATION_TOL)
+            self._mix = fixed_pool_mixer(self._game, eta, preds)
         gamma = self._mix(np.array(log_w))
         self._pending = (gamma_base, gamma1, gamma2, log_w, gamma)
         return gamma

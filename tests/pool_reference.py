@@ -68,7 +68,7 @@ class PerExpertLevel3(ScepticStrategy):
         preds[:s1] = gamma1
         preds[k:k + s2] = gamma2
         log_w = self.pool.normalized_log_weights()
-        gamma = fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)(log_w)
+        gamma = fixed_pool_mixer(self._game, self.eta, preds)(log_w)
         self._pending = (preds, log_w, gamma)
         return gamma
 
@@ -176,7 +176,7 @@ class PerStepAggregating(ScepticStrategy):
         self._static_preds = None
         if all(isinstance(e, ConstantPredictor) for e in self.experts):
             self._static_preds = preds = self._collect(1)
-            self._fixed_mix = fixed_pool_mixer(game, self.eta, preds, DOMINATION_TOL)
+            self._fixed_mix = fixed_pool_mixer(game, self.eta, preds)
             if game.spec.outcome_type is int:  # per outcome: losses, eta-scaled losses
                 rows = (self._losses(w, preds) for w in range(game.m))
                 self._loss_table = [(row, self.eta * row) for row in rows]
@@ -187,7 +187,7 @@ class PerStepAggregating(ScepticStrategy):
     def predict(self, n, gamma1, gamma2):
         preds = self._static_preds if self._static_preds is not None else self._collect(n)
         log_w = self.pool.normalized_log_weights()
-        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds, DOMINATION_TOL)
+        mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds)
         gamma = mix(log_w)
         self._pending = (preds, log_w, gamma)
         return gamma

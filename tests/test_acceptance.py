@@ -162,7 +162,7 @@ def test_criterion_4b_bayes_tree_oracle():
     experts = [np.array([0.3, 0.7]), np.array([0.6, 0.4]), np.array([0.85, 0.15])]
     priors = np.array([0.5, 0.25, 0.25])
     preds = np.asarray(experts, dtype=float)
-    mix = j.fixed_pool_mixer(game, 1.0, preds, j.aggregating.DOMINATION_TOL)
+    mix = j.fixed_pool_mixer(game, 1.0, preds)
     n_steps = 12
     worst = 0.0
     for code in range(2 ** n_steps):

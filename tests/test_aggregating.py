@@ -14,7 +14,7 @@ from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, Dri
                       aa_observe, bounded_absolute_loss_game, bounded_square_loss_game,
                       fixed_pool_mixer, log_loss_game, params_for, quartic_loss_game,
                       run_protocol, square_loss_game, substitute, verify_run)
-from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
+from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric, aa_observe_rows
 from jeffreys.games import _lse1, _lse_rows
 from jeffreys.sceptics import EQ8_BLOCK
 from pool_reference import PerStepAggregating
@@ -145,7 +145,7 @@ def test_generic_search_agrees_with_closed_form():
     game = bounded_square_loss_game()
     pts = np.stack([game.canonical_point(0.2), game.canonical_point(0.9)])
     g_full = _mixed(_uniform(2), pts, eta=2.0)
-    assert _substitute_numeric(game, g_full, 1e-9) == pytest.approx(
+    assert _substitute_numeric(game, g_full) == pytest.approx(
         substitute(game, g_full), abs=1e-6)
 
 
@@ -165,7 +165,7 @@ def test_substitute_flags_excessive_eta():
 def _aa_step(pool, experts, game, eta):
     # one aggregated move; the pool's weights are not touched
     preds = np.asarray(experts, dtype=float)
-    return fixed_pool_mixer(game, eta, preds, DOMINATION_TOL)(pool.normalized_log_weights())
+    return fixed_pool_mixer(game, eta, preds)(pool.normalized_log_weights())
 
 
 def test_aa_step_single_expert():
@@ -200,6 +200,39 @@ def test_aa_observe_eliminates_an_expert_with_a_nan_loss():
     aa_observe(pool, np.array([0.5, math.nan, math.inf]), eta=2.0)
     assert pool.log_weights[1] == pool.log_weights[2] == -math.inf
     assert math.isfinite(pool.log_weights[0])
+
+
+def _decay_block(rng, n, k, kind):
+    # start weights and (n, k) eta-scaled losses: "plain" never anchors,
+    # "every_row" anchors at every row, "infinite" has +inf losses and
+    # anchors now and then
+    log_w = np.log(rng.dirichlet(np.ones(k)))
+    if kind == "plain":
+        return log_w, rng.random((n, k))
+    if kind == "every_row":
+        return log_w, 520.0 + 100.0 * rng.random((n, k))
+    scaled = 60.0 * rng.random((n, k))
+    scaled[rng.random((n, k)) < 0.05] = math.inf
+    return log_w, scaled
+
+
+@pytest.mark.parametrize("kind", ["plain", "every_row", "infinite"])
+@pytest.mark.parametrize("n", [1, 255, 256, "random"])
+def test_aa_observe_rows_is_aa_observe_row_by_row(n, kind):
+    rng = np.random.default_rng(17)
+    shapes = ([(int(rng.integers(1, 257)), int(rng.integers(1, 41))) for _ in range(20)]
+              if n == "random" else [(n, k) for k in (1, 2, 10, 40)])
+    for rows, k in shapes:
+        log_w, scaled = _decay_block(rng, rows, k, kind)
+        weights, shifts = aa_observe_rows(log_w, scaled)
+        pool = _uniform(k)
+        pool.log_weights = log_w.copy()
+        for i, row in enumerate(scaled):
+            shift = aa_observe(pool, row, 1.0)
+            assert pool.log_weights.tobytes() == weights[i].tobytes()
+            assert shift.hex() == float(shifts[i]).hex()
+        if kind == "every_row":
+            assert (shifts < -512.0).all()
 
 
 def test_fused_row_reduction_matches_lse1_bit_for_bit():
@@ -449,8 +482,8 @@ def bad_mix_from_step_40(monkeypatch):
     import pool_reference
     import jeffreys.sceptics
 
-    def mixer(game, eta, preds, tol):
-        mix = fixed_pool_mixer(game, eta, preds, tol)
+    def mixer(game, eta, preds):
+        mix = fixed_pool_mixer(game, eta, preds)
         calls = []
 
         def bad(log_w):

@@ -250,11 +250,24 @@ def test_non_integral_log_loss_outcome_is_refused_not_truncated(tmp_path, capsys
     ({"predictor1": {"kind": "constant", "params": {"gamma": [1, 0]}},
       "predictor2": {"kind": "constant", "params": {"gamma": [0, 1]}}},
      "error: step 1: predictions have disjoint support; divergence is infinite"),
-], ids=["pool_collapse", "disjoint_support"])
+    ({"game": {"kind": "log_loss", "m": 3},
+      "predictor1": {"kind": "constant", "params": {"gamma": [1, 0, 0]}},
+      "predictor2": {"kind": "constant", "params": {"gamma": [0, 1, 0]}}},
+     "error: step 1: predictions have disjoint support; divergence is infinite"),
+], ids=["pool_collapse", "disjoint_support", "disjoint_support_m3"])
 def test_an_error_that_ends_a_run_names_its_step(tmp_path, capsys, overrides, message):
-    path, _ = write_config(tmp_path, game={"kind": "log_loss", "m": 2}, **overrides)
+    path, _ = write_config(tmp_path, **{"game": {"kind": "log_loss", "m": 2}, **overrides})
     assert main(["run", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_a_replay_of_an_empty_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "outcomes.txt").write_text("")
+    path, _ = write_config(tmp_path, nature={"kind": "replay",
+                                             "params": {"file": str(tmp_path / "outcomes.txt")}})
+    assert main(["run", str(path)]) == 2
+    assert ("config error: nature params: replay needs at least one outcome"
+            in capsys.readouterr().err)
 
 
 def test_eq9_runs_on_numeric_path_games(tmp_path):
@@ -360,6 +373,17 @@ def test_divergence_rejects_bad_predictions(args, capsys):
 def test_divergence_rejects_bad_parameters(args, capsys):
     assert main(["divergence"] + args) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--game", "log", "--g1", "0.5,0.5", "--g2", "0.3,0.7", "--side", "kl", "--method",
+      "numeric"], "side 'kl' has no numeric method"),
+    (["--game", "quartic", "--g1", "0", "--g2", "0.5", "--method", "closed"],
+     "no closed form for the quartic game"),
+], ids=["kl-numeric", "quartic-closed"])
+def test_divergence_refuses_a_method_the_question_has_not(args, message, capsys):
+    assert main(["divergence"] + args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("side", ["standard", "kl"])

@@ -1,6 +1,7 @@
 """Game definitions, canonical points, and geometric predicates."""
 
 import ast
+import inspect
 import math
 import os
 import re
@@ -508,6 +509,25 @@ ALLOWED_PLAYS_OWN = {
 
 def test_the_stand_in_rule_has_one_owner():
     assert _src_lines_matching(PLAYS_OWN) == set(ALLOWED_PLAYS_OWN)
+
+
+def test_the_aggregation_constants_have_one_owner():
+    # the domination tolerance beside the closed forms that read it, and the
+    # anchoring threshold that aa_observe and aa_observe_rows share
+    assert _src_lines_matching(re.compile(r"\bDOMINATION_TOL =")) == {
+        ("games.py", "DOMINATION_TOL = 1e-9")}
+    assert _src_lines_matching(re.compile(r"\b512\b")) == {
+        ("aggregating.py", "_ANCHOR_BELOW = -512.0")}
+
+
+@pytest.mark.parametrize("form", ["mix", "mix_column", "substitute"])
+def test_no_closed_form_of_the_pool_takes_a_tolerance(form):
+    closed = [f for f in (getattr(spec, form) for spec in GAME_SPECS.values()) if f is not None]
+    assert closed and all("tol" not in inspect.signature(f).parameters for f in closed)
+
+
+def test_the_canonical_point_cache_is_not_a_constructor_parameter():
+    assert "_loss_matrix" not in inspect.signature(Game).parameters
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,8 @@ VIOLATIONS = [
     ("log2", "predictor 1", "x", "prediction must be a length-2 vector"),
     ("log3", "predictor 2", "x", "prediction must be a length-3 vector"),
     ("log3", "nature", None, "outcome None is not a number"),
+    # a vector of the wrong length is refused for its length, as for m > 2
+    ("log2", "predictor 1", np.array([0.5, 0.3, 0.2]), "prediction must be a length-2 vector"),
 ]
 
 
@@ -210,6 +212,59 @@ def test_adversarial_candidate_out_of_domain_is_a_config_error_at_reset():
                                                        np.random.default_rng(0), 10)
 
 
+def test_a_wrong_length_column_is_refused_and_the_loop_names_the_move(monkeypatch):
+    # column play offers predictor 1's (6, 3) column first; the column test
+    # refuses its shape, and the loop names the move
+    verdicts, accepts = [], Game.accepts_predictions
+
+    def spy(self, gammas):
+        verdicts.append((gammas.shape, accepts(self, gammas)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(Game, "accepts_predictions", spy)
+    with pytest.raises(ProtocolViolationError) as err:
+        run_protocol(ConstantNature(1), ConstantPredictor(np.array([0.5, 0.3, 0.2])),
+                     ConstantPredictor(np.array([0.5, 0.5])), Level2Sceptic(0.0),
+                     log_loss_game(m=2), 6, seed=0)
+    assert verdicts == [((6, 3), False)]
+    assert str(err.value) == "step 1: predictor 1: prediction must be a length-2 vector"
+
+
+# ---------------------------------------------------------------------------
+# a pool's inner moves are refused as a player's are
+
+def _pool(gamma, bad):
+    return AggregatingSceptic([ConstantPredictor(gamma), _Predictor(gamma, bad)])
+
+
+def _lift(gamma, bad):
+    return Level3Sceptic(_Sceptic(gamma, bad), k_max=4)
+
+
+@pytest.mark.parametrize("game_name, sceptic, who, bad, message", [
+    ("bounded_square", _pool, "aggregating expert 2", 5.0, "prediction 5.0 outside (0.0, 1.0)"),
+    ("bounded_square", _pool, "aggregating expert 2", math.inf, "prediction inf is not finite"),
+    ("log2", _pool, "aggregating expert 2", np.array([0.7, 0.7]),
+     "prediction must be a probability vector"),
+    # NaN throughout only eliminates the expert; NaN in part is refused
+    ("log2", _pool, "aggregating expert 2", np.array([math.nan, 0.5]),
+     "prediction must be a probability vector"),
+    ("log2", _pool, "aggregating expert 2", np.array([0.5, 0.3, 0.2]),
+     "prediction must be a length-2 vector"),
+    ("bounded_square", _lift, "level-3 base", 5.0, "prediction 5.0 outside (0.0, 1.0)"),
+    ("log2", _lift, "level-3 base", math.nan, "prediction must be a length-2 vector"),
+], ids=["pool-outside", "pool-inf", "pool-off-simplex", "pool-part-nan", "pool-wrong-length",
+        "lift-outside", "lift-not-a-vector"])
+def test_a_pools_inner_bad_move_ends_the_run_at_its_step(game_name, sceptic, who, bad,
+                                                        message):
+    factory, gamma, omega = _GOOD[game_name]
+    with pytest.raises(ProtocolViolationError) as err:
+        run_protocol(_Nature(omega), ConstantPredictor(gamma), ConstantPredictor(gamma),
+                     sceptic(gamma, bad), factory(), 20, seed=1)
+    assert str(err.value) == f"step {BAD_STEP}: {who}: {message}"
+    assert isinstance(err.value.__cause__, DomainError)
+
+
 # ---------------------------------------------------------------------------
 # nothing but the engine re-checks a move
 
@@ -219,8 +274,10 @@ def _aggregating():
                                RunningMeanPredictor()])
 
 
-# the aggregating pool checks each of its two constant experts once, at reset
-RESET_CHECKS = {"aggregating": 2}
+# the aggregating pool checks each of its two constant experts once, at
+# reset (its column of moves passes the column test), and the lift checks
+# its base's move when the moves change: once, as they repeat
+INNER_CHECKS = {"aggregating": 2, "level3": 1}
 
 
 RUNS = {
@@ -260,4 +317,4 @@ def test_each_move_is_validated_exactly_once(name, monkeypatch):
     trace = run_protocol(nature_factory(), ConstantPredictor(g1), ConstantPredictor(g2),
                          sceptic_factory(), game, horizon, seed=3)
     assert len(trace) == horizon
-    assert calls == {"prediction": 3 * horizon + RESET_CHECKS.get(name, 0), "outcome": horizon}
+    assert calls == {"prediction": 3 * horizon + INNER_CHECKS.get(name, 0), "outcome": horizon}
