@@ -159,9 +159,11 @@ def _log_kernel(omega, gamma):
 
 
 def _log_loss_column(omega, gamma):
-    # the probability each row's prediction gave its outcome, logged by libm as the kernel does
+    # the probability each row's prediction gave its outcome, logged by libm
+    # as the kernel does, once per distinct probability
     p = gamma[np.arange(len(gamma)), np.asarray(omega, dtype=np.intp)]
-    return np.array([-math.log(x) if x > 0.0 else math.inf for x in p.tolist()])
+    values, rows = np.unique(p, return_inverse=True)
+    return np.array([-math.log(x) if x > 0.0 else math.inf for x in values.tolist()])[rows]
 
 
 def _log_losses(omega, gamma):
@@ -606,18 +608,19 @@ def _endpoint_move(g0: float, g1: float, lo=0.0, hi=1.0):
     # the ends lo, hi where g0, g1 were taken, it dominates in between
     # because (omega - gamma)^2 - g(omega) is convex for eta <= 2 mixtures
     gamma = min(1.0, max(0.0, 0.5 * (1.0 + g0 - g1)))
-    return gamma if max((lo - gamma) ** 2 - g0, (hi - gamma) ** 2 - g1) <= DOMINATION_TOL else None
+    low, high = lo - gamma, hi - gamma
+    return gamma if max(low * low - g0, high * high - g1) <= DOMINATION_TOL else None
 
 
 def _endpoint_moves(g0: np.ndarray, g1: np.ndarray):
     # _endpoint_move over columns, on [0, 1], bit for bit: Python's max and
-    # min keep their first argument on a tie and take a NaN move to 0, and
-    # the squares take libm's pow as ** does; None unless every row dominates
+    # min keep their first argument on a tie and take a NaN move to 0; None
+    # unless every row dominates
     v = 0.5 * (1.0 + g0 - g1)
     v = np.where(v > 0.0, v, 0.0)
     gamma = np.where(v < 1.0, v, 1.0)
-    low = np.array([x ** 2 for x in (0.0 - gamma).tolist()]) - g0
-    high = np.array([x ** 2 for x in (1.0 - gamma).tolist()]) - g1
+    d0, d1 = 0.0 - gamma, 1.0 - gamma
+    low, high = d0 * d0 - g0, d1 * d1 - g1
     return gamma if (np.where(high > low, high, low) <= DOMINATION_TOL).all() else None
 
 

@@ -12,13 +12,19 @@ own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 
 Column forms: a Nature whose outcomes do not depend on the moves
 (constant, iid, a replay) gives the whole outcome column at once,
-``outcome_column(horizon)``; a predictor whose move reads only past
-outcomes gives its whole move column from the outcome column,
-``predict_column(omegas)``.  Both read only what ``reset`` left, change no
-state, and give the bits of the per-step methods of the class that defines
-them.  Whether a column form may stand in for a strategy's per-step methods
-is the engine's decision, made once per run (:func:`plays_own`); a strategy
-without a column form gives None, and the engine plays the per-step loop.
+``outcome_column(horizon)``; one whose outcome is a fixed function of the
+current step's three moves (the adversarial greedy Nature) gives it from
+the three move columns, ``reply_column(gammas1, gammas2, gammas_sceptic)``.
+A predictor whose move reads only past outcomes gives its whole move column
+from the outcome column, ``predict_column(omegas)``; ``omegas=None`` means
+the outcomes are not known yet, because Nature replies to the moves, and
+only a predictor that reads no outcomes (constant, noisy target, drift)
+then plays, with the horizon it kept at ``reset``.  Each form reads only
+what ``reset`` left, changes no state, and gives the bits of the per-step
+methods of the class that defines it.  Whether a column form may stand in
+for a strategy's per-step methods is the engine's decision, made once per
+run (:func:`plays_own`); a strategy without a column form gives None, and
+the engine plays the per-step loop.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ class PredictorStrategy:
     move in the per-step loop, per column in column play.  Strategies need
     not re-check them, and score them with the game's unvalidated
     ``loss_fn`` kernel.  ``predict_column(omegas)`` gives the moves of a
-    whole run against the outcome column ``omegas``, or None.
+    whole run against the outcome column ``omegas``, or None; ``omegas``
+    is None where the outcomes are not known yet.
     """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
@@ -63,7 +70,7 @@ class PredictorStrategy:
     def observe(self, n: int, omega) -> None:
         pass
 
-    def predict_column(self, omegas: np.ndarray) -> Optional[np.ndarray]:
+    def predict_column(self, omegas: Optional[np.ndarray]) -> Optional[np.ndarray]:
         return None
 
 
@@ -73,7 +80,10 @@ class NatureStrategy:
     The predictions it is shown are already validated by the engine, which
     also validates the outcome it returns (the validate-once contract of
     :class:`PredictorStrategy`).  ``outcome_column(horizon)`` gives the
-    outcomes of a whole run, when they do not depend on the moves, or None.
+    outcomes of a whole run, when they do not depend on the moves, or None;
+    ``reply_column(gammas1, gammas2, gammas_sceptic)`` gives them from the
+    run's validated move columns, when each outcome depends only on its
+    step's moves, or None.
     """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
@@ -83,6 +93,10 @@ class NatureStrategy:
         raise NotImplementedError
 
     def outcome_column(self, horizon: int) -> Optional[np.ndarray]:
+        return None
+
+    def reply_column(self, gammas1: np.ndarray, gammas2: np.ndarray,
+                     gammas_sceptic: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
@@ -224,6 +238,7 @@ class AdversarialGreedyNature(NatureStrategy):
 
     def reset(self, game, rng, horizon):
         self._loss = game.loss_fn()
+        self._loss_column = game.spec.loss_column
         if self.candidates is not None:
             self._cands = list(self.candidates)
             for w in self._cands:
@@ -244,6 +259,23 @@ class AdversarialGreedyNature(NatureStrategy):
                 best, best_score = w, score
         return best
 
+    def reply_column(self, gammas1, gammas2, gammas_sceptic):
+        # outcome's arithmetic per candidate and row: Python's min(a, b) is
+        # where(b < a, b, a), a strict > keeps the first of tied candidates,
+        # and a NaN score never beats -inf; the loop scores a candidate that
+        # is not a Python number (a numpy scalar, say) in its own type
+        if not all(type(w) in (int, float, bool) for w in self._cands):
+            return None
+        horizon = len(gammas1)
+        best, best_score = np.zeros(horizon, dtype=np.intp), np.full(horizon, -math.inf)
+        for i, w in enumerate(self._cands):
+            omegas = np.full(horizon, float(w))
+            a, b = (self._loss_column(omegas, g) for g in (gammas1, gammas2))
+            score = self._loss_column(omegas, gammas_sceptic) - np.where(b < a, b, a)
+            better = score > best_score
+            best[better], best_score[better] = i, score[better]
+        return np.array(self._cands, dtype=float)[best]
+
 
 # ---------------------------------------------------------------------------
 # predictors
@@ -261,12 +293,13 @@ class ConstantPredictor(PredictorStrategy):
         g = self.gamma0
         _check_form(game, g.ndim > 0, "a constant predictor")
         self._value = game.prediction_from_param(float(g)) if g.ndim == 0 else g
+        self._horizon = horizon
 
     def predict(self, n):
         return self._value
 
     def predict_column(self, omegas):
-        return np.full((len(omegas),) + np.shape(self._value), self._value, dtype=float)
+        return np.full((self._horizon,) + np.shape(self._value), self._value, dtype=float)
 
 
 class RunningMeanPredictor(PredictorStrategy):
@@ -313,6 +346,8 @@ class RunningMeanPredictor(PredictorStrategy):
         self._n += 1
 
     def predict_column(self, omegas):
+        if omegas is None:
+            return None
         n = len(omegas)
         if self._game.prediction_shape:
             # the counts before each step, whole numbers as the loop's are
@@ -348,7 +383,7 @@ class NoisyTargetPredictor(PredictorStrategy):
             self.target + self.sigma * float(self._noise[n - 1]) / n)
 
     def predict_column(self, omegas):
-        steps = np.arange(1, len(omegas) + 1, dtype=float)
+        steps = np.arange(1, len(self._noise) + 1, dtype=float)
         return self._game.prediction_column(self.target + self.sigma * self._noise / steps)
 
 
@@ -362,10 +397,11 @@ class DriftPredictor(PredictorStrategy):
     def reset(self, game, rng, horizon):
         _check_form(game, False, "a drift predictor")
         self._game = game
+        self._horizon = horizon
 
     def predict(self, n):
         return self._game.prediction_from_param(self.gamma0 + self.delta * (n - 1))
 
     def predict_column(self, omegas):
-        steps = np.arange(len(omegas), dtype=float)
+        steps = np.arange(self._horizon, dtype=float)
         return self._game.prediction_column(self.gamma0 + self.delta * steps)

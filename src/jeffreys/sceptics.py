@@ -23,6 +23,14 @@ mixture of a fixed pool of expert strategies).  Those two share the game's
 mix (``fixed_pool_mixer``), not an engine: the aggregating sceptic keeps
 one weight per expert, the lift one weight per group of experts that
 predict alike, three in all.
+
+Column forms (``predict_column``) play a whole run from the validated
+columns of both predictors' moves and of the outcomes.  Against a Nature
+that replies to the current moves the outcomes come last, so the column
+form is told ``omegas=None``: level 2, whose moves read no outcome, plays
+(its closed form over the columns, or one gap search per distinct pair of
+moves); level 1 and the aggregating pool, which read the outcomes, give
+None, and the loop plays.
 """
 
 from __future__ import annotations
@@ -48,18 +56,21 @@ class ScepticStrategy:
     Validate-once contract: the protocol engine validates both predictors'
     moves before ``predict`` sees them, the sceptic's own move as it is
     announced, and the outcome before ``observe`` sees it; in column play
-    it validates the outcome and both predictors' columns before
-    ``predict_column`` sees them, and the sceptic's column after.
+    it validates both predictors' columns, and an oblivious Nature's
+    outcome column, before ``predict_column`` sees them, and the sceptic's
+    column after.
     Strategies score those moves with the game's unvalidated ``loss_fn``
     kernel rather than re-checking them through ``Game.loss``.
 
     ``predict_column(gammas1, gammas2, omegas)`` plays a whole run at once
-    from its validated move and outcome columns, where the outcomes do not
-    depend on the sceptic's moves: it gives the sceptic's move column, bit
-    for bit the per-step moves of the class that defines it, and leaves the
-    state the per-step loop would leave.  The engine decides once per run
-    whether it may stand in for them: only where the strategy plays that
-    class's own ``predict`` and ``observe``.  Where any of its own steps
+    from its validated move and outcome columns: it gives the sceptic's move
+    column, bit for bit the per-step moves of the class that defines it, and
+    leaves the state the per-step loop would leave.  ``omegas`` is None
+    where Nature replies to the moves, so the outcomes are not known yet;
+    only a strategy whose moves read no outcomes (level 2) then plays.  The
+    engine decides once per run whether the form may stand in for the
+    per-step methods: only where the strategy plays that class's own
+    ``predict`` and ``observe``.  Where any of its own steps
     would raise, warn or leave the closed forms, it gives None and changes
     no state; the engine then plays the loop, which tells what went wrong
     and at which step.  A move column the engine refuses (a NaN move, say)
@@ -90,7 +101,7 @@ class ScepticStrategy:
         pass
 
     def predict_column(self, gammas1: np.ndarray, gammas2: np.ndarray,
-                       omegas: np.ndarray) -> Optional[np.ndarray]:
+                       omegas: Optional[np.ndarray]) -> Optional[np.ndarray]:
         return None
 
 
@@ -119,7 +130,11 @@ class Level2Sceptic(ScepticStrategy):
     numeric lower divergence: one gap search over the prediction grid for
     the point furthest below the weighted mean of the predictors' canonical
     points.  Its shift is the divergence by definition, so no slack is
-    spent either.  ``reset`` picks one of the two for the run.
+    spent either.  ``reset`` picks one of the two for the run.  Neither
+    reads an outcome, so the column form plays whether or not the outcomes
+    are known; on games without a closed form it runs one gap search per
+    distinct pair of moves, and gives None where any would raise, so that
+    the loop raises at its step.
 
     ``divergence_column(gammas1, gammas2)`` is the run's column of per-step
     divergence terms the trace records: the game's closed form over the move
@@ -150,10 +165,26 @@ class Level2Sceptic(ScepticStrategy):
         return self._move(gamma1, gamma2)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        column = self._game.spec.level2_column
-        if column is None:
+        spec = self._game.spec
+        if spec.level2 is None:
+            return self._numeric_column(gammas1, gammas2)
+        if spec.level2_column is None:
             return None
-        return column(self._game, *self._weights)(gammas1, gammas2)
+        return spec.level2_column(self._game, *self._weights)(gammas1, gammas2)
+
+    def _numeric_column(self, gammas1, gammas2):
+        # one search per distinct pair of moves (told apart by their bits),
+        # called through the module's name as _numeric_move calls it
+        pairs = np.stack((gammas1, gammas2), axis=1)
+        _, first, rows = np.unique(pairs.view(np.uint64), axis=0, return_index=True,
+                                   return_inverse=True)
+        try:
+            found = [_level2_numeric(self._game, *pairs[i].tolist(), self.alpha) for i in first]
+        except DivergenceOverestimate:
+            return None
+        moves, terms = (np.array(column, dtype=float)[rows.reshape(-1)] for column in zip(*found))
+        self._achieved = terms.tolist()
+        return moves
 
     def _numeric_move(self, gamma1, gamma2):
         gamma, term = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
@@ -289,6 +320,8 @@ class Level1Sceptic(ScepticStrategy):
         self.D += self._loss(omega, gamma1) - self._loss(omega, gamma2)
 
     def predict_column(self, gammas1, gammas2, omegas):
+        if omegas is None:
+            return None
         # D before each step: the running sum of the loss differences from 0.0
         d = np.cumsum(np.concatenate(([0.0], self._loss_column(omegas, gammas1)
                                       - self._loss_column(omegas, gammas2))))
@@ -449,7 +482,7 @@ class AggregatingSceptic(ScepticStrategy):
         self._audit = _Eq8Audit(len(self.pool), self.C * np.where(
             np.isfinite(inverse), np.log(inverse), -np.log(priors)))
         self._rows, self._own = [], []
-        self._pending = self._mix_key = None
+        self._pending = self._mix_key = self._mix_dtype = None
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
@@ -462,27 +495,36 @@ class AggregatingSceptic(ScepticStrategy):
                     raise ConfigError(f"aggregating expert {i}: {exc}") from exc
 
     def _collect(self, n):
+        # the experts' moves, and numpy's array of them in the type it reads them as
         moves = [e.predict(n) for e in self.experts]
         try:
-            return np.asarray(moves, dtype=float)
+            return moves, np.asarray(moves)
         except (TypeError, ValueError):  # moves of different forms: name the refused one
             for i, move in enumerate(moves, 1):
                 _check_inner(self._game, move, f"aggregating expert {i}", n)
             raise
 
     def predict(self, n, gamma1, gamma2):
-        preds = self._collect(n)
+        moves, raw = self._collect(n)
         if self._total == -math.inf:
             raise PoolCollapseError("every expert has suffered infinite loss")
         # the bits of ExpertPool.normalized_log_weights, its normalizer kept from observe
         log_w = self.pool.log_weights - self._total
-        if preds.tobytes() != self._mix_key:  # prepared anew when the predictions change
+        key = raw.tobytes()
+        # prepared anew when the moves or their type change
+        if key != self._mix_key or raw.dtype is not self._mix_dtype:
+            if not np.can_cast(raw.dtype, float):  # a string, say: the engine's check names it
+                for i, move in enumerate(moves, 1):
+                    _check_inner(self._game, move, f"aggregating expert {i}", n)
+                key = None  # checked every step: an object's bytes are its address
+            preds = raw.astype(float)
             if not self._game.accepts_predictions(preds):  # the column test, then the culprit
                 for i, move in enumerate(preds, 1):
                     if not np.isnan(move).all():  # a NaN move's NaN loss eliminates its expert
                         _check_inner(self._game, move.tolist(), f"aggregating expert {i}", n)
-            self._mix_key = preds.tobytes()
+            self._mix_key, self._mix_dtype, self._preds = key, raw.dtype, preds
             self._mix = fixed_pool_mixer(self._game, self.eta, preds)
+        preds = self._preds
         gamma = self._mix(log_w)
         self._pending = (preds, gamma)
         return gamma
@@ -510,11 +552,11 @@ class AggregatingSceptic(ScepticStrategy):
 
     def predict_column(self, gammas1, gammas2, omegas):
         game, eta, mix_column = self._game, self.eta, self._game.spec.mix_column
-        if mix_column is None or not all(map(_is_constant, self.experts)):
+        if omegas is None or mix_column is None or not all(map(_is_constant, self.experts)):
             return None
         # a pool of constants emits the same predictions every step: its mix
         # and (on a finite outcome space) losses per outcome are prepared once
-        preds = self._collect(1)
+        preds = self._collect(1)[1].astype(float)
         column_mix = mix_column(preds, eta)
         if column_mix is None:
             return None
@@ -647,7 +689,7 @@ class Level3Sceptic(ScepticStrategy):
         self._n_switched = [0, 0]
         self._update_unswitched()
         self.worst_eq8_slack, self.worst_eq8_step = math.inf, None
-        self._pending = self._mix_key = None
+        self._pending = self._mix_key = self._mix_dtype = None
 
     def predict(self, n, gamma1, gamma2):
         gamma_base = self.base.predict(n, gamma1, gamma2)
@@ -658,14 +700,18 @@ class Level3Sceptic(ScepticStrategy):
             raise PoolCollapseError("every expert has suffered infinite loss")
         log_w = [x - total for x in w]
         try:
-            preds = np.array([gamma_base, gamma1, gamma2], dtype=float)
+            raw = np.array([gamma_base, gamma1, gamma2])
         except (TypeError, ValueError):  # a base move of another form than the predictors'
             _check_inner(self._game, gamma_base, "level-3 base", n)
             raise
-        if preds.tobytes() != self._mix_key:  # prepared anew when the predictions change
+        key = raw.tobytes()
+        # prepared anew when the moves or their type change (a string base move, say)
+        if key != self._mix_key or raw.dtype is not self._mix_dtype:
             _check_inner(self._game, gamma_base, "level-3 base", n)
-            self._mix_key = preds.tobytes()
-            self._mix = fixed_pool_mixer(self._game, eta, preds)
+            # moves numpy holds as objects are checked every step: their bytes are addresses
+            self._mix_key = key if np.can_cast(raw.dtype, float) else None
+            self._mix_dtype = raw.dtype
+            self._mix = fixed_pool_mixer(self._game, eta, raw.astype(float))
         gamma = self._mix(np.array(log_w))
         self._pending = (gamma_base, gamma1, gamma2, log_w, gamma)
         return gamma

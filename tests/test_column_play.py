@@ -1,14 +1,17 @@
 """Column play against the per-step loop, bit for bit.
 
-Where Nature is oblivious and every strategy has a column form, the engine
-plays a run as columns.  Each case here plays it both ways: as columns,
-with every per-step method that column play stands in for replaced by one
-that fails (so the case cannot pass by falling back to the loop), and as
-the loop, through a wrapper that delegates to each strategy but offers no
-column form.  The two must agree on every trace column's bytes, the report's
-bytes, the check slacks in hex and, for a pool, its worst eq8 step, final
-log-weights and audit sums; a run that fails must fail with the same
-error, message and step, or truncate with the same warning.
+Where every strategy has a column form, the engine plays a run as columns:
+against an oblivious Nature the outcome column first, against one that
+replies to the current moves (the adversarial greedy Nature) the move
+columns first and the outcomes last.  Each case here plays it both ways:
+as columns, with every per-step method that column play stands in for
+replaced by one that fails (so the case cannot pass by falling back to the
+loop), and as the loop, through a wrapper that delegates to each strategy
+but offers no column form.  The two must agree on every trace column's
+bytes, the report's bytes, the check slacks in hex and, for a pool, its
+worst eq8 step, final log-weights and audit sums; a run that fails must
+fail with the same error, message and step, or truncate with the same
+warning.
 """
 
 import contextlib
@@ -44,12 +47,16 @@ class LoopOnly:
     def outcome_column(self, horizon):
         return None
 
+    def reply_column(self, *columns):
+        return None
+
 
 # the per-step methods column play stands in for, on the classes that
 # define a column form: a run that reaches any of them has played the loop
 PER_STEP = {
     j.ConstantNature: ("outcome",), j.IidBernoulliNature: ("outcome",),
     j.IidUniformNature: ("outcome",), j.ReplayNature: ("outcome",),
+    j.AdversarialGreedyNature: ("outcome",),
     j.ConstantPredictor: ("observe",), j.RunningMeanPredictor: ("predict", "observe"),
     j.NoisyTargetPredictor: ("predict", "observe"), j.DriftPredictor: ("predict", "observe"),
     j.Level1Sceptic: ("predict", "observe"), j.Level2Sceptic: ("predict", "observe"),
@@ -127,12 +134,18 @@ ALPHAS = (-0.8, 0.0, 0.8)
 COIN = np.array([0.5, 0.5])
 
 
-def _criterion3(seed, alpha, game_name, horizon):
+def _criterion3(seed, alpha, game_name, horizon, nature_kind="iid"):
+    adversarial = nature_kind == "adversarial"
     if game_name == "square":
         pair = (0.0, 1.0) if seed % 2 == 0 else (0.25, 0.75)
-        return (lambda: (j.IidBernoulliNature(0.5), j.ConstantPredictor(pair[0]),
+        nature = j.AdversarialGreedyNature if adversarial else lambda: j.IidBernoulliNature(0.5)
+        return (lambda: (nature(), j.ConstantPredictor(pair[0]),
                          j.ConstantPredictor(pair[1]), j.Level2Sceptic(alpha, 1e-3)),
                 SQUARE, horizon, seed)
+    if adversarial:
+        return (lambda: (j.AdversarialGreedyNature(), j.ConstantPredictor(np.array([0.8, 0.2])),
+                         j.ConstantPredictor(np.array([0.3, 0.7])), j.Level2Sceptic(alpha, 1e-3)),
+                LOG2, horizon, seed)
     return (lambda: (j.IidBernoulliNature(0.2 + 0.6 * seed / 99.0),
                      j.ConstantPredictor(np.array([0.8, 0.2])), j.RunningMeanPredictor(),
                      j.Level2Sceptic(alpha, 1e-3)),
@@ -170,6 +183,15 @@ def test_criterion3_iid_runs_match_the_loop(game_name):
             assert_same_run(_criterion3(seed, alpha, game_name, SHORT))
     for seed, alpha in ((0, -0.8), (57, 0.0), (99, 0.8)):
         assert_same_run(_criterion3(seed, alpha, game_name, 10_000))
+
+
+@pytest.mark.parametrize("game_name", ["square", "log_loss"])
+def test_criterion3_adversarial_runs_match_the_loop(game_name):
+    for seed in range(100):
+        for alpha in ALPHAS:
+            assert_same_run(_criterion3(seed, alpha, game_name, SHORT, "adversarial"))
+    for seed, alpha in ((1, -0.8), (42, 0.0), (98, 0.8)):
+        assert_same_run(_criterion3(seed, alpha, game_name, 10_000, "adversarial"))
 
 
 @pytest.mark.parametrize("game_name", ["log_loss", "bounded_square"])
@@ -281,6 +303,127 @@ def test_learning_predictors_match_the_loop(game):
 
 
 # ---------------------------------------------------------------------------
+# the adversarial Nature's reply column: candidates, ties, NaN and -inf
+# scores, predictors that read no outcomes
+
+def _adversarial(game, first, second, sceptic=lambda: j.Level2Sceptic(0.3), candidates=None,
+                 horizon=500, seed=12):
+    return (lambda: (j.AdversarialGreedyNature(candidates), first(), second(), sceptic()),
+            game, horizon, seed)
+
+
+def test_custom_candidates_match_the_loop():
+    # ints on a square game, scored as the floats they equal
+    assert_same_run(_adversarial(SQUARE, lambda: j.DriftPredictor(-0.5, 3e-3),
+                                 lambda: j.ConstantPredictor(0.4), candidates=[0, 1, -2, 3]))
+    # three outcomes, given out of order
+    for alpha in ALPHAS:
+        assert_same_run(_adversarial(
+            LOG3, lambda: j.ConstantPredictor(np.array([0.2, 0.3, 0.5])),
+            lambda: j.ConstantPredictor(np.array([0.5, 0.4, 0.1])),
+            lambda: j.Level2Sceptic(alpha), candidates=[2, 0, 1]))
+
+
+def test_tied_candidates_play_the_first():
+    # the predictors' moves mirror each other about 1/2, and level 2 at
+    # alpha 0 plays 1/2: outcomes 0 and 1 score the same at every step
+    for candidates in ([0.0, 1.0], [1.0, 0.0]):
+        case = _adversarial(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.25),
+                            lambda: j.ConstantPredictor(0.75), lambda: j.Level2Sceptic(0.0),
+                            candidates=candidates, horizon=50)
+        assert_same_run(case)
+        (trace, _), _ = _play(case, loop=False)
+        assert trace.omega.tolist() == [candidates[0]] * 50
+
+
+@pytest.mark.parametrize("first, second, candidates, outcome", [
+    ((1.0, 0.0), (1.0, 0.0), None, 0), ((1.0, 0.0), (1.0, 0.0), [1], 1),
+    ((1.0, 0.0), (0.5, 0.5), None, 1)], ids=["nan-beside-zero", "nan-only", "inf"])
+def test_zero_probabilities_score_as_the_loop_scores_them(first, second, candidates, outcome):
+    # a zero probability loses +inf.  Where both predictors and so the
+    # sceptic give an outcome none, it scores inf - inf = NaN, which never
+    # wins, and where no score beats -inf the first candidate plays; where
+    # only the sceptic and one predictor do, it scores +inf
+    for alpha in ALPHAS:
+        case = _adversarial(LOG2, lambda: j.ConstantPredictor(np.array(first)),
+                            lambda: j.ConstantPredictor(np.array(second)),
+                            lambda: j.Level2Sceptic(alpha), candidates=candidates, horizon=100)
+        assert_same_run(case)
+        (trace, _), _ = _play(case, loop=False)
+        assert set(trace.omega.tolist()) == {outcome}
+
+
+@pytest.mark.parametrize("game", [SQUARE, BOUNDED_SQUARE], ids=lambda game: game.kind.value)
+def test_noisy_and_drift_predictors_against_the_adversary_match_the_loop(game):
+    for alpha in ALPHAS:
+        assert_same_run(_adversarial(game, lambda: j.NoisyTargetPredictor(0.6, 0.15),
+                                     lambda: j.DriftPredictor(0.1, 1e-3),
+                                     lambda: j.Level2Sceptic(alpha), horizon=1000))
+        assert_same_run(_adversarial(game, lambda: j.DriftPredictor(1.2, -2e-3),
+                                     lambda: j.NoisyTargetPredictor(0.3, 0.5),
+                                     lambda: j.Level2Sceptic(alpha), horizon=1000))
+
+
+def test_a_running_mean_against_the_adversary_plays_the_loop_before_any_sceptic_column(
+        monkeypatch):
+    asked = []
+    column = j.Level2Sceptic.predict_column
+    monkeypatch.setattr(j.Level2Sceptic, "predict_column",
+                        lambda self, *columns: asked.append(1) or column(self, *columns))
+    for game, first in ((SQUARE, 0.0), (LOG2, np.array([0.8, 0.2]))):
+        case = _adversarial(game, lambda: j.ConstantPredictor(first), j.RunningMeanPredictor)
+        (trace, _), _ = _play(case, loop=False)
+        (ref_trace, _), _ = _play(case, loop=True)
+        for name in TRACE_COLUMNS:
+            assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
+    assert asked == []
+
+
+# ---------------------------------------------------------------------------
+# numeric level 2: one gap search per distinct pair of moves
+
+QUARTIC, WIDE_ABSOLUTE = j.quartic_loss_game(), j.absolute_loss_game(
+    outcome_grid=np.linspace(-5.0, 5.0, 41))
+
+
+@pytest.mark.parametrize("game", [BOUNDED_ABSOLUTE, QUARTIC], ids=lambda game: game.kind.value)
+def test_numeric_level2_matches_the_loop(game):
+    lo, hi = game.bounds()[1]
+    for alpha in ALPHAS:
+        sceptic = (lambda: j.Level2Sceptic(alpha))
+        assert_same_run((lambda: (j.IidBernoulliNature(0.3), j.ConstantPredictor(lo + 0.2),
+                                  j.ConstantPredictor(hi - 0.1), sceptic()), game, 40, 4))
+        assert_same_run(_adversarial(game, lambda: j.DriftPredictor(lo, 0.05),
+                                     lambda: j.ConstantPredictor(hi - 0.3), sceptic, horizon=40))
+    assert_same_run(_adversarial(game, lambda: j.NoisyTargetPredictor(0.1, 0.5),
+                                 lambda: j.ConstantPredictor(0.5), horizon=30))
+
+
+def test_numeric_level2_searches_once_per_distinct_pair(monkeypatch):
+    searched = []
+    search = j.sceptics._level2_numeric
+    monkeypatch.setattr(j.sceptics, "_level2_numeric",
+                        lambda *args: searched.append(args[1:3]) or search(*args))
+    sceptic = assert_same_run((lambda: (j.IidBernoulliNature(0.5), j.DriftPredictor(0.2, 0.1),
+                                        j.ConstantPredictor(0.7), j.Level2Sceptic(0.0)),
+                               BOUNDED_ABSOLUTE, 30, 2))
+    column_searches = searched[:len(searched) - 30]  # the loop's reference run searched 30 times
+    assert sorted(column_searches) == sorted({(min(1.0, 0.2 + 0.1 * n), 0.7) for n in range(30)})
+    assert len(sceptic._achieved) == 30
+
+
+def test_an_overestimated_divergence_fails_at_the_loops_step():
+    # outcomes on [-5, 5], predictions searched on [0, 1]: once predictor 1
+    # drifts below the grid, no canonical point lies below the weighted mean
+    for nature in (j.AdversarialGreedyNature, lambda: j.IidBernoulliNature(0.5)):
+        failure = _same_failure((lambda: (nature(), j.DriftPredictor(0.5, -1.0),
+                                          j.ConstantPredictor(0.5), j.Level2Sceptic(0.0)),
+                                 WIDE_ABSOLUTE, 10, 0))
+        assert failure[0] is j.DivergenceOverestimate
+        assert failure[1].startswith("step 3: no canonical point below the weighted mean")
+
+
+# ---------------------------------------------------------------------------
 # a run that fails fails as the loop fails it
 
 def _same_failure(case):
@@ -365,6 +508,18 @@ def _benchmark_shapes():
         for second in (lambda: j.ConstantPredictor(np.array([0.3, 0.7])), j.RunningMeanPredictor):
             yield (lambda: (j.IidBernoulliNature(0.4), j.ConstantPredictor(np.array([0.8, 0.2])),
                             second(), j.Level2Sceptic(alpha, 1e-3)), LOG2, 2000, 2)
+        # level2_sweep's adversarial runs of two constant predictors
+        for pair in ((0.0, 1.0), (0.25, 0.75)):
+            yield (lambda: (j.AdversarialGreedyNature(), j.ConstantPredictor(pair[0]),
+                            j.ConstantPredictor(pair[1]), j.Level2Sceptic(alpha, 1e-3)),
+                   SQUARE, 2000, 5)
+        yield (lambda: (j.AdversarialGreedyNature(), j.ConstantPredictor(np.array([0.8, 0.2])),
+                        j.ConstantPredictor(np.array([0.3, 0.7])), j.Level2Sceptic(alpha, 1e-3)),
+               LOG2, 2000, 6)
+        # numeric_oracle's numeric level-2 runs
+        yield (lambda: (j.IidBernoulliNature(0.6), j.ConstantPredictor(0.35),
+                        j.ConstantPredictor(0.8), j.Level2Sceptic(alpha, 1e-3)),
+               BOUNDED_ABSOLUTE, 5, 7)
     for k in (2, 5, 10, 20, 30, 40):
         spread = (np.arange(k) + 1.0) / (k + 1.0)
         yield (lambda: (j.IidBernoulliNature(0.3), j.ConstantPredictor(COIN),

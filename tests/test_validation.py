@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from jeffreys import (AdversarialGreedyNature, AggregatingSceptic, ConfigError,
                       ConstantNature, ConstantPredictor, Game,
-                      IidBernoulliNature, Level1Sceptic, Level2Sceptic,
+                      IidBernoulliNature, IidUniformNature, Level1Sceptic, Level2Sceptic,
                       Level3Sceptic, NatureStrategy, PredictorStrategy,
                       ProtocolViolationError,
                       RunningMeanPredictor, ScepticStrategy, absolute_loss_game,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       log_loss_game, quartic_loss_game, run_protocol,
                       square_loss_game)
+from jeffreys import protocol
 from jeffreys.errors import DomainError
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -253,8 +254,11 @@ def _lift(gamma, bad):
      "prediction must be a length-2 vector"),
     ("bounded_square", _lift, "level-3 base", 5.0, "prediction 5.0 outside (0.0, 1.0)"),
     ("log2", _lift, "level-3 base", math.nan, "prediction must be a length-2 vector"),
+    # a number's string after the number itself: the same value once read as a float
+    ("bounded_square", _pool, "aggregating expert 2", "0.5", "prediction '0.5' is not a number"),
+    ("bounded_square", _lift, "level-3 base", "0.5", "prediction '0.5' is not a number"),
 ], ids=["pool-outside", "pool-inf", "pool-off-simplex", "pool-part-nan", "pool-wrong-length",
-        "lift-outside", "lift-not-a-vector"])
+        "lift-outside", "lift-not-a-vector", "pool-string", "lift-string"])
 def test_a_pools_inner_bad_move_ends_the_run_at_its_step(game_name, sceptic, who, bad,
                                                         message):
     factory, gamma, omega = _GOOD[game_name]
@@ -262,6 +266,20 @@ def test_a_pools_inner_bad_move_ends_the_run_at_its_step(game_name, sceptic, who
         run_protocol(_Nature(omega), ConstantPredictor(gamma), ConstantPredictor(gamma),
                      sceptic(gamma, bad), factory(), 20, seed=1)
     assert str(err.value) == f"step {BAD_STEP}: {who}: {message}"
+    assert isinstance(err.value.__cause__, DomainError)
+
+
+class _StringHalf(PredictorStrategy):
+    def predict(self, n):
+        return "0.5"
+
+
+def test_a_pool_refuses_an_expert_that_plays_a_string_as_the_engine_does():
+    sceptic = AggregatingSceptic([ConstantPredictor(0.2), _StringHalf()])
+    with pytest.raises(ProtocolViolationError) as err:
+        run_protocol(IidUniformNature(), ConstantPredictor(0.5), ConstantPredictor(0.5),
+                     sceptic, bounded_square_loss_game(), 20, seed=1)
+    assert str(err.value) == "step 1: aggregating expert 2: prediction '0.5' is not a number"
     assert isinstance(err.value.__cause__, DomainError)
 
 
@@ -298,23 +316,33 @@ RUNS = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_each_move_is_validated_exactly_once(name, monkeypatch):
+    # per move where the loop plays the run; per column where columns play
+    # it, the level-2 runs among these: the column checks then see each
+    # column once, the moves' validators only the sceptics' own checks
     game_factory, sceptic_factory, nature_factory, g1, g2 = RUNS[name]
     game = game_factory()
-    calls = {"prediction": 0, "outcome": 0}
-    validate_prediction, validate_outcome = Game.validate_prediction, Game.validate_outcome
+    calls = {"prediction": 0, "outcome": 0, "prediction column": 0, "outcome column": 0}
 
-    def count_prediction(self, gamma):
-        calls["prediction"] += 1
-        return validate_prediction(self, gamma)
+    def count(key, method):
+        def counted(self, move):
+            calls[key] += 1
+            return method(self, move)
+        monkeypatch.setattr(Game, method.__name__, counted)
 
-    def count_outcome(self, omega):
-        calls["outcome"] += 1
-        return validate_outcome(self, omega)
-
-    monkeypatch.setattr(Game, "validate_prediction", count_prediction)
-    monkeypatch.setattr(Game, "validate_outcome", count_outcome)
+    count("prediction", Game.validate_prediction)
+    count("outcome", Game.validate_outcome)
+    count("prediction column", Game.accepts_predictions)
+    count("outcome column", Game.accepts_outcomes)
+    loop = protocol._play_loop
+    looped = []
+    monkeypatch.setattr(protocol, "_play_loop", lambda *args: looped.append(1) or loop(*args))
     horizon = 40
     trace = run_protocol(nature_factory(), ConstantPredictor(g1), ConstantPredictor(g2),
                          sceptic_factory(), game, horizon, seed=3)
     assert len(trace) == horizon
-    assert calls == {"prediction": 3 * horizon + INNER_CHECKS.get(name, 0), "outcome": horizon}
+    steps = horizon if looped else 0
+    moves = {"prediction": 3 * steps + INNER_CHECKS.get(name, 0), "outcome": steps}
+    if looped:
+        assert {key: calls[key] for key in moves} == moves
+    else:
+        assert calls == {**moves, "prediction column": 3, "outcome column": 1}
