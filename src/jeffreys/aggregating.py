@@ -21,7 +21,7 @@ log-normalizer ``T = ln sum_k e^(log_w_k)`` reads the mixture loss at the
 realized outcome off two normalizers: ``-((T' + shift) - T) / eta``, the
 quantity the aggregating sceptic re-checks domination against without a
 second log-sum-exp.  :func:`aa_observe_rows` is the same over a block of
-steps, a few ``cumsum`` calls per stretch between anchorings.
+steps, one ``cumsum`` per stretch between anchorings.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .games import (DOMINATION_TOL, Game, MixabilityParams, Prediction, _lse1,
 
 # a log-weight maximum below this is anchored back to zero
 _ANCHOR_BELOW = -512.0
-# the rows aa_observe_rows sums first after an anchoring
-_FIRST_WINDOW = 8
 
 
 def params_for(game: Game) -> MixabilityParams:
@@ -171,29 +169,22 @@ def aa_observe_rows(log_weights: np.ndarray, scaled: np.ndarray) -> tuple:
     eta-scaled losses free of NaN, in turn from ``log_weights``, bit for bit.
 
     Returns the (B, K) log-weights after each row and the (B,) constants
-    the anchorings subtracted.  Sequential ``cumsum`` calls from the carried
-    weights continue the running subtraction: the first over the whole
-    block, which most blocks need alone, and after each anchoring over
-    windows that double in length while no row anchors, so that an
-    anchoring costs a short window, not the rest of the block.  The rows a
-    window summed past an anchoring are summed again from the anchored row.
+    the anchorings subtracted.  One sequential ``cumsum`` from the carried
+    weights over the rest of the block continues the running subtraction
+    up to the first row that anchors; the next starts from the anchored row.
     """
     n = len(scaled)
     rows, shifts = np.empty((n + 1, scaled.shape[1])), np.zeros(n)
     rows[0] = log_weights
     np.negative(scaled, out=rows[1:])
-    done, width = 0, n  # rows[done] holds the last weights summed
-    while done < n:
-        end = min(n, done + width)
-        np.cumsum(rows[done:end + 1], axis=0, out=rows[done:end + 1])
-        top = rows[done + 1:end + 1].max(axis=1)
+    start = 0  # rows[start] holds the weights the segment starts from
+    while True:
+        np.cumsum(rows[start:], axis=0, out=rows[start:])
+        top = rows[start + 1:].max(axis=1)
         low = np.flatnonzero((top < _ANCHOR_BELOW) & np.isfinite(top))
         if not len(low):
-            done, width = end, 2 * width
-            continue
-        anchored = done + low[0] + 1
-        shifts[anchored - 1] = top[low[0]]
-        rows[anchored] -= top[low[0]]
-        np.negative(scaled[anchored:end], out=rows[anchored + 1:end + 1])
-        done, width = anchored, _FIRST_WINDOW
-    return rows[1:], shifts
+            return rows[1:], shifts
+        start += low[0] + 1
+        shifts[start - 1] = top[low[0]]
+        rows[start] -= top[low[0]]
+        np.negative(scaled[start:], out=rows[start + 1:])

@@ -13,8 +13,9 @@ own, like the adversarial Nature's candidate outcomes, once in ``reset``.
 Column forms: a Nature whose outcomes do not depend on the moves
 (constant, iid, a replay) gives the whole outcome column at once,
 ``outcome_column(horizon)``; one whose outcome is a fixed function of the
-current step's three moves (the adversarial greedy Nature) gives it from
-the three move columns, ``reply_column(gammas1, gammas2, gammas_sceptic)``.
+current step's three moves (the adversarial greedy Nature) gives, before
+any move column is built, the function that replies to the three move
+columns with the outcome column, ``reply_column()``.
 A predictor whose move reads only past outcomes gives its whole move column
 from the outcome column, ``predict_column(omegas)``; ``omegas=None`` means
 the outcomes are not known yet, because Nature replies to the moves, and
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,9 +82,9 @@ class NatureStrategy:
     also validates the outcome it returns (the validate-once contract of
     :class:`PredictorStrategy`).  ``outcome_column(horizon)`` gives the
     outcomes of a whole run, when they do not depend on the moves, or None;
-    ``reply_column(gammas1, gammas2, gammas_sceptic)`` gives them from the
-    run's validated move columns, when each outcome depends only on its
-    step's moves, or None.
+    ``reply_column()`` gives, when each outcome depends only on its step's
+    moves, the function from the run's validated move columns
+    ``(gammas1, gammas2, gammas_sceptic)`` to its outcome column, or None.
     """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:
@@ -95,8 +96,8 @@ class NatureStrategy:
     def outcome_column(self, horizon: int) -> Optional[np.ndarray]:
         return None
 
-    def reply_column(self, gammas1: np.ndarray, gammas2: np.ndarray,
-                     gammas_sceptic: np.ndarray) -> Optional[np.ndarray]:
+    def reply_column(self) -> Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                                np.ndarray]]:
         return None
 
 
@@ -259,13 +260,17 @@ class AdversarialGreedyNature(NatureStrategy):
                 best, best_score = w, score
         return best
 
-    def reply_column(self, gammas1, gammas2, gammas_sceptic):
+    def reply_column(self):
+        # the loop scores a candidate that is neither an int nor a float (a
+        # numpy int or float32, say) in its own type; the loop plays those
+        if not all(isinstance(w, (int, float)) for w in self._cands):
+            return None
+        return self._reply
+
+    def _reply(self, gammas1, gammas2, gammas_sceptic):
         # outcome's arithmetic per candidate and row: Python's min(a, b) is
         # where(b < a, b, a), a strict > keeps the first of tied candidates,
-        # and a NaN score never beats -inf; the loop scores a candidate that
-        # is not a Python number (a numpy scalar, say) in its own type
-        if not all(type(w) in (int, float, bool) for w in self._cands):
-            return None
+        # and a NaN score never beats -inf
         horizon = len(gammas1)
         best, best_score = np.zeros(horizon, dtype=np.intp), np.full(horizon, -math.inf)
         for i, w in enumerate(self._cands):

@@ -9,9 +9,10 @@ then the sceptic's.  Against one whose outcome is a fixed function of the
 current step's moves (the adversarial greedy Nature): both predictors'
 columns and the sceptic's first, each told ``omegas=None`` (the outcomes
 are not known yet), so only forms that read no outcomes play, then
-Nature's reply column.  The protocol fixes the order of information, not
-the order of computation, so each player still sees only what it would see
-step by step.
+Nature's reply to them, from the reply form it gave before any of them.
+The protocol fixes the order of information, not the order of
+computation, so each player still sees only what it would see step by
+step.
 The engine alone decides whether a column form may stand in for a
 strategy's per-step methods: only where the strategy plays the per-step
 methods of the class that defines the form.  Otherwise, and wherever a
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from types import MethodType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -161,22 +161,15 @@ _STANDS_IN_FOR = {"outcome_column": ("outcome",), "reply_column": ("outcome",),
                   "predict_column": ("predict", "observe")}
 
 
-def _column_form(strategy, form: str):
-    """``strategy``'s column form ``form``, read off the class that defines
-    it and bound to the strategy; None where the strategy does not play that
-    class's own per-step methods (:func:`plays_own`), so the form cannot
-    stand in for them."""
+def _column(strategy, form: str, *args):
+    """``strategy``'s column form ``form`` of ``args``, read off the class
+    that defines it; None where the strategy does not play that class's own
+    per-step methods (:func:`plays_own`), so the form cannot stand in for
+    them, or where the form gives None."""
     owner = next((cls for cls in type(strategy).__mro__ if form in vars(cls)), None)
     if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):
         return None
-    return MethodType(getattr(owner, form), strategy)
-
-
-def _column(strategy, form: str, *args):
-    """The column form ``form`` of ``args``, or None where it cannot stand
-    in for ``strategy``'s per-step methods or gives None."""
-    bound = _column_form(strategy, form)
-    return None if bound is None else bound(*args)
+    return getattr(owner, form)(strategy, *args)
 
 
 def _play_columns(players, game: Game, horizon: int, seed: int):
@@ -184,18 +177,19 @@ def _play_columns(players, game: Game, horizon: int, seed: int):
     loop must play it: a strategy without a column form that may stand in
     for it, or a column of another length than the horizon or with a move
     the validators' fast path does not accept.  An oblivious Nature's
-    outcome column comes first; otherwise the predictors' and the sceptic's
-    columns come first, from ``omegas=None``, and Nature's reply to them
-    last.  Only a sceptic column that succeeded has changed any state, so a
+    outcome column comes first; otherwise Nature's reply form, then the
+    predictors' and the sceptic's columns, from ``omegas=None``, and the
+    reply to them last.  Only a sceptic column that succeeded has changed any state, so a
     column refused after it resets every player again from the same seed."""
     predictor1, predictor2, sceptic, nature = players
 
     def accepted(column, accepts) -> bool:
         return column is not None and len(column) == horizon and accepts(column)
 
-    omegas = _column(nature, "outcome_column", horizon)
+    omegas, reply = _column(nature, "outcome_column", horizon), None
     if omegas is None:
-        if _column_form(nature, "reply_column") is None:
+        reply = _column(nature, "reply_column")
+        if reply is None:
             return None
     elif not accepted(omegas, game.accepts_outcomes):
         return None
@@ -209,8 +203,8 @@ def _play_columns(players, game: Game, horizon: int, seed: int):
     if not accepted(column, game.accepts_predictions):
         _reset(players, game, horizon, seed)
         return None
-    if omegas is None:
-        omegas = _column(nature, "reply_column", *gammas, column)
+    if reply is not None:
+        omegas = reply(*gammas, column)
         if not accepted(omegas, game.accepts_outcomes):
             _reset(players, game, horizon, seed)
             return None

@@ -418,6 +418,19 @@ def _check_inner(game, move, who: str, n: int) -> None:
         raise ProtocolViolationError(f"{who}: {exc}", n) from exc
 
 
+# numpy's type codes of booleans, integers and real floats: moves held as
+# one of these are their bytes
+_NUMBER_CODES = "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]
+
+
+def _mix_key(raw: np.ndarray):
+    # the key a pool keeps its prepared mix under, so that it prepares and
+    # checks again where the moves or their type change; None, which matches
+    # no key, where numpy holds them as anything else (strings, or objects,
+    # whose bytes are their addresses), so those are checked every step
+    return (raw.dtype, raw.tobytes()) if raw.dtype.char in _NUMBER_CODES else None
+
+
 def _is_constant(expert) -> bool:
     # an expert that plays ConstantPredictor's own per-step methods makes the
     # same move every step; a subclass that overrides them may not
@@ -482,7 +495,7 @@ class AggregatingSceptic(ScepticStrategy):
         self._audit = _Eq8Audit(len(self.pool), self.C * np.where(
             np.isfinite(inverse), np.log(inverse), -np.log(priors)))
         self._rows, self._own = [], []
-        self._pending = self._mix_key = self._mix_dtype = None
+        self._pending = self._mix_key = None
         streams = rng.spawn(len(self.experts))
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
@@ -510,19 +523,17 @@ class AggregatingSceptic(ScepticStrategy):
             raise PoolCollapseError("every expert has suffered infinite loss")
         # the bits of ExpertPool.normalized_log_weights, its normalizer kept from observe
         log_w = self.pool.log_weights - self._total
-        key = raw.tobytes()
-        # prepared anew when the moves or their type change
-        if key != self._mix_key or raw.dtype is not self._mix_dtype:
-            if not np.can_cast(raw.dtype, float):  # a string, say: the engine's check names it
+        key = _mix_key(raw)
+        if key is None or key != self._mix_key:
+            if key is None:  # a string, say: the engine's check names it
                 for i, move in enumerate(moves, 1):
                     _check_inner(self._game, move, f"aggregating expert {i}", n)
-                key = None  # checked every step: an object's bytes are its address
             preds = raw.astype(float)
             if not self._game.accepts_predictions(preds):  # the column test, then the culprit
                 for i, move in enumerate(preds, 1):
                     if not np.isnan(move).all():  # a NaN move's NaN loss eliminates its expert
                         _check_inner(self._game, move.tolist(), f"aggregating expert {i}", n)
-            self._mix_key, self._mix_dtype, self._preds = key, raw.dtype, preds
+            self._mix_key, self._preds = key, preds
             self._mix = fixed_pool_mixer(self._game, self.eta, preds)
         preds = self._preds
         gamma = self._mix(log_w)
@@ -689,7 +700,7 @@ class Level3Sceptic(ScepticStrategy):
         self._n_switched = [0, 0]
         self._update_unswitched()
         self.worst_eq8_slack, self.worst_eq8_step = math.inf, None
-        self._pending = self._mix_key = self._mix_dtype = None
+        self._pending = self._mix_key = None
 
     def predict(self, n, gamma1, gamma2):
         gamma_base = self.base.predict(n, gamma1, gamma2)
@@ -704,13 +715,10 @@ class Level3Sceptic(ScepticStrategy):
         except (TypeError, ValueError):  # a base move of another form than the predictors'
             _check_inner(self._game, gamma_base, "level-3 base", n)
             raise
-        key = raw.tobytes()
-        # prepared anew when the moves or their type change (a string base move, say)
-        if key != self._mix_key or raw.dtype is not self._mix_dtype:
+        key = _mix_key(raw)
+        if key is None or key != self._mix_key:
             _check_inner(self._game, gamma_base, "level-3 base", n)
-            # moves numpy holds as objects are checked every step: their bytes are addresses
-            self._mix_key = key if np.can_cast(raw.dtype, float) else None
-            self._mix_dtype = raw.dtype
+            self._mix_key = key
             self._mix = fixed_pool_mixer(self._game, eta, raw.astype(float))
         gamma = self._mix(np.array(log_w))
         self._pending = (gamma_base, gamma1, gamma2, log_w, gamma)

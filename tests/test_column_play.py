@@ -47,7 +47,7 @@ class LoopOnly:
     def outcome_column(self, horizon):
         return None
 
-    def reply_column(self, *columns):
+    def reply_column(self):
         return None
 
 
@@ -322,6 +322,32 @@ def test_custom_candidates_match_the_loop():
             LOG3, lambda: j.ConstantPredictor(np.array([0.2, 0.3, 0.5])),
             lambda: j.ConstantPredictor(np.array([0.5, 0.4, 0.1])),
             lambda: j.Level2Sceptic(alpha), candidates=[2, 0, 1]))
+    # numpy's float64, a subclass of float, scored as the floats it holds
+    assert_same_run(_adversarial(BOUNDED_SQUARE, lambda: j.DriftPredictor(0.1, 1e-3),
+                                 lambda: j.ConstantPredictor(0.6), candidates=np.linspace(0, 1, 5)))
+    assert_same_run(_adversarial(
+        LOG3, lambda: j.ConstantPredictor(np.array([0.2, 0.3, 0.5])),
+        lambda: j.ConstantPredictor(np.array([0.5, 0.4, 0.1])), candidates=np.array([1.0, 2.0, 0.0])))
+
+
+@pytest.mark.parametrize("candidates", [np.array([0, 1]), np.array([0.0, 1.0], dtype=np.float32)],
+                         ids=["int64", "float32"])
+def test_candidates_scored_in_their_own_type_play_the_loop_before_any_column(
+        monkeypatch, candidates):
+    # the loop scores a numpy int or float32 in its own type, so the engine
+    # learns that the loop plays before it builds any move column
+    asked = []
+    for cls in (j.ConstantPredictor, j.Level2Sceptic):
+        column = cls.predict_column
+        monkeypatch.setattr(cls, "predict_column", lambda self, *columns, column=column:
+                            asked.append(1) or column(self, *columns))
+    case = _adversarial(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.3),
+                        lambda: j.ConstantPredictor(0.6), candidates=candidates, horizon=50)
+    (trace, _), _ = _play(case, loop=False)
+    (ref_trace, _), _ = _play(case, loop=True)
+    for name in TRACE_COLUMNS:
+        assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
+    assert asked == []
 
 
 def test_tied_candidates_play_the_first():
