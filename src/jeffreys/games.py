@@ -64,6 +64,18 @@ _MAX_REFINE_ROUNDS = 16
 _REFINE_POINTS = 21
 _REFINE_STARTS = 3
 _FLOAT_MAX = float(np.finfo(float).max)
+# module names for the binary validator, which runs three times a step
+_ldexp, _NDARRAY = math.ldexp, np.ndarray
+
+
+def _refuse_text(vector) -> None:
+    # a DomainError naming a vector's first string entry, which float()
+    # would read as a number, as _finite names a string move
+    entries = vector.tolist() if isinstance(vector, np.ndarray) else vector
+    if isinstance(entries, (list, tuple)):
+        for entry in entries:
+            if isinstance(entry, (str, bytes)):
+                raise DomainError(f"prediction {entry!r} is not a number")
 
 
 def _finite(move, what: str) -> bool:
@@ -112,7 +124,9 @@ class GameSpec:
     ``level2_column`` and ``mix_column`` are the column forms of ``level2``
     and ``mix``, one row per step, bit for bit the per-step moves; they give
     None for the whole column where any row has no closed-form move, and
-    the per-step loop plays the run.
+    the per-step loop plays the run.  ``mix_column`` takes the experts'
+    predictions shared by every step, ``(K,)`` or ``(K, m)``, or one row of
+    them per step, ``(B, K)`` or ``(B, K, m)``.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -286,10 +300,19 @@ class Game:
         if self._discrete:
             if self.m == 2:
                 try:
-                    if len(gamma) != 2:  # the length first, as for m > 2
+                    # the length first, as for m > 2; an array's entries as
+                    # Python numbers in one call, where indexing makes numpy scalars
+                    if gamma.__class__ is _NDARRAY:
+                        g0, g1 = gamma.tolist()
+                    elif len(gamma) == 2:
+                        g0, g1 = gamma[0], gamma[1]
+                    else:
                         raise IndexError
-                    p0, p1 = float(gamma[0]), float(gamma[1])
+                    # ldexp(x, 0) is float(x) for a number, and refuses a
+                    # string, which float() would read
+                    p0, p1 = _ldexp(g0, 0), _ldexp(g1, 0)
                 except (TypeError, IndexError, ValueError, OverflowError) as exc:
+                    _refuse_text(gamma)
                     raise DomainError("prediction must be a length-2 vector") from exc
                 # written so that NaN fails the comparisons
                 if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= 1e-12):
@@ -301,6 +324,8 @@ class Game:
                 raise DomainError(f"prediction must be a length-{self.m} vector") from exc
             if g.shape != (self.m,):
                 raise DomainError(f"prediction must be a length-{self.m} vector")
+            if g is not gamma:  # not already a float array: it may have read strings
+                _refuse_text(gamma)
             if not (np.all(g >= 0) and abs(float(g.sum()) - 1.0) <= 1e-12):
                 raise DomainError("prediction must be a probability vector")
             return
@@ -635,12 +660,13 @@ def _bounded_square_mix(preds, eta):
 
 
 def _bounded_square_mix_column(preds, eta):
-    # _bounded_square_mix over (B, K) rows of log-weights: each step's two
-    # endpoint rows, log-sum-exped as _lse_rows takes them
-    scaled = eta * _square_kernel(_UNIT_ENDS, preds)
+    # _bounded_square_mix over (B, K) rows of log-weights, for the same (K,)
+    # predictions every step or (B, K) of their own per step: each step's
+    # two endpoint rows, log-sum-exped as _lse_rows takes them
+    scaled = eta * _square_kernel(_UNIT_ENDS, preds[..., None, :])
 
     def moves(log_w):
-        g = -np.array(_lse_rows((log_w[:, None, :] - scaled).reshape(-1, len(preds)))) / eta
+        g = -np.array(_lse_rows((log_w[:, None, :] - scaled).reshape(-1, preds.shape[-1]))) / eta
         return _endpoint_moves(g[0::2], g[1::2])
     return moves
 
@@ -663,9 +689,10 @@ def _log_mix(preds, eta):
 
 
 def _log_mix_column(preds, eta):
-    # _log_mix over (B, K) rows: one (1, K) @ (K, m) product per row, as the
-    # step takes it (a single (B, K) @ (K, m) product differs in the last
-    # bit), and None where a row's total is not in (0, 1 + DOMINATION_TOL]
+    # _log_mix over (B, K) rows, for the same (K, m) predictions every step
+    # or (B, K, m) of their own per step: one (1, K) @ (K, m) product per
+    # row, as the step takes it (a single (B, K) @ (K, m) product differs in
+    # the last bit), and None where a row's total is not in (0, 1 + DOMINATION_TOL]
     if eta != 1.0:
         return None
 

@@ -50,6 +50,23 @@ def plays_own(strategy, owner: type, *methods: str) -> bool:
                and getattr(cls, name, None) is getattr(owner, name, None) for name in methods)
 
 
+# each column form, and the per-step methods it stands in for
+_STANDS_IN_FOR = {"outcome_column": ("outcome",), "reply_column": ("outcome",),
+                  "predict_column": ("predict", "observe")}
+
+
+def _column(strategy, form: str, *args):
+    """``strategy``'s column form ``form`` of ``args``, read off the class
+    that defines it; None where the strategy does not play that class's own
+    per-step methods (:func:`plays_own`), so the form cannot stand in for
+    them, or where the form gives None.  The engine resolves every role's
+    form through it, and the threshold lift its base's."""
+    owner = next((cls for cls in type(strategy).__mro__ if form in vars(cls)), None)
+    if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):
+        return None
+    return getattr(owner, form)(strategy, *args)
+
+
 class PredictorStrategy:
     """Announces a prediction each step, before the sceptic and Nature.
 

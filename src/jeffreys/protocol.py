@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, PoolCollapseError,
                      ProtocolViolationError)
 from .games import Game, GameKind
-from .players import NatureStrategy, PredictorStrategy, ReplayExhausted, plays_own
+from .players import NatureStrategy, PredictorStrategy, ReplayExhausted, _column
 from .sceptics import ScepticStrategy
 
 VERDICT_GAP_VANISHES = "gap-vanishes"
@@ -154,22 +154,6 @@ def _reset(players, game: Game, horizon: int, seed: int) -> None:
     streams = np.random.SeedSequence(seed).spawn(4)
     for player, stream in zip(players, streams):
         player.reset(game, np.random.default_rng(stream), horizon)
-
-
-# each column form, and the per-step methods it stands in for
-_STANDS_IN_FOR = {"outcome_column": ("outcome",), "reply_column": ("outcome",),
-                  "predict_column": ("predict", "observe")}
-
-
-def _column(strategy, form: str, *args):
-    """``strategy``'s column form ``form`` of ``args``, read off the class
-    that defines it; None where the strategy does not play that class's own
-    per-step methods (:func:`plays_own`), so the form cannot stand in for
-    them, or where the form gives None."""
-    owner = next((cls for cls in type(strategy).__mro__ if form in vars(cls)), None)
-    if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):
-        return None
-    return getattr(owner, form)(strategy, *args)
 
 
 def _play_columns(players, game: Game, horizon: int, seed: int):

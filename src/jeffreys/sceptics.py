@@ -29,8 +29,11 @@ columns of both predictors' moves and of the outcomes.  Against a Nature
 that replies to the current moves the outcomes come last, so the column
 form is told ``omegas=None``: level 2, whose moves read no outcome, plays
 (its closed form over the columns, or one gap search per distinct pair of
-moves); level 1 and the aggregating pool, which read the outcomes, give
-None, and the loop plays.
+moves); level 1, the aggregating pool and the threshold lift, which read
+the outcomes, give None, and the loop plays.  The lift plays its base's
+column form where the engine's rule lets it stand in (``_column``), and
+finds its switches as first passages of running loss differences over its
+thresholds.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (ConfigError, DivergenceOverestimate, DomainError, Mixabilit
                      PoolCollapseError, ProtocolViolationError)
 from .divergence import mean_gap
 from .games import Game, Prediction, _lse_rows, _scale, alpha_weights
-from .players import ConstantPredictor, plays_own
+from .players import ConstantPredictor, _column, plays_own
 
 
 class ScepticStrategy:
@@ -637,9 +640,39 @@ class AggregatingSceptic(ScepticStrategy):
 
 
 def _lse_floats(xs) -> float:
-    # _lse1 over a few Python floats, where numpy's per-call overhead would dominate
+    # _lse1 over a few Python floats, where numpy's per-call overhead would
+    # dominate; the exps add left to right, as the column form adds them
+    # (Python's sum compensates from 3.12 on)
     top = max(xs)
-    return top if top == -math.inf else top + math.log(sum([math.exp(x - top) for x in xs]))
+    if top == -math.inf:
+        return top
+    total = 0.0
+    for x in xs:
+        total += math.exp(x - top)
+    return top + math.log(total)
+
+
+def _lse_floats_rows(x: np.ndarray) -> np.ndarray:
+    # _lse_floats of each row of x, bit for bit: Python's max keeps the first
+    # of equal maxima, the exps add left to right, and libm takes each exp and log
+    top = x[:, 0]
+    for column in x.T[1:]:
+        top = np.where(column > top, column, top)
+    exps = np.array(list(map(math.exp, (x - top[:, None]).ravel().tolist()))).reshape(x.shape)
+    total = exps[:, 0]
+    for column in exps.T[1:]:
+        total = total + column
+    # a row whose top is -inf sums NaN, and its own top stands
+    logs = np.array(list(map(math.log, total.tolist())))
+    return np.where(top == -math.inf, top, top + logs)
+
+
+def _first_min(x: np.ndarray) -> np.ndarray:
+    # Python's min of each row of x: the first of equal minima
+    least = x[:, 0]
+    for column in x.T[1:]:
+        least = np.where(column < least, column, least)
+    return least
 
 
 # the largest k for which the threshold 2^k and the reciprocal 2^(k+1) of
@@ -665,6 +698,18 @@ class Level3Sceptic(ScepticStrategy):
     it, ``worst_eq8_step``.  An infinite loss of predictor j eliminates
     group j; its ``L_j`` restarts at zero for the experts that switch then.
     Where the moves change, a refused base move ends the run as a player's does.
+
+    Once the outcomes are known, a lift over a base whose column form may
+    stand in for it (the engine's rule), on a game with a column form of its
+    mix, plays a run in columns (``predict_column``): the base's column, the
+    loss columns and their compensated running sums, and the switches as
+    first passages of ``cum_j - cum_base`` over the thresholds.  Between
+    switches the offsets and floors are fixed, so ``EQ8_BLOCK`` steps at a
+    time the group weights, the mix, the domination re-check and the audit
+    are row-wise column arithmetic, each bit for bit the steps'.  Where a
+    loss is infinite or NaN (it would eliminate a group or collapse the
+    pool), or a step would leave the closed forms, it gives None and resets
+    its base, and the loop plays the run.
     """
 
     check = "eq8"
@@ -688,6 +733,8 @@ class Level3Sceptic(ScepticStrategy):
         self.eta, self.C = params.eta, params.C
         self._game = game
         self._loss = game.loss_fn()
+        # a column refused after the base's has played resets the base again, from the same draws
+        self._base_reset = (game, copy.deepcopy(rng), horizon)
         self.base.reset(game, rng, horizon)
         # cum1, cum2 and cum_base are the plain running sums the switches compare
         self.cum1 = self.cum2 = self.cum_base = self.cum_self = self._comp_self = 0.0
@@ -748,6 +795,85 @@ class Level3Sceptic(ScepticStrategy):
         self.cum_base = sums[0][0]
         self.cum1, self.cum2 = self.cum1 + losses[1], self.cum2 + losses[2]
         self._switch(n)
+
+    def predict_column(self, gammas1, gammas2, omegas):
+        if omegas is None or self._game.spec.mix_column is None:
+            return None
+        bases = _column(self.base, "predict_column", gammas1, gammas2, omegas)
+        if bases is None:
+            return None
+        moves = None
+        if len(bases) == len(omegas) and self._game.accepts_predictions(bases):
+            moves = self._lift_columns(np.stack((bases, gammas1, gammas2), axis=1), omegas)
+        if moves is None:  # the loop plays from step 1, and the base's column has played
+            self.base.reset(*self._base_reset)
+        return moves
+
+    def _lift_columns(self, preds, omegas):
+        # the run from the (N, 3) moves of the base and both predictors,
+        # EQ8_BLOCK steps at a time, on a copy of the lift whose state is
+        # committed only once every block has played; None where a loss is
+        # infinite or NaN (it would eliminate a group), or a step would leave
+        # the closed forms
+        game, eta = self._game, self.eta
+        mix_column, loss_column = game.spec.mix_column, game.spec.loss_column
+        lift = copy.copy(self)
+        lift._offsets, lift._floors = list(self._offsets), list(self._floors)
+        lift._n_switched, lift.switch_times = list(self._n_switched), dict(self.switch_times)
+        (totals, comps), levels = np.array(self._sums).T, np.array(self._levels)
+        cum_self, comp_self = self.cum_self, self._comp_self
+        moves = []
+        for start in range(0, len(omegas), EQ8_BLOCK):
+            block, rows = omegas[start:start + EQ8_BLOCK], preds[start:start + EQ8_BLOCK]
+            losses = np.stack([loss_column(block, rows[:, i]) for i in range(3)], axis=1)
+            if not np.isfinite(losses).all():
+                return None
+            # each group's loss after each step, and cum_j - cum_base as the
+            # switches compare them: the plain running sums, TwoSum's totals
+            sums, sum_comps = _compensated_cumsum(totals, comps, losses)
+            held = sums + sum_comps
+            # the first passages: the steps at which a predictor has fallen
+            # behind more levels than ever before, the switched ones included
+            passed = np.vstack(([lift._n_switched],
+                                np.searchsorted(levels, sums[:, 1:] - sums[:, :1])))
+            steps = np.flatnonzero((np.diff(np.maximum.accumulate(passed), axis=0) > 0).any(axis=1))
+            # offsets and floors per segment between switches: a step's
+            # weights and slack take those before its own switches
+            offsets, floors = [list(lift._offsets)], [list(lift._floors)]
+            for i in steps.tolist():
+                lift._sums = list(zip(sums[i].tolist(), sum_comps[i].tolist()))
+                lift.cum_base, lift.cum1, lift.cum2 = sums[i].tolist()
+                lift._switch(start + i + 1)
+                offsets.append(list(lift._offsets))
+                floors.append(list(lift._floors))
+            widths = np.diff(np.concatenate(([0], steps + 1, [len(block)])))
+            offsets, floors = (np.repeat(np.array(table), widths, axis=0)
+                               for table in (offsets, floors))
+            # with every loss finite, the unswitched group's weight or a
+            # switched one's is finite: the pool does not collapse
+            w = offsets - eta * np.vstack((totals + comps, held[:-1]))
+            log_w = w - _lse_floats_rows(w)[:, None]
+            gammas = mix_column(rows, eta)(log_w)
+            if gammas is None:
+                return None
+            own = loss_column(block, gammas)
+            played = -_lse_floats_rows(log_w - eta * losses) / eta
+            if (own > played + DOMINATION_TOL).any():
+                return None
+            selfs, self_comps = _compensated_cumsum(cum_self, comp_self, own)
+            slacks = _first_min(held + floors) - (selfs + self_comps)
+            i = int(slacks.argmin())
+            if slacks[i] < lift.worst_eq8_slack:
+                lift.worst_eq8_slack, lift.worst_eq8_step = float(slacks[i]), start + i + 1
+            moves.append(gammas)
+            totals, comps = sums[-1], sum_comps[-1]
+            cum_self, comp_self = float(selfs[-1]), float(self_comps[-1])
+        lift._sums = list(zip(totals.tolist(), comps.tolist()))
+        lift.cum_base, lift.cum1, lift.cum2 = totals.tolist()
+        lift.cum_self, lift._comp_self = cum_self, comp_self
+        lift._pending = (*preds[-1], log_w[-1].tolist(), moves[-1][-1])
+        vars(self).update(vars(lift))
+        return np.concatenate(moves)
 
     def _switch(self, n):
         k = self.k_max

@@ -9,7 +9,8 @@ replaced by one that fails (so the case cannot pass by falling back to the
 loop), and as the loop, through a wrapper that delegates to each strategy
 but offers no column form.  The two must agree on every trace column's
 bytes, the report's bytes, the check slacks in hex and, for a pool, its
-worst eq8 step, final log-weights and audit sums; a run that fails must
+worst eq8 step, final log-weights and audit sums, for the threshold lift
+its switch times, worst eq8 step and running sums; a run that fails must
 fail with the same error, message and step, or truncate with the same
 warning.
 """
@@ -60,7 +61,7 @@ PER_STEP = {
     j.ConstantPredictor: ("observe",), j.RunningMeanPredictor: ("predict", "observe"),
     j.NoisyTargetPredictor: ("predict", "observe"), j.DriftPredictor: ("predict", "observe"),
     j.Level1Sceptic: ("predict", "observe"), j.Level2Sceptic: ("predict", "observe"),
-    j.AggregatingSceptic: ("predict", "observe"),
+    j.AggregatingSceptic: ("predict", "observe"), j.Level3Sceptic: ("predict", "observe"),
 }
 
 
@@ -121,6 +122,12 @@ def assert_same_run(case):
         assert sceptic.cum_self.hex() == ref_sceptic.cum_self.hex()
     if isinstance(sceptic, j.Level1Sceptic):
         assert sceptic.D.hex() == ref_sceptic.D.hex()
+    if isinstance(sceptic, j.Level3Sceptic):
+        assert sceptic.switch_times == ref_sceptic.switch_times
+        assert float(sceptic.worst_eq8_slack).hex() == float(ref_sceptic.worst_eq8_slack).hex()
+        assert sceptic.worst_eq8_step == ref_sceptic.worst_eq8_step
+        for name in ("cum_self", "cum1", "cum2", "cum_base"):
+            assert getattr(sceptic, name).hex() == getattr(ref_sceptic, name).hex(), name
     return sceptic
 
 
@@ -227,7 +234,8 @@ def test_criterion5_oblivious_runs_match_the_loop(name):
 # ---------------------------------------------------------------------------
 # the bundled scenarios that play columns, at their full horizons
 
-COLUMN_SCENARIOS = ("prop1_absolute", "prop4_counterexample", "prop6_logloss", "prop6_square")
+COLUMN_SCENARIOS = ("prop1_absolute", "prop4_counterexample", "prop5_lift", "prop6_logloss",
+                    "prop6_square")
 
 
 def _scenario_case(name):
@@ -300,6 +308,118 @@ def test_learning_predictors_match_the_loop(game):
              (lambda: j.RunningMeanPredictor(-0.0), lambda: j.DriftPredictor(1.2, -2e-3))]
     for first, second in pairs:
         assert_same_run((lambda: (nature(), first(), second(), sceptic()), game, 1000, 8))
+
+
+# ---------------------------------------------------------------------------
+# the threshold lift: its switches as first passages over its base's column
+
+def _lift(game, first, second, nature, horizon, seed, k_max=20, base=None):
+    base = base or (lambda: j.Level2Sceptic(0.0, 1e-3))
+    return (lambda: (nature(), first(), second(), j.Level3Sceptic(base(), k_max=k_max)),
+            game, horizon, seed)
+
+
+def _diverging_lift(horizon, seed, k_max=20, first=0.1):
+    return _lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(first),
+                 lambda: j.ConstantPredictor(0.9), lambda: j.ConstantNature(0.9), horizon, seed,
+                 k_max)
+
+
+def _converging_lift(horizon, seed, k_max=20):
+    return _lift(BOUNDED_SQUARE, lambda: j.NoisyTargetPredictor(0.6, 0.15),
+                 lambda: j.NoisyTargetPredictor(0.6, 0.15), lambda: j.IidBernoulliNature(0.6),
+                 horizon, seed, k_max)
+
+
+def _log_lift(p, q, nature, game, horizon, seed, k_max=20):
+    return _lift(game, lambda: j.ConstantPredictor(np.array(p)),
+                 lambda: j.ConstantPredictor(np.array(q)), nature, horizon, seed, k_max)
+
+
+def test_log_loss_lifts_match_the_loop():
+    # the behaviour lock's level-3 run, three outcomes, and a base whose
+    # move changes every step
+    sceptic = assert_same_run(_log_lift([0.2, 0.8], [0.7, 0.3], lambda: j.IidBernoulliNature(0.75),
+                                        LOG2, 1000, 15, k_max=12))
+    assert sceptic.switch_times
+    replay = [0, 1, 2, 2, 1, 0, 2] * 300
+    sceptic = assert_same_run(_log_lift([0.6, 0.3, 0.1], [0.1, 0.2, 0.7],
+                                        lambda: j.ReplayNature(replay), LOG3, 2000, 17))
+    assert sceptic.switch_times
+    assert_same_run(_lift(LOG2, lambda: j.ConstantPredictor(np.array([0.9, 0.1])),
+                          j.RunningMeanPredictor, lambda: j.IidBernoulliNature(0.7), 1000, 18))
+
+
+@pytest.mark.parametrize("k_max", [1, 20])
+def test_lifts_of_either_pool_size_match_the_loop(k_max):
+    for seed in range(5):
+        assert_same_run(_diverging_lift(500, seed, k_max))
+        assert_same_run(_converging_lift(500, seed, k_max))
+        assert_same_run(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.3),
+                              lambda: j.ConstantPredictor(0.7), lambda: j.IidBernoulliNature(0.5),
+                              500, 8 + seed, k_max))
+
+
+@pytest.mark.parametrize("horizon", [EQ8_BLOCK - 1, EQ8_BLOCK, EQ8_BLOCK + 1,
+                                     2 * EQ8_BLOCK + 3])
+def test_lift_switches_across_column_blocks_match_the_loop(horizon):
+    # predictor 1 falls behind the base by about 1/2 a step, so the level
+    # 2^k passes at step 2^(k + 1) + 1: from k = 7 on, a block's first step
+    sceptic = assert_same_run(_diverging_lift(horizon, 1, first=0.083625))
+    assert {EQ8_BLOCK + 1, 2 * EQ8_BLOCK + 1} & set(range(horizon + 1)) \
+        <= set(sceptic.switch_times.values())
+
+
+def _spy_columns(monkeypatch, cls):
+    """The columns ``cls.predict_column`` gives, None included, as a list."""
+    given = []
+    column = cls.predict_column
+    monkeypatch.setattr(cls, "predict_column",
+                        lambda self, *columns: given.append(column(self, *columns)) or given[-1])
+    return given
+
+
+class HalvingLevel2(j.Level2Sceptic):
+    # a base whose move is not its class's column form's: half level 2's move
+    def predict(self, n, gamma1, gamma2):
+        return 0.5 * super().predict(n, gamma1, gamma2)
+
+
+def test_a_lift_the_loop_must_play_builds_no_base_column(monkeypatch):
+    # against the adversary the outcomes are not known yet, quartic loss
+    # has no closed-form mix, and an overridden base move cannot stand in
+    base_columns = _spy_columns(monkeypatch, j.Level2Sceptic)
+    _same_failure(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.1),
+                        lambda: j.ConstantPredictor(0.9), j.AdversarialGreedyNature, 300, 3))
+    _same_failure(_lift(j.quartic_loss_game(outcome_grid_size=65),
+                        lambda: j.ConstantPredictor(-0.5), lambda: j.ConstantPredictor(0.5),
+                        lambda: j.IidUniformNature(-1.0, 1.0), 100, 16, k_max=5))
+    assert base_columns == []
+    trace, _ = _same_failure(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.1),
+                                   lambda: j.ConstantPredictor(0.9),
+                                   lambda: j.ConstantNature(0.9), 300, 3,
+                                   base=lambda: HalvingLevel2(0.0)))
+    assert trace.gamma_sceptic[0] < 0.4  # the halved base, not level 2's 0.5, made the moves
+
+
+def test_a_lift_refused_after_its_base_column_plays_as_the_loop(monkeypatch):
+    # a predictor's infinite loss eliminates its group: the lift refuses the
+    # column after its base's pool has played, and resets that base so the
+    # loop plays from step 1
+    base_columns = _spy_columns(monkeypatch, j.AggregatingSceptic)
+    pool = (lambda: j.AggregatingSceptic([j.ConstantPredictor(COIN),
+                                          j.ConstantPredictor(np.array([0.8, 0.2]))]))
+    trace, _ = _same_failure(_lift(LOG2, lambda: j.ConstantPredictor(np.array([1.0, 0.0])),
+                                   lambda: j.ConstantPredictor(COIN),
+                                   lambda: j.IidBernoulliNature(0.3), 300, 5, base=pool))
+    assert len(trace) == 300
+    assert len(base_columns) == 1 and base_columns[0] is not None
+    # the same elimination in the base's group collapses the pool at step 2
+    base_columns = _spy_columns(monkeypatch, j.Level2Sceptic)
+    failure = _same_failure(_log_lift([1.0, 0.0], [0.5, 0.5], lambda: j.IidBernoulliNature(0.5),
+                                      LOG2, 100, 3))
+    assert failure[:2] == (j.PoolCollapseError, "step 2: every expert has suffered infinite loss")
+    assert len(base_columns) == 1 and base_columns[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +647,10 @@ def test_a_refused_sceptic_column_replays_from_a_fresh_reset():
 # the loop fails here, not first as a slower benchmark
 
 def _benchmark_shapes():
+    # pool_aggregation's lift ops, and criterion 6's runs
+    for horizon, seed in ((300, 5), (10_000, 41)):
+        yield _diverging_lift(horizon, seed)
+        yield _converging_lift(horizon, seed + 1)
     for alpha in ALPHAS:
         for second in (lambda: j.ConstantPredictor(1.0), j.RunningMeanPredictor):
             yield (lambda: (j.IidBernoulliNature(0.4), j.ConstantPredictor(0.0), second(),

@@ -500,8 +500,8 @@ PLAYS_OWN = re.compile(r"\bplays_own\(")
 ALLOWED_PLAYS_OWN = {
     ("players.py", "def plays_own(strategy, owner: type, *methods: str) -> bool:"):
         "the rule's definition",
-    ("protocol.py", "if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):"):
-        "the engine decides stand-in once per run, for every role",
+    ("players.py", "if owner is None or not plays_own(strategy, owner, *_STANDS_IN_FOR[form]):"):
+        "the engine decides stand-in once per run, for every role, and the lift for its base",
     ("sceptics.py", 'return plays_own(expert, ConstantPredictor, "predict", "observe")'):
         "the aggregating pool's test of a constant expert",
 }

@@ -184,6 +184,11 @@ VIOLATIONS = [
     ("log3", "nature", None, "outcome None is not a number"),
     # a vector of the wrong length is refused for its length, as for m > 2
     ("log2", "predictor 1", np.array([0.5, 0.3, 0.2]), "prediction must be a length-2 vector"),
+    # a vector of strings, which float() would read as numbers, as a string move is
+    ("log2", "predictor 1", ["0.5", "0.5"], "prediction '0.5' is not a number"),
+    ("log2", "sceptic", np.array(["0.5", "0.5"]), "prediction '0.5' is not a number"),
+    ("log3", "predictor 2", ["0.5", "0.25", "0.25"], "prediction '0.5' is not a number"),
+    ("log3", "sceptic", [0.5, 0.25, "0.25"], "prediction '0.25' is not a number"),
 ]
 
 
@@ -283,6 +288,21 @@ def test_a_pool_refuses_an_expert_that_plays_a_string_as_the_engine_does():
     assert isinstance(err.value.__cause__, DomainError)
 
 
+class _StringCoin(PredictorStrategy):
+    def predict(self, n):
+        return ["0.5", "0.5"]
+
+
+def test_a_vector_of_strings_against_the_adversary_is_refused_at_its_step():
+    # the adversary scores the moves it is shown: the engine refuses the
+    # strings before any loss is taken of them
+    with pytest.raises(ProtocolViolationError) as err:
+        run_protocol(AdversarialGreedyNature(), _StringCoin(),
+                     ConstantPredictor(np.array([0.8, 0.2])), Level2Sceptic(0.0),
+                     log_loss_game(m=2), 20, seed=1)
+    assert str(err.value) == "step 1: predictor 1: prediction '0.5' is not a number"
+
+
 # ---------------------------------------------------------------------------
 # nothing but the engine re-checks a move
 
@@ -293,9 +313,10 @@ def _aggregating():
 
 
 # the aggregating pool checks each of its two constant experts once, at
-# reset (its column of moves passes the column test), and the lift checks
-# its base's move when the moves change: once, as they repeat
-INNER_CHECKS = {"aggregating": 2, "level3": 1}
+# reset (its column of moves passes the column test); the lift, which plays
+# columns, checks its base's column once, beside the three the engine checks
+INNER_CHECKS = {"aggregating": 2}
+INNER_COLUMN_CHECKS = {"level3": 1}
 
 
 RUNS = {
@@ -317,8 +338,8 @@ RUNS = {
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_each_move_is_validated_exactly_once(name, monkeypatch):
     # per move where the loop plays the run; per column where columns play
-    # it, the level-2 runs among these: the column checks then see each
-    # column once, the moves' validators only the sceptics' own checks
+    # it, the level-2 and level-3 runs among these: the column checks then
+    # see each column once, the moves' validators only the sceptics' own checks
     game_factory, sceptic_factory, nature_factory, g1, g2 = RUNS[name]
     game = game_factory()
     calls = {"prediction": 0, "outcome": 0, "prediction column": 0, "outcome column": 0}
@@ -345,4 +366,5 @@ def test_each_move_is_validated_exactly_once(name, monkeypatch):
     if looped:
         assert {key: calls[key] for key in moves} == moves
     else:
-        assert calls == {**moves, "prediction column": 3, "outcome column": 1}
+        assert calls == {**moves, "prediction column": 3 + INNER_COLUMN_CHECKS.get(name, 0),
+                         "outcome column": 1}
