@@ -128,13 +128,6 @@ def kl_divergence_log_loss(gamma1, gamma2) -> float:
 
     Conventions: ``0 * ln(0/q) = 0`` and ``p * ln(p/0) = +inf`` for p > 0.
     """
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    total = 0.0
-    for p, q in zip(g1, g2):
-        if p == 0.0:
-            continue
-        if q == 0.0:
-            return math.inf
-        total += p * math.log(p / q)
-    return total
+    p, q = np.asarray(gamma1, dtype=float), np.asarray(gamma2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(np.where(p == 0.0, 0.0, p * np.log(p / q))))

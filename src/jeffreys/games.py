@@ -64,8 +64,9 @@ _MAX_REFINE_ROUNDS = 16
 _REFINE_POINTS = 21
 _REFINE_STARTS = 3
 _FLOAT_MAX = float(np.finfo(float).max)
-# module names for the binary validator, which runs three times a step
-_ldexp, _NDARRAY = math.ldexp, np.ndarray
+# module names for the binary validator, which runs three times a step, and
+# for the log-loss kernel
+_ldexp, _NDARRAY, _log = math.ldexp, np.ndarray, np.log
 
 
 def _refuse_text(vector) -> None:
@@ -169,22 +170,23 @@ def _quartic_kernel(omega, gamma):
 
 def _log_kernel(omega, gamma):
     p = gamma[int(omega)]
-    return -math.log(p) if p > 0.0 else math.inf
+    return -float(_log(p)) if p > 0.0 else math.inf
+
+
+def _neg_log(p: np.ndarray) -> np.ndarray:
+    # the kernel over an array of probabilities; a probability of 0 loses +inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, -np.log(p), np.inf)
 
 
 def _log_loss_column(omega, gamma):
-    # the probability each row's prediction gave its outcome, logged by libm
-    # as the kernel does, once per distinct probability
-    p = gamma[np.arange(len(gamma)), np.asarray(omega, dtype=np.intp)]
-    values, rows = np.unique(p, return_inverse=True)
-    return np.array([-math.log(x) if x > 0.0 else math.inf for x in values.tolist()])[rows]
+    # the probability each row's prediction gave its outcome
+    return _neg_log(gamma[np.arange(len(gamma)), np.asarray(omega, dtype=np.intp)])
 
 
 def _log_losses(omega, gamma):
-    # broadcasting log loss over the probabilities' last axis; a probability of 0 loses +inf
-    p = np.asarray(gamma, dtype=float)[..., np.asarray(omega, dtype=np.intp)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 0.0, -np.log(p), np.inf)
+    # broadcasting log loss over the probabilities' last axis
+    return _neg_log(np.asarray(gamma, dtype=float)[..., np.asarray(omega, dtype=np.intp)])
 
 
 def _binary_log_param_losses(game, params):
@@ -199,17 +201,17 @@ def _lse1(x: np.ndarray) -> float:
     m = x.max()
     if m == -math.inf:
         return -math.inf
-    return float(m) + math.log(float(np.exp(x - m).sum()))
+    return float(m + np.log(np.exp(x - m).sum()))
 
 
-def _lse_rows(x: np.ndarray) -> list:
-    # _lse1 of each row, bit for bit, in one reduction per stage; where a
-    # row is all -inf, every row takes _lse1's path
+def _lse_rows(x: np.ndarray) -> np.ndarray:
+    # _lse1 of each row, bit for bit, in one reduction per stage; a row that
+    # is all -inf gives -inf
     m = x.max(axis=1, keepdims=True)
-    tops = m[:, 0].tolist()
-    if -math.inf in tops:
-        return [_lse1(row) for row in x]
-    return [a + math.log(b) for a, b in zip(tops, np.exp(x - m).sum(axis=1).tolist())]
+    with np.errstate(invalid="ignore"):
+        sums = np.exp(x - m).sum(axis=1)
+    m = m[:, 0]
+    return np.where(m == -math.inf, m, m + np.log(sums))
 
 
 @dataclass
@@ -564,48 +566,50 @@ def _square_level2(game, w1, w2):
 
 def _log_gap(g1, g2):
     # sqrt of the zero-order divergence: squares sum to the series; each
-    # row's affinity is summed over outcomes as np.sum sums one vector
+    # row's affinity is summed over outcomes as np.sum sums one vector, and
+    # a row of affinity 0 (disjoint supports) has an infinite gap
     affinity = np.sum(np.sqrt(g1 * g2), axis=1)
-    return np.array([math.sqrt(max(0.0, -4.0 * math.log(a))) if a > 0.0 else math.inf
-                     for a in affinity.tolist()])
-
-
-def _power(g, w: float) -> np.ndarray:
-    # two outcomes take libm's pow over floats, as the level-2 move does; more take numpy's
-    g = np.asarray(g, dtype=float)
-    if g.shape[1] != 2:
-        return g ** w
-    return np.array([x ** w for x in g.ravel().tolist()]).reshape(g.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        series = -4.0 * np.log(affinity)
+    return np.where(affinity > 0.0, np.sqrt(np.where(series > 0.0, series, 0.0)), np.inf)
 
 
 def _log_divergence(game, alpha: float):
-    # scaled negative log-affinity over the outcomes
+    # scaled negative log-affinity over the outcomes; the powers take a
+    # scalar exponent, as the level-2 move takes them
     w1, w2 = alpha_weights(alpha)
     scale = -4.0 / (1.0 - alpha * alpha)
 
     def div(g1, g2):
-        affinity = np.sum(_power(g1, w1) * _power(g2, w2), axis=1)
-        return np.array([scale * math.log(a) if a > 0.0 else math.inf
-                         for a in affinity.tolist()])
+        affinity = np.sum(np.power(np.asarray(g1, dtype=float), w1)
+                          * np.power(np.asarray(g2, dtype=float), w2), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(affinity > 0.0, scale * np.log(affinity), np.inf)
     return div
 
 
 def _log_level2(game, w1, w2):
     # the normalized geometric mixture: its profile is the weighted mean of
-    # the profiles shifted down by minus the log-affinity
+    # the profiles shifted down by minus the log-affinity.  Each move's
+    # powers take one call with a scalar exponent, as the column form's do:
+    # numpy takes a scalar exponent of 0.5 as a square root, and an array of
+    # exponents as powers
     if game.m == 2:
+        power, asarray, array = np.power, np.asarray, np.array  # looked up once, not per step
+
         def move2(g1, g2):
-            a = float(g1[0]) ** w1 * float(g2[0]) ** w2
-            b = float(g1[1]) ** w1 * float(g2[1]) ** w2
+            a1, b1 = power(asarray(g1, float), w1).tolist()
+            a2, b2 = power(asarray(g2, float), w2).tolist()
+            a, b = a1 * a2, b1 * b2
             total = a + b
             if total <= 0.0:
                 raise DivergenceOverestimate(
                     "predictions have disjoint support; divergence is infinite")
-            return np.array((a / total, b / total))
+            return array((a / total, b / total))
         return move2
 
     def move(g1, g2):
-        raw = np.asarray(g1, dtype=float) ** w1 * np.asarray(g2, dtype=float) ** w2
+        raw = np.power(np.asarray(g1, dtype=float), w1) * np.power(np.asarray(g2, dtype=float), w2)
         total = float(raw.sum())
         if total <= 0.0:
             raise DivergenceOverestimate(
@@ -615,10 +619,10 @@ def _log_level2(game, w1, w2):
 
 
 def _log_level2_column(game, w1, w2):
-    # the per-step move over columns: libm's pow for two outcomes (_power),
-    # the two-term total a + b, and None where a row's supports are disjoint
+    # the per-step move over columns: the two-term total a + b for two
+    # outcomes, and None where a row's supports are disjoint
     def moves(g1, g2):
-        raw = _power(g1, w1) * _power(g2, w2)
+        raw = np.power(g1, w1) * np.power(g2, w2)
         total = raw[:, 0] + raw[:, 1] if game.m == 2 else raw.sum(axis=1)
         return raw / total[:, None] if (total > 0.0).all() else None
     return moves
@@ -656,7 +660,7 @@ def _bounded_square_mix(preds, eta):
     # the generalized prediction at the outcome interval's endpoints, from
     # the experts' eta-scaled losses there, one row per endpoint
     scaled = eta * _square_kernel(_UNIT_ENDS, preds)
-    return lambda log_w: _endpoint_move(*[-g / eta for g in _lse_rows(log_w - scaled)])
+    return lambda log_w: _endpoint_move(*(-_lse_rows(log_w - scaled) / eta).tolist())
 
 
 def _bounded_square_mix_column(preds, eta):
@@ -666,7 +670,7 @@ def _bounded_square_mix_column(preds, eta):
     scaled = eta * _square_kernel(_UNIT_ENDS, preds[..., None, :])
 
     def moves(log_w):
-        g = -np.array(_lse_rows((log_w[:, None, :] - scaled).reshape(-1, preds.shape[-1]))) / eta
+        g = -_lse_rows((log_w[:, None, :] - scaled).reshape(-1, preds.shape[-1])) / eta
         return _endpoint_moves(g[0::2], g[1::2])
     return moves
 

@@ -21,11 +21,12 @@ from the outcome column, ``predict_column(omegas)``; ``omegas=None`` means
 the outcomes are not known yet, because Nature replies to the moves, and
 only a predictor that reads no outcomes (constant, noisy target, drift)
 then plays, with the horizon it kept at ``reset``.  Each form reads only
-what ``reset`` left, changes no state, and gives the bits of the per-step
-methods of the class that defines it.  Whether a column form may stand in
-for a strategy's per-step methods is the engine's decision, made once per
-run (:func:`plays_own`); a strategy without a column form gives None, and
-the engine plays the per-step loop.
+what ``reset`` left and gives the bits of the per-step methods of the class
+that defines it; it may change state, since where any column fails the
+engine resets every player before the loop plays.  Whether a column form
+may stand in for a strategy's per-step methods is the engine's decision,
+made once per run (:func:`plays_own`); a strategy without a column form
+gives None, and the engine plays the per-step loop.
 """
 
 from __future__ import annotations
@@ -269,10 +270,12 @@ class AdversarialGreedyNature(NatureStrategy):
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         loss = self._loss
-        # when no score beats -inf (a NaN one never does), the first candidate plays
+        # when no score beats -inf (a NaN one never does), the first candidate
+        # plays; the better loss is Python's min(a, b), written out
         best, best_score = self._cands[0], -math.inf
         for w in self._cands:
-            score = loss(w, gamma_sceptic) - min(loss(w, gamma1), loss(w, gamma2))
+            a, b = loss(w, gamma1), loss(w, gamma2)
+            score = loss(w, gamma_sceptic) - (b if b < a else a)
             if score > best_score:
                 best, best_score = w, score
         return best

@@ -17,8 +17,8 @@ The engine alone decides whether a column form may stand in for a
 strategy's per-step methods: only where the strategy plays the per-step
 methods of the class that defines the form.  Otherwise, and wherever a
 column attempt meets a move or a step the loop would refuse or warn about,
-it plays the per-step loop from step 1, which records each step's four
-moves and names the step of any error.  Both
+it resets every player and plays the per-step loop from step 1, which
+records each step's four moves and names the step of any error.  Both
 paths build the same columnar trace, with its loss, gap and divergence
 columns, once the run ends.  The engine then classifies which branch of
 the agreement-or-outperformance disjunction a finished run exhibits, and
@@ -128,7 +128,8 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     Deterministic given (configuration, seed): each player gets an
     independent generator spawned from the seed.  The run plays as columns
     where every strategy offers its column form, and as the per-step loop
-    otherwise; both give the same trace, bit for bit.  The engine is the
+    otherwise, from a fresh reset of every player from the same seed; both
+    give the same trace, bit for bit.  The engine is the
     only validator of moves in a run: it checks each move exactly once, as
     it is announced (predictor 1, predictor 2, the sceptic, then Nature),
     or each column, and the strategies rely on that.  An out-of-domain move
@@ -141,10 +142,12 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     players = (predictor1, predictor2, sceptic, nature)
     _reset(players, game, horizon, seed)
     truncated = False
-    # a failed column attempt leaves every error and warning to the loop
+    # a failed column attempt leaves every error and warning to the loop,
+    # which plays from a fresh reset whatever state the attempt changed
     with np.errstate(all="ignore"):
-        columns = _play_columns(players, game, horizon, seed)
+        columns = _play_columns(players, game, horizon)
     if columns is None:
+        _reset(players, game, horizon, seed)
         columns, truncated = _play_loop(players, game, horizon)
     return Trace(game, *columns, seed=seed, truncated=truncated,
                  divergence=sceptic.divergence_column)
@@ -156,15 +159,15 @@ def _reset(players, game: Game, horizon: int, seed: int) -> None:
         player.reset(game, np.random.default_rng(stream), horizon)
 
 
-def _play_columns(players, game: Game, horizon: int, seed: int):
+def _play_columns(players, game: Game, horizon: int):
     """The run's four move columns, in dependency order, or None where the
     loop must play it: a strategy without a column form that may stand in
     for it, or a column of another length than the horizon or with a move
     the validators' fast path does not accept.  An oblivious Nature's
     outcome column comes first; otherwise Nature's reply form, then the
     predictors' and the sceptic's columns, from ``omegas=None``, and the
-    reply to them last.  Only a sceptic column that succeeded has changed any state, so a
-    column refused after it resets every player again from the same seed."""
+    reply to them last.  Column forms may change state on the way to None:
+    the caller resets every player before the loop plays."""
     predictor1, predictor2, sceptic, nature = players
 
     def accepted(column, accepts) -> bool:
@@ -182,15 +185,11 @@ def _play_columns(players, game: Game, horizon: int, seed: int):
     if not all(accepted(column, game.accepts_predictions) for column in gammas):
         return None
     column = _column(sceptic, "predict_column", *gammas, omegas)
-    if column is None:
-        return None
     if not accepted(column, game.accepts_predictions):
-        _reset(players, game, horizon, seed)
         return None
     if reply is not None:
         omegas = reply(*gammas, column)
         if not accepted(omegas, game.accepts_outcomes):
-            _reset(players, game, horizon, seed)
             return None
     return (*gammas, column, omegas)
 
@@ -203,10 +202,14 @@ def _play_loop(players, game: Game, horizon: int) -> tuple:
     truncated = False
     validate_prediction = game.validate_prediction
     validate_outcome = game.validate_outcome
+    # each step's calls, looked up once
+    predict1, predict2, predict, outcome = (
+        predictor1.predict, predictor2.predict, sceptic.predict, nature.outcome)
+    observe1, observe2, observe = predictor1.observe, predictor2.observe, sceptic.observe
 
     for n in range(1, horizon + 1):
-        g1 = predictor1.predict(n)
-        g2 = predictor2.predict(n)
+        g1 = predict1(n)
+        g2 = predict2(n)
         try:
             validate_prediction(g1)
         except DomainError as exc:
@@ -216,7 +219,7 @@ def _play_loop(players, game: Game, horizon: int) -> tuple:
         except DomainError as exc:
             raise ProtocolViolationError(f"predictor 2: {exc}", n) from exc
         try:
-            gs = sceptic.predict(n, g1, g2)
+            gs = predict(n, g1, g2)
         except (PoolCollapseError, DivergenceOverestimate) as exc:
             raise type(exc)(f"step {n}: {exc}") from exc
         try:
@@ -224,7 +227,7 @@ def _play_loop(players, game: Game, horizon: int) -> tuple:
         except DomainError as exc:
             raise ProtocolViolationError(f"sceptic: {exc}", n) from exc
         try:
-            omega = nature.outcome(n, g1, g2, gs)
+            omega = outcome(n, g1, g2, gs)
         except ReplayExhausted as exc:
             warnings.warn(f"run truncated at step {n}: {exc}")
             truncated = True
@@ -236,9 +239,9 @@ def _play_loop(players, game: Game, horizon: int) -> tuple:
 
         record((g1, g2, gs, omega))
 
-        predictor1.observe(n, omega)
-        predictor2.observe(n, omega)
-        sceptic.observe(n, omega)
+        observe1(n, omega)
+        observe2(n, omega)
+        observe(n, omega)
     return [rows[i::4] for i in range(4)], truncated
 
 

@@ -38,7 +38,6 @@ thresholds.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Optional
 
@@ -74,11 +73,10 @@ class ScepticStrategy:
     engine decides once per run whether the form may stand in for the
     per-step methods: only where the strategy plays that class's own
     ``predict`` and ``observe``.  Where any of its own steps
-    would raise, warn or leave the closed forms, it gives None and changes
-    no state; the engine then plays the loop, which tells what went wrong
-    and at which step.  A move column the engine refuses (a NaN move, say)
-    has changed the state, so the engine resets every player before the
-    loop plays.
+    would raise, warn or leave the closed forms, it gives None, whatever
+    state it has changed on the way: the engine resets every player and
+    plays the loop, which tells what went wrong and at which step, as it
+    does after a move column it refuses (a NaN move, say).
 
     ``check`` names the guarantee the strategy certifies, ``worst_slack``
     its worst slack over a finished run; the trace records as its per-step
@@ -235,10 +233,12 @@ def f_mix(x: float, c: float) -> float:
     return math.copysign(c, x) if math.isinf(x) else c * x / (1.0 + abs(x))
 
 
-def f_mix_integral(x: float, c: float) -> float:
-    """Integral of :func:`f_mix` from 0 to x; even, with closed form."""
-    ax = abs(x)
-    return c * (ax - math.log1p(ax))
+def f_mix_integral(x, c: float):
+    """Integral of :func:`f_mix` from 0 to x; even, with closed form, of a
+    float or elementwise of an array; NaN at +-inf."""
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        return c * (ax - np.log1p(ax))
 
 
 def _area_pieces(a: np.ndarray, delta: np.ndarray, c: float) -> np.ndarray:
@@ -250,8 +250,7 @@ def _area_pieces(a: np.ndarray, delta: np.ndarray, c: float) -> np.ndarray:
     moving = delta != 0.0
     a, delta = a[moving], delta[moving]
     u = np.where((a > 0.0) | ((a == 0.0) & (delta > 0.0)), delta / (1.0 + a), -delta / (1.0 - a))
-    # libm's log1p, as f_mix_integral takes it: numpy's differs in the last bit
-    piece = c * (u - np.array([math.log1p(x) for x in u.tolist()]))
+    piece = c * (u - np.log1p(u))
     areas[moving] = np.where(piece > 0.0, piece, 0.0)
     return areas
 
@@ -285,8 +284,7 @@ def level1_ledger(trace, c: float) -> tuple:
         areas = _triangle_areas(d[:-1], delta, c)
         excess = np.cumsum(np.concatenate(([0.0], ls - (0.5 * l1 + 0.5 * l2))))[1:]
         # no area is -0.0, so the plain running sum is the one from 0.0
-        integral = np.array([f_mix_integral(x, c) for x in d[1:].tolist()])
-        bounds = integral - np.cumsum(areas)
+        bounds = f_mix_integral(d[1:], c) - np.cumsum(areas)
     return areas, excess, bounds
 
 
@@ -577,8 +575,7 @@ class AggregatingSceptic(ScepticStrategy):
         table = (np.array([self._losses(w, preds) for w in range(game.m)])
                  if game.spec.outcome_type is int else None)
         log_weights, total = self.pool.log_weights, self._total
-        # fold replaces the audit's arrays rather than writing into them
-        audit, moves = copy.copy(self._audit), []
+        moves = []
         for start in range(0, len(omegas), EQ8_BLOCK):
             block = omegas[start:start + EQ8_BLOCK]
             losses = (self._losses(block[:, None], preds) if table is None
@@ -587,7 +584,7 @@ class AggregatingSceptic(ScepticStrategy):
             if np.isnan(scaled).any():
                 return None
             weights, shifts = aa_observe_rows(log_weights, scaled)
-            totals = np.array(_lse_rows(weights))
+            totals = _lse_rows(weights)
             before = np.concatenate(([total], totals[:-1]))
             # the pool collapses at a step whose weights before it are all -inf
             if (before == -math.inf).any():
@@ -598,10 +595,10 @@ class AggregatingSceptic(ScepticStrategy):
             own = game.spec.loss_column(block, gammas)
             if (own > -((totals + shifts) - before) / eta + DOMINATION_TOL).any():
                 return None
-            audit.fold(losses, own)
+            self._audit.fold(losses, own)
             moves.append(gammas)
             log_weights, total = weights[-1], float(totals[-1])
-        self.pool.log_weights, self._total, self._audit = log_weights.copy(), total, audit
+        self.pool.log_weights, self._total = log_weights.copy(), total
         self._rows, self._own = [], []
         self._pending = (preds, moves[-1][-1])
         return np.concatenate(moves)
@@ -640,31 +637,17 @@ class AggregatingSceptic(ScepticStrategy):
 
 
 def _lse_floats(xs) -> float:
-    # _lse1 over a few Python floats, where numpy's per-call overhead would
-    # dominate; the exps add left to right, as the column form adds them
+    # _lse_rows of one row of a few Python floats, where building arrays
+    # would cost more than the arithmetic: numpy's exp and log on each float,
+    # the exps added left to right, as numpy sums a row shorter than eight
     # (Python's sum compensates from 3.12 on)
     top = max(xs)
     if top == -math.inf:
         return top
     total = 0.0
     for x in xs:
-        total += math.exp(x - top)
-    return top + math.log(total)
-
-
-def _lse_floats_rows(x: np.ndarray) -> np.ndarray:
-    # _lse_floats of each row of x, bit for bit: Python's max keeps the first
-    # of equal maxima, the exps add left to right, and libm takes each exp and log
-    top = x[:, 0]
-    for column in x.T[1:]:
-        top = np.where(column > top, column, top)
-    exps = np.array(list(map(math.exp, (x - top[:, None]).ravel().tolist()))).reshape(x.shape)
-    total = exps[:, 0]
-    for column in exps.T[1:]:
-        total = total + column
-    # a row whose top is -inf sums NaN, and its own top stands
-    logs = np.array(list(map(math.log, total.tolist())))
-    return np.where(top == -math.inf, top, top + logs)
+        total += float(np.exp(x - top))
+    return top + float(np.log(total))
 
 
 def _first_min(x: np.ndarray) -> np.ndarray:
@@ -708,8 +691,8 @@ class Level3Sceptic(ScepticStrategy):
     time the group weights, the mix, the domination re-check and the audit
     are row-wise column arithmetic, each bit for bit the steps'.  Where a
     loss is infinite or NaN (it would eliminate a group or collapse the
-    pool), or a step would leave the closed forms, it gives None and resets
-    its base, and the loop plays the run.
+    pool), or a step would leave the closed forms, it gives None, and the
+    engine resets every player, the base with them, before the loop plays.
     """
 
     check = "eq8"
@@ -733,8 +716,6 @@ class Level3Sceptic(ScepticStrategy):
         self.eta, self.C = params.eta, params.C
         self._game = game
         self._loss = game.loss_fn()
-        # a column refused after the base's has played resets the base again, from the same draws
-        self._base_reset = (game, copy.deepcopy(rng), horizon)
         self.base.reset(game, rng, horizon)
         # cum1, cum2 and cum_base are the plain running sums the switches compare
         self.cum1 = self.cum2 = self.cum_base = self.cum_self = self._comp_self = 0.0
@@ -800,26 +781,16 @@ class Level3Sceptic(ScepticStrategy):
         if omegas is None or self._game.spec.mix_column is None:
             return None
         bases = _column(self.base, "predict_column", gammas1, gammas2, omegas)
-        if bases is None:
+        if bases is None or len(bases) != len(omegas) or not self._game.accepts_predictions(bases):
             return None
-        moves = None
-        if len(bases) == len(omegas) and self._game.accepts_predictions(bases):
-            moves = self._lift_columns(np.stack((bases, gammas1, gammas2), axis=1), omegas)
-        if moves is None:  # the loop plays from step 1, and the base's column has played
-            self.base.reset(*self._base_reset)
-        return moves
+        return self._lift_columns(np.stack((bases, gammas1, gammas2), axis=1), omegas)
 
     def _lift_columns(self, preds, omegas):
         # the run from the (N, 3) moves of the base and both predictors,
-        # EQ8_BLOCK steps at a time, on a copy of the lift whose state is
-        # committed only once every block has played; None where a loss is
-        # infinite or NaN (it would eliminate a group), or a step would leave
-        # the closed forms
+        # EQ8_BLOCK steps at a time; None where a loss is infinite or NaN (it
+        # would eliminate a group), or a step would leave the closed forms
         game, eta = self._game, self.eta
         mix_column, loss_column = game.spec.mix_column, game.spec.loss_column
-        lift = copy.copy(self)
-        lift._offsets, lift._floors = list(self._offsets), list(self._floors)
-        lift._n_switched, lift.switch_times = list(self._n_switched), dict(self.switch_times)
         (totals, comps), levels = np.array(self._sums).T, np.array(self._levels)
         cum_self, comp_self = self.cum_self, self._comp_self
         moves = []
@@ -834,45 +805,44 @@ class Level3Sceptic(ScepticStrategy):
             held = sums + sum_comps
             # the first passages: the steps at which a predictor has fallen
             # behind more levels than ever before, the switched ones included
-            passed = np.vstack(([lift._n_switched],
+            passed = np.vstack(([self._n_switched],
                                 np.searchsorted(levels, sums[:, 1:] - sums[:, :1])))
             steps = np.flatnonzero((np.diff(np.maximum.accumulate(passed), axis=0) > 0).any(axis=1))
             # offsets and floors per segment between switches: a step's
             # weights and slack take those before its own switches
-            offsets, floors = [list(lift._offsets)], [list(lift._floors)]
+            offsets, floors = [list(self._offsets)], [list(self._floors)]
             for i in steps.tolist():
-                lift._sums = list(zip(sums[i].tolist(), sum_comps[i].tolist()))
-                lift.cum_base, lift.cum1, lift.cum2 = sums[i].tolist()
-                lift._switch(start + i + 1)
-                offsets.append(list(lift._offsets))
-                floors.append(list(lift._floors))
+                self._sums = list(zip(sums[i].tolist(), sum_comps[i].tolist()))
+                self.cum_base, self.cum1, self.cum2 = sums[i].tolist()
+                self._switch(start + i + 1)
+                offsets.append(list(self._offsets))
+                floors.append(list(self._floors))
             widths = np.diff(np.concatenate(([0], steps + 1, [len(block)])))
             offsets, floors = (np.repeat(np.array(table), widths, axis=0)
                                for table in (offsets, floors))
             # with every loss finite, the unswitched group's weight or a
             # switched one's is finite: the pool does not collapse
             w = offsets - eta * np.vstack((totals + comps, held[:-1]))
-            log_w = w - _lse_floats_rows(w)[:, None]
+            log_w = w - _lse_rows(w)[:, None]
             gammas = mix_column(rows, eta)(log_w)
             if gammas is None:
                 return None
             own = loss_column(block, gammas)
-            played = -_lse_floats_rows(log_w - eta * losses) / eta
+            played = -_lse_rows(log_w - eta * losses) / eta
             if (own > played + DOMINATION_TOL).any():
                 return None
             selfs, self_comps = _compensated_cumsum(cum_self, comp_self, own)
             slacks = _first_min(held + floors) - (selfs + self_comps)
             i = int(slacks.argmin())
-            if slacks[i] < lift.worst_eq8_slack:
-                lift.worst_eq8_slack, lift.worst_eq8_step = float(slacks[i]), start + i + 1
+            if slacks[i] < self.worst_eq8_slack:
+                self.worst_eq8_slack, self.worst_eq8_step = float(slacks[i]), start + i + 1
             moves.append(gammas)
             totals, comps = sums[-1], sum_comps[-1]
             cum_self, comp_self = float(selfs[-1]), float(self_comps[-1])
-        lift._sums = list(zip(totals.tolist(), comps.tolist()))
-        lift.cum_base, lift.cum1, lift.cum2 = totals.tolist()
-        lift.cum_self, lift._comp_self = cum_self, comp_self
-        lift._pending = (*preds[-1], log_w[-1].tolist(), moves[-1][-1])
-        vars(self).update(vars(lift))
+        self._sums = list(zip(totals.tolist(), comps.tolist()))
+        self.cum_base, self.cum1, self.cum2 = totals.tolist()
+        self.cum_self, self._comp_self = cum_self, comp_self
+        self._pending = (*preds[-1], log_w[-1].tolist(), moves[-1][-1])
         return np.concatenate(moves)
 
     def _switch(self, n):

@@ -9,8 +9,6 @@ column ledger, ``level1_ledger``, is tested against: the same moves, and
 the same areas, excess and bounds, bit for bit.
 """
 
-import math
-
 import numpy as np
 
 from jeffreys.errors import ConfigError
@@ -27,7 +25,7 @@ def _area_piece(a: float, delta: float, c: float) -> float:
         u = delta / (1.0 + a)
     else:
         u = -delta / (1.0 - a)
-    return max(0.0, c * (u - math.log1p(u)))
+    return max(0.0, c * (u - np.log1p(u)))
 
 
 def triangle_area(d_old: float, delta: float, c: float) -> float:

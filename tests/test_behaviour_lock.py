@@ -39,8 +39,8 @@ SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 LOCKED = {
     "prop6_square": ("d4b1475b57cd5855e4ea866764b2f6b9f79513832d6ae8edea42255f99d1a298",
                      "30263b6092aa3ebcd872a2c4f4d26c0a43c5831e290b3dd43d1ad4db119bdb5d"),
-    "prop6_logloss": ("6075198b02541875c215ac6abe55a957bcce3ea45cffa0928080af5d688afd18",
-                      "aed35b84162fb854cb640878000a9ad06806cc559b7bc17703361e367096e0ad"),
+    "prop6_logloss": ("b630d14906b066a84ae2f5a493acb2f4503bc27846e46e78451eba55476e3145",
+                      "c0c9e468cafd12c9c02f6a1cb40a47306439bf960370212ef499d6c3704ef65a"),
     "prop5_lift": ("75a29cda30b933d633c437e5211639bbdb66778b5fe63d5dac0c4031063209db",
                    "bb253a4e07af7446ff718c49f4a38125fcdfa49e78f966ffa000eb1a4ada943f"),
     "prop1_absolute": ("3c074bdcbe3fa8d05a014a3661618c8b1ab2b1e38bdfa2926200523eded0d168",
@@ -173,10 +173,10 @@ POOL_CASES = {
 
 # case -> SHA-256 of its text
 POOL_LOCKED = {
-    "log_loss_k7": "c4bbf4a01852c1cf3b8efdc2f4d9e48b9e6a69d75a0023be8bf65750d067096f",
+    "log_loss_k7": "57976aa84e2ff2679403a5c5d039c8e4c5eb3a1fc5ad8d32712ce92ad6d0d38c",
     "bounded_square_k7": "4a13a8b76964e2bbfafd7523355b373fa5c8162f5bc50a8166f543d903117b7f",
-    "bounded_square_learners": "9f1212d60eb58aa56c35dd6da00fb01c7b42e451b5a26f5670ce487772f14501",
-    "log_loss_eliminated": "52b810a31c130bf19605972bd5053d1fb70d464f708dc6e9fe3f1dc6fe9293af",
+    "bounded_square_learners": "6a8e42fb3c7164343e647f40026d4bc129857d4c0d01f3e5339674d343a6b2ad",
+    "log_loss_eliminated": "2d042e8dd4a2e56be8cf26b1691b5a8f72ad164477cd8ec8362a9c465c0b100c",
     "level3_log_loss": "db53d0ec6821ce795b1b472f85df919b075410fd07de15ae3eeaa28f0c4f6366",
     "quartic_generic": "a5eed28b20c5943f7ad944cd478e1b12c4a542f995fa6f2e1238d7d7c6b05e48",
 }
@@ -217,9 +217,9 @@ LEVEL2_CASES = {
 # case -> SHA-256 of its text
 LEVEL2_LOCKED = {
     "log_loss_alpha+0.8_constant": "46978d9d19d09740bb66ef105871ce9d0b893b7ba875f1f93474d6a1818ee3bd",
-    "log_loss_alpha+0.8_running_mean": "ea1968a9095b571fed3416f3f35cf2e3f6b6f506f57365ff983816c1e1b9400f",
+    "log_loss_alpha+0.8_running_mean": "9227071c24207761df7a316df08c89ff0a12426f850dcb38a61c459c2a88cf6b",
     "log_loss_alpha-0.8_constant": "8f42e37e2b7e70148a0224a74a772569e60e7161192632edcf2770a76eb90a0d",
-    "log_loss_alpha-0.8_running_mean": "42948a4ac34fe3730cbcc3ad4cdab9716469ee8c885afd3ea0080198641a3900",
+    "log_loss_alpha-0.8_running_mean": "134016b1f3e52eaa69834a546c9f626012887187dc39f77d22f08f9cce38f1dc",
     "square_alpha+0.8_constant": "1a521cc4449d1a335719002df69260128e1826237c712ad865549888dd0dfe99",
     "square_alpha+0.8_running_mean": "c11d1a205bed0e234d1a22836621ff2996818146a442e66eaa192905ea5639cb",
     "square_alpha-0.8_constant": "ebf45cedaa37a28033d6d4b4d4aa36a606575cb8c0ae92aa72519a313effe6ab",

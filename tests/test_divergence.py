@@ -81,6 +81,22 @@ def test_kl_divergence():
     assert kl_divergence_log_loss([0.5, 0.5], [1.0, 0.0]) == math.inf
 
 
+def test_kl_divergence_is_the_sum_over_outcomes():
+    # the per-outcome sum in play order, on 2 to 12 outcomes with zero
+    # probabilities on either side; numpy sums in another order
+    rng = np.random.default_rng(5)
+    for m in range(2, 13):
+        p, q = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
+        p[rng.random(m) < 0.3] = 0.0
+        q[(p == 0.0) & (rng.random(m) < 0.5)] = 0.0
+        terms = [a * math.log(a / b) for a, b in zip(p.tolist(), q.tolist()) if a != 0.0]
+        assert kl_divergence_log_loss(p, q) == pytest.approx(math.fsum(terms), rel=1e-13,
+                                                             abs=1e-15)
+        if p.any():
+            q[np.flatnonzero(p)[0]] = 0.0
+            assert kl_divergence_log_loss(p, q) == math.inf
+
+
 def test_kl_is_the_alpha_limit():
     g1, g2 = [0.5, 0.5], [0.25, 0.75]
     near = alpha_divergence_log_loss(g1, g2, -1.0 + 1e-4)

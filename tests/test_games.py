@@ -59,12 +59,10 @@ def constructor_name(kind):
 @pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
 def test_loss_paths_agree_bitwise(kind):
     # Game.loss, loss_fn, canonical_point and losses_for_params agree
-    # exactly where they share one kernel, as every scalar kind does; log
-    # loss's per-move kernel uses math.log and its array paths np.log, which
-    # may round the last bit differently
+    # exactly: a scalar kind shares one kernel, and log loss's per-move
+    # kernel and its array paths take numpy's one log
     game = game_from_descriptor({"kind": kind.value, "grid_size": 65})
     kernel = game.loss_fn()
-    shared = game.spec.losses is kernel
     params = game.prediction_grid[::5]
     matrix = game.losses_for_params(params)
     for row, u in zip(matrix, params):
@@ -73,11 +71,7 @@ def test_loss_paths_agree_bitwise(kind):
         assert np.array_equal(point, row)
         for omega, value in zip(game.outcome_grid[::3], point[::3]):
             omega = game.spec.outcome_type(omega)
-            assert game.loss(omega, gamma) == kernel(omega, gamma)
-            if shared:
-                assert kernel(omega, gamma) == value
-            else:
-                assert kernel(omega, gamma) == pytest.approx(value, rel=4e-16, abs=0.0)
+            assert game.loss(omega, gamma) == kernel(omega, gamma) == value
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +107,18 @@ def _scalar_log_gap(g1, g2):
         affinity = math.sqrt(float(g1[0]) * float(g2[0])) + math.sqrt(float(g1[1]) * float(g2[1]))
     else:
         affinity = float(np.sum(np.sqrt(np.asarray(g1) * np.asarray(g2))))
-    return math.inf if affinity <= 0.0 else math.sqrt(max(0.0, -4.0 * math.log(affinity)))
+    return math.inf if affinity <= 0.0 else math.sqrt(max(0.0, -4.0 * float(np.log(affinity))))
 
 
 def _scalar_log_divergence(g1, g2, alpha):
     w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
     if len(g1) == 2:
-        affinity = (float(g1[0]) ** w1 * float(g2[0]) ** w2
-                    + float(g1[1]) ** w1 * float(g2[1]) ** w2)
+        affinity = (np.power(float(g1[0]), w1) * np.power(float(g2[0]), w2)
+                    + np.power(float(g1[1]), w1) * np.power(float(g2[1]), w2))
     else:
-        affinity = float(np.sum(np.asarray(g1, dtype=float) ** w1
-                                * np.asarray(g2, dtype=float) ** w2))
-    return math.inf if affinity <= 0.0 else -4.0 / (1.0 - alpha * alpha) * math.log(affinity)
+        affinity = float(np.sum(np.power(np.asarray(g1, dtype=float), w1)
+                                * np.power(np.asarray(g2, dtype=float), w2)))
+    return math.inf if affinity <= 0.0 else -4.0 / (1.0 - alpha * alpha) * float(np.log(affinity))
 
 
 @COLUMNS
@@ -511,6 +505,25 @@ def test_the_stand_in_rule_has_one_owner():
     assert _src_lines_matching(PLAYS_OWN) == set(ALLOWED_PLAYS_OWN)
 
 
+# the modules whose per-step kernels and column forms agree bit for bit by
+# taking numpy's ufuncs on both paths: a transcendental taken by libm there,
+# or a power over a list of Python floats, and why it stays
+LIBM_CALL = re.compile(r"\bmath\.(exp|expm1|exp2|log|log1p|log2|log10|pow|sqrt|cbrt)\(")
+ELEMENT_LOOP = re.compile(r"\*\*.*(\.tolist\(\)|\bmap\()|\bmap\(\s*math\.")
+ONE_ARITHMETIC = ("games.py", "sceptics.py", "aggregating.py")
+ALLOWED_LIBM = {
+    ("sceptics.py", "self._offsets[0] = math.log(u) if u > 0.0 else -math.inf"):
+        "the lift's ln U, which its switches take on the loop and in columns alike",
+    ("games.py", 'f"substitution excess {math.log(total):.3g} exceeds tolerance")'):
+        "an error message",
+}
+
+
+def test_the_kernels_and_column_forms_share_one_arithmetic():
+    hits = _src_lines_matching(LIBM_CALL) | _src_lines_matching(ELEMENT_LOOP)
+    assert {hit for hit in hits if hit[0] in ONE_ARITHMETIC} == set(ALLOWED_LIBM)
+
+
 def test_the_aggregation_constants_have_one_owner():
     # the domination tolerance beside the closed forms that read it, and the
     # anchoring threshold that aa_observe and aa_observe_rows share
@@ -528,6 +541,75 @@ def test_no_closed_form_of_the_pool_takes_a_tolerance(form):
 
 def test_the_canonical_point_cache_is_not_a_constructor_parameter():
     assert "_loss_matrix" not in inspect.signature(Game).parameters
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic: the per-step kernels call numpy's ufuncs on Python floats
+# and the column forms call them on arrays, so the two paths agree bit for
+# bit only where numpy's scalar and array calls do.  On a platform where
+# they do not, these fail by name.
+
+_TINY = float(np.finfo(float).smallest_subnormal)
+_SPECIAL = [0.0, -0.0, _TINY, 3 * _TINY, 2.0 ** -1030, float(np.finfo(float).tiny), 1.0,
+            math.inf, 0.5, 2.0, 1e-300, 1e300]
+
+
+def _ufunc_inputs(name, rng, n=20_000):
+    # each ufunc over the domain the library feeds it, specials first
+    if name == "exp":  # differences from a row's maximum, and overflow
+        random = rng.uniform(-750.0, 710.0, n)
+        return np.array([*_SPECIAL, *(-x for x in _SPECIAL), 709.8, -745.2, *random])
+    if name == "power":  # probabilities
+        return np.array([*_SPECIAL, *rng.uniform(0.0, 1.0, n)])
+    random = np.concatenate((rng.uniform(0.0, 1.0, n // 2),
+                             10.0 ** rng.uniform(-310, 308, n // 2)))
+    if name == "log1p":  # the ledger's u, which may lie in (-1, 0)
+        random = np.concatenate((random, rng.uniform(-1.0, 0.0, n // 4)))
+    return np.array([*_SPECIAL, *random])
+
+
+def _call(name, x, w=None):
+    with np.errstate(all="ignore"):
+        return getattr(np, name)(x) if w is None else np.power(x, w)
+
+
+def _numpy_cases():
+    # (ufunc, exponent or None): power takes the level-2 weights, among them
+    # 0.5, which numpy takes as a square root when it is a scalar exponent
+    for name in ("log", "exp", "log1p", "sqrt"):
+        yield name, None
+    for w in (0.5, 0.1, 0.9, 0.05, 0.95, 0.25, 0.75, 0.3):
+        yield "power", w
+
+
+@pytest.mark.parametrize("name, w", list(_numpy_cases()))
+def test_numpy_scalar_and_array_calls_agree_bit_for_bit(name, w):
+    rng = np.random.default_rng(20091207)
+    x = _ufunc_inputs(name, rng)
+    contiguous = _call(name, x, w)
+    # Python floats, and the numpy scalars that indexing an array gives
+    scalars = np.array([_call(name, v, w) for v in x.tolist()])
+    numpy_scalars = np.array([_call(name, v, w) for v in x])
+    spaced = np.zeros(3 * len(x))
+    spaced[1::3] = x
+    strided = _call(name, spaced[1::3], w)
+    rows = _call(name, x[:len(x) // 2 * 2].reshape(-1, 2), w)
+    singles = np.concatenate([_call(name, x[i:i + 1], w) for i in range(len(x))])
+    expected = _bits(contiguous)
+    assert _bits(scalars) == expected
+    assert _bits(numpy_scalars) == expected
+    assert _bits(strided) == expected
+    assert _bits(rows.ravel()) == expected[:rows.size]
+    assert _bits(singles) == expected
+
+
+def test_numpy_sums_a_short_row_left_to_right():
+    # the lift's per-step log-sum-exp adds its three exps left to right, and
+    # its column form takes numpy's sum of each row of three
+    rng = np.random.default_rng(20091208)
+    x = rng.uniform(0.0, 1.0, (20_000, 3)) * 10.0 ** rng.integers(-3, 4, (20_000, 3))
+    assert _bits(x.sum(axis=1)) == _bits((x[:, 0] + x[:, 1]) + x[:, 2])
+    assert _bits([row.sum() for row in x[:2000]]) == _bits(x[:2000].sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -312,10 +312,12 @@ def _aggregating():
                                RunningMeanPredictor()])
 
 
-# the aggregating pool checks each of its two constant experts once, at
-# reset (its column of moves passes the column test); the lift, which plays
-# columns, checks its base's column once, beside the three the engine checks
-INNER_CHECKS = {"aggregating": 2}
+# the aggregating pool checks each of its two constant experts once at each
+# reset (its column of moves passes the column test), and a run the loop
+# plays is reset twice: before the column attempt and before the loop; the
+# lift, which plays columns, checks its base's column once, beside the three
+# the engine checks
+INNER_CHECKS = {"aggregating": 2 * 2}
 INNER_COLUMN_CHECKS = {"level3": 1}
 
 
