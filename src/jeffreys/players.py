@@ -17,13 +17,16 @@ current step's three moves (the adversarial greedy Nature) gives, before
 any move column is built, the function that replies to the three move
 columns with the outcome column, ``reply_column()``.
 A predictor whose move reads only past outcomes gives its whole move column
-from the outcome column, ``predict_column(omegas)``; ``omegas=None`` means
-the outcomes are not known yet, because Nature replies to the moves, and
-only a predictor that reads no outcomes (constant, noisy target, drift)
-then plays, with the horizon it kept at ``reset``.  Each form reads only
-what ``reset`` left and gives the bits of the per-step methods of the class
-that defines it; it may change state, since where any column fails the
-engine resets every player before the loop plays.  Whether a column form
+from the outcome column, ``predict_column(omegas)``: row n of the column
+reads only outcomes before n.  ``omegas=None`` means the outcomes are not
+known yet, because Nature replies to the moves; a predictor that reads no
+outcomes (constant, noisy target, drift) then plays, with the horizon it
+kept at ``reset``, and a running mean gives None, so the engine plays its
+column against guessed outcome columns until Nature's reply to one is the
+guess.  Each form reads only what ``reset`` left and gives the bits of the
+per-step methods of the class that defines it, for any valid outcome
+column; it may change state, since the engine resets every player before
+each guess and before the loop plays.  Whether a column form
 may stand in for a strategy's per-step methods is the engine's decision,
 made once per run (:func:`plays_own`); a strategy without a column form
 gives None, and the engine plays the per-step loop.
@@ -77,7 +80,10 @@ class PredictorStrategy:
     not re-check them, and score them with the game's unvalidated
     ``loss_fn`` kernel.  ``predict_column(omegas)`` gives the moves of a
     whole run against the outcome column ``omegas``, or None; ``omegas``
-    is None where the outcomes are not known yet.
+    is None where the outcomes are not known yet.  Its row n reads only
+    outcomes before n, so that changing ``omegas[k:]`` leaves rows 0..k as
+    they were: the engine relies on it when it plays against guessed
+    outcomes.
     """
 
     def reset(self, game: Game, rng: np.random.Generator, horizon: int) -> None:

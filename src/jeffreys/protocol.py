@@ -8,8 +8,11 @@ depend on the moves: the outcome column, both predictors' move columns,
 then the sceptic's.  Against one whose outcome is a fixed function of the
 current step's moves (the adversarial greedy Nature): both predictors'
 columns and the sceptic's first, each told ``omegas=None`` (the outcomes
-are not known yet), so only forms that read no outcomes play, then
-Nature's reply to them, from the reply form it gave before any of them.
+are not known yet), then Nature's reply to them, from the reply form it
+gave before any of them.  Where a form reads past outcomes, and so gives
+None there, up to ``SPECULATION_ROUNDS`` rounds each play the move columns
+against a guessed outcome column: a reply equal to its guess is the run,
+since row n of every column form reads only outcomes before n.
 The protocol fixes the order of information, not the order of
 computation, so each player still sees only what it would see step by
 step.
@@ -145,7 +148,7 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     # a failed column attempt leaves every error and warning to the loop,
     # which plays from a fresh reset whatever state the attempt changed
     with np.errstate(all="ignore"):
-        columns = _play_columns(players, game, horizon)
+        columns = _play_columns(players, game, horizon, seed)
     if columns is None:
         _reset(players, game, horizon, seed)
         columns, truncated = _play_loop(players, game, horizon)
@@ -159,39 +162,80 @@ def _reset(players, game: Game, horizon: int, seed: int) -> None:
         player.reset(game, np.random.default_rng(stream), horizon)
 
 
-def _play_columns(players, game: Game, horizon: int):
+# the rounds of guessing the outcome column against a Nature that replies
+# to moves which read past outcomes, before the loop plays the run
+SPECULATION_ROUNDS = 16
+
+
+def _play_columns(players, game: Game, horizon: int, seed: int):
     """The run's four move columns, in dependency order, or None where the
     loop must play it: a strategy without a column form that may stand in
     for it, or a column of another length than the horizon or with a move
     the validators' fast path does not accept.  An oblivious Nature's
     outcome column comes first; otherwise Nature's reply form, then the
     predictors' and the sceptic's columns, from ``omegas=None``, and the
-    reply to them last.  Column forms may change state on the way to None:
-    the caller resets every player before the loop plays."""
+    reply to them last.  Where a move form reads past outcomes (it gives
+    None for ``omegas=None``), up to ``SPECULATION_ROUNDS`` rounds each
+    reset every player and play the moves against a guessed outcome column,
+    all zeros first: a reply equal to its guess bit for bit is the run, since
+    row n of every column form reads only outcomes before n.  Otherwise the
+    reply's rows through its first mismatch are the run's, and the next
+    guess extends them (:func:`_next_guess`).  Column forms may change state
+    on the way to None: the caller resets every player before the loop
+    plays."""
     predictor1, predictor2, sceptic, nature = players
 
     def accepted(column, accepts) -> bool:
         return column is not None and len(column) == horizon and accepts(column)
 
-    omegas, reply = _column(nature, "outcome_column", horizon), None
-    if omegas is None:
-        reply = _column(nature, "reply_column")
+    def play(omegas):
+        # the move columns against omegas, and the outcome column: omegas, or Nature's reply
+        gammas = (_column(predictor1, "predict_column", omegas),
+                  _column(predictor2, "predict_column", omegas))
+        if not all(accepted(column, game.accepts_predictions) for column in gammas):
+            return None
+        column = _column(sceptic, "predict_column", *gammas, omegas)
+        if not accepted(column, game.accepts_predictions):
+            return None
         if reply is None:
-            return None
-    elif not accepted(omegas, game.accepts_outcomes):
-        return None
-    gammas = (_column(predictor1, "predict_column", omegas),
-              _column(predictor2, "predict_column", omegas))
-    if not all(accepted(column, game.accepts_predictions) for column in gammas):
-        return None
-    column = _column(sceptic, "predict_column", *gammas, omegas)
-    if not accepted(column, game.accepts_predictions):
-        return None
-    if reply is not None:
+            return (*gammas, column, omegas)
         omegas = reply(*gammas, column)
-        if not accepted(omegas, game.accepts_outcomes):
+        return (*gammas, column, omegas) if accepted(omegas, game.accepts_outcomes) else None
+
+    omegas, reply = _column(nature, "outcome_column", horizon), None
+    if omegas is not None:
+        return play(omegas) if accepted(omegas, game.accepts_outcomes) else None
+    reply = _column(nature, "reply_column")
+    if reply is None:
+        return None
+    run = play(None)
+    if run is not None:
+        return run
+    guess = np.zeros(horizon)
+    for _ in range(SPECULATION_ROUNDS):
+        _reset(players, game, horizon, seed)
+        run = play(guess) if accepted(guess, game.accepts_outcomes) else None
+        if run is None:
             return None
-    return (*gammas, column, omegas)
+        miss = np.flatnonzero(run[3].view(np.uint64) != guess.view(np.uint64))
+        if not len(miss):
+            return run
+        guess = _next_guess(run[3], int(miss[0]) + 1)
+    return None
+
+
+def _next_guess(reply: np.ndarray, known: int) -> np.ndarray:
+    """The next guess at the outcome column, from Nature's reply to the
+    last guess, whose first ``known`` rows are the run's: those rows
+    extended by their shortest period, of at most 64 rows, where it repeats
+    three times at their end, and otherwise the reply itself."""
+    rows = reply[:known]
+    bits = rows.tobytes()
+    for period in range(1, min(64, known // 3) + 1):
+        width = period * rows.itemsize
+        if bits[-3 * width:-width] == bits[-2 * width:]:
+            return np.concatenate((rows, np.resize(rows[-period:], len(reply) - known)))
+    return reply
 
 
 def _play_loop(players, game: Game, horizon: int) -> tuple:

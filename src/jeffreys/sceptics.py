@@ -27,13 +27,14 @@ predict alike, three in all.
 Column forms (``predict_column``) play a whole run from the validated
 columns of both predictors' moves and of the outcomes.  Against a Nature
 that replies to the current moves the outcomes come last, so the column
-form is told ``omegas=None``: level 2, whose moves read no outcome, plays
-(its closed form over the columns, or one gap search per distinct pair of
-moves); level 1, the aggregating pool and the threshold lift, which read
-the outcomes, give None, and the loop plays.  The lift plays its base's
-column form where the engine's rule lets it stand in (``_column``), and
-finds its switches as first passages of running loss differences over its
-thresholds.
+form is first told ``omegas=None``: level 2, whose moves read no outcome,
+plays (its closed form over the columns, or one gap search per distinct
+pair of moves); level 1, the aggregating pool and the threshold lift,
+which read past outcomes, give None, and the engine plays them against
+guessed outcome columns until Nature's reply to one is the guess.  The
+lift plays its base's column form where the engine's rule lets it stand in
+(``_column``), and finds its switches as first passages of running loss
+differences over its thresholds.
 """
 
 from __future__ import annotations
@@ -67,9 +68,13 @@ class ScepticStrategy:
     ``predict_column(gammas1, gammas2, omegas)`` plays a whole run at once
     from its validated move and outcome columns: it gives the sceptic's move
     column, bit for bit the per-step moves of the class that defines it, and
-    leaves the state the per-step loop would leave.  ``omegas`` is None
-    where Nature replies to the moves, so the outcomes are not known yet;
-    only a strategy whose moves read no outcomes (level 2) then plays.  The
+    leaves the state the per-step loop would leave.  Row n reads only the
+    moves through n and the outcomes before n, so that changing
+    ``omegas[k:]`` leaves rows 0..k as they were: against a Nature that
+    replies to the moves the engine plays the form against guessed outcome
+    columns, and keeps a guess that Nature's reply repeats.  ``omegas`` is
+    None where the outcomes are not known yet; only a strategy whose moves
+    read no outcomes (level 2) then plays.  The
     engine decides once per run whether the form may stand in for the
     per-step methods: only where the strategy plays that class's own
     ``predict`` and ``observe``.  Where any of its own steps
@@ -274,7 +279,9 @@ def level1_ledger(trace, c: float) -> tuple:
     L2``; ``excess``: the sceptic's running loss over the predictors' mean;
     ``bounds``: ``integral(f, 0..D) - (running sum of areas)``, at least the
     excess, and equal while every outcome falls outside the predictors' gap.
-    Running sums add in play order from 0.0, as the strategy's ``D`` does.
+    Running sums add in play order from 0.0, as the strategy's ``D`` does;
+    the excess and the areas' sum are TwoSum-compensated, as eq8's sums are,
+    so that their rounding does not drift into the slack over long runs.
     """
     l1, l2, ls = trace.loss1, trace.loss2, trace.loss_sceptic
     # halving is exact: the mean of two losses near the float range stays finite
@@ -282,9 +289,9 @@ def level1_ledger(trace, c: float) -> tuple:
         delta = l1 - l2
         d = np.cumsum(np.concatenate(([0.0], delta)))
         areas = _triangle_areas(d[:-1], delta, c)
-        excess = np.cumsum(np.concatenate(([0.0], ls - (0.5 * l1 + 0.5 * l2))))[1:]
-        # no area is -0.0, so the plain running sum is the one from 0.0
-        bounds = f_mix_integral(d[1:], c) - np.cumsum(areas)
+        excess, swept = (np.add(*_compensated_cumsum(0.0, 0.0, rows))
+                         for rows in (ls - (0.5 * l1 + 0.5 * l2), areas))
+        bounds = f_mix_integral(d[1:], c) - swept
     return areas, excess, bounds
 
 

@@ -6,13 +6,14 @@ curvilinear-triangle area with the scalar ``triangle_area`` and appends the
 area, the running excess and the ledger bound to ``audit_areas``,
 ``audit_excess`` and ``audit_bounds``.  It is the reference the library's
 column ledger, ``level1_ledger``, is tested against: the same moves, and
-the same areas, excess and bounds, bit for bit.
+the same areas, excess and bounds, bit for bit.  Its running excess and
+area sum carry TwoSum compensation, added one step at a time.
 """
 
 import numpy as np
 
 from jeffreys.errors import ConfigError
-from jeffreys.sceptics import ScepticStrategy, f_mix, f_mix_integral
+from jeffreys.sceptics import ScepticStrategy, _compensated_add, f_mix, f_mix_integral
 
 
 def _area_piece(a: float, delta: float, c: float) -> float:
@@ -54,7 +55,8 @@ class PerStepLevel1(ScepticStrategy):
     move, by oddness of f.
 
     ``triangle_sum`` accumulates the curvilinear-triangle areas and
-    ``excess`` the sceptic's realized loss over the predictors' average.
+    ``excess`` the sceptic's realized loss over the predictors' average,
+    each with its TwoSum compensation.
     The ledger bound ``integral(f, 0..D) - triangle_sum`` dominates
     ``excess`` at all times, exactly so while every outcome falls outside
     the predictors' gap.  The triangle areas use the closed-form integral
@@ -74,14 +76,14 @@ class PerStepLevel1(ScepticStrategy):
     def reset(self, game, rng, horizon):
         self._loss = game.loss_fn()
         self.D = 0.0
-        self.triangle_sum = 0.0
-        self.excess = 0.0
+        self.triangle_sum = self._triangle_comp = 0.0
+        self.excess = self._excess_comp = 0.0
         self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
         self._pending = None
 
     @property
     def ledger_bound(self) -> float:
-        return f_mix_integral(self.D, self.c) - self.triangle_sum
+        return f_mix_integral(self.D, self.c) - (self.triangle_sum + self._triangle_comp)
 
     def predict(self, n, gamma1, gamma2):
         w = f_mix(self.D, self.c)
@@ -96,10 +98,12 @@ class PerStepLevel1(ScepticStrategy):
         delta = l1 - l2
         area = triangle_area(self.D, delta, self.c)
         self.D += delta
-        self.triangle_sum += area
-        self.excess += loss(omega, gamma) - 0.5 * (l1 + l2)
+        self.triangle_sum, self._triangle_comp = _compensated_add(
+            self.triangle_sum, self._triangle_comp, area)
+        self.excess, self._excess_comp = _compensated_add(
+            self.excess, self._excess_comp, loss(omega, gamma) - 0.5 * (l1 + l2))
         self.audit_areas.append(area)
-        self.audit_excess.append(self.excess)
+        self.audit_excess.append(self.excess + self._excess_comp)
         self.audit_bounds.append(self.ledger_bound)
 
     def worst_slack(self, trace) -> float:

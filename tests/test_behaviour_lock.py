@@ -44,9 +44,9 @@ LOCKED = {
     "prop5_lift": ("75a29cda30b933d633c437e5211639bbdb66778b5fe63d5dac0c4031063209db",
                    "bb253a4e07af7446ff718c49f4a38125fcdfa49e78f966ffa000eb1a4ada943f"),
     "prop1_absolute": ("3c074bdcbe3fa8d05a014a3661618c8b1ab2b1e38bdfa2926200523eded0d168",
-                       "f85eadc2e9f17900be944e30f2b31efddd3d13121c22cafef929e68739fdbd42"),
+                       "a36fe363c1df5e2c778a1699b8900e783a5994862a6f6c0810f33e79d1dfd5d9"),
     "prop4_counterexample": ("99be0972d28a413044a38bf8d7a597afb2b4819c84b1878660da6dd49d26edaf",
-                             "bb52eb994a38a6aa467bf8a757c207e2930ccff53e7adf94cf3c1899aa78ebdf"),
+                             "6519e88322254c00f6f94f402e5e4a09a5872493d8d2bc76b994610b66251e32"),
 }
 
 

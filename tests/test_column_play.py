@@ -370,6 +370,30 @@ def test_lift_switches_across_column_blocks_match_the_loop(horizon):
         <= set(sceptic.switch_times.values())
 
 
+def _spy_rounds(monkeypatch):
+    """(rounds, looped): lists that gain an entry for each outcome column
+    the engine guesses against a replying Nature (each such round starts
+    from a fresh reset inside column play), and for each run the loop plays."""
+    rounds, looped, playing = [], [], []
+    reset, columns, loop = j.protocol._reset, j.protocol._play_columns, j.protocol._play_loop
+
+    def counted_reset(*args):
+        rounds.extend(playing)
+        return reset(*args)
+
+    def counted_columns(*args):
+        playing.append(1)
+        try:
+            return columns(*args)
+        finally:
+            playing.clear()
+
+    monkeypatch.setattr(j.protocol, "_reset", counted_reset)
+    monkeypatch.setattr(j.protocol, "_play_columns", counted_columns)
+    monkeypatch.setattr(j.protocol, "_play_loop", lambda *args: looped.append(1) or loop(*args))
+    return rounds, looped
+
+
 def _spy_columns(monkeypatch, cls):
     """The columns ``cls.predict_column`` gives, None included, as a list."""
     given = []
@@ -386,11 +410,10 @@ class HalvingLevel2(j.Level2Sceptic):
 
 
 def test_a_lift_the_loop_must_play_builds_no_base_column(monkeypatch):
-    # against the adversary the outcomes are not known yet, quartic loss
-    # has no closed-form mix, and an overridden base move cannot stand in
+    # quartic loss has no closed-form mix, and an overridden base move
+    # cannot stand in; against the adversary the lift plays columns, one
+    # base column for each guessed outcome column
     base_columns = _spy_columns(monkeypatch, j.Level2Sceptic)
-    _same_failure(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.1),
-                        lambda: j.ConstantPredictor(0.9), j.AdversarialGreedyNature, 300, 3))
     _same_failure(_lift(j.quartic_loss_game(outcome_grid_size=65),
                         lambda: j.ConstantPredictor(-0.5), lambda: j.ConstantPredictor(0.5),
                         lambda: j.IidUniformNature(-1.0, 1.0), 100, 16, k_max=5))
@@ -400,6 +423,12 @@ def test_a_lift_the_loop_must_play_builds_no_base_column(monkeypatch):
                                    lambda: j.ConstantNature(0.9), 300, 3,
                                    base=lambda: HalvingLevel2(0.0)))
     assert trace.gamma_sceptic[0] < 0.4  # the halved base, not level 2's 0.5, made the moves
+    assert base_columns == []
+    rounds, looped = _spy_rounds(monkeypatch)
+    assert_same_run(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.1),
+                          lambda: j.ConstantPredictor(0.9), j.AdversarialGreedyNature, 300, 3))
+    assert looped == [1]  # the loop's reference run, which builds no base column
+    assert len(base_columns) == len(rounds) >= 1 and all(c is not None for c in base_columns)
 
 
 def test_a_lift_refused_after_its_base_column_plays_as_the_loop(monkeypatch):
@@ -510,19 +539,151 @@ def test_noisy_and_drift_predictors_against_the_adversary_match_the_loop(game):
                                      lambda: j.Level2Sceptic(alpha), horizon=1000))
 
 
-def test_a_running_mean_against_the_adversary_plays_the_loop_before_any_sceptic_column(
-        monkeypatch):
+def test_a_running_mean_against_the_adversary_plays_one_sceptic_column_per_round(monkeypatch):
+    # the running mean gives no column before the outcomes are known, so
+    # the sceptic's column is first built against the first guessed outcomes
     asked = []
     column = j.Level2Sceptic.predict_column
     monkeypatch.setattr(j.Level2Sceptic, "predict_column",
                         lambda self, *columns: asked.append(1) or column(self, *columns))
+    rounds, looped = _spy_rounds(monkeypatch)
     for game, first in ((SQUARE, 0.0), (LOG2, np.array([0.8, 0.2]))):
-        case = _adversarial(game, lambda: j.ConstantPredictor(first), j.RunningMeanPredictor)
-        (trace, _), _ = _play(case, loop=False)
-        (ref_trace, _), _ = _play(case, loop=True)
-        for name in TRACE_COLUMNS:
-            assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
-    assert asked == []
+        assert_same_run(_adversarial(game, lambda: j.ConstantPredictor(first),
+                                     j.RunningMeanPredictor, lambda: j.Level2Sceptic(0.0)))
+    assert looped == [1, 1]  # the loop's reference runs
+    assert len(asked) == len(rounds) >= 2
+
+
+# ---------------------------------------------------------------------------
+# forms that read past outcomes against the adversary: rounds of guessed
+# outcome columns, until Nature's reply to one is that guess bit for bit
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_running_means_on_square_loss_against_the_adversary_match_the_loop(alpha):
+    pairs = ((lambda: j.ConstantPredictor(0.0), j.RunningMeanPredictor),
+             (j.RunningMeanPredictor, lambda: j.ConstantPredictor(0.0)),
+             (lambda: j.RunningMeanPredictor(0.2), lambda: j.RunningMeanPredictor(0.7)))
+    for candidates in (None, np.linspace(-1.0, 2.0, 13).tolist()):
+        for first, second in pairs:
+            assert_same_run(_adversarial(SQUARE, first, second, lambda: j.Level2Sceptic(alpha),
+                                         candidates))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_running_means_on_log_loss_against_the_adversary_match_the_loop(alpha):
+    for candidates in (None, [1, 0]):
+        assert_same_run(_adversarial(LOG2, lambda: j.ConstantPredictor(np.array([0.8, 0.2])),
+                                     j.RunningMeanPredictor, lambda: j.Level2Sceptic(alpha),
+                                     candidates))
+    # three outcomes: each run here settles within the rounds
+    runs = (((0.2, 0.3, 0.5), None), ((0.6, 0.3, 0.1), [2, 0, 1])) if alpha < 0 else (
+        ((1 / 3, 1 / 3, 1 / 3), None),)
+    for first, candidates in runs:
+        assert_same_run(_adversarial(LOG3, lambda: j.ConstantPredictor(np.array(first)),
+                                     j.RunningMeanPredictor, lambda: j.Level2Sceptic(alpha),
+                                     candidates))
+
+
+@pytest.mark.parametrize("game", [ABSOLUTE, BOUNDED_ABSOLUTE], ids=lambda game: game.kind.value)
+def test_level1_against_the_adversary_matches_the_loop(game):
+    assert_same_run(_adversarial(game, lambda: j.DriftPredictor(0.2, 1e-3),
+                                 lambda: j.ConstantPredictor(0.8), j.Level1Sceptic, horizon=2000))
+
+
+def test_pools_and_lifts_against_the_adversary_match_the_loop():
+    assert_same_run(_adversarial(
+        BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.5), lambda: j.ConstantPredictor(0.5),
+        lambda: j.AggregatingSceptic([j.ConstantPredictor(1 / 3), j.ConstantPredictor(2 / 3)]),
+        horizon=2000))
+    assert_same_run(_adversarial(
+        LOG2, lambda: j.ConstantPredictor(COIN), lambda: j.ConstantPredictor(COIN),
+        lambda: j.AggregatingSceptic([j.ConstantPredictor(np.array([2 / 3, 1 / 3])),
+                                      j.ConstantPredictor(np.array([1 / 3, 2 / 3]))]),
+        horizon=300))
+    # the lift on bounded square at N = 300 is in the test of its base columns
+    assert_same_run(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.1),
+                          lambda: j.ConstantPredictor(0.9), j.AdversarialGreedyNature, 2000, 3))
+    assert_same_run(_log_lift([0.8, 0.2], [0.3, 0.7], j.AdversarialGreedyNature, LOG2, 300, 3))
+
+
+def test_a_run_that_does_not_settle_within_the_rounds_plays_the_loop(monkeypatch):
+    rounds, looped = _spy_rounds(monkeypatch)
+    spread = (np.arange(10) + 1.0) / 11.0
+    trace, warned = _same_failure(_adversarial(
+        BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.5), lambda: j.ConstantPredictor(0.5),
+        lambda: j.AggregatingSceptic([j.ConstantPredictor(p) for p in spread]), horizon=2000))
+    assert len(trace) == 2000 and warned == []
+    assert len(rounds) == j.protocol.SPECULATION_ROUNDS
+    assert looped == [1, 1]  # after the rounds, and the loop's reference run
+
+
+def test_a_guessed_column_the_pool_refuses_fails_at_the_loops_step(monkeypatch):
+    # the pool's one expert gives outcome 1 probability zero: against the
+    # first guess, all zeros, it plays, but the adversary replies 1, and
+    # against that the pool collapses at step 2
+    rounds, looped = _spy_rounds(monkeypatch)
+    only_zero = [j.ConstantPredictor(np.array([1.0, 0.0]))]
+    failure = _same_failure(_adversarial(LOG2, lambda: j.ConstantPredictor(COIN),
+                                         lambda: j.ConstantPredictor(COIN),
+                                         lambda: j.AggregatingSceptic(only_zero), horizon=50))
+    assert failure == (j.PoolCollapseError, "step 2: every expert has suffered infinite loss",
+                       None)
+    assert len(rounds) == 2 and looped == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the column-form contract that makes a settled guess the run: row n of a
+# form's column reads only outcomes before n
+
+def _reading_forms():
+    # (name, draw of an outcome column, the form's column of it), per form that reads outcomes
+    drift, steady = 0.2 + 1e-3 * np.arange(400), np.full(400, 0.8)
+    coins = np.tile(COIN, (400, 1))
+
+    def uniform(rng, size):
+        return rng.uniform(0.0, 1.0, size)
+
+    def reset(strategy, game):
+        strategy.reset(game, np.random.default_rng(1), 400)
+        return strategy
+
+    for name, game in (("scalar", SQUARE), ("m2", LOG2), ("m3", LOG3)):
+        draw = ((lambda rng, size, m=game.m: rng.integers(m, size=size).astype(float))
+                if game.prediction_shape else uniform)
+        yield (f"running_mean_{name}", draw,
+               lambda omegas, game=game: reset(j.RunningMeanPredictor(0.3), game)
+               .predict_column(omegas))
+    yield ("level1", uniform, lambda omegas: reset(j.Level1Sceptic(0.4), ABSOLUTE)
+           .predict_column(drift, steady, omegas))
+    yield ("aggregating", uniform, lambda omegas: reset(j.AggregatingSceptic(
+        [j.ConstantPredictor(p) for p in (0.2, 0.5, 0.7)]), BOUNDED_SQUARE)
+        .predict_column(drift, steady, omegas))
+    yield ("aggregating_m2", lambda rng, size: rng.integers(2, size=size).astype(float),
+           lambda omegas: reset(j.AggregatingSceptic(
+               [j.ConstantPredictor(np.array([1.0 - p, p])) for p in (0.2, 0.5, 0.7)]), LOG2)
+           .predict_column(coins, coins, omegas))
+    # outcomes near 1 put predictor 1, at 0.1, behind the base: the lift switches
+    yield ("lift", lambda rng, size: 1.0 - 0.3 * rng.uniform(0.0, 1.0, size),
+           lambda omegas: reset(j.Level3Sceptic(j.Level2Sceptic(0.0), k_max=6), BOUNDED_SQUARE)
+           .predict_column(np.full(400, 0.1), np.full(400, 0.9), omegas))
+
+
+@pytest.mark.parametrize("form", list(_reading_forms()), ids=lambda form: form[0])
+def test_a_column_form_reads_only_past_outcomes(form):
+    # changing the outcomes from row k on leaves rows 0..k of the column as they were
+    name, draw, play = form
+    rng = np.random.default_rng(11)
+    later_rows_moved = False
+    for _ in range(20):
+        omegas = draw(rng, 400)
+        k = int(rng.integers(400))
+        changed = omegas.copy()
+        changed[k:] = draw(rng, 400 - k)
+        column, other = play(omegas), play(changed)
+        assert column is not None and other is not None
+        assert column[:k + 1].tobytes() == other[:k + 1].tobytes(), k
+        later_rows_moved |= column[k + 1:].tobytes() != other[k + 1:].tobytes()
+    assert later_rows_moved
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +827,13 @@ def _benchmark_shapes():
         yield (lambda: (j.AdversarialGreedyNature(), j.ConstantPredictor(np.array([0.8, 0.2])),
                         j.ConstantPredictor(np.array([0.3, 0.7])), j.Level2Sceptic(alpha, 1e-3)),
                LOG2, 2000, 6)
+        # and against a running mean, which settle within the guessed rounds
+        for first in (0.0, 0.25):
+            yield (lambda: (j.AdversarialGreedyNature(), j.ConstantPredictor(first),
+                            j.RunningMeanPredictor(), j.Level2Sceptic(alpha, 1e-3)),
+                   SQUARE, 2000, 5)
+        yield (lambda: (j.AdversarialGreedyNature(), j.ConstantPredictor(np.array([0.8, 0.2])),
+                        j.RunningMeanPredictor(), j.Level2Sceptic(alpha, 1e-3)), LOG2, 2000, 6)
         # numeric_oracle's numeric level-2 runs
         yield (lambda: (j.IidBernoulliNature(0.6), j.ConstantPredictor(0.35),
                         j.ConstantPredictor(0.8), j.Level2Sceptic(alpha, 1e-3)),
@@ -682,13 +850,15 @@ def _benchmark_shapes():
                BOUNDED_SQUARE, 500, 4)
 
 
-def test_the_benchmarks_runs_never_call_a_per_step_method():
+def test_the_benchmarks_runs_never_call_a_per_step_method(monkeypatch):
+    _, looped = _spy_rounds(monkeypatch)
     with columns_only():
         for make, game, horizon, seed in _benchmark_shapes():
             nature, p1, p2, sceptic = make()
             trace = j.run_protocol(nature, p1, p2, sceptic, game, horizon, seed=seed)
             assert len(trace) == horizon
             assert j.verify_run(trace, [sceptic.check], sceptic=sceptic).checks_passed
+            assert looped == []
 
 
 @pytest.mark.parametrize("name", COLUMN_SCENARIOS)

@@ -331,6 +331,16 @@ def test_level1_full_run_equality_scenario():
     assert float(np.max(np.abs(excess - bounds))) < 1e-9
 
 
+def test_level1_ledger_does_not_drift_at_a_million_steps():
+    # prop1_absolute's run: plain running sums of the excess and the areas
+    # drift to about -3e-10 here, compensated ones stay at float resolution
+    game = absolute_loss_game()
+    sceptic = Level1Sceptic(c=0.4)
+    trace = run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.0),
+                         ConstantPredictor(1.0), sceptic, game, 10**6, seed=0)
+    assert sceptic.worst_slack(trace) >= -1e-12
+
+
 def test_level1_inequality_general_scenario():
     game = absolute_loss_game()
     trace = run_protocol(IidBernoulliNature(0.5), RunningMeanPredictor(0.3),

@@ -313,11 +313,11 @@ def _aggregating():
 
 
 # the aggregating pool checks each of its two constant experts once at each
-# reset (its column of moves passes the column test), and a run the loop
-# plays is reset twice: before the column attempt and before the loop; the
-# lift, which plays columns, checks its base's column once, beside the three
-# the engine checks
-INNER_CHECKS = {"aggregating": 2 * 2}
+# reset (its column of moves passes the column test): a run is reset before
+# the column attempt, before each outcome column guessed against a replying
+# Nature, and before the loop; the lift, which plays columns, checks its
+# base's column once, beside the three the engine checks
+INNER_CHECKS = {"aggregating": 2}
 INNER_COLUMN_CHECKS = {"level3": 1}
 
 
@@ -339,9 +339,10 @@ RUNS = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_each_move_is_validated_exactly_once(name, monkeypatch):
-    # per move where the loop plays the run; per column where columns play
-    # it, the level-2 and level-3 runs among these: the column checks then
-    # see each column once, the moves' validators only the sceptics' own checks
+    # per move where the loop plays the run, the aggregating run with its
+    # learning expert among these; per column, once in each round, where
+    # columns play it: the column checks then see each round's columns once,
+    # the moves' validators only the sceptics' own checks
     game_factory, sceptic_factory, nature_factory, g1, g2 = RUNS[name]
     game = game_factory()
     calls = {"prediction": 0, "outcome": 0, "prediction column": 0, "outcome column": 0}
@@ -356,17 +357,28 @@ def test_each_move_is_validated_exactly_once(name, monkeypatch):
     count("outcome", Game.validate_outcome)
     count("prediction column", Game.accepts_predictions)
     count("outcome column", Game.accepts_outcomes)
-    loop = protocol._play_loop
-    looped = []
+    loop, reset = protocol._play_loop, protocol._reset
+    looped, resets = [], []
     monkeypatch.setattr(protocol, "_play_loop", lambda *args: looped.append(1) or loop(*args))
+    monkeypatch.setattr(protocol, "_reset", lambda *args: resets.append(1) or reset(*args))
     horizon = 40
     trace = run_protocol(nature_factory(), ConstantPredictor(g1), ConstantPredictor(g2),
                          sceptic_factory(), game, horizon, seed=3)
     assert len(trace) == horizon
+    assert bool(looped) == (name == "aggregating")
+    # the run's first reset, one per guessed outcome column, and the loop's
+    rounds = len(resets) - 1 - len(looped)
     steps = horizon if looped else 0
-    moves = {"prediction": 3 * steps + INNER_CHECKS.get(name, 0), "outcome": steps}
+    moves = {"prediction": 3 * steps + INNER_CHECKS.get(name, 0) * len(resets),
+             "outcome": steps}
     if looped:
         assert {key: calls[key] for key in moves} == moves
+    elif rounds:
+        # level 1 reads the outcomes: the first attempt checks the predictors'
+        # two columns, and each guessed round its guess, the three move
+        # columns and the reply
+        assert calls == {**moves, "prediction column": 2 + 3 * rounds,
+                         "outcome column": 2 * rounds}
     else:
         assert calls == {**moves, "prediction column": 3 + INNER_COLUMN_CHECKS.get(name, 0),
                          "outcome column": 1}
