@@ -6,8 +6,7 @@ predictors' loss profiles sit apart, and numerically exercising the
 guarantees of the sceptic strategies that certify forecaster agreement.
 """
 
-from .aggregating import (ExpertPool, aa_observe, fixed_pool_mixer, params_for,
-                          substitute)
+from .aggregating import fixed_pool_mixer, params_for, substitute
 from .divergence import (DivergenceResult, alpha_divergence_log_loss,
                          alpha_divergence_square_loss, kl_divergence_log_loss,
                          lower_alpha_divergence_numeric,

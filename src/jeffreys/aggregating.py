@@ -15,28 +15,18 @@ log-loss probability mixture), or else the mixed loss profiles
 grid, which the closed forms are tested against.  Moves dominate within
 ``DOMINATION_TOL``, the constant of :mod:`.games`, re-exported here.
 
-:func:`aa_observe` decays the weights and reports the constant its
-anchoring subtracted, so that a caller that keeps the weights'
-log-normalizer ``T = ln sum_k e^(log_w_k)`` reads the mixture loss at the
-realized outcome off two normalizers: ``-((T' + shift) - T) / eta``, the
-quantity the aggregating sceptic re-checks domination against without a
-second log-sum-exp.  :func:`aa_observe_rows` is the same over a block of
-steps, one ``cumsum`` per stretch between anchorings.
+The weights the mix takes are the pool sceptics' own: both keep them as
+``ln p_k - eta * L_k``, the prior less eta times the TwoSum-compensated
+cumulative loss their eq8 audit reads, and normalize at each move.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import MixabilityViolation, PoolCollapseError
-from .games import (DOMINATION_TOL, Game, MixabilityParams, Prediction, _lse1,
+from .errors import MixabilityViolation
+from .games import (DOMINATION_TOL, Game, MixabilityParams, Prediction,
                     check_perfectly_mixable, superprediction_gap)
-
-# a log-weight maximum below this is anchored back to zero
-_ANCHOR_BELOW = -512.0
 
 
 def params_for(game: Game) -> MixabilityParams:
@@ -52,37 +42,6 @@ def params_for(game: Game) -> MixabilityParams:
         raise MixabilityViolation(
             f"{game.kind.value} game fails the mixability test at eta={eta}")
     return MixabilityParams(eta, 1.0 / eta)
-
-
-@dataclass
-class ExpertPool:
-    """Weights and priors for a (possibly truncated) countable expert pool.
-
-    Priors must be strictly positive and sum to at most 1; a deficient sum
-    simply loosens the per-expert bound.  ``log_weights`` start at
-    ``ln(p_k)`` and decay with eta times each expert's loss;
-    normalization happens at read time.
-    """
-
-    priors: np.ndarray
-    log_weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.priors = np.asarray(self.priors, dtype=float)
-        if not np.all(self.priors > 0.0):
-            raise ValueError("priors must be strictly positive")
-        if float(self.priors.sum()) > 1.0 + 1e-12:
-            raise ValueError("priors must sum to at most 1")
-        self.log_weights = np.log(self.priors)
-
-    def __len__(self) -> int:
-        return len(self.priors)
-
-    def normalized_log_weights(self) -> np.ndarray:
-        total = _lse1(self.log_weights)
-        if total == -math.inf:
-            raise PoolCollapseError("every expert has suffered infinite loss")
-        return self.log_weights - total
 
 
 def _generalized(log_w: np.ndarray, points: np.ndarray, eta: float) -> np.ndarray:
@@ -137,54 +96,3 @@ def fixed_pool_mixer(game: Game, eta: float, preds):
             gamma = substitute(game, _generalized(log_w, game.profiles(preds), eta))
         return gamma
     return mix
-
-
-def aa_observe(pool: ExpertPool, expert_losses: np.ndarray, eta: float) -> float:
-    """Decay the pool's weights by the observed expert losses (in place).
-
-    Weights are stored up to a common additive constant in log space:
-    anchoring the maximum at zero costs nothing observable (normalization
-    removes constants) and keeps the precision of the weights that matter
-    from degrading as cumulative losses grow.  A NaN loss eliminates its expert.
-    Returns the constant the anchoring subtracted from every log-weight
-    (0.0 when it did not anchor).
-    """
-    losses = np.asarray(expert_losses, dtype=float)
-    # -inf - (+inf) is -inf: a weight stays eliminated against an infinite loss
-    decayed = pool.log_weights - eta * losses
-    top = decayed.max()
-    if top != top:
-        decayed = np.where(np.isnan(decayed), -np.inf, decayed)
-        top = decayed.max()
-    shift = 0.0
-    if top < _ANCHOR_BELOW and math.isfinite(top):
-        decayed -= top
-        shift = float(top)
-    pool.log_weights = decayed
-    return shift
-
-
-def aa_observe_rows(log_weights: np.ndarray, scaled: np.ndarray) -> tuple:
-    """:func:`aa_observe` at ``eta = 1`` of each row of ``scaled`` (B, K),
-    eta-scaled losses free of NaN, in turn from ``log_weights``, bit for bit.
-
-    Returns the (B, K) log-weights after each row and the (B,) constants
-    the anchorings subtracted.  One sequential ``cumsum`` from the carried
-    weights over the rest of the block continues the running subtraction
-    up to the first row that anchors; the next starts from the anchored row.
-    """
-    n = len(scaled)
-    rows, shifts = np.empty((n + 1, scaled.shape[1])), np.zeros(n)
-    rows[0] = log_weights
-    np.negative(scaled, out=rows[1:])
-    start = 0  # rows[start] holds the weights the segment starts from
-    while True:
-        np.cumsum(rows[start:], axis=0, out=rows[start:])
-        top = rows[start + 1:].max(axis=1)
-        low = np.flatnonzero((top < _ANCHOR_BELOW) & np.isfinite(top))
-        if not len(low):
-            return rows[1:], shifts
-        start += low[0] + 1
-        shifts[start - 1] = top[low[0]]
-        rows[start] -= top[low[0]]
-        np.negative(scaled[start:], out=rows[start + 1:])

@@ -117,9 +117,10 @@ class GameSpec:
     the per-step function.  Column forms (``loss_column``, ``trace_gap``,
     the function ``divergence`` returns) take a run's move columns, one row
     per step, and return float64 arrays, bit for bit the per-move
-    arithmetic.  A kind with a ``level2`` move has its
-    ``divergence`` too: the move's profile is the weighted mean shifted down
-    by exactly that.  ``mix``, prepared once for the experts' predictions,
+    arithmetic.  A kind with a ``level2`` move has its ``level2_column``
+    and its ``divergence`` too: the move's profile is the weighted mean
+    shifted down by exactly that; a kind with a ``mix`` has its
+    ``mix_column``.  ``mix``, prepared once for the experts' predictions,
     and ``substitute`` give None where their closed form does not dominate
     within the constant ``DOMINATION_TOL``; the gap search takes over.
     ``level2_column`` and ``mix_column`` are the column forms of ``level2``

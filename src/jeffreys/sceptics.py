@@ -20,9 +20,11 @@ Each strategy has one implementation, its ``ScepticStrategy`` class, which
 certifies its own guarantee: ``eq9`` (level 2), ``ledger`` (level 1) or
 ``eq8`` (the threshold lift, and ``AggregatingSceptic``, the aggregating
 mixture of a fixed pool of expert strategies).  Those two share the game's
-mix (``fixed_pool_mixer``), not an engine: the aggregating sceptic keeps
-one weight per expert, the lift one weight per group of experts that
-predict alike, three in all.
+mix (``fixed_pool_mixer``) and one weight rule, not an engine: a weight is
+``ln p - eta * L``, L the TwoSum-compensated cumulative loss that the eq8
+audit reads too, and domination is re-checked by the mixture loss's own
+log-sum-exp.  The aggregating sceptic keeps one weight per expert, the
+lift one weight per group of experts that predict alike, three in all.
 
 Column forms (``predict_column``) play a whole run from the validated
 columns of both predictors' moves and of the outcomes.  Against a Nature
@@ -44,12 +46,11 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe, aa_observe_rows,
-                          fixed_pool_mixer, params_for)
+from .aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
                      PoolCollapseError, ProtocolViolationError)
 from .divergence import mean_gap
-from .games import Game, Prediction, _lse_rows, _scale, alpha_weights
+from .games import Game, Prediction, _lse1, _lse_rows, _scale, alpha_weights
 from .players import ConstantPredictor, _column, plays_own
 
 
@@ -174,8 +175,6 @@ class Level2Sceptic(ScepticStrategy):
         spec = self._game.spec
         if spec.level2 is None:
             return self._numeric_column(gammas1, gammas2)
-        if spec.level2_column is None:
-            return None
         return spec.level2_column(self._game, *self._weights)(gammas1, gammas2)
 
     def _numeric_column(self, gammas1, gammas2):
@@ -354,13 +353,19 @@ class Level1Sceptic(ScepticStrategy):
 # the aggregating sceptic: aggregation over a fixed pool of experts
 
 
-def _compensated_add(total: float, comp: float, x: float) -> tuple:
-    # TwoSum: comp gathers the exact rounding error of each addition; an
-    # infinite sum carries no compensation
+def _compensated_add(total, comp, x) -> tuple:
+    # TwoSum of floats, or elementwise of arrays: comp gathers the exact
+    # rounding error of each addition; an infinite sum carries no compensation
     t = total + x
+    if isinstance(t, np.ndarray) and not math.isfinite(t.sum()):
+        # a sum gone infinite or NaN: the one-row block, which drops its residual
+        with np.errstate(invalid="ignore"):
+            sums, comps = _compensated_cumsum(total, comp, x[None])
+        return sums[0], comps[0]
     back = t - total
     resid = (total - (t - back)) + (x - back)
-    return t, comp + resid if math.isfinite(resid) else comp
+    # the residuals of finite array sums are finite
+    return t, comp + resid if isinstance(resid, np.ndarray) or math.isfinite(resid) else comp
 
 
 def _compensated_cumsum(total, comp, rows) -> tuple:
@@ -385,35 +390,31 @@ EQ8_BLOCK = 256
 
 
 class _Eq8Audit:
-    """The eq8 audit's carried state: the per-expert cumulative losses
-    ``cums`` and the own ``cum_self``, each with its TwoSum compensation (the
-    plain running sums' rounding would drown the regret slack at the
-    magnitudes cumulative losses reach), the tightest slack seen, ``worst``,
-    the first step that attains it, ``worst_step``, and the steps folded."""
+    """The eq8 audit's carried state: the own cumulative loss ``cum_self``
+    with its TwoSum compensation (the plain running sum's rounding would
+    drown the regret slack at the magnitudes cumulative losses reach), the
+    tightest slack seen, ``worst``, the first step that attains it,
+    ``worst_step``, and the steps folded."""
 
-    def __init__(self, k: int, penalty: np.ndarray):
+    def __init__(self, penalty: np.ndarray):
         self.penalty = penalty
-        self.cums, self.comps = np.zeros(k), np.zeros(k)
         self.cum_self = self.comp_self = 0.0
         self.worst, self.worst_step = math.inf, None
         self.folded = 0
 
-    def fold(self, rows, own) -> None:
-        # the steps' eq8 slacks, min over the experts of (cumulative loss +
-        # penalty) less the own cumulative loss, each sum compensated; the
-        # min skips an expert whose sum is NaN, its bound vacuous, a slack
-        # with every expert NaN is skipped, and an infinite sum carries no
-        # compensation.  Folding in any partition gives the same bits.
+    def fold(self, held, own) -> None:
+        # the steps' eq8 slacks, min over the experts of (compensated
+        # cumulative loss after the step, a row of held, + penalty) less the
+        # own compensated cumulative loss; the min skips an expert whose sum
+        # is NaN, its bound vacuous, and a slack with every expert NaN is
+        # skipped.  Folding in any partition gives the same bits.
         with np.errstate(invalid="ignore"):
-            cums, comps = _compensated_cumsum(self.cums, self.comps, rows)
             cum_self, comp_self = _compensated_cumsum(self.cum_self, self.comp_self, own)
-            slacks = (np.fmin.reduce((cums + comps) + self.penalty, axis=1)
-                      - (cum_self + comp_self))
+            slacks = np.fmin.reduce(np.asarray(held) + self.penalty, axis=1) - (cum_self + comp_self)
         slacks[np.isnan(slacks)] = math.inf
         i = int(slacks.argmin())
         if slacks[i] < self.worst:
             self.worst, self.worst_step = float(slacks[i]), self.folded + i + 1
-        self.cums, self.comps = cums[-1].copy(), comps[-1].copy()
         self.cum_self, self.comp_self = float(cum_self[-1]), float(comp_self[-1])
         self.folded += len(own)
 
@@ -449,27 +450,31 @@ class AggregatingSceptic(ScepticStrategy):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
 
     The protocol's two predictors are ignored; the experts are the
-    sceptic's own.  ``priors`` default to uniform and need one entry per
-    expert.  A constant expert's move is checked once, at reset; where the
-    moves change, a refused one ends the run as a player's does, but a NaN
-    move only eliminates its expert, by its NaN loss.  A step only plays:
-    ``observe`` decays the weights and keeps their log-normalizer for the
-    next ``predict``, and re-checks domination at the realized outcome with
-    the weights that produced the move, from the normalizers before and
-    after the decay.  The eq8 audit
-    (Vovk's regret bound, a statement about cumulative sums) holds each
-    step's expert losses and own loss, and folds them every ``EQ8_BLOCK``
-    steps and on each read, as TwoSum-compensated column sums, into the
-    per-expert cumulative losses ``expert_cums``, the strategy's own
-    ``cum_self``, the tightest regret slack seen, ``worst_eq8_slack``, and
-    the first step that attains it, ``worst_eq8_step``.
+    sceptic's own.  ``priors`` default to uniform; they need one entry per
+    expert, each strictly positive, summing to at most 1 (a deficient sum
+    loosens the per-expert bound).  A constant expert's move is checked
+    once, at reset; where the moves change, a refused one ends the run as a
+    player's does, but a NaN move only eliminates its expert, by its NaN
+    loss.  A step only plays: ``observe`` adds the expert losses into their
+    TwoSum-compensated cumulative sums ``(s, c)`` and reads the next weights
+    ``ln p_k - eta (s_k + c_k)`` off them, as the threshold lift does.  It
+    re-checks domination at the realized outcome by the mixture loss's own
+    log-sum-exp under the normalized weights that made the move, as the lift
+    does too: the difference of the normalizers before and after would
+    carry the rounding of weights that fall far below zero (about 1e-9,
+    the domination tolerance, by 10^7 steps of log loss).  The eq8 audit (Vovk's
+    regret bound, a statement about cumulative sums) holds each step's
+    ``s + c`` and own loss, and folds them every ``EQ8_BLOCK`` steps and on
+    each read into the strategy's own compensated ``cum_self``, the
+    tightest regret slack seen, ``worst_eq8_slack``, and the first step
+    that attains it, ``worst_eq8_step``; ``expert_cums`` are the sums ``s``.
 
     A pool of constant experts (each plays ``ConstantPredictor``'s own
     per-step methods) on a game with a column form of its mix plays a run
-    in columns (``predict_column``), ``EQ8_BLOCK`` steps at a time:
-    the weights' decay with its anchoring (:func:`aa_observe_rows`), the
-    normalizers, the moves, the domination re-check and the folded audit,
-    each bit for bit the steps'.
+    in columns (``predict_column``), ``EQ8_BLOCK`` steps at a time: one
+    compensated cumulative sum of the block's losses, which both the
+    weights and the audit read, the moves and the domination re-check, each
+    bit for bit the steps'.
     """
 
     check = "eq8"
@@ -478,33 +483,37 @@ class AggregatingSceptic(ScepticStrategy):
         if not experts:
             raise ValueError("expert pool must not be empty")
         self.experts = list(experts)
-        if priors is None:
-            priors = np.full(len(self.experts), 1.0 / len(self.experts))
-        self.pool = ExpertPool(priors)
-        if len(self.pool) != len(self.experts):
-            raise ValueError(f"priors has {len(self.pool)} entries for "
-                             f"{len(self.experts)} experts")
-        self._rows, self._own = [], []
-        self._audit = _Eq8Audit(len(self.pool), np.zeros(len(self.pool)))
+        k = len(self.experts)
+        self.priors = np.full(k, 1.0 / k) if priors is None else np.asarray(priors, dtype=float)
+        if not np.all(self.priors > 0.0):
+            raise ValueError("priors must be strictly positive")
+        if float(self.priors.sum()) > 1.0 + 1e-12:
+            raise ValueError("priors must sum to at most 1")
+        if len(self.priors) != k:
+            raise ValueError(f"priors has {len(self.priors)} entries for {k} experts")
+        self._log_p = np.log(self.priors)
+        self._sums = (np.zeros(k), np.zeros(k))
+        self._held, self._own = [], []
+        self._audit = _Eq8Audit(np.zeros(k))
 
     def reset(self, game, rng, horizon):
         params = params_for(game)
         self.eta, self.C = params.eta, params.C
         self._game = game
-        self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
-        self._total = _lse1(self.pool.log_weights)
+        k = len(self.experts)
+        self._sums = (np.zeros(k), np.zeros(k))
+        self._w = self._log_p
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
         # C ln(1/p), or C (-ln p) where 1/p overflows (a subnormal prior): the
         # two differ in the last bit for some uniform priors
-        priors = self.pool.priors
         with np.errstate(over="ignore"):
-            inverse = 1.0 / priors
-        self._audit = _Eq8Audit(len(self.pool), self.C * np.where(
-            np.isfinite(inverse), np.log(inverse), -np.log(priors)))
-        self._rows, self._own = [], []
+            inverse = 1.0 / self.priors
+        self._audit = _Eq8Audit(self.C * np.where(np.isfinite(inverse), np.log(inverse),
+                                                  -self._log_p))
+        self._held, self._own = [], []
         self._pending = self._mix_key = None
-        streams = rng.spawn(len(self.experts))
+        streams = rng.spawn(k)
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
         # a constant expert is checked once, here
@@ -514,6 +523,11 @@ class AggregatingSceptic(ScepticStrategy):
                     game.validate_prediction(expert.predict(1))
                 except DomainError as exc:
                     raise ConfigError(f"aggregating expert {i}: {exc}") from exc
+
+    def _weights(self, held):
+        # ln p - eta (s + c) of each row of compensated sums; a NaN sum (a
+        # NaN loss) leaves its expert the weight -inf, as an infinite one does
+        return np.fmax(self._log_p - self.eta * held, -math.inf)
 
     def _collect(self, n):
         # the experts' moves, and numpy's array of them in the type it reads them as
@@ -527,10 +541,10 @@ class AggregatingSceptic(ScepticStrategy):
 
     def predict(self, n, gamma1, gamma2):
         moves, raw = self._collect(n)
-        if self._total == -math.inf:
+        total = _lse1(self._w)
+        if total == -math.inf:
             raise PoolCollapseError("every expert has suffered infinite loss")
-        # the bits of ExpertPool.normalized_log_weights, its normalizer kept from observe
-        log_w = self.pool.log_weights - self._total
+        log_w = self._w - total
         key = _mix_key(raw)
         if key is None or key != self._mix_key:
             if key is None:  # a string, say: the engine's check names it
@@ -545,24 +559,24 @@ class AggregatingSceptic(ScepticStrategy):
             self._mix = fixed_pool_mixer(self._game, self.eta, preds)
         preds = self._preds
         gamma = self._mix(log_w)
-        self._pending = (preds, gamma)
+        self._pending = (preds, log_w, gamma)
         return gamma
 
     def observe(self, n, omega):
-        preds, gamma = self._pending
+        preds, log_w, gamma = self._pending
         own_loss = self._loss(omega, gamma)
         losses = self._losses(omega, preds)
-        before = self._total
-        shift = aa_observe(self.pool, self.eta * losses, 1.0)  # the losses come scaled by eta
-        after = self._total = _lse1(self.pool.log_weights)
+        sums, comps = self._sums = _compensated_add(*self._sums, losses)
+        held = sums + comps
+        self._w = self._weights(held)
         # the mixture loss -ln(sum_k w_k e^(-eta loss_k)) / eta under the
-        # normalized weights that made the move is the normalizers' difference;
-        # an eliminated expert's -inf weight adds to neither normalizer
-        g_played = -((after + shift) - before) / self.eta
+        # normalized weights that made the move; an expert whose loss is NaN
+        # drops out of it, as it drops out of the weights
+        g_played = -_lse1(np.fmax(log_w - self.eta * losses, -math.inf)) / self.eta
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        self._rows.append(losses)
+        self._held.append(held)
         self._own.append(own_loss)
         if len(self._own) == EQ8_BLOCK:
             self._fold()
@@ -581,39 +595,42 @@ class AggregatingSceptic(ScepticStrategy):
             return None
         table = (np.array([self._losses(w, preds) for w in range(game.m)])
                  if game.spec.outcome_type is int else None)
-        log_weights, total = self.pool.log_weights, self._total
+        (sums, comps), w = self._sums, self._w
         moves = []
         for start in range(0, len(omegas), EQ8_BLOCK):
             block = omegas[start:start + EQ8_BLOCK]
             losses = (self._losses(block[:, None], preds) if table is None
                       else table[block.astype(np.intp)])
-            scaled = eta * losses
-            if np.isnan(scaled).any():
+            if np.isnan(losses).any():
                 return None
-            weights, shifts = aa_observe_rows(log_weights, scaled)
-            totals = _lse_rows(weights)
-            before = np.concatenate(([total], totals[:-1]))
+            with np.errstate(invalid="ignore"):
+                sums, comps = _compensated_cumsum(sums, comps, losses)
+            held = sums + comps
+            weights = self._weights(held)
+            before = np.vstack((w, weights[:-1]))
+            totals = _lse_rows(before)
             # the pool collapses at a step whose weights before it are all -inf
-            if (before == -math.inf).any():
+            if (totals == -math.inf).any():
                 return None
-            gammas = column_mix(np.vstack((log_weights, weights[:-1])) - before[:, None])
+            log_w = before - totals[:, None]
+            gammas = column_mix(log_w)
             if gammas is None:
                 return None
             own = game.spec.loss_column(block, gammas)
-            if (own > -((totals + shifts) - before) / eta + DOMINATION_TOL).any():
+            if (own > -_lse_rows(log_w - eta * losses) / eta + DOMINATION_TOL).any():
                 return None
-            self._audit.fold(losses, own)
+            self._audit.fold(held, own)
             moves.append(gammas)
-            log_weights, total = weights[-1], float(totals[-1])
-        self.pool.log_weights, self._total = log_weights.copy(), total
-        self._rows, self._own = [], []
-        self._pending = (preds, moves[-1][-1])
+            sums, comps, w = sums[-1], comps[-1], weights[-1]
+        self._sums, self._w = (sums.copy(), comps.copy()), w.copy()
+        self._held, self._own = [], []
+        self._pending = (preds, log_w[-1], moves[-1][-1])
         return np.concatenate(moves)
 
     def _fold(self):
         if self._own:
-            self._audit.fold(self._rows, self._own)
-            self._rows, self._own = [], []
+            self._audit.fold(self._held, self._own)
+            self._held, self._own = [], []
 
     @property
     def worst_eq8_slack(self) -> float:
@@ -627,8 +644,7 @@ class AggregatingSceptic(ScepticStrategy):
 
     @property
     def expert_cums(self) -> np.ndarray:
-        self._fold()
-        return self._audit.cums
+        return self._sums[0]
 
     @property
     def cum_self(self) -> float:

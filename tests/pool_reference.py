@@ -10,17 +10,19 @@ same switches, the same moves to rounding, the same eq8 slack to rounding.
 ``PerStepAggregating`` is the aggregating sceptic that re-checks domination
 with a second log-sum-exp and audits eq8 inside every step, kept as it was
 before the library's ``AggregatingSceptic`` folded its audit in column
-blocks and read the re-check off the next normalizer.  The two must play
-the same moves and find the same worst eq8 slack, bit for bit.
+blocks.  Its weights are
+``ln p_k - eta * (s_k + c_k)``, read off the compensated cumulative losses
+its audit keeps, as the library's are.  The two must play the same moves
+and find the same worst eq8 slack, bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from jeffreys.aggregating import (DOMINATION_TOL, ExpertPool, _lse1, aa_observe,
-                                  fixed_pool_mixer, params_for)
-from jeffreys.errors import ConfigError, DomainError, MixabilityViolation
+from jeffreys.aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
+from jeffreys.errors import ConfigError, DomainError, MixabilityViolation, PoolCollapseError
+from jeffreys.games import _lse1
 from jeffreys.sceptics import ScepticStrategy, _compensated_add
 
 
@@ -43,14 +45,14 @@ class PerExpertLevel3(ScepticStrategy):
         params = params_for(game)
         self.eta, self.C = params.eta, params.C
         self._game = game
-        self.pool = ExpertPool(self.priors)
+        self.log_weights = np.log(self.priors)
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
-        self.expert_cums = np.zeros(len(self.pool))
+        self.expert_cums = np.zeros(len(self.priors))
         self.cum_self = 0.0
-        self._comp_experts = np.zeros(len(self.pool))
+        self._comp_experts = np.zeros(len(self.priors))
         self._comp_self = 0.0
-        self._penalty = self.C * np.log(1.0 / self.pool.priors)
+        self._penalty = self.C * np.log(1.0 / self.priors)
         self.worst_eq8_slack = math.inf
         self.base.reset(game, rng, horizon)
         self.cum1 = self.cum2 = self.cum_base = 0.0
@@ -67,7 +69,10 @@ class PerExpertLevel3(ScepticStrategy):
         preds[:] = gamma_base
         preds[:s1] = gamma1
         preds[k:k + s2] = gamma2
-        log_w = self.pool.normalized_log_weights()
+        total = _lse1(self.log_weights)
+        if total == -math.inf:
+            raise PoolCollapseError("every expert has suffered infinite loss")
+        log_w = self.log_weights - total
         gamma = fixed_pool_mixer(self._game, self.eta, preds)(log_w)
         self._pending = (preds, log_w, gamma)
         return gamma
@@ -81,7 +86,10 @@ class PerExpertLevel3(ScepticStrategy):
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        aa_observe(self.pool, scaled, 1.0)
+        # each weight decays by its expert's eta-scaled loss; -inf - inf stays
+        # -inf, and a NaN loss eliminates its expert
+        decayed = self.log_weights - scaled
+        self.log_weights = np.where(np.isnan(decayed), -math.inf, decayed)
         # TwoSum-compensated running sums; an infinite sum carries no compensation
         total = self.expert_cums + losses
         live = ... if math.isfinite(total.max()) else np.isfinite(total)
@@ -136,10 +144,7 @@ class PerStepAggregating(ScepticStrategy):
         self.experts = list(experts)
         if priors is None:
             priors = np.full(len(self.experts), 1.0 / len(self.experts))
-        self.pool = ExpertPool(priors)
-        if len(self.pool) != len(self.experts):
-            raise ValueError(f"priors has {len(self.pool)} entries for "
-                             f"{len(self.experts)} experts")
+        self.priors = np.asarray(priors, dtype=float)
         self.worst_eq8_slack = math.inf
 
     def reset(self, game, rng, horizon):
@@ -148,17 +153,17 @@ class PerStepAggregating(ScepticStrategy):
         params = params_for(game)
         self.eta, self.C = params.eta, params.C
         self._game = game
-        self.pool = ExpertPool(self.pool.priors)  # fresh weights for each run
+        self._log_p = np.log(self.priors)
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
         self._fixed_mix = self._loss_table = None
-        self.expert_cums = np.zeros(len(self.pool))
+        self.expert_cums = np.zeros(len(self.priors))
         self.cum_self = 0.0
         # compensation terms: cumulative losses reach magnitudes where the
         # plain running sums' rounding would drown the regret slack
-        self._comp_experts = np.zeros(len(self.pool))
+        self._comp_experts = np.zeros(len(self.priors))
         self._comp_self = 0.0
-        self._penalty = self.C * np.log(1.0 / self.pool.priors)
+        self._penalty = self.C * np.log(1.0 / self.priors)
         self.worst_eq8_slack = math.inf
         self._pending = None
         streams = rng.spawn(len(self.experts))
@@ -186,7 +191,14 @@ class PerStepAggregating(ScepticStrategy):
 
     def predict(self, n, gamma1, gamma2):
         preds = self._static_preds if self._static_preds is not None else self._collect(n)
-        log_w = self.pool.normalized_log_weights()
+        # the weights ln p - eta (s + c) of the compensated cumulative losses,
+        # -inf for an expert whose sum is infinite or NaN
+        w = self._log_p - self.eta * (self.expert_cums + self._comp_experts)
+        w = np.where(np.isnan(w), -math.inf, w)
+        total = _lse1(w)
+        if total == -math.inf:
+            raise PoolCollapseError("every expert has suffered infinite loss")
+        log_w = w - total
         mix = self._fixed_mix or fixed_pool_mixer(self._game, self.eta, preds)
         gamma = mix(log_w)
         self._pending = (preds, log_w, gamma)
@@ -205,7 +217,6 @@ class PerStepAggregating(ScepticStrategy):
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        aa_observe(self.pool, scaled, 1.0)  # the losses come scaled by eta
         # compensated accumulation on both sides of the slack, as in
         # _compensated_add; an infinite cumulative loss carries no compensation
         total = self.expert_cums + losses

@@ -161,20 +161,15 @@ def test_criterion_4b_bayes_tree_oracle():
     game = j.log_loss_game(m=2)
     experts = [np.array([0.3, 0.7]), np.array([0.6, 0.4]), np.array([0.85, 0.15])]
     priors = np.array([0.5, 0.25, 0.25])
-    preds = np.asarray(experts, dtype=float)
-    mix = j.fixed_pool_mixer(game, 1.0, preds)
     n_steps = 12
     worst = 0.0
     for code in range(2 ** n_steps):
-        pool = j.ExpertPool(priors)
-        cum = 0.0
+        outcomes = [(code >> i) & 1 for i in range(n_steps)]
+        sceptic = j.AggregatingSceptic([j.ConstantPredictor(e) for e in experts], priors=priors)
+        trace = j.run_protocol(j.ReplayNature(outcomes), j.ConstantPredictor(experts[0]),
+                               j.ConstantPredictor(experts[0]), sceptic, game, n_steps, seed=0)
         likelihoods = priors.copy()
-        for i in range(n_steps):
-            omega = (code >> i) & 1
-            gamma = mix(pool.normalized_log_weights())
-            cum += game.loss(omega, gamma)
-            losses = np.array([game.loss(omega, e) for e in experts])
-            j.aa_observe(pool, losses, eta=1.0)
+        for omega, cum in zip(outcomes, trace.cum_sceptic.tolist()):
             likelihoods = likelihoods * np.array([e[omega] for e in experts])
             worst = max(worst, abs(cum - (-math.log(float(likelihoods.sum())))))
         if worst > 1e-9:

@@ -7,37 +7,43 @@ import numpy as np
 import pytest
 
 from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, DriftPredictor,
-                      ExpertPool, IidBernoulliNature, IidUniformNature, JeffreysError,
+                      IidBernoulliNature, IidUniformNature, JeffreysError,
                       MixabilityParams, MixabilityViolation, NatureStrategy,
                       NoisyTargetPredictor, PoolCollapseError, PredictorStrategy, ReplayNature,
                       RunningMeanPredictor,
-                      aa_observe, bounded_absolute_loss_game, bounded_square_loss_game,
+                      bounded_absolute_loss_game, bounded_square_loss_game,
                       fixed_pool_mixer, log_loss_game, params_for, quartic_loss_game,
                       run_protocol, square_loss_game, substitute, verify_run)
-from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric, aa_observe_rows
+from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
 from jeffreys.games import _lse1, _lse_rows
-from jeffreys.sceptics import EQ8_BLOCK
+from jeffreys.sceptics import EQ8_BLOCK, _compensated_add, _compensated_cumsum
 from pool_reference import PerStepAggregating
 
 
 def _uniform(k):
-    return ExpertPool(np.full(k, 1.0 / k))
+    # the log-weights of a uniform prior
+    return np.log(np.full(k, 1.0 / k))
 
 
-def _mixed(pool, points, eta):
-    # the pool's generalized prediction over the experts' loss profiles
-    return _generalized(pool.normalized_log_weights(), np.asarray(points, dtype=float), eta)
+def _normalized(log_w):
+    return log_w - _lse1(log_w)
+
+
+def _mixed(log_w, points, eta):
+    # the generalized prediction of log-weights over the experts' loss profiles
+    return _generalized(_normalized(log_w), np.asarray(points, dtype=float), eta)
 
 
 def test_pool_validation():
+    experts = [ConstantPredictor(0.3), ConstantPredictor(0.7)]
     with pytest.raises(ValueError):
-        ExpertPool(np.array([0.5, -0.1]))
+        AggregatingSceptic(experts, priors=np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
-        ExpertPool(np.array([0.9, 0.9]))
+        AggregatingSceptic(experts, priors=np.array([0.9, 0.9]))
     with pytest.raises(ValueError):
-        ExpertPool(np.array([0.5, math.nan]))
-    pool = ExpertPool(np.array([0.25, 0.25]))  # deficient priors are fine
-    assert len(pool) == 2
+        AggregatingSceptic(experts, priors=np.array([0.5, math.nan]))
+    sceptic = AggregatingSceptic(experts, priors=np.array([0.25, 0.25]))  # deficient is fine
+    assert len(sceptic.priors) == 2
 
 
 def test_lse1_handles_all_neginf():
@@ -73,9 +79,7 @@ def test_degenerate_weights_pick_single_expert():
     game = log_loss_game(m=2)
     lam1 = game.canonical_point(np.array([0.3, 0.7]))
     lam2 = game.canonical_point(np.array([0.9, 0.1]))
-    pool = _uniform(2)
-    pool.log_weights = np.array([0.0, -math.inf])
-    g = _mixed(pool, np.stack([lam1, lam2]), eta=1.0)
+    g = _mixed(np.array([0.0, -math.inf]), np.stack([lam1, lam2]), eta=1.0)
     assert np.allclose(g, lam1, atol=1e-12)
 
 
@@ -88,10 +92,10 @@ def test_bayes_mixture_value():
 
 
 def test_collapsed_pool_raises():
-    pool = _uniform(2)
-    pool.log_weights = np.array([-math.inf, -math.inf])
+    # each expert rules out the outcome the other does: both are out after
+    # two steps, and the pool's third move raises
     with pytest.raises(PoolCollapseError):
-        pool.normalized_log_weights()
+        _aggregate([np.array([1.0, 0.0]), np.array([0.0, 1.0])], None, [0, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +134,12 @@ def test_substitute_domination_on_continuum():
     omegas = np.linspace(0.0, 1.0, 501)
     for _ in range(25):
         k = rng.integers(2, 30)
-        pool = ExpertPool(rng.dirichlet(np.ones(k)))
+        log_w = np.log(rng.dirichlet(np.ones(k)))
         gammas = rng.random(k)
         pts = np.stack([game.canonical_point(x) for x in gammas])
-        g_ends = _mixed(pool, pts, eta=2.0)
+        g_ends = _mixed(log_w, pts, eta=2.0)
         gamma = substitute(game, g_ends)
-        mix = np.log(np.dot(np.exp(pool.normalized_log_weights()),
+        mix = np.log(np.dot(np.exp(_normalized(log_w)),
                             np.exp(-2.0 * (omegas[None, :] - gammas[:, None]) ** 2)))
         g_all = -mix / 2.0
         assert np.max((omegas - gamma) ** 2 - g_all) <= 1e-9
@@ -162,10 +166,10 @@ def test_substitute_flags_excessive_eta():
 # the step/observe cycle
 
 
-def _aa_step(pool, experts, game, eta):
-    # one aggregated move; the pool's weights are not touched
+def _aa_step(log_w, experts, game, eta):
+    # one aggregated move under the log-weights
     preds = np.asarray(experts, dtype=float)
-    return fixed_pool_mixer(game, eta, preds)(pool.normalized_log_weights())
+    return fixed_pool_mixer(game, eta, preds)(_normalized(log_w))
 
 
 def test_aa_step_single_expert():
@@ -180,59 +184,37 @@ def test_aa_step_identical_experts():
     assert gamma == pytest.approx(0.42, abs=1e-12)
 
 
-def test_aa_observe_updates():
-    pool = _uniform(2)
-    before = pool.log_weights.copy()
-    aa_observe(pool, np.zeros(2), eta=1.0)
-    assert np.array_equal(pool.log_weights, before)
-
-    aa_observe(pool, np.array([0.0, math.inf]), eta=1.0)
-    assert pool.log_weights[1] == -math.inf
-
-    pool = _uniform(2)
-    aa_observe(pool, np.array([0.0, math.log(2.0)]), eta=1.0)
-    w = np.exp(pool.normalized_log_weights())
-    assert w[0] / w[1] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_aa_observe_eliminates_an_expert_with_a_nan_loss():
-    pool = _uniform(3)
-    aa_observe(pool, np.array([0.5, math.nan, math.inf]), eta=2.0)
-    assert pool.log_weights[1] == pool.log_weights[2] == -math.inf
-    assert math.isfinite(pool.log_weights[0])
-
-
-def _decay_block(rng, n, k, kind):
-    # start weights and (n, k) eta-scaled losses: "plain" never anchors,
-    # "every_row" anchors at every row, "infinite" has +inf losses and
-    # anchors now and then
-    log_w = np.log(rng.dirichlet(np.ones(k)))
+def _loss_block(rng, n, k, kind):
+    # start sums and compensations, and (n, k) losses: "plain" small ones,
+    # "large" ones whose sums round at every row, "infinite" with +inf losses
+    sums, comps = 1e3 * rng.random(k), 1e-14 * rng.standard_normal(k)
     if kind == "plain":
-        return log_w, rng.random((n, k))
-    if kind == "every_row":
-        return log_w, 520.0 + 100.0 * rng.random((n, k))
-    scaled = 60.0 * rng.random((n, k))
-    scaled[rng.random((n, k)) < 0.05] = math.inf
-    return log_w, scaled
+        return sums, comps, rng.random((n, k))
+    if kind == "large":
+        return sums, comps, 1e12 * (1.0 + rng.random((n, k)))
+    losses = 60.0 * rng.random((n, k))
+    losses[rng.random((n, k)) < 0.05] = math.inf
+    return sums, comps, losses
 
 
-@pytest.mark.parametrize("kind", ["plain", "every_row", "infinite"])
+@pytest.mark.parametrize("kind", ["plain", "large", "infinite"])
 @pytest.mark.parametrize("n", [1, 255, 256, "random"])
-def test_aa_observe_rows_is_aa_observe_row_by_row(n, kind):
+def test_block_sums_are_the_step_sums_row_by_row(n, kind):
+    # the column form's one compensated cumsum per block, which the weights
+    # and the eq8 audit read, is the per-step TwoSum of the K-vector, bit for bit
     rng = np.random.default_rng(17)
     shapes = ([(int(rng.integers(1, 257)), int(rng.integers(1, 41))) for _ in range(20)]
               if n == "random" else [(n, k) for k in (1, 2, 10, 40)])
     for rows, k in shapes:
-        log_w, scaled = _decay_block(rng, rows, k, kind)
-        weights, shifts = aa_observe_rows(log_w, scaled)
-        pool = _uniform(k)
-        pool.log_weights = log_w.copy()
-        for i, row in enumerate(scaled):
-            shift = aa_observe(pool, row, 1.0)
-            assert pool.log_weights.tobytes() == weights[i].tobytes()
-            assert shift.hex() == float(shifts[i]).hex()
-        if kind == "every_row":
-            assert (shifts < -512.0).all()
+        sums, comps, losses = _loss_block(rng, rows, k, kind)
+        with np.errstate(invalid="ignore"):
+            block_sums, block_comps = _compensated_cumsum(sums, comps, losses)
+            for i, row in enumerate(losses):
+                sums, comps = _compensated_add(sums, comps, row)
+                assert sums.tobytes() == block_sums[i].tobytes()
+                assert comps.tobytes() == block_comps[i].tobytes()
+        if kind == "large":
+            assert (block_comps != 0.0).any()
 
 
 def test_fused_row_reduction_matches_lse1_bit_for_bit():
@@ -309,13 +291,8 @@ def test_exhaustive_bayes_tree_oracle():
     n_steps = 8
     for code in range(2 ** n_steps):
         seq = [(code >> i) & 1 for i in range(n_steps)]
-        pool = ExpertPool(priors)
-        cum = 0.0
-        for omega in seq:
-            gamma = _aa_step(pool, experts, game, eta=1.0)
-            cum += game.loss(omega, gamma)
-            aa_observe(pool, np.array([game.loss(omega, e) for e in experts]),
-                       eta=1.0)
+        _, trace = _aggregate(experts, priors, seq)
+        cum = float(trace.cum_sceptic[-1])
         likelihood = sum(p * np.prod([e[w] for w in seq])
                          for p, e in zip(priors, experts))
         assert abs(cum - (-math.log(likelihood))) < 1e-9
@@ -386,7 +363,7 @@ EQUIVALENCE_CASES = {
         bounded_square_loss_game(), lambda: [_NanFrom(EQ8_BLOCK + 5), ConstantPredictor(0.3),
                                              ConstantPredictor(0.8)],
         0.5, IidUniformNature(0.0, 1.0), 2 * EQ8_BLOCK, 19),
-    # deficient priors on a log-loss pool whose weights are anchored many times
+    # deficient priors on a log-loss pool whose weights fall far below zero
     "deficient_priors": lambda: _pool_case(log_loss_game(m=2),
                                            lambda: _log_experts(_SPREAD7), _COIN,
                                            IidBernoulliNature(0.05), 3000, 18,
@@ -539,7 +516,7 @@ class _DenseAdversary(NatureStrategy):
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         pool = self.sceptic
         preds = np.array([e.predict(n) for e in pool.experts])
-        bound = _generalized(pool.pool.normalized_log_weights(),
+        bound = _generalized(_normalized(pool._w),
                              self._loss(self.omegas[None, :], preds[:, None]), pool.eta)
         return float(self.omegas[np.argmax(self._loss(self.omegas, gamma_sceptic) - bound)])
 

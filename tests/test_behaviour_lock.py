@@ -173,10 +173,10 @@ POOL_CASES = {
 
 # case -> SHA-256 of its text
 POOL_LOCKED = {
-    "log_loss_k7": "57976aa84e2ff2679403a5c5d039c8e4c5eb3a1fc5ad8d32712ce92ad6d0d38c",
-    "bounded_square_k7": "4a13a8b76964e2bbfafd7523355b373fa5c8162f5bc50a8166f543d903117b7f",
-    "bounded_square_learners": "6a8e42fb3c7164343e647f40026d4bc129857d4c0d01f3e5339674d343a6b2ad",
-    "log_loss_eliminated": "2d042e8dd4a2e56be8cf26b1691b5a8f72ad164477cd8ec8362a9c465c0b100c",
+    "log_loss_k7": "b6a8f687e692d566adffceed77dd4099ea095cb77981b230639f57032b0385f4",
+    "bounded_square_k7": "6481af04239589416f04450a30e754dd856c3cab25c7205625fb8956a22dda44",
+    "bounded_square_learners": "0cdec7e71959d53eefda7fa8b8e1f160756db8161d58fa11c5a6d55d29851afe",
+    "log_loss_eliminated": "95eb858373769f41afbeb57e0108af6224a8a20a6b6802f39cf8921e30c1aa52",
     "level3_log_loss": "db53d0ec6821ce795b1b472f85df919b075410fd07de15ae3eeaa28f0c4f6366",
     "quartic_generic": "a5eed28b20c5943f7ad944cd478e1b12c4a542f995fa6f2e1238d7d7c6b05e48",
 }

@@ -117,7 +117,7 @@ def assert_same_run(case):
                 == float(ref_sceptic.worst_slack(ref_trace)).hex())
     if isinstance(sceptic, j.AggregatingSceptic):
         assert sceptic.worst_eq8_step == ref_sceptic.worst_eq8_step
-        assert sceptic.pool.log_weights.tobytes() == ref_sceptic.pool.log_weights.tobytes()
+        assert sceptic._w.tobytes() == ref_sceptic._w.tobytes()  # the weights
         assert sceptic.expert_cums.tobytes() == ref_sceptic.expert_cums.tobytes()
         assert sceptic.cum_self.hex() == ref_sceptic.cum_self.hex()
     if isinstance(sceptic, j.Level1Sceptic):
@@ -254,7 +254,7 @@ def test_bundled_scenarios_match_the_loop(name):
 
 
 # ---------------------------------------------------------------------------
-# pools: anchoring, elimination, block edges, more than two outcomes
+# pools: weights far below zero, elimination, block edges, more than two outcomes
 
 def _log_pool(probs, p, horizon, seed, priors=None):
     return (lambda: (j.IidBernoulliNature(p), j.ConstantPredictor(COIN), j.ConstantPredictor(COIN),
@@ -263,17 +263,28 @@ def _log_pool(probs, p, horizon, seed, priors=None):
             LOG2, horizon, seed)
 
 
-def test_a_log_loss_pool_that_re_anchors_matches_the_loop():
+def test_a_log_loss_pool_far_behind_matches_the_loop():
     sceptic = assert_same_run(_log_pool((0.1, 0.3, 0.5, 0.7, 0.9), 0.5, 5000, 21))
-    # the best expert has lost more than 2 * 512: without its anchorings at
-    # -512, every log-weight would lie below -1024
+    # the best expert has lost more than 1024: every weight ln p - eta (s + c)
+    # lies below -1024, and nothing shifts them back
     assert sceptic.eta * sceptic.expert_cums.min() > 2 * 512.0
-    assert sceptic.pool.log_weights.max() > -512.0
+    assert sceptic._w.max() < -2 * 512.0
 
 
 def test_the_eliminated_expert_pool_matches_the_loop():
     # the behaviour lock's pool whose first expert never predicts outcome 1
     assert_same_run(_log_pool((0.0, 0.3, 0.5, 0.8), 0.6, 1000, 14))
+
+
+def test_a_long_column_played_pool_keeps_its_eq8_precision():
+    # two close experts over 10^5 steps: the weights and the audit read one
+    # set of compensated sums, and the regret slack stays at rounding's size
+    sceptic = j.AggregatingSceptic([j.ConstantPredictor(np.array([0.7, 0.3])),
+                                    j.ConstantPredictor(np.array([0.69, 0.31]))])
+    with columns_only():
+        j.run_protocol(j.IidBernoulliNature(0.3), j.ConstantPredictor(COIN),
+                       j.ConstantPredictor(COIN), sceptic, LOG2, 10 ** 5, seed=12)
+    assert sceptic.worst_eq8_slack >= -1e-10
 
 
 @pytest.mark.parametrize("horizon", [EQ8_BLOCK - 1, EQ8_BLOCK, EQ8_BLOCK + 1,

@@ -525,12 +525,21 @@ def test_the_kernels_and_column_forms_share_one_arithmetic():
 
 
 def test_the_aggregation_constants_have_one_owner():
-    # the domination tolerance beside the closed forms that read it, and the
-    # anchoring threshold that aa_observe and aa_observe_rows share
+    # the domination tolerance beside the closed forms that read it
     assert _src_lines_matching(re.compile(r"\bDOMINATION_TOL =")) == {
         ("games.py", "DOMINATION_TOL = 1e-9")}
-    assert _src_lines_matching(re.compile(r"\b512\b")) == {
-        ("aggregating.py", "_ANCHOR_BELOW = -512.0")}
+
+
+@pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
+def test_every_closed_form_has_its_column_form(kind):
+    # the level-2 sceptic plays a kind's level2_column wherever it has a
+    # level2 move, and reads its divergence; a pool's column form takes the
+    # mix_column of a kind with a mix
+    spec = GAME_SPECS[kind]
+    if spec.level2 is not None:
+        assert spec.level2_column is not None and spec.divergence is not None
+    if spec.mix is not None:
+        assert spec.mix_column is not None
 
 
 @pytest.mark.parametrize("form", ["mix", "mix_column", "substitute"])

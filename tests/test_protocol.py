@@ -15,7 +15,7 @@ from jeffreys import (GAME_SPECS, AdversarialGreedyNature, ConfigError, Constant
                       trace_to_csv_string, verify_run)
 from jeffreys.protocol import (VERDICT_BEATS_P1, VERDICT_BEATS_P2,
                                VERDICT_BEATS_WORSE, VERDICT_GAP_VANISHES,
-                               VERDICT_INCONCLUSIVE)
+                               VERDICT_INCONCLUSIVE, _next_guess)
 
 
 def test_single_step_constant_players():
@@ -313,3 +313,60 @@ def test_trace_csv_spells_every_value_in_17_digits(m, horizon):
     trace.gap = [-0.0] + list(trace.gap[1:])
     lines = trace_to_csv_string(trace).splitlines()
     assert lines[1:] == _spelled_rows(trace)
+
+
+# ---------------------------------------------------------------------------
+# the next guess at an adversarial Nature's outcome column
+
+def _guess(known_rows, rest=5):
+    # Nature's reply: the run's known rows, then rows the guess replaces
+    reply = np.array(known_rows + [-1.0] * rest)
+    return reply, _next_guess(reply, len(known_rows))
+
+
+@pytest.mark.parametrize("tail,extension", [
+    ([4.0] * 3, [4.0] * 5),
+    ([1.0, 2.0] * 3, [1.0, 2.0, 1.0, 2.0, 1.0]),
+    ([1.0, 2.0, 3.0] * 3 + [1.0], [2.0, 3.0, 1.0, 2.0, 3.0]),  # ends mid-period
+])
+def test_a_tail_repeated_three_times_is_extended_in_phase(tail, extension):
+    reply, guess = _guess([9.0, 8.0] + tail)
+    assert len(guess) == len(reply)
+    assert guess[:-5].tobytes() == reply[:-5].tobytes()
+    assert guess[-5:].tolist() == extension
+
+
+def test_the_shortest_repeated_period_extends_the_tail():
+    # periods 1 and 4 both repeat three times at the end, and extend it
+    # differently; 1 is taken
+    _, guess = _guess([1.0, 2.0, 2.0, 2.0] * 3)
+    assert guess[-5:].tolist() == [2.0] * 5
+    # only period 4 repeats
+    _, guess = _guess([1.0, 2.0, 3.0, 4.0] * 3)
+    assert guess[-5:].tolist() == [1.0, 2.0, 3.0, 4.0, 1.0]
+
+
+@pytest.mark.parametrize("rows", [
+    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    [7.0, 7.0, 7.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0],  # repeated twice only
+    [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0],       # a period of 3 > known // 3
+    [0.0, -0.0, 0.0],                                # told apart by their bits
+])
+def test_without_a_repeated_period_the_guess_is_the_reply(rows):
+    reply, guess = _guess(rows)
+    assert guess is reply
+
+
+@pytest.mark.parametrize("period,extended", [(64, True), (65, False)])
+def test_a_period_longer_than_64_rows_is_not_used(period, extended):
+    cycle = np.arange(period, dtype=float).tolist()
+    reply, guess = _guess(cycle * 3)
+    assert (guess is not reply) == extended
+    if extended:
+        assert guess[-5:].tolist() == cycle[:5]
+
+
+@pytest.mark.parametrize("known", [0, 1, 2])
+def test_fewer_than_three_known_rows_guess_the_reply(known):
+    reply = np.full(6, 3.0)
+    assert _next_guess(reply, known) is reply
