@@ -6,7 +6,7 @@ predictors' loss profiles sit apart, and numerically exercising the
 guarantees of the sceptic strategies that certify forecaster agreement.
 """
 
-from .aggregating import fixed_pool_mixer, params_for, substitute
+from .aggregating import fixed_pool_mixer, params_for
 from .divergence import (DivergenceResult, alpha_divergence_log_loss,
                          alpha_divergence_square_loss, kl_divergence_log_loss,
                          lower_alpha_divergence_numeric,

@@ -38,7 +38,7 @@ it sits in one table, ``GAME_SPECS``: one :class:`GameSpec` per kind, with
 the loss kernel, bounds and outcome type, the map from a prediction-grid
 parameter to a prediction, and the closed forms the kind has (the
 divergence and the trace's gap column, the level-2 move, the aggregating
-pool's substitution, and the mixability constant).  Other modules read a
+pool's move, and the mixability constant).  Other modules read a
 game's entry, ``game.spec``, once, when they build a game, reset a strategy
 or parse a command, and never per step.  A kind without a closed form
 takes the numeric path (the gap search below), so adding a kind is one
@@ -119,16 +119,19 @@ class GameSpec:
     per step, and return float64 arrays, bit for bit the per-move
     arithmetic.  A kind with a ``level2`` move has its ``level2_column``
     and its ``divergence`` too: the move's profile is the weighted mean
-    shifted down by exactly that; a kind with a ``mix`` has its
-    ``mix_column``.  ``mix``, prepared once for the experts' predictions,
-    and ``substitute`` give None where their closed form does not dominate
-    within the constant ``DOMINATION_TOL``; the gap search takes over.
-    ``level2_column`` and ``mix_column`` are the column forms of ``level2``
-    and ``mix``, one row per step, bit for bit the per-step moves; they give
-    None for the whole column where any row has no closed-form move, and
-    the per-step loop plays the run.  ``mix_column`` takes the experts'
-    predictions shared by every step, ``(K,)`` or ``(K, m)``, or one row of
-    them per step, ``(B, K)`` or ``(B, K, m)``.
+    shifted down by exactly that.  Every kind the pool sceptics accept
+    (a positive ``eta_star`` on bounded outcomes) has a ``mix`` and its
+    ``mix_column``: the pool's move in closed form, prepared once for the
+    experts' predictions, which gives None where it does not dominate the
+    mixture loss within the constant ``DOMINATION_TOL``.  The bounded scalar
+    kinds take it from the mixture loss at the ends of the outcome interval,
+    log loss as the probability mixture.  ``level2_column`` and
+    ``mix_column`` are the column forms of ``level2`` and ``mix``, one row
+    per step, bit for bit the per-step moves; they give None for the whole
+    column where any row has no closed-form move, and the per-step loop
+    plays the run.  ``mix_column`` takes the experts' predictions shared by
+    every step, ``(K,)`` or ``(K, m)``, or one row of them per step,
+    ``(B, K)`` or ``(B, K, m)``.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -146,7 +149,6 @@ class GameSpec:
     level2_column: Optional[Callable] = None  # (game, w1, w2) -> (gammas1, gammas2) -> moves
     mix: Optional[Callable] = None          # (preds, eta) -> (log_w -> pool move)
     mix_column: Optional[Callable] = None   # (preds, eta) -> (log_w rows -> pool moves)
-    substitute: Optional[Callable] = None   # (game, g) -> move dominated by g
 
 
 # ---------------------------------------------------------------------------
@@ -633,47 +635,63 @@ def _log_level2_column(game, w1, w2):
 DOMINATION_TOL = 1e-9
 
 
-def _endpoint_move(g0: float, g1: float, lo=0.0, hi=1.0):
-    # bounded square: equalizes the excesses at outcomes 0 and 1; checked at
-    # the ends lo, hi where g0, g1 were taken, it dominates in between
-    # because (omega - gamma)^2 - g(omega) is convex for eta <= 2 mixtures
-    gamma = min(1.0, max(0.0, 0.5 * (1.0 + g0 - g1)))
-    low, high = lo - gamma, hi - gamma
-    return gamma if max(low * low - g0, high * high - g1) <= DOMINATION_TOL else None
+def _square_move(g0, g1):
+    # bounded square on [0, 1]: the move whose excesses over g at the two
+    # ends are equal, (1 - gamma)^2 - gamma^2 = g1 - g0
+    return 0.5 * (1.0 + g0 - g1)
 
 
-def _endpoint_moves(g0: np.ndarray, g1: np.ndarray):
-    # _endpoint_move over columns, on [0, 1], bit for bit: Python's max and
-    # min keep their first argument on a tie and take a NaN move to 0; None
-    # unless every row dominates
-    v = 0.5 * (1.0 + g0 - g1)
-    v = np.where(v > 0.0, v, 0.0)
-    gamma = np.where(v < 1.0, v, 1.0)
-    d0, d1 = 0.0 - gamma, 1.0 - gamma
-    low, high = d0 * d0 - g0, d1 * d1 - g1
-    return gamma if (np.where(high > low, high, low) <= DOMINATION_TOL).all() else None
+def _quartic_move(g0, g1):
+    # quartic on [-1, 1]: (1 + gamma)^4 - (1 - gamma)^4 = 8 gamma^3 + 8 gamma
+    # = g0 - g1, whose one real root is (2 / sqrt 3) sinh(asinh((3 sqrt 3 / 16)
+    # (g0 - g1)) / 3)
+    return 1.1547005383792517 * np.sinh(np.arcsinh(0.3247595264191645 * (g0 - g1)) / 3.0)
 
 
-_UNIT_ENDS = np.array([[0.0], [1.0]])
+def _endpoint_mix(kernel, bounds, move) -> dict:
+    """``mix`` and ``mix_column`` of a bounded scalar kind, whose binding
+    constraint sits at the ends of the outcome interval ``bounds`` (Haussler,
+    Kivinen & Warmuth, IEEE Trans. IT 1998): ``move`` of the mixture loss g
+    at the two ends, clamped to the interval, and None unless its excesses
+    over g there are within ``DOMINATION_TOL``.  Checked at the ends, it
+    dominates in between: on bounded square because ``(omega - gamma)^2 -
+    g(omega)`` is convex for eta <= 2 mixtures; on quartic as an empirical
+    claim, held by a seeded property test over random mixtures and a dense
+    adversary.  ``move`` takes Python floats and arrays alike, bit for bit.
+    An expert whose move is NaN drops out of g."""
+    lo, hi = bounds
+    ends = np.array(bounds)[:, None]
 
+    def mix(preds, eta):
+        # the experts' eta-scaled losses at the ends, one row per end
+        scaled = eta * kernel(ends, preds)
 
-def _bounded_square_mix(preds, eta):
-    # the generalized prediction at the outcome interval's endpoints, from
-    # the experts' eta-scaled losses there, one row per endpoint
-    scaled = eta * _square_kernel(_UNIT_ENDS, preds)
-    return lambda log_w: _endpoint_move(*(-_lse_rows(log_w - scaled) / eta).tolist())
+        def step(log_w):
+            g0, g1 = (-_lse_rows(np.fmax(log_w - scaled, -math.inf)) / eta).tolist()
+            gamma = min(hi, max(lo, float(move(g0, g1))))
+            excess = max(kernel(lo, gamma) - g0, kernel(hi, gamma) - g1)
+            return gamma if excess <= DOMINATION_TOL else None
+        return step
 
+    def mix_column(preds, eta):
+        # mix over (B, K) rows of log-weights, for the same (K,) predictions
+        # every step or (B, K) of their own per step: each step's two end
+        # rows, log-sum-exped as _lse_rows takes them.  Python's max and min
+        # keep their first argument on a tie and take a NaN move to lo; None
+        # unless every row dominates
+        scaled = eta * kernel(ends, preds[..., None, :])
 
-def _bounded_square_mix_column(preds, eta):
-    # _bounded_square_mix over (B, K) rows of log-weights, for the same (K,)
-    # predictions every step or (B, K) of their own per step: each step's
-    # two endpoint rows, log-sum-exped as _lse_rows takes them
-    scaled = eta * _square_kernel(_UNIT_ENDS, preds[..., None, :])
-
-    def moves(log_w):
-        g = -_lse_rows((log_w[:, None, :] - scaled).reshape(-1, preds.shape[-1])) / eta
-        return _endpoint_moves(g[0::2], g[1::2])
-    return moves
+        def moves(log_w):
+            exponents = np.fmax(log_w[:, None, :] - scaled, -math.inf)
+            g = -_lse_rows(exponents.reshape(-1, preds.shape[-1])) / eta
+            g0, g1 = g[0::2], g[1::2]
+            v = move(g0, g1)
+            v = np.where(v > lo, v, lo)
+            gamma = np.where(v < hi, v, hi)
+            low, high = kernel(lo, gamma) - g0, kernel(hi, gamma) - g1
+            return gamma if (np.where(high > low, high, low) <= DOMINATION_TOL).all() else None
+        return moves
+    return dict(mix=mix, mix_column=mix_column)
 
 
 def _normalized_mixture(raw: np.ndarray) -> np.ndarray:
@@ -689,7 +707,9 @@ def _normalized_mixture(raw: np.ndarray) -> np.ndarray:
 
 
 def _log_mix(preds, eta):
-    # at eta = 1 the mixture is the weighted mean of the probability vectors
+    # at eta = 1 the mixture is the weighted mean of the probability vectors;
+    # an expert whose move is NaN drops out of it, as out of the mixture loss
+    preds = np.where(np.isnan(preds), 0.0, preds)
     return (lambda log_w: _normalized_mixture(np.exp(log_w) @ preds)) if eta == 1.0 else None
 
 
@@ -747,15 +767,13 @@ GAME_SPECS = {
     GameKind.BOUNDED_SQUARE: _scalar_spec(
         _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game, _square_eta_star,
         divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
-        mix=_bounded_square_mix, mix_column=_bounded_square_mix_column,
-        substitute=lambda game, g: _endpoint_move(
-            float(g[0]), float(g[-1]), *game.outcome_grid[[0, -1]])),
+        **_endpoint_mix(_square_kernel, _UNIT, _square_move)),
     GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
         _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game, _absolute_eta_star),
     GameKind.QUARTIC: _scalar_spec(
         _quartic_kernel, ((-1.0, 1.0), (-1.0, 1.0)),
         lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size),
-        _quartic_eta_star),
+        _quartic_eta_star, **_endpoint_mix(_quartic_kernel, (-1.0, 1.0), _quartic_move)),
     GameKind.LOG_LOSS: GameSpec(
         kernel=_log_kernel, losses=_log_losses, loss_column=_log_loss_column,
         param_losses=_binary_log_param_losses,
@@ -764,8 +782,7 @@ GAME_SPECS = {
         make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
         trace_gap=_log_gap, eta_star=lambda w: 1.0, level2=_log_level2,
         level2_column=_log_level2_column, divergence=_log_divergence,
-        mix=_log_mix, mix_column=_log_mix_column,
-        substitute=lambda game, g: _normalized_mixture(np.exp(-g))),
+        mix=_log_mix, mix_column=_log_mix_column),
 }
 
 

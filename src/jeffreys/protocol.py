@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DivergenceOverestimate, DomainError, PoolCollapseError,
-                     ProtocolViolationError)
+from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
+                     PoolCollapseError, ProtocolViolationError)
 from .games import Game, GameKind
 from .players import NatureStrategy, PredictorStrategy, ReplayExhausted, _column
 from .sceptics import ScepticStrategy
@@ -264,7 +264,7 @@ def _play_loop(players, game: Game, horizon: int) -> tuple:
             raise ProtocolViolationError(f"predictor 2: {exc}", n) from exc
         try:
             gs = predict(n, g1, g2)
-        except (PoolCollapseError, DivergenceOverestimate) as exc:
+        except (PoolCollapseError, DivergenceOverestimate, MixabilityViolation) as exc:
             raise type(exc)(f"step {n}: {exc}") from exc
         try:
             validate_prediction(gs)

@@ -470,11 +470,10 @@ class AggregatingSceptic(ScepticStrategy):
     that attains it, ``worst_eq8_step``; ``expert_cums`` are the sums ``s``.
 
     A pool of constant experts (each plays ``ConstantPredictor``'s own
-    per-step methods) on a game with a column form of its mix plays a run
-    in columns (``predict_column``), ``EQ8_BLOCK`` steps at a time: one
-    compensated cumulative sum of the block's losses, which both the
-    weights and the audit read, the moves and the domination re-check, each
-    bit for bit the steps'.
+    per-step methods) plays a run in columns (``predict_column``),
+    ``EQ8_BLOCK`` steps at a time: one compensated cumulative sum of the
+    block's losses, which both the weights and the audit read, the moves
+    and the domination re-check, each bit for bit the steps'.
     """
 
     check = "eq8"
@@ -584,15 +583,13 @@ class AggregatingSceptic(ScepticStrategy):
             e.observe(n, omega)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        game, eta, mix_column = self._game, self.eta, self._game.spec.mix_column
-        if omegas is None or mix_column is None or not all(map(_is_constant, self.experts)):
+        game, eta = self._game, self.eta
+        if omegas is None or not all(map(_is_constant, self.experts)):
             return None
         # a pool of constants emits the same predictions every step: its mix
         # and (on a finite outcome space) losses per outcome are prepared once
         preds = self._collect(1)[1].astype(float)
-        column_mix = mix_column(preds, eta)
-        if column_mix is None:
-            return None
+        column_mix = game.spec.mix_column(preds, eta)
         table = (np.array([self._losses(w, preds) for w in range(game.m)])
                  if game.spec.outcome_type is int else None)
         (sums, comps), w = self._sums, self._w
@@ -706,15 +703,15 @@ class Level3Sceptic(ScepticStrategy):
     Where the moves change, a refused base move ends the run as a player's does.
 
     Once the outcomes are known, a lift over a base whose column form may
-    stand in for it (the engine's rule), on a game with a column form of its
-    mix, plays a run in columns (``predict_column``): the base's column, the
-    loss columns and their compensated running sums, and the switches as
-    first passages of ``cum_j - cum_base`` over the thresholds.  Between
+    stand in for it (the engine's rule) plays a run in columns
+    (``predict_column``): the base's column, the loss columns and their
+    compensated running sums, and the switches as first passages of
+    ``cum_j - cum_base`` over the thresholds.  Between
     switches the offsets and floors are fixed, so ``EQ8_BLOCK`` steps at a
     time the group weights, the mix, the domination re-check and the audit
     are row-wise column arithmetic, each bit for bit the steps'.  Where a
     loss is infinite or NaN (it would eliminate a group or collapse the
-    pool), or a step would leave the closed forms, it gives None, and the
+    pool), or a move would not dominate, it gives None, and the
     engine resets every player, the base with them, before the loop plays.
     """
 
@@ -801,7 +798,7 @@ class Level3Sceptic(ScepticStrategy):
         self._switch(n)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        if omegas is None or self._game.spec.mix_column is None:
+        if omegas is None:
             return None
         bases = _column(self.base, "predict_column", gammas1, gammas2, omegas)
         if bases is None or len(bases) != len(omegas) or not self._game.accepts_predictions(bases):

@@ -1,5 +1,10 @@
-"""Exponential-weights mixing, substitution, and the regret guarantee."""
+"""Exponential-weights mixing, substitution, and the regret guarantee.
 
+The substitution is the game's closed-form mix; the dense brute-force
+minimax search that checks it lives here, not in the library."""
+
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -13,8 +18,8 @@ from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, Dri
                       RunningMeanPredictor,
                       bounded_absolute_loss_game, bounded_square_loss_game,
                       fixed_pool_mixer, log_loss_game, params_for, quartic_loss_game,
-                      run_protocol, square_loss_game, substitute, verify_run)
-from jeffreys.aggregating import DOMINATION_TOL, _generalized, _substitute_numeric
+                      run_protocol, square_loss_game, verify_run)
+from jeffreys.aggregating import DOMINATION_TOL
 from jeffreys.games import _lse1, _lse_rows
 from jeffreys.sceptics import EQ8_BLOCK, _compensated_add, _compensated_cumsum
 from pool_reference import PerStepAggregating
@@ -29,9 +34,26 @@ def _normalized(log_w):
     return log_w - _lse1(log_w)
 
 
+def _mixture_loss(log_w, points, eta):
+    # g(omega) = -ln(sum_k w_k e^(-eta loss_k(omega))) / eta of normalized
+    # log-weights over (K, O) expert loss profiles; a NaN loss drops its expert
+    with np.errstate(invalid="ignore"):
+        exponents = np.fmax(log_w[:, None] - eta * points, -math.inf)
+    return -np.logaddexp.reduce(exponents, axis=0) / eta
+
+
 def _mixed(log_w, points, eta):
     # the generalized prediction of log-weights over the experts' loss profiles
-    return _generalized(_normalized(log_w), np.asarray(points, dtype=float), eta)
+    return _mixture_loss(_normalized(log_w), np.asarray(points, dtype=float), eta)
+
+
+def _dense_minimax(losses, g):
+    # the brute-force substitution: of the (P, O) losses of P candidate moves
+    # at O outcomes, the index of the move whose largest excess over the
+    # mixture loss g is least, and that excess
+    worst = (losses - g).max(axis=1)
+    best = int(worst.argmin())
+    return best, float(worst[best])
 
 
 def test_pool_validation():
@@ -103,18 +125,15 @@ def test_collapsed_pool_raises():
 
 
 def test_substitute_recovers_canonical_point():
-    game = bounded_square_loss_game()
-    g = game.canonical_point(0.37)
-    gamma = substitute(game, g)
-    assert gamma == pytest.approx(0.37, abs=1e-9)
+    # one expert's mixture loss is its own loss profile
+    for game in (bounded_square_loss_game(), quartic_loss_game()):
+        gamma = _aa_step(_uniform(1), [0.37], game, params_for(game).eta)
+        assert gamma == pytest.approx(0.37, abs=1e-9)
 
 
 def test_substitute_bayes_rule():
     game = log_loss_game(m=2)
-    pts = np.stack([game.canonical_point(np.array([0.2, 0.8])),
-                    game.canonical_point(np.array([0.8, 0.2]))])
-    g = _mixed(_uniform(2), pts, eta=1.0)
-    gamma = substitute(game, g)
+    gamma = _aa_step(_uniform(2), [[0.2, 0.8], [0.8, 0.2]], game, 1.0)
     assert np.allclose(gamma, [0.5, 0.5], atol=1e-12)
 
 
@@ -122,7 +141,7 @@ def test_substitute_domination_bounded_square():
     game = bounded_square_loss_game()
     pts = np.stack([game.canonical_point(0.3), game.canonical_point(0.7)])
     g = _mixed(_uniform(2), pts, eta=2.0)
-    gamma = substitute(game, g)
+    gamma = _aa_step(_uniform(2), [0.3, 0.7], game, 2.0)
     for idx, omega in ((0, 0.0), (-1, 1.0)):
         assert (omega - gamma) ** 2 <= g[idx] + 1e-9
 
@@ -136,9 +155,7 @@ def test_substitute_domination_on_continuum():
         k = rng.integers(2, 30)
         log_w = np.log(rng.dirichlet(np.ones(k)))
         gammas = rng.random(k)
-        pts = np.stack([game.canonical_point(x) for x in gammas])
-        g_ends = _mixed(log_w, pts, eta=2.0)
-        gamma = substitute(game, g_ends)
+        gamma = _aa_step(log_w, gammas, game, 2.0)
         mix = np.log(np.dot(np.exp(_normalized(log_w)),
                             np.exp(-2.0 * (omegas[None, :] - gammas[:, None]) ** 2)))
         g_all = -mix / 2.0
@@ -146,20 +163,92 @@ def test_substitute_domination_on_continuum():
 
 
 def test_generic_search_agrees_with_closed_form():
-    game = bounded_square_loss_game()
-    pts = np.stack([game.canonical_point(0.2), game.canonical_point(0.9)])
-    g_full = _mixed(_uniform(2), pts, eta=2.0)
-    assert _substitute_numeric(game, g_full) == pytest.approx(
-        substitute(game, g_full), abs=1e-6)
+    # the brute-force minimax move over a dense prediction grid is the
+    # closed form's, to the grid's spacing
+    for game in (bounded_square_loss_game(), quartic_loss_game()):
+        lo, hi = game.bounds()[0]
+        omegas, candidates = np.linspace(lo, hi, 401), np.linspace(lo, hi, 20001)
+        experts = lo + (hi - lo) * np.array([0.2, 0.9])
+        eta = params_for(game).eta
+        g = _mixed(_uniform(2), game.spec.losses(omegas[None, :], experts[:, None]), eta)
+        best, _ = _dense_minimax(game.spec.losses(omegas[None, :], candidates[:, None]), g)
+        assert candidates[best] == pytest.approx(_aa_step(_uniform(2), experts, game, eta),
+                                                 abs=2 * (hi - lo) / 20000)
 
 
 def test_substitute_flags_excessive_eta():
-    game = log_loss_game(m=2)
-    pts = np.stack([game.canonical_point(np.array([0.05, 0.95])),
-                    game.canonical_point(np.array([0.95, 0.05]))])
-    g = _mixed(_uniform(2), pts, eta=4.0)
-    with pytest.raises(MixabilityViolation):
-        substitute(game, g)
+    # twice bounded square's eta* leaves the move's end excesses above the
+    # tolerance; log loss has a closed-form mix at eta = 1 only
+    with pytest.raises(MixabilityViolation, match="mixture loss by more than"):
+        _aa_step(_uniform(2), [0.05, 0.95], bounded_square_loss_game(), 4.0)
+    with pytest.raises(MixabilityViolation, match="no closed-form mix"):
+        _aa_step(_uniform(2), [[0.05, 0.95], [0.95, 0.05]], log_loss_game(m=2), 4.0)
+
+
+def _random_pool(rng, draw, ends):
+    # K = 2 to 7 expert moves from ``draw``, a third of the pools with one
+    # expert within 1e-8 to 1e-1 of its way to one of the ``ends``, and
+    # normalized log-weights, Dirichlet of concentration 0.05 to 5
+    k = int(rng.integers(2, 8))
+    preds = draw(rng, k)
+    if rng.random() < 1.0 / 3.0:
+        end = ends[int(rng.integers(len(ends)))]
+        preds[0] = end + 10.0 ** rng.uniform(-8.0, -1.0) * (preds[0] - end)
+    concentration = 10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0))
+    with np.errstate(divide="ignore"):
+        return preds, _normalized(np.log(rng.dirichlet(np.full(k, concentration))))
+
+
+@pytest.mark.parametrize("make_game, minimax", [(bounded_square_loss_game, True),
+                                                (quartic_loss_game, False)],
+                         ids=["bounded_square", "quartic"])
+def test_endpoint_moves_dominate_a_dense_minimax_search(make_game, minimax):
+    # seeded random mixtures: the closed-form move dominates the mixture loss
+    # at 4,001 outcomes within DOMINATION_TOL, and its column form gives the
+    # same bits.  On bounded square it is the minimax move: its largest
+    # excess is no larger than the best of 2,001 brute-force candidates on
+    # 401 of the outcomes.  On quartic an interior outcome may bind below
+    # the ends' equal excess, and a candidate may do better there
+    game = make_game()
+    eta = params_for(game).eta
+    lo, hi = game.bounds()[0]
+    omegas, candidates = np.linspace(lo, hi, 4001), np.linspace(lo, hi, 2001)
+    candidate_losses = game.spec.losses(omegas[None, ::10], candidates[:, None])
+    rng = np.random.default_rng(20091209)
+    for _ in range(500):
+        preds, log_w = _random_pool(rng, lambda rng, k: rng.uniform(lo, hi, k), (lo, hi))
+        gamma = fixed_pool_mixer(game, eta, preds)(log_w)
+        g = _mixture_loss(log_w, game.spec.losses(omegas[None, :], preds[:, None]), eta)
+        worst = float((game.spec.losses(omegas, gamma) - g).max())
+        _, searched = _dense_minimax(candidate_losses, g[::10])
+        assert worst <= DOMINATION_TOL
+        assert worst <= searched + 1e-12 or not minimax
+        column = game.spec.mix_column(preds, eta)(log_w[None, :])
+        assert column.tobytes() == np.array([gamma]).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_probability_mixture_dominates_a_dense_minimax_search(m):
+    # log loss: the Bayes mixture's excess is the same at every outcome, and
+    # no probability vector on a dense simplex grid does better
+    game = log_loss_game(m=m)
+    steps = 2000 if m == 2 else 60
+    heads = np.array(list(itertools.product(range(steps + 1), repeat=m - 1)))
+    heads = heads[heads.sum(axis=1) <= steps]
+    grid = np.column_stack((heads, steps - heads.sum(axis=1))) / steps
+    outcomes = np.arange(m)
+    with np.errstate(divide="ignore"):
+        candidate_losses = -np.log(grid)
+    rng = np.random.default_rng(20091210)
+    for _ in range(500):
+        preds, log_w = _random_pool(rng, lambda rng, k: rng.dirichlet(np.ones(m), k), np.eye(m))
+        gamma = fixed_pool_mixer(game, 1.0, preds)(log_w)
+        with np.errstate(divide="ignore"):
+            g = _mixture_loss(log_w, -np.log(preds[:, outcomes]), 1.0)
+            worst = float((-np.log(gamma) - g).max())
+        _, searched = _dense_minimax(candidate_losses, g)
+        assert worst <= DOMINATION_TOL
+        assert worst <= searched + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +424,14 @@ def _horizon_case(game_name, horizon):
 
 
 class _NanFrom(PredictorStrategy):
-    # an expert whose prediction turns NaN at step ``start``: its loss is NaN,
-    # its weight is eliminated, and the eq8 min skips its NaN cumulative loss
-    def __init__(self, start):
-        self.start = start
+    # an expert whose prediction turns NaN, in the shape of its ``move``, at
+    # step ``start``: its loss is NaN, its weight is eliminated, and the eq8
+    # min skips its NaN cumulative loss
+    def __init__(self, start, move=0.4):
+        self.start, self.move = start, move
 
     def predict(self, n):
-        return math.nan if n >= self.start else 0.4
+        return self.move * math.nan if n >= self.start else self.move
 
 
 EQUIVALENCE_CASES = {
@@ -363,6 +453,11 @@ EQUIVALENCE_CASES = {
         bounded_square_loss_game(), lambda: [_NanFrom(EQ8_BLOCK + 5), ConstantPredictor(0.3),
                                              ConstantPredictor(0.8)],
         0.5, IidUniformNature(0.0, 1.0), 2 * EQ8_BLOCK, 19),
+    "log_loss_nan_expert": lambda: _pool_case(
+        log_loss_game(m=2), lambda: [_NanFrom(10, np.array([0.4, 0.6])),
+                                     ConstantPredictor(np.array([0.3, 0.7])),
+                                     ConstantPredictor(np.array([0.8, 0.2]))],
+        _COIN, IidBernoulliNature(0.6), 50, 1),
     # deficient priors on a log-loss pool whose weights fall far below zero
     "deficient_priors": lambda: _pool_case(log_loss_game(m=2),
                                            lambda: _log_experts(_SPREAD7), _COIN,
@@ -415,6 +510,8 @@ def test_folded_audit_matches_the_per_step_reference(name):
     assert failure == ref_failure
     if name == "collapse":
         assert failure == (PoolCollapseError, 4)
+    if name.endswith("nan_expert"):  # the NaN move drops its expert; the run goes on
+        assert failure is None and ours.worst_eq8_slack >= -1e-9
     if trace is not None:
         ours_gammas = np.asarray(trace.gamma_sceptic, dtype=float)
         assert ours_gammas.tobytes() == np.asarray(ref_trace.gamma_sceptic,
@@ -481,6 +578,41 @@ def test_mixability_violation_at_the_reference_step(bad_mix_from_step_40):
     assert failure == ref_failure
 
 
+def _none_from_step_40(game):
+    # the game, with a mix whose move is None from the 40th it makes on, and
+    # a column form that gives None for any column of 40 rows or more
+    spec, columns = game.spec, []
+
+    def mix(preds, eta):
+        closed, made = spec.mix(preds, eta), []
+
+        def move(log_w):
+            made.append(None)
+            return closed(log_w) if len(made) < 40 else None
+        return move
+
+    def mix_column(preds, eta):
+        closed = spec.mix_column(preds, eta)
+        return lambda log_w: columns.append(len(log_w)) or (
+            closed(log_w) if len(log_w) < 40 else None)
+    game.spec = dataclasses.replace(spec, mix=mix, mix_column=mix_column)
+    return game, columns
+
+
+@pytest.mark.parametrize("loop", [True, False], ids=["loop", "columns"])
+def test_a_mix_without_a_dominating_move_fails_naming_its_step(loop):
+    # a pool of constants plays columns; its column without a move sends the
+    # run to the loop, which names the step, as a loop-played run does
+    game, columns = _none_from_step_40(bounded_square_loss_game())
+    sceptic = AggregatingSceptic([ConstantPredictor(p) for p in _SPREAD7])
+    if loop:  # a predict set on the instance: the engine plays the loop
+        sceptic.predict = sceptic.predict
+    with pytest.raises(MixabilityViolation, match=r"^step 40: the mixed move exceeds"):
+        run_protocol(IidUniformNature(0.0, 1.0), ConstantPredictor(0.5),
+                     ConstantPredictor(0.5), sceptic, game, 500, seed=12)
+    assert columns == ([] if loop else [EQ8_BLOCK])
+
+
 def test_audit_memory_is_independent_of_the_horizon():
     # the held audit rows are folded every EQ8_BLOCK steps: a run 4x longer
     # peaks within 20 % of the shorter one
@@ -505,20 +637,25 @@ def test_audit_memory_is_independent_of_the_horizon():
 
 class _DenseAdversary(NatureStrategy):
     """Plays the dense outcome where the pool sceptic's own loss most exceeds
-    its mixture bound, the mixed expert losses under the weights of its move."""
+    its mixture bound, the mixed expert losses under the weights of its move,
+    and keeps that largest excess of each step."""
 
     def __init__(self, sceptic, omegas):
         self.sceptic, self.omegas = sceptic, omegas
+        self.excesses = []
 
     def reset(self, game, rng, horizon):
         self._loss = game.loss_fn()
+        self.excesses = []
 
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         pool = self.sceptic
         preds = np.array([e.predict(n) for e in pool.experts])
-        bound = _generalized(_normalized(pool._w),
-                             self._loss(self.omegas[None, :], preds[:, None]), pool.eta)
-        return float(self.omegas[np.argmax(self._loss(self.omegas, gamma_sceptic) - bound)])
+        bound = _mixture_loss(_normalized(pool._w),
+                              self._loss(self.omegas[None, :], preds[:, None]), pool.eta)
+        excess = self._loss(self.omegas, gamma_sceptic) - bound
+        self.excesses.append(float(excess.max()))
+        return float(self.omegas[np.argmax(excess)])
 
 
 # the symmetric pool's adversary plays only -1, 0 and 1, on both grids; the
@@ -528,14 +665,16 @@ class _DenseAdversary(NatureStrategy):
                                               ((-0.9, -0.2, 0.35, 0.8), True)],
                          ids=["symmetric", "asymmetric"])
 def test_quartic_pool_holds_against_a_dense_adversary(outcomes, experts, off_grid):
-    # the substitution is a statement about the outcome grid; off it, the
-    # sceptic re-checks domination at each realized outcome, and eq8 holds
+    # the endpoint move dominates the mixture loss on the whole outcome
+    # interval, off the outcome grid too: at each step the adversary's best
+    # of 20,001 outcomes finds no excess above DOMINATION_TOL, and eq8 holds
     game = quartic_loss_game(outcome_grid_size=outcomes)
     sceptic = AggregatingSceptic([ConstantPredictor(g) for g in experts])
     nature = _DenseAdversary(sceptic, np.linspace(-1.0, 1.0, 20001))
     trace = run_protocol(nature, ConstantPredictor(0.0), ConstantPredictor(0.5), sceptic,
                          game, 200, seed=1)
     assert len(trace.omega) == 200
+    assert len(nature.excesses) == 200 and max(nature.excesses) <= DOMINATION_TOL
     if off_grid:
         assert np.mean(np.isin(trace.omega, game.outcome_grid)) < 0.1
     assert verify_run(trace, ["eq8"], sceptic=sceptic).checks_passed

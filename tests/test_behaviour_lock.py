@@ -178,7 +178,7 @@ POOL_LOCKED = {
     "bounded_square_learners": "0cdec7e71959d53eefda7fa8b8e1f160756db8161d58fa11c5a6d55d29851afe",
     "log_loss_eliminated": "95eb858373769f41afbeb57e0108af6224a8a20a6b6802f39cf8921e30c1aa52",
     "level3_log_loss": "db53d0ec6821ce795b1b472f85df919b075410fd07de15ae3eeaa28f0c4f6366",
-    "quartic_generic": "a5eed28b20c5943f7ad944cd478e1b12c4a542f995fa6f2e1238d7d7c6b05e48",
+    "quartic_generic": "8452397a0617b4978437cb52ddcce1bbe1fa7b30347fb4891302e8e947f103c4",
 }
 
 

@@ -294,6 +294,22 @@ def test_pools_across_column_blocks_match_the_loop(horizon):
     assert_same_run(_log_pool(np.arange(1, 8) / 8.0, 0.05, horizon, 18, np.full(7, 0.1)))
 
 
+def test_quartic_pools_match_the_loop():
+    # the endpoint root over columns: the behaviour lock's pool, one of four
+    # constants across column blocks, and two constants against the adversary
+    quartic = j.quartic_loss_game(outcome_grid_size=65)
+    for experts, horizon, seed in (((-0.6, 0.0, 0.4), 60, 16),
+                                   ((-0.9, -0.2, 0.35, 0.8), 3000, 17)):
+        assert_same_run((lambda: (j.IidUniformNature(-1.0, 1.0), j.ConstantPredictor(0.0),
+                                  j.ConstantPredictor(0.5),
+                                  j.AggregatingSceptic([j.ConstantPredictor(g) for g in experts])),
+                         quartic, horizon, seed))
+    assert_same_run(_adversarial(
+        quartic, lambda: j.ConstantPredictor(0.0), lambda: j.ConstantPredictor(0.5),
+        lambda: j.AggregatingSceptic([j.ConstantPredictor(g) for g in (-0.5, 0.5)]),
+        horizon=300))
+
+
 def test_three_outcome_runs_match_the_loop():
     experts = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1]), np.array([1 / 3] * 3)]
     assert_same_run((lambda: (j.ReplayNature(np.random.default_rng(5).integers(0, 3, 500)),
@@ -371,6 +387,17 @@ def test_lifts_of_either_pool_size_match_the_loop(k_max):
                               500, 8 + seed, k_max))
 
 
+def test_quartic_lifts_match_the_loop():
+    # over level 2's numeric columns, against an iid and a constant Nature
+    quartic = j.quartic_loss_game(outcome_grid_size=65)
+    for nature, seed in ((lambda: j.IidUniformNature(-1.0, 1.0), 16),
+                         (lambda: j.ConstantNature(0.8), 3)):
+        sceptic = assert_same_run(_lift(quartic, lambda: j.ConstantPredictor(-0.5),
+                                        lambda: j.ConstantPredictor(0.5), nature, 600, seed,
+                                        k_max=5))
+        assert sceptic.switch_times
+
+
 @pytest.mark.parametrize("horizon", [EQ8_BLOCK - 1, EQ8_BLOCK, EQ8_BLOCK + 1,
                                      2 * EQ8_BLOCK + 3])
 def test_lift_switches_across_column_blocks_match_the_loop(horizon):
@@ -421,14 +448,9 @@ class HalvingLevel2(j.Level2Sceptic):
 
 
 def test_a_lift_the_loop_must_play_builds_no_base_column(monkeypatch):
-    # quartic loss has no closed-form mix, and an overridden base move
-    # cannot stand in; against the adversary the lift plays columns, one
-    # base column for each guessed outcome column
+    # an overridden base move cannot stand in; against the adversary the
+    # lift plays columns, one base column for each guessed outcome column
     base_columns = _spy_columns(monkeypatch, j.Level2Sceptic)
-    _same_failure(_lift(j.quartic_loss_game(outcome_grid_size=65),
-                        lambda: j.ConstantPredictor(-0.5), lambda: j.ConstantPredictor(0.5),
-                        lambda: j.IidUniformNature(-1.0, 1.0), 100, 16, k_max=5))
-    assert base_columns == []
     trace, _ = _same_failure(_lift(BOUNDED_SQUARE, lambda: j.ConstantPredictor(0.1),
                                    lambda: j.ConstantPredictor(0.9),
                                    lambda: j.ConstantNature(0.9), 300, 3,

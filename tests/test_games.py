@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jeffreys import (GAME_SPECS, DomainError, Game, GameKind,
+from jeffreys import (GAME_SPECS, DomainError, Game, GameKind, MixabilityViolation,
                       absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
                       check_non_redundant, check_perfectly_mixable,
                       game_from_descriptor, is_subprediction,
                       is_superprediction, log_loss_game, points_non_redundant,
-                      quartic_loss_game, square_loss_game)
+                      params_for, quartic_loss_game, square_loss_game)
 from jeffreys.games import DEFAULT_MEMBERSHIP_TOL, _excess, _min_gap
 
 
@@ -542,7 +542,23 @@ def test_every_closed_form_has_its_column_form(kind):
         assert spec.mix_column is not None
 
 
-@pytest.mark.parametrize("form", ["mix", "mix_column", "substitute"])
+@pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
+def test_every_kind_the_pools_accept_has_its_mix(kind):
+    # the pool sceptics play the mix and its column form, with no fallback,
+    # on every kind params_for accepts, at the eta it gives
+    game = GAME_SPECS[kind].make(33, 3)
+    try:
+        eta = params_for(game).eta
+    except MixabilityViolation:
+        assert GAME_SPECS[kind].mix is None and GAME_SPECS[kind].mix_column is None
+        return
+    preds = np.array([game.prediction_from_param(u) for u in (0.2, 0.5, 0.9)]) \
+        if game.prediction_shape == () else np.full((2, 3), 1.0 / 3.0)
+    assert GAME_SPECS[kind].mix(preds, eta) is not None
+    assert GAME_SPECS[kind].mix_column(preds, eta) is not None
+
+
+@pytest.mark.parametrize("form", ["mix", "mix_column"])
 def test_no_closed_form_of_the_pool_takes_a_tolerance(form):
     closed = [f for f in (getattr(spec, form) for spec in GAME_SPECS.values()) if f is not None]
     assert closed and all("tol" not in inspect.signature(f).parameters for f in closed)
@@ -570,6 +586,8 @@ def _ufunc_inputs(name, rng, n=20_000):
         return np.array([*_SPECIAL, *(-x for x in _SPECIAL), 709.8, -745.2, *random])
     if name == "power":  # probabilities
         return np.array([*_SPECIAL, *rng.uniform(0.0, 1.0, n)])
+    if name in ("sinh", "arcsinh"):  # the quartic move's cubic root, of either sign
+        return np.array([*_SPECIAL, *(-x for x in _SPECIAL), *rng.uniform(-6.0, 6.0, n)])
     random = np.concatenate((rng.uniform(0.0, 1.0, n // 2),
                              10.0 ** rng.uniform(-310, 308, n // 2)))
     if name == "log1p":  # the ledger's u, which may lie in (-1, 0)
@@ -585,7 +603,7 @@ def _call(name, x, w=None):
 def _numpy_cases():
     # (ufunc, exponent or None): power takes the level-2 weights, among them
     # 0.5, which numpy takes as a square root when it is a scalar exponent
-    for name in ("log", "exp", "log1p", "sqrt"):
+    for name in ("log", "exp", "log1p", "sqrt", "sinh", "arcsinh"):
         yield name, None
     for w in (0.5, 0.1, 0.9, 0.05, 0.95, 0.25, 0.75, 0.3):
         yield "power", w

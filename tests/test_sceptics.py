@@ -586,7 +586,7 @@ LIFT_CASES = {
     "long_converging": lambda: _lift_case(
         bounded_square_loss_game(), _noisy(0.4), _noisy(0.4), IidBernoulliNature(0.4),
         100_000, 52),
-    # the numeric substitution, three outcomes, and the pool's size
+    # the quartic endpoint root, three outcomes, and the pool's size
     "quartic": lambda: _lift_case(quartic_loss_game(outcome_grid_size=65),
                                   ConstantPredictor(-0.5), ConstantPredictor(0.5),
                                   IidUniformNature(-1.0, 1.0), 100, 16, k_max=5),
