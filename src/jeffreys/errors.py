@@ -26,9 +26,9 @@ class PoolCollapseError(JeffreysError):
 
 
 class MixabilityViolation(JeffreysError):
-    """A mixing step produced a generalized prediction no single prediction
-    can match, or a strategy requiring a mixable game was given one that
-    is not."""
+    """A pool's mix found no move that dominates the mixture loss within
+    ``DOMINATION_TOL``, or a strategy requiring a mixable game was given one
+    that is not."""
 
 
 class DivergenceOverestimate(JeffreysError):

@@ -54,7 +54,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DivergenceOverestimate, DomainError, MixabilityViolation
+from .errors import DivergenceOverestimate, DomainError
 
 Prediction = Union[float, np.ndarray]
 
@@ -694,23 +694,21 @@ def _endpoint_mix(kernel, bounds, move) -> dict:
     return dict(mix=mix, mix_column=mix_column)
 
 
-def _normalized_mixture(raw: np.ndarray) -> np.ndarray:
-    # log loss: raw = exp(-g) is the mixture of probability vectors; for
-    # eta <= 1 its mass is at most one, so renormalizing only raises it
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise MixabilityViolation("generalized prediction is infinite everywhere")
-    if total > 1.0 + DOMINATION_TOL:
-        raise MixabilityViolation(
-            f"substitution excess {math.log(total):.3g} exceeds tolerance")
-    return raw / total
-
-
 def _log_mix(preds, eta):
-    # at eta = 1 the mixture is the weighted mean of the probability vectors;
-    # an expert whose move is NaN drops out of it, as out of the mixture loss
+    # at eta = 1, exp(-g) of the mixture loss g is the weighted mean of the
+    # probability vectors; an expert whose move is NaN drops out of it, as
+    # out of the mixture loss.  Normalized weights give it a mass of at most
+    # one, so renormalizing only raises it; None where the mass is not in
+    # (0, 1 + DOMINATION_TOL], as _log_mix_column gives
+    if eta != 1.0:
+        return None
     preds = np.where(np.isnan(preds), 0.0, preds)
-    return (lambda log_w: _normalized_mixture(np.exp(log_w) @ preds)) if eta == 1.0 else None
+
+    def move(log_w):
+        raw = np.exp(log_w) @ preds
+        total = float(raw.sum())
+        return raw / total if 0.0 < total <= 1.0 + DOMINATION_TOL else None
+    return move
 
 
 def _log_mix_column(preds, eta):

@@ -20,11 +20,13 @@ Each strategy has one implementation, its ``ScepticStrategy`` class, which
 certifies its own guarantee: ``eq9`` (level 2), ``ledger`` (level 1) or
 ``eq8`` (the threshold lift, and ``AggregatingSceptic``, the aggregating
 mixture of a fixed pool of expert strategies).  Those two share the game's
-mix (``fixed_pool_mixer``) and one weight rule, not an engine: a weight is
-``ln p - eta * L``, L the TwoSum-compensated cumulative loss that the eq8
-audit reads too, and domination is re-checked by the mixture loss's own
-log-sum-exp.  The aggregating sceptic keeps one weight per expert, the
-lift one weight per group of experts that predict alike, three in all.
+mix (``fixed_pool_mixer``), one weight rule, one eq8 audit and one column
+block (``_Eq8Audit``): a weight is ``ln p - eta * L``, L the
+TwoSum-compensated cumulative loss, an eq8 bound is ``L`` plus a floor, and
+domination is re-checked by the mixture loss's own log-sum-exp.  The
+aggregating sceptic keeps one weight per expert, its floor the fixed
+penalty ``C ln 1/p``; the lift one weight per group of experts that predict
+alike, three in all, its floors fixed at switches.
 
 Column forms (``predict_column``) play a whole run from the validated
 columns of both predictors' moves and of the outcomes.  Against a Nature
@@ -383,40 +385,99 @@ def _compensated_cumsum(total, comp, rows) -> tuple:
     return t, np.cumsum(x, axis=0)[1:]
 
 
-# steps whose eq8 audit rows the aggregating sceptic holds before folding
-# them, and the steps its column form takes at a time: the memory of either
-# is O(EQ8_BLOCK * K) beyond the run's move columns, whatever the horizon
+# steps whose eq8 audit rows a pool sceptic holds before folding them, and
+# the steps its column form takes at a time: the memory of either is
+# O(EQ8_BLOCK * K) beyond the run's move columns, whatever the horizon
 EQ8_BLOCK = 256
 
 
-class _Eq8Audit:
-    """The eq8 audit's carried state: the own cumulative loss ``cum_self``
-    with its TwoSum compensation (the plain running sum's rounding would
+class _Eq8Audit(ScepticStrategy):
+    """The eq8 audit and the column block of both pool sceptics.
+
+    eq8 is Vovk's regret bound ``L_self <= min_k (L_k + C ln 1/p_k)``, a
+    statement about cumulative sums.  Each step hands the audit its bound
+    row, the TwoSum-compensated cumulative losses after it plus their
+    floors, and its own loss (``_hold``).  The audit holds them, and folds
+    them every ``EQ8_BLOCK`` steps and on each read into the own compensated
+    cumulative loss ``cum_self`` (the plain running sum's rounding would
     drown the regret slack at the magnitudes cumulative losses reach), the
-    tightest slack seen, ``worst``, the first step that attains it,
-    ``worst_step``, and the steps folded."""
+    tightest slack seen, ``worst_eq8_slack``, and the first step that
+    attains it, ``worst_eq8_step``.  Folding in any partition gives the same
+    bits.  ``_column_block`` plays ``EQ8_BLOCK`` steps of a column form.
+    """
 
-    def __init__(self, penalty: np.ndarray):
-        self.penalty = penalty
-        self.cum_self = self.comp_self = 0.0
-        self.worst, self.worst_step = math.inf, None
-        self.folded = 0
+    check = "eq8"
 
-    def fold(self, held, own) -> None:
-        # the steps' eq8 slacks, min over the experts of (compensated
-        # cumulative loss after the step, a row of held, + penalty) less the
-        # own compensated cumulative loss; the min skips an expert whose sum
-        # is NaN, its bound vacuous, and a slack with every expert NaN is
-        # skipped.  Folding in any partition gives the same bits.
+    def _restart_audit(self) -> None:
+        self._cum_self = self._comp_self = 0.0
+        self._worst, self._worst_step, self._folded = math.inf, None, 0
+        self._bounds, self._own = [], []
+
+    def _hold(self, bounds, own_loss) -> None:
+        self._bounds.append(bounds)
+        self._own.append(own_loss)
+        if len(self._own) == EQ8_BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._own:
+            self._fold(self._bounds, self._own)
+            self._bounds, self._own = [], []
+
+    def _fold(self, bounds, own) -> None:
+        # each step's slack: the least of its bounds less the own compensated
+        # cumulative loss; the min skips a NaN bound (an expert whose sum is
+        # NaN, its bound vacuous), and a slack with every bound NaN is skipped
         with np.errstate(invalid="ignore"):
-            cum_self, comp_self = _compensated_cumsum(self.cum_self, self.comp_self, own)
-            slacks = np.fmin.reduce(np.asarray(held) + self.penalty, axis=1) - (cum_self + comp_self)
+            cum_self, comp_self = _compensated_cumsum(self._cum_self, self._comp_self, own)
+            slacks = np.fmin.reduce(np.asarray(bounds), axis=1) - (cum_self + comp_self)
         slacks[np.isnan(slacks)] = math.inf
         i = int(slacks.argmin())
-        if slacks[i] < self.worst:
-            self.worst, self.worst_step = float(slacks[i]), self.folded + i + 1
-        self.cum_self, self.comp_self = float(cum_self[-1]), float(comp_self[-1])
-        self.folded += len(own)
+        if slacks[i] < self._worst:
+            self._worst, self._worst_step = float(slacks[i]), self._folded + i + 1
+        self._cum_self, self._comp_self = float(cum_self[-1]), float(comp_self[-1])
+        self._folded += len(own)
+
+    def _column_block(self, mix, omegas, losses, held, offsets, floors):
+        # B steps in columns from their (B, K) losses: held, (B + 1, K), the
+        # compensated cumulative losses before the block and after each step;
+        # offsets and floors, (K,) for every step or (B, K) one row per step.
+        # The weights before each step, the moves mix makes of them, the
+        # domination re-check and the fold, each bit for bit the steps';
+        # (moves, the last step's log-weights), or None where the pool
+        # collapses, the mix gives None or a move would not dominate
+        eta = self.eta
+        w = np.fmax(offsets - eta * held[:-1], -math.inf)
+        totals = _lse_rows(w)
+        if (totals == -math.inf).any():
+            return None
+        log_w = w - totals[:, None]
+        gammas = mix(log_w)
+        if gammas is None:
+            return None
+        own = self._game.spec.loss_column(omegas, gammas)
+        if (own > -_lse_rows(log_w - eta * losses) / eta + DOMINATION_TOL).any():
+            return None
+        self._fold(held[1:] + floors, own)
+        return gammas, log_w[-1]
+
+    @property
+    def worst_eq8_slack(self) -> float:
+        self._flush()
+        return self._worst
+
+    @property
+    def worst_eq8_step(self) -> Optional[int]:
+        self._flush()
+        return self._worst_step
+
+    @property
+    def cum_self(self) -> float:
+        self._flush()
+        return self._cum_self
+
+    def worst_slack(self, trace) -> float:
+        return float(self.worst_eq8_slack)
 
 
 def _check_inner(game, move, who: str, n: int) -> None:
@@ -446,37 +507,33 @@ def _is_constant(expert) -> bool:
     return plays_own(expert, ConstantPredictor, "predict", "observe")
 
 
-class AggregatingSceptic(ScepticStrategy):
+class AggregatingSceptic(_Eq8Audit):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
 
     The protocol's two predictors are ignored; the experts are the
-    sceptic's own.  ``priors`` default to uniform; they need one entry per
-    expert, each strictly positive, summing to at most 1 (a deficient sum
-    loosens the per-expert bound).  A constant expert's move is checked
-    once, at reset; where the moves change, a refused one ends the run as a
-    player's does, but a NaN move only eliminates its expert, by its NaN
-    loss.  A step only plays: ``observe`` adds the expert losses into their
-    TwoSum-compensated cumulative sums ``(s, c)`` and reads the next weights
-    ``ln p_k - eta (s_k + c_k)`` off them, as the threshold lift does.  It
-    re-checks domination at the realized outcome by the mixture loss's own
-    log-sum-exp under the normalized weights that made the move, as the lift
-    does too: the difference of the normalizers before and after would
-    carry the rounding of weights that fall far below zero (about 1e-9,
-    the domination tolerance, by 10^7 steps of log loss).  The eq8 audit (Vovk's
-    regret bound, a statement about cumulative sums) holds each step's
-    ``s + c`` and own loss, and folds them every ``EQ8_BLOCK`` steps and on
-    each read into the strategy's own compensated ``cum_self``, the
-    tightest regret slack seen, ``worst_eq8_slack``, and the first step
-    that attains it, ``worst_eq8_step``; ``expert_cums`` are the sums ``s``.
+    sceptic's own.  ``priors`` default to uniform; they need to be one flat
+    vector of one entry per expert, each strictly positive, summing to at
+    most 1 (a deficient sum loosens the per-expert bound).  A constant
+    expert's move is checked once, at reset; where the moves change, a
+    refused one ends the run as a player's does, but a NaN move only
+    eliminates its expert, by its NaN loss.  A step only plays: ``observe``
+    adds the expert losses into their TwoSum-compensated cumulative sums
+    ``(s, c)`` and reads the next weights ``ln p_k - eta (s_k + c_k)`` off
+    them, as the threshold lift does.  It re-checks domination at the
+    realized outcome by the mixture loss's own log-sum-exp under the
+    normalized weights that made the move, as the lift does too: the
+    difference of the normalizers before and after would carry the rounding
+    of weights that fall far below zero (about 1e-9, the domination
+    tolerance, by 10^7 steps of log loss).  Each step's eq8 bounds, for the
+    shared audit, are ``s + c`` plus the fixed floors ``C ln 1/p_k``;
+    ``expert_cums`` are the sums ``s``.
 
     A pool of constant experts (each plays ``ConstantPredictor``'s own
-    per-step methods) plays a run in columns (``predict_column``),
-    ``EQ8_BLOCK`` steps at a time: one compensated cumulative sum of the
-    block's losses, which both the weights and the audit read, the moves
-    and the domination re-check, each bit for bit the steps'.
+    per-step methods) plays a run in columns (``predict_column``): it
+    prepares the mix and the losses per outcome once, and plays the shared
+    column block ``EQ8_BLOCK`` steps at a time over one compensated
+    cumulative sum of the block's losses.
     """
-
-    check = "eq8"
 
     def __init__(self, experts, priors=None):
         if not experts:
@@ -484,16 +541,16 @@ class AggregatingSceptic(ScepticStrategy):
         self.experts = list(experts)
         k = len(self.experts)
         self.priors = np.full(k, 1.0 / k) if priors is None else np.asarray(priors, dtype=float)
+        if self.priors.shape != (k,):
+            raise ValueError(f"priors must be one flat vector of {k} entries, one per expert, "
+                             f"got shape {self.priors.shape}")
         if not np.all(self.priors > 0.0):
             raise ValueError("priors must be strictly positive")
         if float(self.priors.sum()) > 1.0 + 1e-12:
             raise ValueError("priors must sum to at most 1")
-        if len(self.priors) != k:
-            raise ValueError(f"priors has {len(self.priors)} entries for {k} experts")
         self._log_p = np.log(self.priors)
         self._sums = (np.zeros(k), np.zeros(k))
-        self._held, self._own = [], []
-        self._audit = _Eq8Audit(np.zeros(k))
+        self._restart_audit()
 
     def reset(self, game, rng, horizon):
         params = params_for(game)
@@ -504,13 +561,12 @@ class AggregatingSceptic(ScepticStrategy):
         self._w = self._log_p
         self._loss = game.loss_fn()
         self._losses = game.spec.losses
-        # C ln(1/p), or C (-ln p) where 1/p overflows (a subnormal prior): the
-        # two differ in the last bit for some uniform priors
+        # the eq8 floors C ln(1/p), or C (-ln p) where 1/p overflows (a
+        # subnormal prior): the two differ in the last bit for some uniform priors
         with np.errstate(over="ignore"):
             inverse = 1.0 / self.priors
-        self._audit = _Eq8Audit(self.C * np.where(np.isfinite(inverse), np.log(inverse),
-                                                  -self._log_p))
-        self._held, self._own = [], []
+        self._floors = self.C * np.where(np.isfinite(inverse), np.log(inverse), -self._log_p)
+        self._restart_audit()
         self._pending = self._mix_key = None
         streams = rng.spawn(k)
         for expert, stream in zip(self.experts, streams):
@@ -575,24 +631,21 @@ class AggregatingSceptic(ScepticStrategy):
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        self._held.append(held)
-        self._own.append(own_loss)
-        if len(self._own) == EQ8_BLOCK:
-            self._fold()
+        self._hold(held + self._floors, own_loss)
         for e in self.experts:
             e.observe(n, omega)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        game, eta = self._game, self.eta
+        game = self._game
         if omegas is None or not all(map(_is_constant, self.experts)):
             return None
         # a pool of constants emits the same predictions every step: its mix
         # and (on a finite outcome space) losses per outcome are prepared once
         preds = self._collect(1)[1].astype(float)
-        column_mix = game.spec.mix_column(preds, eta)
+        column_mix = game.spec.mix_column(preds, self.eta)
         table = (np.array([self._losses(w, preds) for w in range(game.m)])
                  if game.spec.outcome_type is int else None)
-        (sums, comps), w = self._sums, self._w
+        sums, comps = self._sums
         moves = []
         for start in range(0, len(omegas), EQ8_BLOCK):
             block = omegas[start:start + EQ8_BLOCK]
@@ -601,55 +654,22 @@ class AggregatingSceptic(ScepticStrategy):
             if np.isnan(losses).any():
                 return None
             with np.errstate(invalid="ignore"):
-                sums, comps = _compensated_cumsum(sums, comps, losses)
-            held = sums + comps
-            weights = self._weights(held)
-            before = np.vstack((w, weights[:-1]))
-            totals = _lse_rows(before)
-            # the pool collapses at a step whose weights before it are all -inf
-            if (totals == -math.inf).any():
+                after = _compensated_cumsum(sums, comps, losses)
+            played = self._column_block(column_mix, block, losses,
+                                        np.vstack((sums + comps, np.add(*after))),
+                                        self._log_p, self._floors)
+            if played is None:
                 return None
-            log_w = before - totals[:, None]
-            gammas = column_mix(log_w)
-            if gammas is None:
-                return None
-            own = game.spec.loss_column(block, gammas)
-            if (own > -_lse_rows(log_w - eta * losses) / eta + DOMINATION_TOL).any():
-                return None
-            self._audit.fold(held, own)
-            moves.append(gammas)
-            sums, comps, w = sums[-1], comps[-1], weights[-1]
-        self._sums, self._w = (sums.copy(), comps.copy()), w.copy()
-        self._held, self._own = [], []
-        self._pending = (preds, log_w[-1], moves[-1][-1])
+            moves.append(played[0])
+            sums, comps = after[0][-1], after[1][-1]
+        self._sums = (sums.copy(), comps.copy())
+        self._w = self._weights(sums + comps)
+        self._pending = (preds, played[1], moves[-1][-1])
         return np.concatenate(moves)
-
-    def _fold(self):
-        if self._own:
-            self._audit.fold(self._held, self._own)
-            self._held, self._own = [], []
-
-    @property
-    def worst_eq8_slack(self) -> float:
-        self._fold()
-        return self._audit.worst
-
-    @property
-    def worst_eq8_step(self) -> Optional[int]:
-        self._fold()
-        return self._audit.worst_step
 
     @property
     def expert_cums(self) -> np.ndarray:
         return self._sums[0]
-
-    @property
-    def cum_self(self) -> float:
-        self._fold()
-        return self._audit.cum_self
-
-    def worst_slack(self, trace) -> float:
-        return float(self.worst_eq8_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -670,20 +690,12 @@ def _lse_floats(xs) -> float:
     return top + float(np.log(total))
 
 
-def _first_min(x: np.ndarray) -> np.ndarray:
-    # Python's min of each row of x: the first of equal minima
-    least = x[:, 0]
-    for column in x.T[1:]:
-        least = np.where(column < least, column, least)
-    return least
-
-
 # the largest k for which the threshold 2^k and the reciprocal 2^(k+1) of
 # the smallest prior, which the regret penalty takes, are finite floats
 K_MAX_LIMIT = 1022
 
 
-class Level3Sceptic(ScepticStrategy):
+class Level3Sceptic(_Eq8Audit):
     """Aggregates threshold experts over a base sceptic strategy.
 
     The truncated pool holds two experts per threshold ``2^k``, k = 1 ..
@@ -695,27 +707,24 @@ class Level3Sceptic(ScepticStrategy):
     cost flat in ``k_max``: the unswitched experts, of weight ``U e^(-eta
     L_base)`` (U their priors' sum), and per predictor j those switched to
     it, of weight ``e^(S_j - eta L_j)``, where each switch at step t
-    log-adds ``ln p_k - eta (L_base(t) - L_j(t))`` into ``S_j``.  The eq8
-    audit is, per group, its loss plus a floor fixed at switches; it keeps
-    the worst slack, ``worst_eq8_slack``, and the first step that attains
-    it, ``worst_eq8_step``.  An infinite loss of predictor j eliminates
-    group j; its ``L_j`` restarts at zero for the experts that switch then.
-    Where the moves change, a refused base move ends the run as a player's does.
+    log-adds ``ln p_k - eta (L_base(t) - L_j(t))`` into ``S_j``.  Each
+    step's eq8 bounds, for the shared audit, are per group its loss plus a
+    floor fixed at switches, those after the step's eliminations and before
+    its switches.  An infinite loss of predictor j eliminates group j; its
+    ``L_j`` restarts at zero for the experts that switch then.  Where the
+    moves change, a refused base move ends the run as a player's does.
 
     Once the outcomes are known, a lift over a base whose column form may
     stand in for it (the engine's rule) plays a run in columns
     (``predict_column``): the base's column, the loss columns and their
     compensated running sums, and the switches as first passages of
-    ``cum_j - cum_base`` over the thresholds.  Between
-    switches the offsets and floors are fixed, so ``EQ8_BLOCK`` steps at a
-    time the group weights, the mix, the domination re-check and the audit
-    are row-wise column arithmetic, each bit for bit the steps'.  Where a
-    loss is infinite or NaN (it would eliminate a group or collapse the
-    pool), or a move would not dominate, it gives None, and the
-    engine resets every player, the base with them, before the loop plays.
+    ``cum_j - cum_base`` over the thresholds.  Between switches the offsets
+    and floors are fixed, so it plays the shared column block ``EQ8_BLOCK``
+    steps at a time with one row of them per step.  Where a loss is infinite
+    or NaN (it would eliminate a group or collapse the pool), or the block
+    gives None, it gives None, and the engine resets every player, the base
+    with them, before the loop plays.
     """
-
-    check = "eq8"
 
     def __init__(self, base: ScepticStrategy, k_max: int = 20):
         if isinstance(k_max, bool) or not isinstance(k_max, int) \
@@ -729,7 +738,7 @@ class Level3Sceptic(ScepticStrategy):
         p = 2.0 ** -(np.arange(1, k_max + 1) + 1)
         self.priors = np.concatenate([p, p])
         self._log_p, self._log_inv_p = np.log(p).tolist(), np.log(1.0 / p).tolist()
-        self.worst_eq8_slack, self.worst_eq8_step = math.inf, None
+        self._restart_audit()
 
     def reset(self, game, rng, horizon):
         params = params_for(game)
@@ -738,7 +747,7 @@ class Level3Sceptic(ScepticStrategy):
         self._loss = game.loss_fn()
         self.base.reset(game, rng, horizon)
         # cum1, cum2 and cum_base are the plain running sums the switches compare
-        self.cum1 = self.cum2 = self.cum_base = self.cum_self = self._comp_self = 0.0
+        self.cum1 = self.cum2 = self.cum_base = 0.0
         # per group (unswitched, switched to predictor 1, to predictor 2): its
         # loss with its TwoSum compensation, its log-weight offset and eq8 floor
         self._sums = [(0.0, 0.0)] * 3
@@ -747,7 +756,7 @@ class Level3Sceptic(ScepticStrategy):
         # thresholds increase with k: each predictor's switched experts are a prefix
         self._n_switched = [0, 0]
         self._update_unswitched()
-        self.worst_eq8_slack, self.worst_eq8_step = math.inf, None
+        self._restart_audit()
         self._pending = self._mix_key = None
 
     def predict(self, n, gamma1, gamma2):
@@ -783,16 +792,11 @@ class Level3Sceptic(ScepticStrategy):
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
         self.base.observe(n, omega)
-        self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
-                                                          own_loss)
         sums = self._sums = [_compensated_add(s, c, x) for (s, c), x in zip(self._sums, losses)]
         for j in (1, 2):
             if sums[j][0] == math.inf:
                 sums[j], self._offsets[j], self._floors[j] = (0.0, 0.0), -math.inf, math.inf
-        slack = (min([s + c + f for (s, c), f in zip(sums, self._floors)])
-                 - (self.cum_self + self._comp_self))
-        if slack < self.worst_eq8_slack:
-            self.worst_eq8_slack, self.worst_eq8_step = slack, n
+        self._hold([s + c + f for (s, c), f in zip(sums, self._floors)], own_loss)
         self.cum_base = sums[0][0]
         self.cum1, self.cum2 = self.cum1 + losses[1], self.cum2 + losses[2]
         self._switch(n)
@@ -812,7 +816,6 @@ class Level3Sceptic(ScepticStrategy):
         game, eta = self._game, self.eta
         mix_column, loss_column = game.spec.mix_column, game.spec.loss_column
         (totals, comps), levels = np.array(self._sums).T, np.array(self._levels)
-        cum_self, comp_self = self.cum_self, self._comp_self
         moves = []
         for start in range(0, len(omegas), EQ8_BLOCK):
             block, rows = omegas[start:start + EQ8_BLOCK], preds[start:start + EQ8_BLOCK]
@@ -822,7 +825,6 @@ class Level3Sceptic(ScepticStrategy):
             # each group's loss after each step, and cum_j - cum_base as the
             # switches compare them: the plain running sums, TwoSum's totals
             sums, sum_comps = _compensated_cumsum(totals, comps, losses)
-            held = sums + sum_comps
             # the first passages: the steps at which a predictor has fallen
             # behind more levels than ever before, the switched ones included
             passed = np.vstack(([self._n_switched],
@@ -840,29 +842,16 @@ class Level3Sceptic(ScepticStrategy):
             widths = np.diff(np.concatenate(([0], steps + 1, [len(block)])))
             offsets, floors = (np.repeat(np.array(table), widths, axis=0)
                                for table in (offsets, floors))
-            # with every loss finite, the unswitched group's weight or a
-            # switched one's is finite: the pool does not collapse
-            w = offsets - eta * np.vstack((totals + comps, held[:-1]))
-            log_w = w - _lse_rows(w)[:, None]
-            gammas = mix_column(rows, eta)(log_w)
-            if gammas is None:
+            played = self._column_block(mix_column(rows, eta), block, losses,
+                                        np.vstack((totals + comps, sums + sum_comps)),
+                                        offsets, floors)
+            if played is None:
                 return None
-            own = loss_column(block, gammas)
-            played = -_lse_rows(log_w - eta * losses) / eta
-            if (own > played + DOMINATION_TOL).any():
-                return None
-            selfs, self_comps = _compensated_cumsum(cum_self, comp_self, own)
-            slacks = _first_min(held + floors) - (selfs + self_comps)
-            i = int(slacks.argmin())
-            if slacks[i] < self.worst_eq8_slack:
-                self.worst_eq8_slack, self.worst_eq8_step = float(slacks[i]), start + i + 1
-            moves.append(gammas)
+            moves.append(played[0])
             totals, comps = sums[-1], sum_comps[-1]
-            cum_self, comp_self = float(selfs[-1]), float(self_comps[-1])
         self._sums = list(zip(totals.tolist(), comps.tolist()))
         self.cum_base, self.cum1, self.cum2 = totals.tolist()
-        self.cum_self, self._comp_self = cum_self, comp_self
-        self._pending = (*preds[-1], log_w[-1].tolist(), moves[-1][-1])
+        self._pending = (*preds[-1], played[1].tolist(), moves[-1][-1])
         return np.concatenate(moves)
 
     def _switch(self, n):
@@ -885,6 +874,3 @@ class Level3Sceptic(ScepticStrategy):
         self._offsets[0] = math.log(u) if u > 0.0 else -math.inf
         s = min(self._n_switched)
         self._floors[0] = self.C * self._log_inv_p[s] if s < k else math.inf
-
-    def worst_slack(self, trace) -> float:
-        return float(self.worst_eq8_slack)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, DriftPredictor,
-                      IidBernoulliNature, IidUniformNature, JeffreysError,
-                      MixabilityParams, MixabilityViolation, NatureStrategy,
+                      IidBernoulliNature, IidUniformNature, JeffreysError, Level2Sceptic,
+                      Level3Sceptic, MixabilityParams, MixabilityViolation, NatureStrategy,
                       NoisyTargetPredictor, PoolCollapseError, PredictorStrategy, ReplayNature,
                       RunningMeanPredictor,
                       bounded_absolute_loss_game, bounded_square_loss_game,
@@ -22,7 +22,7 @@ from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, Dri
 from jeffreys.aggregating import DOMINATION_TOL
 from jeffreys.games import _lse1, _lse_rows
 from jeffreys.sceptics import EQ8_BLOCK, _compensated_add, _compensated_cumsum
-from pool_reference import PerStepAggregating
+from pool_reference import PerExpertLevel3, PerStepAggregating
 
 
 def _uniform(k):
@@ -64,6 +64,11 @@ def test_pool_validation():
         AggregatingSceptic(experts, priors=np.array([0.9, 0.9]))
     with pytest.raises(ValueError):
         AggregatingSceptic(experts, priors=np.array([0.5, math.nan]))
+    # priors that are not one flat vector: a column, and a 0-d array
+    with pytest.raises(ValueError, match="one flat vector"):
+        AggregatingSceptic(experts, priors=[[0.5], [0.5]])
+    with pytest.raises(ValueError, match="one flat vector"):
+        AggregatingSceptic(experts, priors=0.5)
     sceptic = AggregatingSceptic(experts, priors=np.array([0.25, 0.25]))  # deficient is fine
     assert len(sceptic.priors) == 2
 
@@ -183,6 +188,13 @@ def test_substitute_flags_excessive_eta():
         _aa_step(_uniform(2), [0.05, 0.95], bounded_square_loss_game(), 4.0)
     with pytest.raises(MixabilityViolation, match="no closed-form mix"):
         _aa_step(_uniform(2), [[0.05, 0.95], [0.95, 0.05]], log_loss_game(m=2), 4.0)
+    # weights that sum to two give log loss's mixture a mass of two: neither
+    # form has a move, and the mixer names it
+    game, preds, log_w = log_loss_game(m=2), np.array([[0.3, 0.7], [0.8, 0.2]]), np.zeros(2)
+    assert game.spec.mix(preds, 1.0)(log_w) is None
+    assert game.spec.mix_column(preds, 1.0)(log_w[None]) is None
+    with pytest.raises(MixabilityViolation, match="mixture loss by more than"):
+        fixed_pool_mixer(game, 1.0, preds)(log_w)
 
 
 def _random_pool(rng, draw, ends):
@@ -547,6 +559,31 @@ def test_folded_audit_at_any_partition_matches_the_reference():
         PerStepAggregating, _horizon_case("bounded_square", horizon), record=True)
     assert [x.hex() for x in ours_running] == [float(x).hex() for x in ref_running]
     assert ours.expert_cums.tobytes() == ref.expert_cums.tobytes()
+
+    # a lift whose two groups both switch, on both sides of a block boundary,
+    # read after every step and once at the end, both by the loop
+    def lift(cls, record):
+        sceptic, running = cls(Level2Sceptic(0.0)), []
+        observe = sceptic.observe
+
+        def recorded(n, omega):
+            observe(n, omega)
+            running.append(sceptic.worst_eq8_slack)
+        sceptic.observe = recorded if record else observe
+        run_protocol(IidUniformNature(0.0, 1.0), ConstantPredictor(0.1), ConstantPredictor(0.9),
+                     sceptic, bounded_square_loss_game(), horizon, seed=7)
+        return sceptic, running
+    (read, running), (once, _) = lift(Level3Sceptic, True), lift(Level3Sceptic, False)
+    ref, ref_running = lift(PerExpertLevel3, True)
+    switched = read.switch_times
+    assert switched == once.switch_times == ref.switch_times
+    assert min(switched) < read.k_max <= max(switched)
+    assert min(switched.values()) < EQ8_BLOCK < max(switched.values())
+    assert running[-1].hex() == once.worst_eq8_slack.hex()
+    assert (read.worst_eq8_step, read.cum_self.hex()) == (once.worst_eq8_step,
+                                                         once.cum_self.hex())
+    assert np.max(np.abs(np.array(running) - ref_running)) <= 1e-9
+    assert once.worst_eq8_slack >= -1e-9
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ warning.
 import contextlib
 import io
 import json
+import math
 import os
 import warnings
 
@@ -406,6 +407,17 @@ def test_lift_switches_across_column_blocks_match_the_loop(horizon):
     sceptic = assert_same_run(_diverging_lift(horizon, 1, first=0.083625))
     assert {EQ8_BLOCK + 1, 2 * EQ8_BLOCK + 1} & set(range(horizon + 1)) \
         <= set(sceptic.switch_times.values())
+
+
+def test_pool_sceptics_read_their_audit_from_construction():
+    # fresh, both pool sceptics read an empty audit; a lift played in columns
+    # and by the loop reads the same bits (assert_same_run compares them)
+    case = _diverging_lift(2 * EQ8_BLOCK + 3, 1, first=0.083625)
+    for sceptic in (case[0]()[3], j.AggregatingSceptic([j.ConstantPredictor(0.5)])):
+        assert (sceptic.worst_eq8_slack, sceptic.worst_eq8_step, sceptic.cum_self) \
+            == (math.inf, None, 0.0)
+    sceptic = assert_same_run(case)
+    assert sceptic.worst_eq8_step is not None and sceptic.cum_self > 0.0
 
 
 def _spy_rounds(monkeypatch):

@@ -514,14 +514,19 @@ ONE_ARITHMETIC = ("games.py", "sceptics.py", "aggregating.py")
 ALLOWED_LIBM = {
     ("sceptics.py", "self._offsets[0] = math.log(u) if u > 0.0 else -math.inf"):
         "the lift's ln U, which its switches take on the loop and in columns alike",
-    ("games.py", 'f"substitution excess {math.log(total):.3g} exceeds tolerance")'):
-        "an error message",
 }
 
 
 def test_the_kernels_and_column_forms_share_one_arithmetic():
     hits = _src_lines_matching(LIBM_CALL) | _src_lines_matching(ELEMENT_LOOP)
     assert {hit for hit in hits if hit[0] in ONE_ARITHMETIC} == set(ALLOWED_LIBM)
+
+
+def test_the_eq8_slack_reduction_has_one_owner():
+    # both pool sceptics fold their eq8 bound rows through the one audit
+    assert _src_lines_matching(re.compile(r"\bnp\.fmin\.reduce\(")) == {
+        ("sceptics.py",
+         "slacks = np.fmin.reduce(np.asarray(bounds), axis=1) - (cum_self + comp_self)")}
 
 
 def test_the_aggregation_constants_have_one_owner():
