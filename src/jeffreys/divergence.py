@@ -6,6 +6,12 @@ vertical shift that keeps the mean a superprediction (lower divergence)
 or the smallest shift that makes it a subprediction (upper divergence).
 Both shifts are a max-min over the prediction grid, so each numeric
 divergence is one gap search, ``mean_gap``, as is the numeric level-2 move.
+Its inner max over outcomes is exact on the whole outcome interval
+``[outcome_grid[0], outcome_grid[-1]]``: it is taken at the few outcomes
+where the excess over the mean can attain it (the kind's ``candidates`` in
+``jeffreys.games.GAME_SPECS``; log loss's outcome grid is its whole
+outcome space), and the outcome grid plays no part.  The grid decides only
+the membership predicates on arbitrary vectors.
 The shift, scaled by ``4 / (1 - alpha^2)``, is the divergence value; both
 are reported, since the raw shift is what the vertical-distance picture
 reads off directly.
@@ -26,8 +32,9 @@ from typing import Optional
 import numpy as np
 
 # the closed forms are re-exported from the games' table
-from .games import (Game, _gap_search, _log_affinity, _scale, alpha_weights,  # noqa: F401
-                    alpha_divergence_log_loss, alpha_divergence_square_loss)
+from .games import (Game, _excess, _gap_search, _log_affinity, _profile_excess,  # noqa: F401
+                    _scale, alpha_weights, alpha_divergence_log_loss,
+                    alpha_divergence_square_loss)
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,9 @@ class DivergenceResult:
     ``shift`` is the raw vertical displacement of the weighted mean (None
     for quantities without a geometric shift, like the standard form).
     ``method`` is ``"closed_form"`` or ``"max_min"`` (one gap search over
-    the prediction grid, refined to ``tol * 1e-3`` in the parameter).
+    the prediction grid, refined to ``tol * 1e-3`` in the parameter, with
+    each gap exact on the outcome interval; the outcome grid decides only
+    the vector membership predicates).
     ``bracketed`` is False when the shift is infinite, as for log-loss
     predictions with disjoint support; ``value`` is then ``+inf`` or
     ``-inf``.
@@ -58,13 +67,30 @@ class DivergenceResult:
 
 def mean_gap(game: Game, gamma1, gamma2, alpha: float, tol: float, sub: bool):
     """(param, gap) against the weighted mean ``w1 lambda(gamma1) + w2 lambda(gamma2)`` of
-    two unvalidated predictions: minus the lower divergence's shift, or the upper's if ``sub``."""
+    two unvalidated predictions: minus the lower divergence's shift, or the upper's if ``sub``.
+
+    Exact on the outcome interval ``[outcome_grid[0], outcome_grid[-1]]``:
+    each gap is a max over the kind's ``candidates``, the outcomes where it
+    can be attained, or over log loss's outcome grid, its whole outcome space.
+    """
+    if game.prediction_grid is None:
+        raise ValueError("game has no scalar prediction parametrization")
     w1, w2 = alpha_weights(alpha)
+    kernel, candidates = game.spec.kernel, game.spec.candidates
     # a loss of a finite prediction may exceed the float range: it is +inf, and so is the mean
     with np.errstate(over="ignore"):
-        lam = game.profiles((gamma1, gamma2))
-        mean = w1 * lam[0] + w2 * lam[1]
-    return _gap_search(game, mean, tol, sub)
+        if candidates is None:
+            lam = game.profiles((gamma1, gamma2))
+            excess = _profile_excess(game, w1 * lam[0] + w2 * lam[1], sub)
+        else:
+            candidates = candidates(float(game.outcome_grid[0]), float(game.outcome_grid[-1]),
+                                    gamma1, gamma2, w1, w2)
+
+            def excess(params):
+                omegas = candidates(params)
+                return _excess(kernel(omegas, params),
+                               w1 * kernel(omegas, gamma1) + w2 * kernel(omegas, gamma2), sub)
+        return _gap_search(game, excess, excess(game.prediction_grid), tol)
 
 
 def _numeric_divergence(game: Game, gamma1, gamma2, alpha: float, tol: float, side: str):
@@ -82,7 +108,9 @@ def lower_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
 
     The shift is max over gamma of min over omega of
     ``(mean - lambda_gamma)(omega)``, one superprediction gap search refined
-    to ``tol * 1e-3`` in the prediction parameter.
+    to ``tol * 1e-3`` in the prediction parameter.  The min over omega is
+    exact on the whole outcome interval (see :func:`mean_gap`); the outcome
+    grid decides only the vector membership predicates.
     """
     return _numeric_divergence(game, gamma1, gamma2, alpha, tol, "lower")
 
@@ -93,7 +121,10 @@ def upper_alpha_divergence_numeric(game: Game, gamma1, gamma2, alpha: float,
 
     The shift is min over gamma of max over omega of
     ``(mean - lambda_gamma)(omega)``: the smallest shift that puts the mean
-    below some canonical point, i.e. into the subprediction set.
+    below some canonical point, i.e. into the subprediction set.  The max
+    over omega is exact on the whole outcome interval (see
+    :func:`mean_gap`); the outcome grid decides only the vector membership
+    predicates.
     """
     return _numeric_divergence(game, gamma1, gamma2, alpha, tol, "upper")
 

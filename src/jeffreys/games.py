@@ -8,7 +8,11 @@ prediction spaces are represented by grids.  The membership queries and the
 numeric divergences are one gap search: the smallest uniform excess of a
 canonical point over a target point, scanned on the prediction grid and
 refined in lockstep until the local spacing is well below the requested
-tolerance, so its error is quantifiable.  Perfect mixability needs no
+tolerance, so its error is quantifiable.  A target vector is compared on
+the outcome grid; the weighted mean of two canonical points, the one target
+of the numeric divergences and level-2 move, at the few outcomes where the
+excess can attain its max (the kind's ``candidates``), so that search is
+exact on the whole outcome interval.  Perfect mixability needs no
 search: each kind's constant ``eta*`` is a closed form in the span ``W`` of
 its outcomes, the infimum of the loss curve's curvature ratio (Haussler,
 Kivinen & Warmuth, IEEE Trans. IT 1998; Vovk, Competitive on-line
@@ -131,7 +135,14 @@ class GameSpec:
     column where any row has no closed-form move, and the per-step loop
     plays the run.  ``mix_column`` takes the experts' predictions shared by
     every step, ``(K,)`` or ``(K, m)``, or one row of them per step,
-    ``(B, K)`` or ``(B, K, m)``.
+    ``(B, K)`` or ``(B, K, m)``.  ``candidates``, prepared once per search
+    for a weighted mean ``w1 lambda(g1) + w2 lambda(g2)`` on the outcome
+    interval ``[lo, hi]``, maps an array of predictions to at most 4
+    outcomes each, ``(C, *params.shape)`` or an array that broadcasts to
+    it: those where a prediction's canonical point's excess over the mean,
+    or the mean's over it, attains its max over the interval.  A kind
+    without it (log loss) takes that max over its outcome grid, which is
+    its whole outcome space.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -149,6 +160,7 @@ class GameSpec:
     level2_column: Optional[Callable] = None  # (game, w1, w2) -> (gammas1, gammas2) -> moves
     mix: Optional[Callable] = None          # (preds, eta) -> (log_w -> pool move)
     mix_column: Optional[Callable] = None   # (preds, eta) -> (log_w rows -> pool moves)
+    candidates: Optional[Callable] = None   # (lo, hi, g1, g2, w1, w2) -> (params -> outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +739,54 @@ def _log_mix_column(preds, eta):
     return moves
 
 
+# the outcomes where lambda(gamma) - (w1 lambda(g1) + w2 lambda(g2)), a
+# function of omega on [lo, hi], attains its max and its min
+
+def _end_candidates(lo, hi, g1, g2, w1, w2):
+    # square family: the omega^2 terms cancel, as w1 + w2 = 1, so the
+    # difference is linear in omega
+    ends = np.array([lo, hi])
+    return lambda params: ends.reshape((2,) + (1,) * params.ndim)
+
+
+def _kink_candidates(lo, hi, g1, g2, w1, w2):
+    # absolute family: the mean is 1-Lipschitz, so lambda(gamma) - mean is
+    # nonincreasing left of gamma's kink and nondecreasing right of it.  Its
+    # max sits at an end, and the max of mean - lambda(gamma) at the kink
+    def candidates(params):
+        out = np.empty((3,) + params.shape)
+        out[0], out[1], out[2] = lo, hi, params
+        return np.fmin(hi, np.fmax(lo, out))
+    return candidates
+
+
+def _quartic_candidates(lo, hi, g1, g2, w1, w2):
+    # quartic: the omega^4 terms cancel, so the difference is a cubic in
+    # omega, stationary at the roots of a omega^2 + b omega + c with
+    # a = -3 (gamma - m1), b = 3 (gamma^2 - m2), c = -(gamma^3 - m3), where
+    # mk = w1 g1^k + w2 g2^k.  The roots are q / a and c / q with
+    # q = -(b + sign(b) sqrt(b^2 - 4 a c)) / 2, free of cancellation.  Any
+    # outcome of the interval may join the candidates, as the max over them
+    # stays a max over outcomes: a negative discriminant is taken as 0, which
+    # gives the vertex -b / 2a, an infinite root (a = 0) is clipped to an
+    # end, and a NaN one (0 / 0) taken to lo
+    m1 = w1 * g1 + w2 * g2
+    m2 = w1 * g1 * g1 + w2 * g2 * g2
+    m3 = w1 * g1 * g1 * g1 + w2 * g2 * g2 * g2
+
+    def candidates(params):
+        p2 = params * params
+        a, b, c = -3.0 * (params - m1), 3.0 * (p2 - m2), m3 - p2 * params
+        q = -0.5 * (b + np.copysign(np.sqrt(np.fmax(b * b - 4.0 * a * c, 0.0)), b))
+        out = np.empty((4,) + params.shape)
+        out[0], out[1] = lo, hi
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(q, a, out=out[2])
+            np.divide(c, q, out=out[3])
+        return np.fmin(hi, np.fmax(lo, out))
+    return candidates
+
+
 def _scalar_spec(kernel, bounds, make, eta_star, **closed_forms) -> GameSpec:
     # a scalar kind's prediction is its own grid parameter; make: grid_size -> Game
     return GameSpec(
@@ -758,20 +818,24 @@ _UNIT = (0.0, 1.0)
 
 GAME_SPECS = {
     GameKind.ABSOLUTE: _scalar_spec(
-        _absolute_kernel, (None, None), absolute_loss_game, _absolute_eta_star),
+        _absolute_kernel, (None, None), absolute_loss_game, _absolute_eta_star,
+        candidates=_kink_candidates),
     GameKind.SQUARE: _scalar_spec(
         _square_kernel, (None, None), square_loss_game, _square_eta_star,
-        divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2),
+        divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
+        candidates=_end_candidates),
     GameKind.BOUNDED_SQUARE: _scalar_spec(
         _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game, _square_eta_star,
         divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
-        **_endpoint_mix(_square_kernel, _UNIT, _square_move)),
+        candidates=_end_candidates, **_endpoint_mix(_square_kernel, _UNIT, _square_move)),
     GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
-        _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game, _absolute_eta_star),
+        _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game, _absolute_eta_star,
+        candidates=_kink_candidates),
     GameKind.QUARTIC: _scalar_spec(
         _quartic_kernel, ((-1.0, 1.0), (-1.0, 1.0)),
         lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size),
-        _quartic_eta_star, **_endpoint_mix(_quartic_kernel, (-1.0, 1.0), _quartic_move)),
+        _quartic_eta_star, candidates=_quartic_candidates,
+        **_endpoint_mix(_quartic_kernel, (-1.0, 1.0), _quartic_move)),
     GameKind.LOG_LOSS: GameSpec(
         kernel=_log_kernel, losses=_log_losses, loss_column=_log_loss_column,
         param_losses=_binary_log_param_losses,
@@ -798,21 +862,27 @@ def _excess(profiles: np.ndarray, points, sub: bool) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         diff = a - b
     binf = b == np.inf
-    if np.any(binf):
+    if binf.any():
         diff = np.where(binf, -np.inf, diff)
     return diff.max(axis=0)
 
 
-def _min_gap(game: Game, points: np.ndarray, u: np.ndarray, v: np.ndarray,
-             tol: float, sub: bool):
+def _profile_excess(game: Game, point: np.ndarray, sub: bool):
+    """params -> the uniform excess of each parameter's canonical point over
+    the target ``point`` (of ``point`` over it when ``sub``) on the outcome grid."""
+    return lambda params: _excess(game.spec.param_losses(game, params),
+                                  point.reshape(point.shape + (1,) * params.ndim), sub)
+
+
+def _min_gap(game: Game, excess, u: np.ndarray, v: np.ndarray, tol: float):
     """Refine R gap minimizations in lockstep; returns the refined (u, v).
 
-    Row r starts at parameter ``u[r]`` with gap ``v[r]`` against the target
-    ``points[:, r]``; ``points`` is (O, R), or (O, 1) for one target shared
-    by all rows.  Each round evaluates ``_REFINE_POINTS`` parameters
-    spanning one spacing either side of the row's best, in a window shrunk
-    at the grid's ends, and keeps any improvement.  A row stops once its
-    spacing drops below ``tol * 1e-3`` (floored at 1e-13).
+    Row r starts at parameter ``u[r]`` with gap ``v[r]``; ``excess`` maps
+    the (R, ``_REFINE_POINTS``) parameters of a round to their gaps, row r
+    against its own target.  Each round evaluates ``_REFINE_POINTS``
+    parameters spanning one spacing either side of the row's best, in a
+    window shrunk at the grid's ends, and keeps any improvement.  A row
+    stops once its spacing drops below ``tol * 1e-3`` (floored at 1e-13).
     """
     grid = game.prediction_grid
     lo, hi = float(grid[0]), float(grid[-1])
@@ -820,7 +890,6 @@ def _min_gap(game: Game, points: np.ndarray, u: np.ndarray, v: np.ndarray,
     h = np.full(len(u), (hi - lo) / (len(grid) - 1))
     steps = np.arange(_REFINE_POINTS, dtype=float)
     rows = np.arange(len(u))
-    points = points[:, :, None]
     for _ in range(_MAX_REFINE_ROUNDS):
         # rows that have stopped are evaluated but never updated
         live = h > resolution
@@ -833,7 +902,7 @@ def _min_gap(game: Game, points: np.ndarray, u: np.ndarray, v: np.ndarray,
         # np.linspace(a, b, _REFINE_POINTS) per row, bit for bit
         local = steps * step[:, None] + a[:, None]
         local[:, -1] = b
-        vals = _excess(game.spec.param_losses(game, local), points, sub)
+        vals = excess(local)
         k = np.argmin(vals, axis=1)
         best = vals[rows, k]
         better = live & (best < v)
@@ -842,19 +911,24 @@ def _min_gap(game: Game, points: np.ndarray, u: np.ndarray, v: np.ndarray,
     return u, v
 
 
-def _gap_search(game: Game, point, tol: float, sub: bool):
-    """(param, gap): the grid's ``_REFINE_STARTS`` best candidates, refined
-    as rows of one target.  Several starts keep the minimum accurate where
-    the gap has several local minima (piecewise-linear losses).
+def _gap_search(game: Game, excess, coarse: np.ndarray, tol: float):
+    """(param, gap): the ``_REFINE_STARTS`` best of ``coarse``, the gaps
+    ``excess`` gives on the prediction grid, refined by :func:`_min_gap` as
+    rows of one target.  Several starts keep the minimum accurate where the
+    gap has several local minima (piecewise-linear losses).
     """
-    if game.prediction_grid is None:
-        raise ValueError("game has no scalar prediction parametrization")
-    point = np.asarray(point, dtype=float)[:, None]
-    vals = _excess(game.grid_canonical_points().T, point, sub)
-    starts = np.argsort(vals, kind="stable")[:_REFINE_STARTS]
-    u, v = _min_gap(game, point, game.prediction_grid[starts], vals[starts], tol, sub)
+    starts = np.argsort(coarse, kind="stable")[:_REFINE_STARTS]
+    u, v = _min_gap(game, excess, game.prediction_grid[starts], coarse[starts], tol)
     best = int(np.argmin(v))
     return float(u[best]), float(v[best])
+
+
+def _grid_gap(game: Game, point, tol: float, sub: bool):
+    # a target vector on the outcome grid; the coarse scan reads the cached
+    # canonical points of the prediction grid
+    point = np.asarray(point, dtype=float)
+    coarse = _excess(game.grid_canonical_points().T, point[:, None], sub)
+    return _gap_search(game, _profile_excess(game, point, sub), coarse, tol)
 
 
 def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
@@ -863,13 +937,13 @@ def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
     ``gap <= 0`` means some canonical point is dominated by ``point``, i.e.
     ``point`` is a superprediction: on the outcome grid, not the interval.
     """
-    return _gap_search(game, point, tol, sub=False)
+    return _grid_gap(game, point, tol, sub=False)
 
 
 def subprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
     """(param, gap) with gap <= 0 iff ``point`` lies below some canonical point:
     on the outcome grid, not the interval."""
-    return _gap_search(game, point, tol, sub=True)
+    return _grid_gap(game, point, tol, sub=True)
 
 
 def _is_member(game: Game, point, tol: float, sub: bool) -> bool:
@@ -877,7 +951,7 @@ def _is_member(game: Game, point, tol: float, sub: bool) -> bool:
         raise ValueError("point dimension must match the outcome grid")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _gap_search(game, point, tol, sub)[1] <= tol
+    return _grid_gap(game, point, tol, sub)[1] <= tol
 
 
 def is_superprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:

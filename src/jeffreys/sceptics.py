@@ -138,12 +138,15 @@ class Level2Sceptic(ScepticStrategy):
     Other games play the prediction whose canonical point attains the
     numeric lower divergence: one gap search over the prediction grid for
     the point furthest below the weighted mean of the predictors' canonical
-    points.  Its shift is the divergence by definition, so no slack is
-    spent either.  ``reset`` picks one of the two for the run.  Neither
-    reads an outcome, so the column form plays whether or not the outcomes
-    are known; on games without a closed form it runs one gap search per
-    distinct pair of moves, and gives None where any would raise, so that
-    the loop raises at its step.
+    points.  That search is exact on the whole outcome interval, not only
+    at grid outcomes (the outcome grid decides only the vector membership
+    predicates), so the move lies below the mean less its shift at every
+    outcome Nature may play.  Its shift is the divergence by definition, so
+    no slack is spent either.  ``reset`` picks one of the two for the run.
+    Neither reads an outcome, so the column form plays whether or not the
+    outcomes are known; on games without a closed form it runs one gap
+    search per distinct pair of moves, and gives None where any would
+    raise, so that the loop raises at its step.
 
     ``divergence_column(gammas1, gammas2)`` is the run's column of per-step
     divergence terms the trace records: the game's closed form over the move

@@ -116,8 +116,8 @@ NUMERIC_CASES = {
 NUMERIC_LOCKED = {
     "gap_searches": "e60c901ae081ad9efd0ebdc51c43275c4ad70f8600fd455ea0d01ddd829ae996",
     "level2_bounded_absolute": "155f1cab597c5a18b764a525a824fbd18cd9b1214728b0bec3ea1eb78483d1f6",
-    "level2_quartic": "2b7f29791e6b5d43fa4d90af4110eeb1c1e0465407af436be80eaa1e64edccf9",
-    "remark1_quartic": "394056c8d0c20c75ee1297353978c2fe0e83883be2521aadb1e4a10f8e77cc27",
+    "level2_quartic": "6565a0279bdf0a1214cb8c9b1995996230595d364964843b654f1a692f691a8f",
+    "remark1_quartic": "888c3128b262c0f9cdf0094970e11e1994145d5d29792b6c8b7900e2c72ea5a4",
 }
 
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import (GAME_SPECS, ConstantNature, ConstantPredictor, GameKind,
-                      Level2Sceptic, alpha_divergence_log_loss,
+from jeffreys import (GAME_SPECS, ConstantNature, ConstantPredictor, DriftPredictor, Game,
+                      GameKind, IidUniformNature, Level2Sceptic, alpha_divergence_log_loss,
                       alpha_divergence_square_loss, bounded_absolute_loss_game,
                       bounded_square_loss_game, game_from_descriptor,
                       kl_divergence_log_loss, log_loss_game,
                       lower_alpha_divergence_numeric, quartic_loss_game, run_protocol,
                       standard_alpha_divergence_log_loss, upper_alpha_divergence_numeric)
+from jeffreys.cli import main
 
 # frozen from direct evaluation of the log-affinity formula
 LOG_DIV_HALF_VS_09 = -4.0 * math.log(math.sqrt(0.45) + math.sqrt(0.05))
@@ -235,3 +236,34 @@ def test_unbracketable_reported_as_infinite():
                                        np.array([0.0, 1.0]), 0.0)
     assert r.value == math.inf
     assert not r.bracketed
+
+
+@pytest.mark.parametrize("game_factory, g1, g2", [
+    (quartic_loss_game, -0.5, 0.5),
+    (bounded_absolute_loss_game, 0.2, 0.7),
+])
+def test_a_numeric_level2_run_never_builds_the_canonical_point_matrix(game_factory, g1, g2):
+    # the mean path takes its gaps at candidate outcomes, so a run leaves
+    # Game._loss_matrix, the prediction grid's P x O canonical points, unbuilt
+    game = game_factory()
+    lo, hi = game.bounds()[0]
+    trace = run_protocol(IidUniformNature(lo, hi), ConstantPredictor(g1),
+                         DriftPredictor(g2, -0.001), Level2Sceptic(alpha=0.3), game, 50, seed=1)
+    assert len(trace) == 50
+    assert game._loss_matrix is None
+
+
+def test_the_divergence_command_never_builds_the_canonical_point_matrix(monkeypatch, capsys):
+    built = []
+    original = Game.grid_canonical_points
+    monkeypatch.setattr(Game, "grid_canonical_points",
+                        lambda self: built.append(self.kind) or original(self))
+    vectors = ("0.3,0.7", "0.6,0.4")
+    moves = {"quartic": ("-0.5", "0.5"), "log": vectors, "log_loss": vectors}
+    for game in ["log"] + [kind.value for kind in GameKind]:
+        g1, g2 = moves.get(game, ("0.2", "0.7"))
+        for side in ("lower", "upper"):
+            assert main(["divergence", "--game", game, "--g1", g1, "--g2", g2,
+                         "--side", side, "--method", "numeric"]) == 0
+    capsys.readouterr()
+    assert built == []

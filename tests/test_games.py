@@ -387,7 +387,9 @@ def _mixability_midpoint_test(game: Game, eta: float, tol: float) -> bool:
         if sum(len(p[2]) for p in pending) >= _BLOCK or start + _BLOCK >= back.shape[1]:
             points, u, v = (np.concatenate(x, axis=-1) for x in zip(*pending))
             pending = []
-            if len(v) and np.max(_min_gap(game, points, u, v, tol, sub=False)[1]) > tol:
+            excess = lambda local: _excess(game.spec.param_losses(game, local),  # noqa: E731
+                                           points[:, :, None], sub=False)
+            if len(v) and np.max(_min_gap(game, excess, u, v, tol)[1]) > tol:
                 return False
     return True
 
@@ -671,3 +673,49 @@ def test_one_refinement_loop():
         uses = [line for line in fh
                 if "_MAX_REFINE_ROUNDS" in line and not line.startswith("_MAX_REFINE_ROUNDS =")]
     assert len(uses) == 1
+
+
+# every kind with candidate outcomes, and the span its predictions are drawn
+# from: wider than the outcome interval [0, 1] on the unbounded kinds, so
+# that their kinks are clipped to it
+CANDIDATE_KINDS = {GameKind.ABSOLUTE: (-2.0, 3.0), GameKind.BOUNDED_ABSOLUTE: (0.0, 1.0),
+                   GameKind.SQUARE: (-2.0, 3.0), GameKind.BOUNDED_SQUARE: (0.0, 1.0),
+                   GameKind.QUARTIC: (-1.0, 1.0)}
+
+
+def test_every_scalar_kind_has_candidate_outcomes():
+    assert {kind for kind, spec in GAME_SPECS.items() if spec.candidates} == set(CANDIDATE_KINDS)
+
+
+@pytest.mark.parametrize("sub", [False, True], ids=["super", "sub"])
+@pytest.mark.parametrize("kind", list(CANDIDATE_KINDS), ids=lambda kind: kind.value)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_candidates_attain_the_max_over_the_outcome_interval(kind, sub, data):
+    # the excess of lambda(gamma) over the weighted mean w1 lambda(g1) +
+    # w2 lambda(g2), or of the mean over it: its max over the candidates
+    # equals its max over them and 4,001 evenly spaced outcomes within 1e-12,
+    # and every candidate lies in the interval, so it is the max over the
+    # interval.  Drawing gamma at m1 = w1 g1 + w2 g2 leaves quartic's
+    # quadratic without its omega^2 term; equal predictions leave it 0 = 0
+    game = GAME_SPECS[kind].make(65, 2)
+    lo, hi = float(game.outcome_grid[0]), float(game.outcome_grid[-1])
+    span = st.floats(*CANDIDATE_KINDS[kind])
+    g1, g2, gamma = data.draw(span), data.draw(span), data.draw(span)
+    alpha = data.draw(st.floats(-0.99, 0.99))
+    w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
+    gamma = data.draw(st.sampled_from([gamma, w1 * g1 + w2 * g2, g1]))
+    if data.draw(st.booleans()):
+        g2 = g1
+    kernel = game.spec.kernel
+
+    def excess(omegas):
+        diff = kernel(omegas, gamma) - (w1 * kernel(omegas, g1) + w2 * kernel(omegas, g2))
+        return -diff if sub else diff
+
+    # one prediction: (C, 1) outcomes
+    candidates = game.spec.candidates(lo, hi, g1, g2, w1, w2)(np.array([gamma]))[:, 0]
+    assert np.all((candidates >= lo) & (candidates <= hi))
+    at_candidates = float(np.max(excess(candidates)))
+    dense = float(np.max(excess(np.linspace(lo, hi, 4001))))
+    assert max(at_candidates, dense) - at_candidates <= 1e-12

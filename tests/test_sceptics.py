@@ -22,6 +22,8 @@ from jeffreys import (GAME_SPECS, AdversarialGreedyNature, AggregatingSceptic,
                       lower_alpha_divergence_numeric, quartic_loss_game,
                       run_protocol, square_loss_game, verify_run)
 from jeffreys.aggregating import DOMINATION_TOL
+from jeffreys.games import alpha_weights
+from jeffreys.players import NatureStrategy
 from jeffreys.sceptics import K_MAX_LIMIT, _triangle_areas
 from ledger_reference import PerStepLevel1, triangle_area
 from pool_reference import PerExpertLevel3
@@ -164,6 +166,60 @@ def test_eq9_checked_on_numeric_path(game_factory, g1, g2):
     report = verify_run(trace, ["eq9"], sceptic=sceptic)
     assert report.checks_passed
     assert report.check_slacks["eq9"] >= -1e-9
+
+
+class DenseEq9Adversary(NatureStrategy):
+    """Plays, of 4,001 evenly spaced outcomes over the game's outcome
+    interval, the one with the smallest eq9 increment ``w1 l1 + w2 l2 -
+    l_sceptic``; the step's divergence term does not depend on the outcome.
+    Its column form replies once per distinct row of moves."""
+
+    def __init__(self, alpha):
+        self._weights = alpha_weights(alpha)
+
+    def reset(self, game, rng, horizon):
+        self._loss = game.loss_fn()
+        self._omegas = np.linspace(*game.bounds()[0], 4001)
+
+    def outcome(self, n, gamma1, gamma2, gamma_sceptic):
+        (w1, w2), loss, omegas = self._weights, self._loss, self._omegas
+        increments = (w1 * loss(omegas, gamma1) + w2 * loss(omegas, gamma2)
+                       - loss(omegas, gamma_sceptic))
+        return float(omegas[np.argmin(increments)])
+
+    def reply_column(self):
+        return self._reply
+
+    def _reply(self, gammas1, gammas2, gammas_sceptic):
+        moves = np.stack((gammas1, gammas2, gammas_sceptic), axis=1)
+        distinct, rows = np.unique(moves, axis=0, return_inverse=True)
+        replies = np.array([self.outcome(0, *row) for row in distinct.tolist()])
+        return replies[rows.reshape(-1)]
+
+
+@pytest.mark.parametrize("game_factory, p1, p2, horizon", [
+    (lambda: quartic_loss_game(outcome_grid_size=65), -0.5, 0.5, 300),
+    (quartic_loss_game, -0.5, 0.5, 10_000),
+    (lambda: quartic_loss_game(outcome_grid_size=65), DriftPredictor(-0.9, 0.006), 0.5, 300),
+    (bounded_absolute_loss_game, 0.2, 0.7, 300),
+    (bounded_absolute_loss_game, DriftPredictor(0.1, 0.003), 0.7, 300),
+], ids=["quartic_65", "quartic_default", "quartic_65_drift", "bounded_absolute",
+        "bounded_absolute_drift"])
+def test_eq9_holds_against_a_dense_adversary(game_factory, p1, p2, horizon):
+    # the numeric move dominates the weighted mean less its shift on the
+    # whole outcome interval, not only on the outcome grid, so no outcome
+    # between grid points makes a step's eq9 increment negative
+    alpha = 0.8
+    players = [p if isinstance(p, DriftPredictor) else ConstantPredictor(p) for p in (p1, p2)]
+    sceptic = Level2Sceptic(alpha=alpha)
+    trace = run_protocol(DenseEq9Adversary(alpha), *players, sceptic, game_factory(),
+                         horizon, seed=3)
+    assert len(trace) == horizon
+    w1, w2 = alpha_weights(alpha)
+    increments = (w1 * trace.loss1 + w2 * trace.loss2 - trace.loss_sceptic
+                  - (1.0 - alpha * alpha) / 4.0 * trace.divergence_term)
+    assert float(np.min(increments)) >= -1e-12
+    assert verify_run(trace, ["eq9"], sceptic=sceptic).checks_passed
 
 
 def test_level2_square_slack_equals_epsilon():
