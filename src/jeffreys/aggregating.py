@@ -15,9 +15,10 @@ binding constraint sits, and log loss takes the probability mixture.  Moves
 dominate within ``DOMINATION_TOL``, the constant of :mod:`.games`,
 re-exported here.
 
-The weights the mix takes are the pool sceptics' own: both keep them as
-``ln p_k - eta * L_k``, the prior less eta times the TwoSum-compensated
-cumulative loss their eq8 audit reads, and normalize at each move.
+The weights the mix takes are the pool sceptics' own: their one pool keeps
+them per member as an offset (``ln p_k`` for a fixed pool) less eta times
+the TwoSum-compensated cumulative loss its eq8 audit reads, and normalizes
+them at each move.
 """
 
 from __future__ import annotations

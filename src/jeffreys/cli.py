@@ -426,7 +426,9 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
+    # OSError: an output path that cannot be written; MemoryError: a size
+    # (a horizon, a grid) too large to allocate
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except JeffreysError as exc:

@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 # the closed forms are re-exported from the games' table
-from .games import (Game, _excess, _gap_search, _log_affinity, _profile_excess,  # noqa: F401
-                    _scale, alpha_weights, alpha_divergence_log_loss,
+from .games import (Game, _check_tol, _excess, _gap_search, _log_affinity,  # noqa: F401
+                    _profile_excess, _scale, alpha_weights, alpha_divergence_log_loss,
                     alpha_divergence_square_loss)
 
 
@@ -73,6 +73,7 @@ def mean_gap(game: Game, gamma1, gamma2, alpha: float, tol: float, sub: bool):
     each gap is a max over the kind's ``candidates``, the outcomes where it
     can be attained, or over log loss's outcome grid, its whole outcome space.
     """
+    _check_tol(tol)
     if game.prediction_grid is None:
         raise ValueError("game has no scalar prediction parametrization")
     w1, w2 = alpha_weights(alpha)

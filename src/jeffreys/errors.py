@@ -32,6 +32,7 @@ class MixabilityViolation(JeffreysError):
 
 
 class DivergenceOverestimate(JeffreysError):
-    """Numeric search failed to find a canonical point below the divergence
-    target; signals mismatched tolerances between the divergence estimate
-    and the membership oracle."""
+    """The level-2 move has no finite divergence to achieve: the numeric
+    move's gap search found no canonical point below the weighted mean
+    (its gap exceeds ``DOMINATION_TOL``), or log loss's predictions have
+    disjoint support, so the divergence is infinite."""

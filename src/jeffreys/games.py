@@ -239,8 +239,9 @@ class Game:
     for binary log-loss it is the probability assigned to outcome 1.
     ``spec`` is the kind's :class:`GameSpec`; ``prediction_shape`` is ``()``
     for scalar predictions and ``(m,)`` for probability vectors.
-    Instances are immutable by convention: no method mutates them, so they
-    are safe to share across threads.
+    Instances are immutable by convention: no method changes what they
+    describe.  The one exception is a cache, the prediction grid's
+    canonical points, which ``grid_canonical_points`` fills on first use.
     """
 
     kind: GameKind
@@ -923,10 +924,21 @@ def _gap_search(game: Game, excess, coarse: np.ndarray, tol: float):
     return float(u[best]), float(v[best])
 
 
+def _check_tol(tol: float) -> None:
+    # the gap searches refine to tol * 1e-3: checked where each question
+    # enters one, before any of its arrays is built
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _grid_gap(game: Game, point, tol: float, sub: bool):
     # a target vector on the outcome grid; the coarse scan reads the cached
     # canonical points of the prediction grid
+    _check_tol(tol)
     point = np.asarray(point, dtype=float)
+    if point.shape != game.outcome_grid.shape:
+        raise ValueError(f"point must have the outcome grid's shape {game.outcome_grid.shape}, "
+                         f"got {point.shape}")
     coarse = _excess(game.grid_canonical_points().T, point[:, None], sub)
     return _gap_search(game, _profile_excess(game, point, sub), coarse, tol)
 
@@ -946,24 +958,16 @@ def subprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
     return _grid_gap(game, point, tol, sub=True)
 
 
-def _is_member(game: Game, point, tol: float, sub: bool) -> bool:
-    if len(np.asarray(point)) != len(game.outcome_grid):
-        raise ValueError("point dimension must match the outcome grid")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _grid_gap(game, point, tol, sub)[1] <= tol
-
-
 def is_superprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """True iff ``point`` dominates some canonical point within ``tol``: a
     statement about the outcome grid, not the outcome interval."""
-    return _is_member(game, point, tol, sub=False)
+    return _grid_gap(game, point, tol, sub=False)[1] <= tol
 
 
 def is_subprediction(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """True iff ``point`` is dominated by some canonical point within ``tol``:
     a statement about the outcome grid, not the outcome interval."""
-    return _is_member(game, point, tol, sub=True)
+    return _grid_gap(game, point, tol, sub=True)[1] <= tol
 
 
 def points_non_redundant(points: np.ndarray, tol: float = 1e-9) -> bool:

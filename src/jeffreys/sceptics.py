@@ -19,14 +19,16 @@ Three constructions, ordered by the strength of what they certify:
 Each strategy has one implementation, its ``ScepticStrategy`` class, which
 certifies its own guarantee: ``eq9`` (level 2), ``ledger`` (level 1) or
 ``eq8`` (the threshold lift, and ``AggregatingSceptic``, the aggregating
-mixture of a fixed pool of expert strategies).  Those two share the game's
-mix (``fixed_pool_mixer``), one weight rule, one eq8 audit and one column
-block (``_Eq8Audit``): a weight is ``ln p - eta * L``, L the
-TwoSum-compensated cumulative loss, an eq8 bound is ``L`` plus a floor, and
-domination is re-checked by the mixture loss's own log-sum-exp.  The
-aggregating sceptic keeps one weight per expert, its floor the fixed
-penalty ``C ln 1/p``; the lift one weight per group of experts that predict
-alike, three in all, its floors fixed at switches.
+mixture of a fixed pool of expert strategies).  Those two step through one
+pool (``_Pool``): one move and one settle per step, one eq8 audit and one
+column block, over the game's mix (``fixed_pool_mixer``).  Per member it
+keeps the TwoSum-compensated cumulative loss L, a log-weight offset and an
+eq8 floor: a weight is the offset less ``eta * L``, an eq8 bound is ``L``
+plus the floor, and domination is re-checked by the mixture loss's own
+log-sum-exp.  The aggregating sceptic's members are its experts, their
+offsets ``ln p`` and floors ``C ln 1/p`` fixed; the lift's are its three
+groups of experts that predict alike, their offsets and floors fixed at
+switches.
 
 Column forms (``predict_column``) play a whole run from the validated
 columns of both predictors' moves and of the outcomes.  Against a Nature
@@ -394,14 +396,35 @@ def _compensated_cumsum(total, comp, rows) -> tuple:
 EQ8_BLOCK = 256
 
 
-class _Eq8Audit(ScepticStrategy):
-    """The eq8 audit and the column block of both pool sceptics.
+class _Pool(ScepticStrategy):
+    """The one aggregating pool both pool sceptics step through, its eq8
+    audit and its column block.
+
+    The members are the aggregating sceptic's experts, or the threshold
+    lift's three groups of experts that predict alike.  Per member the pool
+    keeps its TwoSum-compensated cumulative loss ``(s, c)`` (``_sums``, two
+    arrays), its log-weight offset (``_offsets``) and its eq8 floor
+    (``_floors``); its weight is ``offset - eta (s + c)``, and a NaN sum (a
+    NaN loss) leaves it -inf, as an infinite one does.  A step plays
+    ``_move``: the weights normalized by their log-sum-exp, refused where
+    every one is -inf (the pool has collapsed), and mixed by the game's mix,
+    prepared again where the members' moves or their type change.  There
+    each sceptic refuses what it must: its ``_accept(n, moves, raw)`` gives
+    the moves as floats (raw is None where numpy cannot read them as one
+    array, and then it only refuses).  ``_settle`` takes the own loss and
+    the members' losses at the outcome, re-checks domination by the mixture
+    loss's own log-sum-exp under the normalized weights that made the move
+    (the difference of the normalizers before and after would carry the
+    rounding of weights that fall far below zero, about 1e-9, the
+    domination tolerance, by 10^7 steps of log loss), and adds the losses
+    into the sums.  A collapsed pool is refused before the members' moves
+    are read as one array.
 
     eq8 is Vovk's regret bound ``L_self <= min_k (L_k + C ln 1/p_k)``, a
     statement about cumulative sums.  Each step hands the audit its bound
-    row, the TwoSum-compensated cumulative losses after it plus their
-    floors, and its own loss (``_hold``).  The audit holds them, and folds
-    them every ``EQ8_BLOCK`` steps and on each read into the own compensated
+    row, the compensated cumulative losses after it plus their floors, and
+    its own loss (``_hold``).  The audit holds them, and folds them every
+    ``EQ8_BLOCK`` steps and on each read into the own compensated
     cumulative loss ``cum_self`` (the plain running sum's rounding would
     drown the regret slack at the magnitudes cumulative losses reach), the
     tightest slack seen, ``worst_eq8_slack``, and the first step that
@@ -410,6 +433,48 @@ class _Eq8Audit(ScepticStrategy):
     """
 
     check = "eq8"
+
+    def _restart(self, game, k: int) -> None:
+        # a run's pool of k members at zero loss; the sceptic sets their
+        # offsets and floors
+        params = params_for(game)
+        self.eta, self.C = params.eta, params.C
+        self._game, self._loss, self._losses = game, game.loss_fn(), game.spec.losses
+        self._sums = (np.zeros(k), np.zeros(k))
+        self._pending = self._mix_key = None
+        self._restart_audit()
+
+    def _move(self, n, moves):
+        w = np.fmax(self._offsets - self.eta * (self._sums[0] + self._sums[1]), -math.inf)
+        total = _lse1(w)
+        if total == -math.inf:
+            raise PoolCollapseError("every expert has suffered infinite loss")
+        log_w = w - total
+        try:
+            raw = np.asarray(moves)
+        except (TypeError, ValueError):  # moves of different forms: name the refused one
+            self._accept(n, moves, None)
+            raise
+        key = _mix_key(raw)
+        if key is None or key != self._mix_key:
+            self._mix_key, self._preds = key, self._accept(n, moves, raw)
+            self._mix = fixed_pool_mixer(self._game, self.eta, self._preds)
+        gamma = self._mix(log_w)
+        self._pending = (log_w, gamma)
+        return gamma
+
+    def _settle(self, n, omega):
+        # (own loss, member losses) of the step; a member whose loss is NaN
+        # drops out of the mixture loss, as it drops out of the weights
+        log_w, gamma = self._pending
+        own_loss = self._loss(omega, gamma)
+        losses = self._losses(omega, self._preds)
+        g_played = -_lse1(np.fmax(log_w - self.eta * losses, -math.inf)) / self.eta
+        if own_loss > g_played + DOMINATION_TOL:
+            raise MixabilityViolation(
+                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
+        self._sums = _compensated_add(*self._sums, losses)
+        return own_loss, losses
 
     def _restart_audit(self) -> None:
         self._cum_self = self._comp_self = 0.0
@@ -510,26 +575,21 @@ def _is_constant(expert) -> bool:
     return plays_own(expert, ConstantPredictor, "predict", "observe")
 
 
-class AggregatingSceptic(_Eq8Audit):
+class AggregatingSceptic(_Pool):
     """Plays the aggregating mixture of a fixed pool of expert strategies.
 
     The protocol's two predictors are ignored; the experts are the
-    sceptic's own.  ``priors`` default to uniform; they need to be one flat
-    vector of one entry per expert, each strictly positive, summing to at
-    most 1 (a deficient sum loosens the per-expert bound).  A constant
-    expert's move is checked once, at reset; where the moves change, a
-    refused one ends the run as a player's does, but a NaN move only
-    eliminates its expert, by its NaN loss.  A step only plays: ``observe``
-    adds the expert losses into their TwoSum-compensated cumulative sums
-    ``(s, c)`` and reads the next weights ``ln p_k - eta (s_k + c_k)`` off
-    them, as the threshold lift does.  It re-checks domination at the
-    realized outcome by the mixture loss's own log-sum-exp under the
-    normalized weights that made the move, as the lift does too: the
-    difference of the normalizers before and after would carry the rounding
-    of weights that fall far below zero (about 1e-9, the domination
-    tolerance, by 10^7 steps of log loss).  Each step's eq8 bounds, for the
-    shared audit, are ``s + c`` plus the fixed floors ``C ln 1/p_k``;
-    ``expert_cums`` are the sums ``s``.
+    sceptic's own, one member of the shared pool each.  ``priors`` default
+    to uniform; they need to be one flat vector of one entry per expert,
+    each strictly positive, summing to at most 1 (a deficient sum loosens
+    the per-expert bound).  Their logs are the fixed offsets of the weights
+    ``ln p_k - eta (s_k + c_k)``, and the eq8 floors are the fixed
+    penalties ``C ln 1/p_k``; ``expert_cums`` are the sums ``s``.  A step
+    only collects the experts' moves, plays the pool's move, and hands the
+    pool's settled sums plus the floors to the audit.  A constant expert's
+    move is checked once, at reset; where the moves change, a refused one
+    ends the run as a player's does, but a NaN move only eliminates its
+    expert, by its NaN loss.
 
     A pool of constant experts (each plays ``ConstantPredictor``'s own
     per-step methods) plays a run in columns (``predict_column``): it
@@ -551,26 +611,18 @@ class AggregatingSceptic(_Eq8Audit):
             raise ValueError("priors must be strictly positive")
         if float(self.priors.sum()) > 1.0 + 1e-12:
             raise ValueError("priors must sum to at most 1")
-        self._log_p = np.log(self.priors)
+        self._offsets = np.log(self.priors)
         self._sums = (np.zeros(k), np.zeros(k))
         self._restart_audit()
 
     def reset(self, game, rng, horizon):
-        params = params_for(game)
-        self.eta, self.C = params.eta, params.C
-        self._game = game
         k = len(self.experts)
-        self._sums = (np.zeros(k), np.zeros(k))
-        self._w = self._log_p
-        self._loss = game.loss_fn()
-        self._losses = game.spec.losses
+        self._restart(game, k)
         # the eq8 floors C ln(1/p), or C (-ln p) where 1/p overflows (a
         # subnormal prior): the two differ in the last bit for some uniform priors
         with np.errstate(over="ignore"):
             inverse = 1.0 / self.priors
-        self._floors = self.C * np.where(np.isfinite(inverse), np.log(inverse), -self._log_p)
-        self._restart_audit()
-        self._pending = self._mix_key = None
+        self._floors = self.C * np.where(np.isfinite(inverse), np.log(inverse), -self._offsets)
         streams = rng.spawn(k)
         for expert, stream in zip(self.experts, streams):
             expert.reset(game, stream, horizon)
@@ -582,59 +634,26 @@ class AggregatingSceptic(_Eq8Audit):
                 except DomainError as exc:
                     raise ConfigError(f"aggregating expert {i}: {exc}") from exc
 
-    def _weights(self, held):
-        # ln p - eta (s + c) of each row of compensated sums; a NaN sum (a
-        # NaN loss) leaves its expert the weight -inf, as an infinite one does
-        return np.fmax(self._log_p - self.eta * held, -math.inf)
-
-    def _collect(self, n):
-        # the experts' moves, and numpy's array of them in the type it reads them as
-        moves = [e.predict(n) for e in self.experts]
-        try:
-            return moves, np.asarray(moves)
-        except (TypeError, ValueError):  # moves of different forms: name the refused one
+    def _accept(self, n, moves, raw):
+        # a refused expert move ends the run; a NaN one only eliminates its expert
+        if raw is None or _mix_key(raw) is None:  # a string, say: the engine's check names it
             for i, move in enumerate(moves, 1):
                 _check_inner(self._game, move, f"aggregating expert {i}", n)
-            raise
+            if raw is None:
+                return None
+        preds = raw.astype(float)
+        if not self._game.accepts_predictions(preds):  # the column test, then the culprit
+            for i, move in enumerate(preds, 1):
+                if not np.isnan(move).all():  # a NaN move's NaN loss eliminates its expert
+                    _check_inner(self._game, move.tolist(), f"aggregating expert {i}", n)
+        return preds
 
     def predict(self, n, gamma1, gamma2):
-        moves, raw = self._collect(n)
-        total = _lse1(self._w)
-        if total == -math.inf:
-            raise PoolCollapseError("every expert has suffered infinite loss")
-        log_w = self._w - total
-        key = _mix_key(raw)
-        if key is None or key != self._mix_key:
-            if key is None:  # a string, say: the engine's check names it
-                for i, move in enumerate(moves, 1):
-                    _check_inner(self._game, move, f"aggregating expert {i}", n)
-            preds = raw.astype(float)
-            if not self._game.accepts_predictions(preds):  # the column test, then the culprit
-                for i, move in enumerate(preds, 1):
-                    if not np.isnan(move).all():  # a NaN move's NaN loss eliminates its expert
-                        _check_inner(self._game, move.tolist(), f"aggregating expert {i}", n)
-            self._mix_key, self._preds = key, preds
-            self._mix = fixed_pool_mixer(self._game, self.eta, preds)
-        preds = self._preds
-        gamma = self._mix(log_w)
-        self._pending = (preds, log_w, gamma)
-        return gamma
+        return self._move(n, [e.predict(n) for e in self.experts])
 
     def observe(self, n, omega):
-        preds, log_w, gamma = self._pending
-        own_loss = self._loss(omega, gamma)
-        losses = self._losses(omega, preds)
-        sums, comps = self._sums = _compensated_add(*self._sums, losses)
-        held = sums + comps
-        self._w = self._weights(held)
-        # the mixture loss -ln(sum_k w_k e^(-eta loss_k)) / eta under the
-        # normalized weights that made the move; an expert whose loss is NaN
-        # drops out of it, as it drops out of the weights
-        g_played = -_lse1(np.fmax(log_w - self.eta * losses, -math.inf)) / self.eta
-        if own_loss > g_played + DOMINATION_TOL:
-            raise MixabilityViolation(
-                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        self._hold(held + self._floors, own_loss)
+        own_loss, _ = self._settle(n, omega)
+        self._hold(np.add(*self._sums) + self._floors, own_loss)
         for e in self.experts:
             e.observe(n, omega)
 
@@ -644,7 +663,7 @@ class AggregatingSceptic(_Eq8Audit):
             return None
         # a pool of constants emits the same predictions every step: its mix
         # and (on a finite outcome space) losses per outcome are prepared once
-        preds = self._collect(1)[1].astype(float)
+        preds = np.asarray([e.predict(1) for e in self.experts], dtype=float)
         column_mix = game.spec.mix_column(preds, self.eta)
         table = (np.array([self._losses(w, preds) for w in range(game.m)])
                  if game.spec.outcome_type is int else None)
@@ -660,14 +679,13 @@ class AggregatingSceptic(_Eq8Audit):
                 after = _compensated_cumsum(sums, comps, losses)
             played = self._column_block(column_mix, block, losses,
                                         np.vstack((sums + comps, np.add(*after))),
-                                        self._log_p, self._floors)
+                                        self._offsets, self._floors)
             if played is None:
                 return None
             moves.append(played[0])
             sums, comps = after[0][-1], after[1][-1]
         self._sums = (sums.copy(), comps.copy())
-        self._w = self._weights(sums + comps)
-        self._pending = (preds, played[1], moves[-1][-1])
+        self._preds, self._pending = preds, (played[1], moves[-1][-1])
         return np.concatenate(moves)
 
     @property
@@ -679,43 +697,31 @@ class AggregatingSceptic(_Eq8Audit):
 # level 3: the threshold-expert lift
 
 
-def _lse_floats(xs) -> float:
-    # _lse_rows of one row of a few Python floats, where building arrays
-    # would cost more than the arithmetic: numpy's exp and log on each float,
-    # the exps added left to right, as numpy sums a row shorter than eight
-    # (Python's sum compensates from 3.12 on)
-    top = max(xs)
-    if top == -math.inf:
-        return top
-    total = 0.0
-    for x in xs:
-        total += float(np.exp(x - top))
-    return top + float(np.log(total))
-
-
 # the largest k for which the threshold 2^k and the reciprocal 2^(k+1) of
 # the smallest prior, which the regret penalty takes, are finite floats
 K_MAX_LIMIT = 1022
 
 
-class Level3Sceptic(_Eq8Audit):
+class Level3Sceptic(_Pool):
     """Aggregates threshold experts over a base sceptic strategy.
 
     The truncated pool holds two experts per threshold ``2^k``, k = 1 ..
     ``k_max``.  Expert ``(k, j)``, of prior ``p_k = 2^-(k+1)`` (the pool sums
     to ``1 - 2^-k_max``), mimics the base sceptic until predictor j trails
     the base sceptic's cumulative loss by more than ``2^k``, then switches
-    to predictor j for good.  The game's mix (:func:`fixed_pool_mixer`)
-    plays the pool as three groups of experts that predict alike, at a step
-    cost flat in ``k_max``: the unswitched experts, of weight ``U e^(-eta
-    L_base)`` (U their priors' sum), and per predictor j those switched to
-    it, of weight ``e^(S_j - eta L_j)``, where each switch at step t
-    log-adds ``ln p_k - eta (L_base(t) - L_j(t))`` into ``S_j``.  Each
-    step's eq8 bounds, for the shared audit, are per group its loss plus a
-    floor fixed at switches, those after the step's eliminations and before
-    its switches.  An infinite loss of predictor j eliminates group j; its
-    ``L_j`` restarts at zero for the experts that switch then.  Where the
-    moves change, a refused base move ends the run as a player's does.
+    to predictor j for good.  The shared pool plays it as three members,
+    groups of experts that predict alike, at a step cost flat in ``k_max``:
+    the unswitched experts, of weight ``U e^(-eta L_base)`` (U their priors'
+    sum), and per predictor j those switched to it, of weight ``e^(S_j -
+    eta L_j)``, where each switch at step t log-adds ``ln p_k - eta
+    (L_base(t) - L_j(t))`` into ``S_j``: ``ln U`` and ``S_j`` are the
+    groups' offsets.  Each step's eq8 bounds, for the shared audit, are per
+    group its loss plus a floor fixed at switches, those after the step's
+    eliminations and before its switches.  An infinite loss of predictor j
+    eliminates group j; its sums restart at zero for the experts that
+    switch then.  Where the moves change, a refused base move ends the run
+    as a player's does.  ``cum1``, ``cum2`` and ``cum_base`` are the plain
+    running sums the switches compare.
 
     Once the outcomes are known, a lift over a base whose column form may
     stand in for it (the engine's rule) plays a run in columns
@@ -744,64 +750,37 @@ class Level3Sceptic(_Eq8Audit):
         self._restart_audit()
 
     def reset(self, game, rng, horizon):
-        params = params_for(game)
-        self.eta, self.C = params.eta, params.C
-        self._game = game
-        self._loss = game.loss_fn()
+        self._restart(game, 3)
         self.base.reset(game, rng, horizon)
-        # cum1, cum2 and cum_base are the plain running sums the switches compare
         self.cum1 = self.cum2 = self.cum_base = 0.0
-        # per group (unswitched, switched to predictor 1, to predictor 2): its
-        # loss with its TwoSum compensation, its log-weight offset and eq8 floor
-        self._sums = [(0.0, 0.0)] * 3
-        self._offsets, self._floors = [0.0, -math.inf, -math.inf], [0.0, math.inf, math.inf]
+        # the groups: unswitched, switched to predictor 1, to predictor 2
+        self._offsets = np.array([0.0, -math.inf, -math.inf])
+        self._floors = np.array([0.0, math.inf, math.inf])
         self.switch_times: dict = {}
         # thresholds increase with k: each predictor's switched experts are a prefix
         self._n_switched = [0, 0]
         self._update_unswitched()
-        self._restart_audit()
-        self._pending = self._mix_key = None
+
+    def _accept(self, n, moves, raw):
+        # a refused base move ends the run, a NaN one too; the engine checked
+        # the predictors' moves
+        _check_inner(self._game, moves[0], "level-3 base", n)
+        return None if raw is None else raw.astype(float)
 
     def predict(self, n, gamma1, gamma2):
-        gamma_base = self.base.predict(n, gamma1, gamma2)
-        eta = self.eta
-        w = [o - eta * (s + c) for o, (s, c) in zip(self._offsets, self._sums)]
-        total = _lse_floats(w)
-        if total == -math.inf:
-            raise PoolCollapseError("every expert has suffered infinite loss")
-        log_w = [x - total for x in w]
-        try:
-            raw = np.array([gamma_base, gamma1, gamma2])
-        except (TypeError, ValueError):  # a base move of another form than the predictors'
-            _check_inner(self._game, gamma_base, "level-3 base", n)
-            raise
-        key = _mix_key(raw)
-        if key is None or key != self._mix_key:
-            _check_inner(self._game, gamma_base, "level-3 base", n)
-            self._mix_key = key
-            self._mix = fixed_pool_mixer(self._game, eta, raw.astype(float))
-        gamma = self._mix(np.array(log_w))
-        self._pending = (gamma_base, gamma1, gamma2, log_w, gamma)
-        return gamma
+        return self._move(n, [self.base.predict(n, gamma1, gamma2), gamma1, gamma2])
 
     def observe(self, n, omega):
-        gamma_base, gamma1, gamma2, log_w, gamma = self._pending
-        loss, eta = self._loss, self.eta
-        own_loss = loss(omega, gamma)
-        losses = (loss(omega, gamma_base), loss(omega, gamma1), loss(omega, gamma2))
-        # -inf - inf stays -inf, so eliminated groups drop out cleanly
-        g_played = -_lse_floats([w - eta * x for w, x in zip(log_w, losses)]) / eta
-        if own_loss > g_played + DOMINATION_TOL:
-            raise MixabilityViolation(
-                f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
+        own_loss, losses = self._settle(n, omega)
         self.base.observe(n, omega)
-        sums = self._sums = [_compensated_add(s, c, x) for (s, c), x in zip(self._sums, losses)]
+        sums, comps = self._sums
         for j in (1, 2):
-            if sums[j][0] == math.inf:
-                sums[j], self._offsets[j], self._floors[j] = (0.0, 0.0), -math.inf, math.inf
-        self._hold([s + c + f for (s, c), f in zip(sums, self._floors)], own_loss)
-        self.cum_base = sums[0][0]
-        self.cum1, self.cum2 = self.cum1 + losses[1], self.cum2 + losses[2]
+            if sums[j] == math.inf:
+                sums[j] = comps[j] = 0.0
+                self._offsets[j], self._floors[j] = -math.inf, math.inf
+        self._hold(sums + comps + self._floors, own_loss)
+        self.cum_base = float(sums[0])
+        self.cum1, self.cum2 = self.cum1 + float(losses[1]), self.cum2 + float(losses[2])
         self._switch(n)
 
     def predict_column(self, gammas1, gammas2, omegas):
@@ -818,7 +797,7 @@ class Level3Sceptic(_Eq8Audit):
         # would eliminate a group), or a step would leave the closed forms
         game, eta = self._game, self.eta
         mix_column, loss_column = game.spec.mix_column, game.spec.loss_column
-        (totals, comps), levels = np.array(self._sums).T, np.array(self._levels)
+        (totals, comps), levels = self._sums, np.array(self._levels)
         moves = []
         for start in range(0, len(omegas), EQ8_BLOCK):
             block, rows = omegas[start:start + EQ8_BLOCK], preds[start:start + EQ8_BLOCK]
@@ -835,13 +814,13 @@ class Level3Sceptic(_Eq8Audit):
             steps = np.flatnonzero((np.diff(np.maximum.accumulate(passed), axis=0) > 0).any(axis=1))
             # offsets and floors per segment between switches: a step's
             # weights and slack take those before its own switches
-            offsets, floors = [list(self._offsets)], [list(self._floors)]
+            offsets, floors = [self._offsets.copy()], [self._floors.copy()]
             for i in steps.tolist():
-                self._sums = list(zip(sums[i].tolist(), sum_comps[i].tolist()))
+                self._sums = (sums[i], sum_comps[i])
                 self.cum_base, self.cum1, self.cum2 = sums[i].tolist()
                 self._switch(start + i + 1)
-                offsets.append(list(self._offsets))
-                floors.append(list(self._floors))
+                offsets.append(self._offsets.copy())
+                floors.append(self._floors.copy())
             widths = np.diff(np.concatenate(([0], steps + 1, [len(block)])))
             offsets, floors = (np.repeat(np.array(table), widths, axis=0)
                                for table in (offsets, floors))
@@ -852,9 +831,9 @@ class Level3Sceptic(_Eq8Audit):
                 return None
             moves.append(played[0])
             totals, comps = sums[-1], sum_comps[-1]
-        self._sums = list(zip(totals.tolist(), comps.tolist()))
+        self._sums = (totals.copy(), comps.copy())
         self.cum_base, self.cum1, self.cum2 = totals.tolist()
-        self._pending = (*preds[-1], played[1].tolist(), moves[-1][-1])
+        self._preds, self._pending = preds[-1], (played[1], moves[-1][-1])
         return np.concatenate(moves)
 
     def _switch(self, n):
@@ -863,9 +842,9 @@ class Level3Sceptic(_Eq8Audit):
             i = self._n_switched[j - 1]
             while i < k and behind > self._levels[i]:
                 self.switch_times[(j - 1) * k + i] = n
-                c = sum(self._sums[0]) - sum(self._sums[j])
-                self._offsets[j] = float(np.logaddexp(self._offsets[j],
-                                                      self._log_p[i] - self.eta * c))
+                held = self._sums[0] + self._sums[1]
+                c = float(held[0] - held[j])
+                self._offsets[j] = np.logaddexp(self._offsets[j], self._log_p[i] - self.eta * c)
                 self._floors[j] = min(self._floors[j], c + self.C * self._log_inv_p[i])
                 i = self._n_switched[j - 1] = i + 1
                 self._update_unswitched()

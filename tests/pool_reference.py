@@ -14,6 +14,9 @@ blocks.  Its weights are
 ``ln p_k - eta * (s_k + c_k)``, read off the compensated cumulative losses
 its audit keeps, as the library's are.  The two must play the same moves
 and find the same worst eq8 slack, bit for bit.
+
+``pool_weights`` reads either library pool sceptic's log-weights before its
+next move off the state the two share.
 """
 
 import math
@@ -24,6 +27,14 @@ from jeffreys.aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
 from jeffreys.errors import ConfigError, DomainError, MixabilityViolation, PoolCollapseError
 from jeffreys.games import _lse1
 from jeffreys.sceptics import ScepticStrategy, _compensated_add
+
+
+def pool_weights(pool):
+    """The weight rule ``offset - eta (s + c)`` on a library pool sceptic's
+    per-member offsets and compensated sums, a NaN sum's weight -inf: the
+    log-weights its next move normalizes."""
+    sums, comps = pool._sums
+    return np.fmax(pool._offsets - pool.eta * (sums + comps), -math.inf)
 
 
 class PerExpertLevel3(ScepticStrategy):

@@ -22,7 +22,7 @@ from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, Dri
 from jeffreys.aggregating import DOMINATION_TOL
 from jeffreys.games import _lse1, _lse_rows
 from jeffreys.sceptics import EQ8_BLOCK, _compensated_add, _compensated_cumsum
-from pool_reference import PerExpertLevel3, PerStepAggregating
+from pool_reference import PerExpertLevel3, PerStepAggregating, pool_weights
 
 
 def _uniform(k):
@@ -123,6 +123,34 @@ def test_collapsed_pool_raises():
     # two steps, and the pool's third move raises
     with pytest.raises(PoolCollapseError):
         _aggregate([np.array([1.0, 0.0]), np.array([0.0, 1.0])], None, [0, 1, 0])
+
+
+class _SureOfZero(PredictorStrategy):
+    """Gives outcome 1 probability 0, then from step 2 on a move of another
+    form: a number where the game takes probability vectors."""
+
+    def predict(self, n):
+        return np.array([1.0, 0.0]) if n < 2 else 0.5
+
+
+class _BaseOfAnotherForm(Level2Sceptic):
+    def predict(self, n, gamma1, gamma2):
+        return 0.5 if n >= 2 else super().predict(n, gamma1, gamma2)
+
+
+@pytest.mark.parametrize("who", ["aggregating", "level3"])
+def test_a_collapsed_pool_is_refused_before_its_inner_moves_are_read(who):
+    # outcome 1 at step 1 costs every member +inf; at step 2 an inner move
+    # (an expert's, the lift's base's) is of another form than the others,
+    # which numpy cannot read as one array: both pool sceptics refuse the
+    # collapsed pool first, at the step
+    sure = ConstantPredictor(np.array([1.0, 0.0]))
+    if who == "aggregating":
+        sceptic = AggregatingSceptic([_SureOfZero(), sure])
+    else:
+        sceptic = Level3Sceptic(_BaseOfAnotherForm(0.0), k_max=2)
+    with pytest.raises(PoolCollapseError, match="step 2: every expert"):
+        run_protocol(ConstantNature(1), sure, sure, sceptic, log_loss_game(m=2), 5, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +716,7 @@ class _DenseAdversary(NatureStrategy):
     def outcome(self, n, gamma1, gamma2, gamma_sceptic):
         pool = self.sceptic
         preds = np.array([e.predict(n) for e in pool.experts])
-        bound = _mixture_loss(_normalized(pool._w),
+        bound = _mixture_loss(_normalized(pool_weights(pool)),
                               self._loss(self.omegas[None, :], preds[:, None]), pool.eta)
         excess = self._loss(self.omegas, gamma_sceptic) - bound
         self.excesses.append(float(excess.max()))

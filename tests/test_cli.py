@@ -337,6 +337,22 @@ def test_divergence_subcommand_square_beyond_the_float_range_is_inf(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == float("inf")
 
 
+# 10^15 float64s, 7.1 PiB: past any address space, so numpy refuses the
+# allocation before it maps anything
+@pytest.mark.parametrize("command", ["run", "divergence"])
+def test_a_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command):
+    if command == "run":
+        path, _ = write_config(tmp_path, horizon=10 ** 15,
+                               nature={"kind": "constant", "params": {"omega": 0.5}})
+        argv = ["run", str(path)]
+    else:
+        argv = ["divergence", "--game", "quartic", "--g1", "-1", "--g2", "1",
+                "--grid-size", str(10 ** 15)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["--game", "log", "--g1", "0.5,0.7", "--g2", "0.3,0.7"],
     ["--game", "log", "--m", "3", "--g1", "0.5,0.5", "--g2", "0.3,0.7"],

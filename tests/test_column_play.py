@@ -8,11 +8,11 @@ as columns, with every per-step method that column play stands in for
 replaced by one that fails (so the case cannot pass by falling back to the
 loop), and as the loop, through a wrapper that delegates to each strategy
 but offers no column form.  The two must agree on every trace column's
-bytes, the report's bytes, the check slacks in hex and, for a pool, its
-worst eq8 step, final log-weights and audit sums, for the threshold lift
-its switch times, worst eq8 step and running sums; a run that fails must
-fail with the same error, message and step, or truncate with the same
-warning.
+bytes, the report's bytes, the check slacks in hex and, for both pool
+sceptics, the final per-member compensated sums, offsets and floors; for a
+pool its worst eq8 step and audit sums, for the threshold lift its switch
+times, worst eq8 step and running sums.  A run that fails must fail with
+the same error, message and step, or truncate with the same warning.
 """
 
 import contextlib
@@ -28,6 +28,7 @@ import pytest
 import jeffreys as j
 from jeffreys.cli import RUN, main
 from jeffreys.sceptics import EQ8_BLOCK
+from pool_reference import pool_weights
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 TRACE_COLUMNS = ("gamma1", "gamma2", "gamma_sceptic", "omega", "loss1", "loss2",
@@ -101,6 +102,14 @@ def _report(trace, sceptic) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+def _pool_state(pool):
+    # the state both pool sceptics share, as bytes: per member its
+    # compensated sums, log-weight offset and eq8 floor
+    sums, comps = pool._sums
+    return {"sums": sums.tobytes(), "comps": comps.tobytes(),
+            "offsets": pool._offsets.tobytes(), "floors": pool._floors.tobytes()}
+
+
 def assert_same_run(case):
     with columns_only():
         ours, sceptic = _play(case, loop=False)
@@ -116,9 +125,10 @@ def assert_same_run(case):
     if sceptic.check:
         assert (float(sceptic.worst_slack(trace)).hex()
                 == float(ref_sceptic.worst_slack(ref_trace)).hex())
+    if isinstance(sceptic, (j.AggregatingSceptic, j.Level3Sceptic)):
+        assert _pool_state(sceptic) == _pool_state(ref_sceptic)
     if isinstance(sceptic, j.AggregatingSceptic):
         assert sceptic.worst_eq8_step == ref_sceptic.worst_eq8_step
-        assert sceptic._w.tobytes() == ref_sceptic._w.tobytes()  # the weights
         assert sceptic.expert_cums.tobytes() == ref_sceptic.expert_cums.tobytes()
         assert sceptic.cum_self.hex() == ref_sceptic.cum_self.hex()
     if isinstance(sceptic, j.Level1Sceptic):
@@ -269,7 +279,7 @@ def test_a_log_loss_pool_far_behind_matches_the_loop():
     # the best expert has lost more than 1024: every weight ln p - eta (s + c)
     # lies below -1024, and nothing shifts them back
     assert sceptic.eta * sceptic.expert_cums.min() > 2 * 512.0
-    assert sceptic._w.max() < -2 * 512.0
+    assert pool_weights(sceptic).max() < -2 * 512.0
 
 
 def test_the_eliminated_expert_pool_matches_the_loop():

@@ -17,7 +17,9 @@ from jeffreys import (GAME_SPECS, DomainError, Game, GameKind, MixabilityViolati
                       game_from_descriptor, is_subprediction,
                       is_superprediction, log_loss_game, points_non_redundant,
                       params_for, quartic_loss_game, square_loss_game)
-from jeffreys.games import DEFAULT_MEMBERSHIP_TOL, _excess, _min_gap
+from jeffreys.divergence import lower_alpha_divergence_numeric, upper_alpha_divergence_numeric
+from jeffreys.games import (DEFAULT_MEMBERSHIP_TOL, _excess, _min_gap, subprediction_gap,
+                            superprediction_gap)
 
 
 def binary_bsq():
@@ -251,11 +253,28 @@ def test_superprediction_monotone_in_domination():
 
 
 def test_membership_rejects_bad_inputs():
-    g = binary_bsq()
+    # a point not of the outcome grid's shape, and a tol that is not positive
+    # and finite, are refused before the gap search builds any array: the
+    # grid's canonical points stay unbuilt
     with pytest.raises(ValueError):
-        is_superprediction(g, [1.0, 1.0, 1.0])
+        is_superprediction(binary_bsq(), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
-        is_superprediction(g, [1.0, 1.0], tol=0.0)
+        is_superprediction(binary_bsq(), [1.0, 1.0], tol=0.0)
+    g, bad_tols = bounded_square_loss_game(), (0.0, -1.0, math.nan, math.inf)
+    questions = (is_superprediction, is_subprediction, superprediction_gap, subprediction_gap)
+    for question in questions:
+        for point in ([0.5], np.full((257, 1), 0.5), np.full(256, 0.5)):
+            with pytest.raises(ValueError, match="outcome grid's shape"):
+                question(g, point)
+        for tol in bad_tols:
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                question(g, np.full(257, 0.5), tol=tol)
+    q = quartic_loss_game()
+    for divergence in (lower_alpha_divergence_numeric, upper_alpha_divergence_numeric):
+        for tol in bad_tols:
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                divergence(q, -1.0, 1.0, 0.0, tol=tol)
+    assert g._loss_matrix is None and q._loss_matrix is None
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +550,17 @@ def test_the_eq8_slack_reduction_has_one_owner():
          "slacks = np.fmin.reduce(np.asarray(bounds), axis=1) - (cum_self + comp_self)")}
 
 
+def test_the_pool_step_has_one_owner():
+    # both pool sceptics step through the shared pool's _move and _settle,
+    # the only per-step log-sum-exps in sceptics.py; no float twin remains
+    hits = _src_lines_matching(re.compile(r"\b_lse1\("))
+    assert {hit for hit in hits if hit[0] == "sceptics.py"} == {
+        ("sceptics.py", "total = _lse1(w)"),
+        ("sceptics.py",
+         "g_played = -_lse1(np.fmax(log_w - self.eta * losses, -math.inf)) / self.eta")}
+    assert _src_lines_matching(re.compile(r"\bdef _lse_floats\b")) == set()
+
+
 def test_the_aggregation_constants_have_one_owner():
     # the domination tolerance beside the closed forms that read it
     assert _src_lines_matching(re.compile(r"\bDOMINATION_TOL =")) == {
@@ -638,8 +668,9 @@ def test_numpy_scalar_and_array_calls_agree_bit_for_bit(name, w):
 
 
 def test_numpy_sums_a_short_row_left_to_right():
-    # the lift's per-step log-sum-exp adds its three exps left to right, and
-    # its column form takes numpy's sum of each row of three
+    # the lift's per-step log-sum-exp (_lse1) sums its three exps as one
+    # row, and its column form (_lse_rows) sums each row of three along an
+    # axis: both left to right
     rng = np.random.default_rng(20091208)
     x = rng.uniform(0.0, 1.0, (20_000, 3)) * 10.0 ** rng.integers(-3, 4, (20_000, 3))
     assert _bits(x.sum(axis=1)) == _bits((x[:, 0] + x[:, 1]) + x[:, 2])
