@@ -7,13 +7,14 @@ the pool's learning rate (Vovk, Competitive on-line statistics, 2001).  The
 resulting cumulative loss trails every expert by at most
 ``C * ln(1 / p_k)`` with ``C = 1 / eta``.
 
-:func:`fixed_pool_mixer` is the one mixing routine, for the pool sceptics,
-prepared once for the experts' predictions: the closed form in the game's
-table entry.  The bounded scalar kinds (bounded square, quartic) take the
-move from ``g`` at the two ends of the outcome interval, where their
-binding constraint sits, and log loss takes the probability mixture.  Moves
-dominate within ``DOMINATION_TOL``, the constant of :mod:`.games`,
-re-exported here.
+:func:`fixed_pool_mixer` is the pool sceptics' per-step mixing routine,
+prepared once for the experts' predictions.  It is the one-row case of the
+closed form in the game's table entry, ``mix_column``, which the pools'
+column blocks call on a block of rows: one form serves both paths.  The
+bounded scalar kinds (bounded square, quartic) take the move from ``g`` at
+the two ends of the outcome interval, where their binding constraint sits,
+and log loss takes the probability mixture.  Moves dominate within
+``DOMINATION_TOL``, the constant of :mod:`.games`, re-exported here.
 
 The weights the mix takes are the pool sceptics' own: their one pool keeps
 them per member as an offset (``ln p_k`` for a fixed pool) less eta times
@@ -24,7 +25,8 @@ them at each move.
 from __future__ import annotations
 
 from .errors import MixabilityViolation
-from .games import DOMINATION_TOL, Game, MixabilityParams, check_perfectly_mixable
+from .games import (DOMINATION_TOL, Game, MixabilityParams, _first_row,
+                    check_perfectly_mixable)
 
 
 def params_for(game: Game) -> MixabilityParams:
@@ -44,19 +46,20 @@ def params_for(game: Game) -> MixabilityParams:
 
 def fixed_pool_mixer(game: Game, eta: float, preds):
     """The aggregating move for fixed expert predictions, ``log_w -> prediction``:
-    the closed form in the game's table entry, prepared here once for
-    ``preds``.  Raises MixabilityViolation where the kind has none at
-    ``eta``, or where a move does not dominate the mixture loss within
-    ``DOMINATION_TOL``."""
-    closed = game.spec.mix(preds, eta) if game.spec.mix is not None else None
-    if closed is None:
+    the one-row case of the game's ``mix_column``, prepared here once for
+    ``preds``, so a step plays the arithmetic of the column forms.  Raises
+    MixabilityViolation where the kind has none at ``eta``, or where a move
+    does not dominate the mixture loss within ``DOMINATION_TOL``."""
+    mix_column = game.spec.mix_column
+    column = mix_column(preds, eta) if mix_column is not None else None
+    if column is None:
         raise MixabilityViolation(
             f"no closed-form mix for the {game.kind.value} game at eta={eta}")
 
     def mix(log_w):
-        gamma = closed(log_w)
-        if gamma is None:
+        gammas = column(log_w[None])
+        if gammas is None:
             raise MixabilityViolation(
                 f"the mixed move exceeds the mixture loss by more than {DOMINATION_TOL:.3g}")
-        return gamma
+        return _first_row(gammas)
     return mix

@@ -42,11 +42,12 @@ it sits in one table, ``GAME_SPECS``: one :class:`GameSpec` per kind, with
 the loss kernel, bounds and outcome type, the map from a prediction-grid
 parameter to a prediction, and the closed forms the kind has (the
 divergence and the trace's gap column, the level-2 move, the aggregating
-pool's move, and the mixability constant).  Other modules read a
-game's entry, ``game.spec``, once, when they build a game, reset a strategy
-or parse a command, and never per step.  A kind without a closed form
-takes the numeric path (the gap search below), so adding a kind is one
-entry.
+pool's move, and the mixability constant).  Each is written once, as a
+column form over a run's moves: one form serves both paths, as a step is
+its one-row case.  Other modules read a game's entry, ``game.spec``, once,
+when they build a game, reset a strategy or parse a command, and never per
+step.  A kind without a closed form takes the numeric path (the gap search
+below), so adding a kind is one entry.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DivergenceOverestimate, DomainError
+from .errors import DomainError
 
 Prediction = Union[float, np.ndarray]
 
@@ -118,31 +119,31 @@ class GameSpec:
     """One game kind: its loss, and what is known about it in closed form.
 
     Closed forms are factories, called once where a run starts, that return
-    the per-step function.  Column forms (``loss_column``, ``trace_gap``,
-    the function ``divergence`` returns) take a run's move columns, one row
-    per step, and return float64 arrays, bit for bit the per-move
-    arithmetic.  A kind with a ``level2`` move has its ``level2_column``
-    and its ``divergence`` too: the move's profile is the weighted mean
-    shifted down by exactly that.  Every kind the pool sceptics accept
-    (a positive ``eta_star`` on bounded outcomes) has a ``mix`` and its
-    ``mix_column``: the pool's move in closed form, prepared once for the
-    experts' predictions, which gives None where it does not dominate the
-    mixture loss within the constant ``DOMINATION_TOL``.  The bounded scalar
-    kinds take it from the mixture loss at the ends of the outcome interval,
-    log loss as the probability mixture.  ``level2_column`` and
-    ``mix_column`` are the column forms of ``level2`` and ``mix``, one row
-    per step, bit for bit the per-step moves; they give None for the whole
+    the function a run calls.  Column forms (``loss_column``, ``trace_gap``,
+    the function ``divergence`` returns, ``level2_column``, ``mix_column``)
+    take a run's move columns, one row per step, and return float64 arrays,
+    bit for bit the per-move arithmetic.  Each is written once: one form
+    serves both paths, and the per-step level-2 move and pool move are the
+    column form called on one row.  A kind with a ``level2_column`` has its
+    ``divergence`` too: the move's profile is the weighted mean shifted down
+    by exactly that.  Every kind the pool sceptics accept (a positive
+    ``eta_star`` on bounded outcomes) has a ``mix_column``: the pool's move
+    in closed form, prepared once for the experts' predictions, which gives
+    None where it does not dominate the mixture loss within the constant
+    ``DOMINATION_TOL``.  The bounded scalar kinds take it from the mixture
+    loss at the ends of the outcome interval, log loss as the probability
+    mixture.  ``level2_column`` and ``mix_column`` give None for the whole
     column where any row has no closed-form move, and the per-step loop
-    plays the run.  ``mix_column`` takes the experts' predictions shared by
-    every step, ``(K,)`` or ``(K, m)``, or one row of them per step,
-    ``(B, K)`` or ``(B, K, m)``.  ``candidates``, prepared once per search
-    for a weighted mean ``w1 lambda(g1) + w2 lambda(g2)`` on the outcome
-    interval ``[lo, hi]``, maps an array of predictions to at most 4
-    outcomes each, ``(C, *params.shape)`` or an array that broadcasts to
-    it: those where a prediction's canonical point's excess over the mean,
-    or the mean's over it, attains its max over the interval.  A kind
-    without it (log loss) takes that max over its outcome grid, which is
-    its whole outcome space.
+    plays the run, which raises at the step without one.  ``mix_column``
+    takes the experts' predictions shared by every step, ``(K,)`` or
+    ``(K, m)``, or one row of them per step, ``(B, K)`` or ``(B, K, m)``.
+    ``candidates``, prepared once per search for a weighted mean
+    ``w1 lambda(g1) + w2 lambda(g2)`` on the outcome interval ``[lo, hi]``,
+    maps an array of predictions to at most 4 outcomes each,
+    ``(C, *params.shape)`` or an array that broadcasts to it: those where a
+    prediction's canonical point's excess over the mean, or the mean's over
+    it, attains its max over the interval.  A kind without it (log loss)
+    takes that max over its outcome grid, which is its whole outcome space.
     """
 
     kernel: Callable          # (omega, gamma) -> loss, unvalidated, one move
@@ -156,9 +157,7 @@ class GameSpec:
     trace_gap: Callable       # (gammas1, gammas2) -> the trace's gap column
     eta_star: Callable        # outcome span W -> the largest eta the game is mixable at
     divergence: Optional[Callable] = None   # (game, alpha) -> (gammas1, gammas2) -> column
-    level2: Optional[Callable] = None       # (game, w1, w2) -> (g1, g2) -> level-2 move
     level2_column: Optional[Callable] = None  # (game, w1, w2) -> (gammas1, gammas2) -> moves
-    mix: Optional[Callable] = None          # (preds, eta) -> (log_w -> pool move)
     mix_column: Optional[Callable] = None   # (preds, eta) -> (log_w rows -> pool moves)
     candidates: Optional[Callable] = None   # (lo, hi, g1, g2, w1, w2) -> (params -> outcomes)
 
@@ -573,10 +572,20 @@ def _square_divergence(game, alpha):
     return div
 
 
+def _every(flags: np.ndarray) -> bool:
+    # flags.all(), several times quicker on the one row a per-step move passes
+    return np.count_nonzero(flags) == flags.size
+
+
+def _first_row(moves: np.ndarray):
+    # a column form's one row as a per-step move: a Python float for a scalar
+    # kind, as the bundled players move, and a vector otherwise
+    return moves[0] if moves.ndim > 1 else float(moves[0])
+
+
 def _square_level2(game, w1, w2):
     # the weighted mean prediction: its profile is the weighted mean of the
-    # profiles shifted down by w1 w2 (g1 - g2)^2, the divergence's shift;
-    # elementwise, it is its own column form
+    # profiles shifted down by w1 w2 (g1 - g2)^2, the divergence's shift
     return lambda g1, g2: w1 * g1 + w2 * g2
 
 
@@ -604,43 +613,16 @@ def _log_divergence(game, alpha: float):
     return div
 
 
-def _log_level2(game, w1, w2):
-    # the normalized geometric mixture: its profile is the weighted mean of
-    # the profiles shifted down by minus the log-affinity.  Each move's
-    # powers take one call with a scalar exponent, as the column form's do:
-    # numpy takes a scalar exponent of 0.5 as a square root, and an array of
-    # exponents as powers
-    if game.m == 2:
-        power, asarray, array = np.power, np.asarray, np.array  # looked up once, not per step
-
-        def move2(g1, g2):
-            a1, b1 = power(asarray(g1, float), w1).tolist()
-            a2, b2 = power(asarray(g2, float), w2).tolist()
-            a, b = a1 * a2, b1 * b2
-            total = a + b
-            if total <= 0.0:
-                raise DivergenceOverestimate(
-                    "predictions have disjoint support; divergence is infinite")
-            return array((a / total, b / total))
-        return move2
-
-    def move(g1, g2):
-        raw = np.power(np.asarray(g1, dtype=float), w1) * np.power(np.asarray(g2, dtype=float), w2)
-        total = float(raw.sum())
-        if total <= 0.0:
-            raise DivergenceOverestimate(
-                "predictions have disjoint support; divergence is infinite")
-        return raw / total
-    return move
-
-
 def _log_level2_column(game, w1, w2):
-    # the per-step move over columns: the two-term total a + b for two
+    # the normalized geometric mixture: its profile is the weighted mean of
+    # the profiles shifted down by minus the log-affinity.  The powers take
+    # a scalar exponent, as the divergence's do (numpy takes a scalar
+    # exponent of 0.5 as a square root); the total is a + b for two
     # outcomes, and None where a row's supports are disjoint
     def moves(g1, g2):
         raw = np.power(g1, w1) * np.power(g2, w2)
         total = raw[:, 0] + raw[:, 1] if game.m == 2 else raw.sum(axis=1)
-        return raw / total[:, None] if (total > 0.0).all() else None
+        return raw / total[:, None] if _every(total > 0.0) else None
     return moves
 
 
@@ -661,82 +643,61 @@ def _quartic_move(g0, g1):
     return 1.1547005383792517 * np.sinh(np.arcsinh(0.3247595264191645 * (g0 - g1)) / 3.0)
 
 
-def _endpoint_mix(kernel, bounds, move) -> dict:
-    """``mix`` and ``mix_column`` of a bounded scalar kind, whose binding
-    constraint sits at the ends of the outcome interval ``bounds`` (Haussler,
-    Kivinen & Warmuth, IEEE Trans. IT 1998): ``move`` of the mixture loss g
-    at the two ends, clamped to the interval, and None unless its excesses
-    over g there are within ``DOMINATION_TOL``.  Checked at the ends, it
-    dominates in between: on bounded square because ``(omega - gamma)^2 -
-    g(omega)`` is convex for eta <= 2 mixtures; on quartic as an empirical
-    claim, held by a seeded property test over random mixtures and a dense
-    adversary.  ``move`` takes Python floats and arrays alike, bit for bit.
+def _endpoint_mix(kernel, bounds, move):
+    """``mix_column`` of a bounded scalar kind, whose binding constraint
+    sits at the ends of the outcome interval ``bounds`` (Haussler, Kivinen &
+    Warmuth, IEEE Trans. IT 1998): ``move`` of the mixture loss g at the two
+    ends, clamped to the interval, and None unless its excesses over g there
+    are within ``DOMINATION_TOL``.  Checked at the ends, it dominates in
+    between: on bounded square because ``(omega - gamma)^2 - g(omega)`` is
+    convex for eta <= 2 mixtures; on quartic as an empirical claim, held by
+    a seeded property test over random mixtures and a dense adversary.  One
+    form serves both paths: the pool's per-step move is its one-row case.
     An expert whose move is NaN drops out of g."""
     lo, hi = bounds
     ends = np.array(bounds)[:, None]
 
-    def mix(preds, eta):
-        # the experts' eta-scaled losses at the ends, one row per end
-        scaled = eta * kernel(ends, preds)
-
-        def step(log_w):
-            g0, g1 = (-_lse_rows(np.fmax(log_w - scaled, -math.inf)) / eta).tolist()
-            gamma = min(hi, max(lo, float(move(g0, g1))))
-            excess = max(kernel(lo, gamma) - g0, kernel(hi, gamma) - g1)
-            return gamma if excess <= DOMINATION_TOL else None
-        return step
-
     def mix_column(preds, eta):
-        # mix over (B, K) rows of log-weights, for the same (K,) predictions
+        # over (B, K) rows of log-weights, for the same (K,) predictions
         # every step or (B, K) of their own per step: each step's two end
-        # rows, log-sum-exped as _lse_rows takes them.  Python's max and min
-        # keep their first argument on a tie and take a NaN move to lo; None
-        # unless every row dominates
+        # rows, the experts' eta-scaled losses at the ends, log-sum-exped as
+        # _lse_rows takes them, give g at the ends, (B, 2); None unless every
+        # row's excesses over g at both ends are within DOMINATION_TOL
         scaled = eta * kernel(ends, preds[..., None, :])
 
         def moves(log_w):
             exponents = np.fmax(log_w[:, None, :] - scaled, -math.inf)
-            g = -_lse_rows(exponents.reshape(-1, preds.shape[-1])) / eta
-            g0, g1 = g[0::2], g[1::2]
-            v = move(g0, g1)
-            v = np.where(v > lo, v, lo)
-            gamma = np.where(v < hi, v, hi)
-            low, high = kernel(lo, gamma) - g0, kernel(hi, gamma) - g1
-            return gamma if (np.where(high > low, high, low) <= DOMINATION_TOL).all() else None
+            g = (-_lse_rows(exponents.reshape(-1, preds.shape[-1])) / eta).reshape(-1, 2)
+            # g is +inf at both ends where every weighted expert's move is
+            # NaN: the move is NaN, which the clamp takes to lo
+            with np.errstate(invalid="ignore"):
+                v = move(g[:, 0], g[:, 1])
+            gamma = np.fmin(np.fmax(v, lo), hi)
+            excess = kernel(ends.T, gamma[:, None]) - g  # (B, 2): at lo, at hi
+            return gamma if _every(excess <= DOMINATION_TOL) else None
         return moves
-    return dict(mix=mix, mix_column=mix_column)
-
-
-def _log_mix(preds, eta):
-    # at eta = 1, exp(-g) of the mixture loss g is the weighted mean of the
-    # probability vectors; an expert whose move is NaN drops out of it, as
-    # out of the mixture loss.  Normalized weights give it a mass of at most
-    # one, so renormalizing only raises it; None where the mass is not in
-    # (0, 1 + DOMINATION_TOL], as _log_mix_column gives
-    if eta != 1.0:
-        return None
-    preds = np.where(np.isnan(preds), 0.0, preds)
-
-    def move(log_w):
-        raw = np.exp(log_w) @ preds
-        total = float(raw.sum())
-        return raw / total if 0.0 < total <= 1.0 + DOMINATION_TOL else None
-    return move
+    return mix_column
 
 
 def _log_mix_column(preds, eta):
-    # _log_mix over (B, K) rows, for the same (K, m) predictions every step
-    # or (B, K, m) of their own per step: one (1, K) @ (K, m) product per
-    # row, as the step takes it (a single (B, K) @ (K, m) product differs in
-    # the last bit), and None where a row's total is not in (0, 1 + DOMINATION_TOL]
+    # at eta = 1, exp(-g) of the mixture loss g is the weighted mean of the
+    # probability vectors; an expert whose move is NaN drops out of it, as
+    # out of the mixture loss.  Over (B, K) rows of log-weights, for the same
+    # (K, m) predictions every step or (B, K, m) of their own per step: one
+    # (1, K) @ (K, m) product per row, so a row's move does not depend on the
+    # others (a single (B, K) @ (K, m) product differs in the last bit).
+    # Normalized weights give the mixture a mass of at most one, so
+    # renormalizing only raises it; None where a row's mass is not in
+    # (0, 1 + DOMINATION_TOL]
     if eta != 1.0:
         return None
+    preds = np.where(np.isnan(preds), 0.0, preds)
 
     def moves(log_w):
         raw = np.matmul(np.exp(log_w)[:, None, :], preds)[:, 0]
         total = raw.sum(axis=1)
         ok = (total > 0.0) & (total <= 1.0 + DOMINATION_TOL)
-        return raw / total[:, None] if ok.all() else None
+        return raw / total[:, None] if _every(ok) else None
     return moves
 
 
@@ -823,12 +784,12 @@ GAME_SPECS = {
         candidates=_kink_candidates),
     GameKind.SQUARE: _scalar_spec(
         _square_kernel, (None, None), square_loss_game, _square_eta_star,
-        divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
+        divergence=_square_divergence, level2_column=_square_level2,
         candidates=_end_candidates),
     GameKind.BOUNDED_SQUARE: _scalar_spec(
         _square_kernel, (_UNIT, _UNIT), bounded_square_loss_game, _square_eta_star,
-        divergence=_square_divergence, level2=_square_level2, level2_column=_square_level2,
-        candidates=_end_candidates, **_endpoint_mix(_square_kernel, _UNIT, _square_move)),
+        divergence=_square_divergence, level2_column=_square_level2,
+        candidates=_end_candidates, mix_column=_endpoint_mix(_square_kernel, _UNIT, _square_move)),
     GameKind.BOUNDED_ABSOLUTE: _scalar_spec(
         _absolute_kernel, (_UNIT, _UNIT), bounded_absolute_loss_game, _absolute_eta_star,
         candidates=_kink_candidates),
@@ -836,16 +797,15 @@ GAME_SPECS = {
         _quartic_kernel, ((-1.0, 1.0), (-1.0, 1.0)),
         lambda grid_size: quartic_loss_game(prediction_grid_size=grid_size),
         _quartic_eta_star, candidates=_quartic_candidates,
-        **_endpoint_mix(_quartic_kernel, (-1.0, 1.0), _quartic_move)),
+        mix_column=_endpoint_mix(_quartic_kernel, (-1.0, 1.0), _quartic_move)),
     GameKind.LOG_LOSS: GameSpec(
         kernel=_log_kernel, losses=_log_losses, loss_column=_log_loss_column,
         param_losses=_binary_log_param_losses,
         bounds=lambda m: ((0.0, float(m - 1)), _UNIT), outcome_type=int,
         from_param=lambda u: np.array([1.0 - u, u]),
         make=lambda grid_size, m: log_loss_game(m=m, grid_size=grid_size),
-        trace_gap=_log_gap, eta_star=lambda w: 1.0, level2=_log_level2,
-        level2_column=_log_level2_column, divergence=_log_divergence,
-        mix=_log_mix, mix_column=_log_mix_column),
+        trace_gap=_log_gap, eta_star=lambda w: 1.0, level2_column=_log_level2_column,
+        divergence=_log_divergence, mix_column=_log_mix_column),
 }
 
 

@@ -54,7 +54,7 @@ from .aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
                      PoolCollapseError, ProtocolViolationError)
 from .divergence import mean_gap
-from .games import Game, Prediction, _lse1, _lse_rows, _scale, alpha_weights
+from .games import Game, Prediction, _first_row, _lse1, _lse_rows, _scale, alpha_weights
 from .players import ConstantPredictor, _column, plays_own
 
 
@@ -137,6 +137,8 @@ class Level2Sceptic(ScepticStrategy):
     Games with a closed form in their table entry play it: the exact
     weighted mean of the predictions for the square-loss family, the
     normalized geometric mixture for log-loss; neither consumes any slack.
+    The form is the entry's ``level2_column``, prepared once at reset:
+    ``predict_column`` calls it on the run's columns, ``predict`` on one row.
     Other games play the prediction whose canonical point attains the
     numeric lower divergence: one gap search over the prediction grid for
     the point furthest below the weighted mean of the predictors' canonical
@@ -170,19 +172,26 @@ class Level2Sceptic(ScepticStrategy):
     def reset(self, game, rng, horizon):
         self._game = game
         self._achieved = []
-        if game.spec.level2 is None:
-            self._move = self._numeric_move
-        else:
-            self._move = game.spec.level2(game, *self._weights)
+        level2_column = game.spec.level2_column
+        self._column = None if level2_column is None else level2_column(game, *self._weights)
+        self._move = self._numeric_move if self._column is None else self._closed_move
 
     def predict(self, n, gamma1, gamma2):
         return self._move(gamma1, gamma2)
 
     def predict_column(self, gammas1, gammas2, omegas):
-        spec = self._game.spec
-        if spec.level2 is None:
+        if self._column is None:
             return self._numeric_column(gammas1, gammas2)
-        return spec.level2_column(self._game, *self._weights)(gammas1, gammas2)
+        return self._column(gammas1, gammas2)
+
+    def _closed_move(self, gamma1, gamma2):
+        # the closed form's column form on one row
+        moves = self._column(np.asarray(gamma1, dtype=float)[None],
+                             np.asarray(gamma2, dtype=float)[None])
+        if moves is None:
+            raise DivergenceOverestimate(
+                "predictions have disjoint support; divergence is infinite")
+        return _first_row(moves)
 
     def _numeric_column(self, gammas1, gammas2):
         # one search per distinct pair of moves (told apart by their bits),
@@ -205,7 +214,7 @@ class Level2Sceptic(ScepticStrategy):
 
     def divergence_column(self, gammas1, gammas2):
         # a truncated run made one move more than it recorded
-        if self._game.spec.level2 is None:
+        if self._column is None:
             return np.array(self._achieved[:len(gammas1)], dtype=float)
         return self._game.spec.divergence(self._game, self.alpha)(gammas1, gammas2)
 

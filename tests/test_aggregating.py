@@ -216,10 +216,9 @@ def test_substitute_flags_excessive_eta():
         _aa_step(_uniform(2), [0.05, 0.95], bounded_square_loss_game(), 4.0)
     with pytest.raises(MixabilityViolation, match="no closed-form mix"):
         _aa_step(_uniform(2), [[0.05, 0.95], [0.95, 0.05]], log_loss_game(m=2), 4.0)
-    # weights that sum to two give log loss's mixture a mass of two: neither
-    # form has a move, and the mixer names it
+    # weights that sum to two give log loss's mixture a mass of two: the
+    # closed form has no move, and the mixer names it
     game, preds, log_w = log_loss_game(m=2), np.array([[0.3, 0.7], [0.8, 0.2]]), np.zeros(2)
-    assert game.spec.mix(preds, 1.0)(log_w) is None
     assert game.spec.mix_column(preds, 1.0)(log_w[None]) is None
     with pytest.raises(MixabilityViolation, match="mixture loss by more than"):
         fixed_pool_mixer(game, 1.0, preds)(log_w)
@@ -498,6 +497,13 @@ EQUIVALENCE_CASES = {
                                      ConstantPredictor(np.array([0.3, 0.7])),
                                      ConstantPredictor(np.array([0.8, 0.2]))],
         _COIN, IidBernoulliNature(0.6), 50, 1),
+    # every expert turns NaN at step 10: the mixture loss is +inf at both
+    # ends, the move is the clamp's lo, and the pool collapses at step 11
+    **{f"{name}_every_expert_nan": (lambda g=game, lo=lo: _pool_case(
+        g, lambda: [_NanFrom(10, 0.3), _NanFrom(10, 0.7)], 0.5, IidUniformNature(lo, 1.0),
+        50, 4))
+       for name, game, lo in (("bounded_square", bounded_square_loss_game(), 0.0),
+                              ("quartic", quartic_loss_game(outcome_grid_size=65), -1.0))},
     # deficient priors on a log-loss pool whose weights fall far below zero
     "deficient_priors": lambda: _pool_case(log_loss_game(m=2),
                                            lambda: _log_experts(_SPREAD7), _COIN,
@@ -550,6 +556,8 @@ def test_folded_audit_matches_the_per_step_reference(name):
     assert failure == ref_failure
     if name == "collapse":
         assert failure == (PoolCollapseError, 4)
+    if name.endswith("every_expert_nan"):
+        assert failure == (PoolCollapseError, 11)
     if name.endswith("nan_expert"):  # the NaN move drops its expert; the run goes on
         assert failure is None and ours.worst_eq8_slack >= -1e-9
     if trace is not None:
@@ -644,23 +652,19 @@ def test_mixability_violation_at_the_reference_step(bad_mix_from_step_40):
 
 
 def _none_from_step_40(game):
-    # the game, with a mix whose move is None from the 40th it makes on, and
-    # a column form that gives None for any column of 40 rows or more
+    # the game, with a column form that gives None for every row from the
+    # 40th move it makes after it is prepared, and the rows of each call
     spec, columns = game.spec, []
 
-    def mix(preds, eta):
-        closed, made = spec.mix(preds, eta), []
-
-        def move(log_w):
-            made.append(None)
-            return closed(log_w) if len(made) < 40 else None
-        return move
-
     def mix_column(preds, eta):
-        closed = spec.mix_column(preds, eta)
-        return lambda log_w: columns.append(len(log_w)) or (
-            closed(log_w) if len(log_w) < 40 else None)
-    game.spec = dataclasses.replace(spec, mix=mix, mix_column=mix_column)
+        closed, made = spec.mix_column(preds, eta), []
+
+        def moves(log_w):
+            columns.append(len(log_w))
+            made.extend([None] * len(log_w))
+            return closed(log_w) if len(made) < 40 else None
+        return moves
+    game.spec = dataclasses.replace(spec, mix_column=mix_column)
     return game, columns
 
 
@@ -675,7 +679,8 @@ def test_a_mix_without_a_dominating_move_fails_naming_its_step(loop):
     with pytest.raises(MixabilityViolation, match=r"^step 40: the mixed move exceeds"):
         run_protocol(IidUniformNature(0.0, 1.0), ConstantPredictor(0.5),
                      ConstantPredictor(0.5), sceptic, game, 500, seed=12)
-    assert columns == ([] if loop else [EQ8_BLOCK])
+    # the loop's steps are one-row calls, the 40th without a move
+    assert columns == ([] if loop else [EQ8_BLOCK]) + [1] * 40
 
 
 def test_audit_memory_is_independent_of_the_horizon():

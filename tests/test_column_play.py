@@ -341,7 +341,8 @@ def test_learning_predictors_match_the_loop(game):
     lo, hi = game.bounds()[0] or (-0.2, 1.3)
     nature = ((lambda: j.IidBernoulliNature(0.4)) if game.prediction_shape
               else (lambda: j.IidUniformNature(lo, hi)))
-    sceptic = j.Level1Sceptic if game.spec.level2 is None else (lambda: j.Level2Sceptic(0.3))
+    sceptic = (j.Level1Sceptic if game.spec.level2_column is None
+               else (lambda: j.Level2Sceptic(0.3)))
     pairs = [(lambda: j.NoisyTargetPredictor(0.6, 0.15), lambda: j.DriftPredictor(0.1, 1e-3)),
              (lambda: j.RunningMeanPredictor(-0.0), lambda: j.DriftPredictor(1.2, -2e-3))]
     for first, second in pairs:

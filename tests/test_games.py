@@ -1,6 +1,7 @@
 """Game definitions, canonical points, and geometric predicates."""
 
 import ast
+import dataclasses
 import inspect
 import math
 import os
@@ -11,15 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jeffreys import (GAME_SPECS, DomainError, Game, GameKind, MixabilityViolation,
+from jeffreys import (GAME_SPECS, AggregatingSceptic, ConstantPredictor, DomainError, Game,
+                      GameKind, IidBernoulliNature, IidUniformNature, Level2Sceptic,
+                      MixabilityViolation, RunningMeanPredictor,
                       absolute_loss_game, bounded_absolute_loss_game, bounded_square_loss_game,
                       check_non_redundant, check_perfectly_mixable,
                       game_from_descriptor, is_subprediction,
                       is_superprediction, log_loss_game, points_non_redundant,
-                      params_for, quartic_loss_game, square_loss_game)
+                      params_for, quartic_loss_game, run_protocol, square_loss_game)
 from jeffreys.divergence import lower_alpha_divergence_numeric, upper_alpha_divergence_numeric
-from jeffreys.games import (DEFAULT_MEMBERSHIP_TOL, _excess, _min_gap, subprediction_gap,
-                            superprediction_gap)
+from jeffreys.games import (DEFAULT_MEMBERSHIP_TOL, GameSpec, _excess, _min_gap,
+                            subprediction_gap, superprediction_gap)
 
 
 def binary_bsq():
@@ -561,6 +564,50 @@ def test_the_pool_step_has_one_owner():
     assert _src_lines_matching(re.compile(r"\bdef _lse_floats\b")) == set()
 
 
+def test_each_closed_form_is_written_once():
+    # the per-step level-2 move and pool move are their column forms' one-row
+    # case: no per-step twin is defined, and the table has no field for one
+    assert _src_lines_matching(re.compile(r"\bdef _log_(level2|mix)\b")) == set()
+    assert not {f.name for f in dataclasses.fields(GameSpec)} & {"level2", "mix"}
+
+
+def _spy_on(game: Game, form: str):
+    # the game, with its table entry's column form ``form`` wrapped to record
+    # the rows of each call of the prepared function
+    prepare, rows = getattr(game.spec, form), []
+
+    def spied_prepare(*args):
+        column = prepare(*args)
+        if column is None:
+            return None
+
+        def spied(first, *rest):
+            rows.append(len(first))
+            return column(first, *rest)
+        return spied
+    game.spec = dataclasses.replace(game.spec, **{form: spied_prepare})
+    return game, rows
+
+
+@pytest.mark.parametrize("form", ["level2_column", "mix_column"])
+def test_the_loop_plays_the_column_form_one_row_per_step(form):
+    # a loop-played level-2 run on binary log loss and a loop-played pool of
+    # constants each call their column form once a step, on one row
+    if form == "level2_column":
+        game, rows = _spy_on(log_loss_game(m=2), form)
+        nature = IidBernoulliNature(0.6)
+        predictors = ConstantPredictor([0.7, 0.3]), RunningMeanPredictor()
+        sceptic = Level2Sceptic(0.3)
+    else:
+        game, rows = _spy_on(bounded_square_loss_game(), form)
+        nature = IidUniformNature(0.0, 1.0)
+        predictors = ConstantPredictor(0.3), ConstantPredictor(0.7)
+        sceptic = AggregatingSceptic([ConstantPredictor(p) for p in (0.2, 0.5, 0.8)])
+    sceptic.predict = sceptic.predict  # a predict set on the instance: the engine plays the loop
+    run_protocol(nature, *predictors, sceptic, game, 30, seed=5)
+    assert rows == [1] * 30
+
+
 def test_the_aggregation_constants_have_one_owner():
     # the domination tolerance beside the closed forms that read it
     assert _src_lines_matching(re.compile(r"\bDOMINATION_TOL =")) == {
@@ -569,14 +616,11 @@ def test_the_aggregation_constants_have_one_owner():
 
 @pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
 def test_every_closed_form_has_its_column_form(kind):
-    # the level-2 sceptic plays a kind's level2_column wherever it has a
-    # level2 move, and reads its divergence; a pool's column form takes the
-    # mix_column of a kind with a mix
+    # the level-2 sceptic plays a kind's level2_column, per step and in
+    # columns, wherever it has one, and reads its divergence
     spec = GAME_SPECS[kind]
-    if spec.level2 is not None:
-        assert spec.level2_column is not None and spec.divergence is not None
-    if spec.mix is not None:
-        assert spec.mix_column is not None
+    if spec.level2_column is not None:
+        assert spec.divergence is not None
 
 
 @pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
@@ -587,15 +631,14 @@ def test_every_kind_the_pools_accept_has_its_mix(kind):
     try:
         eta = params_for(game).eta
     except MixabilityViolation:
-        assert GAME_SPECS[kind].mix is None and GAME_SPECS[kind].mix_column is None
+        assert GAME_SPECS[kind].mix_column is None
         return
     preds = np.array([game.prediction_from_param(u) for u in (0.2, 0.5, 0.9)]) \
         if game.prediction_shape == () else np.full((2, 3), 1.0 / 3.0)
-    assert GAME_SPECS[kind].mix(preds, eta) is not None
     assert GAME_SPECS[kind].mix_column(preds, eta) is not None
 
 
-@pytest.mark.parametrize("form", ["mix", "mix_column"])
+@pytest.mark.parametrize("form", ["mix_column"])
 def test_no_closed_form_of_the_pool_takes_a_tolerance(form):
     closed = [f for f in (getattr(spec, form) for spec in GAME_SPECS.values()) if f is not None]
     assert closed and all("tol" not in inspect.signature(f).parameters for f in closed)

@@ -76,7 +76,7 @@ def test_level2_log_loss_geometric_mean():
 def _closed_form_level2_games():
     # every table entry with a closed-form level-2 move, plus log loss at m = 3
     games = [game_from_descriptor({"kind": kind.value})
-             for kind, spec in GAME_SPECS.items() if spec.level2]
+             for kind, spec in GAME_SPECS.items() if spec.level2_column]
     return games + [log_loss_game(m=3)]
 
 
@@ -91,7 +91,7 @@ def test_closed_form_level2_profile_is_mean_minus_shift(game):
             g1, g2 = (game.prediction_from_param(u) for u in rng.uniform(0.05, 0.95, 2))
         alpha = rng.uniform(-0.9, 0.9)
         w1, w2 = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
-        move = game.spec.level2(game, w1, w2)(g1, g2)
+        move = game.spec.level2_column(game, w1, w2)(np.array([g1]), np.array([g2]))[0]
         shift = game.spec.divergence(game, alpha)([g1], [g2])[0] * (1.0 - alpha * alpha) / 4.0
         mean = w1 * game.canonical_point(g1) + w2 * game.canonical_point(g2)
         assert np.max(np.abs(game.canonical_point(move) - (mean - shift))) <= 1e-9

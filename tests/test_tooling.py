@@ -8,12 +8,14 @@ suite, and not first in a benchmark run.  Each case plays one traced cycle
 of a workload in a fresh process, as ``perfbench/run.py --trace 1`` does.
 The tracer skips a name it does not find, so its lists are also checked
 against the library: a renamed function would otherwise read 0 unnoticed.
+The package's numpy floor is checked against what the library calls.
 """
 
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -72,3 +74,12 @@ def test_every_name_the_tracer_wraps_resolves_in_the_library():
     assert [name for name in player_methods
             if not any(callable(getattr(base, name, None))
                        for base in (players.PredictorStrategy, players.NatureStrategy))] == []
+
+
+def test_the_numpy_floor_has_generator_spawn():
+    # AggregatingSceptic.reset draws one stream per expert with
+    # Generator.spawn, which numpy added in 1.25
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        floor = re.search(r'"numpy>=([0-9.]+)"', fh.read())
+    assert floor is not None
+    assert tuple(int(part) for part in floor.group(1).split(".")) >= (1, 25)
