@@ -10,7 +10,8 @@ Three constructions, ordered by the strength of what they certify:
   with zero divergence (absolute loss), weights the two predictors by an
   odd saturating function of their loss difference; its exact
   integral/triangle ledger of its excess over their average loss,
-  ``level1_ledger``, is read off the finished trace's loss columns;
+  ``level1_ledger``, is read off the finished trace's loss columns, and
+  counts the rounding of the loss difference's own running sum;
 * the threshold lift (``Level3Sceptic``): aggregates a doubly-indexed
   pool of experts that mimic a base sceptic until a predictor falls a
   power-of-two behind it, then permanently defect to that predictor;
@@ -34,8 +35,7 @@ Column forms (``predict_column``) play a whole run from the validated
 columns of both predictors' moves and of the outcomes.  Against a Nature
 that replies to the current moves the outcomes come last, so the column
 form is first told ``omegas=None``: level 2, whose moves read no outcome,
-plays (its closed form over the columns, or one gap search per distinct
-pair of moves); level 1, the aggregating pool and the threshold lift,
+plays (its one move routine, which a step plays on one row); level 1, the aggregating pool and the threshold lift,
 which read past outcomes, give None, and the engine plays them against
 guessed outcome columns until Nature's reply to one is the guess.  The
 lift plays its base's column form where the engine's rule lets it stand in
@@ -137,20 +137,19 @@ class Level2Sceptic(ScepticStrategy):
     Games with a closed form in their table entry play it: the exact
     weighted mean of the predictions for the square-loss family, the
     normalized geometric mixture for log-loss; neither consumes any slack.
-    The form is the entry's ``level2_column``, prepared once at reset:
-    ``predict_column`` calls it on the run's columns, ``predict`` on one row.
+    The form is the entry's ``level2_column``, prepared once at reset.
     Other games play the prediction whose canonical point attains the
     numeric lower divergence: one gap search over the prediction grid for
     the point furthest below the weighted mean of the predictors' canonical
-    points.  That search is exact on the whole outcome interval, not only
-    at grid outcomes (the outcome grid decides only the vector membership
-    predicates), so the move lies below the mean less its shift at every
-    outcome Nature may play.  Its shift is the divergence by definition, so
-    no slack is spent either.  ``reset`` picks one of the two for the run.
-    Neither reads an outcome, so the column form plays whether or not the
-    outcomes are known; on games without a closed form it runs one gap
-    search per distinct pair of moves, and gives None where any would
-    raise, so that the loop raises at its step.
+    points, run once per distinct pair of moves.  That search is exact on
+    the whole outcome interval, not only at grid outcomes (the outcome grid
+    decides only the vector membership predicates), so the move lies below
+    the mean less its shift at every outcome Nature may play.  Its shift is
+    the divergence by definition, so no slack is spent either.  One routine
+    plays both (``_moves``): ``predict_column`` calls it on the run's
+    columns, ``predict`` on one row.  Neither reads an outcome, so the
+    column form plays whether or not the outcomes are known; it gives None
+    where a move would raise, so that the loop raises at its step.
 
     ``divergence_column(gammas1, gammas2)`` is the run's column of per-step
     divergence terms the trace records: the game's closed form over the move
@@ -174,43 +173,35 @@ class Level2Sceptic(ScepticStrategy):
         self._achieved = []
         level2_column = game.spec.level2_column
         self._column = None if level2_column is None else level2_column(game, *self._weights)
-        self._move = self._numeric_move if self._column is None else self._closed_move
 
     def predict(self, n, gamma1, gamma2):
-        return self._move(gamma1, gamma2)
+        return _first_row(self._moves(np.asarray(gamma1, dtype=float)[None],
+                                      np.asarray(gamma2, dtype=float)[None]))
 
     def predict_column(self, gammas1, gammas2, omegas):
-        if self._column is None:
-            return self._numeric_column(gammas1, gammas2)
-        return self._column(gammas1, gammas2)
-
-    def _closed_move(self, gamma1, gamma2):
-        # the closed form's column form on one row
-        moves = self._column(np.asarray(gamma1, dtype=float)[None],
-                             np.asarray(gamma2, dtype=float)[None])
-        if moves is None:
-            raise DivergenceOverestimate(
-                "predictions have disjoint support; divergence is infinite")
-        return _first_row(moves)
-
-    def _numeric_column(self, gammas1, gammas2):
-        # one search per distinct pair of moves (told apart by their bits),
-        # called through the module's name as _numeric_move calls it
-        pairs = np.stack((gammas1, gammas2), axis=1)
-        _, first, rows = np.unique(pairs.view(np.uint64), axis=0, return_index=True,
-                                   return_inverse=True)
         try:
-            found = [_level2_numeric(self._game, *pairs[i].tolist(), self.alpha) for i in first]
+            return self._moves(gammas1, gammas2)
         except DivergenceOverestimate:
             return None
-        moves, terms = (np.array(column, dtype=float)[rows.reshape(-1)] for column in zip(*found))
-        self._achieved = terms.tolist()
-        return moves
 
-    def _numeric_move(self, gamma1, gamma2):
-        gamma, term = _level2_numeric(self._game, gamma1, gamma2, self.alpha)
-        self._achieved.append(term)
-        return gamma
+    def _moves(self, gammas1, gammas2):
+        # the moves on the rows of the two move columns: the closed form, or
+        # one search per distinct pair of moves (told apart by their bits),
+        # called through the module's name, its achieved terms appended
+        if self._column is not None:
+            moves = self._column(gammas1, gammas2)
+            if moves is None:
+                raise DivergenceOverestimate(
+                    "predictions have disjoint support; divergence is infinite")
+            return moves
+        pairs = np.stack((gammas1, gammas2), axis=1)
+        keys = pairs.view(np.dtype((np.void, 16))).ravel()  # a step's one row needs no sort
+        first, rows = (np.unique(keys, return_index=True, return_inverse=True)[1:]
+                       if len(keys) > 1 else ([0], [0]))
+        found = [_level2_numeric(self._game, *pairs[i].tolist(), self.alpha) for i in first]
+        moves, terms = (np.array(column, dtype=float)[rows] for column in zip(*found))
+        self._achieved.extend(terms.tolist())
+        return moves
 
     def divergence_column(self, gammas1, gammas2):
         # a truncated run made one move more than it recorded
@@ -230,7 +221,10 @@ def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
     ``slack(N) = w1 L1(N) + w2 L2(N) - Lsceptic(N) + epsilon - sum of
     divergence terms``; nonnegative for a faithful strategy, and exactly
     ``epsilon`` for the square-loss closed form.  Accumulated in extended
-    precision so the equality case can be checked to 1e-12.
+    precision so the equality case can be checked to 1e-12: in float64, even
+    TwoSum-compensated, it strays by up to 1.4e-12 on square-loss runs at
+    N = 10^4 (8.7e-13 in x87 extended); where ``np.longdouble`` is float64
+    (MSVC, Apple silicon) that check is expected to fail.
     """
     w1 = np.longdouble(1.0 - alpha) / 2.0
     w2 = np.longdouble(1.0 + alpha) / 2.0
@@ -251,6 +245,11 @@ def level2_inequality_slack(trace, alpha: float, epsilon: float) -> np.ndarray:
 def f_mix(x: float, c: float) -> float:
     """Odd, increasing ``c x / (1 + |x|)``, concave right of 0; ``+-c`` at ``+-inf``."""
     return math.copysign(c, x) if math.isinf(x) else c * x / (1.0 + abs(x))
+
+
+def _f_mix_column(x: np.ndarray, c: float) -> np.ndarray:
+    # f_mix elementwise of an array
+    return np.where(np.isinf(x), np.copysign(c, x), c * x / (1.0 + np.abs(x)))
 
 
 def f_mix_integral(x, c: float):
@@ -282,7 +281,7 @@ def _triangle_areas(d_old: np.ndarray, delta: np.ndarray, c: float) -> np.ndarra
     d_new = d_old + delta
     cross = ((d_old >= 0.0) != (d_new >= 0.0)) & (d_new != 0.0)
     beyond = np.where(cross, d_new, 0.0)
-    across = -(c * d_old / (1.0 + np.abs(d_old))) * beyond
+    across = -_f_mix_column(d_old, c) * beyond
     return (_area_pieces(d_old, np.where(cross, -d_old, delta), c)
             + _area_pieces(np.zeros(len(d_old)), beyond, c) + np.where(across > 0.0, across, 0.0))
 
@@ -292,11 +291,15 @@ def level1_ledger(trace, c: float) -> tuple:
 
     ``areas``: the triangle swept by the running loss difference ``D = L1 -
     L2``; ``excess``: the sceptic's running loss over the predictors' mean;
-    ``bounds``: ``integral(f, 0..D) - (running sum of areas)``, at least the
-    excess, and equal while every outcome falls outside the predictors' gap.
-    Running sums add in play order from 0.0, as the strategy's ``D`` does;
-    the excess and the areas' sum are TwoSum-compensated, as eq8's sums are,
-    so that their rounding does not drift into the slack over long runs.
+    ``bounds``: ``integral(f, 0..D) - (running sum of areas) + (rounding
+    term)``, at least the excess, and equal while every outcome falls
+    outside the predictors' gap.  Running sums add in play order from 0.0,
+    as the strategy's ``D`` does.  A step's triangle ends at ``D + delta``,
+    but the next starts at the rounded sum, short by its TwoSum residual r:
+    the rounding term, the running sum of ``f(D) r`` at the rounded D, puts
+    back the integral so dropped.  All three running sums are
+    TwoSum-compensated, as eq8's sums are, so that their rounding does not
+    drift into the slack over long runs.
     """
     l1, l2, ls = trace.loss1, trace.loss2, trace.loss_sceptic
     # halving is exact: the mean of two losses near the float range stays finite
@@ -304,9 +307,10 @@ def level1_ledger(trace, c: float) -> tuple:
         delta = l1 - l2
         d = np.cumsum(np.concatenate(([0.0], delta)))
         areas = _triangle_areas(d[:-1], delta, c)
-        excess, swept = (np.add(*_compensated_cumsum(0.0, 0.0, rows))
-                         for rows in (ls - (0.5 * l1 + 0.5 * l2), areas))
-        bounds = f_mix_integral(d[1:], c) - swept
+        rounding = _f_mix_column(d[1:], c) * _residuals(d[:-1], d[1:], delta)
+        excess, swept, dropped = (np.add(*_compensated_cumsum(0.0, 0.0, rows))
+                                  for rows in (ls - (0.5 * l1 + 0.5 * l2), areas, rounding))
+        bounds = f_mix_integral(d[1:], c) - swept + dropped
     return areas, excess, bounds
 
 
@@ -348,9 +352,7 @@ class Level1Sceptic(ScepticStrategy):
         # D before each step: the running sum of the loss differences from 0.0
         d = np.cumsum(np.concatenate(([0.0], self._loss_column(omegas, gammas1)
                                       - self._loss_column(omegas, gammas2))))
-        before, c = d[:-1], self.c
-        w = np.where(np.isinf(before), np.copysign(c, before), c * before / (1.0 + np.abs(before)))
-        w = w.reshape(w.shape + (1,) * (gammas1.ndim - 1))
+        w = _f_mix_column(d[:-1], self.c).reshape((-1,) + (1,) * (gammas1.ndim - 1))
         self.D = float(d[-1])
         return (0.5 + w) * gammas1 + (0.5 - w) * gammas2
 
@@ -369,19 +371,20 @@ class Level1Sceptic(ScepticStrategy):
 # the aggregating sceptic: aggregation over a fixed pool of experts
 
 
-def _compensated_add(total, comp, x) -> tuple:
-    # TwoSum of floats, or elementwise of arrays: comp gathers the exact
-    # rounding error of each addition; an infinite sum carries no compensation
+def _residuals(before: np.ndarray, after: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # TwoSum elementwise: the exact rounding error of each after = before + x,
+    # 0 where the sum is not finite (the residuals of finite sums are finite)
+    finite = np.isfinite(after)
+    if not finite.all():
+        before, after, x = (np.where(finite, v, 0.0) for v in (before, after, x))
+    back = after - before
+    return (before - (after - back)) + (x - back)
+
+
+def _compensated_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> tuple:
+    # one TwoSum-compensated addition of (K,) arrays: comp gathers the rounding
     t = total + x
-    if isinstance(t, np.ndarray) and not math.isfinite(t.sum()):
-        # a sum gone infinite or NaN: the one-row block, which drops its residual
-        with np.errstate(invalid="ignore"):
-            sums, comps = _compensated_cumsum(total, comp, x[None])
-        return sums[0], comps[0]
-    back = t - total
-    resid = (total - (t - back)) + (x - back)
-    # the residuals of finite array sums are finite
-    return t, comp + resid if isinstance(resid, np.ndarray) or math.isfinite(resid) else comp
+    return t, comp + _residuals(total, t, x)
 
 
 def _compensated_cumsum(total, comp, rows) -> tuple:
@@ -391,12 +394,8 @@ def _compensated_cumsum(total, comp, rows) -> tuple:
     # by one (np.cumsum adds in order); callers ignore invalid-value warnings
     x = np.concatenate((np.asarray(total, dtype=float)[None], np.asarray(rows, dtype=float)))
     sums = np.cumsum(x, axis=0)
-    a, t = sums[:-1], sums[1:]
-    back = t - a
-    resid = (a - (t - back)) + (x[1:] - back)
-    resid[~np.isfinite(resid)] = 0.0
-    x[0], x[1:] = comp, resid
-    return t, np.cumsum(x, axis=0)[1:]
+    x[0], x[1:] = comp, _residuals(sums[:-1], sums[1:], x[1:])
+    return sums[1:], np.cumsum(x, axis=0)[1:]
 
 
 # steps whose eq8 audit rows a pool sceptic holds before folding them, and

@@ -6,14 +6,32 @@ curvilinear-triangle area with the scalar ``triangle_area`` and appends the
 area, the running excess and the ledger bound to ``audit_areas``,
 ``audit_excess`` and ``audit_bounds``.  It is the reference the library's
 column ledger, ``level1_ledger``, is tested against: the same moves, and
-the same areas, excess and bounds, bit for bit.  Its running excess and
-area sum carry TwoSum compensation, added one step at a time.
+the same areas, excess and bounds, bit for bit.  Its running excess, area
+sum and rounding term carry TwoSum compensation, added one step at a time
+by its own scalar TwoSum.
 """
+
+import math
 
 import numpy as np
 
 from jeffreys.errors import ConfigError
-from jeffreys.sceptics import ScepticStrategy, _compensated_add, f_mix, f_mix_integral
+from jeffreys.sceptics import ScepticStrategy, f_mix, f_mix_integral
+
+
+def two_sum(total: float, x: float) -> tuple:
+    # (total + x, the exact rounding error of that addition), the error 0
+    # where it is not finite (an infinite or NaN sum carries no compensation)
+    t = total + x
+    back = t - total
+    resid = (total - (t - back)) + (x - back)
+    return t, resid if math.isfinite(resid) else 0.0
+
+
+def compensated_add(total: float, comp: float, x: float) -> tuple:
+    # one TwoSum-compensated addition: comp gathers the rounding errors
+    t, resid = two_sum(total, x)
+    return t, comp + resid
 
 
 def _area_piece(a: float, delta: float, c: float) -> float:
@@ -54,10 +72,12 @@ class PerStepLevel1(ScepticStrategy):
     ``1/2 + c``.  Swapping the predictors and negating D gives the same
     move, by oddness of f.
 
-    ``triangle_sum`` accumulates the curvilinear-triangle areas and
-    ``excess`` the sceptic's realized loss over the predictors' average,
-    each with its TwoSum compensation.
-    The ledger bound ``integral(f, 0..D) - triangle_sum`` dominates
+    ``triangle_sum`` accumulates the curvilinear-triangle areas,
+    ``excess`` the sceptic's realized loss over the predictors' average, and
+    ``dropped`` the rounding term ``f(D) r`` of each step, where ``r`` is
+    the rounding error of the step's ``D += delta``; each carries its TwoSum
+    compensation.
+    The ledger bound ``integral(f, 0..D) - triangle_sum + dropped`` dominates
     ``excess`` at all times, exactly so while every outcome falls outside
     the predictors' gap.  The triangle areas use the closed-form integral
     of f, so the ledger is exact up to float rounding: no quadrature is
@@ -78,12 +98,14 @@ class PerStepLevel1(ScepticStrategy):
         self.D = 0.0
         self.triangle_sum = self._triangle_comp = 0.0
         self.excess = self._excess_comp = 0.0
+        self.dropped = self._dropped_comp = 0.0
         self.audit_areas, self.audit_excess, self.audit_bounds = [], [], []
         self._pending = None
 
     @property
     def ledger_bound(self) -> float:
-        return f_mix_integral(self.D, self.c) - (self.triangle_sum + self._triangle_comp)
+        return (f_mix_integral(self.D, self.c) - (self.triangle_sum + self._triangle_comp)
+                + (self.dropped + self._dropped_comp))
 
     def predict(self, n, gamma1, gamma2):
         w = f_mix(self.D, self.c)
@@ -97,10 +119,12 @@ class PerStepLevel1(ScepticStrategy):
         l1, l2 = loss(omega, gamma1), loss(omega, gamma2)
         delta = l1 - l2
         area = triangle_area(self.D, delta, self.c)
-        self.D += delta
-        self.triangle_sum, self._triangle_comp = _compensated_add(
+        self.D, r = two_sum(self.D, delta)
+        self.dropped, self._dropped_comp = compensated_add(
+            self.dropped, self._dropped_comp, f_mix(self.D, self.c) * r)
+        self.triangle_sum, self._triangle_comp = compensated_add(
             self.triangle_sum, self._triangle_comp, area)
-        self.excess, self._excess_comp = _compensated_add(
+        self.excess, self._excess_comp = compensated_add(
             self.excess, self._excess_comp, loss(omega, gamma) - 0.5 * (l1 + l2))
         self.audit_areas.append(area)
         self.audit_excess.append(self.excess + self._excess_comp)

@@ -26,7 +26,16 @@ import numpy as np
 from jeffreys.aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
 from jeffreys.errors import ConfigError, DomainError, MixabilityViolation, PoolCollapseError
 from jeffreys.games import _lse1
-from jeffreys.sceptics import ScepticStrategy, _compensated_add
+from jeffreys.sceptics import ScepticStrategy
+
+
+def compensated_add(total: float, comp: float, x: float) -> tuple:
+    # one TwoSum-compensated addition of floats: comp gathers the exact
+    # rounding error, 0 where it is not finite (an infinite sum carries none)
+    t = total + x
+    back = t - total
+    resid = (total - (t - back)) + (x - back)
+    return t, comp + (resid if math.isfinite(resid) else 0.0)
 
 
 def pool_weights(pool):
@@ -228,16 +237,16 @@ class PerStepAggregating(ScepticStrategy):
         if own_loss > g_played + DOMINATION_TOL:
             raise MixabilityViolation(
                 f"step {n}: loss {own_loss:.6g} exceeds mixture bound {g_played:.6g}")
-        # compensated accumulation on both sides of the slack, as in
-        # _compensated_add; an infinite cumulative loss carries no compensation
+        # compensated accumulation on both sides of the slack, by TwoSum; an
+        # infinite cumulative loss carries no compensation
         total = self.expert_cums + losses
         live = ... if math.isfinite(total.max()) else np.isfinite(total)
         a, b, t = self.expert_cums[live], losses[live], total[live]
         back = t - a
         self._comp_experts[live] += (a - (t - back)) + (b - back)
         self.expert_cums = total
-        self.cum_self, self._comp_self = _compensated_add(self.cum_self, self._comp_self,
-                                                          own_loss)
+        self.cum_self, self._comp_self = compensated_add(self.cum_self, self._comp_self,
+                                                         own_loss)
         slack = (float(np.fmin.reduce(total + self._comp_experts + self._penalty))
                  - (self.cum_self + self._comp_self))
         if slack < self.worst_eq8_slack:

@@ -771,6 +771,19 @@ def test_level1_ledger_of_losses_near_the_float_range(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["check_slacks"] == {"ledger": 0.0}
 
 
+def test_level1_ledger_holds_at_a_million_steps(tmp_path):
+    # D grows by about 0.5 a step: each of its additions rounds, and the
+    # ledger must count that rounding for the faithful run to pass
+    path, _ = write_config(
+        tmp_path, horizon=10**6, game={"kind": "absolute"},
+        predictor1={"kind": "constant", "params": {"gamma": 0.2}},
+        predictor2={"kind": "constant", "params": {"gamma": 0.9}},
+        nature={"kind": "iid_bernoulli", "params": {"p": 0.9}},
+        sceptic={"kind": "level1", "params": {"c": 0.4}}, checks=["ledger"])
+    assert main(["run", str(path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["checks_passed"] is True
+
+
 def test_sweep_keeps_a_nan_slack(tmp_path):
     # every seed's eq9 slack is NaN (inf - inf losses): the aggregate says so
     path, _ = write_config(

@@ -571,6 +571,26 @@ def test_each_closed_form_is_written_once():
     assert not {f.name for f in dataclasses.fields(GameSpec)} & {"level2", "mix"}
 
 
+# TwoSum's residual, the exact rounding error of one addition
+TWO_SUM_RESIDUAL = re.compile(r"\(\s*\w+\s*-\s*\(\s*\w+\s*-\s*back\s*\)\s*\)\s*\+\s*"
+                              r"\(\s*\w+\s*-\s*back\s*\)")
+
+
+def test_two_sum_has_one_owner():
+    # the pool's per-step add, every compensated cumsum and the level-1
+    # ledger's rounding term take their residuals from _residuals
+    assert _src_lines_matching(TWO_SUM_RESIDUAL) == {
+        ("sceptics.py", "return (before - (after - back)) + (x - back)")}
+    from jeffreys import sceptics
+    assert "_compensated_cumsum" not in inspect.getsource(sceptics._compensated_add)
+
+
+def test_the_level2_move_has_one_owner():
+    # predict and predict_column both play Level2Sceptic._moves
+    assert _src_lines_matching(
+        re.compile(r"\bdef _(closed_move|numeric_move|numeric_column)\b")) == set()
+
+
 def _spy_on(game: Game, form: str):
     # the game, with its table entry's column form ``form`` wrapped to record
     # the rows of each call of the prepared function

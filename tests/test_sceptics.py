@@ -24,6 +24,7 @@ from jeffreys import (GAME_SPECS, AdversarialGreedyNature, AggregatingSceptic,
 from jeffreys.aggregating import DOMINATION_TOL
 from jeffreys.games import alpha_weights
 from jeffreys.players import NatureStrategy
+from jeffreys.protocol import CHECK_TOL
 from jeffreys.sceptics import K_MAX_LIMIT, _triangle_areas
 from ledger_reference import PerStepLevel1, triangle_area
 from pool_reference import PerExpertLevel3
@@ -395,6 +396,20 @@ def test_level1_ledger_does_not_drift_at_a_million_steps():
     trace = run_protocol(IidBernoulliNature(0.5), ConstantPredictor(0.0),
                          ConstantPredictor(1.0), sceptic, game, 10**6, seed=0)
     assert sceptic.worst_slack(trace) >= -1e-12
+
+
+@pytest.mark.parametrize("horizon", [10**4, 10**5, 3 * 10**5])
+@pytest.mark.parametrize("p", [0.7, 0.9, 1.0])
+@pytest.mark.parametrize("game", [absolute_loss_game, bounded_absolute_loss_game],
+                         ids=["absolute", "bounded_absolute"])
+def test_level1_ledger_holds_while_d_grows(game, p, horizon):
+    # constants 0.2 and 0.9 under a biased coin: D grows about linearly, so
+    # its additions round at every step, and the ledger bound must carry the
+    # integral that rounding drops (without it the slack falls to -1.5e-7)
+    sceptic = Level1Sceptic(c=0.4)
+    trace = run_protocol(IidBernoulliNature(p), ConstantPredictor(0.2), ConstantPredictor(0.9),
+                         sceptic, game(), horizon, seed=3)
+    assert sceptic.worst_slack(trace) >= -CHECK_TOL
 
 
 def test_level1_inequality_general_scenario():
