@@ -11,6 +11,7 @@ runs, and never writes to it, as the report embeds it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -362,7 +363,7 @@ def cmd_sweep(args) -> int:
         "all_passed": all_passed,
     }
     out = args.report_out or run["outputs"]["report_json"]
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(aggregate, sort_keys=True))
@@ -381,7 +382,10 @@ def cmd_divergence(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no
+    state in it, and ``main`` looks each command's function up per call."""
     parser = argparse.ArgumentParser(
         prog="jeffreys",
         description="Competitive prediction runs, sweeps, and divergence queries.")
@@ -391,12 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a JSON scenario config")
     p_run.add_argument("--trace-out", default=None, help="trace CSV path")
     p_run.add_argument("--report-out", default=None, help="report JSON path")
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario over a list of seeds")
     p_sweep.add_argument("config", help="path to a JSON scenario config with 'seeds'")
     p_sweep.add_argument("--report-out", default=None, help="aggregate JSON path")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_div = sub.add_parser("divergence", help="print one divergence result as JSON")
     p_div.add_argument("--game", required=True,
@@ -414,18 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "to tol * 1e-3")
     p_div.add_argument("--grid-size", type=int)
     p_div.add_argument("--m", type=int)
-    p_div.set_defaults(func=cmd_divergence)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        command = {"run": cmd_run, "sweep": cmd_sweep, "divergence": cmd_divergence}
+        return command[args.command](args)
     # OSError: an output path that cannot be written; MemoryError: a size
     # (a horizon, a grid) too large to allocate
     except (ConfigError, OSError, MemoryError) as exc:

@@ -1,5 +1,6 @@
 """CLI exit codes, file outputs, and the JSON config surface."""
 
+import argparse
 import inspect
 import json
 import math
@@ -7,6 +8,7 @@ import os
 
 import pytest
 
+from jeffreys import cli, serialize
 from jeffreys.cli import (DIVERGENCE, GAME, NATURES, OMITTED, PREDICTORS, REQUIRED, RUN,
                           SCEPTICS, _load_config, main)
 
@@ -795,3 +797,62 @@ def test_sweep_keeps_a_nan_slack(tmp_path):
     agg = json.loads((tmp_path / "sweep.json").read_text())
     assert math.isnan(agg["worst_slacks"]["eq9"])
     assert agg["all_passed"] is False
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys, monkeypatch):
+    path, _ = write_config(tmp_path)
+    calls = [["run", str(path), "--trace-out", str(tmp_path / "flags.csv"),
+              "--report-out", str(tmp_path / "flags.json")],
+             ["run", str(path)],  # to the document's outputs
+             ["divergence", "--game", "square", "--g1", "0.2", "--g2", "0.8"],
+             ["run", str(path), "--no-such-flag"]]
+
+    def outcomes(fresh_parser: bool) -> list:
+        seen = []
+        for argv in calls:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            out = capsys.readouterr()
+            written = {}
+            for name in ("flags.csv", "flags.json", "trace.csv", "report.json"):
+                if (tmp_path / name).exists():
+                    written[name] = (tmp_path / name).read_bytes()
+                    (tmp_path / name).unlink()
+            seen.append((code, out.out, out.err, written))
+        return seen
+
+    alone = outcomes(fresh_parser=True)
+    assert [code for code, *_ in alone] == [0, 0, 0, 2]
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: (built.append(self),
+                                                       init(self, *args, **kwargs))[1])
+    cli.build_parser.cache_clear()
+    assert outcomes(fresh_parser=False) == alone
+    assert [parser.prog for parser in built].count("jeffreys") == 1
+
+
+def test_main_calls_the_command_function_bound_at_call_time(tmp_path, monkeypatch):
+    path, _ = write_config(tmp_path)
+    assert main(["run", str(path)]) == 0
+    monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
+    assert main(["run", str(path)]) == 7
+
+
+def test_every_writer_opens_its_file_with_lf_line_ends(tmp_path, monkeypatch):
+    # the bytes written, and the report digests, are the same on every platform
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append((os.path.basename(file), kwargs.get("newline")))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(serialize, "open", spy, raising=False)
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    path, _ = write_config(tmp_path, seeds=[1])
+    assert main(["run", str(path)]) == 0
+    assert main(["sweep", str(path), "--report-out", str(tmp_path / "sweep.json")]) == 0
+    assert sorted(opened) == [("report.json", "\n"), ("sweep.json", "\n"), ("trace.csv", "\n")]

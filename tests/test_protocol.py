@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jeffreys import (GAME_SPECS, AdversarialGreedyNature, ConfigError, ConstantNature,
                       ConstantPredictor, IidBernoulliNature, Level1Sceptic,
@@ -13,6 +15,7 @@ from jeffreys import (GAME_SPECS, AdversarialGreedyNature, ConfigError, Constant
                       absolute_loss_game, bounded_absolute_loss_game, classify_disjuncts,
                       game_from_descriptor, log_loss_game, run_protocol, square_loss_game,
                       trace_to_csv_string, verify_run)
+from jeffreys.serialize import CSV_COLUMNS, CSV_HEADER
 from jeffreys.protocol import (VERDICT_BEATS_P1, VERDICT_BEATS_P2,
                                VERDICT_BEATS_WORSE, VERDICT_GAP_VANISHES,
                                VERDICT_INCONCLUSIVE, _next_guess)
@@ -313,6 +316,113 @@ def test_trace_csv_spells_every_value_in_17_digits(m, horizon):
     trace.gap = [-0.0] + list(trace.gap[1:])
     lines = trace_to_csv_string(trace).splitlines()
     assert lines[1:] == _spelled_rows(trace)
+
+
+# values the writer must tell apart by their bits: the two zeros, NaNs of
+# either sign and another payload, the infinities, the least subnormal, a
+# large number, and two neighbours one bit apart
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+SPECIALS = (0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf, 5e-324,
+            -5e-324, 1e300, 0.1, float(np.nextafter(0.1, 1.0)))
+
+
+def _trace_with(columns: dict, m: int = 0):
+    """A trace of constant moves, of an m-outcome log-loss game for m > 0
+    and else scalar, whose columns named in ``columns`` are replaced."""
+    n = len(next(iter(columns.values())))
+    game = log_loss_game(m=m) if m else square_loss_game()
+    moves = np.full((n, m), 1.0 / m) if m else np.zeros(n)
+    trace = Trace(game, moves, moves, moves, np.zeros(n))
+    for name, values in columns.items():
+        setattr(trace, name, values)
+    return trace
+
+
+def _assert_spelled(trace):
+    lines = trace_to_csv_string(trace).split("\n")
+    assert lines[0] == CSV_HEADER and lines[-1] == ""
+    assert lines[1:-1] == _spelled_rows(trace)
+
+
+def test_trace_csv_columns_distinct_equal_and_changing_between_blocks():
+    # 2,500 rows: blocks of 1,000, 1,000 and 500; one column repeats in
+    # its first and last block and is all distinct in the middle one
+    rng = np.random.default_rng(7)
+    changing = rng.choice([0.25, 0.1, -3.5], 2500)
+    changing[1000:2000] = rng.standard_normal(1000)
+    _assert_spelled(_trace_with({"cum1": rng.standard_normal(2500),
+                                 "loss1": np.full(2500, 0.1),
+                                 "gap": changing}))
+
+
+def test_trace_csv_keeps_zeros_of_either_sign_apart():
+    zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.5] * 200)
+    trace = _trace_with({"gap": zeros, "omega": -zeros})
+    _assert_spelled(trace)
+    row = trace_to_csv_string(trace).splitlines()[2].split(",")
+    assert (row[4], row[11]) == ("0", "-0")
+
+
+def test_trace_csv_spells_special_values():
+    # each special repeated (a spelled column) and among distinct values
+    rng = np.random.default_rng(3)
+    repeated = rng.choice(SPECIALS, 1500)
+    dense = rng.standard_normal(1500)
+    dense[::97] = rng.choice(SPECIALS, len(dense[::97]))
+    _assert_spelled(_trace_with({"loss2": repeated, "cum2": dense, "omega": repeated[::-1]}))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_trace_csv_vector_moves_one_bit_apart(m):
+    # moves that differ in one bit of one probability, or in a zero's sign,
+    # repeated, over a block and a partial block
+    base = np.full(m, 1.0 / m)
+    bit = base.copy()
+    bit[-1] = np.nextafter(bit[-1], 1.0)
+    zero, negative_zero = np.eye(m)[0], np.eye(m)[0]
+    negative_zero[1] = -0.0
+    rng = np.random.default_rng(m)
+    moves = np.stack([base, bit, zero, negative_zero])[rng.integers(0, 4, 1300)]
+    _assert_spelled(_trace_with({"gamma1": moves, "gamma2": moves[::-1],
+                                 "gamma_sceptic": rng.dirichlet(np.ones(m), 1300)}, m=m))
+
+
+def test_trace_csv_columns_given_as_lists():
+    # three full blocks and a partial one, every column a Python list
+    rng = np.random.default_rng(11)
+    n = 3217
+    columns = {name: rng.choice([0.5, 1.0, -2.0], n).tolist()
+               for name in ("gamma1", "gamma2", "omega", "loss1", "gap")}
+    columns.update({name: rng.standard_normal(n).tolist()
+                    for name in ("gamma_sceptic", "loss2", "cum1", "divergence_term")})
+    _assert_spelled(_trace_with(columns))
+
+
+@st.composite
+def _drawn_columns(draw):
+    # a move width, a length up to three blocks, and for each of the twelve
+    # columns a pool of distinct values, specials among them, to draw from
+    m = draw(st.sampled_from([0, 2, 3]))
+    n = draw(st.integers(1, 2300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = {}
+    for name in CSV_COLUMNS:
+        specials = draw(st.lists(st.sampled_from(SPECIALS), max_size=4))
+        pool = np.concatenate([specials, rng.standard_normal(draw(st.integers(0, n)))
+                               * 10.0 ** rng.integers(-300, 300)])
+        if not len(pool):
+            pool = np.array([0.0])
+        shape = (n, m) if m and name in CSV_COLUMNS[:3] else (n,)
+        columns[name] = rng.choice(pool, shape)
+    return columns, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_drawn_columns())
+def test_trace_csv_matches_the_spelled_rows_on_drawn_columns(drawn):
+    columns, m = drawn
+    _assert_spelled(_trace_with(columns, m=m))
 
 
 # ---------------------------------------------------------------------------
