@@ -25,22 +25,18 @@ them at each move.
 from __future__ import annotations
 
 from .errors import MixabilityViolation
-from .games import (DOMINATION_TOL, Game, MixabilityParams, _first_row,
-                    check_perfectly_mixable)
+from .games import DOMINATION_TOL, Game, MixabilityParams, _first_row
 
 
 def params_for(game: Game) -> MixabilityParams:
     """The game's (eta, C) = (eta*, 1 / eta*), eta* its kind's mixability
-    constant on the outcome bounds; refuses an unbounded or non-mixable kind,
-    and a game that fails the perfect-mixability test at eta*."""
+    constant on the outcome bounds, which the pool's mix reads; refuses an
+    unbounded or non-mixable kind."""
     ob = game.bounds()[0]
     eta = game.spec.eta_star(ob[1] - ob[0]) if ob is not None else 0.0
     if eta <= 0.0:
         raise MixabilityViolation(
             f"no mixability parameters for the {game.kind.value} game")
-    if not check_perfectly_mixable(game, eta):
-        raise MixabilityViolation(
-            f"{game.kind.value} game fails the mixability test at eta={eta}")
     return MixabilityParams(eta, 1.0 / eta)
 
 

@@ -364,8 +364,7 @@ def cmd_sweep(args) -> int:
     }
     out = args.report_out or run["outputs"]["report_json"]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     print(json.dumps(aggregate, sort_keys=True))
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

@@ -5,13 +5,14 @@ alpha-weighted mean of their canonical points, then find the largest
 vertical shift that keeps the mean a superprediction (lower divergence)
 or the smallest shift that makes it a subprediction (upper divergence).
 Both shifts are a max-min over the prediction grid, so each numeric
-divergence is one gap search, ``mean_gap``, as is the numeric level-2 move.
-Its inner max over outcomes is exact on the whole outcome interval
+divergence is one gap search from the mean, ``jeffreys.games.mean_gap``
+(re-exported here), as is the numeric level-2 move.  Its inner max over
+outcomes is exact on the whole outcome interval
 ``[outcome_grid[0], outcome_grid[-1]]``: it is taken at the few outcomes
 where the excess over the mean can attain it (the kind's ``candidates`` in
-``jeffreys.games.GAME_SPECS``; log loss's outcome grid is its whole
-outcome space), and the outcome grid plays no part.  The grid decides only
-the membership predicates on arbitrary vectors.
+``jeffreys.games.GAME_SPECS``), and the outcome grid plays no part, except
+for log loss, whose outcome grid is its whole outcome space.  The grid
+decides only the membership predicates on arbitrary vectors.
 The shift, scaled by ``4 / (1 - alpha^2)``, is the divergence value; both
 are reported, since the raw shift is what the vertical-distance picture
 reads off directly.
@@ -31,10 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-# the closed forms are re-exported from the games' table
-from .games import (Game, _check_tol, _excess, _gap_search, _log_affinity,  # noqa: F401
-                    _profile_excess, _scale, alpha_weights, alpha_divergence_log_loss,
-                    alpha_divergence_square_loss)
+# the closed forms and the mean's gap search are re-exported from the games' module
+from .games import (Game, _log_affinity, _scale, alpha_divergence_log_loss,  # noqa: F401
+                    alpha_divergence_square_loss, mean_gap)
 
 
 @dataclass(frozen=True)
@@ -63,35 +63,6 @@ class DivergenceResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def mean_gap(game: Game, gamma1, gamma2, alpha: float, tol: float, sub: bool):
-    """(param, gap) against the weighted mean ``w1 lambda(gamma1) + w2 lambda(gamma2)`` of
-    two unvalidated predictions: minus the lower divergence's shift, or the upper's if ``sub``.
-
-    Exact on the outcome interval ``[outcome_grid[0], outcome_grid[-1]]``:
-    each gap is a max over the kind's ``candidates``, the outcomes where it
-    can be attained, or over log loss's outcome grid, its whole outcome space.
-    """
-    _check_tol(tol)
-    if game.prediction_grid is None:
-        raise ValueError("game has no scalar prediction parametrization")
-    w1, w2 = alpha_weights(alpha)
-    kernel, candidates = game.spec.kernel, game.spec.candidates
-    # a loss of a finite prediction may exceed the float range: it is +inf, and so is the mean
-    with np.errstate(over="ignore"):
-        if candidates is None:
-            lam = game.profiles((gamma1, gamma2))
-            excess = _profile_excess(game, w1 * lam[0] + w2 * lam[1], sub)
-        else:
-            candidates = candidates(float(game.outcome_grid[0]), float(game.outcome_grid[-1]),
-                                    gamma1, gamma2, w1, w2)
-
-            def excess(params):
-                omegas = candidates(params)
-                return _excess(kernel(omegas, params),
-                               w1 * kernel(omegas, gamma1) + w2 * kernel(omegas, gamma2), sub)
-        return _gap_search(game, excess, excess(game.prediction_grid), tol)
 
 
 def _numeric_divergence(game: Game, gamma1, gamma2, alpha: float, tol: float, side: str):

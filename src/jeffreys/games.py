@@ -4,15 +4,19 @@ A game couples an outcome space, a prediction space, and a loss function.
 Everything geometric in this package is phrased in terms of the game's
 canonical points: the loss profile ``omega -> loss(omega, gamma)`` of each
 prediction, restricted to a finite outcome grid.  Continuous outcome and
-prediction spaces are represented by grids.  The membership queries and the
-numeric divergences are one gap search: the smallest uniform excess of a
-canonical point over a target point, scanned on the prediction grid and
-refined in lockstep until the local spacing is well below the requested
-tolerance, so its error is quantifiable.  A target vector is compared on
-the outcome grid; the weighted mean of two canonical points, the one target
-of the numeric divergences and level-2 move, at the few outcomes where the
-excess can attain its max (the kind's ``candidates``), so that search is
-exact on the whole outcome interval.  Perfect mixability needs no
+prediction spaces are represented by grids.  The membership queries, the
+numeric divergences and the numeric level-2 move are one gap search,
+``_gap_search``: the smallest uniform excess of a canonical point over a
+target point, scanned on the prediction grid and refined in lockstep until
+the local spacing is well below the requested tolerance, so its error is
+quantifiable.  It has two entries.  ``_grid_gap`` compares a target vector
+on the outcome grid.  ``mean_gap`` compares the weighted mean of two
+canonical points, the one target of the numeric divergences and level-2
+move, at the few outcomes where the excess can attain its max (the kind's
+``candidates``), so that search is exact on the whole outcome interval;
+log loss has none, and its mean gap is the grid gap, as its outcome grid
+is its whole outcome space.  A game keeps nothing it computed: each
+question builds the canonical points it reads.  Perfect mixability needs no
 search: each kind's constant ``eta*`` is a closed form in the span ``W`` of
 its outcomes, the infimum of the loss curve's curvature ratio (Haussler,
 Kivinen & Warmuth, IEEE Trans. IT 1998; Vovk, Competitive on-line
@@ -239,8 +243,7 @@ class Game:
     ``spec`` is the kind's :class:`GameSpec`; ``prediction_shape`` is ``()``
     for scalar predictions and ``(m,)`` for probability vectors.
     Instances are immutable by convention: no method changes what they
-    describe.  The one exception is a cache, the prediction grid's
-    canonical points, which ``grid_canonical_points`` fills on first use.
+    describe, and none keeps what it computed.
     """
 
     kind: GameKind
@@ -256,8 +259,6 @@ class Game:
     _outcome_range: tuple = field(default=None, init=False, repr=False, compare=False)
     _prediction_range: tuple = field(default=None, init=False, repr=False, compare=False)
     _kernel: object = field(default=None, init=False, repr=False, compare=False)
-    # a cache, filled on first use: the prediction grid's canonical points
-    _loss_matrix: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.spec = GAME_SPECS[self.kind]
@@ -394,11 +395,6 @@ class Game:
         self.validate_prediction(gamma)
         return self.spec.losses(self.outcome_grid, gamma)
 
-    def profiles(self, predictions) -> np.ndarray:
-        """Unvalidated loss profiles of K predictions (one per row), shape (K, O)."""
-        preds = np.asarray(predictions, dtype=float)
-        return self.spec.losses(self.outcome_grid, preds.reshape(len(preds), -1))
-
     def prediction_from_param(self, u: float) -> Prediction:
         """Map a prediction-grid parameter, clamped to the bounds, to a
         prediction; NaN stays NaN, for the engine to refuse."""
@@ -423,12 +419,11 @@ class Game:
         return self.spec.param_losses(self, np.asarray(params, dtype=float)).T
 
     def grid_canonical_points(self) -> np.ndarray:
-        """(P, O) grid canonical points: a view of the cached outcome-major matrix."""
+        """(P, O) grid canonical points, built on each call: :meth:`losses_for_params`
+        of the prediction grid."""
         if self.prediction_grid is None:
             raise ValueError(f"{self.kind.value} game has no prediction grid")
-        if self._loss_matrix is None:
-            self._loss_matrix = self.spec.param_losses(self, self.prediction_grid)
-        return self._loss_matrix.T
+        return self.losses_for_params(self.prediction_grid)
 
     def loss_fn(self):
         """The unvalidated loss kernel ``(omega, gamma) -> loss``, for hot loops.
@@ -828,13 +823,6 @@ def _excess(profiles: np.ndarray, points, sub: bool) -> np.ndarray:
     return diff.max(axis=0)
 
 
-def _profile_excess(game: Game, point: np.ndarray, sub: bool):
-    """params -> the uniform excess of each parameter's canonical point over
-    the target ``point`` (of ``point`` over it when ``sub``) on the outcome grid."""
-    return lambda params: _excess(game.spec.param_losses(game, params),
-                                  point.reshape(point.shape + (1,) * params.ndim), sub)
-
-
 def _min_gap(game: Game, excess, u: np.ndarray, v: np.ndarray, tol: float):
     """Refine R gap minimizations in lockstep; returns the refined (u, v).
 
@@ -872,35 +860,62 @@ def _min_gap(game: Game, excess, u: np.ndarray, v: np.ndarray, tol: float):
     return u, v
 
 
-def _gap_search(game: Game, excess, coarse: np.ndarray, tol: float):
-    """(param, gap): the ``_REFINE_STARTS`` best of ``coarse``, the gaps
-    ``excess`` gives on the prediction grid, refined by :func:`_min_gap` as
-    rows of one target.  Several starts keep the minimum accurate where the
-    gap has several local minima (piecewise-linear losses).
-    """
+def _gap_search(game: Game, excess, tol: float):
+    """(param, gap): the least of the gaps ``excess`` gives for the
+    parameters of the prediction grid, its ``_REFINE_STARTS`` best refined
+    by :func:`_min_gap` as rows of one target.  Several starts keep the
+    minimum accurate where the gap has several local minima
+    (piecewise-linear losses).  ``tol`` and the grid are checked before
+    ``excess`` builds any array."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    grid = game.prediction_grid
+    if grid is None:
+        raise ValueError(f"{game.kind.value} game has no prediction grid")
+    coarse = excess(grid)
     starts = np.argsort(coarse, kind="stable")[:_REFINE_STARTS]
-    u, v = _min_gap(game, excess, game.prediction_grid[starts], coarse[starts], tol)
+    u, v = _min_gap(game, excess, grid[starts], coarse[starts], tol)
     best = int(np.argmin(v))
     return float(u[best]), float(v[best])
 
 
-def _check_tol(tol: float) -> None:
-    # the gap searches refine to tol * 1e-3: checked where each question
-    # enters one, before any of its arrays is built
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
 def _grid_gap(game: Game, point, tol: float, sub: bool):
-    # a target vector on the outcome grid; the coarse scan reads the cached
-    # canonical points of the prediction grid
-    _check_tol(tol)
+    # a target vector on the outcome grid
     point = np.asarray(point, dtype=float)
     if point.shape != game.outcome_grid.shape:
         raise ValueError(f"point must have the outcome grid's shape {game.outcome_grid.shape}, "
                          f"got {point.shape}")
-    coarse = _excess(game.grid_canonical_points().T, point[:, None], sub)
-    return _gap_search(game, _profile_excess(game, point, sub), coarse, tol)
+
+    def excess(params):
+        return _excess(game.spec.param_losses(game, params),
+                       point.reshape(point.shape + (1,) * params.ndim), sub)
+    return _gap_search(game, excess, tol)
+
+
+def mean_gap(game: Game, gamma1, gamma2, alpha: float, tol: float, sub: bool):
+    """(param, gap) against the weighted mean ``w1 lambda(gamma1) + w2 lambda(gamma2)`` of
+    two unvalidated predictions: minus the lower divergence's shift, or the upper's if ``sub``.
+
+    Exact on the outcome interval ``[outcome_grid[0], outcome_grid[-1]]``:
+    each gap is a max over the kind's ``candidates``, the outcomes where it
+    can be attained.  Log loss has none: its gap is the grid gap, as its
+    outcome grid is its whole outcome space.
+    """
+    w1, w2 = alpha_weights(alpha)
+    kernel, candidates = game.spec.kernel, game.spec.candidates
+    # a loss of a finite prediction may exceed the float range: it is +inf, and so is the mean
+    with np.errstate(over="ignore"):
+        if candidates is None:
+            losses, og = game.spec.losses, game.outcome_grid
+            return _grid_gap(game, w1 * losses(og, gamma1) + w2 * losses(og, gamma2), tol, sub)
+        candidates = candidates(float(game.outcome_grid[0]), float(game.outcome_grid[-1]),
+                                gamma1, gamma2, w1, w2)
+
+        def excess(params):
+            omegas = candidates(params)
+            return _excess(kernel(omegas, params),
+                           w1 * kernel(omegas, gamma1) + w2 * kernel(omegas, gamma2), sub)
+        return _gap_search(game, excess, tol)
 
 
 def superprediction_gap(game: Game, point, tol: float = DEFAULT_MEMBERSHIP_TOL):

@@ -32,7 +32,7 @@ guarantee through its sceptic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -120,7 +120,9 @@ class RunReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a shallow dict: it shares the report's nested values
+        (the config document, the slacks), which it does not copy."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,

@@ -53,8 +53,8 @@ import numpy as np
 from .aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
 from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
                      PoolCollapseError, ProtocolViolationError)
-from .divergence import mean_gap
-from .games import Game, Prediction, _first_row, _lse1, _lse_rows, _scale, alpha_weights
+from .games import (Game, Prediction, _first_row, _lse1, _lse_rows, _scale, alpha_weights,
+                    mean_gap)
 from .players import ConstantPredictor, _column, plays_own
 
 

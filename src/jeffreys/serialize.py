@@ -91,5 +91,4 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 def write_report_json(report: RunReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from jeffreys import (AggregatingSceptic, ConstantNature, ConstantPredictor, DriftPredictor,
-                      IidBernoulliNature, IidUniformNature, JeffreysError, Level2Sceptic,
+                      Game, GameKind, IidBernoulliNature, IidUniformNature, JeffreysError, Level2Sceptic,
                       Level3Sceptic, MixabilityParams, MixabilityViolation, NatureStrategy,
                       NoisyTargetPredictor, PoolCollapseError, PredictorStrategy, ReplayNature,
                       RunningMeanPredictor,
@@ -71,6 +71,8 @@ def test_pool_validation():
         AggregatingSceptic(experts, priors=0.5)
     sceptic = AggregatingSceptic(experts, priors=np.array([0.25, 0.25]))  # deficient is fine
     assert len(sceptic.priors) == 2
+    with pytest.raises(ValueError, match="expert pool must not be empty"):
+        AggregatingSceptic([])
 
 
 def test_lse1_handles_all_neginf():
@@ -89,6 +91,53 @@ def test_params_are_eta_star_on_the_outcome_bounds():
 def test_params_refused_without_a_positive_eta_star(make_game):
     with pytest.raises(MixabilityViolation):
         params_for(make_game())
+
+
+def test_a_pool_plays_on_an_outcome_grid_that_overhangs_the_bounds_within_the_slack():
+    # Game accepts an outcome grid up to 1e-12 past its bounds; the pool's
+    # eta is eta* on the bounds, which its mix reads, so the grid's width
+    # (1 + 1e-12, whose eta* is below 2) does not refuse it
+    game = Game(GameKind.BOUNDED_SQUARE, np.linspace(-5e-13, 1.0 + 5e-13, 257),
+                np.linspace(0.0, 1.0, 257))
+    assert params_for(game) == MixabilityParams(2.0, 0.5)
+    sceptic = AggregatingSceptic([ConstantPredictor(0.2), ConstantPredictor(0.9)])
+    trace = run_protocol(IidBernoulliNature(0.7), ConstantPredictor(0.2),
+                         ConstantPredictor(0.9), sceptic, game, 2000, seed=3)
+    assert verify_run(trace, ["eq8"], sceptic).checks_passed
+
+
+def _shifting_mix(mix_column, shift):
+    # the game's mix, each move shifted by ``shift`` after its own end check
+    def shifted(preds, eta):
+        column = mix_column(preds, eta)
+
+        def moves(log_w):
+            gammas = column(log_w)
+            return None if gammas is None else gammas + shift
+        return moves
+    return shifted
+
+
+@pytest.mark.parametrize("make_sceptic", [
+    lambda: AggregatingSceptic([ConstantPredictor(0.2), ConstantPredictor(0.9)]),
+    lambda: Level3Sceptic(Level2Sceptic(alpha=0.0)),
+], ids=["aggregating", "level3"])
+def test_a_move_that_fails_the_domination_recheck_is_refused_at_its_step(monkeypatch,
+                                                                         make_sceptic):
+    # the column block re-checks each move against the mixture loss and gives
+    # the run back to the loop, whose settle names the step that fails
+    from jeffreys.sceptics import _Pool
+    blocks = []
+    column_block = _Pool._column_block
+    monkeypatch.setattr(_Pool, "_column_block",
+                        lambda self, *args: blocks.append(column_block(self, *args)) or blocks[-1])
+    game = bounded_square_loss_game()
+    game.spec = dataclasses.replace(game.spec,
+                                    mix_column=_shifting_mix(game.spec.mix_column, 0.05))
+    with pytest.raises(MixabilityViolation, match=r"^step 1: loss .* exceeds mixture bound"):
+        run_protocol(ConstantNature(0.0), ConstantPredictor(0.2), ConstantPredictor(0.9),
+                     make_sceptic(), game, 50, seed=3)
+    assert blocks == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,49 @@ def test_learning_predictors_match_the_loop(game):
 
 
 # ---------------------------------------------------------------------------
+# each check where its sums drift: 10^5 steps played as columns, under a
+# far-from-fair coin and a coin that always shows 1, with a predictor that
+# drifts from 0.9 to 0.5 (on log loss, the probability of outcome 1, kept
+# interior so that no loss is infinite)
+
+DRIFT_N = 10 ** 5
+
+
+def _drift():
+    return j.DriftPredictor(0.9, -0.4 / DRIFT_N)
+
+
+def _constants(*moves):
+    return [j.ConstantPredictor(m) for m in moves]
+
+
+CHECK_MATRIX = {
+    **{f"eq9-{game.kind.value}-alpha{alpha}": (game, 0.3, lambda a=alpha: j.Level2Sceptic(a))
+       for game in (SQUARE, BOUNDED_SQUARE, LOG2) for alpha in (-0.6, 0.6)},
+    **{f"ledger-{game.kind.value}": (game, 0.2, j.Level1Sceptic)
+       for game in (ABSOLUTE, BOUNDED_ABSOLUTE)},
+    "eq8-pool-bounded_square": (BOUNDED_SQUARE, 0.3,
+                                lambda: j.AggregatingSceptic(_constants(0.2, 0.9))),
+    "eq8-pool-log_loss": (LOG2, 0.3,
+                          lambda: j.AggregatingSceptic(_constants([0.8, 0.2], [0.1, 0.9]))),
+    "eq8-lift-bounded_square": (BOUNDED_SQUARE, 0.3,
+                                lambda: j.Level3Sceptic(j.Level2Sceptic(0.0))),
+}
+
+
+@pytest.mark.parametrize("p", [0.9, 1.0])
+@pytest.mark.parametrize("shape", sorted(CHECK_MATRIX))
+def test_each_check_holds_over_a_long_drifting_column_run(shape, p):
+    game, constant, make_sceptic = CHECK_MATRIX[shape]
+    sceptic = make_sceptic()
+    with columns_only():
+        trace = j.run_protocol(j.IidBernoulliNature(p), _drift(), j.ConstantPredictor(constant),
+                               sceptic, game, DRIFT_N, seed=3)
+    report = j.verify_run(trace, [sceptic.check], sceptic)
+    assert report.checks_passed, report.check_slacks
+
+
+# ---------------------------------------------------------------------------
 # the threshold lift: its switches as first passages over its base's column
 
 def _lift(game, first, second, nature, horizon, seed, k_max=20, base=None):

@@ -1,5 +1,6 @@
 """Divergence closed forms, the numeric max-min path, and their agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from jeffreys import (GAME_SPECS, ConstantNature, ConstantPredictor, DriftPredic
                       lower_alpha_divergence_numeric, quartic_loss_game, run_protocol,
                       standard_alpha_divergence_log_loss, upper_alpha_divergence_numeric)
 from jeffreys.cli import main
+from test_games import spy_on_profiles
 
 # frozen from direct evaluation of the log-affinity formula
 LOG_DIV_HALF_VS_09 = -4.0 * math.log(math.sqrt(0.45) + math.sqrt(0.05))
@@ -243,21 +245,30 @@ def test_unbracketable_reported_as_infinite():
     (bounded_absolute_loss_game, 0.2, 0.7),
 ])
 def test_a_numeric_level2_run_never_builds_the_canonical_point_matrix(game_factory, g1, g2):
-    # the mean path takes its gaps at candidate outcomes, so a run leaves
-    # Game._loss_matrix, the prediction grid's P x O canonical points, unbuilt
+    # the mean path takes its gaps at candidate outcomes, so a run never
+    # evaluates the loss profiles over the outcome grid, of which the
+    # prediction grid's P x O canonical points are made
     game = game_factory()
+    built = spy_on_profiles(game)
     lo, hi = game.bounds()[0]
     trace = run_protocol(IidUniformNature(lo, hi), ConstantPredictor(g1),
                          DriftPredictor(g2, -0.001), Level2Sceptic(alpha=0.3), game, 50, seed=1)
     assert len(trace) == 50
-    assert game._loss_matrix is None
+    assert built == []
 
 
 def test_the_divergence_command_never_builds_the_canonical_point_matrix(monkeypatch, capsys):
+    # nor, on a kind with candidate outcomes, any loss profile over the
+    # outcome grid; log loss's mean gap is its grid gap, its outcome grid
+    # being its whole outcome space
     built = []
     original = Game.grid_canonical_points
     monkeypatch.setattr(Game, "grid_canonical_points",
                         lambda self: built.append(self.kind) or original(self))
+    for kind, spec in GAME_SPECS.items():
+        if spec.candidates is not None:
+            monkeypatch.setitem(GAME_SPECS, kind, dataclasses.replace(
+                spec, param_losses=lambda game, params: built.append(game.kind)))
     vectors = ("0.3,0.7", "0.6,0.4")
     moves = {"quartic": ("-0.5", "0.5"), "log": vectors, "log_loss": vectors}
     for game in ["log"] + [kind.value for kind in GameKind]:

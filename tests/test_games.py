@@ -255,15 +255,28 @@ def test_superprediction_monotone_in_domination():
             assert is_superprediction(g, q)
 
 
+def spy_on_profiles(game) -> list:
+    """Record the parameter shape of every evaluation of the game's loss
+    profiles over its outcome grid (``spec.param_losses``), on this game only."""
+    calls = []
+    param_losses = game.spec.param_losses
+    game.spec = dataclasses.replace(
+        game.spec, param_losses=lambda g, params: calls.append(params.shape)
+        or param_losses(g, params))
+    return calls
+
+
 def test_membership_rejects_bad_inputs():
     # a point not of the outcome grid's shape, and a tol that is not positive
     # and finite, are refused before the gap search builds any array: the
-    # grid's canonical points stay unbuilt
+    # grid's canonical points are never evaluated
     with pytest.raises(ValueError):
         is_superprediction(binary_bsq(), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         is_superprediction(binary_bsq(), [1.0, 1.0], tol=0.0)
     g, bad_tols = bounded_square_loss_game(), (0.0, -1.0, math.nan, math.inf)
+    q = quartic_loss_game()
+    built = (spy_on_profiles(g), spy_on_profiles(q))
     questions = (is_superprediction, is_subprediction, superprediction_gap, subprediction_gap)
     for question in questions:
         for point in ([0.5], np.full((257, 1), 0.5), np.full(256, 0.5)):
@@ -272,12 +285,11 @@ def test_membership_rejects_bad_inputs():
         for tol in bad_tols:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 question(g, np.full(257, 0.5), tol=tol)
-    q = quartic_loss_game()
     for divergence in (lower_alpha_divergence_numeric, upper_alpha_divergence_numeric):
         for tol in bad_tols:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 divergence(q, -1.0, 1.0, 0.0, tol=tol)
-    assert g._loss_matrix is None and q._loss_matrix is None
+    assert built == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +470,25 @@ def test_descriptor_defaults_only_missing_sizes():
 def test_grids_must_increase():
     with pytest.raises(ValueError):
         bounded_square_loss_game(outcome_grid=[1.0, 0.0])
+
+
+@pytest.mark.parametrize("outcome_grid, prediction_grid, message", [
+    ([0.0, 1.0], [0.5, 0.2], "prediction_grid must be strictly increasing"),
+    ([0.0, 1.1], [0.0, 1.0], "outcome_grid outside declared bounds"),
+    ([0.0, 1.0], [-0.1, 1.0], "prediction_grid outside declared bounds"),
+])
+def test_game_refuses_grids_it_cannot_use(outcome_grid, prediction_grid, message):
+    with pytest.raises(ValueError, match=message):
+        Game(GameKind.BOUNDED_SQUARE, outcome_grid, prediction_grid)
+
+
+def test_log_loss_with_three_outcomes_has_no_grid_questions():
+    # loss and canonical points work for any m; the grid questions need m == 2
+    game = log_loss_game(m=3)
+    with pytest.raises(ValueError, match="log_loss game has no prediction grid"):
+        game.grid_canonical_points()
+    with pytest.raises(ValueError, match="log_loss game has no prediction grid"):
+        superprediction_gap(game, np.ones(3))
 
 
 def test_prediction_grid_needs_two_points():
@@ -664,10 +695,6 @@ def test_no_closed_form_of_the_pool_takes_a_tolerance(form):
     assert closed and all("tol" not in inspect.signature(f).parameters for f in closed)
 
 
-def test_the_canonical_point_cache_is_not_a_constructor_parameter():
-    assert "_loss_matrix" not in inspect.signature(Game).parameters
-
-
 # ---------------------------------------------------------------------------
 # one arithmetic: the per-step kernels call numpy's ufuncs on Python floats
 # and the column forms call them on arrays, so the two paths agree bit for
@@ -758,6 +785,73 @@ def test_each_check_has_one_owner():
     with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
         cli = fh.read()
     assert [name for name in CHECKS if re.search(rf"\b{name}\b", cli)] == []
+
+
+def _calls_in(path, names) -> dict:
+    # {name: the functions of the module at path whose bodies call it}
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = {name: set() for name in names}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(fn.name)
+    return callers
+
+
+def test_the_gap_search_has_one_entry():
+    # _gap_search checks tol and the grid, scans and refines; it is entered
+    # for a vector target on the outcome grid and for the weighted mean
+    names = ("_min_gap", "_gap_search")
+    assert _calls_in(os.path.join(SRC, "games.py"), names) == {
+        "_min_gap": {"_gap_search"}, "_gap_search": {"_grid_gap", "mean_gap"}}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "games.py":
+            assert _calls_in(os.path.join(SRC, name), names) == {n: set() for n in names}, name
+    import jeffreys.divergence as divergence
+    import jeffreys.games as games
+    assert divergence.mean_gap is games.mean_gap
+    for gone in ("_check_tol", "_profile_excess"):
+        assert not hasattr(games, gone)
+    assert not hasattr(Game, "profiles")
+    for private in ("_excess", "_gap_search", "_check_tol", "_profile_excess"):
+        assert not hasattr(divergence, private)
+
+
+def _state(game) -> dict:
+    # every attribute of a game, its arrays by their bytes
+    return {name: (value.dtype, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else value for name, value in vars(game).items()}
+
+
+@pytest.mark.parametrize("kind", list(GAME_SPECS), ids=constructor_name)
+def test_a_game_keeps_nothing_it_computed(kind):
+    # each public question leaves every attribute of the game as it was
+    from jeffreys.divergence import closed_form_divergence
+    game = GAME_SPECS[kind].make(65, 2)
+    g1, g2 = (game.prediction_from_param(u) for u in (0.3, 0.7))
+    point = game.canonical_point(g1) + 0.05
+    lo, hi = game.bounds()[0] or (0.0, 1.0)
+    questions = [
+        lambda: superprediction_gap(game, point), lambda: subprediction_gap(game, point),
+        lambda: is_superprediction(game, point), lambda: is_subprediction(game, point),
+        lambda: check_non_redundant(game),
+        lambda: lower_alpha_divergence_numeric(game, g1, g2, 0.4),
+        lambda: upper_alpha_divergence_numeric(game, g1, g2, 0.4),
+        lambda: closed_form_divergence(game, g1, g2, 0.4, "lower"),
+        lambda: check_perfectly_mixable(game, 0.5), lambda: params_for(game),
+        lambda: run_protocol(IidUniformNature(lo, hi) if kind is not GameKind.LOG_LOSS
+                             else IidBernoulliNature(0.5), ConstantPredictor(0.3),
+                             ConstantPredictor(0.7), Level2Sceptic(alpha=0.3), game, 20, seed=1),
+    ]
+    before = _state(game)
+    for question in questions:
+        try:
+            question()
+        except (ValueError, MixabilityViolation):  # no closed form, or not mixable
+            pass
+        assert _state(game) == before
 
 
 def test_one_refinement_loop():

@@ -127,3 +127,9 @@ def test_drift_predictor_clamps():
     assert p.predict(1) == 0.9
     assert p.predict(10) == 1.0
 
+
+def test_constant_predictor_refuses_a_string_and_a_nan():
+    with pytest.raises(TypeError, match="a number or a vector of numbers"):
+        ConstantPredictor("x")
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        ConstantPredictor(np.nan)

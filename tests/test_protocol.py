@@ -13,7 +13,8 @@ from jeffreys import (GAME_SPECS, AdversarialGreedyNature, ConfigError, Constant
                       Level2Sceptic, ProtocolViolationError,
                       RunningMeanPredictor, ScepticStrategy, Trace,
                       absolute_loss_game, bounded_absolute_loss_game, classify_disjuncts,
-                      game_from_descriptor, log_loss_game, run_protocol, square_loss_game,
+                      game_from_descriptor, log_loss_game, require_checks, run_protocol,
+                      square_loss_game,
                       trace_to_csv_string, verify_run)
 from jeffreys.serialize import CSV_COLUMNS, CSV_HEADER
 from jeffreys.protocol import (VERDICT_BEATS_P1, VERDICT_BEATS_P2,
@@ -480,3 +481,18 @@ def test_a_period_longer_than_64_rows_is_not_used(period, extended):
 def test_fewer_than_three_known_rows_guess_the_reply(known):
     reply = np.full(6, 3.0)
     assert _next_guess(reply, known) is reply
+
+
+def test_a_run_needs_a_step_and_a_verdict_needs_a_row():
+    game = square_loss_game()
+    with pytest.raises(ConfigError, match="horizon must be at least 1"):
+        run_protocol(ConstantNature(1.0), ConstantPredictor(0.0), ConstantPredictor(1.0),
+                     Level2Sceptic(alpha=0.0), game, 0, seed=0)
+    with pytest.raises(ValueError, match="cannot classify an empty trace"):
+        classify_disjuncts(Trace(game, [], [], [], []))
+
+
+def test_require_checks_refuses_a_string():
+    # a string is a sequence of one-letter names: it is refused as a whole
+    with pytest.raises(ConfigError, match="checks must be a list of check names"):
+        require_checks("eq9", Level2Sceptic(alpha=0.0), square_loss_game())

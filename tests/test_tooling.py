@@ -40,6 +40,11 @@ def test_traced_benchmark_cycle_runs(workload):
         # its lifts play columns even with the tracer's wrappers set on the
         # class: no per-step lift method runs
         assert result["layers"]["sceptics.level3.predict.us_per_call"] == 0.0
+    if workload == "numeric_oracle":
+        # its numeric level-2 runs take one gap search a step, and its
+        # divergence queries reach the gap search through the traced entries
+        assert result["layers"]["sceptics.level2_numeric.gap_searches_per_step"] == 1.0
+        assert result["layers"]["divergence.numeric.calls"] > 0
     if workload == "pool_aggregation":
         # its aggregating pools play columns even with the tracer's wrappers
         # set on their classes: no per-step pool method runs (the library has
