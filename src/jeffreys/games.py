@@ -63,7 +63,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError, ProtocolViolationError
 
 Prediction = Union[float, np.ndarray]
 
@@ -99,6 +99,19 @@ def _finite(move, what: str) -> bool:
         return False
     except TypeError:
         raise DomainError(f"{what} {move!r} is not a number") from None
+
+
+def _checked(validate, move, who: str, n: Optional[int] = None) -> None:
+    """``validate(move)``, one of a game's validators; a refused move is the
+    validate-once contract's one refusal, naming ``who``: a
+    ProtocolViolationError at step ``n``, or a ConfigError where there is
+    no step yet (a strategy's own moves, checked at reset)."""
+    try:
+        validate(move)
+    except DomainError as exc:
+        if n is None:
+            raise ConfigError(f"{who}: {exc}") from exc
+        raise ProtocolViolationError(f"{who}: {exc}", n) from exc
 
 
 class GameKind(str, Enum):
@@ -970,19 +983,22 @@ def check_perfectly_mixable(game: Game, eta: float) -> bool:
     """True iff the game is perfectly mixable at learning rate ``eta``.
 
     That is ``eta <= eta*``, where ``eta*`` is the table entry's constant
-    on the span ``W`` of the outcome grid: ``2 / W^2`` for square loss,
-    ``9 / W^4`` for quartic loss (9/16 on [-1, 1]), 0 for absolute loss,
-    which is mixable at no ``eta``, and 1 for log loss over any number of
-    outcomes.  For a binary game ``eta*`` is the infimum over predictions
-    of the curvature ratio ``(l0' l1'' - l0'' l1') / (l0' l1' (l1' - l0'))``
-    of the loss curve (Haussler, Kivinen & Warmuth, IEEE Trans. IT 1998;
-    Vovk, Competitive on-line statistics, 2001); the scalar games take it
-    on their outcome interval's endpoints, which carry the binding
-    constraint for these loss shapes.  Log loss is mixable at 1 on every
-    finite outcome space: the Bayes mixture is a prediction.
+    on the span ``W`` of the outcome grid, clipped to the outcome bounds
+    where the kind has them (a grid may overhang them within ``Game``'s
+    1e-12 slack): ``2 / W^2`` for square loss, ``9 / W^4`` for quartic loss
+    (9/16 on [-1, 1]), 0 for absolute loss, which is mixable at no ``eta``,
+    and 1 for log loss over any number of outcomes.  For a binary game
+    ``eta*`` is the infimum over predictions of the curvature ratio
+    ``(l0' l1'' - l0'' l1') / (l0' l1' (l1' - l0'))`` of the loss curve
+    (Haussler, Kivinen & Warmuth, IEEE Trans. IT 1998; Vovk, Competitive
+    on-line statistics, 2001); the scalar games take it on their outcome
+    interval's endpoints, which carry the binding constraint for these loss
+    shapes.  Log loss is mixable at 1 on every finite outcome space: the
+    Bayes mixture is a prediction.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    width = float(game.outcome_grid[-1] - game.outcome_grid[0])
+    lo, hi = game._outcome_range
+    width = float(min(game.outcome_grid[-1], hi) - max(game.outcome_grid[0], lo))
     # a game with one outcome is mixable at every eta
     return width == 0.0 or eta <= game.spec.eta_star(width)

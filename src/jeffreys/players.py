@@ -40,8 +40,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .games import Game
+from .errors import ConfigError
+from .games import Game, _checked, _finite
 
 
 def plays_own(strategy, owner: type, *methods: str) -> bool:
@@ -130,10 +130,12 @@ class ReplayExhausted(Exception):
 
 
 def _real(value, name: str) -> float:
-    """A configured number as a float: TypeError for a non-number, ValueError if not finite."""
-    if not isinstance(value, numbers.Real):
+    """A configured number as a float: TypeError for a non-number or a bool,
+    ValueError if not finite or an integer past the float range, as the
+    config schema refuses them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not _finite(value, name):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -267,10 +269,7 @@ class AdversarialGreedyNature(NatureStrategy):
         if self.candidates is not None:
             self._cands = list(self.candidates)
             for w in self._cands:
-                try:
-                    game.validate_outcome(w)
-                except DomainError as exc:
-                    raise ConfigError(f"adversarial_greedy candidate: {exc}") from exc
+                _checked(game.validate_outcome, w, "adversarial_greedy candidate")
         else:
             self._cands = [game.spec.outcome_type(w) for w in range(max(game.m, 2))]
 
@@ -346,45 +345,33 @@ class RunningMeanPredictor(PredictorStrategy):
 
     def reset(self, game, rng, horizon):
         self._game = game
-        if game.prediction_shape:
-            self._counts = np.ones(game.m)
-            self._total = float(game.m)  # the counts' exact sum: they are integers
-            self._mean, self._add = self._frequencies, self._count
-        else:
-            self._sum = 0.0
-            self._n = 0
-            self._mean, self._add = self._running_mean, self._accumulate
+        # the add-one counts on a finite outcome space, else None; and the
+        # sum and count of past outcomes
+        self._counts = np.ones(game.m) if game.prediction_shape else None
+        self._sum, self._n = 0.0, 0
 
     def predict(self, n):
-        return self._mean()
-
-    def observe(self, n, omega):
-        self._add(omega)
-
-    def _frequencies(self):
-        return self._counts / self._total
-
-    def _count(self, omega):
-        self._counts[int(omega)] += 1.0
-        self._total += 1.0
-
-    def _running_mean(self):
+        if self._counts is not None:
+            return self._counts / (self._n + self._game.m)
         value = self.initial if self._n == 0 else self._sum / self._n
         return self._game.prediction_from_param(value)
 
-    def _accumulate(self, omega):
-        self._sum += omega
+    def observe(self, n, omega):
+        if self._counts is not None:
+            self._counts[int(omega)] += 1.0
+        else:
+            self._sum += omega
         self._n += 1
 
     def predict_column(self, omegas):
         if omegas is None:
             return None
         n = len(omegas)
-        if self._game.prediction_shape:
+        if self._counts is not None:
             # the counts before each step, whole numbers as the loop's are
             seen = np.zeros((n, self._game.m))
             seen[np.arange(1, n), omegas[:-1].astype(np.intp)] = 1.0
-            return (np.cumsum(seen, axis=0) + 1.0) / (np.arange(n) + self._total)[:, None]
+            return (np.cumsum(seen, axis=0) + 1.0) / (np.arange(n) + self._game.m)[:, None]
         # running sums from 0.0 in play order, so a first outcome of -0.0 sums to 0.0
         sums = np.cumsum(np.concatenate(([0.0], omegas[:-1])))
         means = np.concatenate(([self.initial], sums[1:] / np.arange(1, n)))

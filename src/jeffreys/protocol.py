@@ -37,9 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
-                     PoolCollapseError, ProtocolViolationError)
-from .games import Game, GameKind
+from .errors import ConfigError, DivergenceOverestimate, MixabilityViolation, PoolCollapseError
+from .games import Game, GameKind, _checked
 from .players import NatureStrategy, PredictorStrategy, ReplayExhausted, _column
 from .sceptics import ScepticStrategy
 
@@ -138,8 +137,10 @@ def run_protocol(nature: NatureStrategy, predictor1: PredictorStrategy,
     only validator of moves in a run: it checks each move exactly once, as
     it is announced (predictor 1, predictor 2, the sceptic, then Nature),
     or each column, and the strategies rely on that.  An out-of-domain move
-    aborts the run with the offending step index, as does a pool that
-    collapses or a level-2 move of infinite divergence; a replay Nature
+    aborts the run with a ProtocolViolationError naming its player and
+    step, as a pool's refused inner move does, both through
+    ``jeffreys.games._checked``; so does a pool that collapses or a level-2
+    move of infinite divergence, with its own error.  A replay Nature
     running out of outcomes truncates the run with a warning.
     """
     if horizon < 1:
@@ -256,32 +257,20 @@ def _play_loop(players, game: Game, horizon: int) -> tuple:
     for n in range(1, horizon + 1):
         g1 = predict1(n)
         g2 = predict2(n)
-        try:
-            validate_prediction(g1)
-        except DomainError as exc:
-            raise ProtocolViolationError(f"predictor 1: {exc}", n) from exc
-        try:
-            validate_prediction(g2)
-        except DomainError as exc:
-            raise ProtocolViolationError(f"predictor 2: {exc}", n) from exc
+        _checked(validate_prediction, g1, "predictor 1", n)
+        _checked(validate_prediction, g2, "predictor 2", n)
         try:
             gs = predict(n, g1, g2)
         except (PoolCollapseError, DivergenceOverestimate, MixabilityViolation) as exc:
             raise type(exc)(f"step {n}: {exc}") from exc
-        try:
-            validate_prediction(gs)
-        except DomainError as exc:
-            raise ProtocolViolationError(f"sceptic: {exc}", n) from exc
+        _checked(validate_prediction, gs, "sceptic", n)
         try:
             omega = outcome(n, g1, g2, gs)
         except ReplayExhausted as exc:
             warnings.warn(f"run truncated at step {n}: {exc}")
             truncated = True
             break
-        try:
-            validate_outcome(omega)
-        except DomainError as exc:
-            raise ProtocolViolationError(f"nature: {exc}", n) from exc
+        _checked(validate_outcome, omega, "nature", n)
 
         record((g1, g2, gs, omega))
 

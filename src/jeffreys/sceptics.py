@@ -51,10 +51,9 @@ from typing import Optional
 import numpy as np
 
 from .aggregating import DOMINATION_TOL, fixed_pool_mixer, params_for
-from .errors import (ConfigError, DivergenceOverestimate, DomainError, MixabilityViolation,
-                     PoolCollapseError, ProtocolViolationError)
-from .games import (Game, Prediction, _first_row, _lse1, _lse_rows, _scale, alpha_weights,
-                    mean_gap)
+from .errors import ConfigError, DivergenceOverestimate, MixabilityViolation, PoolCollapseError
+from .games import (Game, Prediction, _checked, _first_row, _lse1, _lse_rows, _scale,
+                    alpha_weights, mean_gap)
 from .players import ConstantPredictor, _column, plays_own
 
 
@@ -419,14 +418,15 @@ class _Pool(ScepticStrategy):
     prepared again where the members' moves or their type change.  There
     each sceptic refuses what it must: its ``_accept(n, moves, raw)`` gives
     the moves as floats (raw is None where numpy cannot read them as one
-    array, and then it only refuses).  ``_settle`` takes the own loss and
-    the members' losses at the outcome, re-checks domination by the mixture
-    loss's own log-sum-exp under the normalized weights that made the move
-    (the difference of the normalizers before and after would carry the
-    rounding of weights that fall far below zero, about 1e-9, the
-    domination tolerance, by 10^7 steps of log loss), and adds the losses
-    into the sums.  A collapsed pool is refused before the members' moves
-    are read as one array.
+    array, and then it only refuses), and refuses an inner move through
+    ``jeffreys.games._checked``, the engine's own refusal of a player's.
+    ``_settle`` takes the own loss and the members' losses at the outcome,
+    re-checks domination by the mixture loss's own log-sum-exp under the
+    normalized weights that made the move (the difference of the
+    normalizers before and after would carry the rounding of weights that
+    fall far below zero, about 1e-9, the domination tolerance, by 10^7
+    steps of log loss), and adds the losses into the sums.  A collapsed
+    pool is refused before the members' moves are read as one array.
 
     eq8 is Vovk's regret bound ``L_self <= min_k (L_k + C ln 1/p_k)``, a
     statement about cumulative sums.  Each step hands the audit its bound
@@ -556,14 +556,6 @@ class _Pool(ScepticStrategy):
         return float(self.worst_eq8_slack)
 
 
-def _check_inner(game, move, who: str, n: int) -> None:
-    # a move a pool mixes is refused as the engine refuses a player's
-    try:
-        game.validate_prediction(move)
-    except DomainError as exc:
-        raise ProtocolViolationError(f"{who}: {exc}", n) from exc
-
-
 # numpy's type codes of booleans, integers and real floats: moves held as
 # one of these are their bytes
 _NUMBER_CODES = "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]
@@ -637,23 +629,21 @@ class AggregatingSceptic(_Pool):
         # a constant expert is checked once, here
         for i, expert in enumerate(self.experts, 1):
             if _is_constant(expert):
-                try:
-                    game.validate_prediction(expert.predict(1))
-                except DomainError as exc:
-                    raise ConfigError(f"aggregating expert {i}: {exc}") from exc
+                _checked(game.validate_prediction, expert.predict(1), f"aggregating expert {i}")
 
     def _accept(self, n, moves, raw):
         # a refused expert move ends the run; a NaN one only eliminates its expert
         if raw is None or _mix_key(raw) is None:  # a string, say: the engine's check names it
             for i, move in enumerate(moves, 1):
-                _check_inner(self._game, move, f"aggregating expert {i}", n)
+                _checked(self._game.validate_prediction, move, f"aggregating expert {i}", n)
             if raw is None:
                 return None
         preds = raw.astype(float)
         if not self._game.accepts_predictions(preds):  # the column test, then the culprit
             for i, move in enumerate(preds, 1):
                 if not np.isnan(move).all():  # a NaN move's NaN loss eliminates its expert
-                    _check_inner(self._game, move.tolist(), f"aggregating expert {i}", n)
+                    _checked(self._game.validate_prediction, move.tolist(),
+                             f"aggregating expert {i}", n)
         return preds
 
     def predict(self, n, gamma1, gamma2):
@@ -772,7 +762,7 @@ class Level3Sceptic(_Pool):
     def _accept(self, n, moves, raw):
         # a refused base move ends the run, a NaN one too; the engine checked
         # the predictors' moves
-        _check_inner(self._game, moves[0], "level-3 base", n)
+        _checked(self._game.validate_prediction, moves[0], "level-3 base", n)
         return None if raw is None else raw.astype(float)
 
     def predict(self, n, gamma1, gamma2):

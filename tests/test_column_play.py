@@ -351,15 +351,12 @@ def test_learning_predictors_match_the_loop(game):
 
 # ---------------------------------------------------------------------------
 # each check where its sums drift: 10^5 steps played as columns, under a
-# far-from-fair coin and a coin that always shows 1, with a predictor that
-# drifts from 0.9 to 0.5 (on log loss, the probability of outcome 1, kept
-# interior so that no loss is infinite)
+# far-from-fair coin and a coin that always shows 1, and 10^6 steps under
+# the coin that always shows 1, with a predictor that drifts from 0.9 to 0.5
+# (on log loss, the probability of outcome 1, kept interior so that no
+# loss is infinite)
 
 DRIFT_N = 10 ** 5
-
-
-def _drift():
-    return j.DriftPredictor(0.9, -0.4 / DRIFT_N)
 
 
 def _constants(*moves):
@@ -380,16 +377,25 @@ CHECK_MATRIX = {
 }
 
 
-@pytest.mark.parametrize("p", [0.9, 1.0])
-@pytest.mark.parametrize("shape", sorted(CHECK_MATRIX))
-def test_each_check_holds_over_a_long_drifting_column_run(shape, p):
+def _assert_drifting_run_passes(shape, p, horizon):
     game, constant, make_sceptic = CHECK_MATRIX[shape]
     sceptic = make_sceptic()
     with columns_only():
-        trace = j.run_protocol(j.IidBernoulliNature(p), _drift(), j.ConstantPredictor(constant),
-                               sceptic, game, DRIFT_N, seed=3)
+        trace = j.run_protocol(j.IidBernoulliNature(p), j.DriftPredictor(0.9, -0.4 / horizon),
+                               j.ConstantPredictor(constant), sceptic, game, horizon, seed=3)
     report = j.verify_run(trace, [sceptic.check], sceptic)
     assert report.checks_passed, report.check_slacks
+
+
+@pytest.mark.parametrize("p", [0.9, 1.0])
+@pytest.mark.parametrize("shape", sorted(CHECK_MATRIX))
+def test_each_check_holds_over_a_long_drifting_column_run(shape, p):
+    _assert_drifting_run_passes(shape, p, DRIFT_N)
+
+
+@pytest.mark.parametrize("shape", sorted(CHECK_MATRIX))
+def test_each_check_holds_over_a_million_step_drifting_column_run(shape):
+    _assert_drifting_run_passes(shape, 1.0, 10 ** 6)
 
 
 # ---------------------------------------------------------------------------

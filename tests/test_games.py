@@ -350,6 +350,10 @@ def quartic_on_unit_outcomes():
     return Game(GameKind.QUARTIC, np.linspace(0.0, 1.0, 257), np.linspace(-1.0, 1.0, 257))
 
 
+def overhanging(kind, lo, hi):
+    return Game(kind, np.linspace(lo - 5e-13, hi + 5e-13, 257), np.linspace(lo, hi, 257))
+
+
 EXACT_ETA_STAR = {
     "bounded_square": (bounded_square_loss_game, 2.0),
     "square": (square_loss_game, 2.0),
@@ -359,6 +363,12 @@ EXACT_ETA_STAR = {
     "log_loss_m3": (lambda: log_loss_game(m=3), 1.0),
     "quartic": (quartic_loss_game, 0.5625),
     "quartic_unit_outcomes": (quartic_on_unit_outcomes, 9.0),
+    # a grid inside the bounds keeps its own span; one past them within
+    # Game's 1e-12 slack takes the bounds' constant, the eta its pool plays
+    "bounded_square_inner": (
+        lambda: bounded_square_loss_game(outcome_grid=np.linspace(0.25, 0.75, 257)), 8.0),
+    "bounded_square_overhanging": (lambda: overhanging(GameKind.BOUNDED_SQUARE, 0.0, 1.0), 2.0),
+    "quartic_overhanging": (lambda: overhanging(GameKind.QUARTIC, -1.0, 1.0), 0.5625),
 }
 
 
@@ -558,6 +568,37 @@ ALLOWED_PLAYS_OWN = {
 
 def test_the_stand_in_rule_has_one_owner():
     assert _src_lines_matching(PLAYS_OWN) == set(ALLOWED_PLAYS_OWN)
+
+
+def _refusals_in(path: str) -> list:
+    # (enclosing function, "except" or "raise") for each handler that catches
+    # DomainError and each ProtocolViolationError built, in source order
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None \
+                    and "DomainError" in ast.unparse(child.type):
+                found.append((owner, "except"))
+            if isinstance(child, ast.Call) \
+                    and getattr(child.func, "id", None) == "ProtocolViolationError":
+                found.append((owner, "raise"))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    with open(path, encoding="utf-8") as fh:
+        visit(ast.parse(fh.read()), None)
+    return found
+
+
+def test_a_refused_move_has_one_owner():
+    # every move a run or a reset refuses goes through _checked; the CLI's
+    # parser of a prediction typed as text is the one other reader of a
+    # DomainError
+    found = {name: _refusals_in(os.path.join(SRC, name))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    assert {name: hits for name, hits in found.items() if hits} == {
+        "games.py": [("_checked", "except"), ("_checked", "raise")],
+        "cli.py": [("_parse_prediction", "except")]}
 
 
 # the modules whose per-step kernels and column forms agree bit for bit by

@@ -128,6 +128,14 @@ def test_drift_predictor_clamps():
     assert p.predict(10) == 1.0
 
 
+def test_a_configured_number_is_refused_as_the_schema_refuses_it():
+    # a bool is no number, and an integer past the float range is not finite
+    with pytest.raises(TypeError, match="p must be a number, got True"):
+        IidBernoulliNature(True)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        ConstantNature(10 ** 400)
+
+
 def test_constant_predictor_refuses_a_string_and_a_nan():
     with pytest.raises(TypeError, match="a number or a vector of numbers"):
         ConstantPredictor("x")

@@ -447,6 +447,14 @@ def test_ledger_check_refuses_an_empty_trace():
         Level1Sceptic(c=0.4).worst_slack(Trace(game, [], [], [], []))
 
 
+def test_eq9_check_refuses_a_trace_without_divergence_terms():
+    # a level-1 run records no divergence terms for eq9 to sum
+    trace = run_protocol(ConstantNature(1.0), ConstantPredictor(0.2), ConstantPredictor(0.8),
+                         Level1Sceptic(c=0.4), absolute_loss_game(), 5)
+    with pytest.raises(ConfigError, match="eq9 check needs per-step divergence terms"):
+        verify_run(trace, ["eq9"], sceptic=Level2Sceptic(0.0))
+
+
 def _ledger_case(game, nature, p1, p2, horizon, seed, c=0.4):
     return game, nature, p1, p2, horizon, seed, c
 

@@ -94,6 +94,11 @@ def test_log_loss_prediction_validator_accepts_exactly_the_simplex(data, m):
     assert _accepts(LOG_GAMES[m].validate_prediction, vector) == expected
 
 
+def test_an_integer_past_the_float_range_is_not_finite():
+    with pytest.raises(DomainError, match="is not finite"):
+        SCALAR_GAMES["square"].validate_prediction(10 ** 400)
+
+
 def test_nan_probability_vectors_are_rejected():
     for game, vector in ((LOG_GAMES[2], [math.nan, 0.5]), (LOG_GAMES[2], [math.nan, math.nan]),
                          (LOG_GAMES[3], [math.nan, 0.5, 0.5])):
